@@ -13,14 +13,17 @@ sys.path.insert(0, "src")
 from coxkit.cli import main  # noqa: E402
 
 
-def run(family: str, rank: str) -> None:
+def run(family: str, rank: str) -> int:
+    """Print the three tables; return the worst exit status of the three."""
+    worst = 0
     for table in ("c", "hgram", "hm"):
         print(f"== {table} table for {family} rank {rank} ==")
-        main(["table", "--type", family, "--rank", rank, "--table", table])
+        worst = max(worst, main(["table", "--type", family, "--rank", rank, "--table", table]))
         print()
+    return worst
 
 
 if __name__ == "__main__":
     family = sys.argv[1] if len(sys.argv) > 1 else "B"
     rank = sys.argv[2] if len(sys.argv) > 2 else "3"
-    run(family, rank)
+    sys.exit(run(family, rank))

@@ -77,7 +77,7 @@ def collect_by_descents(system: CoxeterSystem, x: FormalVector,
         coeffs = {seen.get(w, 0) for w in cls}
         if len(coeffs) != 1:
             raise ValueError(f"vector is not constant on the descent class of {sorted(I)}")
-        out = out + FormalVector.basis(I, coeffs.pop(), kind=SIGMA)
+        out += FormalVector.basis(I, coeffs.pop(), kind=SIGMA)
     return out
 
 
@@ -160,7 +160,7 @@ def sigma_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVecto
             if not is_class_rep(z, subset, K):
                 continue
             low, high = interval_bounds(z, subset, K)
-            out = out + FormalVector.from_keys(
+            out += FormalVector.from_keys(
                 [Kp for Kp in sub_subsets if low <= Kp <= high], kind=SIGMA
             )
         return out
@@ -333,7 +333,7 @@ def p_class_basis(system: CoxeterSystem) -> dict[frozenset[int], FormalVector]:
         for J in all_subsets(system):
             if J <= I:
                 label = class_label(conjugacy_class_of(system, J))
-                acc = acc + m_vecs[label].scale(class_index(system, J))
+                acc += m_vecs[label].scale(class_index(system, J))
         out[I] = acc
     return out
 

@@ -1,4 +1,17 @@
-"""Sparse formal linear combinations with exact integer/rational coefficients."""
+"""Sparse formal linear combinations with exact integer/rational coefficients.
+
+:class:`FormalVector` is the one sparse container of the package: the
+free-module elements here, and through thin subclasses the truncated
+noncommutative series (:class:`coxkit.series.NCSeries`) and the
+commutative polynomial truncations (:class:`coxkit.qsym.CPoly`).  All of
+them share the zero-dropping accumulation below and the linear operations
+built on it.
+
+``a + b`` returns a new object and leaves both operands alone; ``a += b``
+merges ``b`` into ``a`` in place.  Use ``+=`` only on an accumulator the
+calling code created itself, never on a vector taken from a cache or
+handed in by a caller, since every other holder of ``a`` sees the change.
+"""
 
 from __future__ import annotations
 
@@ -27,31 +40,50 @@ class FormalVector:
     Zero coefficients are never stored.  The optional ``kind`` tag names
     the basis (e.g. "element", "sigma", "sigma_star") and guards the
     pairing against mixing bases.
+
+    Subclasses that restrict or normalise their keys set ``_key`` to a
+    function applied to every key handed to the constructor; it is None
+    here, so plain vectors pay nothing for it.  Objects of different
+    classes never compare equal and cannot be added.
     """
 
     __slots__ = ("terms", "kind")
 
+    _key: Callable[[Hashable], Hashable] | None = None
+
     def __init__(self, terms: Union[Mapping, Iterable, None] = None, kind: str | None = None):
-        data: dict = {}
+        self.terms: dict = {}
+        self.kind = kind
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, coeff in items:
-                if coeff:
-                    acc = data.get(key, 0) + coeff
-                    if acc:
-                        data[key] = acc
-                    else:
-                        data.pop(key, None)
-        self.terms = data
-        self.kind = kind
+            if self._key is not None:
+                key = self._key
+                items = ((key(k), c) for k, c in items)
+            self._accumulate(items)
+
+    def _accumulate(self, items: Iterable) -> None:
+        """Add (key, coefficient) pairs into ``terms``, dropping zeros."""
+        data = self.terms
+        for key, coeff in items:
+            if coeff:
+                acc = data.get(key, 0) + coeff
+                if acc:
+                    data[key] = acc
+                else:
+                    del data[key]
+
+    def _with_terms(self, terms: dict) -> "FormalVector":
+        """Trusted constructor: an object of this class and tags that takes
+        over ``terms``, which must already hold only nonzero, normalised
+        entries."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        out.kind = self.kind
+        return out
 
     @classmethod
     def basis(cls, key: Hashable, coeff: Scalar = 1, kind: str | None = None) -> "FormalVector":
         return cls({key: coeff}, kind=kind)
-
-    @classmethod
-    def zero(cls, kind: str | None = None) -> "FormalVector":
-        return cls(kind=kind)
 
     @classmethod
     def from_keys(cls, keys: Iterable[Hashable], kind: str | None = None) -> "FormalVector":
@@ -62,17 +94,21 @@ class FormalVector:
             raise ValueError(f"mixing bases {self.kind!r} and {other.kind!r}")
         return self.kind if self.kind is not None else other.kind
 
+    def _check_compatible(self, other: "FormalVector") -> None:
+        """Refuse to combine with ``other``; subclasses add their own tags."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+
+    def __iadd__(self, other: "FormalVector") -> "FormalVector":
+        self._check_compatible(other)
+        self.kind = self._merge_kind(other)
+        self._accumulate(other.terms.items())
+        return self
+
     def __add__(self, other: "FormalVector") -> "FormalVector":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = FormalVector(kind=self._merge_kind(other))
-        result.terms = out
-        return result
+        out = self._with_terms(dict(self.terms))
+        out += other
+        return out
 
     def __sub__(self, other: "FormalVector") -> "FormalVector":
         return self + (-other)
@@ -81,16 +117,13 @@ class FormalVector:
         return self.scale(-1)
 
     def scale(self, c: Scalar) -> "FormalVector":
-        result = FormalVector(kind=self.kind)
-        if c:
-            result.terms = {k: c * v for k, v in self.terms.items()}
-        return result
+        return self._with_terms({k: c * v for k, v in self.terms.items()} if c else {})
 
     def __rmul__(self, c: Scalar) -> "FormalVector":
         return self.scale(c)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FormalVector) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -118,7 +151,7 @@ class FormalVector:
         """Linear extension of a key-to-vector map."""
         out = FormalVector(kind=kind)
         for key, coeff in self.terms.items():
-            out = out + f(key).scale(coeff)
+            out += f(key).scale(coeff)
         out.kind = kind
         return out
 
@@ -127,15 +160,6 @@ class FormalVector:
         self._merge_kind(other)
         small, big = (self, other) if len(self) <= len(other) else (other, self)
         return sum(c * big.terms.get(k, 0) for k, c in small.terms.items())
-
-    def tensor(self, other: "FormalVector", kind: str | None = None) -> "FormalVector":
-        out = FormalVector(kind=kind)
-        out.terms = {
-            (k1, k2): c1 * c2
-            for k1, c1 in self.terms.items()
-            for k2, c2 in other.terms.items()
-        }
-        return out
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -80,10 +80,6 @@ def invert_vector(x: FormalVector) -> FormalVector:
     return x.map_keys(lambda w: w.inverse(), kind=x.kind)
 
 
-def pairing(x: FormalVector, y: FormalVector):
-    return x.pairing(y)
-
-
 def descent_projection(system: CoxeterSystem, x: FormalVector) -> FormalVector:
     """chi: w |-> dual-basis key at the descent set of w (surjects onto duals)."""
     del system

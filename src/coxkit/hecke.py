@@ -21,13 +21,11 @@ from typing import Iterable, Optional, Sequence
 from .freemodule import FormalVector
 from .systems import (
     CoxeterSystem,
-    Element,
     all_subsets,
     descent_class,
     elements,
     longest_element,
     min_coset_reps,
-    subset_sort_key,
 )
 
 Matrix = list[list]
@@ -92,16 +90,17 @@ def alternating_product(a: Matrix, b: Matrix, m: int) -> Matrix:
 
 @dataclass
 class HModule:
-    """A finite-dimensional module: one matrix per acting generator."""
+    """A finite-dimensional module: one matrix per acting generator.
+
+    The dimension is stored, not read off the matrices, because a module
+    with an empty acting set has no matrices to read it from.
+    """
 
     system: CoxeterSystem
     acting: frozenset[int]
     mats: dict[int, Matrix]
+    dim: int
     labels: Optional[tuple] = None
-
-    @property
-    def dim(self) -> int:
-        return len(next(iter(self.mats.values()))) if self.mats else 0
 
     def idempotent_matrix(self, s: int) -> Matrix:
         return mat_add(self.mats[s], identity_matrix(self.dim))
@@ -159,7 +158,7 @@ def regular_module(system: CoxeterSystem, carrier: Optional[frozenset[int]] = No
             else:
                 X[j][j] = -1
         mats[s] = X
-    return HModule(system, carrier, mats, labels=basis)
+    return HModule(system, carrier, mats, len(basis), labels=basis)
 
 
 def simple_module(system: CoxeterSystem, subset: frozenset[int],
@@ -169,7 +168,7 @@ def simple_module(system: CoxeterSystem, subset: frozenset[int],
     if not subset <= acting:
         raise ValueError("label must consist of acting generators")
     return HModule(
-        system, acting, {s: [[-1 if s in subset else 0]] for s in acting}
+        system, acting, {s: [[-1 if s in subset else 0]] for s in acting}, 1
     )
 
 
@@ -225,11 +224,7 @@ def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModul
     for s in ambient.acting:
         cols = [coords(mat_apply(ambient.mats[s], b)) for b in basis]
         mats[s] = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    return HModule(ambient.system, ambient.acting, mats)
-
-
-def _generator_product_vector(reg: HModule, word: Iterable[int], v: Sequence, bar: bool) -> list:
-    return reg.act_word(word, v, bar=bar)
+    return HModule(ambient.system, ambient.acting, mats, len(basis))
 
 
 def _seeded_cyclic(reg: HModule, subset: frozenset[int], idem: frozenset[int]) -> HModule:
@@ -326,36 +321,32 @@ def induce(module: HModule) -> HModule:
                             X[idx(zi, out_i)][idx(zi, mi)] = R[out_i][mi]
         mats[s] = X
     labels = tuple((z, mi) for z in reps for mi in range(d))
-    return HModule(system, system.generator_set, mats, labels=labels)
+    return HModule(system, system.generator_set, mats, dim, labels=labels)
 
 
 def restrict(module: HModule, subset: frozenset[int]) -> HModule:
     if not subset <= module.acting:
         raise ValueError("can only restrict to a subset of the acting generators")
     return HModule(
-        module.system, subset, {s: module.mats[s] for s in subset}, module.labels
+        module.system, subset, {s: module.mats[s] for s in subset}, module.dim, module.labels
     )
 
 
 # -- composition series and multiplicities ----------------------------------------
 
 
-def _stacked_nullspace(mats: list[Matrix]) -> list[list[Fraction]]:
+def _stacked_nullspace(mats: list[Matrix], dim: int) -> list[list[Fraction]]:
     from .linalg import nullspace
 
     rows: list[list] = []
     for m in mats:
         rows.extend(m)
-    return nullspace(rows)
+    return nullspace(rows, dim)
 
 
-def _eigen_patterns(acting: frozenset[int]):
-    subs = [
-        frozenset(c)
-        for r in range(len(acting) + 1)
-        for c in __import__("itertools").combinations(sorted(acting), r)
-    ]
-    return sorted(subs, key=subset_sort_key)
+def _eigen_patterns(module: HModule) -> list[frozenset[int]]:
+    """Subsets of the acting set, in the order of :func:`all_subsets`."""
+    return [I for I in all_subsets(module.system) if I <= module.acting]
 
 
 def common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list[Fraction]]:
@@ -368,7 +359,7 @@ def common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list[F
         shifted.append(
             mat_add(module.mats[s], mat_scale(identity_matrix(d), -lam))
         )
-    return _stacked_nullspace(shifted)
+    return _stacked_nullspace(shifted, d)
 
 
 def _quotient_by_line(module: HModule, v: Sequence) -> HModule:
@@ -380,7 +371,7 @@ def _quotient_by_line(module: HModule, v: Sequence) -> HModule:
         mats[s] = [
             [X[i][j] - X[p][j] * Fraction(v[i]) / vp for j in keep] for i in keep
         ]
-    return HModule(module.system, module.acting, mats)
+    return HModule(module.system, module.acting, mats, len(keep))
 
 
 def composition_factors(module: HModule) -> FormalVector:
@@ -389,10 +380,10 @@ def composition_factors(module: HModule) -> FormalVector:
     out = FormalVector(kind="g0")
     current = module
     while current.dim:
-        for pattern in _eigen_patterns(current.acting):
+        for pattern in _eigen_patterns(current):
             vecs = common_eigenvectors(current, pattern)
             if vecs:
-                out = out + FormalVector.basis(pattern, kind="g0")
+                out += FormalVector.basis(pattern, kind="g0")
                 current = _quotient_by_line(current, vecs[0])
                 break
         else:
@@ -408,7 +399,7 @@ def hom_to_simple_dim(module: HModule, pattern: frozenset[int]) -> int:
         lam = -1 if s in pattern else 0
         t = mat_transpose(module.mats[s])
         shifted.append(mat_add(t, mat_scale(identity_matrix(d), -lam)))
-    return len(_stacked_nullspace(shifted))
+    return len(_stacked_nullspace(shifted, d))
 
 
 def projective_multiplicities(module: HModule, assert_projective: bool = True) -> FormalVector:
@@ -416,10 +407,10 @@ def projective_multiplicities(module: HModule, assert_projective: bool = True) -
     with a dimension audit that flags non-projective inputs."""
     out = FormalVector(kind="k0")
     total = 0
-    for pattern in _eigen_patterns(module.acting):
+    for pattern in _eigen_patterns(module):
         m = hom_to_simple_dim(module, pattern)
         if m:
-            out = out + FormalVector.basis(pattern, m, kind="k0")
+            out += FormalVector.basis(pattern, m, kind="k0")
             total += m * len(descent_class(module.system, pattern, module.acting))
     if assert_projective and total != module.dim:
         raise NonProjectiveError(
@@ -446,21 +437,10 @@ def hom_dim(source: HModule, target: HModule) -> int:
                     if B[i][k]:
                         row[k * ds + j] -= B[i][k]
                 rows.append(row)
-    return len(nullspace(rows))
+    return len(nullspace(rows, dt * ds))
 
 
 # -- characteristic maps ------------------------------------------------------------
-
-
-def simple_characteristic(system: CoxeterSystem, g0: FormalVector) -> FormalVector:
-    """Image of a simple-factor vector in fundamental coordinates (keys are
-    descent subsets)."""
-    return FormalVector(g0.terms, kind="fundamental")
-
-
-def projective_characteristic(system: CoxeterSystem, k0: FormalVector) -> FormalVector:
-    """Image of a projective vector in ribbon coordinates."""
-    return FormalVector(k0.terms, kind="ribbon")
 
 
 def characteristic_polynomial(system: CoxeterSystem, g0: FormalVector, K: int):
@@ -475,7 +455,7 @@ def characteristic_polynomial(system: CoxeterSystem, g0: FormalVector, K: int):
     }[system.family]
     out = CPoly()
     for subset, coeff in g0.terms.items():
-        out = out + fund(composition_from_descents(system, subset), K).scale(coeff)
+        out += fund(composition_from_descents(system, subset), K).scale(coeff)
     return out
 
 

@@ -44,11 +44,9 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right kernel (one vector per free column)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of a matrix with ``ncols`` columns (one
+    vector per free column).  With no rows every column is free."""
     mat, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -11,44 +11,27 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+from .freemodule import FormalVector
+
 Monomial = tuple[int, ...]
 
 
-class CPoly:
+class CPoly(FormalVector):
     """Sparse integer polynomial keyed by sorted variable-index tuples."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[Monomial, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                if coeff:
-                    key = tuple(sorted(mono))
-                    acc = data.get(key, 0) + coeff
-                    if acc:
-                        data[key] = acc
-                    else:
-                        del data[key]
-        self.terms = data
+    @staticmethod
+    def _key(mono: Iterable[int]) -> Monomial:
+        return tuple(sorted(mono))
 
     @classmethod
     def monomial(cls, indices: Iterable[int], coeff=1) -> "CPoly":
-        return cls({tuple(sorted(indices)): coeff})
+        return cls([(indices, coeff)])
 
     @classmethod
     def one(cls) -> "CPoly":
         return cls({(): 1})
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        return CPoly(itertools.chain(self.terms.items(), other.terms.items()))
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "CPoly":
-        return CPoly(((m, c * v) for m, v in self.terms.items()))
 
     def __mul__(self, other: "CPoly") -> "CPoly":
         return CPoly(
@@ -62,15 +45,6 @@ class CPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CPoly) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def support(self) -> list[Monomial]:
-        return sorted(self.terms)
 
     def __repr__(self) -> str:
         return f"CPoly({len(self.terms)} terms)"
@@ -128,7 +102,7 @@ def sym_m(lam: tuple[int, ...], K: int) -> CPoly:
     rearrangements = set(itertools.permutations(lam))
     out = CPoly()
     for alpha in rearrangements:
-        out = out + monomial_qsym(alpha, K)
+        out += monomial_qsym(alpha, K)
     return out
 
 
@@ -178,9 +152,7 @@ def folded_h_block(k: int, K: int) -> CPoly:
     for a in range(k + 1):
         for b in range(k - a + 1):
             c = k - a - b
-            out = out + (
-                complete_homogeneous(a, K) * x0_power(b) * complete_homogeneous(c, K)
-            )
+            out += complete_homogeneous(a, K) * x0_power(b) * complete_homogeneous(c, K)
     return out
 
 

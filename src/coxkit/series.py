@@ -45,57 +45,47 @@ class WindowError(ValueError):
     """A truncated-series operation was attempted outside its trusted window."""
 
 
-class NCSeries:
-    """Sparse integer combination of equal-length words over [-window, window]."""
+class NCSeries(FormalVector):
+    """Sparse integer combination of equal-length words over [-window, window].
 
-    __slots__ = ("degree", "window", "terms")
+    Every word handed to the constructor is checked for its length and its
+    letters; sums and differences need equal degree and window.
+    """
+
+    __slots__ = ("degree", "window")
 
     def __init__(self, degree: int, window: int, terms=None):
         self.degree = degree
         self.window = window
-        data: dict[Word, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, coeff in items:
-                if len(word) != degree:
-                    raise ValueError(f"word {word} has length != {degree}")
-                if any(abs(x) > window for x in word):
-                    raise WindowError(f"letter outside window in {word}")
-                if coeff:
-                    acc = data.get(word, 0) + coeff
-                    if acc:
-                        data[word] = acc
-                    else:
-                        del data[word]
-        self.terms = data
+        super().__init__(terms)
+
+    def _key(self, word: Word) -> Word:
+        if len(word) != self.degree:
+            raise ValueError(f"word {word} has length != {self.degree}")
+        if word and (min(word) < -self.window or max(word) > self.window):
+            raise WindowError(f"letter outside window in {word}")
+        return word
+
+    def _with_terms(self, terms: dict) -> "NCSeries":
+        out = super()._with_terms(terms)
+        out.degree = self.degree
+        out.window = self.window
+        return out
 
     @classmethod
     def from_words(cls, degree: int, window: int, words: Iterable[Word]) -> "NCSeries":
         return cls(degree, window, ((w, 1) for w in words))
 
-    def __add__(self, other: "NCSeries") -> "NCSeries":
-        self._compat(other)
-        return NCSeries(
-            self.degree, self.window,
-            itertools.chain(self.terms.items(), other.terms.items()),
-        )
-
-    def __sub__(self, other: "NCSeries") -> "NCSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "NCSeries":
-        return NCSeries(self.degree, self.window, ((w, c * v) for w, v in self.terms.items()))
-
-    def _compat(self, other: "NCSeries") -> None:
+    def _check_compatible(self, other: "NCSeries") -> None:
+        super()._check_compatible(other)
         if self.degree != other.degree or self.window != other.window:
             raise ValueError("degree/window mismatch")
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, NCSeries)
+            super().__eq__(other)
             and self.degree == other.degree
             and self.window == other.window
-            and self.terms == other.terms
         )
 
     def __mul__(self, other: "NCSeries") -> "NCSeries":
@@ -114,9 +104,6 @@ class NCSeries:
              for w1, c1 in self.terms.items()
              for w2, c2 in other.terms.items()),
         )
-
-    def support(self) -> list[Word]:
-        return sorted(self.terms)
 
     def __repr__(self) -> str:
         return f"NCSeries(degree={self.degree}, window={self.window}, {len(self.terms)} terms)"
@@ -167,7 +154,7 @@ def s_basis(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSer
     subset = descents_of_composition(alpha)
     out = NCSeries(system.n, window)
     for w in descent_class(system, subset):
-        out = out + s_series(w, window)
+        out += s_series(w, window)
     return out
 
 
@@ -266,7 +253,7 @@ def f_action(u: Element, v: Element, window: int, flavor: str | None = None) -> 
     literal = f_series(u, window) * f_series(v, window)
     total = NCSeries(u.system.n + v.system.n, window)
     for w in labels.terms:
-        total = total + f_series(w, window)
+        total += f_series(w, window)
     if total != literal:
         raise AssertionError("shuffle expansion disagrees with series product")
     return labels
@@ -293,8 +280,7 @@ def s_coaction(u: Element, flavor: str | None = None) -> FormalVector:
 
 
 def graded_pieces(vec: FormalVector) -> dict[int, FormalVector]:
-    out: dict[int, FormalVector] = {}
+    pieces: dict[int, dict] = {}
     for (w1, w2), c in vec.terms.items():
-        piece = out.setdefault(w1.system.n, FormalVector(kind="pair"))
-        piece.terms[(w1, w2)] = piece.terms.get((w1, w2), 0) + c
-    return out
+        pieces.setdefault(w1.system.n, {})[(w1, w2)] = c
+    return {n: FormalVector(kind="pair")._with_terms(terms) for n, terms in pieces.items()}

@@ -438,12 +438,6 @@ def is_valid_composition(system: CoxeterSystem, alpha: tuple[int, ...]) -> bool:
     return all(p > 0 for p in alpha[1:])
 
 
-def all_compositions(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        composition_from_descents(system, I) for I in all_subsets(system)
-    )
-
-
 def near_concat_compositions(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """Join alpha and beta by fusing the boundary parts; None if either is empty."""
     if not alpha or not beta:

@@ -148,17 +148,6 @@ def _d_two_run_reps(m: int, n: int) -> Iterator[Element]:
                     yield Element(system, window)
 
 
-def _riffles(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Interleavings of (1..m) and (m+1..m+n) keeping both runs in order."""
-    for positions in itertools.combinations(range(m + n), m):
-        word = [0] * (m + n)
-        pos_set = set(positions)
-        lo, hi = iter(range(1, m + 1)), iter(range(m + 1, m + n + 1))
-        for i in range(m + n):
-            word[i] = next(lo) if i in pos_set else next(hi)
-        yield tuple(word)
-
-
 def _interleavings(a: Word, b: Word) -> Iterator[Word]:
     for positions in itertools.combinations(range(len(a) + len(b)), len(a)):
         word = [0] * (len(a) + len(b))

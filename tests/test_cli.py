@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coxkit.cli import main
 
 
@@ -173,6 +175,18 @@ class TestHecke:
         data = json.loads(out)
         assert all(t["mult"] >= 1 for t in data["multiplicities"])
 
+    @pytest.mark.parametrize("rank,expected", [(0, ["1\tC(1,)"]), (1, ["1\tC(2,)", "1\tC(1, 1)"])])
+    def test_low_rank_regular_factors(self, capsys, rank, expected):
+        status, out, _ = run(capsys, "hecke", "--type", "A", "--rank", str(rank),
+                             "--module", "regular", "--report", "factors")
+        assert status == 0 and out.splitlines() == expected
+
+    def test_induce_from_no_generators(self, capsys):
+        status, out, _ = run(capsys, "hecke", "--type", "B", "--rank", "2",
+                             "--op", "induce", "--subset", "", "--module", "C:",
+                             "--report", "dim")
+        assert status == 0 and out.strip() == "8"
+
     def test_label_outside_acting_set(self, capsys):
         status, _, err = run(capsys, "hecke", "--type", "B", "--rank", "3",
                              "--op", "induce", "--subset", "1,2", "--module", "C:0",
@@ -195,6 +209,12 @@ class TestVerify:
         assert status == 0
         names = [c["name"] for c in json.loads(out)["suites"]["duality"]["checks"]]
         assert names == sorted(names)
+
+    @pytest.mark.parametrize("family,rank", [("A", 0), ("A", 1), ("B", 0), ("B", 1)])
+    def test_low_rank_hecke_suite(self, capsys, family, rank):
+        status, out, err = run(capsys, "verify", "--suite", "hecke", "--type", family,
+                               "--rank", str(rank))
+        assert status == 0 and "8/8 checks passed" in out and err == ""
 
     def test_unknown_suite(self, capsys):
         status, _, err = run(capsys, "verify", "--suite", "nope")

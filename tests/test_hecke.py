@@ -297,6 +297,44 @@ class TestRestriction:
                         assert coeff_src == coeff_tgt
 
 
+RANKS_0_TO_2 = [("A", 0), ("A", 1), ("B", 0), ("B", 1), ("B", 2)]
+
+
+class TestEmptyActingSet:
+    """A module whose acting set is empty has no matrices; its dimension
+    must still be the stored one."""
+
+    @pytest.mark.parametrize("family,rank", RANKS_0_TO_2)
+    def test_induce_trivial_simple_is_regular_sized(self, family, rank):
+        system = CoxeterSystem.of_rank(family, rank)
+        reg = regular_module(system)
+        ind = induce(simple_module(system, frozenset(), acting=frozenset()))
+        assert ind.dim == system.order()
+        assert composition_factors(ind) == composition_factors(reg)
+        assert projective_multiplicities(ind) == projective_multiplicities(reg)
+
+    @pytest.mark.parametrize("family", ("A", "B"))
+    def test_rank_zero_regular_module(self, family):
+        reg = regular_module(CoxeterSystem.of_rank(family, 0))
+        assert reg.dim == 1 and reg.mats == {}
+        assert composition_factors(reg) == FormalVector({frozenset(): 1}, kind="g0")
+        assert hom_dim(reg, reg) == 1
+
+    def test_restrict_to_no_generators_keeps_dimension(self):
+        P = projective_module(B2, frozenset([0]))
+        res = restrict(P, frozenset())
+        assert res.dim == P.dim
+        assert composition_factors(res) == FormalVector({frozenset(): P.dim}, kind="g0")
+
+    @pytest.mark.parametrize("family,rank", RANKS_0_TO_2 + [("A", 2), ("A", 3)])
+    def test_verify_suite_passes(self, family, rank):
+        from coxkit.verify import run_suite
+
+        checks = run_suite("hecke", family, CoxeterSystem.of_rank(family, rank).n)
+        assert len(checks) == 8
+        assert [c for c in checks if not c.passed] == []
+
+
 class TestGrothendieck:
     def test_factor_count_is_dimension(self):
         for I in all_subsets(B2):
@@ -328,7 +366,7 @@ class TestGrothendieck:
         U = [[1 if i == j else (1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
         Uinv = solve_matrix_inverse(U)
         conj = {s: mat_mul(mat_mul(U, X), Uinv) for s, X in P.mats.items()}
-        M = HModule(P.system, P.acting, conj)
+        M = HModule(P.system, P.acting, conj, P.dim)
         assert composition_factors(M) == composition_factors(P)
 
 
@@ -350,14 +388,16 @@ class TestCharacteristicMaps:
             poly = characteristic_polynomial(system, composition_factors(C), 3)
             assert poly == fund((system.n,), 3)
 
-    @pytest.mark.parametrize("system", (B2, B3, CoxeterSystem("D", 2), D3))
+    @pytest.mark.parametrize("system", (B2, B3, CoxeterSystem("D", 2), D3, CoxeterSystem("A", 2), A3))
     def test_projective_characteristic_is_ribbon(self, system):
         K = system.n + 1
+        # the type A projection relabels the window [-K, K] onto 1..2K+1
+        letters = 2 * K + 1 if system.family == "A" else K
         proj = projection(system.family)
         for I in all_subsets(system):
             alpha = composition_from_descents(system, I)
             P = projective_module(system, I)
-            assert characteristic_polynomial(system, composition_factors(P), K) \
+            assert characteristic_polynomial(system, composition_factors(P), letters) \
                 == proj(s_basis(system, alpha, K))
 
     def test_induction_compatible_with_ribbon_product(self):
