@@ -24,15 +24,13 @@ from . import qsym
 from . import series as sr
 from . import verify as vf
 from . import words as wd
-from .freemodule import FormalVector, sort_key
+from .freemodule import FormalVector
 from .systems import (
     CapExceededError,
     CoxeterSystem,
     Element,
     all_subsets,
     composition_from_descents,
-    descents_of_composition,
-    elements,
     format_window,
     is_valid_composition,
     parse_window,
@@ -78,17 +76,14 @@ def _parse_subset(text: str) -> frozenset[int]:
     return frozenset(int(p) for p in text.split(","))
 
 
-def _parse_composition(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated ints, optionally parenthesized: windows, compositions."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     if not text:
         return ()
     return tuple(int(p) for p in text.split(","))
-
-
-def _coeff_str(c) -> str:
-    return str(c)
 
 
 def _element_json(w: Element) -> list[int]:
@@ -104,7 +99,7 @@ def _vector_json(system: CoxeterSystem, vec: FormalVector, basis: str) -> dict:
             jkey = [_element_json(key[0]), _element_json(key[1])]
         else:
             jkey = sorted(key)
-        terms.append({"key": jkey, "coeff": coeff if isinstance(coeff, int) else _coeff_str(coeff)})
+        terms.append({"key": jkey, "coeff": coeff if isinstance(coeff, int) else str(coeff)})
     return {
         "system": {"family": system.family, "rank": system.rank},
         "basis": basis,
@@ -147,13 +142,6 @@ def cmd_element(args) -> int:
     return EXIT_OK
 
 
-def _parse_window_tuple(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
-
-
 def _operand_families(family: str) -> tuple[str, str]:
     if family.endswith("BB"):
         return "B", "B"
@@ -165,7 +153,7 @@ def cmd_product(args) -> int:
         raise CliError(f"unknown product family {args.family!r}")
     left_fam, right_fam = _operand_families(args.family)
     try:
-        lwin, rwin = _parse_window_tuple(args.left), _parse_window_tuple(args.right)
+        lwin, rwin = _parse_ints(args.left), _parse_ints(args.right)
         u = CoxeterSystem(left_fam, len(lwin)).element(lwin)
         v = CoxeterSystem(right_fam, len(rwin)).element(rwin)
     except ValueError as exc:
@@ -183,7 +171,7 @@ def cmd_coproduct(args) -> int:
         raise CliError(f"unknown coproduct family {args.family!r}")
     fam_letter, _ = _operand_families(args.family)
     try:
-        win = _parse_window_tuple(args.arg)
+        win = _parse_ints(args.arg)
         u = CoxeterSystem(fam_letter, len(win)).element(win)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -206,15 +194,12 @@ def cmd_series(args) -> int:
     if args.kind not in SERIES_KINDS:
         raise CliError(f"unknown series kind {args.kind!r} (choose from {SERIES_KINDS})")
     family = args.kind[-1]
-    alpha = _parse_composition(args.key)
+    alpha = _parse_ints(args.key)
     system = CoxeterSystem(family, sum(alpha))
     if not is_valid_composition(system, alpha):
         raise CliError(f"{alpha} is not a valid index for family {family}")
     builder = sr.s_basis if args.kind.startswith("s") else sr.h_basis
-    try:
-        x = builder(system, alpha, args.window)
-    except CapExceededError as exc:
-        raise CliError(str(exc), EXIT_CAP) from exc
+    x = builder(system, alpha, args.window)
     payload = {
         "degree": x.degree,
         "window": x.window,
@@ -235,7 +220,7 @@ def _parse_poly_token(token: str, K: int) -> qsym.CPoly:
     kind = kind.strip()
     if kind == "x0":
         return qsym.x0_power(int(key or 1))
-    alpha = _parse_composition(key)
+    alpha = _parse_ints(key)
     if kind in ("sA", "sB", "sD"):
         family = kind[-1]
         system = CoxeterSystem(family, sum(alpha))
@@ -339,13 +324,15 @@ def _parse_module(system: CoxeterSystem, spec: str, acting: frozenset[int]) -> h
     raise CliError(f"unknown module kind {kind!r}")
 
 
-def _g0_report(system: CoxeterSystem, vec: FormalVector) -> tuple[dict, list[str]]:
+def _mult_report(system: CoxeterSystem, vec: FormalVector, name: str,
+                 letter: str) -> tuple[dict, list[str]]:
+    """Multiplicities of simples (C) or projectives (P), keyed by composition."""
     items = [
         {"composition": list(composition_from_descents(system, k)), "mult": c}
         for k, c in vec.items()
     ]
-    lines = [f"{it['mult']}\tC{tuple(it['composition'])}" for it in items]
-    return {"factors": items}, lines
+    lines = [f"{it['mult']}\t{letter}{tuple(it['composition'])}" for it in items]
+    return {name: items}, lines
 
 
 def cmd_hecke(args) -> int:
@@ -361,16 +348,10 @@ def cmd_hecke(args) -> int:
     elif args.op != "none":
         raise CliError(f"unknown hecke op {args.op!r}")
     if args.report == "factors":
-        payload, lines = _g0_report(system, hk.composition_factors(module))
+        payload, lines = _mult_report(system, hk.composition_factors(module), "factors", "C")
     elif args.report == "multiplicities":
-        vec = hk.projective_multiplicities(module)
-        items = [
-            {"composition": list(composition_from_descents(system, k)), "mult": c}
-            for k, c in vec.items()
-        ]
-        payload, lines = {"multiplicities": items}, [
-            f"{it['mult']}\tP{tuple(it['composition'])}" for it in items
-        ]
+        payload, lines = _mult_report(
+            system, hk.projective_multiplicities(module), "multiplicities", "P")
     elif args.report == "dim":
         payload, lines = {"dim": module.dim}, [str(module.dim)]
     elif args.report == "matrices":
@@ -430,6 +411,17 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """argparse type of the integer options: a nonnegative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxkit",
@@ -444,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text", help="output format")
         if system_args:
             p.add_argument("--type", choices=("A", "B", "D"), required=True)
-            p.add_argument("--rank", type=int, required=True)
-            p.add_argument("--max-window", type=int, default=None,
+            p.add_argument("--rank", type=_count, required=True)
+            p.add_argument("--max-window", type=_count, default=None,
                            help="override the per-family window cap")
 
     p = sub.add_parser("element", help="window-notation arithmetic")
@@ -467,14 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, system_args=False)
     p.add_argument("--family", required=True, choices=sorted(wd.COPRODUCTS))
     p.add_argument("--arg", required=True)
-    p.add_argument("--split", type=int, default=None, help="keep one component")
+    p.add_argument("--split", type=_count, default=None, help="keep one component")
     p.set_defaults(fn=cmd_coproduct)
 
     p = sub.add_parser("series", help="truncated noncommutative basis elements")
     add_common(p, system_args=False)
     p.add_argument("--kind", required=True, help="one of " + ", ".join(SERIES_KINDS))
     p.add_argument("--key", required=True, help="(pseudo-)composition, e.g. '(0,2,1)'")
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_count, required=True)
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("expand", help="exact expansion in a polynomial basis")
@@ -482,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="token like 'x0:2' or 'h:(1,1)'")
     p.add_argument("--basis", required=True,
                    help="semicolon-separated tokens, e.g. 'hB:(2);hB:(1,1);hB:(0,2);hB:(0,1,1)'")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=_count, default=3)
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("table", help="pairing tables")
@@ -504,15 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="suite name (" + ", ".join(sorted(vf.SUITES)) + ") or 'all'")
     p.add_argument("--type", choices=("A", "B", "D"), default=None)
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", type=_count, default=None)
     p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def _protect_negative_windows(argv: list[str]) -> list[str]:
-    """Keep window arguments starting with '-' out of option parsing: fuse
-    them into '--opt=value' form and shield bare positionals with '--'."""
+    """Keep window and integer arguments starting with '-' out of option parsing:
+    fuse them into '--opt=value' form and shield bare positionals with '--'."""
     import re
 
     window = re.compile(r"-\d+(,-?\d+)*")
@@ -521,7 +513,8 @@ def _protect_negative_windows(argv: list[str]) -> list[str]:
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in ("--right", "--left", "--arg", "--key") and nxt is not None \
+        if tok in ("--right", "--left", "--arg", "--key",
+                   "--rank", "--window", "--split", "--max-window") and nxt is not None \
                 and window.fullmatch(nxt):
             fused.append(f"{tok}={nxt}")
             i += 2

@@ -31,7 +31,6 @@ from .systems import (
     min_coset_reps,
     parabolic_class_size,
     parabolic_conjugacy_classes,
-    parabolic_elements,
     subset_sort_key,
 )
 

@@ -3,7 +3,8 @@
 A module is given by one square matrix per acting generator for the
 nilpotent-style generators (square equals minus themselves); the
 idempotent generators are recovered by adding the identity.  Matrices are
-dense lists of exact numbers (ints or Fractions).
+dense lists of ints, with Fractions only where a division is inexact; all
+row reduction (span closures, kernels, ranks) is done by :mod:`coxkit.linalg`.
 
 The module constructors mirror the combinatorial structure theory: the
 regular module on the group basis, one-dimensional simples indexed by
@@ -15,10 +16,10 @@ action on coset representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .freemodule import FormalVector
+from .linalg import RowSpace, exact_div, matrix_rank, nullspace
 from .systems import (
     CoxeterSystem,
     all_subsets,
@@ -26,6 +27,7 @@ from .systems import (
     elements,
     longest_element,
     min_coset_reps,
+    parabolic_elements,
 )
 
 Matrix = list[list]
@@ -49,10 +51,6 @@ def identity_matrix(n: int) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, c) -> Matrix:
     return [[c * x for x in row] for row in a]
 
@@ -73,7 +71,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_apply(a: Matrix, v: Sequence) -> list:
-    return [sum(x * y for x, y in zip(row, v) if x) for row in a]
+    """Matrix times vector, touching only the nonzero entries of ``v``."""
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    return [sum(row[j] * y for j, y in nonzero) for row in a]
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -103,7 +103,7 @@ class HModule:
     labels: Optional[tuple] = None
 
     def idempotent_matrix(self, s: int) -> Matrix:
-        return mat_add(self.mats[s], identity_matrix(self.dim))
+        return [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(self.mats[s])]
 
     def validate(self) -> None:
         """Quadratic relations X^2 = -X and all pairwise braid relations."""
@@ -143,8 +143,6 @@ def regular_module(system: CoxeterSystem, carrier: Optional[frozenset[int]] = No
     subalgebra, on the subgroup basis.
     """
     carrier = system.generator_set if carrier is None else carrier
-    from .systems import parabolic_elements
-
     basis = parabolic_elements(system, carrier)
     index = {w: i for i, w in enumerate(basis)}
     mats: dict[int, Matrix] = {}
@@ -172,58 +170,20 @@ def simple_module(system: CoxeterSystem, subset: frozenset[int],
     )
 
 
-def _echelon_insert(rows: list[tuple[int, list]], vec: list) -> bool:
-    """Reduce vec against an RREF row list (pivot, row); insert if independent."""
-    v = [Fraction(x) for x in vec]
-    for pivot, row in rows:
-        if v[pivot]:
-            c = v[pivot]
-            v = [a - c * b for a, b in zip(v, row)]
-    lead = next((i for i, x in enumerate(v) if x), None)
-    if lead is None:
-        return False
-    inv = 1 / v[lead]
-    v = [x * inv for x in v]
-    for k, (pivot, row) in enumerate(rows):
-        if row[lead]:
-            c = row[lead]
-            rows[k] = (pivot, [a - c * b for a, b in zip(row, v)])
-    rows.append((lead, v))
-    rows.sort(key=lambda pr: pr[0])
-    return True
-
-
 def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModule:
-    """The submodule generated by the seed vectors, in its own coordinates."""
-    rows: list[tuple[int, list]] = []
+    """The submodule generated by the seed vectors, in its own coordinates:
+    the reduced echelon basis of its span, ordered by pivot column."""
+    space = RowSpace()
     frontier = [list(v) for v in seeds]
-    added = []
     while frontier:
         v = frontier.pop()
-        if _echelon_insert(rows, v):
-            added.append([Fraction(x) for x in v])
-            for s in ambient.acting:
-                frontier.append(mat_apply(ambient.mats[s], v))
-    # express images of the echelon basis in that basis
-    basis = [row for _, row in rows]
-    pivots = [p for p, _ in rows]
-
-    def coords(v: Sequence) -> list[Fraction]:
-        v = [Fraction(x) for x in v]
-        out = []
-        for pivot, row in rows:
-            c = v[pivot]
-            out.append(c)
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(v):
-            raise ValueError("vector is outside the submodule")
-        return out
-
-    mats = {}
-    for s in ambient.acting:
-        cols = [coords(mat_apply(ambient.mats[s], b)) for b in basis]
-        mats[s] = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+        if space.add(v)[0] is not None:
+            frontier.extend(mat_apply(ambient.mats[s], v) for s in ambient.acting)
+    basis = space.basis()
+    mats = {
+        s: mat_transpose([space.coordinates(mat_apply(ambient.mats[s], b)) for b in basis])
+        for s in ambient.acting
+    }
     return HModule(ambient.system, ambient.acting, mats, len(basis))
 
 
@@ -335,41 +295,40 @@ def restrict(module: HModule, subset: frozenset[int]) -> HModule:
 # -- composition series and multiplicities ----------------------------------------
 
 
-def _stacked_nullspace(mats: list[Matrix], dim: int) -> list[list[Fraction]]:
-    from .linalg import nullspace
-
-    rows: list[list] = []
-    for m in mats:
-        rows.extend(m)
-    return nullspace(rows, dim)
-
-
 def _eigen_patterns(module: HModule) -> list[frozenset[int]]:
     """Subsets of the acting set, in the order of :func:`all_subsets`."""
     return [I for I in all_subsets(module.system) if I <= module.acting]
 
 
-def common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list[Fraction]]:
+def _shifted_rows(module: HModule, pattern: frozenset[int], transpose: bool) -> list[list]:
+    """Rows of X_s + [s in pattern] * I (or its transpose) over the acting s: their
+    kernel is {v : X_s v = -v for s in the pattern, X_s v = 0 for the others}."""
+    rows = []
+    for s in module.acting:
+        X = mat_transpose(module.mats[s]) if transpose else module.mats[s]
+        for i, row in enumerate(X):
+            if s in pattern:
+                row = list(row)
+                row[i] += 1
+            rows.append(row)
+    return rows
+
+
+def common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list]:
     """Vectors on which each acting generator acts by -1 (inside the pattern)
     or 0 (outside)."""
-    d = module.dim
-    shifted = []
-    for s in module.acting:
-        lam = -1 if s in pattern else 0
-        shifted.append(
-            mat_add(module.mats[s], mat_scale(identity_matrix(d), -lam))
-        )
-    return _stacked_nullspace(shifted, d)
+    return nullspace(_shifted_rows(module, pattern, transpose=False), module.dim)
 
 
 def _quotient_by_line(module: HModule, v: Sequence) -> HModule:
     p = next(i for i, x in enumerate(v) if x)
     keep = [i for i in range(module.dim) if i != p]
-    vp = Fraction(v[p])
+    ratio = [exact_div(x, v[p]) if x else 0 for x in v]
     mats = {}
     for s, X in module.mats.items():
         mats[s] = [
-            [X[i][j] - X[p][j] * Fraction(v[i]) / vp for j in keep] for i in keep
+            [X[i][j] - X[p][j] * ratio[i] for j in keep] if ratio[i] else [X[i][j] for j in keep]
+            for i in keep
         ]
     return HModule(module.system, module.acting, mats, len(keep))
 
@@ -393,13 +352,7 @@ def composition_factors(module: HModule) -> FormalVector:
 
 def hom_to_simple_dim(module: HModule, pattern: frozenset[int]) -> int:
     """Dimension of the space of maps onto the simple with the given pattern."""
-    d = module.dim
-    shifted = []
-    for s in module.acting:
-        lam = -1 if s in pattern else 0
-        t = mat_transpose(module.mats[s])
-        shifted.append(mat_add(t, mat_scale(identity_matrix(d), -lam)))
-    return len(_stacked_nullspace(shifted, d))
+    return module.dim - matrix_rank(_shifted_rows(module, pattern, transpose=True))
 
 
 def projective_multiplicities(module: HModule, assert_projective: bool = True) -> FormalVector:
@@ -421,8 +374,6 @@ def projective_multiplicities(module: HModule, assert_projective: bool = True) -
 
 def hom_dim(source: HModule, target: HModule) -> int:
     """Dimension of the intertwiner space (small modules only)."""
-    from .linalg import nullspace
-
     ds, dt = source.dim, target.dim
     rows = []
     for s in source.acting:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .linalg import solve
-from .systems import CoxeterSystem, Element, elements
+from .systems import CoxeterSystem, Element, elements, word_cube
 
 Root = tuple[int, ...]
 
@@ -163,7 +163,7 @@ def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -
     P = list(parset)
     strict = [r for r in P if not is_positive_root(r)]
     out = []
-    for f in itertools.product(range(-window, window + 1), repeat=system.n):
+    for f in word_cube(system.n, window):
         if all(inner(r, f) >= 0 for r in P) and all(inner(r, f) > 0 for r in strict):
             out.append(f)
     return out

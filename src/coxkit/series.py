@@ -14,7 +14,6 @@ is the expected outcome rather than numerical evidence.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable
 
@@ -27,6 +26,7 @@ from .systems import (
     descent_class,
     descents_of_composition,
     elements,
+    word_cube,
 )
 from .words import (
     shuffle_a,
@@ -125,7 +125,7 @@ def _standardization_fibers(system: CoxeterSystem, window: int) -> dict[Element,
         "D": standardize_even_left,
     }[system.family]
     fibers: dict[Element, list[Word]] = {w: [] for w in elements(system)}
-    for f in itertools.product(range(-window, window + 1), repeat=system.n):
+    for f in word_cube(system.n, window):
         fibers[st(f)].append(f)
     return {w: tuple(v) for w, v in fibers.items()}
 
@@ -182,7 +182,7 @@ def s_basis_by_fillings(system: CoxeterSystem, alpha: tuple[int, ...], window: i
 
     return NCSeries.from_words(
         n, window,
-        (f for f in itertools.product(range(-window, window + 1), repeat=n) if keep(f)),
+        (f for f in word_cube(n, window) if keep(f)),
     )
 
 
@@ -199,7 +199,7 @@ def h_block(family: str, k: int, window: int) -> NCSeries:
     lo = 0 if family in ("B", "D") else -window
     words = (
         f
-        for f in itertools.product(range(-window, window + 1), repeat=k)
+        for f in word_cube(k, window)
         if all(f[i] <= f[i + 1] for i in range(k - 1)) and (not f or f[0] >= lo)
     )
     return NCSeries.from_words(k, window, words)

@@ -22,15 +22,15 @@ from typing import Iterable, Optional
 
 FAMILIES = ("A", "B", "D")
 
-#: Enumeration refuses groups larger than this unless overridden via the
-#: COXKIT_MAX_ORDER environment variable or :func:`set_max_order`.
+#: Enumeration refuses groups and word cubes larger than this unless
+#: overridden via COXKIT_MAX_ORDER or :func:`set_max_order`.
 DEFAULT_MAX_ORDER = 10**6
 
 _max_order_override: Optional[int] = None
 
 
 class CapExceededError(RuntimeError):
-    """Raised when a whole-group enumeration would exceed the size cap."""
+    """Raised when a group or word-cube enumeration would exceed the size cap."""
 
 
 def set_max_order(limit: Optional[int]) -> None:
@@ -44,6 +44,19 @@ def max_order() -> int:
         return _max_order_override
     env = os.environ.get("COXKIT_MAX_ORDER")
     return int(env) if env else DEFAULT_MAX_ORDER
+
+
+def word_cube(n: int, window: int) -> Iterable[tuple[int, ...]]:
+    """The length-n words over [-window, window], in lexicographic order;
+    a cube of more than :func:`max_order` words is refused up front."""
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
+    size = (2 * window + 1) ** n
+    if size > max_order():
+        raise CapExceededError(
+            f"word cube (2*{window}+1)^{n} = {size} exceeds cap {max_order()}"
+        )
+    return itertools.product(range(-window, window + 1), repeat=n)
 
 
 @dataclass(frozen=True, order=True)

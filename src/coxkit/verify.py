@@ -7,7 +7,6 @@ keep whole runs under a minute.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .systems import (
     min_coset_reps,
     parabolic_decompose_right,
     parabolic_elements,
+    word_cube,
 )
 
 
@@ -110,7 +110,7 @@ def suite_paper_examples(family: str | None = None, n: int | None = None) -> lis
                                ((-1, 3, -2), (1,)), ((-2, 4, -3, 1), ())])))
         b2 = CoxeterSystem("B", 2)
         lhs = sr.NCSeries(2, 3)
-        for f in itertools.product(range(-3, 4), repeat=2):
+        for f in word_cube(2, 3):
             if wd.standardize(f).window == (1, 2):
                 lhs += sr.NCSeries(2, 3, {f: 1})
         rhs = sr.NCSeries(2, 3)
@@ -596,7 +596,7 @@ def suite_hecke(family: str = "B", n: int = 3) -> list[Check]:
             ok = False
     out.append(_check("projective characteristic equals ribbon polynomial", ok))
 
-    words = list(itertools.product(range(-2, 3), repeat=2))
+    words = list(word_cube(2, 2))
     fam = family
     gens = [s for s in (0, 1) if fam != "A" or s != 0]
     ok = True

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,20 @@ class TestSeries:
                              "--window", "3")
         assert status == 2
 
+    def test_word_cube_over_cap_exits_3(self):
+        # 13^8 words: refused up front instead of enumerated.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("COXKIT_MAX_ORDER", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxkit.cli", "series", "--kind", "sA",
+             "--key", "(8)", "--window", "6"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 3
+        assert "word cube" in proc.stderr and "815730721" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestExpand:
     def test_transition_row(self, capsys):
@@ -192,6 +210,30 @@ class TestHecke:
                              "--op", "induce", "--subset", "1,2", "--module", "C:0",
                              "--report", "factors")
         assert status == 2 and "acting set" in err
+
+
+class TestNegativeIntegerOptions:
+    CASES = [
+        (("table", "--type", "A", "--table", "c"), "--rank"),
+        (("table", "--type", "A", "--rank", "2", "--table", "c"), "--max-window"),
+        (("series", "--kind", "sA", "--key", "(1)"), "--window"),
+        (("expand", "--target", "x0:2", "--basis", "hB:(2)"), "--window"),
+        (("coproduct", "--family", "shuffleB", "--arg", "2,1"), "--split"),
+        (("verify", "--suite", "hecke", "--type", "A"), "--rank"),
+    ]
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["separate", "fused"])
+    @pytest.mark.parametrize("argv,option", CASES, ids=lambda c: " ".join(c) if isinstance(c, tuple) else c)
+    def test_refused_by_name(self, capsys, argv, option, fused):
+        value = [f"{option}=-1"] if fused else [option, "-1"]
+        status, out, err = run(capsys, *argv, *value)
+        assert status == 2 and out == ""
+        assert f"argument {option}" in err and "nonnegative" in err
+        assert "Traceback" not in err
+
+    def test_zero_is_accepted(self, capsys):
+        status, out, _ = run(capsys, "series", "--kind", "sA", "--key", "()", "--window=0")
+        assert status == 0 and out.splitlines()[-1] == "# 1 words"
 
 
 class TestVerify:

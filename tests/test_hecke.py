@@ -25,6 +25,7 @@ from coxkit.hecke import (
     simple_module,
     sorting_operator,
     stated_projective_basis,
+    submodule_coordinates,
 )
 from coxkit.linalg import matrix_rank, solve
 from coxkit.series import projection, s_basis
@@ -141,6 +142,63 @@ class TestProjectiveModules:
     def test_non_projective_detection(self):
         with pytest.raises(NonProjectiveError):
             projective_multiplicities(simple_module(B2, frozenset([0])))
+
+
+def _sympy_submodule(ambient, seed):
+    """Oracle for submodule_coordinates: the span closure and the matrices
+    on its reduced echelon basis, computed with sympy."""
+    import sympy
+
+    X = {s: sympy.Matrix(m) for s, m in ambient.mats.items()}
+    span = sympy.Matrix([seed])
+    while True:
+        rows = [span.row(i) for i in range(span.rows)]
+        rows += [(X[s] * r.T).T for r in rows for s in ambient.acting]
+        grown, pivots = sympy.Matrix.vstack(*rows).rref()
+        grown = grown[:len(pivots), :]
+        if grown.rows == span.rows:
+            break
+        span = grown
+    # On a reduced echelon basis the coordinates of v are its pivot entries.
+    mats = {s: [[(X[s] * span.row(j).T)[p] for j in range(span.rows)] for p in pivots]
+            for s in ambient.acting}
+    return span.rows, mats
+
+
+class TestSubmoduleCoordinates:
+    # Dimensions and composition factors of the projectives P_J as computed
+    # before the closure was rebuilt on linalg.RowSpace.
+    EXPECTED = {
+        "B2": {(): (1, {(): 1}), (0,): (3, {(0,): 2, (1,): 1}),
+               (1,): (3, {(0,): 1, (1,): 2}), (0, 1): (1, {(0, 1): 1})},
+        "B3": {(): (1, {(): 1}),
+               (0,): (7, {(0,): 3, (0, 2): 1, (1,): 2, (2,): 1}),
+               (1,): (11, {(0,): 2, (0, 2): 2, (1,): 4, (1, 2): 1, (2,): 2}),
+               (2,): (5, {(0,): 1, (1,): 2, (2,): 2}),
+               (0, 1): (5, {(0, 1): 2, (0, 2): 2, (1, 2): 1}),
+               (0, 2): (11, {(0,): 1, (0, 1): 2, (0, 2): 4, (1,): 2, (1, 2): 2}),
+               (1, 2): (7, {(0, 1): 1, (0, 2): 2, (1,): 1, (1, 2): 3}),
+               (0, 1, 2): (1, {(0, 1, 2): 1})},
+    }
+
+    @pytest.mark.parametrize("name,system", [("B2", B2), ("B3", B3)])
+    def test_projectives_are_unchanged(self, name, system):
+        for J, (dim, factors) in self.EXPECTED[name].items():
+            P = projective_module(system, frozenset(J))
+            assert P.dim == dim
+            assert composition_factors(P) == FormalVector(
+                {frozenset(k): c for k, c in factors.items()}, kind="g0")
+
+    @pytest.mark.parametrize("system", [B2, B3])
+    def test_matches_a_sympy_closure(self, system):
+        reg = regular_module(system)
+        for J in all_subsets(system):
+            seed = stated_projective_basis(system, J)[0]
+            dim, mats = _sympy_submodule(reg, seed)
+            M = submodule_coordinates(reg, [seed])
+            assert M.dim == dim
+            assert M.mats == mats
+            assert all(type(x) is int for m in M.mats.values() for row in m for x in row)
 
 
 class TestInduction:

@@ -1,0 +1,176 @@
+"""The exact elimination core against sympy, on small integer and rational
+matrices of every shape, including 0 rows, 0 columns and zero matrices."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from coxkit.freemodule import FormalVector
+from coxkit.linalg import (
+    NotInSpanError,
+    RowSpace,
+    determinant,
+    exact_div,
+    express_in_basis,
+    is_linearly_independent,
+    matrix_rank,
+    nullspace,
+    rref,
+    solve,
+)
+
+INTS = st.integers(-3, 3)
+RATIONALS = st.one_of(INTS, st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def matrices(draw, entries=RATIONALS, max_rows=5, max_cols=5, square=False):
+    """(rows, ncols): a list of rows, with the column count kept even when
+    there are no rows."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = nrows if square else draw(st.integers(0, max_cols))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    return rows, ncols
+
+
+def as_sympy(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                           for row in rows for x in map(Fraction, row)])
+
+
+def exact(values) -> bool:
+    """Every entry is an int or a Fraction, never a float (or a bool)."""
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+def apply(rows, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+ZERO_3x2 = ([[0, 0], [0, 0], [0, 0]], 2)
+NO_ROWS = ([], 4)
+NO_COLS = ([[], [], []], 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(ZERO_3x2)
+@example(NO_ROWS)
+@example(NO_COLS)
+def test_rref_and_rank_match_sympy(case):
+    rows, ncols = case
+    mat, pivots = rref(rows)
+    want, want_pivots = as_sympy(rows, ncols).rref()
+    assert pivots == list(want_pivots)
+    assert matrix_rank(rows) == len(want_pivots)
+    assert len(mat) == len(rows)
+    assert [[sympy.Rational(str(x)) for x in row] for row in mat] == want.tolist()
+    assert exact(x for row in mat for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+@example(([], 0))
+@example(([[0, 0], [0, 0]], 2))
+def test_determinant_matches_sympy(case):
+    rows, n = case
+    det = determinant(rows)
+    assert det == as_sympy(rows, n).det()
+    assert exact([det])
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(entries=INTS, square=True))
+def test_determinant_of_an_integer_matrix_is_an_int(case):
+    assert type(determinant(case[0])) is int
+
+
+def test_determinant_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError):
+        determinant([[1, 2, 3], [4, 5, 6]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(ZERO_3x2)
+@example(NO_ROWS)
+@example(NO_COLS)
+def test_nullspace_is_the_kernel(case):
+    rows, ncols = case
+    basis = nullspace(rows, ncols)
+    want = as_sympy(rows, ncols).nullspace()
+    assert len(basis) == len(want) == ncols - matrix_rank(rows)
+    for x in basis:
+        assert len(x) == ncols and exact(x)
+        assert not any(apply(rows, x))
+    if basis:
+        # Same span: neither basis adds anything to the other.
+        mixed = as_sympy(basis, ncols).col_join(sympy.Matrix.hstack(*want).T)
+        assert mixed.rank() == len(basis) == matrix_rank(basis)
+
+
+@st.composite
+def systems(draw):
+    rows, ncols = draw(matrices())
+    rhs = [draw(RATIONALS) for _ in rows]
+    if rows and draw(st.booleans()):
+        # A consistent right-hand side: A times some x.
+        rhs = apply(rows, [draw(RATIONALS) for _ in range(ncols)])
+    return rows, ncols, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+@example(([[0, 0], [0, 0]], 2, [0, 1]))
+@example(([[0, 0], [0, 0]], 2, [0, 0]))
+@example(([], 3, []))
+@example(([[], []], 0, [0, 0]))
+@example(([[], []], 0, [0, 5]))
+def test_solve_matches_sympy_consistency(case):
+    rows, ncols, rhs = case
+    x = solve(rows, rhs)
+    A = as_sympy(rows, ncols)
+    consistent = A.rank() == A.row_join(as_sympy([[b] for b in rhs], 1)).rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert exact(x)
+        assert apply(rows, x) == list(rhs)
+
+
+def test_integers_stay_integers_with_unit_pivots():
+    rows = [[1, 2, -1, 3], [0, -1, 4, 2], [0, 0, 1, -5], [2, 3, 2, 4]]
+    mat, _ = rref(rows)
+    assert all(type(x) is int for row in mat for x in row)
+    assert all(type(x) is int for v in nullspace(rows, 4) for x in v)
+    assert all(type(x) is int for x in solve(rows, [1, 2, 3, 4]))
+
+
+def test_exact_div():
+    assert exact_div(6, -3) == -2 and type(exact_div(6, -3)) is int
+    assert exact_div(3, 6) == Fraction(1, 2)
+    assert type(exact_div(Fraction(4, 2), Fraction(1, 3))) is int
+
+
+def test_row_space_grows_one_vector_at_a_time():
+    space = RowSpace()
+    assert space.add([0, 2, 4]) == (1, 2)
+    assert space.add([0, 1, 2]) == (None, 0)
+    assert space.add([3, 0, 3]) == (0, 3)
+    assert space.basis() == [[1, 0, 1], [0, 1, 2]]
+    assert space.coordinates([2, 3, 8]) == [2, 3]
+    with pytest.raises(NotInSpanError):
+        space.coordinates([0, 0, 1])
+
+
+def test_express_in_basis_and_independence():
+    a = FormalVector({"x": 1, "y": 1})
+    b = FormalVector({"y": 2})
+    assert express_in_basis(FormalVector({"x": 3, "y": 4}), [a, b]) == [3, Fraction(1, 2)]
+    with pytest.raises(NotInSpanError):
+        express_in_basis(FormalVector({"z": 1}), [a, b])
+    assert is_linearly_independent([a, b])
+    assert not is_linearly_independent([a, b, a + b])
+    assert is_linearly_independent([])

@@ -26,6 +26,7 @@ from coxkit.systems import (
     refines,
     set_max_order,
     shape_of_composition,
+    word_cube,
 )
 
 A3 = CoxeterSystem("A", 3)
@@ -153,6 +154,33 @@ class TestEnumeration:
             elements(CoxeterSystem("B", 7))
         monkeypatch.delenv("COXKIT_MAX_ORDER")
         assert systems.max_order() == systems.DEFAULT_MAX_ORDER
+
+    def test_word_cube(self):
+        assert list(word_cube(2, 1)) == [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+        assert list(word_cube(0, 3)) == [()]
+        assert list(word_cube(3, 0)) == [(0, 0, 0)]
+        with pytest.raises(ValueError):
+            word_cube(2, -1)
+
+    def test_word_cube_cap_is_checked_before_enumerating(self):
+        from coxkit.roots import lattice_points, positive_roots
+        from coxkit.series import h_block, s_basis_by_fillings, s_series
+
+        set_max_order(5 ** 3 - 1)
+        try:
+            with pytest.raises(CapExceededError, match=r"\(2\*2\+1\)\^3 = 125"):
+                word_cube(3, 2)
+            assert len(list(word_cube(3, 1))) == 27
+            with pytest.raises(CapExceededError):
+                lattice_points(B3, positive_roots(B3), 2)
+            with pytest.raises(CapExceededError):
+                s_series(B3.identity(), 2)
+            with pytest.raises(CapExceededError):
+                s_basis_by_fillings(B3, (1, 2), 2)
+            with pytest.raises(CapExceededError):
+                h_block("A", 3, 2)
+        finally:
+            set_max_order(None)
 
     def test_parse_window(self):
         assert parse_window(B4, "2,-4,-3,1").window == (2, -4, -3, 1)
