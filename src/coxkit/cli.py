@@ -3,7 +3,8 @@
 Subcommands: element, product, coproduct, series, expand, table, hecke,
 verify.  Output is deterministic; ``--format json`` emits the documented
 schemas.  Exit status: 0 success, 1 verification failure, 2 argument or
-parse error, 3 enumeration cap exceeded.
+parse error, 3 enumeration cap exceeded, 4 internal error (an unexpected
+exception, reported in one line without a traceback).
 
 Window-notation arguments are ASCII comma-separated signed integers
 ("2,-4,-3,1"); subsets are sorted generator indices ("0,2");
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 #: Window-size caps per family; the verification suites stay interactive
 #: below them.  Override with --max-window or COXKIT_MAX_ORDER.
@@ -547,6 +549,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .linalg import solve
-from .systems import CoxeterSystem, Element, elements, word_cube
+from .systems import CoxeterSystem, Element, check_word_cube, elements
 
 Root = tuple[int, ...]
 
@@ -159,13 +159,43 @@ def parset_closure(system: CoxeterSystem, roots: Iterable[Root]) -> frozenset[Ro
 
 def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -> list[tuple[int, ...]]:
     """All integer vectors f in [-window, window]^n weakly on the nonnegative
-    side of every parset root, strictly for the negative parset roots."""
-    P = list(parset)
-    strict = [r for r in P if not is_positive_root(r)]
-    out = []
-    for f in word_cube(system.n, window):
-        if all(inner(r, f) >= 0 for r in P) and all(inner(r, f) > 0 for r in strict):
-            out.append(f)
+    side of every parset root, strictly for the negative parset roots.
+
+    The result is in lexicographic order.  Coordinates are fixed from f_0
+    upwards; a root whose highest nonzero coordinate is j bounds f_j once
+    f_0..f_{j-1} are known, so each coordinate only ranges over the interval
+    its roots leave and the cost follows the output, not the cube.
+    """
+    n = system.n
+    check_word_cube(n, window)
+    if n == 0:
+        return [()]
+    # by_top[j]: (a, lower terms, threshold) for the roots r with top
+    # coordinate j; r.f = a*f_j + sum(c*f_i) must reach the threshold.
+    by_top: list[list[tuple[int, tuple[tuple[int, int], ...], int]]] = [[] for _ in range(n)]
+    for r in set(parset):
+        threshold = 0 if is_positive_root(r) else 1
+        j = max(i for i, c in enumerate(r) if c)
+        lower = tuple((i, c) for i, c in enumerate(r[:j]) if c)
+        by_top[j].append((r[j], lower, threshold))
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...]) -> None:
+        j = len(prefix)
+        lo, hi = -window, window
+        for a, lower, threshold in by_top[j]:
+            need = threshold - sum(c * prefix[i] for i, c in lower)
+            if a > 0:
+                lo = max(lo, -(-need // a))
+            else:
+                hi = min(hi, need // a)
+        if j == n - 1:
+            out.extend(prefix + (v,) for v in range(lo, hi + 1))
+        else:
+            for v in range(lo, hi + 1):
+                extend(prefix + (v,))
+
+    extend(())
     return out
 
 

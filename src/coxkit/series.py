@@ -23,20 +23,12 @@ from .roots import chamber, lattice_points, parabolic_positive_roots
 from .systems import (
     CoxeterSystem,
     Element,
+    check_word_cube,
     descent_class,
     descents_of_composition,
-    elements,
     word_cube,
 )
-from .words import (
-    shuffle_a,
-    shuffle_b,
-    shuffle_d,
-    shuffle_bb,
-    standardize,
-    standardize_even_left,
-    standardize_signed,
-)
+from .words import shuffle_a, shuffle_b, shuffle_bb, shuffle_d
 
 Word = tuple[int, ...]
 
@@ -112,28 +104,26 @@ class NCSeries(FormalVector):
 # -- generating functions ---------------------------------------------------------
 
 
+def _word_sum(n: int, window: int, words: Iterable[Word]) -> NCSeries:
+    """Trusted word sum: the words are distinct lattice points, so each
+    already has length n and letters inside the window."""
+    return NCSeries(n, window)._with_terms(dict.fromkeys(words, 1))
+
+
 def parset_series(system: CoxeterSystem, parset, window: int) -> NCSeries:
     """Word sum over the lattice points of a partial root system."""
-    return NCSeries.from_words(system.n, window, lattice_points(system, parset, window))
+    return _word_sum(system.n, window, lattice_points(system, parset, window))
 
 
 @lru_cache(maxsize=None)
-def _standardization_fibers(system: CoxeterSystem, window: int) -> dict[Element, tuple[Word, ...]]:
-    st = {
-        "A": standardize,
-        "B": standardize_signed,
-        "D": standardize_even_left,
-    }[system.family]
-    fibers: dict[Element, list[Word]] = {w: [] for w in elements(system)}
-    for f in word_cube(system.n, window):
-        fibers[st(f)].append(f)
-    return {w: tuple(v) for w, v in fibers.items()}
+def _fiber_words(w: Element, window: int) -> tuple[Word, ...]:
+    return tuple(lattice_points(w.system, chamber(w.inverse()), window))
 
 
 def s_series(w: Element, window: int) -> NCSeries:
     """Word sum over the standardization fiber of w (the chamber of w^{-1})."""
-    fibers = _standardization_fibers(w.system, window)
-    return NCSeries.from_words(w.system.n, window, fibers[w])
+    check_word_cube(w.system.n, window)
+    return _word_sum(w.system.n, window, _fiber_words(w, window))
 
 
 def f_series(w: Element, window: int) -> NCSeries:
@@ -151,6 +141,7 @@ def f_series_by_roots(w: Element, window: int) -> NCSeries:
 
 def s_basis(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSeries:
     """Sum of s_series over the descent class of alpha."""
+    check_word_cube(system.n, window)
     subset = descents_of_composition(alpha)
     out = NCSeries(system.n, window)
     for w in descent_class(system, subset):

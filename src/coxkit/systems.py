@@ -46,9 +46,10 @@ def max_order() -> int:
     return int(env) if env else DEFAULT_MAX_ORDER
 
 
-def word_cube(n: int, window: int) -> Iterable[tuple[int, ...]]:
-    """The length-n words over [-window, window], in lexicographic order;
-    a cube of more than :func:`max_order` words is refused up front."""
+def check_word_cube(n: int, window: int) -> None:
+    """Pre-flight for anything that ranges over the length-n words over
+    [-window, window]: a negative window is a ValueError, and a cube of
+    more than :func:`max_order` words is refused before any work."""
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window}")
     size = (2 * window + 1) ** n
@@ -56,6 +57,12 @@ def word_cube(n: int, window: int) -> Iterable[tuple[int, ...]]:
         raise CapExceededError(
             f"word cube (2*{window}+1)^{n} = {size} exceeds cap {max_order()}"
         )
+
+
+def word_cube(n: int, window: int) -> Iterable[tuple[int, ...]]:
+    """The length-n words over [-window, window], in lexicographic order;
+    the cube is checked by :func:`check_word_cube` up front."""
+    check_word_cube(n, window)
     return itertools.product(range(-window, window + 1), repeat=n)
 
 

@@ -138,6 +138,19 @@ class TestSeries:
         assert "word cube" in proc.stderr and "815730721" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        from coxkit import series
+
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(series, "s_basis", broken)
+        status, _, err = run(capsys, "series", "--kind", "sA", "--key", "(1,2)",
+                             "--window", "2")
+        assert status == 4
+        assert err == "error: internal error: RuntimeError: boom\n"
+        assert "Traceback" not in err
+
 
 class TestExpand:
     def test_transition_row(self, capsys):

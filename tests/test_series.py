@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxkit.linalg import NotInSpanError, express_in_basis, is_linearly_independent
 from coxkit.qsym import (
@@ -28,7 +30,9 @@ from coxkit.qsym import (
 )
 from coxkit.roots import (
     chamber,
+    inner,
     is_parset,
+    is_positive_root,
     lattice_points,
     linear_extension_set,
     parabolic_positive_roots,
@@ -57,11 +61,14 @@ from coxkit.series import (
     s_series,
 )
 from coxkit.systems import (
+    CapExceededError,
     CoxeterSystem,
     all_subsets,
     composition_from_descents,
     descent_class,
     elements,
+    set_max_order,
+    word_cube,
 )
 from coxkit.words import standardize, standardize_even_left, standardize_signed
 
@@ -71,6 +78,20 @@ B2 = CoxeterSystem("B", 2)
 B3 = CoxeterSystem("B", 3)
 D2 = CoxeterSystem("D", 2)
 D3 = CoxeterSystem("D", 3)
+
+
+LATTICE_SYSTEMS = tuple(CoxeterSystem("A", n) for n in range(1, 5)) \
+    + tuple(CoxeterSystem("B", n) for n in range(1, 5)) \
+    + tuple(CoxeterSystem("D", n) for n in range(2, 5))
+
+
+def _cube_filter(system, parset, window):
+    """Oracle: the words of the cube on the allowed side of every root, in
+    lexicographic order."""
+    P = list(parset)
+    strict = [r for r in P if not is_positive_root(r)]
+    return [f for f in word_cube(system.n, window)
+            if all(inner(r, f) >= 0 for r in P) and all(inner(r, f) > 0 for r in strict)]
 
 
 class TestRoots:
@@ -127,6 +148,33 @@ class TestRoots:
             assert pts == sorted(union)
             assert len(union) == len(set(union))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(LATTICE_SYSTEMS), st.integers(0, 2), st.integers(0, 10**6))
+    def test_lattice_points_match_cube_filter(self, system, window, seed):
+        P = random_parset(system, random.Random(seed))
+        assert lattice_points(system, P, window) == _cube_filter(system, P, window)
+
+    @pytest.mark.parametrize("system", LATTICE_SYSTEMS, ids=lambda s: f"{s.family}{s.n}")
+    @pytest.mark.parametrize("window", (0, 1, 2))
+    def test_lattice_points_extreme_parsets(self, system, window):
+        longest = max(elements(system), key=lambda w: w.length())
+        for P in ([], positive_roots(system), chamber(longest)):
+            assert lattice_points(system, P, window) == _cube_filter(system, P, window)
+        # chamber(longest) holds only negative roots, so every inequality is strict
+        assert all(not is_positive_root(r) for r in chamber(longest))
+
+    def test_lattice_points_non_unit_top_coefficient(self):
+        # Not roots of A/B/D, but the interval bounds must still be exact
+        # floor and ceiling divisions.
+        for P in ([(1, 2)], [(1, -2)], [(-3, 2), (1, -2)], [(0, -2), (1, 3)]):
+            for window in range(4):
+                assert lattice_points(B2, P, window) == _cube_filter(B2, P, window)
+
+    @pytest.mark.parametrize("family", ("A", "B"))
+    def test_lattice_points_rank_zero(self, family):
+        system = CoxeterSystem(family, 0)
+        assert lattice_points(system, [], 2) == [()] == _cube_filter(system, [], 2)
+
     def test_parabolic_chamber_extension_set(self):
         # the extension set of a parabolic chamber is the coset of the
         # inverses of the minimal representatives
@@ -156,15 +204,30 @@ class TestSeriesBases:
             assert f_series(w, 3) == f_series_by_roots(w, 3)
 
     def test_s_series_is_standardization_fiber(self):
-        m = 3
-        table = {"A": (A2, standardize), "B": (B2, standardize_signed),
-                 "D": (D2, standardize_even_left)}
-        for system, st_map in table.values():
+        # The standardization maps are the oracle independent of the chambers.
+        st_maps = {"A": standardize, "B": standardize_signed, "D": standardize_even_left}
+        cases = [(A2, 3), (B2, 3), (D2, 3), (A3, 2), (B3, 2), (D3, 2),
+                 (CoxeterSystem("D", 4), 2)]
+        for system, m in cases:
             fibers = {}
-            for f in itertools.product(range(-m, m + 1), repeat=2):
-                fibers.setdefault(st_map(f), []).append(f)
+            for f in itertools.product(range(-m, m + 1), repeat=system.n):
+                fibers.setdefault(st_maps[system.family](f), []).append(f)
             for w in elements(system):
                 assert sorted(s_series(w, m).terms) == sorted(fibers.get(w, []))
+
+    def test_s_basis_checks_the_cube_before_the_descent_class(self, monkeypatch):
+        import coxkit.series
+
+        def refuse(*args):
+            raise AssertionError("descent_class called before the cube check")
+
+        monkeypatch.setattr(coxkit.series, "descent_class", refuse)
+        set_max_order(5 ** 3 - 1)
+        try:
+            with pytest.raises(CapExceededError, match=r"\(2\*2\+1\)\^3 = 125"):
+                s_basis(A3, (1, 2), 2)
+        finally:
+            set_max_order(None)
 
     @pytest.mark.parametrize("system", (A3, B3, D3))
     def test_bases_three_constructions(self, system):
