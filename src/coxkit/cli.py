@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from .systems import (
     composition_from_descents,
     format_window,
     is_valid_composition,
+    parabolic_conjugacy_classes,
     parse_window,
 )
 
@@ -275,8 +277,6 @@ def cmd_table(args) -> int:
         labels, mat = dsc.h_gram_matrix(system)
         comps = [composition_from_descents(system, I) for I in labels]
     elif args.table == "hm":
-        from .systems import parabolic_conjugacy_classes
-
         labels = [dsc.class_label(c) for c in parabolic_conjugacy_classes(system)]
         hs = dsc.h_class_basis(system)
         ms = dsc.m_class_basis(system)
@@ -507,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _protect_negative_windows(argv: list[str]) -> list[str]:
     """Keep window and integer arguments starting with '-' out of option parsing:
     fuse them into '--opt=value' form and shield bare positionals with '--'."""
-    import re
-
     window = re.compile(r"-\d+(,-?\d+)*")
     fused: list[str] = []
     i = 0

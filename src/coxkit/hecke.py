@@ -20,9 +20,11 @@ from typing import Iterable, Optional, Sequence
 
 from .freemodule import FormalVector
 from .linalg import RowSpace, exact_div, matrix_rank, nullspace
+from .qsym import CPoly, fundamental_qsym, fundamental_qsym_b, fundamental_qsym_d
 from .systems import (
     CoxeterSystem,
     all_subsets,
+    composition_from_descents,
     descent_class,
     elements,
     longest_element,
@@ -396,9 +398,6 @@ def hom_dim(source: HModule, target: HModule) -> int:
 
 def characteristic_polynomial(system: CoxeterSystem, g0: FormalVector, K: int):
     """Expand Ch of a simple-factor vector as a commutative truncation."""
-    from .qsym import fundamental_qsym, fundamental_qsym_b, fundamental_qsym_d, CPoly
-    from .systems import composition_from_descents
-
     fund = {
         "A": fundamental_qsym,
         "B": fundamental_qsym_b,

@@ -12,6 +12,7 @@ import itertools
 from typing import Iterable
 
 from .freemodule import FormalVector
+from .systems import composition_prefix_split, descents_of_composition
 
 Monomial = tuple[int, ...]
 
@@ -77,8 +78,6 @@ def monomial_qsym(alpha: tuple[int, ...], K: int) -> CPoly:
 def fundamental_qsym(alpha: tuple[int, ...], K: int) -> CPoly:
     """Weakly increasing index words with strict rises at the descents."""
     n = sum(alpha)
-    from .systems import descents_of_composition
-
     des = descents_of_composition(alpha)
     out = []
     for chain in _weak_chains(1, K, n):
@@ -128,8 +127,6 @@ def monomial_qsym_b(alpha: tuple[int, ...], K: int) -> CPoly:
 
 def fundamental_qsym_b(alpha: tuple[int, ...], K: int) -> CPoly:
     n = sum(alpha)
-    from .systems import descents_of_composition
-
     des = descents_of_composition(alpha)
     out = []
     for chain in _weak_chains(0, K, n):
@@ -188,8 +185,6 @@ def _d_chains(n: int, K: int):
 
 
 def monomial_qsym_d(alpha: tuple[int, ...], K: int) -> CPoly:
-    from .systems import descents_of_composition
-
     n = sum(alpha)
     des = descents_of_composition(alpha)
     out = []
@@ -201,8 +196,6 @@ def monomial_qsym_d(alpha: tuple[int, ...], K: int) -> CPoly:
 
 
 def fundamental_qsym_d(alpha: tuple[int, ...], K: int) -> CPoly:
-    from .systems import descents_of_composition
-
     n = sum(alpha)
     des = descents_of_composition(alpha)
     out = []
@@ -218,15 +211,11 @@ def fundamental_qsym_d(alpha: tuple[int, ...], K: int) -> CPoly:
 
 def split_fundamental_b(alpha: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (prefix, suffix) composition splits of a signed-family index."""
-    from .systems import composition_prefix_split
-
     n = sum(alpha)
     return [composition_prefix_split(alpha, i) for i in range(n + 1)]
 
 
 def split_fundamental_d(alpha: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    from .systems import composition_prefix_split
-
     n = sum(alpha)
     return [composition_prefix_split(alpha, i) for i in range(2, n + 1)]
 

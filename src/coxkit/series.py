@@ -28,7 +28,7 @@ from .systems import (
     descents_of_composition,
     word_cube,
 )
-from .words import shuffle_a, shuffle_b, shuffle_bb, shuffle_d
+from .words import _cap, _shuffle, _unshuffle
 
 Word = tuple[int, ...]
 
@@ -131,11 +131,6 @@ def f_series(w: Element, window: int) -> NCSeries:
     return s_series(w.inverse(), window)
 
 
-def f_series_by_roots(w: Element, window: int) -> NCSeries:
-    """Same series computed from the root-system definition (test oracle)."""
-    return parset_series(w.system, chamber(w), window)
-
-
 # -- word-sum bases ---------------------------------------------------------------
 
 
@@ -233,14 +228,10 @@ def projection(family: str):
 # -- module action and coaction on the series level ---------------------------------
 
 
-_SHUFFLES = {"A": shuffle_a, "B": shuffle_b, "D": shuffle_d, "BB": shuffle_bb}
-
-
 def f_action(u: Element, v: Element, window: int, flavor: str | None = None) -> FormalVector:
     """Right action on the chamber basis: returns the label vector of the
     product, cross-checked against literal series multiplication."""
-    flavor = flavor or u.system.family
-    labels = _SHUFFLES[flavor](u, v)
+    labels = _shuffle(flavor or u.system.family, u, v)
     literal = f_series(u, window) * f_series(v, window)
     total = NCSeries(u.system.n + v.system.n, window)
     for w in labels.terms:
@@ -252,22 +243,12 @@ def f_action(u: Element, v: Element, window: int, flavor: str | None = None) -> 
 
 def f_coaction(u: Element, flavor: str | None = None) -> FormalVector:
     """Coaction on the chamber basis: standardized (prefix, suffix) splits."""
-    from . import words
-
-    flavor = flavor or u.system.family
-    op = {"A": words.unshuffle_a, "B": words.unshuffle_b,
-          "D": words.unshuffle_d, "BB": words.unshuffle_bb}[flavor]
-    return op(u)
+    return _unshuffle(flavor or u.system.family, u)
 
 
 def s_coaction(u: Element, flavor: str | None = None) -> FormalVector:
     """Coaction on the fiber basis: letter-value splits with standardized tails."""
-    from . import words
-
-    flavor = flavor or u.system.family
-    op = {"A": words.cap_a, "B": words.cap_b,
-          "D": words.cap_d, "BB": words.cap_bb}[flavor]
-    return op(u)
+    return _cap(flavor or u.system.family, u)
 
 
 def graded_pieces(vec: FormalVector) -> dict[int, FormalVector]:

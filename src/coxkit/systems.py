@@ -9,6 +9,12 @@ and negates the first two entries).
 Elements are stored as full windows; equality is window equality.  All
 objects are immutable, and whole-group enumerations, coset
 representatives and descent classes are cached per system.
+
+A window is checked where it enters: ``Element(...)``,
+``CoxeterSystem.element`` and :func:`parse_window` raise ValueError on an
+invalid one.  Maps that turn valid elements into valid elements (products,
+inverses, enumeration, standardization) skip the check through the one
+trusted constructor, :func:`_trusted_element`.
 """
 
 from __future__ import annotations
@@ -130,7 +136,7 @@ class CoxeterSystem:
         return 3 if t - s == 1 else 2
 
     def identity(self) -> "Element":
-        return Element(self, tuple(range(1, self.n + 1)))
+        return _trusted_element(self, tuple(range(1, self.n + 1)))
 
     def generator(self, i: int) -> "Element":
         if i not in self.generator_set:
@@ -143,7 +149,7 @@ class CoxeterSystem:
                 w[0], w[1] = -2, -1
         else:
             w[i - 1], w[i] = w[i], w[i - 1]
-        return Element(self, tuple(w))
+        return _trusted_element(self, tuple(w))
 
     def element(self, window: Iterable[int]) -> "Element":
         return Element(self, tuple(window))
@@ -181,7 +187,7 @@ class Element:
         if self.system != other.system:
             raise ValueError("elements from different systems")
         w = self.window
-        return Element(
+        return _trusted_element(
             self.system,
             tuple(w[v - 1] if v > 0 else -w[-v - 1] for v in other.window),
         )
@@ -193,7 +199,7 @@ class Element:
                 inv[v - 1] = i
             else:
                 inv[-v - 1] = -i
-        return Element(self.system, tuple(inv))
+        return _trusted_element(self.system, tuple(inv))
 
     def is_identity(self) -> bool:
         return self.window == tuple(range(1, self.system.n + 1))
@@ -267,6 +273,22 @@ class Element:
         return f"{self.system.family}{self.system.n}[{format_window(self.window)}]"
 
 
+def _trusted_element(system: CoxeterSystem, window: tuple[int, ...]) -> Element:
+    """Build an Element without checking its window.
+
+    Precondition: ``window`` is a tuple that is a valid window of
+    ``system`` by construction, because it was computed from valid
+    elements by a map that preserves validity (a product, an inverse, a
+    standardized word, a coset representative).  A window that comes from
+    outside goes through ``Element`` or ``CoxeterSystem.element``, which
+    check it.
+    """
+    w = object.__new__(Element)
+    object.__setattr__(w, "system", system)
+    object.__setattr__(w, "window", window)
+    return w
+
+
 def format_window(window: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in window)
 
@@ -299,12 +321,12 @@ def elements(system: CoxeterSystem) -> tuple[Element, ...]:
     out = []
     for perm in itertools.permutations(range(1, system.n + 1)):
         if system.family == "A":
-            out.append(Element(system, perm))
+            out.append(_trusted_element(system, perm))
             continue
         for signs in itertools.product((1, -1), repeat=system.n):
             if system.family == "D" and signs.count(-1) % 2:
                 continue
-            out.append(Element(system, tuple(s * v for s, v in zip(signs, perm))))
+            out.append(_trusted_element(system, tuple(s * v for s, v in zip(signs, perm))))
     return tuple(sorted(out, key=lambda w: (w.length(), w.window)))
 
 
@@ -367,18 +389,10 @@ def parabolic_decompose_left(w: Element, subset: frozenset[int]) -> tuple[Elemen
 
 
 def parabolic_decompose_right(w: Element, subset: frozenset[int]) -> tuple[Element, Element]:
-    """Split w = p * c with p parabolic and c of minimal length, mirror-wise."""
-    system = w.system
-    word: list[int] = []
-    v = w
-    while True:
-        des = v.left_descent_set() & subset
-        if not des:
-            break
-        s = min(des)
-        v = system.generator(s) * v
-        word.append(s)
-    return from_word(system, word), v
+    """Split w = p * c with p parabolic and c of minimal length: the
+    decomposition is unique, so it is the left one of w^{-1}, inverted."""
+    c, p = parabolic_decompose_left(w.inverse(), subset)
+    return p.inverse(), c.inverse()
 
 
 @lru_cache(maxsize=None)
@@ -511,11 +525,11 @@ def _parts_from_descents(subset: frozenset[int], size: int, pseudo: bool) -> tup
 @lru_cache(maxsize=None)
 def _parabolic_conjugates(system: CoxeterSystem, subset: frozenset[int]) -> frozenset[frozenset[tuple[int, ...]]]:
     """All subgroups conjugate to the standard parabolic on ``subset``."""
-    base = frozenset(w.window for w in parabolic_elements(system, subset))
+    base = parabolic_elements(system, subset)
     seen = set()
     for w in elements(system):
         wi = w.inverse()
-        seen.add(frozenset((w * system.element(x) * wi).window for x in base))
+        seen.add(frozenset((w * x * wi).window for x in base))
     return frozenset(seen)
 
 

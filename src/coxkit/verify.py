@@ -335,7 +335,7 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
         I = frozenset(range(m + k)) - {m}
         for u in elements(CoxeterSystem("D", m)):
             for v in elements(CoxeterSystem("A", k)):
-                x = system.element(wd.cross_a(u, v).window)
+                x = wd.FLAVORS["D"].embed(u, v)
                 if wd.shuffle_d(u, v) != gm.induce_right(system, I, gm.element_vector(x)):
                     ok = False
                 if wd.cup_d(u, v) != gm.induce_left(system, I, gm.element_vector(x)):

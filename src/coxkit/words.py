@@ -1,26 +1,33 @@
 """Standardization maps and the shifted-shuffle style (co)products.
 
-Words are plain integer tuples.  Four product/coproduct families act on
+Words are plain integer tuples.  Four product/coproduct flavors act on
 formal sums of group elements:
 
-* ``_a``  : permutations with permutations (self-dual Hopf structure),
-* ``_b``  : signed permutations with permutations (module/comodule),
-* ``_d``  : even-signed permutations with permutations (module/comodule),
-* ``_bb`` : signed with signed via the sign-shifted embedding (Hopf).
+* ``A``  : permutations with permutations (self-dual Hopf structure),
+* ``B``  : signed permutations with permutations (module/comodule),
+* ``D``  : even-signed permutations with permutations (module/comodule),
+* ``BB`` : signed with signed via the sign-shifted embedding (Hopf).
 
-Products return multiplicity-free element vectors; coproducts return
-vectors keyed by ordered pairs.  The empty window is a legal operand.
+They are one construction, read from the table :data:`FLAVORS`.  With x
+the block embedding of (u, v) and z running over the minimal "two-run"
+coset representatives of the block subgroup W_m x W_n of W_{m+n}, the
+shuffle product is the sum of x z^{-1} and the cup product the sum of
+z x.  The coproducts split a window into standardized prefix and suffix
+pieces.  Products return multiplicity-free element vectors; coproducts
+return vectors keyed by ordered pairs.  The empty window is a legal
+operand.  An operand of the wrong family raises ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .freemodule import FormalVector
-from .systems import CoxeterSystem, Element
+from .systems import CoxeterSystem, Element, _trusted_element
 
 Word = tuple[int, ...]
+
 
 def _ranks(order: list[int], n: int) -> list[int]:
     out = [0] * n
@@ -33,8 +40,8 @@ def standardize(word: Iterable[int]) -> Element:
     """The permutation with the same relative order, ties broken left to right."""
     a = tuple(word)
     n = len(a)
-    order = sorted(range(n), key=lambda i: (a[i], i))
-    return Element(CoxeterSystem("A", n), tuple(_ranks(order, n)))
+    order = sorted(range(n), key=a.__getitem__)
+    return _trusted_element(CoxeterSystem("A", n), tuple(_ranks(order, n)))
 
 
 def standardize_signed(word: Iterable[int]) -> Element:
@@ -46,47 +53,39 @@ def standardize_signed(word: Iterable[int]) -> Element:
         range(n), key=lambda i: (abs(a[i]), 0 if a[i] < 0 else 1, -i if a[i] < 0 else i)
     )
     ranks = _ranks(order, n)
-    return Element(
+    return _trusted_element(
         CoxeterSystem("B", n),
         tuple(-r if x < 0 else r for r, x in zip(ranks, a)),
     )
 
 
-def flip_value_sign(w: Element) -> Element:
-    """Negate the entries of absolute value 1 (left multiplication by the
-    first sign generator of the signed group)."""
-    return Element(w.system, tuple(-v if abs(v) == 1 else v for v in w.window))
-
-
-def flip_first_position(w: Element) -> Element:
-    """Negate the first window entry (right multiplication by the same)."""
-    return Element(w.system, (-w.window[0],) + w.window[1:])
-
-
-def _to_even(w: Element) -> Element:
-    return Element(CoxeterSystem("D", w.system.n), w.window)
+def _even_signed(word: Iterable[int]) -> tuple[Word, bool]:
+    """The signed standardization of a word of length >= 2, and whether it
+    has an odd number of negative entries."""
+    a = tuple(word)
+    if len(a) < 2:
+        raise ValueError("even-signed standardization needs length >= 2")
+    window = standardize_signed(a).window
+    return window, sum(1 for v in window if v < 0) % 2 == 1
 
 
 def standardize_even_left(word: Iterable[int]) -> Element:
-    """Even-signed standardization, correcting an odd sign count on values."""
-    a = tuple(word)
-    if len(a) < 2:
-        raise ValueError("even-signed standardization needs length >= 2")
-    u = standardize_signed(a)
-    if sum(1 for v in u.window if v < 0) % 2:
-        u = flip_value_sign(u)
-    return _to_even(u)
+    """Even-signed standardization, correcting an odd sign count on values:
+    the entry of absolute value 1 changes sign (left multiplication by the
+    first sign generator of the signed group)."""
+    window, odd = _even_signed(word)
+    if odd:
+        window = tuple(-v if abs(v) == 1 else v for v in window)
+    return _trusted_element(CoxeterSystem("D", len(window)), window)
 
 
 def standardize_even_right(word: Iterable[int]) -> Element:
-    """Even-signed standardization, correcting an odd sign count in position 1."""
-    a = tuple(word)
-    if len(a) < 2:
-        raise ValueError("even-signed standardization needs length >= 2")
-    u = standardize_signed(a)
-    if sum(1 for v in u.window if v < 0) % 2:
-        u = flip_first_position(u)
-    return _to_even(u)
+    """Even-signed standardization, correcting an odd sign count in
+    position 1 (right multiplication by the same generator)."""
+    window, odd = _even_signed(word)
+    if odd:
+        window = (-window[0],) + window[1:]
+    return _trusted_element(CoxeterSystem("D", len(window)), window)
 
 
 def hat_word(word: Iterable[int]) -> Word:
@@ -117,229 +116,186 @@ def cross_bb(u: Element, v: Element) -> Element:
     return Element(CoxeterSystem("B", m + v.system.n), u.window + shifted)
 
 
-# -- minimal coset representatives, generated directly --------------------------
+# -- the flavor table -------------------------------------------------------------
 
 
-def _signed_ascending(values: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    vals = sorted(values)
-    for signs in itertools.product((1, -1), repeat=len(vals)):
-        yield tuple(sorted(s * v for s, v in zip(signs, vals)))
+class Flavor(NamedTuple):
+    """How one flavor instantiates the common construction.
+
+    ``family`` and ``right`` are the families of the left and right
+    operands; products land in ``family``.  ``embed`` is the block
+    embedding of (u, v), and ``reps`` the family whose two-run coset
+    representatives the products sum over.  The coproducts split at
+    i = ``first_split``, ..., n: the unshuffle into ``prefix`` and
+    ``suffix`` of the window, the cap into ``cap_prefix`` of the letters
+    of absolute value at most i and ``suffix`` of the other letters, read
+    from the hat word when ``cap_hat`` is set.
+    """
+
+    family: str
+    right: str
+    embed: Callable[[Element, Element], Element]
+    reps: str
+    prefix: Callable[[Iterable[int]], Element]
+    cap_prefix: Callable[[Iterable[int]], Element]
+    suffix: Callable[[Iterable[int]], Element]
+    first_split: int
+    cap_hat: bool
 
 
-def _b_two_run_reps(m: int, n: int) -> Iterator[Element]:
-    """Signed permutations with 0 < z(1) < ... < z(m) and z(m+1) < ... ascending."""
-    system = CoxeterSystem("B", m + n)
-    for first in itertools.combinations(range(1, m + n + 1), m):
-        rest = set(range(1, m + n + 1)) - set(first)
-        for tail in _signed_ascending(rest):
-            yield Element(system, first + tail)
+FLAVORS = {
+    "A": Flavor("A", "A", cross_a, "A", standardize, standardize, standardize, 0, False),
+    "B": Flavor("B", "A", cross_a, "B", standardize_signed, standardize_signed,
+                standardize, 0, True),
+    "D": Flavor("D", "A", cross_a, "D", standardize_even_left, standardize_even_right,
+                standardize, 2, True),
+    "BB": Flavor("B", "B", cross_bb, "A", standardize_signed, standardize_signed,
+                 standardize_signed, 0, False),
+}
 
 
-def _d_two_run_reps(m: int, n: int) -> Iterator[Element]:
-    """Even-signed analogue: the leading entry may be negated, parity even."""
-    system = CoxeterSystem("D", m + n)
-    for first in itertools.combinations(range(1, m + n + 1), m):
-        rest = set(range(1, m + n + 1)) - set(first)
-        for lead_sign in (1, -1):
-            head = (lead_sign * first[0],) + first[1:]
-            for tail in _signed_ascending(rest):
-                window = head + tail
-                if sum(1 for x in window if x < 0) % 2 == 0:
-                    yield Element(system, window)
+def _flavor(flavor: str, u: Element, v: Element | None = None) -> Flavor:
+    """The table entry of ``flavor``, once the operand families match it."""
+    f = FLAVORS[flavor]
+    if u.system.family != f.family or (v is not None and v.system.family != f.right):
+        raise ValueError(f"flavor {flavor} needs operands of families {f.family}"
+                         + (f" and {f.right}" if v is not None else ""))
+    return f
 
 
-def _interleavings(a: Word, b: Word) -> Iterator[Word]:
-    for positions in itertools.combinations(range(len(a) + len(b)), len(a)):
-        word = [0] * (len(a) + len(b))
-        pos_set = set(positions)
-        ia, ib = iter(a), iter(b)
-        for i in range(len(word)):
-            word[i] = next(ia) if i in pos_set else next(ib)
-        yield tuple(word)
+def _signed_ascending(values: list[int]) -> Iterator[Word]:
+    for signs in itertools.product((1, -1), repeat=len(values)):
+        yield tuple(sorted(s * v for s, v in zip(signs, values)))
 
 
-# -- type A --------------------------------------------------------------------
+def _two_run_reps(family: str, system: CoxeterSystem, m: int) -> Iterator[Element]:
+    """The minimal representatives z of the cosets z (W_m x S_n) in the
+    ``family`` group of window size m + n, as elements of ``system``.
+
+    z(m+1) < ... < z(m+n), with any signs in B and D, and all positive in
+    A.  The head is 0 < z(1) < ... < z(m); in D it is |z(1)| < z(2) < ...
+    < z(m), and the sign of z(1) makes the sign count even.
+    """
+    values = range(1, system.n + 1)
+    for head in itertools.combinations(values, m):
+        rest = [x for x in values if x not in head]
+        tails = [tuple(rest)] if family == "A" else _signed_ascending(rest)
+        for tail in tails:
+            if family == "D" and sum(1 for x in tail if x < 0) % 2:
+                yield _trusted_element(system, (-head[0],) + head[1:] + tail)
+            else:
+                yield _trusted_element(system, head + tail)
+
+
+def _shuffle(flavor: str, u: Element, v: Element) -> FormalVector:
+    """The sum of x z^{-1} over the two-run representatives z."""
+    f = _flavor(flavor, u, v)
+    x = f.embed(u, v)
+    return FormalVector.from_keys(
+        (x * z.inverse() for z in _two_run_reps(f.reps, x.system, u.system.n)),
+        kind="element",
+    )
+
+
+def _cup(flavor: str, u: Element, v: Element) -> FormalVector:
+    """The sum of z x over the two-run representatives z."""
+    f = _flavor(flavor, u, v)
+    x = f.embed(u, v)
+    return FormalVector.from_keys(
+        (z * x for z in _two_run_reps(f.reps, x.system, u.system.n)), kind="element"
+    )
+
+
+def _unshuffle(flavor: str, u: Element) -> FormalVector:
+    """Sum of the standardized (prefix, suffix) splits of the window."""
+    f = _flavor(flavor, u)
+    a = u.window
+    return FormalVector.from_keys(
+        ((f.prefix(a[:i]), f.suffix(a[i:])) for i in range(f.first_split, len(a) + 1)),
+        kind="pair",
+    )
+
+
+def _cap(flavor: str, u: Element) -> FormalVector:
+    """Sum over splits of (the small letters, the other letters), standardized."""
+    f = _flavor(flavor, u)
+    a = u.window
+    n = len(a)
+    rest = hat_word(a) if f.cap_hat else a
+    return FormalVector.from_keys(
+        (
+            (f.cap_prefix(abs_restrict(a, 1, i)), f.suffix(abs_restrict(rest, i + 1, n)))
+            for i in range(f.first_split, n + 1)
+        ),
+        kind="pair",
+    )
+
+
+# -- the sixteen named (co)products ------------------------------------------------
 
 
 def shuffle_a(u: Element, v: Element) -> FormalVector:
-    """All interleavings of u with the shifted window of v."""
-    m, n = u.system.n, v.system.n
-    system = CoxeterSystem("A", m + n)
-    shifted = tuple(m + x for x in v.window)
-    return FormalVector.from_keys(
-        (Element(system, w) for w in _interleavings(u.window, shifted)),
-        kind="element",
-    )
+    return _shuffle("A", u, v)
 
 
 def cup_a(u: Element, v: Element) -> FormalVector:
-    """All w whose first block standardizes to u and second block to v."""
-    m, n = u.system.n, v.system.n
-    system = CoxeterSystem("A", m + n)
-    out = []
-    for chosen in itertools.combinations(range(1, m + n + 1), m):
-        rest = sorted(set(range(1, m + n + 1)) - set(chosen))
-        block1 = tuple(chosen[p - 1] for p in u.window)
-        block2 = tuple(rest[p - 1] for p in v.window)
-        out.append(Element(system, block1 + block2))
-    return FormalVector.from_keys(out, kind="element")
+    return _cup("A", u, v)
 
 
 def unshuffle_a(u: Element) -> FormalVector:
-    """Sum of standardized (prefix, suffix) splits of the window."""
-    a = u.window
-    return FormalVector.from_keys(
-        ((standardize(a[:i]), standardize(a[i:])) for i in range(len(a) + 1)),
-        kind="pair",
-    )
+    return _unshuffle("A", u)
 
 
 def cap_a(u: Element) -> FormalVector:
-    """Sum over splits of (small-letter subword, standardized rest)."""
-    a = u.window
-    return FormalVector.from_keys(
-        (
-            (Element(CoxeterSystem("A", i), abs_restrict(a, 1, i)),
-             standardize(abs_restrict(a, i + 1, len(a))))
-            for i in range(len(a) + 1)
-        ),
-        kind="pair",
-    )
-
-
-# -- type B (signed with plain) --------------------------------------------------
+    return _cap("A", u)
 
 
 def shuffle_b(u: Element, v: Element) -> FormalVector:
-    m, n = u.system.n, v.system.n
-    x = cross_a(u, v)
-    return FormalVector.from_keys(
-        (x * z.inverse() for z in _b_two_run_reps(m, n)), kind="element"
-    )
+    return _shuffle("B", u, v)
 
 
 def cup_b(u: Element, v: Element) -> FormalVector:
-    m, n = u.system.n, v.system.n
-    x = cross_a(u, v)
-    return FormalVector.from_keys(
-        (z * x for z in _b_two_run_reps(m, n)), kind="element"
-    )
+    return _cup("B", u, v)
 
 
 def unshuffle_b(u: Element) -> FormalVector:
-    a = u.window
-    return FormalVector.from_keys(
-        ((standardize_signed(a[:i]), standardize(a[i:])) for i in range(len(a) + 1)),
-        kind="pair",
-    )
+    return _unshuffle("B", u)
 
 
 def cap_b(u: Element) -> FormalVector:
-    a = u.window
-    hat = hat_word(a)
-    return FormalVector.from_keys(
-        (
-            (Element(CoxeterSystem("B", i), abs_restrict(a, 1, i)),
-             standardize(abs_restrict(hat, i + 1, len(a))))
-            for i in range(len(a) + 1)
-        ),
-        kind="pair",
-    )
-
-
-# -- type D (even-signed with plain) ---------------------------------------------
+    return _cap("B", u)
 
 
 def shuffle_d(u: Element, v: Element) -> FormalVector:
-    if u.system.n < 2:
-        raise ValueError("even-signed factor needs window size >= 2")
-    m, n = u.system.n, v.system.n
-    x = Element(CoxeterSystem("D", m + n), cross_a(u, v).window)
-    return FormalVector.from_keys(
-        (x * z.inverse() for z in _d_two_run_reps(m, n)), kind="element"
-    )
+    return _shuffle("D", u, v)
 
 
 def cup_d(u: Element, v: Element) -> FormalVector:
-    if u.system.n < 2:
-        raise ValueError("even-signed factor needs window size >= 2")
-    m, n = u.system.n, v.system.n
-    x = Element(CoxeterSystem("D", m + n), cross_a(u, v).window)
-    return FormalVector.from_keys(
-        (z * x for z in _d_two_run_reps(m, n)), kind="element"
-    )
+    return _cup("D", u, v)
 
 
 def unshuffle_d(u: Element) -> FormalVector:
-    a = u.window
-    return FormalVector.from_keys(
-        (
-            (standardize_even_left(a[:i]), standardize(a[i:]))
-            for i in range(2, len(a) + 1)
-        ),
-        kind="pair",
-    )
+    return _unshuffle("D", u)
 
 
 def cap_d(u: Element) -> FormalVector:
-    a = u.window
-    hat = hat_word(a)
-    return FormalVector.from_keys(
-        (
-            (standardize_even_right(abs_restrict(a, 1, i)),
-             standardize(abs_restrict(hat, i + 1, len(a))))
-            for i in range(2, len(a) + 1)
-        ),
-        kind="pair",
-    )
-
-
-# -- signed with signed (sign-shifted embedding) ---------------------------------
+    return _cap("D", u)
 
 
 def shuffle_bb(u: Element, v: Element) -> FormalVector:
-    m = u.system.n
-    shifted = tuple(x + m if x > 0 else x - m for x in v.window)
-    system = CoxeterSystem("B", m + v.system.n)
-    return FormalVector.from_keys(
-        (Element(system, w) for w in _interleavings(u.window, shifted)),
-        kind="element",
-    )
+    return _shuffle("BB", u, v)
 
 
 def cup_bb(u: Element, v: Element) -> FormalVector:
-    m, n = u.system.n, v.system.n
-    system = CoxeterSystem("B", m + n)
-    out = []
-    for chosen in itertools.combinations(range(1, m + n + 1), m):
-        rest = sorted(set(range(1, m + n + 1)) - set(chosen))
-        block1 = tuple(chosen[abs(p) - 1] * (1 if p > 0 else -1) for p in u.window)
-        block2 = tuple(rest[abs(p) - 1] * (1 if p > 0 else -1) for p in v.window)
-        out.append(Element(system, block1 + block2))
-    return FormalVector.from_keys(out, kind="element")
+    return _cup("BB", u, v)
 
 
 def unshuffle_bb(u: Element) -> FormalVector:
-    a = u.window
-    return FormalVector.from_keys(
-        (
-            (standardize_signed(a[:i]), standardize_signed(a[i:]))
-            for i in range(len(a) + 1)
-        ),
-        kind="pair",
-    )
+    return _unshuffle("BB", u)
 
 
 def cap_bb(u: Element) -> FormalVector:
-    a = u.window
-    return FormalVector.from_keys(
-        (
-            (Element(CoxeterSystem("B", i), abs_restrict(a, 1, i)),
-             standardize_signed(abs_restrict(a, i + 1, len(a))))
-            for i in range(len(a) + 1)
-        ),
-        kind="pair",
-    )
+    return _cap("BB", u)
 
 
 PRODUCTS = {

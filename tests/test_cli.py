@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxkit.cli import main
+from coxkit.words import COPRODUCTS, PRODUCTS
 
 
 def run(capsys, *argv):
@@ -274,3 +279,71 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         status, _, err = run(capsys, "verify", "--suite", "nope")
         assert status == 2
+
+
+def _signed_permutation(k):
+    signs = st.one_of(st.just([1] * k),
+                      st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    return st.tuples(st.permutations(range(1, k + 1)), signs) \
+        .map(lambda ps: [p * s for p, s in zip(*ps)])
+
+
+def _window_text(max_len, size=None):
+    """Window arguments: permutations and signed permutations (of ``size``
+    entries if given), random integer lists, parenthesized lists and
+    malformed text."""
+    sizes = st.just(size) if size is not None else st.integers(0, max_len)
+    perms = sizes.flatmap(_signed_permutation)
+    lists = st.one_of(perms, perms, st.lists(st.integers(-7, 7), max_size=max_len))
+    return st.one_of(
+        lists.map(lambda w: ",".join(map(str, w))),
+        lists.map(lambda w: ",".join(map(str, w))),
+        lists.map(lambda w: "(" + ",".join(map(str, w)) + ")"),
+        st.sampled_from(["", " ", "1,,2", "a", "1;2", "-", "(", "1,2)", "1.0", "--", "0x1",
+                         "99999999999999999999"]),
+    )
+
+
+_COUNT = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(["", "x", "1.5", "-0"]))
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["element", "product", "coproduct"]))
+    argv = [command]
+    if command == "element":
+        # Mostly well-formed, so that the element operations run too.
+        family = draw(st.sampled_from(["A", "B", "D"] * 3 + ["C", ""]))
+        n = draw(st.integers(1, 8))
+        rank = str(n - 1 if family == "A" else n)
+        argv += ["--type", family,
+                 "--rank", draw(st.sampled_from([rank] * 6 + ["-1", "x", "", "9"])),
+                 "--op", draw(st.sampled_from(["length", "descents", "inverse",
+                                               "reduced-word", "compose"] * 2 + ["bogus"])),
+                 draw(_window_text(8, n))]
+        if draw(st.booleans()):
+            argv += ["--right", draw(_window_text(8, n))]
+    elif command == "product":
+        argv += ["--family", draw(st.sampled_from(sorted(PRODUCTS) + ["shuffleC", ""])),
+                 "--left", draw(_window_text(3)), "--right", draw(_window_text(3))]
+    else:
+        argv += ["--family", draw(st.sampled_from(sorted(COPRODUCTS) + ["cupC"])),
+                 "--arg", draw(_window_text(5))]
+        if draw(st.booleans()):
+            argv += ["--split", draw(_COUNT)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json"] * 2 + ["xml"]))]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_cli_argv())
+    def test_every_exit_is_documented(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert status in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
