@@ -6,9 +6,10 @@ schemas.  Exit status: 0 success, 1 verification failure, 2 argument or
 parse error, 3 enumeration cap exceeded, 4 internal error (an unexpected
 exception, reported in one line without a traceback).
 
-Window-notation arguments are ASCII comma-separated signed integers
-("2,-4,-3,1"); subsets are sorted generator indices ("0,2");
-(pseudo-)compositions are parenthesized ("(0,2,1)").
+Window-notation arguments are ASCII comma-separated signed integers,
+optionally parenthesized ("2,-4,-3,1" or "(2,-4,-3,1)"); subsets are sorted
+generator indices ("0,2"); (pseudo-)compositions are parenthesized
+("(0,2,1)").
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .systems import (
     format_window,
     is_valid_composition,
     parabolic_conjugacy_classes,
+    parse_ints,
     parse_window,
 )
 
@@ -78,16 +80,6 @@ def _parse_subset(text: str) -> frozenset[int]:
     if not text:
         return frozenset()
     return frozenset(int(p) for p in text.split(","))
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    """Comma-separated ints, optionally parenthesized: windows, compositions."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
 
 
 def _element_json(w: Element) -> list[int]:
@@ -157,7 +149,7 @@ def cmd_product(args) -> int:
         raise CliError(f"unknown product family {args.family!r}")
     left_fam, right_fam = _operand_families(args.family)
     try:
-        lwin, rwin = _parse_ints(args.left), _parse_ints(args.right)
+        lwin, rwin = parse_ints(args.left), parse_ints(args.right)
         u = CoxeterSystem(left_fam, len(lwin)).element(lwin)
         v = CoxeterSystem(right_fam, len(rwin)).element(rwin)
     except ValueError as exc:
@@ -175,7 +167,7 @@ def cmd_coproduct(args) -> int:
         raise CliError(f"unknown coproduct family {args.family!r}")
     fam_letter, _ = _operand_families(args.family)
     try:
-        win = _parse_ints(args.arg)
+        win = parse_ints(args.arg)
         u = CoxeterSystem(fam_letter, len(win)).element(win)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -198,7 +190,7 @@ def cmd_series(args) -> int:
     if args.kind not in SERIES_KINDS:
         raise CliError(f"unknown series kind {args.kind!r} (choose from {SERIES_KINDS})")
     family = args.kind[-1]
-    alpha = _parse_ints(args.key)
+    alpha = parse_ints(args.key)
     system = CoxeterSystem(family, sum(alpha))
     if not is_valid_composition(system, alpha):
         raise CliError(f"{alpha} is not a valid index for family {family}")
@@ -224,7 +216,7 @@ def _parse_poly_token(token: str, K: int) -> qsym.CPoly:
     kind = kind.strip()
     if kind == "x0":
         return qsym.x0_power(int(key or 1))
-    alpha = _parse_ints(key)
+    alpha = parse_ints(key)
     if kind in ("sA", "sB", "sD"):
         family = kind[-1]
         system = CoxeterSystem(family, sum(alpha))
@@ -282,12 +274,12 @@ def cmd_table(args) -> int:
         ms = dsc.m_class_basis(system)
         gram = {(a, b): dsc.weak_descent_count(system, a, b) for a in labels for b in labels}
         basis = [hs[l] for l in labels]
+        m_in_h = {mu: linalg.express_in_basis(ms[mu], basis) for mu in labels}
         mat = []
         for lam in labels:
             row = []
             for mu in labels:
-                coeffs = linalg.express_in_basis(ms[mu], basis)
-                val = sum(c * gram[(lam, nu)] for c, nu in zip(coeffs, labels))
+                val = sum(c * gram[(lam, nu)] for c, nu in zip(m_in_h[mu], labels))
                 row.append(int(val) if Fraction(val).denominator == 1 else str(val))
             mat.append(row)
         comps = [composition_from_descents(system, I) for I in labels]

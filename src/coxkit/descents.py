@@ -29,7 +29,7 @@ from .systems import (
     elements,
     longest_element,
     min_coset_reps,
-    parabolic_class_size,
+    normalizer_complement_order,
     parabolic_conjugacy_classes,
     subset_sort_key,
 )
@@ -222,9 +222,44 @@ def sym_to_sigma_star(system: CoxeterSystem, x: FormalVector,
 
 
 @lru_cache(maxsize=None)
+def _descent_pair_tables(system: CoxeterSystem) -> tuple[dict[int, int], list[int], list[int]]:
+    """Solomon's (1976) descent-pair count from one pass over W.
+
+    Returns (bit, pairs, below).  ``bit`` maps each generator to its bit in
+    a subset mask.  With r generators, the entry at (row << r) | col of
+    ``pairs`` counts the w with D(w^{-1}) = row and D(w) = col, and
+    ``below`` is its subset-sum (zeta) transform over both masks: the
+    entry at (row << r) | col counts D(w^{-1}) <= row and D(w) <= col.
+    """
+    bit = {s: 1 << i for i, s in enumerate(system.generators)}
+    r = len(bit)
+    pairs = [0] * (1 << 2 * r)
+    for w in elements(system):
+        pairs[_mask(bit, w.inverse().descent_set()) << r | _mask(bit, w.descent_set())] += 1
+    below = pairs[:]
+    for b in range(2 * r):
+        step = 1 << b
+        for i in range(len(below)):
+            if i & step:
+                below[i] += below[i ^ step]
+    return bit, pairs, below
+
+
+def _mask(bit: dict[int, int], subset: frozenset[int]) -> int:
+    """The mask of the generators in ``subset``; other keys are dropped."""
+    return sum(bit.get(s, 0) for s in subset)
+
+
 def mutual_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozenset[int]) -> int:
-    """#{w : D(w^{-1}) = row and D(w) = col}; the sym-level Gram entry."""
-    return sum(1 for w in descent_class(system, col) if w.inverse().descent_set() == row)
+    """#{w : D(w^{-1}) = row and D(w) = col}; the sym-level Gram entry.
+
+    A read of Solomon's (1976) descent-pair histogram, built by one pass
+    over W; a key outside the generators gives 0.
+    """
+    bit, pairs, _ = _descent_pair_tables(system)
+    if not all(s in bit for s in row) or not all(s in bit for s in col):
+        return 0
+    return pairs[_mask(bit, row) << len(bit) | _mask(bit, col)]
 
 
 def c_matrix(system: CoxeterSystem) -> list[list[int]]:
@@ -232,14 +267,16 @@ def c_matrix(system: CoxeterSystem) -> list[list[int]]:
     return [[mutual_descent_count(system, I, J) for J in subs] for I in subs]
 
 
-@lru_cache(maxsize=None)
 def weak_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozenset[int]) -> int:
-    """#{w : D(w) <= row and D(w^{-1}) <= col}; equals the double-coset count."""
-    return sum(
-        1
-        for w in elements(system)
-        if w.descent_set() <= row and w.inverse().descent_set() <= col
-    )
+    """#{w : D(w) <= row and D(w^{-1}) <= col}; equals the double-coset count.
+
+    Each such w is the minimal representative of one (W_col, W_row)
+    double coset (Solomon 1976).  The count is a read of the subset-sum
+    transform of the descent-pair histogram; keys outside the generators
+    are dropped, since descent sets lie inside them.
+    """
+    bit, _, below = _descent_pair_tables(system)
+    return below[_mask(bit, col) << len(bit) | _mask(bit, row)]
 
 
 def double_coset_count(system: CoxeterSystem, left: frozenset[int], right: frozenset[int]) -> int:
@@ -315,10 +352,12 @@ def m_class_basis(system: CoxeterSystem) -> dict[frozenset[int], FormalVector]:
 
 
 def class_index(system: CoxeterSystem, subset: frozenset[int]) -> Fraction:
-    """|W^{J^c}| divided by the number of conjugates of the parabolic W_{J^c}."""
-    comp = system.generator_set - subset
-    reps = min_coset_reps(system, comp, "left")
-    return Fraction(len(reps), parabolic_class_size(system, comp))
+    """|W^{J^c}| divided by the number of conjugates of the parabolic W_{J^c}.
+
+    By Howlett's (1980) decomposition N_W(W_K) = W_K x| N_K that quotient
+    is |N_K| for K = J^c (see :func:`normalizer_complement_order`).
+    """
+    return Fraction(normalizer_complement_order(system, system.generator_set - subset))
 
 
 def p_class_basis(system: CoxeterSystem) -> dict[frozenset[int], FormalVector]:

@@ -181,6 +181,12 @@ class Element:
     def __post_init__(self) -> None:
         _validate_window(self.system, self.window)
 
+    def __hash__(self) -> int:
+        # The window alone: hashing the system too would hash the
+        # CoxeterSystem dataclass on every dict operation.  Equality still
+        # compares the system.
+        return hash(self.window)
+
     # -- basic group structure ------------------------------------------------
 
     def __mul__(self, other: "Element") -> "Element":
@@ -293,11 +299,22 @@ def format_window(window: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in window)
 
 
-def parse_window(system: CoxeterSystem, text: str) -> Element:
+def parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated ints, optionally parenthesized: "2,-1" or "(2,-1)".
+    Windows and (pseudo-)compositions are written this way."""
     text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
     if not text:
-        return system.identity()
-    return system.element(int(part) for part in text.split(","))
+        return ()
+    return tuple(int(p) for p in text.split(","))
+
+
+def parse_window(system: CoxeterSystem, text: str) -> Element:
+    """The element whose window :func:`parse_ints` reads from ``text``; an
+    empty window is the identity."""
+    window = parse_ints(text)
+    return system.element(window) if window else system.identity()
 
 
 def prod(system: CoxeterSystem, elements: Iterable[Element]) -> Element:
@@ -311,13 +328,17 @@ def from_word(system: CoxeterSystem, word: Iterable[int]) -> Element:
 # -- whole-group machinery ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def elements(system: CoxeterSystem) -> tuple[Element, ...]:
-    """All group elements, sorted by (length, window) for determinism."""
+def _check_order(system: CoxeterSystem) -> None:
     if system.order() > max_order():
         raise CapExceededError(
             f"|W| = {system.order()} exceeds cap {max_order()}"
         )
+
+
+@lru_cache(maxsize=None)
+def elements(system: CoxeterSystem) -> tuple[Element, ...]:
+    """All group elements, sorted by (length, window) for determinism."""
+    _check_order(system)
     out = []
     for perm in itertools.permutations(range(1, system.n + 1)):
         if system.family == "A":
@@ -347,14 +368,31 @@ def all_subsets(system: CoxeterSystem) -> tuple[frozenset[int], ...]:
 
 @lru_cache(maxsize=None)
 def parabolic_elements(system: CoxeterSystem, subset: frozenset[int]) -> tuple[Element, ...]:
-    """Elements of the standard parabolic subgroup generated by ``subset``."""
-    return tuple(
-        w for w in elements(system) if frozenset(w.reduced_word()) <= subset
-    )
+    """Elements of the standard parabolic subgroup generated by ``subset``,
+    sorted by (length, window) like :func:`elements`.
+
+    A breadth-first search from the identity under right multiplication by
+    the generators in ``subset``: the search depth is the length, so each
+    layer is sorted by window alone.  Refused when :func:`elements` would
+    refuse the whole group.
+    """
+    _check_order(system)
+    gens = [system.generator(s) for s in subset & system.generator_set]
+    seen = {system.identity()}
+    layer = list(seen)
+    out: list[Element] = []
+    while layer:
+        layer.sort(key=lambda w: w.window)
+        out += layer
+        layer = list({w * g for w in layer for g in gens} - seen)
+        seen.update(layer)
+    return tuple(out)
 
 
 def in_parabolic(w: Element, subset: frozenset[int]) -> bool:
-    return frozenset(w.reduced_word()) <= subset
+    """Whether w lies in the standard parabolic on ``subset``: its minimal
+    left-coset representative is then the identity."""
+    return parabolic_decompose_left(w, subset)[0].is_identity()
 
 
 def longest_element(system: CoxeterSystem, subset: frozenset[int]) -> Element:
@@ -375,17 +413,12 @@ def parabolic_decompose_left(w: Element, subset: frozenset[int]) -> tuple[Elemen
     The representative c has no right descent inside ``subset`` and
     lengths add: length(w) = length(c) + length(p).
     """
-    system = w.system
-    word: list[int] = []
     v = w
     while True:
         des = v.descent_set() & subset
         if not des:
-            break
-        s = min(des)
-        v = v * system.generator(s)
-        word.append(s)
-    return v, from_word(system, reversed(word))
+            return v, v.inverse() * w
+        v = v * w.system.generator(min(des))
 
 
 def parabolic_decompose_right(w: Element, subset: frozenset[int]) -> tuple[Element, Element]:
@@ -523,38 +556,61 @@ def _parts_from_descents(subset: frozenset[int], size: int, pseudo: bool) -> tup
 
 
 @lru_cache(maxsize=None)
-def _parabolic_conjugates(system: CoxeterSystem, subset: frozenset[int]) -> frozenset[frozenset[tuple[int, ...]]]:
-    """All subgroups conjugate to the standard parabolic on ``subset``."""
-    base = parabolic_elements(system, subset)
-    seen = set()
-    for w in elements(system):
-        wi = w.inverse()
-        seen.add(frozenset((w * x * wi).window for x in base))
-    return frozenset(seen)
-
-
-def parabolic_class_size(system: CoxeterSystem, subset: frozenset[int]) -> int:
-    return len(_parabolic_conjugates(system, subset))
-
-
-@lru_cache(maxsize=None)
 def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[int], ...], ...]:
     """Classes of subsets I, where I ~ J iff W_{I^c} and W_{J^c} are conjugate.
 
-    Brute force: two parabolics are equivalent when one lies in the
-    conjugation orbit of the other.
+    Deodhar's (1982) elementary moves (Geck-Pfeiffer 2000, section 2.3):
+    for K a set of generators, s not in K and L = K + {s}, conjugation by
+    the longest element w0(L) maps K onto another subset of L, and two
+    standard parabolics are conjugate exactly when a chain of such moves
+    joins their generator sets.  Conjugation by w0(L) permutes the
+    generators of L, so the move sends K = L - {s} to L - {w0 s w0}.  A
+    union-find over the complements I = S - K collects the classes.
+
+    Classes, and the members of each, come in order of first appearance in
+    :func:`all_subsets`.
     """
     S = system.generator_set
-    orbit_of = {
-        I: _parabolic_conjugates(system, S - I) for I in all_subsets(system)
-    }
-    classes: list[list[frozenset[int]]] = []
+    parent = {I: I for I in all_subsets(system)}
+
+    def find(I: frozenset[int]) -> frozenset[int]:
+        while parent[I] != I:
+            parent[I] = parent[parent[I]]
+            I = parent[I]
+        return I
+
+    for L in all_subsets(system):
+        w0 = longest_element(system, L)
+        generator_of = {system.generator(u).window: u for u in L}
+        for s in L:
+            t = generator_of[(w0 * system.generator(s) * w0).window]
+            parent[find((S - L) | {t})] = find((S - L) | {s})
+    classes: dict[frozenset[int], list[frozenset[int]]] = {}
     for I in all_subsets(system):
-        base = frozenset(w.window for w in parabolic_elements(system, S - I))
-        for cls in classes:
-            if base in orbit_of[cls[0]]:
-                cls.append(I)
-                break
-        else:
-            classes.append([I])
-    return tuple(tuple(cls) for cls in classes)
+        classes.setdefault(find(I), []).append(I)
+    return tuple(tuple(cls) for cls in classes.values())
+
+
+@lru_cache(maxsize=None)
+def normalizer_complement_order(system: CoxeterSystem, subset: frozenset[int]) -> int:
+    """|N_J| for J = ``subset``: the minimal left-coset representatives w
+    of W_J with w s_j w^{-1} a generator in J for every j in J.
+
+    Howlett (1980): the normalizer of the standard parabolic W_J is the
+    semidirect product W_J x| N_J, where N_J = {w : w(Delta_J) = Delta_J}.
+    A w that maps the simple roots of J to positive roots has no right
+    descent in J, and then w s_j w^{-1} = s_k means w(alpha_j) = alpha_k.
+    """
+    J = subset & system.generator_set
+    gens = [system.generator(j) for j in J]
+    targets = {g.window for g in gens}
+    return sum(1 for w in min_coset_reps(system, J, "left")
+               if all((w * g * w.inverse()).window in targets for g in gens))
+
+
+def parabolic_class_size(system: CoxeterSystem, subset: frozenset[int]) -> int:
+    """The number of conjugates of the standard parabolic W_J on ``subset``:
+    |W : N_W(W_J)| = |W^J| / |N_J| by Howlett's (1980) decomposition
+    N_W(W_J) = W_J x| N_J (see :func:`normalizer_complement_order`)."""
+    J = subset & system.generator_set
+    return len(min_coset_reps(system, J, "left")) // normalizer_complement_order(system, J)

@@ -47,6 +47,15 @@ class TestElement:
                              "--op", "reduced-word", "-2,-1,3")
         assert status == 0 and out.strip() == "0"
 
+    def test_parenthesized_window(self, capsys):
+        # the same window parser as product and coproduct
+        status, out, _ = run(capsys, "element", "--type", "A", "--rank", "1",
+                             "--op", "length", "(2,1)")
+        assert status == 0 and out.strip() == "1"
+        status, out, _ = run(capsys, "element", "--type", "B", "--rank", "2",
+                             "--op", "compose", "(2,1)", "--right", "(-1,2)")
+        assert status == 0 and out.strip() == "-2,1"
+
     def test_bad_window_is_parse_error(self, capsys):
         status, _, err = run(capsys, "element", "--type", "B", "--rank", "2",
                              "--op", "length", "1,1")
@@ -309,9 +318,15 @@ _COUNT = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(["", "x", "1.5",
 
 @st.composite
 def _cli_argv(draw):
-    command = draw(st.sampled_from(["element", "product", "coproduct"]))
+    command = draw(st.sampled_from(["element", "product", "coproduct", "table"]))
     argv = [command]
-    if command == "element":
+    if command == "table":
+        # Ranks 0-4 of every family (D below rank 2 is refused), and bad values.
+        argv += ["--type", draw(st.sampled_from(["A", "B", "D"] * 3 + ["C", ""])),
+                 "--rank", draw(st.sampled_from([str(r) for r in range(5)] * 3
+                                                + ["-1", "x", "", "9"])),
+                 "--table", draw(st.sampled_from(["c", "hm", "hgram"] * 3 + ["bogus"]))]
+    elif command == "element":
         # Mostly well-formed, so that the element operations run too.
         family = draw(st.sampled_from(["A", "B", "D"] * 3 + ["C", ""]))
         n = draw(st.integers(1, 8))
@@ -347,3 +362,19 @@ class TestFuzz:
             status = main(argv)
         assert status in (0, 1, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([("A", 0), ("A", 3), ("B", 1), ("B", 3), ("D", 2), ("D", 3)])
+           .flatmap(lambda fr: st.tuples(st.just(fr), _signed_permutation(fr[1] + (fr[0] == "A")))),
+           st.sampled_from(["length", "descents", "inverse", "reduced-word"]))
+    def test_parenthesized_element_window(self, case, op):
+        # a window reads the same with and without parentheses
+        (family, rank), window = case
+        outputs = []
+        for text in (",".join(map(str, window)), "(" + ",".join(map(str, window)) + ")"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(["element", "--type", family, "--rank", str(rank), "--op", op, text])
+            outputs.append((status, out.getvalue(), err.getvalue()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 2)

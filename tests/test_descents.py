@@ -45,6 +45,8 @@ from coxkit.systems import (
     parabolic_elements,
 )
 
+from oracles import ORACLE_SYSTEMS, scan_mutual_descent_count, scan_weak_descent_count
+
 A3 = CoxeterSystem("A", 3)
 A4 = CoxeterSystem("A", 4)
 B2 = CoxeterSystem("B", 2)
@@ -219,6 +221,20 @@ class TestPairCountForm:
     def test_b2_full_rank(self):
         from coxkit.linalg import determinant
         assert determinant(c_matrix(B2)) != 0
+
+
+class TestDescentPairOracle:
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_histogram_and_zeta_match_scans(self, system):
+        # keys outside the generators: weak counts drop them, mutual counts
+        # are 0 (no descent set holds them)
+        keys = list(all_subsets(system)) + [frozenset({99}), system.generator_set | {-1}]
+        for I in keys:
+            for J in keys:
+                assert mutual_descent_count(system, I, J) \
+                    == scan_mutual_descent_count(system, I, J), (I, J)
+                assert weak_descent_count(system, I, J) \
+                    == scan_weak_descent_count(system, I, J), (I, J)
 
 
 class TestDoubleCosets:

@@ -18,6 +18,7 @@ from coxkit.systems import (
     longest_element,
     min_coset_reps,
     near_concat_compositions,
+    parabolic_class_size,
     parabolic_conjugacy_classes,
     parabolic_decompose_left,
     parabolic_decompose_right,
@@ -27,6 +28,13 @@ from coxkit.systems import (
     set_max_order,
     shape_of_composition,
     word_cube,
+)
+
+from oracles import (
+    ORACLE_SYSTEMS,
+    orbit_conjugacy_classes,
+    parabolic_conjugates,
+    parabolic_elements_by_words,
 )
 
 A3 = CoxeterSystem("A", 3)
@@ -51,6 +59,12 @@ systems_strategy = st.sampled_from([A3, A4, B2, B3, D3])
 class TestWindows:
     def test_identity_window(self):
         assert B3.identity().window == (1, 2, 3)
+
+    def test_hash_is_window_hash(self):
+        # dict operations hash the window only; equality still tells systems apart
+        w, v = B2.element((2, 1)), CoxeterSystem("A", 2).element((2, 1))
+        assert hash(w) == hash(v) == hash((2, 1))
+        assert w != v and len({w, v, B2.element([2, 1])}) == 2
 
     def test_generator_windows(self):
         assert B2.generator(0).window == (-1, 2)
@@ -338,8 +352,11 @@ class TestConjugacyClasses:
         assert len(parabolic_conjugacy_classes(CoxeterSystem("A", 1))) == 1
         assert len(parabolic_conjugacy_classes(CoxeterSystem("B", 0))) == 1
 
-    @pytest.mark.parametrize("system", (A4, B3))
+    @pytest.mark.parametrize("system", (A4, B3) + tuple(
+        s for s in ORACLE_SYSTEMS if s.family != "D" and s not in (A4, B3)))
     def test_shape_grouping(self, system):
+        # A: multisets of block sizes; B: the first part, then the multiset
+        # of the rest
         by_shape = {}
         for I in all_subsets(system):
             shape = shape_of_composition(system, composition_from_descents(system, I))
@@ -358,3 +375,55 @@ class TestConjugacyClasses:
         ]
         assert any(len(shapes) > 1 for shapes in shapes_per_class)
         assert len(classes) == 11
+
+    @pytest.mark.parametrize("n", (4, 5, 6))
+    def test_d_even_blocks_split(self, n):
+        # Swapping generators 0 and 1 is conjugation by a sign change of B_n.
+        # It keeps the D_n-class of W_K unless K has no D part (not both 0
+        # and 1) and all its blocks of positions are even: those classes split.
+        system = CoxeterSystem("D", n)
+        S = system.generator_set
+        swap = {0: 1, 1: 0}
+        class_of = {I: cls for cls in parabolic_conjugacy_classes(system) for I in cls}
+        for I in all_subsets(system):
+            K = S - I
+            cuts = [i for i in range(2, n) if i not in K] + [n]
+            if not K & {0, 1}:
+                cuts.insert(0, 1)
+            sizes = [b - a for a, b in zip([0] + cuts, cuts)]
+            even_only = not {0, 1} <= K and all(size % 2 == 0 for size in sizes)
+            swapped = frozenset(swap.get(s, s) for s in I)
+            assert (swapped not in class_of[I]) == even_only, sorted(I)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_classes_match_orbits(self, system):
+        assert parabolic_conjugacy_classes(system) == orbit_conjugacy_classes(system)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_class_size_is_orbit_size(self, system):
+        for J in all_subsets(system):
+            assert parabolic_class_size(system, J) == len(parabolic_conjugates(system, J))
+
+
+class TestParabolicOracle:
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_parabolic_elements_match_word_filter(self, system):
+        for J in all_subsets(system):
+            assert parabolic_elements(system, J) == parabolic_elements_by_words(system, J)
+        # keys outside the generators are ignored, as by the word filter
+        outside = frozenset({99}) | system.generator_set
+        assert parabolic_elements(system, outside) == elements(system)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_in_parabolic_matches_word_filter(self, system):
+        for J in all_subsets(system):
+            members = set(parabolic_elements_by_words(system, J))
+            assert {w for w in elements(system) if in_parabolic(w, J)} == members
+
+    def test_parabolic_elements_cap(self):
+        set_max_order(10)
+        try:
+            with pytest.raises(CapExceededError):
+                parabolic_elements(CoxeterSystem("B", 6), frozenset({1}))
+        finally:
+            set_max_order(None)
