@@ -279,29 +279,6 @@ def weak_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozense
     return below[_mask(bit, col) << len(bit) | _mask(bit, row)]
 
 
-def double_coset_count(system: CoxeterSystem, left: frozenset[int], right: frozenset[int]) -> int:
-    """Number of (W_left, W_right) double cosets, by BFS orbit decomposition."""
-    unassigned = set(elements(system))
-    count = 0
-    while unassigned:
-        seed = unassigned.pop()
-        frontier = [seed]
-        while frontier:
-            w = frontier.pop()
-            for s in left:
-                v = w.system.generator(s) * w
-                if v in unassigned:
-                    unassigned.remove(v)
-                    frontier.append(v)
-            for s in right:
-                v = w * w.system.generator(s)
-                if v in unassigned:
-                    unassigned.remove(v)
-                    frontier.append(v)
-        count += 1
-    return count
-
-
 # -- conjugacy-class bases at the sym level ------------------------------------
 
 

@@ -11,6 +11,11 @@ regular module on the group basis, one-dimensional simples indexed by
 generator subsets, cyclic projectives seeded inside the regular module,
 and induction along a parabolic via the three-case rewrite of generator
 action on coset representatives.
+
+Composition factors are read off one rank per subset of the acting set:
+the simples are one-dimensional, so the fixed spaces of the idempotent
+generators count them, and a Moebius inversion over the subsets separates
+the labels.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .freemodule import FormalVector
-from .linalg import RowSpace, exact_div, matrix_rank, nullspace
+from .linalg import RowSpace, matrix_rank
 from .qsym import CPoly, fundamental_qsym, fundamental_qsym_b, fundamental_qsym_d
 from .systems import (
     CoxeterSystem,
@@ -218,12 +223,6 @@ def mixed_projective_module(system: CoxeterSystem, subset: frozenset[int],
     return _seeded_cyclic(regular_module(system), subset, within - subset)
 
 
-def expected_mixed_projective_dim(system: CoxeterSystem, subset: frozenset[int],
-                                  within: frozenset[int]) -> int:
-    hi = (system.generator_set - within) | subset
-    return sum(1 for w in elements(system) if subset <= w.descent_set() <= hi)
-
-
 def stated_projective_basis(system: CoxeterSystem, subset: frozenset[int],
                             within: Optional[frozenset[int]] = None) -> list[list]:
     """The expected basis vectors: nilpotent product over w times the seed
@@ -302,62 +301,48 @@ def _eigen_patterns(module: HModule) -> list[frozenset[int]]:
     return [I for I in all_subsets(module.system) if I <= module.acting]
 
 
-def _shifted_rows(module: HModule, pattern: frozenset[int], transpose: bool) -> list[list]:
-    """Rows of X_s + [s in pattern] * I (or its transpose) over the acting s: their
-    kernel is {v : X_s v = -v for s in the pattern, X_s v = 0 for the others}."""
+def _shifted_rows(module: HModule, pattern: frozenset[int]) -> list[list]:
+    """Rows of the transpose of X_s + [s in pattern] * I over the acting s:
+    their kernel is the space of maps onto the simple with that pattern."""
     rows = []
     for s in module.acting:
-        X = mat_transpose(module.mats[s]) if transpose else module.mats[s]
-        for i, row in enumerate(X):
+        for i, row in enumerate(mat_transpose(module.mats[s])):
             if s in pattern:
-                row = list(row)
                 row[i] += 1
             rows.append(row)
     return rows
 
 
-def common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list]:
-    """Vectors on which each acting generator acts by -1 (inside the pattern)
-    or 0 (outside)."""
-    return nullspace(_shifted_rows(module, pattern, transpose=False), module.dim)
-
-
-def _quotient_by_line(module: HModule, v: Sequence) -> HModule:
-    p = next(i for i, x in enumerate(v) if x)
-    keep = [i for i in range(module.dim) if i != p]
-    ratio = [exact_div(x, v[p]) if x else 0 for x in v]
-    mats = {}
-    for s, X in module.mats.items():
-        mats[s] = [
-            [X[i][j] - X[p][j] * ratio[i] for j in keep] if ratio[i] else [X[i][j] for j in keep]
-            for i in keep
-        ]
-    return HModule(module.system, module.acting, mats, len(keep))
-
-
 def composition_factors(module: HModule) -> FormalVector:
-    """Multiset of simple factors, by iterated extraction of minimal
-    one-dimensional submodules (every nonzero module has one)."""
-    out = FormalVector(kind="g0")
-    current = module
-    while current.dim:
-        for pattern in _eigen_patterns(current):
-            vecs = common_eigenvectors(current, pattern)
-            if vecs:
-                out += FormalVector.basis(pattern, kind="g0")
-                current = _quotient_by_line(current, vecs[0])
-                break
-        else:
-            raise AssertionError("no one-dimensional submodule found")
-    return out
+    """Multiset of simple factors, from the ranks of the fixed spaces.
+
+    The idempotent pi_s = X_s + 1 acts on the simple C_J by 0 for s in J
+    and by 1 otherwise.  The common kernel of the X_s over s in K is the
+    image of the idempotent pi_{w0(K)}, and the rank of an idempotent is
+    its trace, which adds up along a composition series.  So
+    t(K) = dim - rank(X_s : s in K) counts the factors C_J with J disjoint
+    from K, and Moebius inversion over the subsets B = A - K of the acting
+    set A recovers each multiplicity (Norton 1979; Krob-Thibon 1997).
+    """
+    A = module.acting
+    patterns = _eigen_patterns(module)
+    fixed = {
+        K: module.dim - matrix_rank([row for s in K for row in module.mats[s]])
+        for K in patterns
+    }
+    return FormalVector(
+        ((J, sum((-1) ** len(J - B) * fixed[A - B] for B in patterns if B <= J))
+         for J in patterns),
+        kind="g0",
+    )
 
 
 def hom_to_simple_dim(module: HModule, pattern: frozenset[int]) -> int:
     """Dimension of the space of maps onto the simple with the given pattern."""
-    return module.dim - matrix_rank(_shifted_rows(module, pattern, transpose=True))
+    return module.dim - matrix_rank(_shifted_rows(module, pattern))
 
 
-def projective_multiplicities(module: HModule, assert_projective: bool = True) -> FormalVector:
+def projective_multiplicities(module: HModule) -> FormalVector:
     """Multiplicity of each projective indecomposable among the acting set,
     with a dimension audit that flags non-projective inputs."""
     out = FormalVector(kind="k0")
@@ -367,7 +352,7 @@ def projective_multiplicities(module: HModule, assert_projective: bool = True) -
         if m:
             out += FormalVector.basis(pattern, m, kind="k0")
             total += m * len(descent_class(module.system, pattern, module.acting))
-    if assert_projective and total != module.dim:
+    if total != module.dim:
         raise NonProjectiveError(
             f"projective dims sum to {total}, module dim is {module.dim}"
         )
@@ -390,7 +375,7 @@ def hom_dim(source: HModule, target: HModule) -> int:
                     if B[i][k]:
                         row[k * ds + j] -= B[i][k]
                 rows.append(row)
-    return len(nullspace(rows, dt * ds))
+    return dt * ds - matrix_rank(rows)
 
 
 # -- characteristic maps ------------------------------------------------------------

@@ -5,7 +5,11 @@ package replaced: the tests compare the two on small ranks.
 """
 
 from functools import lru_cache
+from typing import Sequence
 
+from coxkit.freemodule import FormalVector
+from coxkit.hecke import HModule
+from coxkit.linalg import exact_div, nullspace
 from coxkit.systems import CoxeterSystem, Element, all_subsets, elements
 
 #: Every system up to rank 4, ranks 0 and 1 included: the fast paths are
@@ -66,3 +70,79 @@ def scan_weak_descent_count(system: CoxeterSystem, row: frozenset[int],
     """#{w : D(w) <= row and D(w^{-1}) <= col}, by a scan of W."""
     return sum(1 for w in elements(system)
                if w.descent_set() <= row and w.inverse().descent_set() <= col)
+
+
+def double_coset_count(system: CoxeterSystem, left: frozenset[int], right: frozenset[int]) -> int:
+    """Number of (W_left, W_right) double cosets, by BFS orbit decomposition."""
+    unassigned = set(elements(system))
+    count = 0
+    while unassigned:
+        seed = unassigned.pop()
+        frontier = [seed]
+        while frontier:
+            w = frontier.pop()
+            for s in left:
+                v = w.system.generator(s) * w
+                if v in unassigned:
+                    unassigned.remove(v)
+                    frontier.append(v)
+            for s in right:
+                v = w * w.system.generator(s)
+                if v in unassigned:
+                    unassigned.remove(v)
+                    frontier.append(v)
+        count += 1
+    return count
+
+
+def expected_mixed_projective_dim(system: CoxeterSystem, subset: frozenset[int],
+                                  within: frozenset[int]) -> int:
+    """#{w : subset <= D(w) <= (complement of within) union subset}, by a scan of W."""
+    hi = (system.generator_set - within) | subset
+    return sum(1 for w in elements(system) if subset <= w.descent_set() <= hi)
+
+
+def common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list]:
+    """Vectors on which each acting generator acts by -1 (inside the pattern)
+    or 0 (outside): the kernel of the stacked X_s + [s in pattern] * I."""
+    rows = []
+    for s in module.acting:
+        for i, row in enumerate(module.mats[s]):
+            if s in pattern:
+                row = list(row)
+                row[i] += 1
+            rows.append(row)
+    return nullspace(rows, module.dim)
+
+
+def quotient_by_line(module: HModule, v: Sequence) -> HModule:
+    """The quotient module by the line through the common eigenvector v,
+    on the basis that drops v's first nonzero coordinate."""
+    p = next(i for i, x in enumerate(v) if x)
+    keep = [i for i in range(module.dim) if i != p]
+    ratio = [exact_div(x, v[p]) if x else 0 for x in v]
+    mats = {}
+    for s, X in module.mats.items():
+        mats[s] = [
+            [X[i][j] - X[p][j] * ratio[i] for j in keep] if ratio[i] else [X[i][j] for j in keep]
+            for i in keep
+        ]
+    return HModule(module.system, module.acting, mats, len(keep))
+
+
+def extracted_composition_factors(module: HModule) -> FormalVector:
+    """Multiset of simple factors, by iterated extraction of minimal
+    one-dimensional submodules (every nonzero module has one)."""
+    patterns = [I for I in all_subsets(module.system) if I <= module.acting]
+    out = FormalVector(kind="g0")
+    current = module
+    while current.dim:
+        for pattern in patterns:
+            vecs = common_eigenvectors(current, pattern)
+            if vecs:
+                out += FormalVector.basis(pattern, kind="g0")
+                current = quotient_by_line(current, vecs[0])
+                break
+        else:
+            raise AssertionError("no one-dimensional submodule found")
+    return out

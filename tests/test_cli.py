@@ -315,10 +315,17 @@ def _window_text(max_len, size=None):
 
 _COUNT = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(["", "x", "1.5", "-0"]))
 
+# Generator subsets at ranks 0-3: 0-3 covers every family's generators and
+# some out of range; the sampled texts are out of range or malformed.
+_SUBSET = st.one_of(
+    st.lists(st.sampled_from("0123"), unique=True, max_size=4).map(",".join),
+    st.sampled_from(["", " ", "9", "-1", "1,,2", "a", "0;1", "1,1", "0.5"]),
+)
+
 
 @st.composite
 def _cli_argv(draw):
-    command = draw(st.sampled_from(["element", "product", "coproduct", "table"]))
+    command = draw(st.sampled_from(["element", "product", "coproduct", "table", "hecke"]))
     argv = [command]
     if command == "table":
         # Ranks 0-4 of every family (D below rank 2 is refused), and bad values.
@@ -326,6 +333,21 @@ def _cli_argv(draw):
                  "--rank", draw(st.sampled_from([str(r) for r in range(5)] * 3
                                                 + ["-1", "x", "", "9"])),
                  "--table", draw(st.sampled_from(["c", "hm", "hgram"] * 3 + ["bogus"]))]
+    elif command == "hecke":
+        # Ranks 0-3 of every family, every op and report, and bad values.
+        module = st.one_of(
+            st.just("regular"),
+            st.tuples(st.sampled_from("CP"), _SUBSET).map(":".join),
+            st.sampled_from(["", "C", "P:", "Q:1", "regular:", "C:0:1", " regular ", "P:(1)"]),
+        )
+        argv += ["--type", draw(st.sampled_from(["A", "B", "D"] * 3 + ["C"])),
+                 "--rank", draw(st.sampled_from([str(r) for r in range(4)] * 3 + ["-1", "x"])),
+                 "--op", draw(st.sampled_from(["none", "induce", "restrict"] * 2 + ["bogus"])),
+                 "--report", draw(st.sampled_from(
+                     ["factors", "multiplicities", "dim", "matrices"] * 2 + ["bogus"])),
+                 "--module", draw(module)]
+        if draw(st.booleans()):
+            argv += ["--subset", draw(_SUBSET)]
     elif command == "element":
         # Mostly well-formed, so that the element operations run too.
         family = draw(st.sampled_from(["A", "B", "D"] * 3 + ["C", ""]))

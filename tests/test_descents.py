@@ -8,7 +8,6 @@ from coxkit.descents import (
     class_label,
     collect_by_descents,
     conjugacy_class_of,
-    double_coset_count,
     embed_sigma,
     h_class_basis,
     h_gram_matrix,
@@ -45,7 +44,12 @@ from coxkit.systems import (
     parabolic_elements,
 )
 
-from oracles import ORACLE_SYSTEMS, scan_mutual_descent_count, scan_weak_descent_count
+from oracles import (
+    ORACLE_SYSTEMS,
+    double_coset_count,
+    scan_mutual_descent_count,
+    scan_weak_descent_count,
+)
 
 A3 = CoxeterSystem("A", 3)
 A4 = CoxeterSystem("A", 4)

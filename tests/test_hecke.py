@@ -9,9 +9,7 @@ from coxkit.hecke import (
     NonProjectiveError,
     alternating_product,
     characteristic_polynomial,
-    common_eigenvectors,
     composition_factors,
-    expected_mixed_projective_dim,
     hom_dim,
     hom_to_simple_dim,
     induce,
@@ -39,6 +37,8 @@ from coxkit.systems import (
     min_coset_reps,
     parabolic_decompose_right,
 )
+
+from oracles import expected_mixed_projective_dim, extracted_composition_factors
 
 A3 = CoxeterSystem("A", 3)
 A4 = CoxeterSystem("A", 4)
@@ -391,6 +391,57 @@ class TestEmptyActingSet:
         checks = run_suite("hecke", family, CoxeterSystem.of_rank(family, rank).n)
         assert len(checks) == 8
         assert [c for c in checks if not c.passed] == []
+
+
+ORACLE_MODULE_SYSTEMS = (
+    [CoxeterSystem("A", n) for n in range(1, 5)]
+    + [CoxeterSystem("B", n) for n in range(4)]
+    + [CoxeterSystem("D", n) for n in range(2, 4)]
+)
+
+
+def _modules_up_to_48(system):
+    """The regular and parabolic-regular modules, every P_J, the simples and
+    projectives induced from every parabolic, and the projectives restricted
+    to every parabolic; on the oracle systems all have dimension <= 48."""
+    subsets = all_subsets(system)
+    S = system.generator_set
+    for I in subsets:
+        yield f"regular on {sorted(I)}", regular_module(system, I)
+        for J in (X for X in subsets if X <= I):
+            yield f"P{sorted(J)} on {sorted(I)}", projective_module(system, J, carrier=I)
+            yield f"induced C{sorted(J)} from {sorted(I)}", \
+                induce(simple_module(system, J, acting=I))
+            yield f"induced P{sorted(J)} from {sorted(I)}", \
+                induce(projective_module(system, J, carrier=I))
+    for K in subsets:
+        P = projective_module(system, K)
+        for I in subsets:
+            if I != S:
+                yield f"P{sorted(K)} restricted to {sorted(I)}", restrict(P, I)
+
+
+class TestCompositionFactors:
+    """The fixed-space ranks and their Moebius inversion against the
+    iterated extraction of one-dimensional submodules."""
+
+    @pytest.mark.parametrize("system", ORACLE_MODULE_SYSTEMS, ids=repr)
+    def test_matches_the_extraction(self, system):
+        for name, M in _modules_up_to_48(system):
+            assert composition_factors(M) == extracted_composition_factors(M), name
+
+    @pytest.mark.parametrize("family,n", [("A", 5), ("B", 4), ("D", 4)])
+    def test_regular_module_counts_descent_classes(self, family, n):
+        system = CoxeterSystem(family, n)
+        expected = FormalVector(
+            {J: len(descent_class(system, J)) for J in all_subsets(system)}, kind="g0")
+        assert composition_factors(regular_module(system)) == expected
+
+    @pytest.mark.parametrize("acting", [frozenset(), frozenset([1]), B2.generator_set])
+    def test_dimension_zero(self, acting):
+        M = HModule(B2, acting, {s: [] for s in acting}, 0)
+        assert composition_factors(M) == extracted_composition_factors(M) \
+            == FormalVector(kind="g0")
 
 
 class TestGrothendieck:

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every private helper it defines is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,49 @@ def test_scanner_accepts_reexports_and_attribute_use():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Private (single-underscore) functions and classes, methods included,
+    that no module among ``sources`` (file name -> text) reads by name, as an
+    attribute or in an import."""
+    defined: list[tuple[str, str, int]] = []
+    referenced: set[str] = set()
+    for fname, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and _is_private(node.name):
+                defined.append((fname, node.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    return [f"{fname}: {name} (line {line})" for fname, name, line in defined
+            if name not in referenced]
+
+
+def test_scanner_flags_an_unreferenced_private_helper():
+    hecke = "def _quotient_by_line(m, v):\n    return m\n\n\ndef _used():\n    pass\n"
+    other = "from .hecke import _used\n\nclass _Box:\n    def _peek(self):\n        pass\n"
+    assert unreferenced_private_defs({"hecke.py": hecke, "other.py": other}) == [
+        "hecke.py: _quotient_by_line (line 1)",
+        "other.py: _Box (line 3)",
+        "other.py: _peek (line 4)",
+    ]
+
+
+def test_scanner_accepts_attribute_and_call_references():
+    source = ("class _Box:\n    def _peek(self):\n        return self._peek\n\n\n"
+              "def _helper():\n    return _Box()\n\n\nVALUE = _helper()\n")
+    assert unreferenced_private_defs({"m.py": source}) == []
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
