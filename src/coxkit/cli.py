@@ -207,6 +207,11 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
+#: The family whose (pseudo-)compositions index each quasisymmetric token.
+_COMPOSITION_FAMILY = {"sA": "A", "sB": "B", "sD": "D", "M": "A", "F": "A",
+                       "MB": "B", "FB": "B", "MD": "D", "FD": "D"}
+
+
 def _parse_poly_token(token: str, K: int) -> qsym.CPoly:
     token = token.strip()
     if ":" in token:
@@ -215,14 +220,20 @@ def _parse_poly_token(token: str, K: int) -> qsym.CPoly:
         kind, key = token, ""
     kind = kind.strip()
     if kind == "x0":
-        return qsym.x0_power(int(key or 1))
+        power = int(key or 1)
+        if power < 0:
+            raise CliError(f"x0 power must be nonnegative, got {power}")
+        return qsym.x0_power(power)
     alpha = parse_ints(key)
-    if kind in ("sA", "sB", "sD"):
-        family = kind[-1]
+    if any(part < 0 for part in alpha):
+        raise CliError(f"index {alpha} has a negative part")
+    if kind in _COMPOSITION_FAMILY:
+        family = _COMPOSITION_FAMILY[kind]
         system = CoxeterSystem(family, sum(alpha))
         if not is_valid_composition(system, alpha):
             raise CliError(f"{alpha} is not a valid index for family {family}")
-        return sr.projection(family)(sr.s_basis(system, alpha, K))
+        if kind.startswith("s"):
+            return sr.projection(family)(sr.s_basis(system, alpha, K))
     table = {
         "M": qsym.monomial_qsym,
         "F": qsym.fundamental_qsym,

@@ -134,8 +134,9 @@ class HModule:
         """
         out = list(v)
         for s in reversed(tuple(word)):
-            mat = self.mats[s] if bar else self.idempotent_matrix(s)
-            out = mat_apply(mat, out)
+            image = mat_apply(self.mats[s], out)
+            # pi_s = X_s + 1, applied without building its matrix
+            out = image if bar else [a + b for a, b in zip(image, out)]
         return out
 
 

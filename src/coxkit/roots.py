@@ -5,6 +5,10 @@ Roots are integer coordinate vectors.  A partial root system is a root
 subset P with no opposite pair that contains every root lying in the
 positive cone of P.  Its lattice points over a finite alphabet window,
 together with the chamber decomposition, drive the series module.
+
+Cone membership (parset checks and closures, parabolic root subsystems)
+describes each cone once by its facet normals inside the span of its
+generators, and then tests every candidate root against them exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable
 
-from .linalg import solve
+from .linalg import RowSpace, nullspace
 from .systems import CoxeterSystem, Element, check_word_cube, elements
 
 Root = tuple[int, ...]
@@ -98,34 +102,55 @@ def chamber(w: Element) -> frozenset[Root]:
 def parabolic_positive_roots(system: CoxeterSystem, subset: frozenset[int]) -> frozenset[Root]:
     """Positive roots that are nonnegative combinations of the subset's simples."""
     simples = [simple_roots(system)[s] for s in sorted(subset)]
-    out = set()
-    for root in positive_roots(system):
-        if not simples:
-            continue
-        rows = [[simples[k][i] for k in range(len(simples))] for i in range(system.n)]
-        x = solve(rows, list(root))
-        if x is not None and all(c >= 0 for c in x):
-            out.add(root)
-    return frozenset(out)
+    return frozenset(_cone_roots(positive_roots(system), simples))
 
 
 # -- partial root systems --------------------------------------------------------
 
 
-def _cone_contains(generators: tuple[Root, ...], target: Root, dim: int) -> bool:
-    """Whether target lies in the nonnegative span of the generators.
+def _cone_roots(candidates: Iterable[Root], generators: Iterable[Root]) -> set[Root]:
+    """The candidates lying in the cone of nonnegative combinations of the
+    generators, from one description of that cone.
 
-    By the cone version of Caratheodory's theorem it suffices to scan
-    subsets of size at most ``dim``; solutions are found exactly.
+    The generators span a space V of rank r; a vector's coordinates on the
+    reduced echelon basis of V are its entries at the pivot columns.  Every
+    r - 1 independent generators span a hyperplane of V with a normal y;
+    when all generators lie weakly on one side of it, y (or -y) is kept as
+    a facet normal.  A vector lies in the cone exactly when it lies in V and
+    on the nonnegative side of every kept normal (a cone containing a line
+    has fewer normals; one with none is all of V).  Arithmetic is exact.
     """
     gens = list(dict.fromkeys(generators))
-    for size in range(1, min(dim, len(gens)) + 1):
-        for subset in itertools.combinations(gens, size):
-            rows = [[subset[k][i] for k in range(size)] for i in range(dim)]
-            x = solve(rows, list(target))
-            if x is not None and all(c >= 0 for c in x):
-                return True
-    return False
+    span = RowSpace()
+    for g in gens:
+        span.add(g)
+    pivots = sorted(span.rows)
+    r = len(pivots)
+    if r == 0:
+        return set()
+    coords = [[g[p] for p in pivots] for g in gens]
+    normals, seen = [], set()
+    for face in itertools.combinations(coords, r - 1):
+        kernel = nullspace(face, r)
+        if len(kernel) != 1:
+            continue
+        y = tuple(kernel[0])
+        if y in seen:
+            continue
+        seen.add(y)
+        sides = [sum(a * b for a, b in zip(y, c)) for c in coords]
+        if min(sides) >= 0:
+            normals.append(y)
+        elif max(sides) <= 0:
+            normals.append(tuple(-a for a in y))
+    out = set()
+    for beta in candidates:
+        if any(span.reduce(beta)[1]):
+            continue
+        c = [beta[p] for p in pivots]
+        if all(sum(a * b for a, b in zip(y, c)) >= 0 for y in normals):
+            out.add(beta)
+    return out
 
 
 def is_parset(system: CoxeterSystem, roots: Iterable[Root]) -> bool:
@@ -133,24 +158,15 @@ def is_parset(system: CoxeterSystem, roots: Iterable[Root]) -> bool:
     P = frozenset(roots)
     if not P <= all_roots(system):
         return False
-    for r in P:
-        if negate(r) in P:
-            return False
-    gens = tuple(P)
-    for beta in all_roots(system) - P:
-        if _cone_contains(gens, beta, system.n):
-            return False
-    return True
+    if any(negate(r) in P for r in P):
+        return False
+    return not _cone_roots(all_roots(system) - P, P)
 
 
 def parset_closure(system: CoxeterSystem, roots: Iterable[Root]) -> frozenset[Root] | None:
     """Add all roots in the positive cone; None if an opposite pair appears."""
     gens = tuple(roots)
-    closed = set(gens)
-    if gens:
-        for beta in all_roots(system):
-            if beta not in closed and _cone_contains(gens, beta, system.n):
-                closed.add(beta)
+    closed = set(gens) | _cone_roots(all_roots(system), gens)
     for r in closed:
         if negate(r) in closed:
             return None

@@ -496,13 +496,15 @@ def composition_from_descents(system: CoxeterSystem, subset: frozenset[int]) -> 
 
 
 def is_valid_composition(system: CoxeterSystem, alpha: tuple[int, ...]) -> bool:
+    """Whether alpha indexes a descent set of the system: a (pseudo-)
+    composition of n whose descents are generators (so B0 takes only ())."""
     if sum(alpha) != system.n:
         return False
     if any(p < 0 for p in alpha):
         return False
     if system.family == "A":
         return all(p > 0 for p in alpha)
-    return all(p > 0 for p in alpha[1:])
+    return all(p > 0 for p in alpha[1:]) and descents_of_composition(alpha) <= system.generator_set
 
 
 def near_concat_compositions(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Optional[tuple[int, ...]]:

@@ -395,12 +395,15 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     out.append(_check("inversion swaps the two signed products", ok))
 
     ok = True
+    pieces = {}  # w -> graded pieces of its coproduct, computed once per w
     for mu, mv in _sizes(3, 2):
         for u in elements(CoxeterSystem("B", mu)):
             for v in elements(CoxeterSystem("A", mv)):
                 prod = wd.shuffle_b(u, v)
                 for w in elements(CoxeterSystem("B", mu + mv)):
-                    comp = sr.graded_pieces(wd.cap_b(w)).get(mu, FormalVector(kind="pair"))
+                    if w not in pieces:
+                        pieces[w] = sr.graded_pieces(wd.cap_b(w))
+                    comp = pieces[w].get(mu, FormalVector(kind="pair"))
                     if prod.terms.get(w, 0) != comp.terms.get((u, v), 0):
                         ok = False
     out.append(_check("product/coproduct duality on all triples", ok))

@@ -4,12 +4,14 @@ Each function here is the direct, slow definition that a fast path in the
 package replaced: the tests compare the two on small ranks.
 """
 
+import itertools
 from functools import lru_cache
 from typing import Sequence
 
 from coxkit.freemodule import FormalVector
 from coxkit.hecke import HModule
-from coxkit.linalg import exact_div, nullspace
+from coxkit.linalg import exact_div, nullspace, solve
+from coxkit.roots import positive_roots, simple_roots
 from coxkit.systems import CoxeterSystem, Element, all_subsets, elements
 
 #: Every system up to rank 4, ranks 0 and 1 included: the fast paths are
@@ -146,3 +148,36 @@ def extracted_composition_factors(module: HModule) -> FormalVector:
         else:
             raise AssertionError("no one-dimensional submodule found")
     return out
+
+
+def caratheodory_cone_contains(generators: Sequence[tuple[int, ...]], target: tuple[int, ...],
+                               dim: int) -> bool:
+    """Whether target lies in the nonnegative span of the generators.
+
+    By the cone version of Caratheodory's theorem it suffices to scan
+    subsets of size at most ``dim``; solutions are found exactly.
+    """
+    gens = list(dict.fromkeys(generators))
+    for size in range(1, min(dim, len(gens)) + 1):
+        for subset in itertools.combinations(gens, size):
+            rows = [[subset[k][i] for k in range(size)] for i in range(dim)]
+            x = solve(rows, list(target))
+            if x is not None and all(c >= 0 for c in x):
+                return True
+    return False
+
+
+def solved_parabolic_positive_roots(system: CoxeterSystem,
+                                    subset: frozenset[int]) -> frozenset[tuple[int, ...]]:
+    """Positive roots with nonnegative coordinates on the subset's simple
+    roots, by one exact solve per positive root."""
+    simples = [simple_roots(system)[s] for s in sorted(subset)]
+    out = set()
+    for root in positive_roots(system):
+        if not simples:
+            continue
+        rows = [[simples[k][i] for k in range(len(simples))] for i in range(system.n)]
+        x = solve(rows, list(root))
+        if x is not None and all(c >= 0 for c in x):
+            out.add(root)
+    return frozenset(out)

@@ -179,6 +179,14 @@ class TestExpand:
                              "--window", "3")
         assert status == 1 and "not in span" in out
 
+    @pytest.mark.parametrize("target", ["F:(1,0)", "F:(0,0)", "FB:(0)", "FB:(2,0,0)",
+                                        "h:(-1,2)", "hB:(-1,2)", "M:(-1,2)", "x0:-1"])
+    def test_malformed_index_is_a_bad_argument(self, capsys, target):
+        # zero parts where the family allows none, negative parts and
+        # negative powers are refused, not crashed on
+        status, _, err = run(capsys, "expand", "--target", target, "--basis", "h:(1)")
+        assert status == 2 and err.startswith("error: ") and "internal" not in err
+
 
 class TestTable:
     def test_c_table_json(self, capsys):
@@ -323,9 +331,33 @@ _SUBSET = st.one_of(
 )
 
 
+# Series keys and expansion indices: small (pseudo-)compositions of every
+# family's shape, and keys that are negative, oversized or malformed.
+_KEY = st.one_of(
+    st.lists(st.integers(0, 2), max_size=3).map(lambda k: "(" + ",".join(map(str, k)) + ")"),
+    st.lists(st.integers(0, 2), max_size=3).map(lambda k: ",".join(map(str, k))),
+    st.sampled_from(["", "(", "()", "(-1,2)", "(1,,1)", "(a)", "(9,9)", "(0,0,0)", "1.5"]),
+)
+
+# Polynomial tokens for ``expand``: every kind with a small index, x0
+# powers, and malformed or unknown tokens.
+_POLY_TOKEN = st.one_of(
+    st.tuples(st.sampled_from(["M", "F", "MB", "FB", "MD", "FD", "h", "m", "p", "hB", "mB",
+                               "sA", "sB", "sD"]), _KEY).map(":".join),
+    st.integers(-1, 3).map(lambda k: f"x0:{k}"),
+    st.sampled_from(["", ":", "x0", "x0:", "x0:a", "q:(1)", "h", "h(1)", "sC:(1)", ";", " M:(1) "]),
+)
+
+# The shuffles suite ignores --type and --rank and is the slowest, so it is
+# drawn half as often as the others.
+_SUITE = st.sampled_from(["diagrams", "duality", "hecke", "paper-examples", "series"] * 2
+                         + ["shuffles", "bogus", ""])
+
+
 @st.composite
 def _cli_argv(draw):
-    command = draw(st.sampled_from(["element", "product", "coproduct", "table", "hecke"]))
+    command = draw(st.sampled_from(["element", "product", "coproduct", "table", "hecke",
+                                    "series", "expand", "verify"]))
     argv = [command]
     if command == "table":
         # Ranks 0-4 of every family (D below rank 2 is refused), and bad values.
@@ -360,6 +392,26 @@ def _cli_argv(draw):
                  draw(_window_text(8, n))]
         if draw(st.booleans()):
             argv += ["--right", draw(_window_text(8, n))]
+    elif command == "series":
+        # Every kind and a bad one, small keys, windows 0-2 and bad windows.
+        argv += ["--kind", draw(st.sampled_from(["sA", "hA", "sB", "hB", "sD", "hD"] * 2
+                                                + ["sC", ""])),
+                 "--key", draw(_KEY),
+                 "--window", draw(st.sampled_from(["0", "1", "2"] * 3 + ["-1", "x"]))]
+    elif command == "expand":
+        # A target and a basis of at most three tokens, at windows 0-2.
+        argv += ["--target", draw(_POLY_TOKEN),
+                 "--basis", ";".join(draw(st.lists(_POLY_TOKEN, max_size=3)))]
+        if draw(st.booleans()):
+            argv += ["--window", draw(st.sampled_from(["0", "1", "2"] * 2 + ["-1", "x"]))]
+    elif command == "verify":
+        # Each suite at ranks 0-3 of every family, bogus suites, --rank
+        # without --type.
+        argv += ["--suite", draw(_SUITE)]
+        if draw(st.sampled_from([True] * 4 + [False])):
+            argv += ["--type", draw(st.sampled_from(["A", "B", "D"] * 3 + ["C"]))]
+        if draw(st.sampled_from([True] * 4 + [False])):
+            argv += ["--rank", draw(st.sampled_from([str(r) for r in range(4)] * 2 + ["-1", "x"]))]
     elif command == "product":
         argv += ["--family", draw(st.sampled_from(sorted(PRODUCTS) + ["shuffleC", ""])),
                  "--left", draw(_window_text(3)), "--right", draw(_window_text(3))]

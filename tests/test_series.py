@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,12 +30,14 @@ from coxkit.qsym import (
     x0_power,
 )
 from coxkit.roots import (
+    all_roots,
     chamber,
     inner,
     is_parset,
     is_positive_root,
     lattice_points,
     linear_extension_set,
+    negate,
     parabolic_positive_roots,
     parset_closure,
     positive_roots,
@@ -70,6 +73,7 @@ from coxkit.systems import (
     word_cube,
 )
 from coxkit.words import standardize, standardize_even_left, standardize_signed
+from oracles import caratheodory_cone_contains, solved_parabolic_positive_roots
 
 A2 = CoxeterSystem("A", 2)
 A3 = CoxeterSystem("A", 3)
@@ -197,6 +201,115 @@ class TestRoots:
                 got = set(linear_extension_set(B2, P))
                 expected = {u * z.inverse() for z in min_coset_reps(B2, I, "left")}
                 assert got == expected
+
+
+#: Systems on which the cone test is checked against the Caratheodory scan.
+CONE_SYSTEMS = tuple(CoxeterSystem.of_rank("A", r) for r in range(1, 5)) \
+    + tuple(CoxeterSystem("B", n) for n in range(1, 4)) \
+    + tuple(CoxeterSystem("D", n) for n in range(2, 5))
+
+
+def _scan_is_parset(system, roots):
+    """is_parset with every cone membership decided by the scan."""
+    P = frozenset(roots)
+    if not P <= all_roots(system) or any(negate(r) in P for r in P):
+        return False
+    return not any(caratheodory_cone_contains(tuple(P), beta, system.n)
+                   for beta in all_roots(system) - P)
+
+
+def _scan_parset_closure(system, roots):
+    """parset_closure with every cone membership decided by the scan."""
+    gens = tuple(roots)
+    closed = set(gens) | {beta for beta in all_roots(system)
+                          if caratheodory_cone_contains(gens, beta, system.n)}
+    if any(negate(r) in closed for r in closed):
+        return None
+    return frozenset(closed)
+
+
+@st.composite
+def _root_lists(draw):
+    """A system and a short list of its roots: possibly empty, with
+    duplicates, often with an opposite pair (a cone containing a line) and
+    usually spanning less than the whole space."""
+    system = draw(st.sampled_from(CONE_SYSTEMS))
+    roots = sorted(all_roots(system))
+    gens = draw(st.lists(st.sampled_from(roots), max_size=5))
+    if gens and draw(st.booleans()):
+        gens.append(negate(draw(st.sampled_from(gens))))
+    if gens and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    return system, draw(st.permutations(gens))
+
+
+def _draw_parsets_by_size(system, sizes, seed):
+    """One random_parset of each size in ``sizes``, from seeded draws."""
+    found = {}
+    for j in range(5000):
+        P = random_parset(system, random.Random(f"{seed}:{j}"))
+        if len(P) in sizes:
+            found.setdefault(len(P), P)
+            if len(found) == len(sizes):
+                return found
+    raise AssertionError(f"sizes {sorted(set(sizes) - set(found))} not drawn")
+
+
+class TestConeMembership:
+    @settings(max_examples=200, deadline=None)
+    @given(_root_lists())
+    def test_closure_matches_scan(self, case):
+        system, gens = case
+        assert parset_closure(system, gens) == _scan_parset_closure(system, gens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_root_lists(), st.integers(0, 10**6))
+    def test_is_parset_matches_scan(self, case, seed):
+        # the drawn list, its closure, and the closure less one root
+        system, gens = case
+        candidates = [gens]
+        closed = parset_closure(system, gens)
+        if closed:
+            candidates.append(closed)
+            candidates.append(closed - {sorted(closed)[seed % len(closed)]})
+        for P in candidates:
+            assert is_parset(system, P) == _scan_is_parset(system, P), sorted(P)
+
+    def test_cones_with_lines_and_low_rank(self):
+        e1, e2 = (1, 0, 0), (0, 1, 0)
+        # a line: the cone of {e1, -e1} is the e1 axis, closed under nothing else
+        assert parset_closure(B3, [e1, negate(e1)]) is None
+        assert not is_parset(B3, [e1, negate(e1)])
+        # rank 1 and 2 spans inside rank 3
+        assert parset_closure(B3, [e1, e1]) == frozenset({e1})
+        assert parset_closure(B3, [e1, e2]) == frozenset({e1, e2, (1, 1, 0)})
+        assert is_parset(B3, [e1, e2, (1, 1, 0)])
+        assert not is_parset(B3, [e1, e2])
+        assert parset_closure(B3, []) == frozenset() and is_parset(B3, [])
+        # not roots at all
+        assert not is_parset(B3, [(2, 0, 0)])
+
+    @pytest.mark.parametrize("system", (B3, CoxeterSystem("D", 4)), ids=("B3", "D4"))
+    def test_every_chamber_is_closed(self, system):
+        for w in elements(system):
+            P = chamber(w)
+            assert is_parset(system, P)
+            assert parset_closure(system, P) == P
+
+    def test_large_b4_parsets(self):
+        # sizes 10-16 took seconds each with the subset scan
+        B4 = CoxeterSystem("B", 4)
+        parsets = _draw_parsets_by_size(B4, set(range(10, 17)), seed=8)
+        start = time.perf_counter()
+        for P in parsets.values():
+            assert is_parset(B4, P)
+            assert parset_closure(B4, P) == P
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("system", (B3, CoxeterSystem("D", 4)), ids=("B3", "D4"))
+    def test_parabolic_roots_match_solve(self, system):
+        for I in all_subsets(system):
+            assert parabolic_positive_roots(system, I) == solved_parabolic_positive_roots(system, I)
 
 
 class TestSeriesBases:

@@ -322,6 +322,12 @@ class TestCompositions:
             seen.add(alpha)
         assert len(seen) == len(all_subsets(system))
 
+    def test_rank_zero_index(self):
+        # B0 has no generator 0, so its only index is the empty composition
+        B0 = CoxeterSystem("B", 0)
+        assert is_valid_composition(B0, ())
+        assert not is_valid_composition(B0, (0,))
+
     def test_pseudo_first_part(self):
         assert composition_from_descents(B3, frozenset([0])) == (0, 3)
         assert composition_from_descents(B3, frozenset([0, 2])) == (0, 2, 1)
