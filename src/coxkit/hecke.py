@@ -4,13 +4,15 @@ A module is given by one square matrix per acting generator for the
 nilpotent-style generators (square equals minus themselves); the
 idempotent generators are recovered by adding the identity.  Matrices are
 dense lists of ints, with Fractions only where a division is inexact; all
-row reduction (span closures, kernels, ranks) is done by :mod:`coxkit.linalg`.
+row reduction (kernels, ranks) is done by :mod:`coxkit.linalg`.
 
-The module constructors mirror the combinatorial structure theory: the
-regular module on the group basis, one-dimensional simples indexed by
-generator subsets, cyclic projectives seeded inside the regular module,
-and induction along a parabolic via the three-case rewrite of generator
-action on coset representatives.
+The module constructors mirror the combinatorial structure theory.  The
+regular module, the projective indecomposables and the mixed projectives
+are all built on Norton's basis, the elements whose descent sets lie in an
+interval [low, high] of subsets, with each generator acting by -1, by a
+move to sw, or by 0.  Beside them are the one-dimensional simples indexed
+by generator subsets, and induction along a parabolic via the three-case
+rewrite of generator action on coset representatives.
 
 Composition factors are read off one rank per subset of the acting set:
 the simples are one-dimensional, so the fixed spaces of the idempotent
@@ -21,18 +23,16 @@ the labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .freemodule import FormalVector
-from .linalg import RowSpace, matrix_rank
+from .linalg import matrix_rank
 from .qsym import CPoly, fundamental_qsym, fundamental_qsym_b, fundamental_qsym_d
 from .systems import (
     CoxeterSystem,
     all_subsets,
     composition_from_descents,
     descent_class,
-    elements,
-    longest_element,
     min_coset_reps,
     parabolic_elements,
 )
@@ -77,12 +77,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_apply(a: Matrix, v: Sequence) -> list:
-    """Matrix times vector, touching only the nonzero entries of ``v``."""
-    nonzero = [(j, y) for j, y in enumerate(v) if y]
-    return [sum(row[j] * y for j, y in nonzero) for row in a]
-
-
 def mat_transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
@@ -109,9 +103,6 @@ class HModule:
     dim: int
     labels: Optional[tuple] = None
 
-    def idempotent_matrix(self, s: int) -> Matrix:
-        return [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(self.mats[s])]
-
     def validate(self) -> None:
         """Quadratic relations X^2 = -X and all pairwise braid relations."""
         for s, X in self.mats.items():
@@ -126,21 +117,36 @@ class HModule:
                 if lhs != rhs:
                     raise AssertionError(f"braid relation fails for ({s}, {t})")
 
-    def act_word(self, word: Iterable[int], v: Sequence, bar: bool = True) -> list:
-        """Apply the product of generators along a word to a vector.
-
-        The word is read as a product of operators applied left to right
-        on the left, so the last letter acts first.
-        """
-        out = list(v)
-        for s in reversed(tuple(word)):
-            image = mat_apply(self.mats[s], out)
-            # pi_s = X_s + 1, applied without building its matrix
-            out = image if bar else [a + b for a, b in zip(image, out)]
-        return out
-
 
 # -- module constructors ----------------------------------------------------------
+
+
+def _descent_interval_module(system: CoxeterSystem, low: frozenset[int],
+                             high: frozenset[int], carrier: frozenset[int]) -> HModule:
+    """Norton's basis: the w of the carrier parabolic with low <= D(w) <= high,
+    in the order of :func:`parabolic_elements`, which are also the labels.
+
+    X_s sends b_w to -b_w when length(sw) < length(w), to b_sw when sw is
+    again in the basis, and to 0 otherwise.  A rise sw keeps every right
+    descent of w, so it never leaves ``low``: the module is the quotient of
+    the span of {D(w) >= low} in the regular module by the span of
+    {D(w) not <= high}, and both spans are submodules.
+    """
+    basis = tuple(w for w in parabolic_elements(system, carrier)
+                  if low <= w.descent_set() <= high)
+    index = {w: i for i, w in enumerate(basis)}
+    mats: dict[int, Matrix] = {}
+    for s in carrier:
+        g = system.generator(s)
+        X = zero_matrix(len(basis))
+        for j, w in enumerate(basis):
+            sw = g * w
+            if sw.length() < w.length():
+                X[j][j] = -1
+            elif sw in index:
+                X[index[sw]][j] = 1
+        mats[s] = X
+    return HModule(system, carrier, mats, len(basis), labels=basis)
 
 
 def regular_module(system: CoxeterSystem, carrier: Optional[frozenset[int]] = None) -> HModule:
@@ -151,20 +157,7 @@ def regular_module(system: CoxeterSystem, carrier: Optional[frozenset[int]] = No
     subalgebra, on the subgroup basis.
     """
     carrier = system.generator_set if carrier is None else carrier
-    basis = parabolic_elements(system, carrier)
-    index = {w: i for i, w in enumerate(basis)}
-    mats: dict[int, Matrix] = {}
-    for s in carrier:
-        g = system.generator(s)
-        X = zero_matrix(len(basis))
-        for j, w in enumerate(basis):
-            sw = g * w
-            if sw.length() > w.length():
-                X[index[sw]][j] = 1
-            else:
-                X[j][j] = -1
-        mats[s] = X
-    return HModule(system, carrier, mats, len(basis), labels=basis)
+    return _descent_interval_module(system, frozenset(), carrier, carrier)
 
 
 def simple_module(system: CoxeterSystem, subset: frozenset[int],
@@ -178,68 +171,28 @@ def simple_module(system: CoxeterSystem, subset: frozenset[int],
     )
 
 
-def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModule:
-    """The submodule generated by the seed vectors, in its own coordinates:
-    the reduced echelon basis of its span, ordered by pivot column."""
-    space = RowSpace()
-    frontier = [list(v) for v in seeds]
-    while frontier:
-        v = frontier.pop()
-        if space.add(v)[0] is not None:
-            frontier.extend(mat_apply(ambient.mats[s], v) for s in ambient.acting)
-    basis = space.basis()
-    mats = {
-        s: mat_transpose([space.coordinates(mat_apply(ambient.mats[s], b)) for b in basis])
-        for s in ambient.acting
-    }
-    return HModule(ambient.system, ambient.acting, mats, len(basis))
-
-
-def _seeded_cyclic(reg: HModule, subset: frozenset[int], idem: frozenset[int]) -> HModule:
-    system = reg.system
-    e = [0] * reg.dim
-    e[reg.labels.index(system.identity())] = 1
-    seed = reg.act_word(longest_element(system, idem).reduced_word(), e, bar=False)
-    seed = reg.act_word(longest_element(system, subset).reduced_word(), seed, bar=True)
-    return submodule_coordinates(reg, [seed])
-
-
 def projective_module(system: CoxeterSystem, subset: frozenset[int],
                       carrier: Optional[frozenset[int]] = None) -> HModule:
-    """Projective indecomposable attached to ``subset``: the cyclic module
-    seeded at (nilpotent product over the longest element of ``subset``)
-    times (idempotent product over the longest element of its complement),
-    inside the regular module of the carrier parabolic."""
+    """Projective indecomposable attached to ``subset`` over the carrier
+    parabolic, on the descent class of ``subset`` inside it (Norton 1979).
+
+    It is isomorphic to the cyclic module of the regular module seeded at
+    (nilpotent product over the longest element of ``subset``) times
+    (idempotent product over the longest element of its complement)."""
     carrier = system.generator_set if carrier is None else carrier
     if not subset <= carrier:
         raise ValueError("subset must lie in the carrier")
-    return _seeded_cyclic(regular_module(system, carrier), subset, carrier - subset)
+    return _descent_interval_module(system, subset, subset, carrier)
 
 
 def mixed_projective_module(system: CoxeterSystem, subset: frozenset[int],
                             within: frozenset[int]) -> HModule:
-    """Cyclic module over the full algebra seeded with the idempotent part
-    over ``within`` minus ``subset`` only; its dimension counts elements w
-    with subset <= D(w) <= (complement of within) union subset."""
-    return _seeded_cyclic(regular_module(system), subset, within - subset)
-
-
-def stated_projective_basis(system: CoxeterSystem, subset: frozenset[int],
-                            within: Optional[frozenset[int]] = None) -> list[list]:
-    """The expected basis vectors: nilpotent product over w times the seed
-    idempotent, for every w in the descent-condition set (regular coordinates)."""
-    S = system.generator_set
-    within = S if within is None else within
-    reg = regular_module(system)
-    e = [0] * reg.dim
-    e[reg.labels.index(system.identity())] = 1
-    tail = reg.act_word(longest_element(system, within - subset).reduced_word(), e, bar=False)
-    hi = (S - within) | subset
-    return [
-        reg.act_word(w.reduced_word(), tail, bar=True)
-        for w in elements(system)
-        if subset <= w.descent_set() <= hi
-    ]
+    """Module over the full algebra on the elements w with
+    subset <= D(w) <= (complement of within) union subset; it is isomorphic
+    to the cyclic module seeded with the idempotent part over ``within``
+    minus ``subset`` only."""
+    return _descent_interval_module(
+        system, subset, (system.generator_set - within) | subset, system.generator_set)
 
 
 def induce(module: HModule) -> HModule:

@@ -140,11 +140,14 @@ def express_in_basis(target, basis: Sequence) -> list:
     Operands are anything with a sparse ``terms`` mapping (series,
     polynomials, formal vectors).  Raises :class:`NotInSpanError` when no
     combination exists; with a dependent basis some solution is returned.
+    There is one coefficient per basis vector, all 0 when every operand is 0.
     """
     keys = sorted(
         {k for b in basis for k in b.terms} | set(target.terms),
         key=repr,
     )
+    if not keys:
+        return [0] * len(basis)
     rows = [[b.terms.get(k, 0) for b in basis] for k in keys]
     rhs = [target.terms.get(k, 0) for k in keys]
     x = solve(rows, rhs)

@@ -97,10 +97,26 @@ def sym_h(lam: tuple[int, ...], K: int) -> CPoly:
     return out
 
 
+def _rearrangements(parts: tuple[int, ...]):
+    """Each distinct ordering of the multiset ``parts`` once, without
+    producing the repeats among all len(parts)! permutations."""
+    if not parts:
+        yield ()
+        return
+    for first in sorted(set(parts)):
+        rest = list(parts)
+        rest.remove(first)
+        for tail in _rearrangements(tuple(rest)):
+            yield (first,) + tail
+
+
 def sym_m(lam: tuple[int, ...], K: int) -> CPoly:
-    rearrangements = set(itertools.permutations(lam))
+    """Sum of the monomial truncations over the distinct rearrangements of
+    ``lam``; an index longer than K has no monomials, so then it is 0."""
     out = CPoly()
-    for alpha in rearrangements:
+    if len(lam) > K:
+        return out
+    for alpha in _rearrangements(lam):
         out += monomial_qsym(alpha, K)
     return out
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from math import factorial
 from typing import Iterable, Optional
 
@@ -335,10 +335,24 @@ def _check_order(system: CoxeterSystem) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+def _capped_cache(fn):
+    """Cache ``fn(system, ...)`` per argument tuple, but check the order cap
+    on every call: a cap lowered after a group was enumerated still refuses
+    it.  The cache statistics stay readable through ``cache_info``."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(system, *args):
+        _check_order(system)
+        return cached(system, *args)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_capped_cache
 def elements(system: CoxeterSystem) -> tuple[Element, ...]:
     """All group elements, sorted by (length, window) for determinism."""
-    _check_order(system)
     out = []
     for perm in itertools.permutations(range(1, system.n + 1)):
         if system.family == "A":
@@ -366,7 +380,7 @@ def all_subsets(system: CoxeterSystem) -> tuple[frozenset[int], ...]:
     return tuple(sorted(subs, key=subset_sort_key))
 
 
-@lru_cache(maxsize=None)
+@_capped_cache
 def parabolic_elements(system: CoxeterSystem, subset: frozenset[int]) -> tuple[Element, ...]:
     """Elements of the standard parabolic subgroup generated by ``subset``,
     sorted by (length, window) like :func:`elements`.
@@ -376,7 +390,6 @@ def parabolic_elements(system: CoxeterSystem, subset: frozenset[int]) -> tuple[E
     layer is sorted by window alone.  Refused when :func:`elements` would
     refuse the whole group.
     """
-    _check_order(system)
     gens = [system.generator(s) for s in subset & system.generator_set]
     seen = {system.identity()}
     layer = list(seen)

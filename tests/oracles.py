@@ -6,13 +6,13 @@ package replaced: the tests compare the two on small ranks.
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from coxkit.freemodule import FormalVector
-from coxkit.hecke import HModule
-from coxkit.linalg import exact_div, nullspace, solve
+from coxkit.hecke import HModule, mat_transpose, regular_module
+from coxkit.linalg import RowSpace, exact_div, nullspace, solve
 from coxkit.roots import positive_roots, simple_roots
-from coxkit.systems import CoxeterSystem, Element, all_subsets, elements
+from coxkit.systems import CoxeterSystem, Element, all_subsets, elements, longest_element
 
 #: Every system up to rank 4, ranks 0 and 1 included: the fast paths are
 #: checked against the oracles on these.
@@ -104,7 +104,76 @@ def expected_mixed_projective_dim(system: CoxeterSystem, subset: frozenset[int],
     return sum(1 for w in elements(system) if subset <= w.descent_set() <= hi)
 
 
-def common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list]:
+def _mat_apply(a: list[list], v: Sequence) -> list:
+    """Matrix times vector, touching only the nonzero entries of ``v``."""
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    return [sum(row[j] * y for j, y in nonzero) for row in a]
+
+
+def idempotent_matrix(module: HModule, s: int) -> list[list]:
+    """The matrix of pi_s = X_s + 1."""
+    return [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(module.mats[s])]
+
+
+def act_word(module: HModule, word: Iterable[int], v: Sequence, bar: bool = True) -> list:
+    """Apply the product of generators along a word to a vector: the
+    nilpotent X_s with ``bar``, else the idempotent pi_s = X_s + 1.
+
+    The word is read as a product of operators applied left to right
+    on the left, so the last letter acts first.
+    """
+    out = list(v)
+    for s in reversed(tuple(word)):
+        image = _mat_apply(module.mats[s], out)
+        # pi_s = X_s + 1, applied without building its matrix
+        out = image if bar else [a + b for a, b in zip(image, out)]
+    return out
+
+
+def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModule:
+    """The submodule generated by the seed vectors, in its own coordinates:
+    the reduced echelon basis of its span, ordered by pivot column."""
+    space = RowSpace()
+    frontier = [list(v) for v in seeds]
+    while frontier:
+        v = frontier.pop()
+        if space.add(v)[0] is not None:
+            frontier.extend(_mat_apply(ambient.mats[s], v) for s in ambient.acting)
+    basis = space.basis()
+    mats = {
+        s: mat_transpose([space.coordinates(_mat_apply(ambient.mats[s], b)) for b in basis])
+        for s in ambient.acting
+    }
+    return HModule(ambient.system, ambient.acting, mats, len(basis))
+
+
+def projective_seed(reg: HModule, subset: frozenset[int], idem: frozenset[int]) -> list:
+    """X_{w0(subset)} pi_{w0(idem)} e in the regular module ``reg``: the
+    seed of the cyclic projective, in the coordinates of ``reg.labels``."""
+    system = reg.system
+    e = [0] * reg.dim
+    e[reg.labels.index(system.identity())] = 1
+    seed = act_word(reg, longest_element(system, idem).reduced_word(), e, bar=False)
+    return act_word(reg, longest_element(system, subset).reduced_word(), seed, bar=True)
+
+
+def stated_projective_basis(system: CoxeterSystem, subset: frozenset[int],
+                            within: Optional[frozenset[int]] = None) -> list[list]:
+    """The expected basis vectors: nilpotent product over w times the seed
+    idempotent, for every w in the descent-condition set (regular coordinates)."""
+    S = system.generator_set
+    within = S if within is None else within
+    reg = regular_module(system)
+    tail = projective_seed(reg, frozenset(), within - subset)
+    hi = (S - within) | subset
+    return [
+        act_word(reg, w.reduced_word(), tail, bar=True)
+        for w in elements(system)
+        if subset <= w.descent_set() <= hi
+    ]
+
+
+def _common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list]:
     """Vectors on which each acting generator acts by -1 (inside the pattern)
     or 0 (outside): the kernel of the stacked X_s + [s in pattern] * I."""
     rows = []
@@ -117,7 +186,7 @@ def common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list]:
     return nullspace(rows, module.dim)
 
 
-def quotient_by_line(module: HModule, v: Sequence) -> HModule:
+def _quotient_by_line(module: HModule, v: Sequence) -> HModule:
     """The quotient module by the line through the common eigenvector v,
     on the basis that drops v's first nonzero coordinate."""
     p = next(i for i, x in enumerate(v) if x)
@@ -140,10 +209,10 @@ def extracted_composition_factors(module: HModule) -> FormalVector:
     current = module
     while current.dim:
         for pattern in patterns:
-            vecs = common_eigenvectors(current, pattern)
+            vecs = _common_eigenvectors(current, pattern)
             if vecs:
                 out += FormalVector.basis(pattern, kind="g0")
-                current = quotient_by_line(current, vecs[0])
+                current = _quotient_by_line(current, vecs[0])
                 break
         else:
             raise AssertionError("no one-dimensional submodule found")

@@ -179,6 +179,14 @@ class TestExpand:
                              "--window", "3")
         assert status == 1 and "not in span" in out
 
+    def test_zero_target_in_a_zero_basis(self, capsys):
+        # at window 0 every operand is the zero polynomial: each basis
+        # token still gets its coefficient line
+        status, out, _ = run(capsys, "expand", "--target", "m:(1,1)", "--basis",
+                             "p:(1,1);p:(2)", "--window", "0")
+        assert status == 0
+        assert out.strip().splitlines() == ["p:(1,1): 0", "p:(2): 0"]
+
     @pytest.mark.parametrize("target", ["F:(1,0)", "F:(0,0)", "FB:(0)", "FB:(2,0,0)",
                                         "h:(-1,2)", "hB:(-1,2)", "M:(-1,2)", "x0:-1"])
     def test_malformed_index_is_a_bad_argument(self, capsys, target):

@@ -22,8 +22,6 @@ from coxkit.hecke import (
     restrict,
     simple_module,
     sorting_operator,
-    stated_projective_basis,
-    submodule_coordinates,
 )
 from coxkit.linalg import matrix_rank, solve
 from coxkit.series import projection, s_basis
@@ -38,7 +36,15 @@ from coxkit.systems import (
     parabolic_decompose_right,
 )
 
-from oracles import expected_mixed_projective_dim, extracted_composition_factors
+from oracles import (
+    act_word,
+    expected_mixed_projective_dim,
+    extracted_composition_factors,
+    idempotent_matrix,
+    projective_seed,
+    stated_projective_basis,
+    submodule_coordinates,
+)
 
 A3 = CoxeterSystem("A", 3)
 A4 = CoxeterSystem("A", 4)
@@ -63,7 +69,7 @@ class TestRegularModule:
     def test_idempotent_generators(self):
         reg = regular_module(B2)
         for s in B2.generators:
-            X = reg.idempotent_matrix(s)
+            X = idempotent_matrix(reg, s)
             assert mat_mul(X, X) == X
 
     def test_d4_relations(self):
@@ -325,19 +331,20 @@ class TestRestriction:
         e = [0] * reg.dim
         e[reg.labels.index(system.identity())] = 1
         for K in all_subsets(system):
-            tail_k = reg.act_word(
-                longest_element(system, system.generator_set - K).reduced_word(), e, bar=False)
+            tail_k = act_word(
+                reg, longest_element(system, system.generator_set - K).reduced_word(), e,
+                bar=False)
             blocks: dict = {}
             for w in descent_class(system, K):
                 part, coset = parabolic_decompose_right(w, I)
                 blocks.setdefault(coset, []).append((w, part))
             for z, members in blocks.items():
                 low, high = interval_bounds(z, I, K)
-                tail_z = reg.act_word(
-                    longest_element(system, I - high).reduced_word(), e, bar=False)
-                source = [reg.act_word(w.reduced_word(), tail_k, bar=True)
+                tail_z = act_word(
+                    reg, longest_element(system, I - high).reduced_word(), e, bar=False)
+                source = [act_word(reg, w.reduced_word(), tail_k, bar=True)
                           for w, _ in members]
-                target = [reg.act_word(part.reduced_word(), tail_z, bar=True)
+                target = [act_word(reg, part.reduced_word(), tail_z, bar=True)
                           for _, part in members]
                 for s in I:
                     for idx, (w, part) in enumerate(members):
@@ -419,6 +426,61 @@ def _modules_up_to_48(system):
         for I in subsets:
             if I != S:
                 yield f"P{sorted(K)} restricted to {sorted(I)}", restrict(P, I)
+
+
+class TestDescentClassBasis:
+    """Norton's descent-class basis against the echelon closure of the
+    seeded cyclic module inside the regular module: the matrices agree
+    entry for entry, not just up to isomorphism."""
+
+    @staticmethod
+    def assert_matches_closure(module, reg, subset, idem):
+        closure = submodule_coordinates(reg, [projective_seed(reg, subset, idem)])
+        assert module.dim == closure.dim
+        assert module.mats == closure.mats
+
+    @pytest.mark.parametrize("system", ORACLE_MODULE_SYSTEMS, ids=repr)
+    def test_projectives_on_every_carrier(self, system):
+        for C in all_subsets(system):
+            reg = regular_module(system, C)
+            for J in (X for X in all_subsets(system) if X <= C):
+                P = projective_module(system, J, carrier=C)
+                assert P.labels == descent_class(system, J, within=C), (C, J)
+                self.assert_matches_closure(P, reg, J, C - J)
+
+    def test_projectives_d4(self):
+        reg = regular_module(D4)
+        for J in all_subsets(D4):
+            P = projective_module(D4, J)
+            assert P.labels == descent_class(D4, J)
+            self.assert_matches_closure(P, reg, J, D4.generator_set - J)
+
+    @pytest.mark.parametrize("system", ORACLE_MODULE_SYSTEMS, ids=repr)
+    def test_mixed_projectives(self, system):
+        reg = regular_module(system)
+        S = system.generator_set
+        for within in all_subsets(system):
+            for I in (X for X in all_subsets(system) if X <= within):
+                P = mixed_projective_module(system, I, within)
+                high = (S - within) | I
+                assert P.labels == tuple(
+                    w for w in elements(system) if I <= w.descent_set() <= high)
+                self.assert_matches_closure(P, reg, I, within - I)
+
+    @pytest.mark.parametrize("system", (B2, B3, D3), ids=repr)
+    def test_intertwines_with_the_stated_basis(self, system):
+        # b_w -> X_w pi_{w0(within - I)} e maps the module into the regular one
+        reg = regular_module(system)
+        for within in all_subsets(system):
+            for I in (X for X in all_subsets(system) if X <= within):
+                P = mixed_projective_module(system, I, within)
+                vecs = stated_projective_basis(system, I, within)
+                for s in system.generators:
+                    for j, v in enumerate(vecs):
+                        image = act_word(reg, (s,), v)
+                        expected = [sum(P.mats[s][i][j] * u[k] for i, u in enumerate(vecs))
+                                    for k in range(reg.dim)]
+                        assert image == expected, (within, I, s, j)
 
 
 class TestCompositionFactors:

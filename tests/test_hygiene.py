@@ -1,12 +1,14 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every private helper it defines is referenced somewhere in it."""
+every private helper it defines is referenced somewhere in it, and every
+brute-force oracle of the tests has a test that uses it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coxkit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "coxkit"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -90,3 +92,31 @@ def test_scanner_accepts_attribute_and_call_references():
 def test_no_unreferenced_private_helpers():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+def unused_public_functions(module: str, users: list[str]) -> list[str]:
+    """Public top-level functions of ``module`` (its source text) that no
+    source text among ``users`` imports or reads by name."""
+    defined = [(node.name, node.lineno) for node in ast.parse(module).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    read: set[str] = set()
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name} (line {line})" for name, line in defined if name not in read]
+
+
+def test_scanner_flags_an_unused_oracle():
+    module = "def used():\n    pass\n\n\ndef spare():\n    return used()\n\n\ndef _inner():\n    pass\n"
+    users = ["from oracles import used\n", "import oracles\n"]
+    assert unused_public_functions(module, users) == ["spare (line 5)"]
+
+
+def test_every_oracle_has_a_user():
+    users = [path.read_text() for path in sorted(TESTS.glob("test_*.py"))]
+    assert unused_public_functions((TESTS / "oracles.py").read_text(), users) == []

@@ -174,3 +174,12 @@ def test_express_in_basis_and_independence():
     assert is_linearly_independent([a, b])
     assert not is_linearly_independent([a, b, a + b])
     assert is_linearly_independent([])
+
+
+def test_express_in_basis_all_zero():
+    # with no keys there are no equations, but still one coefficient per
+    # basis vector
+    assert express_in_basis(FormalVector(), [FormalVector(), FormalVector()]) == [0, 0]
+    assert express_in_basis(FormalVector(), []) == []
+    with pytest.raises(NotInSpanError):
+        express_in_basis(FormalVector({"x": 1}), [])

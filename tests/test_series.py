@@ -585,6 +585,17 @@ class TestCommutativeBases:
         assert sym_m_b((2, 1), 3) == x0_power(2) * sym_m((1,), 3)
         assert monomial_qsym_b((2, 1), 3) == x0_power(2) * monomial_qsym((1,), 3)
 
+    @pytest.mark.parametrize("lam", [(), (0,), (2,), (1, 1), (2, 1), (1, 0), (0, 0),
+                                     (2, 1, 1), (1, 0, 1), (2, 0, 0, 1), (1, 1, 1, 1)])
+    def test_monomial_symmetric_is_the_rearrangement_sum(self, lam):
+        # the definition: one monomial quasisymmetric truncation per
+        # distinct rearrangement of lam, windows below and above len(lam)
+        for K in range(5):
+            expected = CPoly()
+            for alpha in set(itertools.permutations(lam)):
+                expected += monomial_qsym(alpha, K)
+            assert sym_m(lam, K) == expected, K
+
     def test_folded_block_structure(self):
         K = 3
         assert folded_h_block(1, K) == x0_power(1) + complete_homogeneous(1, K).scale(2)

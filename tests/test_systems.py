@@ -159,6 +159,20 @@ class TestEnumeration:
         finally:
             set_max_order(None)
 
+    def test_cap_applies_to_cached_enumerations(self):
+        # a group enumerated under the default cap is refused once the cap
+        # drops below its order, cached or not
+        assert len(elements(B3)) == len(parabolic_elements(B3, frozenset({1, 2}))) * 8
+        set_max_order(10)
+        try:
+            with pytest.raises(CapExceededError):
+                elements(B3)
+            with pytest.raises(CapExceededError):
+                parabolic_elements(B3, frozenset({1, 2}))
+        finally:
+            set_max_order(None)
+        assert len(elements(B3)) == 48
+
     def test_cap_env_override(self, monkeypatch):
         from coxkit import systems
 
