@@ -36,7 +36,6 @@ from .systems import (
     composition_from_descents,
     format_window,
     is_valid_composition,
-    parabolic_conjugacy_classes,
     parse_ints,
     parse_window,
 )
@@ -48,7 +47,8 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 #: Window-size caps per family; the verification suites stay interactive
-#: below them.  Override with --max-window or COXKIT_MAX_ORDER.
+#: below them.  Override with --max-window (COXKIT_MAX_ORDER bounds the
+#: enumerations themselves, not these caps).
 DEFAULT_WINDOW_CAPS = {"A": 7, "B": 5, "D": 5}
 
 
@@ -138,20 +138,14 @@ def cmd_element(args) -> int:
     return EXIT_OK
 
 
-def _operand_families(family: str) -> tuple[str, str]:
-    if family.endswith("BB"):
-        return "B", "B"
-    return family[-1], "A"
-
-
 def cmd_product(args) -> int:
     if args.family not in wd.PRODUCTS:
         raise CliError(f"unknown product family {args.family!r}")
-    left_fam, right_fam = _operand_families(args.family)
+    flavor = wd.FLAVORS[args.family.removeprefix("shuffle").removeprefix("cup")]
     try:
         lwin, rwin = parse_ints(args.left), parse_ints(args.right)
-        u = CoxeterSystem(left_fam, len(lwin)).element(lwin)
-        v = CoxeterSystem(right_fam, len(rwin)).element(rwin)
+        u = CoxeterSystem(flavor.family, len(lwin)).element(lwin)
+        v = CoxeterSystem(flavor.right, len(rwin)).element(rwin)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     vec = wd.PRODUCTS[args.family](u, v)
@@ -165,10 +159,10 @@ def cmd_product(args) -> int:
 def cmd_coproduct(args) -> int:
     if args.family not in wd.COPRODUCTS:
         raise CliError(f"unknown coproduct family {args.family!r}")
-    fam_letter, _ = _operand_families(args.family)
+    flavor = wd.FLAVORS[args.family.removeprefix("shuffle").removeprefix("cup")]
     try:
         win = parse_ints(args.arg)
-        u = CoxeterSystem(fam_letter, len(win)).element(win)
+        u = CoxeterSystem(flavor.family, len(win)).element(win)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     vec = wd.COPRODUCTS[args.family](u)
@@ -272,30 +266,26 @@ def cmd_expand(args) -> int:
 
 def cmd_table(args) -> int:
     system = _system(args)
-    subs = list(all_subsets(system))
-    comps = [composition_from_descents(system, I) for I in subs]
     if args.table == "c":
-        mat = [[dsc.mutual_descent_count(system, I, J) for J in subs] for I in subs]
+        labels, mat = all_subsets(system), dsc.c_matrix(system)
     elif args.table == "hgram":
         labels, mat = dsc.h_gram_matrix(system)
-        comps = [composition_from_descents(system, I) for I in labels]
     elif args.table == "hm":
-        labels = [dsc.class_label(c) for c in parabolic_conjugacy_classes(system)]
+        labels, gram = dsc.h_gram_matrix(system)
         hs = dsc.h_class_basis(system)
         ms = dsc.m_class_basis(system)
-        gram = {(a, b): dsc.weak_descent_count(system, a, b) for a in labels for b in labels}
         basis = [hs[l] for l in labels]
-        m_in_h = {mu: linalg.express_in_basis(ms[mu], basis) for mu in labels}
+        m_in_h = [linalg.express_in_basis(ms[mu], basis) for mu in labels]
         mat = []
-        for lam in labels:
+        for gram_row in gram:
             row = []
-            for mu in labels:
-                val = sum(c * gram[(lam, nu)] for c, nu in zip(m_in_h[mu], labels))
+            for coeffs in m_in_h:
+                val = sum(c * g for c, g in zip(coeffs, gram_row))
                 row.append(int(val) if Fraction(val).denominator == 1 else str(val))
             mat.append(row)
-        comps = [composition_from_descents(system, I) for I in labels]
     else:
         raise CliError(f"unknown table {args.table!r}")
+    comps = [composition_from_descents(system, I) for I in labels]
     payload = {
         "labels": [list(c) for c in comps],
         "rows": mat,

@@ -60,26 +60,6 @@ def embed_sigma(system: CoxeterSystem, x: FormalVector,
     )
 
 
-def collect_by_descents(system: CoxeterSystem, x: FormalVector,
-                        within: Optional[frozenset[int]] = None) -> FormalVector:
-    """Express an element vector in descent classes; error if not constant on them.
-
-    This is the inverse of :func:`embed_sigma` on its image and serves as
-    the brute-force oracle for the closed formulas below.
-    """
-    buckets: dict[frozenset[int], dict] = {}
-    for w, c in x.terms.items():
-        buckets.setdefault(w.descent_set(), {})[w] = c
-    out = FormalVector(kind=SIGMA)
-    for I, seen in buckets.items():
-        cls = descent_class(system, I, within)
-        coeffs = {seen.get(w, 0) for w in cls}
-        if len(coeffs) != 1:
-            raise ValueError(f"vector is not constant on the descent class of {sorted(I)}")
-        out += FormalVector.basis(I, coeffs.pop(), kind=SIGMA)
-    return out
-
-
 # -- closed formulas -----------------------------------------------------------
 
 

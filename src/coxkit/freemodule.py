@@ -119,9 +119,6 @@ class FormalVector:
     def scale(self, c: Scalar) -> "FormalVector":
         return self._with_terms({k: c * v for k, v in self.terms.items()} if c else {})
 
-    def __rmul__(self, c: Scalar) -> "FormalVector":
-        return self.scale(c)
-
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms
 

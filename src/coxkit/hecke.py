@@ -313,25 +313,6 @@ def projective_multiplicities(module: HModule) -> FormalVector:
     return out
 
 
-def hom_dim(source: HModule, target: HModule) -> int:
-    """Dimension of the intertwiner space (small modules only)."""
-    ds, dt = source.dim, target.dim
-    rows = []
-    for s in source.acting:
-        A, B = source.mats[s], target.mats[s]
-        for i in range(dt):
-            for j in range(ds):
-                row = [0] * (dt * ds)
-                for k in range(ds):
-                    if A[k][j]:
-                        row[i * ds + k] += A[k][j]
-                for k in range(dt):
-                    if B[i][k]:
-                        row[k * ds + j] -= B[i][k]
-                rows.append(row)
-    return dt * ds - matrix_rank(rows)
-
-
 # -- characteristic maps ------------------------------------------------------------
 
 

@@ -12,7 +12,12 @@ import itertools
 from typing import Iterable
 
 from .freemodule import FormalVector
-from .systems import composition_prefix_split, descents_of_composition
+from .systems import (
+    CapExceededError,
+    composition_prefix_split,
+    descents_of_composition,
+    max_order,
+)
 
 Monomial = tuple[int, ...]
 
@@ -41,25 +46,14 @@ class CPoly(FormalVector):
              for m2, c2 in other.terms.items())
         )
 
-    def __pow__(self, k: int) -> "CPoly":
-        out = CPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __repr__(self) -> str:
         return f"CPoly({len(self.terms)} terms)"
 
 
-def _weak_chains(lo: int, hi: int, length: int, floor_first=None):
-    """Ascending-or-equal index chains i_1 <= ... <= i_length in [lo, hi]."""
-    if length == 0:
-        yield ()
-        return
-    start = lo if floor_first is None else floor_first
-    for i in range(start, hi + 1):
-        for rest in _weak_chains(i, hi, length - 1):
-            yield (i,) + rest
+def _weak_chains(lo: int, hi: int, length: int):
+    """Ascending-or-equal index chains i_1 <= ... <= i_length in [lo, hi],
+    in lexicographic order."""
+    return itertools.combinations_with_replacement(range(lo, hi + 1), length)
 
 
 # -- type A -------------------------------------------------------------------
@@ -132,6 +126,10 @@ def sym_p(lam: tuple[int, ...], K: int) -> CPoly:
 
 
 def x0_power(k: int) -> CPoly:
+    """The monomial x_0^k; a k above :func:`max_order` is refused before
+    the k-tuple of its key is built."""
+    if k > max_order():
+        raise CapExceededError(f"x0 power {k} exceeds cap {max_order()}")
     return CPoly.monomial((0,) * k)
 
 

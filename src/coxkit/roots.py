@@ -88,10 +88,6 @@ def negate(root: Root) -> Root:
     return tuple(-c for c in root)
 
 
-def inner(root: Root, f: Iterable[int]) -> int:
-    return sum(a * b for a, b in zip(root, f))
-
-
 @lru_cache(maxsize=None)
 def chamber(w: Element) -> frozenset[Root]:
     """The parset w * (positive roots)."""

@@ -179,18 +179,6 @@ def h_basis(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSer
     return parset_series(system, parabolic_positive_roots(system, subset), window)
 
 
-def h_block(family: str, k: int, window: int) -> NCSeries:
-    """Degree-k one-block piece: weakly increasing words, from 0 up for the
-    signed families and unrestricted for type A."""
-    lo = 0 if family in ("B", "D") else -window
-    words = (
-        f
-        for f in word_cube(k, window)
-        if all(f[i] <= f[i + 1] for i in range(k - 1)) and (not f or f[0] >= lo)
-    )
-    return NCSeries.from_words(k, window, words)
-
-
 # -- projections to commutative polynomials ----------------------------------------
 
 

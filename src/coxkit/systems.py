@@ -210,18 +210,6 @@ class Element:
     def is_identity(self) -> bool:
         return self.window == tuple(range(1, self.system.n + 1))
 
-    def value(self, i: int) -> int:
-        """w(i) for i in [-n..n], with the type-specific w(0) convention."""
-        if i > 0:
-            return self.window[i - 1]
-        if i < 0:
-            return -self.window[-i - 1]
-        if self.system.family == "B":
-            return 0
-        if self.system.family == "D":
-            return -self.window[1]
-        raise ValueError("w(0) is undefined in type A")
-
     # -- length and descents --------------------------------------------------
 
     def length(self) -> int:
@@ -477,9 +465,8 @@ def descent_class(system: CoxeterSystem, subset: frozenset[int],
 
 def class_maximum(system: CoxeterSystem, subset: frozenset[int]) -> Element:
     """The longest element whose descent set is contained in ``subset``."""
-    complement = system.generator_set - subset
-    reps = min_coset_reps(system, complement, "left")
-    return max(reps, key=lambda w: (w.length(), w.window))
+    # the representatives come in (length, window) order, as in elements()
+    return min_coset_reps(system, system.generator_set - subset, "left")[-1]
 
 
 # -- compositions and pseudo-compositions -------------------------------------
@@ -498,7 +485,12 @@ def descents_of_composition(alpha: tuple[int, ...]) -> frozenset[int]:
 
 def composition_from_descents(system: CoxeterSystem, subset: frozenset[int]) -> tuple[int, ...]:
     """Inverse of the descent-set bijection for the system's index family."""
-    n = system.n
+    return _composition(subset, system.n)
+
+
+def _composition(subset: frozenset[int], n: int) -> tuple[int, ...]:
+    """The (pseudo-)composition of n cut at the points of ``subset``: a cut
+    at 0 gives a leading 0 part."""
     if n == 0:
         return ()
     prev, parts = 0, []
@@ -551,20 +543,8 @@ def composition_prefix_split(alpha: tuple[int, ...], i: int) -> tuple[tuple[int,
     if not 0 <= i <= n:
         raise ValueError("split point out of range")
     des = descents_of_composition(alpha)
-    pre = _parts_from_descents(frozenset(d for d in des if d < i), i, pseudo=True)
-    post = _parts_from_descents(frozenset(d - i for d in des if d > i), n - i, pseudo=False)
-    return pre, post
-
-
-def _parts_from_descents(subset: frozenset[int], size: int, pseudo: bool) -> tuple[int, ...]:
-    if size == 0:
-        return ()
-    parts = [0] if (pseudo and 0 in subset) else []
-    prev = 0
-    for c in sorted(d for d in subset if d > 0) + [size]:
-        parts.append(c - prev)
-        prev = c
-    return tuple(parts)
+    return (_composition(frozenset(d for d in des if d < i), i),
+            _composition(frozenset(d - i for d in des if d > i), n - i))
 
 
 # -- conjugacy of parabolic subgroups ------------------------------------------

@@ -8,11 +8,21 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+from coxkit.descents import SIGMA
 from coxkit.freemodule import FormalVector
 from coxkit.hecke import HModule, mat_transpose, regular_module
-from coxkit.linalg import RowSpace, exact_div, nullspace, solve
+from coxkit.linalg import RowSpace, exact_div, matrix_rank, nullspace, solve
 from coxkit.roots import positive_roots, simple_roots
-from coxkit.systems import CoxeterSystem, Element, all_subsets, elements, longest_element
+from coxkit.series import NCSeries
+from coxkit.systems import (
+    CoxeterSystem,
+    Element,
+    all_subsets,
+    descent_class,
+    elements,
+    longest_element,
+    word_cube,
+)
 
 #: Every system up to rank 4, ranks 0 and 1 included: the fast paths are
 #: checked against the oracles on these.
@@ -72,6 +82,26 @@ def scan_weak_descent_count(system: CoxeterSystem, row: frozenset[int],
     """#{w : D(w) <= row and D(w^{-1}) <= col}, by a scan of W."""
     return sum(1 for w in elements(system)
                if w.descent_set() <= row and w.inverse().descent_set() <= col)
+
+
+def collect_by_descents(system: CoxeterSystem, x: FormalVector,
+                        within: Optional[frozenset[int]] = None) -> FormalVector:
+    """Express an element vector in descent classes; error if not constant on them.
+
+    This is the inverse of ``descents.embed_sigma`` on its image, and the
+    brute-force oracle for the closed formulas of ``coxkit.descents``.
+    """
+    buckets: dict[frozenset[int], dict] = {}
+    for w, c in x.terms.items():
+        buckets.setdefault(w.descent_set(), {})[w] = c
+    out = FormalVector(kind=SIGMA)
+    for I, seen in buckets.items():
+        cls = descent_class(system, I, within)
+        coeffs = {seen.get(w, 0) for w in cls}
+        if len(coeffs) != 1:
+            raise ValueError(f"vector is not constant on the descent class of {sorted(I)}")
+        out += FormalVector.basis(I, coeffs.pop(), kind=SIGMA)
+    return out
 
 
 def double_coset_count(system: CoxeterSystem, left: frozenset[int], right: frozenset[int]) -> int:
@@ -219,6 +249,25 @@ def extracted_composition_factors(module: HModule) -> FormalVector:
     return out
 
 
+def hom_dim(source: HModule, target: HModule) -> int:
+    """Dimension of the intertwiner space (small modules only)."""
+    ds, dt = source.dim, target.dim
+    rows = []
+    for s in source.acting:
+        A, B = source.mats[s], target.mats[s]
+        for i in range(dt):
+            for j in range(ds):
+                row = [0] * (dt * ds)
+                for k in range(ds):
+                    if A[k][j]:
+                        row[i * ds + k] += A[k][j]
+                for k in range(dt):
+                    if B[i][k]:
+                        row[k * ds + j] -= B[i][k]
+                rows.append(row)
+    return dt * ds - matrix_rank(rows)
+
+
 def caratheodory_cone_contains(generators: Sequence[tuple[int, ...]], target: tuple[int, ...],
                                dim: int) -> bool:
     """Whether target lies in the nonnegative span of the generators.
@@ -250,3 +299,19 @@ def solved_parabolic_positive_roots(system: CoxeterSystem,
         if x is not None and all(c >= 0 for c in x):
             out.add(root)
     return frozenset(out)
+
+
+def inner(root: tuple[int, ...], f: Iterable[int]) -> int:
+    return sum(a * b for a, b in zip(root, f))
+
+
+def h_block(family: str, k: int, window: int) -> NCSeries:
+    """Degree-k one-block piece: weakly increasing words, from 0 up for the
+    signed families and unrestricted for type A."""
+    lo = 0 if family in ("B", "D") else -window
+    words = (
+        f
+        for f in word_cube(k, window)
+        if all(f[i] <= f[i + 1] for i in range(k - 1)) and (not f or f[0] >= lo)
+    )
+    return NCSeries.from_words(k, window, words)

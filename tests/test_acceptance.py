@@ -33,7 +33,7 @@ from coxkit.systems import (
     parabolic_elements,
 )
 
-from oracles import double_coset_count, expected_mixed_projective_dim
+from oracles import collect_by_descents, double_coset_count, expected_mixed_projective_dim
 
 A3 = CoxeterSystem("A", 4)   # rank 3
 B2 = CoxeterSystem("B", 2)
@@ -112,13 +112,13 @@ def test_criterion_03_descent_algebra_formulas():
         for I in all_subsets(system):
             for J in (X for X in all_subsets(system) if X <= I):
                 closed = dsc.sigma_induce(system, I, dsc.sigma_basis(J))
-                oracle = dsc.collect_by_descents(
+                oracle = collect_by_descents(
                     system,
                     gm.induce_left(system, I, dsc.embed_sigma(system, dsc.sigma_basis(J), within=I)))
                 assert closed.terms == oracle.terms
             for K in all_subsets(system):
                 closed = dsc.sigma_restrict(system, I, dsc.sigma_basis(K))
-                oracle = dsc.collect_by_descents(
+                oracle = collect_by_descents(
                     system,
                     gm.restrict_right(system, I, dsc.embed_sigma(system, dsc.sigma_basis(K))),
                     within=I)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxkit.cli import main
+from coxkit.systems import set_max_order
 from coxkit.words import COPRODUCTS, PRODUCTS
 
 
@@ -195,6 +196,25 @@ class TestExpand:
         status, _, err = run(capsys, "expand", "--target", target, "--basis", "h:(1)")
         assert status == 2 and err.startswith("error: ") and "internal" not in err
 
+    @pytest.mark.parametrize("target,basis", [("h:(2000)", "h:(2000)"),
+                                              ("F:(3000)", "M:(3000)")])
+    def test_long_index_chains(self, capsys, target, basis):
+        # one weakly increasing chain of 2000 or 3000 letters over a
+        # one-letter window: walked without recursion
+        status, out, _ = run(capsys, "expand", "--target", target, "--basis", basis,
+                             "--window", "1")
+        assert status == 0 and out == f"{basis}: 1\n"
+
+    def test_x0_power_over_the_cap_exits_3(self, capsys):
+        set_max_order(50)
+        try:
+            at_cap = run(capsys, "expand", "--target", "x0:50", "--basis", "x0:50")
+            over = run(capsys, "expand", "--target", "x0:51", "--basis", "x0:1")
+        finally:
+            set_max_order(None)
+        assert at_cap == (0, "x0:50: 1\n", "")
+        assert over[0] == 3 and over[2] == "error: x0 power 51 exceeds cap 50\n"
+
 
 class TestTable:
     def test_c_table_json(self, capsys):
@@ -304,6 +324,22 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         status, _, err = run(capsys, "verify", "--suite", "nope")
         assert status == 2
+
+    def test_non_projective_restriction_is_a_failed_check(self, capsys, monkeypatch):
+        from coxkit import hecke, verify
+
+        def refuse(module):
+            raise hecke.NonProjectiveError("projective dims sum to 0, module dim is 1")
+
+        monkeypatch.setattr(hecke, "projective_multiplicities", refuse)
+        checks = {c.name: c for c in verify.run_suite("hecke", "A", 3)}
+        check = checks["restricted projectives match interval formula"]
+        assert not check.passed
+        assert check.detail == "projective dims sum to 0, module dim is 1"
+        status, out, err = run(capsys, "verify", "--suite", "hecke", "--type", "A",
+                               "--rank", "2")
+        assert status == 1 and err == ""
+        assert "FAIL restricted projectives match interval formula -- projective dims" in out
 
 
 def _signed_permutation(k):

@@ -6,7 +6,6 @@ from coxkit.descents import (
     c_matrix,
     class_index,
     class_label,
-    collect_by_descents,
     conjugacy_class_of,
     embed_sigma,
     h_class_basis,
@@ -46,6 +45,7 @@ from coxkit.systems import (
 
 from oracles import (
     ORACLE_SYSTEMS,
+    collect_by_descents,
     double_coset_count,
     scan_mutual_descent_count,
     scan_weak_descent_count,

@@ -10,7 +10,6 @@ from coxkit.hecke import (
     alternating_product,
     characteristic_polynomial,
     composition_factors,
-    hom_dim,
     hom_to_simple_dim,
     induce,
     mat_mul,
@@ -40,6 +39,7 @@ from oracles import (
     act_word,
     expected_mixed_projective_dim,
     extracted_composition_factors,
+    hom_dim,
     idempotent_matrix,
     projective_seed,
     stated_projective_basis,

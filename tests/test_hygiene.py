@@ -1,14 +1,17 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every private helper it defines is referenced somewhere in it, and every
+every private helper it defines is referenced somewhere in it, every
+public function it defines has a caller or a README entry, and every
 brute-force oracle of the tests has a test that uses it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "coxkit"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "coxkit"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -120,3 +123,60 @@ def test_scanner_flags_an_unused_oracle():
 def test_every_oracle_has_a_user():
     users = [path.read_text() for path in sorted(TESTS.glob("test_*.py"))]
     assert unused_public_functions((TESTS / "oracles.py").read_text(), users) == []
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads, as a name, an attribute or an import."""
+    out: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom):
+            out |= {alias.name for alias in sub.names}
+        elif isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def uncalled_unlisted_functions(modules: dict[str, str], scripts: list[str],
+                                readme: str) -> list[str]:
+    """Public top-level functions of the package ``modules`` (file name ->
+    text) that no top-level statement of a module or of ``scripts`` reads,
+    their own definition aside, and that ``readme`` names in no backtick
+    span."""
+    listed = {word for span in re.findall(r"`([^`]*)`", readme)
+              for word in re.findall(r"\w+", span)}
+    defined: list[tuple[str, ast.FunctionDef]] = []
+    statements: list[ast.stmt] = []
+    for fname, source in sorted(modules.items()):
+        body = ast.parse(source).body
+        defined += [(fname, node) for node in body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        statements += body
+    for source in scripts:
+        statements += ast.parse(source).body
+    reads = [(st, _reads(st)) for st in statements]
+    return [f"{fname}: {node.name} (line {node.lineno})" for fname, node in defined
+            if node.name not in listed
+            and not any(node.name in names for st, names in reads if st is not node)]
+
+
+def test_scanner_flags_an_uncalled_unlisted_function():
+    systems = ("def called():\n    return 1\n\n\ndef listed():\n    pass\n\n\n"
+               "def recursive(k):\n    return recursive(k - 1)\n\n\n"
+               "def spare():\n    return called()\n\n\ndef _private():\n    pass\n")
+    cli = "from .systems import called\n\n\ndef main():\n    return 0\n\n\nMAIN = main\n"
+    script = "from coxkit import systems\n\nsystems.called()\n"
+    readme = "Also public: `systems.listed(x)`; spare is not in backticks.\n"
+    assert uncalled_unlisted_functions({"systems.py": systems, "cli.py": cli}, [script],
+                                       readme) == [
+        "systems.py: recursive (line 9)",
+        "systems.py: spare (line 13)",
+    ]
+
+
+def test_every_public_function_has_a_caller_or_a_readme_entry():
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert uncalled_unlisted_functions(modules, scripts, readme) == []

@@ -32,7 +32,6 @@ from coxkit.qsym import (
 from coxkit.roots import (
     all_roots,
     chamber,
-    inner,
     is_parset,
     is_positive_root,
     lattice_points,
@@ -51,7 +50,6 @@ from coxkit.series import (
     f_coaction,
     f_series,
     h_basis,
-    h_block,
     parset_series,
     project_absolute,
     project_positive,
@@ -73,7 +71,7 @@ from coxkit.systems import (
     word_cube,
 )
 from coxkit.words import standardize, standardize_even_left, standardize_signed
-from oracles import caratheodory_cone_contains, solved_parabolic_positive_roots
+from oracles import caratheodory_cone_contains, h_block, inner, solved_parabolic_positive_roots
 
 A2 = CoxeterSystem("A", 2)
 A3 = CoxeterSystem("A", 3)

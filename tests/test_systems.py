@@ -192,7 +192,8 @@ class TestEnumeration:
 
     def test_word_cube_cap_is_checked_before_enumerating(self):
         from coxkit.roots import lattice_points, positive_roots
-        from coxkit.series import h_block, s_basis_by_fillings, s_series
+        from coxkit.series import s_basis_by_fillings, s_series
+        from oracles import h_block
 
         set_max_order(5 ** 3 - 1)
         try:
