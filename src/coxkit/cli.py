@@ -356,8 +356,8 @@ def cmd_hecke(args) -> int:
 
         payload = {
             "dim": module.dim,
-            "matrices": {str(s): [[jnum(x) for x in row] for row in m]
-                         for s, m in sorted(module.mats.items())},
+            "matrices": {str(s): [[jnum(x) for x in row] for row in module.matrix(s)]
+                         for s in sorted(module.mats)},
         }
         lines = [json.dumps(payload, sort_keys=True)]
     else:

@@ -1,10 +1,10 @@
 """Degenerate Hecke algebra representations over the rationals.
 
-A module is given by one square matrix per acting generator for the
+A module is given by one operator per acting generator for the
 nilpotent-style generators (square equals minus themselves); the
-idempotent generators are recovered by adding the identity.  Matrices are
-dense lists of ints, with Fractions only where a division is inexact; all
-row reduction (kernels, ranks) is done by :mod:`coxkit.linalg`.
+idempotent generators are recovered by adding the identity.  Each is a
+sparse column map ``{j: {i: c}}`` (column j is the image of basis vector
+j; no zero is stored), and ranks are taken by :mod:`coxkit.linalg`.
 
 The module constructors mirror the combinatorial structure theory.  The
 regular module, the projective indecomposables and the mixed projectives
@@ -23,10 +23,10 @@ the labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .freemodule import FormalVector
-from .linalg import matrix_rank
+from .linalg import RowSpace
 from .qsym import CPoly, fundamental_qsym, fundamental_qsym_b, fundamental_qsym_d
 from .systems import (
     CoxeterSystem,
@@ -37,85 +37,63 @@ from .systems import (
     parabolic_elements,
 )
 
-Matrix = list[list]
+#: X_s as a sparse column map: column j (the image of b_j) is {i: c}.
+ColumnMap = dict[int, dict[int, object]]
 
 
 class NonProjectiveError(ValueError):
     """Multiplicity bookkeeping detected a non-projective module."""
 
 
-# -- small exact matrix helpers -------------------------------------------------
-
-
-def zero_matrix(n: int) -> Matrix:
-    return [[0] * n for _ in range(n)]
-
-
-def identity_matrix(n: int) -> Matrix:
-    out = zero_matrix(n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Row-sparse product: skips zero entries of ``a``."""
-    n, m = len(a), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i, row in enumerate(a):
-        acc = out[i]
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-    return out
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def alternating_product(a: Matrix, b: Matrix, m: int) -> Matrix:
-    """(a b a ...) with m factors."""
-    out = identity_matrix(len(a))
-    for i in range(m):
-        out = mat_mul(out, a if i % 2 == 0 else b)
-    return out
+def _apply(X: ColumnMap, v: dict[int, object]) -> dict[int, object]:
+    """X v for a sparse vector v ({index: coefficient}), zeros dropped."""
+    out: dict[int, object] = {}
+    for j, c in v.items():
+        for i, x in X.get(j, {}).items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: c for i, c in out.items() if c}
 
 
 @dataclass
 class HModule:
-    """A finite-dimensional module: one matrix per acting generator.
+    """A finite-dimensional module: one sparse column map per acting generator.
 
-    The dimension is stored, not read off the matrices, because a module
-    with an empty acting set has no matrices to read it from.
+    The dimension is stored, not read off the maps, because a module
+    with an empty acting set has no maps to read it from.
     """
 
     system: CoxeterSystem
     acting: frozenset[int]
-    mats: dict[int, Matrix]
+    mats: dict[int, ColumnMap]
     dim: int
     labels: Optional[tuple] = None
 
+    def matrix(self, s: int) -> list[list]:
+        """X_s as a dense dim x dim list of rows."""
+        out = [[0] * self.dim for _ in range(self.dim)]
+        for j, col in self.mats[s].items():
+            for i, c in col.items():
+                out[i][j] = c
+        return out
+
     def validate(self) -> None:
-        """Quadratic relations X^2 = -X and all pairwise braid relations."""
+        """Quadratic relations X^2 = -X and all pairwise braid relations,
+        checked on each basis vector."""
         for s, X in self.mats.items():
-            if mat_mul(X, X) != mat_scale(X, -1):
+            if any(_apply(X, _apply(X, {j: 1})) != _apply(X, {j: -1}) for j in range(self.dim)):
                 raise AssertionError(f"quadratic relation fails for generator {s}")
         acting = sorted(self.acting)
         for i, s in enumerate(acting):
             for t in acting[i + 1:]:
                 m = self.system.coxeter_order(s, t)
-                lhs = alternating_product(self.mats[s], self.mats[t], m)
-                rhs = alternating_product(self.mats[t], self.mats[s], m)
-                if lhs != rhs:
-                    raise AssertionError(f"braid relation fails for ({s}, {t})")
+                for j in range(self.dim):
+                    # (X_s X_t X_s ...) b_j against (X_t X_s X_t ...) b_j, m factors
+                    lhs = rhs = {j: 1}
+                    for k in reversed(range(m)):
+                        lhs = _apply(self.mats[(s, t)[k % 2]], lhs)
+                        rhs = _apply(self.mats[(t, s)[k % 2]], rhs)
+                    if lhs != rhs:
+                        raise AssertionError(f"braid relation fails for ({s}, {t})")
 
 
 # -- module constructors ----------------------------------------------------------
@@ -135,16 +113,16 @@ def _descent_interval_module(system: CoxeterSystem, low: frozenset[int],
     basis = tuple(w for w in parabolic_elements(system, carrier)
                   if low <= w.descent_set() <= high)
     index = {w: i for i, w in enumerate(basis)}
-    mats: dict[int, Matrix] = {}
+    mats: dict[int, ColumnMap] = {}
     for s in carrier:
         g = system.generator(s)
-        X = zero_matrix(len(basis))
+        X: ColumnMap = {}
         for j, w in enumerate(basis):
             sw = g * w
             if sw.length() < w.length():
-                X[j][j] = -1
+                X[j] = {j: -1}
             elif sw in index:
-                X[index[sw]][j] = 1
+                X[j] = {index[sw]: 1}
         mats[s] = X
     return HModule(system, carrier, mats, len(basis), labels=basis)
 
@@ -166,9 +144,7 @@ def simple_module(system: CoxeterSystem, subset: frozenset[int],
     acting = system.generator_set if acting is None else acting
     if not subset <= acting:
         raise ValueError("label must consist of acting generators")
-    return HModule(
-        system, acting, {s: [[-1 if s in subset else 0]] for s in acting}, 1
-    )
+    return HModule(system, acting, {s: {0: {0: -1}} if s in subset else {} for s in acting}, 1)
 
 
 def projective_module(system: CoxeterSystem, subset: frozenset[int],
@@ -209,34 +185,28 @@ def induce(module: HModule) -> HModule:
     rep_index = {z: i for i, z in enumerate(reps)}
     gen_label = {system.generator(s): s for s in I}
     d = module.dim
-    dim = len(reps) * d
-
-    def idx(zi: int, mi: int) -> int:
-        return zi * d + mi
-
-    mats: dict[int, Matrix] = {}
+    mats: dict[int, ColumnMap] = {}
     for s in system.generators:
         g = system.generator(s)
-        X = zero_matrix(dim)
+        X: ColumnMap = {}
         for zi, z in enumerate(reps):
+            # (z, m) has index zi * d + m
             sz = g * z
+            at = zi * d
             if sz.length() < z.length():
                 for mi in range(d):
-                    X[idx(zi, mi)][idx(zi, mi)] = -1
+                    X[at + mi] = {at + mi: -1}
             elif sz in rep_index:
-                ti = rep_index[sz]
+                to = rep_index[sz] * d
                 for mi in range(d):
-                    X[idx(ti, mi)][idx(zi, mi)] = 1
+                    X[at + mi] = {to + mi: 1}
             else:
-                r = gen_label[z.inverse() * g * z]
-                R = module.mats[r]
-                for mi in range(d):
-                    for out_i in range(d):
-                        if R[out_i][mi]:
-                            X[idx(zi, out_i)][idx(zi, mi)] = R[out_i][mi]
+                R = module.mats[gen_label[z.inverse() * g * z]]
+                for mi, col in R.items():
+                    X[at + mi] = {at + i: c for i, c in col.items()}
         mats[s] = X
     labels = tuple((z, mi) for z in reps for mi in range(d))
-    return HModule(system, system.generator_set, mats, dim, labels=labels)
+    return HModule(system, system.generator_set, mats, len(reps) * d, labels=labels)
 
 
 def restrict(module: HModule, subset: frozenset[int]) -> HModule:
@@ -255,16 +225,19 @@ def _eigen_patterns(module: HModule) -> list[frozenset[int]]:
     return [I for I in all_subsets(module.system) if I <= module.acting]
 
 
-def _shifted_rows(module: HModule, pattern: frozenset[int]) -> list[list]:
-    """Rows of the transpose of X_s + [s in pattern] * I over the acting s:
-    their kernel is the space of maps onto the simple with that pattern."""
-    rows = []
-    for s in module.acting:
-        for i, row in enumerate(mat_transpose(module.mats[s])):
-            if s in pattern:
-                row[i] += 1
-            rows.append(row)
-    return rows
+def _rank(rows: Iterable[dict[int, object]], dim: int) -> int:
+    """Rank of sparse rows of length ``dim``, fed to one
+    :class:`~coxkit.linalg.RowSpace` a row at a time; zero rows are skipped."""
+    space = RowSpace()
+    for row in rows:
+        if len(space.rows) == dim:
+            break
+        if row:
+            dense = [0] * dim
+            for j, c in row.items():
+                dense[j] = c
+            space.add(dense)
+    return len(space.rows)
 
 
 def composition_factors(module: HModule) -> FormalVector:
@@ -280,8 +253,15 @@ def composition_factors(module: HModule) -> FormalVector:
     """
     A = module.acting
     patterns = _eigen_patterns(module)
+    rows: dict[int, ColumnMap] = {}
+    for s in A:
+        # the rows of X_s: the transpose of its column map, by row index
+        rows[s] = {}
+        for j, col in module.mats[s].items():
+            for i, c in col.items():
+                rows[s].setdefault(i, {})[j] = c
     fixed = {
-        K: module.dim - matrix_rank([row for s in K for row in module.mats[s]])
+        K: module.dim - _rank((rows[s][i] for s in K for i in sorted(rows[s])), module.dim)
         for K in patterns
     }
     return FormalVector(
@@ -292,8 +272,19 @@ def composition_factors(module: HModule) -> FormalVector:
 
 
 def hom_to_simple_dim(module: HModule, pattern: frozenset[int]) -> int:
-    """Dimension of the space of maps onto the simple with the given pattern."""
-    return module.dim - matrix_rank(_shifted_rows(module, pattern))
+    """Dimension of the space of maps onto the simple with the given pattern:
+    the kernel of the stacked transposes of X_s + [s in pattern] * I, whose
+    row i is column i of X_s, shifted on the diagonal."""
+    def shifted_rows():
+        for s in module.acting:
+            X = module.mats[s]
+            for i in range(module.dim):
+                row = dict(X.get(i, {}))
+                if s in pattern:
+                    row[i] = row.get(i, 0) + 1
+                yield row
+
+    return module.dim - _rank(shifted_rows(), module.dim)
 
 
 def projective_multiplicities(module: HModule) -> FormalVector:

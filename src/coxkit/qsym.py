@@ -9,6 +9,7 @@ index of minimal absolute value.  All coefficients are exact.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterable
 
 from .freemodule import FormalVector
@@ -52,7 +53,12 @@ class CPoly(FormalVector):
 
 def _weak_chains(lo: int, hi: int, length: int):
     """Ascending-or-equal index chains i_1 <= ... <= i_length in [lo, hi],
-    in lexicographic order."""
+    in lexicographic order.  There are C(hi - lo + length, length) of them;
+    more than :func:`max_order` is refused before the walk."""
+    count = comb(max(hi - lo + length, 0), length)
+    if count > max_order():
+        raise CapExceededError(
+            f"weak chains C({hi - lo + length}, {length}) = {count} exceed cap {max_order()}")
     return itertools.combinations_with_replacement(range(lo, hi + 1), length)
 
 

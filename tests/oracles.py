@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 from coxkit.descents import SIGMA
 from coxkit.freemodule import FormalVector
-from coxkit.hecke import HModule, mat_transpose, regular_module
+from coxkit.hecke import HModule, regular_module
 from coxkit.linalg import RowSpace, exact_div, matrix_rank, nullspace, solve
 from coxkit.roots import positive_roots, simple_roots
 from coxkit.series import NCSeries
@@ -134,6 +134,58 @@ def expected_mixed_projective_dim(system: CoxeterSystem, subset: frozenset[int],
     return sum(1 for w in elements(system) if subset <= w.descent_set() <= hi)
 
 
+def zero_matrix(n: int) -> list[list]:
+    return [[0] * n for _ in range(n)]
+
+
+def identity_matrix(n: int) -> list[list]:
+    out = zero_matrix(n)
+    for i in range(n):
+        out[i][i] = 1
+    return out
+
+
+def mat_scale(a: list[list], c) -> list[list]:
+    return [[c * x for x in row] for row in a]
+
+
+def mat_mul(a: list[list], b: list[list]) -> list[list]:
+    """Row-sparse product: skips zero entries of ``a``."""
+    n, m = len(a), len(b[0]) if b else 0
+    out = [[0] * m for _ in range(n)]
+    for i, row in enumerate(a):
+        acc = out[i]
+        for k, x in enumerate(row):
+            if x:
+                brow = b[k]
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+    return out
+
+
+def alternating_product(a: list[list], b: list[list], m: int) -> list[list]:
+    """(a b a ...) with m factors."""
+    out = identity_matrix(len(a))
+    for i in range(m):
+        out = mat_mul(out, a if i % 2 == 0 else b)
+    return out
+
+
+def module_from_matrices(system: CoxeterSystem, acting: frozenset[int],
+                         mats: dict[int, list[list]], dim: int) -> HModule:
+    """The module whose X_s has the dense matrix ``mats[s]`` (a list of
+    rows), stored as the column map that keeps only nonzero entries."""
+    columns = {}
+    for s, X in mats.items():
+        columns[s] = {}
+        for i, row in enumerate(X):
+            for j, x in enumerate(row):
+                if x:
+                    columns[s].setdefault(j, {})[i] = x
+    return HModule(system, acting, columns, dim)
+
+
 def _mat_apply(a: list[list], v: Sequence) -> list:
     """Matrix times vector, touching only the nonzero entries of ``v``."""
     nonzero = [(j, y) for j, y in enumerate(v) if y]
@@ -142,7 +194,7 @@ def _mat_apply(a: list[list], v: Sequence) -> list:
 
 def idempotent_matrix(module: HModule, s: int) -> list[list]:
     """The matrix of pi_s = X_s + 1."""
-    return [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(module.mats[s])]
+    return [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(module.matrix(s))]
 
 
 def act_word(module: HModule, word: Iterable[int], v: Sequence, bar: bool = True) -> list:
@@ -153,8 +205,10 @@ def act_word(module: HModule, word: Iterable[int], v: Sequence, bar: bool = True
     on the left, so the last letter acts first.
     """
     out = list(v)
-    for s in reversed(tuple(word)):
-        image = _mat_apply(module.mats[s], out)
+    word = tuple(word)
+    mats = {s: module.matrix(s) for s in set(word)}
+    for s in reversed(word):
+        image = _mat_apply(mats[s], out)
         # pi_s = X_s + 1, applied without building its matrix
         out = image if bar else [a + b for a, b in zip(image, out)]
     return out
@@ -163,18 +217,20 @@ def act_word(module: HModule, word: Iterable[int], v: Sequence, bar: bool = True
 def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModule:
     """The submodule generated by the seed vectors, in its own coordinates:
     the reduced echelon basis of its span, ordered by pivot column."""
+    dense = {s: ambient.matrix(s) for s in ambient.acting}
     space = RowSpace()
     frontier = [list(v) for v in seeds]
     while frontier:
         v = frontier.pop()
         if space.add(v)[0] is not None:
-            frontier.extend(_mat_apply(ambient.mats[s], v) for s in ambient.acting)
+            frontier.extend(_mat_apply(dense[s], v) for s in ambient.acting)
     basis = space.basis()
-    mats = {
-        s: mat_transpose([space.coordinates(_mat_apply(ambient.mats[s], b)) for b in basis])
-        for s in ambient.acting
-    }
-    return HModule(ambient.system, ambient.acting, mats, len(basis))
+    # column j of X_s holds the coordinates of X_s b_j
+    mats = {}
+    for s in ambient.acting:
+        cols = [space.coordinates(_mat_apply(dense[s], b)) for b in basis]
+        mats[s] = [[col[i] for col in cols] for i in range(len(basis))]
+    return module_from_matrices(ambient.system, ambient.acting, mats, len(basis))
 
 
 def projective_seed(reg: HModule, subset: frozenset[int], idem: frozenset[int]) -> list:
@@ -208,7 +264,7 @@ def _common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list]
     or 0 (outside): the kernel of the stacked X_s + [s in pattern] * I."""
     rows = []
     for s in module.acting:
-        for i, row in enumerate(module.mats[s]):
+        for i, row in enumerate(module.matrix(s)):
             if s in pattern:
                 row = list(row)
                 row[i] += 1
@@ -223,12 +279,13 @@ def _quotient_by_line(module: HModule, v: Sequence) -> HModule:
     keep = [i for i in range(module.dim) if i != p]
     ratio = [exact_div(x, v[p]) if x else 0 for x in v]
     mats = {}
-    for s, X in module.mats.items():
+    for s in module.mats:
+        X = module.matrix(s)
         mats[s] = [
             [X[i][j] - X[p][j] * ratio[i] for j in keep] if ratio[i] else [X[i][j] for j in keep]
             for i in keep
         ]
-    return HModule(module.system, module.acting, mats, len(keep))
+    return module_from_matrices(module.system, module.acting, mats, len(keep))
 
 
 def extracted_composition_factors(module: HModule) -> FormalVector:
@@ -254,7 +311,7 @@ def hom_dim(source: HModule, target: HModule) -> int:
     ds, dt = source.dim, target.dim
     rows = []
     for s in source.acting:
-        A, B = source.mats[s], target.mats[s]
+        A, B = source.matrix(s), target.matrix(s)
         for i in range(dt):
             for j in range(ds):
                 row = [0] * (dt * ds)

@@ -205,6 +205,23 @@ class TestExpand:
                              "--window", "1")
         assert status == 0 and out == f"{basis}: 1\n"
 
+    def test_chains_over_the_cap_exit_3(self, capsys):
+        # h:(1) at window w walks the w one-letter chains, h:(2) at window 3
+        # the C(4, 2) = 6 chains i <= j in [1, 3]: both are counted up front
+        set_max_order(10)
+        try:
+            at_cap = run(capsys, "expand", "--target", "h:(1)", "--basis", "h:(1)",
+                         "--window", "10")
+            over = run(capsys, "expand", "--target", "h:(1)", "--basis", "h:(1)",
+                       "--window", "11")
+            fd_over = run(capsys, "expand", "--target", "FD:(2,1)", "--basis", "h:(1)",
+                          "--window", "10")
+        finally:
+            set_max_order(None)
+        assert at_cap == (0, "h:(1): 1\n", "")
+        assert over == (3, "", "error: weak chains C(11, 1) = 11 exceed cap 10\n")
+        assert fd_over == (3, "", "error: weak chains C(12, 2) = 66 exceed cap 10\n")
+
     def test_x0_power_over_the_cap_exits_3(self, capsys):
         set_max_order(50)
         try:
@@ -267,6 +284,21 @@ class TestHecke:
                              "--op", "induce", "--subset", "", "--module", "C:",
                              "--report", "dim")
         assert status == 0 and out.strip() == "8"
+
+    @pytest.mark.parametrize("argv,expected", [
+        ("--type D --rank 2 --module regular",
+         '{"dim": 4, "matrices": {"0": [[0, 0, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], '
+         '[0, 0, 1, -1]], "1": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, -1]]}}'),
+        ("--type A --rank 2 --op induce --subset 1 --module P:1",
+         '{"dim": 3, "matrices": {"1": [[-1, 0, 0], [0, 0, 0], [0, 1, -1]], '
+         '"2": [[0, 0, 0], [1, -1, 0], [0, 0, -1]]}}'),
+        ("--type A --rank 0 --module regular", '{"dim": 1, "matrices": {}}'),
+    ])
+    def test_matrices_report(self, capsys, argv, expected):
+        # the dense rendering of the column maps, row i and column j of
+        # X_s holding the coefficient of b_i in X_s b_j
+        status, out, err = run(capsys, "hecke", *argv.split(), "--report", "matrices")
+        assert (status, out, err) == (0, expected + "\n", "")
 
     def test_label_outside_acting_set(self, capsys):
         status, _, err = run(capsys, "hecke", "--type", "B", "--rank", "3",

@@ -7,13 +7,10 @@ from coxkit.freemodule import FormalVector
 from coxkit.hecke import (
     HModule,
     NonProjectiveError,
-    alternating_product,
     characteristic_polynomial,
     composition_factors,
     hom_to_simple_dim,
     induce,
-    mat_mul,
-    mat_scale,
     mixed_projective_module,
     projective_module,
     projective_multiplicities,
@@ -37,13 +34,19 @@ from coxkit.systems import (
 
 from oracles import (
     act_word,
+    alternating_product,
     expected_mixed_projective_dim,
     extracted_composition_factors,
     hom_dim,
     idempotent_matrix,
+    identity_matrix,
+    mat_mul,
+    mat_scale,
+    module_from_matrices,
     projective_seed,
     stated_projective_basis,
     submodule_coordinates,
+    zero_matrix,
 )
 
 A3 = CoxeterSystem("A", 3)
@@ -63,8 +66,8 @@ class TestRegularModule:
 
     def test_braid_matrices_a2(self):
         reg = regular_module(A3)
-        assert alternating_product(reg.mats[1], reg.mats[2], 3) \
-            == alternating_product(reg.mats[2], reg.mats[1], 3)
+        assert alternating_product(reg.matrix(1), reg.matrix(2), 3) \
+            == alternating_product(reg.matrix(2), reg.matrix(1), 3)
 
     def test_idempotent_generators(self):
         reg = regular_module(B2)
@@ -91,7 +94,7 @@ class TestRegularModule:
 class TestSimpleModules:
     def test_action_values(self):
         C = simple_module(B2, frozenset([0]))
-        assert C.mats[0] == [[-1]] and C.mats[1] == [[0]]
+        assert C.matrix(0) == [[-1]] and C.matrix(1) == [[0]]
 
     def test_restriction_of_simples(self):
         I = frozenset([1, 2])
@@ -155,7 +158,7 @@ def _sympy_submodule(ambient, seed):
     on its reduced echelon basis, computed with sympy."""
     import sympy
 
-    X = {s: sympy.Matrix(m) for s, m in ambient.mats.items()}
+    X = {s: sympy.Matrix(ambient.matrix(s)) for s in ambient.mats}
     span = sympy.Matrix([seed])
     while True:
         rows = [span.row(i) for i in range(span.rows)]
@@ -203,8 +206,9 @@ class TestSubmoduleCoordinates:
             dim, mats = _sympy_submodule(reg, seed)
             M = submodule_coordinates(reg, [seed])
             assert M.dim == dim
-            assert M.mats == mats
-            assert all(type(x) is int for m in M.mats.values() for row in m for x in row)
+            dense = {s: M.matrix(s) for s in M.mats}
+            assert dense == mats
+            assert all(type(x) is int for m in dense.values() for row in m for x in row)
 
 
 class TestInduction:
@@ -243,14 +247,15 @@ class TestInduction:
         for J in (X for X in all_subsets(system) if X <= I):
             ind = induce(simple_module(system, J, acting=I))
             u = longest_element(system, J)
+            dense = {s: ind.matrix(s) for s in system.generators}
             for s in system.generators:
-                X = ind.mats[s]
+                X = dense[s]
                 for i in range(ind.dim):
                     for j in range(i + 1, ind.dim):
                         assert X[i][j] == 0
             for k, z in enumerate(reps):
                 pattern = frozenset(
-                    s for s in system.generators if ind.mats[s][k][k] == -1)
+                    s for s in system.generators if dense[s][k][k] == -1)
                 # the diagonal pattern at block z is the descent set of u z^{-1}
                 assert pattern == (u * z.inverse()).descent_set()
 
@@ -347,11 +352,12 @@ class TestRestriction:
                 target = [act_word(reg, part.reduced_word(), tail_z, bar=True)
                           for _, part in members]
                 for s in I:
+                    X = reg.matrix(s)
                     for idx, (w, part) in enumerate(members):
-                        img_src = [sum(reg.mats[s][i][j] * source[idx][j]
+                        img_src = [sum(X[i][j] * source[idx][j]
                                        for j in range(reg.dim) if source[idx][j])
                                    for i in range(reg.dim)]
-                        img_tgt = [sum(reg.mats[s][i][j] * target[idx][j]
+                        img_tgt = [sum(X[i][j] * target[idx][j]
                                        for j in range(reg.dim) if target[idx][j])
                                    for i in range(reg.dim)]
                         coeff_src = solve([[v[i] for v in source] for i in range(reg.dim)],
@@ -408,15 +414,19 @@ ORACLE_MODULE_SYSTEMS = (
 
 
 def _modules_up_to_48(system):
-    """The regular and parabolic-regular modules, every P_J, the simples and
-    projectives induced from every parabolic, and the projectives restricted
-    to every parabolic; on the oracle systems all have dimension <= 48."""
+    """The regular and parabolic-regular modules, every P_J, the mixed
+    projectives, the simples of every parabolic, the simples and projectives
+    induced from every parabolic, and the projectives restricted to every
+    parabolic; on the oracle systems all have dimension <= 48."""
     subsets = all_subsets(system)
     S = system.generator_set
     for I in subsets:
         yield f"regular on {sorted(I)}", regular_module(system, I)
         for J in (X for X in subsets if X <= I):
             yield f"P{sorted(J)} on {sorted(I)}", projective_module(system, J, carrier=I)
+            yield f"mixed P{sorted(J)} within {sorted(I)}", \
+                mixed_projective_module(system, J, I)
+            yield f"C{sorted(J)} on {sorted(I)}", simple_module(system, J, acting=I)
             yield f"induced C{sorted(J)} from {sorted(I)}", \
                 induce(simple_module(system, J, acting=I))
             yield f"induced P{sorted(J)} from {sorted(I)}", \
@@ -426,6 +436,63 @@ def _modules_up_to_48(system):
         for I in subsets:
             if I != S:
                 yield f"P{sorted(K)} restricted to {sorted(I)}", restrict(P, I)
+
+
+class TestStorageForm:
+    """Each X_s is a sparse column map: no zero is stored, and on Norton's
+    basis (and the simples and inductions built from it) every column
+    holds at most one entry."""
+
+    @pytest.mark.parametrize("system", ORACLE_MODULE_SYSTEMS, ids=repr)
+    def test_columns_are_sparse_and_single(self, system):
+        for name, M in _modules_up_to_48(system):
+            assert set(M.mats) == M.acting, name
+            for s, X in M.mats.items():
+                for j, col in X.items():
+                    assert 0 <= j < M.dim and all(0 <= i < M.dim for i in col), (name, s)
+                    assert all(col.values()), (name, s, j)
+                    assert len(col) <= 1, (name, s, j)
+
+    def test_missing_columns_render_as_zero(self):
+        C = simple_module(B2, frozenset())
+        assert C.mats == {0: {}, 1: {}}
+        assert C.matrix(0) == C.matrix(1) == zero_matrix(1)
+
+    def test_d5_regular_module_is_small(self):
+        # the dense form of the 1920-dimensional module held 5 * 1920^2
+        # list slots; the column maps hold one small dict per column
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            reg = regular_module(CoxeterSystem("D", 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reg.dim == 1920
+        assert peak < 32 * 2**20
+
+
+class TestValidateFailures:
+    def test_broken_quadratic_relation(self):
+        # X = 1 squares to itself, not to its negative
+        X = identity_matrix(1)
+        assert mat_mul(X, X) != mat_scale(X, -1)
+        M = module_from_matrices(A3, frozenset([1]), {1: X}, 1)
+        with pytest.raises(AssertionError, match="quadratic relation fails for generator 1"):
+            M.validate()
+
+    def test_broken_braid_relation(self):
+        # X_1 and X_3 square to their negatives but do not commute, while
+        # s_1 and s_3 do (m = 2)
+        X1, X3 = [[-1, 1], [0, 0]], [[0, 0], [0, -1]]
+        assert A4.coxeter_order(1, 3) == 2
+        for X in (X1, X3):
+            assert mat_mul(X, X) == mat_scale(X, -1)
+        assert alternating_product(X1, X3, 2) != alternating_product(X3, X1, 2)
+        M = module_from_matrices(A4, frozenset([1, 3]), {1: X1, 3: X3}, 2)
+        with pytest.raises(AssertionError, match=r"braid relation fails for \(1, 3\)"):
+            M.validate()
 
 
 class TestDescentClassBasis:
@@ -476,9 +543,10 @@ class TestDescentClassBasis:
                 P = mixed_projective_module(system, I, within)
                 vecs = stated_projective_basis(system, I, within)
                 for s in system.generators:
+                    X = P.matrix(s)
                     for j, v in enumerate(vecs):
                         image = act_word(reg, (s,), v)
-                        expected = [sum(P.mats[s][i][j] * u[k] for i, u in enumerate(vecs))
+                        expected = [sum(X[i][j] * u[k] for i, u in enumerate(vecs))
                                     for k in range(reg.dim)]
                         assert image == expected, (within, I, s, j)
 
@@ -501,7 +569,7 @@ class TestCompositionFactors:
 
     @pytest.mark.parametrize("acting", [frozenset(), frozenset([1]), B2.generator_set])
     def test_dimension_zero(self, acting):
-        M = HModule(B2, acting, {s: [] for s in acting}, 0)
+        M = module_from_matrices(B2, acting, {s: [] for s in acting}, 0)
         assert composition_factors(M) == extracted_composition_factors(M) \
             == FormalVector(kind="g0")
 
@@ -536,8 +604,8 @@ class TestGrothendieck:
         n = P.dim
         U = [[1 if i == j else (1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
         Uinv = solve_matrix_inverse(U)
-        conj = {s: mat_mul(mat_mul(U, X), Uinv) for s, X in P.mats.items()}
-        M = HModule(P.system, P.acting, conj, P.dim)
+        conj = {s: mat_mul(mat_mul(U, P.matrix(s)), Uinv) for s in P.mats}
+        M = module_from_matrices(P.system, P.acting, conj, P.dim)
         assert composition_factors(M) == composition_factors(P)
 
 
