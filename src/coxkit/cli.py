@@ -47,8 +47,8 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 #: Window-size caps per family; the verification suites stay interactive
-#: below them.  Override with --max-window (COXKIT_MAX_ORDER bounds the
-#: enumerations themselves, not these caps).
+#: below them.  Override with --max-window, which verify lacks
+#: (COXKIT_MAX_ORDER bounds the enumerations themselves, not these caps).
 DEFAULT_WINDOW_CAPS = {"A": 7, "B": 5, "D": 5}
 
 
@@ -65,13 +65,11 @@ def _system(args) -> CoxeterSystem:
         system = CoxeterSystem.of_rank(family, rank)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    cap = getattr(args, "max_window", None) or DEFAULT_WINDOW_CAPS[family]
+    cap = getattr(args, "max_window", None)
+    cap = DEFAULT_WINDOW_CAPS[family] if cap is None else cap
     if system.n > cap:
-        raise CliError(
-            f"window size {system.n} exceeds the {family} cap {cap}"
-            " (raise with --max-window)",
-            EXIT_CAP,
-        )
+        hint = " (raise with --max-window)" if hasattr(args, "max_window") else ""
+        raise CliError(f"window size {system.n} exceeds the {family} cap {cap}{hint}", EXIT_CAP)
     return system
 
 
@@ -376,7 +374,7 @@ def cmd_verify(args) -> int:
     if args.rank is not None:
         if family is None:
             raise CliError("--rank needs --type")
-        n = CoxeterSystem.of_rank(family, args.rank).n
+        n = _system(args).n
     report = {}
     all_ok = True
     for name in names:

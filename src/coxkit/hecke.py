@@ -4,7 +4,7 @@ A module is given by one operator per acting generator for the
 nilpotent-style generators (square equals minus themselves); the
 idempotent generators are recovered by adding the identity.  Each is a
 sparse column map ``{j: {i: c}}`` (column j is the image of basis vector
-j; no zero is stored), and ranks are taken by :mod:`coxkit.linalg`.
+j; no zero is stored), whose columns :func:`coxkit.linalg.matrix_rank` reads.
 
 The module constructors mirror the combinatorial structure theory.  The
 regular module, the projective indecomposables and the mixed projectives
@@ -23,10 +23,10 @@ the labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .freemodule import FormalVector
-from .linalg import RowSpace
+from .linalg import matrix_rank
 from .qsym import CPoly, fundamental_qsym, fundamental_qsym_b, fundamental_qsym_d
 from .systems import (
     CoxeterSystem,
@@ -225,21 +225,6 @@ def _eigen_patterns(module: HModule) -> list[frozenset[int]]:
     return [I for I in all_subsets(module.system) if I <= module.acting]
 
 
-def _rank(rows: Iterable[dict[int, object]], dim: int) -> int:
-    """Rank of sparse rows of length ``dim``, fed to one
-    :class:`~coxkit.linalg.RowSpace` a row at a time; zero rows are skipped."""
-    space = RowSpace()
-    for row in rows:
-        if len(space.rows) == dim:
-            break
-        if row:
-            dense = [0] * dim
-            for j, c in row.items():
-                dense[j] = c
-            space.add(dense)
-    return len(space.rows)
-
-
 def composition_factors(module: HModule) -> FormalVector:
     """Multiset of simple factors, from the ranks of the fixed spaces.
 
@@ -250,18 +235,15 @@ def composition_factors(module: HModule) -> FormalVector:
     t(K) = dim - rank(X_s : s in K) counts the factors C_J with J disjoint
     from K, and Moebius inversion over the subsets B = A - K of the acting
     set A recovers each multiplicity (Norton 1979; Krob-Thibon 1997).
+
+    Each rank is taken on the stored columns, the rows of the transposes, so
+    t(K) is read on the dual module; its composition factors are the same,
+    as the transposes keep the relations and each C_J is its own dual.
     """
     A = module.acting
     patterns = _eigen_patterns(module)
-    rows: dict[int, ColumnMap] = {}
-    for s in A:
-        # the rows of X_s: the transpose of its column map, by row index
-        rows[s] = {}
-        for j, col in module.mats[s].items():
-            for i, c in col.items():
-                rows[s].setdefault(i, {})[j] = c
     fixed = {
-        K: module.dim - _rank((rows[s][i] for s in K for i in sorted(rows[s])), module.dim)
+        K: module.dim - matrix_rank(col for s in K for col in module.mats[s].values())
         for K in patterns
     }
     return FormalVector(
@@ -273,18 +255,14 @@ def composition_factors(module: HModule) -> FormalVector:
 
 def hom_to_simple_dim(module: HModule, pattern: frozenset[int]) -> int:
     """Dimension of the space of maps onto the simple with the given pattern:
-    the kernel of the stacked transposes of X_s + [s in pattern] * I, whose
-    row i is column i of X_s, shifted on the diagonal."""
+    the kernel of the stacked transposes of X_s + [s in pattern] * I, by column."""
     def shifted_rows():
         for s in module.acting:
-            X = module.mats[s]
             for i in range(module.dim):
-                row = dict(X.get(i, {}))
-                if s in pattern:
-                    row[i] = row.get(i, 0) + 1
-                yield row
+                col = module.mats[s].get(i, {})
+                yield {**col, i: col.get(i, 0) + 1} if s in pattern else col
 
-    return module.dim - _rank(shifted_rows(), module.dim)
+    return module.dim - matrix_rank(shifted_rows())
 
 
 def projective_multiplicities(module: HModule) -> FormalVector:

@@ -1,4 +1,5 @@
-"""Exact linear algebra on small dense matrices (lists of ints and Fractions).
+"""Exact linear algebra on rows of ints and Fractions: each row is a dense
+sequence or a ``{column: value}`` dict (as wide as its last key plus one).
 
 All row reduction in coxkit is one Gauss-Jordan step, :meth:`RowSpace.add`;
 everything here is built on it.  Integers stay integers: a row is divided
@@ -9,7 +10,7 @@ by its leading entry only when that is not +-1, and a quotient becomes a
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class NotInSpanError(ValueError):
@@ -22,107 +23,130 @@ def exact_div(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
+def _sparse(v) -> dict[int, object]:
+    """The one row normalizer: a fresh map of a row's nonzero entries."""
+    return {j: c for j, c in (v.items() if isinstance(v, dict) else enumerate(v)) if c}
+
+
+def _width(rows: Sequence) -> int:
+    return max((max(r, default=-1) + 1 if isinstance(r, dict) else len(r) for r in rows),
+               default=0)
+
+
 class RowSpace:
     """A row space in reduced row echelon form, grown one vector at a time:
-    ``rows`` maps each pivot column to its row (1 there, 0 at other pivots)."""
+    ``rows`` maps each pivot column to its row (a map: 1 there, no other
+    pivot, no zero); a new pivot j clears only the rows in ``_holders[j]``."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_holders")
 
     def __init__(self):
-        self.rows: dict[int, list] = {}
+        self.rows: dict[int, dict[int, object]] = {}
+        self._holders: dict[int, set[int]] = {}
 
-    def basis(self) -> list[list]:
-        """The rows, ordered by pivot column."""
-        return [self.rows[p] for p in sorted(self.rows)]
+    def basis(self) -> list[dict[int, object]]:
+        """Copies of the rows, ordered by pivot column."""
+        return [dict(self.rows[p]) for p in sorted(self.rows)]
 
-    def reduce(self, v: Sequence) -> tuple[dict[int, object], list]:
-        """(c, rest) with v = sum(c[p] * rows[p]) + rest, rest 0 at every pivot."""
-        rest = list(v)
-        coeffs = {p: rest[p] for p in self.rows if rest[p]}
+    def reduce(self, v) -> tuple[dict[int, object], dict[int, object]]:
+        """(c, rest) with v = sum(c[p] * rows[p]) + rest, rest a map empty at every pivot."""
+        rest = _sparse(v)
+        coeffs = {p: rest[p] for p in rest if p in self.rows}
         for p, c in coeffs.items():
-            rest = [a - c * b if b else a for a, b in zip(rest, self.rows[p])]
-        return coeffs, rest
+            for j, b in self.rows[p].items():
+                rest[j] = rest.get(j, 0) - c * b
+        return coeffs, {j: x for j, x in rest.items() if x}
 
-    def add(self, v: Sequence) -> tuple[Optional[int], object]:
+    def add(self, v) -> tuple[Optional[int], object]:
         """One Gauss-Jordan step: insert v, returning its new pivot column and
         the leading entry it was divided by, or (None, 0) if v is in the span."""
         _, rest = self.reduce(v)
-        col = next((i for i, x in enumerate(rest) if x), None)
-        if col is None:
+        if not rest:
             return None, 0
+        col = min(rest)
         lead = rest[col]
         if lead == -1:
-            rest = [-x for x in rest]
+            rest = {j: -x for j, x in rest.items()}
         elif lead != 1:
-            rest = [exact_div(x, lead) if x else x for x in rest]
-        for p, row in self.rows.items():
-            c = row[col]
+            rest = {j: exact_div(x, lead) for j, x in rest.items()}
+        for p in self._holders.pop(col, ()):
+            row = self.rows[p]
+            c = row.get(col)
             if c:
-                self.rows[p] = [a - c * b if b else a for a, b in zip(row, rest)]
+                for j, b in rest.items():
+                    row[j] = row.get(j, 0) - c * b
+                    self._holders.setdefault(j, set()).add(p)
+                self.rows[p] = {j: x for j, x in row.items() if x}
+        for j in rest:
+            self._holders.setdefault(j, set()).add(col)
         self.rows[col] = rest
         return col, lead
 
-    def coordinates(self, v: Sequence) -> list:
+    def coordinates(self, v) -> list:
         """Coefficients of v on :meth:`basis`; NotInSpanError outside the span."""
         coeffs, rest = self.reduce(v)
-        if any(rest):
+        if rest:
             raise NotInSpanError("vector is outside the row space")
         return [coeffs.get(p, 0) for p in sorted(self.rows)]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices),
-    the matrix padded with zero rows to the input's row count."""
-    rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
+def _span(rows: Iterable) -> RowSpace:
     space = RowSpace()
     for row in rows:
         space.add(row)
-        if len(space.rows) == ncols:
-            break
-    mat = space.basis()
+    return space
+
+
+def rref(rows: Sequence) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices),
+    the matrix dense and padded with zero rows to the input's row count."""
+    rows = list(rows)
+    ncols = _width(rows)
+    space = _span(rows)
+    mat = [[row.get(j, 0) for j in range(ncols)] for row in space.basis()]
     mat += [[0] * ncols for _ in range(len(rows) - len(mat))]
     return mat, sorted(space.rows)
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+def matrix_rank(rows: Iterable) -> int:
+    return len(_span(rows).rows)
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list]:
+def nullspace(rows: Sequence, ncols: int) -> list[list]:
     """Basis of the right kernel of a matrix with ``ncols`` columns (one
     vector per free column).  With no rows every column is free."""
-    mat, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    space = _span(rows)
+    free = [c for c in range(ncols) if c not in space.rows]
     basis = []
     for fc in free:
         vec = [0] * ncols
         vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
+        for pc, row in space.rows.items():
+            vec[pc] = -row.get(fc, 0)
         basis.append(vec)
     return basis
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
+def solve(rows: Sequence, rhs: Sequence) -> Optional[list]:
     """One exact solution of A x = b, or None when inconsistent."""
     if not rows:
         return [] if not any(rhs) else None
-    ncols = len(rows[0])
-    mat, pivots = rref([[*row, b] for row, b in zip(rows, rhs)])
-    if ncols in pivots:
+    ncols = _width(rows)
+    space = _span({**_sparse(row), ncols: b} for row, b in zip(rows, rhs))
+    if ncols in space.rows:
         return None
     x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = mat[r][ncols]
+    for c, row in space.rows.items():
+        x[c] = row.get(ncols, 0)
     return x
 
 
-def determinant(rows: Sequence[Sequence]):
+def determinant(rows: Sequence):
     """Determinant of a square matrix: the product of the leading entries
     the rows are divided by, signed by the order of their pivots."""
     rows = list(rows)
-    if any(len(row) != len(rows) for row in rows):
+    if _width(rows) > len(rows) or any(
+            not isinstance(row, dict) and len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
     space, det, order = RowSpace(), 1, []
     for row in rows:

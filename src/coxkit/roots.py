@@ -141,7 +141,7 @@ def _cone_roots(candidates: Iterable[Root], generators: Iterable[Root]) -> set[R
             normals.append(tuple(-a for a in y))
     out = set()
     for beta in candidates:
-        if any(span.reduce(beta)[1]):
+        if span.reduce(beta)[1]:
             continue
         c = [beta[p] for p in pivots]
         if all(sum(a * b for a, b in zip(y, c)) >= 0 for y in normals):

@@ -251,14 +251,14 @@ def suite_duality(family: str = "B", n: int = 3) -> list[Check]:
 
     ok = True
     for I in subs:
-        for u in parabolic_elements(system, I):
-            mu_u = gm.induce_left(system, I, gm.element_vector(u))
-            mub_u = gm.induce_right(system, I, gm.element_vector(u))
-            for w in elements(system):
-                yw = gm.element_vector(w)
-                if mu_u.pairing(yw) != gm.element_vector(u).pairing(gm.restrict_left(system, I, yw)):
+        induced = [(yu, gm.induce_left(system, I, yu), gm.induce_right(system, I, yu))
+                   for yu in map(gm.element_vector, parabolic_elements(system, I))]
+        for yw in map(gm.element_vector, elements(system)):
+            res_left, res_right = gm.restrict_left(system, I, yw), gm.restrict_right(system, I, yw)
+            for yu, mu_u, mub_u in induced:
+                if mu_u.pairing(yw) != yu.pairing(res_left):
                     ok = False
-                if gm.restrict_right(system, I, yw).pairing(gm.element_vector(u)) != yw.pairing(mub_u):
+                if res_right.pairing(yu) != yw.pairing(mub_u):
                     ok = False
     out.append(_check("coset-rep adjunctions on all basis pairs", ok))
 

@@ -224,7 +224,7 @@ def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModul
         v = frontier.pop()
         if space.add(v)[0] is not None:
             frontier.extend(_mat_apply(dense[s], v) for s in ambient.acting)
-    basis = space.basis()
+    basis = [[row.get(j, 0) for j in range(ambient.dim)] for row in space.basis()]
     # column j of X_s holds the coordinates of X_s b_j
     mats = {}
     for s in ambient.acting:

@@ -70,6 +70,12 @@ class TestElement:
                              "--op", "length", "--max-window", "6", "1,2,3,4,5,6")
         assert status == 0 and out.strip() == "0"
 
+    def test_max_window_zero_is_a_cap(self, capsys):
+        status, out, err = run(capsys, "element", "--type", "B", "--rank", "2",
+                               "--op", "length", "--max-window", "0", "1,2")
+        assert status == 3 and out == ""
+        assert "exceeds the B cap 0" in err
+
 
 class TestProducts:
     def test_shuffle_term_count(self, capsys):
@@ -352,6 +358,12 @@ class TestVerify:
         status, out, err = run(capsys, "verify", "--suite", "hecke", "--type", family,
                                "--rank", str(rank))
         assert status == 0 and "8/8 checks passed" in out and err == ""
+
+    def test_rank_over_the_window_cap(self, capsys):
+        status, out, err = run(capsys, "verify", "--suite", "paper-examples", "--type", "A",
+                               "--rank", "7")
+        assert status == 3 and out == ""
+        assert "window size 8 exceeds the A cap 7" in err
 
     def test_unknown_suite(self, capsys):
         status, _, err = run(capsys, "verify", "--suite", "nope")

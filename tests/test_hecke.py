@@ -148,6 +148,11 @@ class TestProjectiveModules:
         pm = projective_multiplicities(regular_module(B2))
         assert pm == FormalVector({I: 1 for I in all_subsets(B2)}, kind="k0")
 
+    def test_projective_multiplicity_of_regular_d5(self):
+        D5 = CoxeterSystem("D", 5)
+        pm = projective_multiplicities(regular_module(D5))
+        assert pm == FormalVector({I: 1 for I in all_subsets(D5)}, kind="k0")
+
     def test_non_projective_detection(self):
         with pytest.raises(NonProjectiveError):
             projective_multiplicities(simple_module(B2, frozenset([0])))
@@ -560,7 +565,7 @@ class TestCompositionFactors:
         for name, M in _modules_up_to_48(system):
             assert composition_factors(M) == extracted_composition_factors(M), name
 
-    @pytest.mark.parametrize("family,n", [("A", 5), ("B", 4), ("D", 4)])
+    @pytest.mark.parametrize("family,n", [("A", 5), ("B", 4), ("D", 4), ("D", 5)])
     def test_regular_module_counts_descent_classes(self, family, n):
         system = CoxeterSystem(family, n)
         expected = FormalVector(

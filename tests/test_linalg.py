@@ -50,6 +50,17 @@ def apply(rows, x):
     return [sum(a * b for a, b in zip(row, x)) for row in rows]
 
 
+def as_maps(rows):
+    """The same rows as {column: value} maps; a zero row becomes {}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def padded(vector, width):
+    """A dense result at a map matrix's width, extended by zeros: columns
+    past the last stored entry are zero in every row."""
+    return list(vector) + [0] * (width - len(vector))
+
+
 ZERO_3x2 = ([[0, 0], [0, 0], [0, 0]], 2)
 NO_ROWS = ([], 4)
 NO_COLS = ([[], [], []], 0)
@@ -69,6 +80,11 @@ def test_rref_and_rank_match_sympy(case):
     assert len(mat) == len(rows)
     assert [[sympy.Rational(str(x)) for x in row] for row in mat] == want.tolist()
     assert exact(x for row in mat for x in row)
+    sparse_mat, sparse_pivots = rref(as_maps(rows))
+    assert sparse_pivots == pivots
+    assert matrix_rank(as_maps(rows)) == len(want_pivots)
+    assert [padded(row, ncols) for row in sparse_mat] == mat
+    assert exact(x for row in sparse_mat for x in row)
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,17 +96,21 @@ def test_determinant_matches_sympy(case):
     det = determinant(rows)
     assert det == as_sympy(rows, n).det()
     assert exact([det])
+    assert determinant(as_maps(rows)) == det
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(entries=INTS, square=True))
 def test_determinant_of_an_integer_matrix_is_an_int(case):
     assert type(determinant(case[0])) is int
+    assert type(determinant(as_maps(case[0]))) is int
 
 
 def test_determinant_refuses_a_non_square_matrix():
     with pytest.raises(ValueError):
         determinant([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        determinant([{2: 1}, {0: 1}])
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,6 +121,7 @@ def test_determinant_refuses_a_non_square_matrix():
 def test_nullspace_is_the_kernel(case):
     rows, ncols = case
     basis = nullspace(rows, ncols)
+    assert nullspace(as_maps(rows), ncols) == basis
     want = as_sympy(rows, ncols).nullspace()
     assert len(basis) == len(want) == ncols - matrix_rank(rows)
     for x in basis:
@@ -138,6 +159,11 @@ def test_solve_matches_sympy_consistency(case):
     if x is not None:
         assert exact(x)
         assert apply(rows, x) == list(rhs)
+    sparse_x = solve(as_maps(rows), rhs)
+    assert (sparse_x is not None) == consistent
+    if sparse_x is not None:
+        assert exact(sparse_x)
+        assert padded(sparse_x, len(x)) == x
 
 
 def test_integers_stay_integers_with_unit_pivots():
@@ -159,10 +185,30 @@ def test_row_space_grows_one_vector_at_a_time():
     assert space.add([0, 2, 4]) == (1, 2)
     assert space.add([0, 1, 2]) == (None, 0)
     assert space.add([3, 0, 3]) == (0, 3)
-    assert space.basis() == [[1, 0, 1], [0, 1, 2]]
+    assert space.basis() == [{0: 1, 2: 1}, {1: 1, 2: 2}]
     assert space.coordinates([2, 3, 8]) == [2, 3]
     with pytest.raises(NotInSpanError):
         space.coordinates([0, 0, 1])
+
+
+def test_row_space_reads_map_rows():
+    space = RowSpace()
+    assert space.add({1: 2, 2: 4, 5: 0}) == (1, 2)
+    assert space.add({1: 1, 2: 2}) == (None, 0)
+    assert space.add({0: 3, 2: 3}) == (0, 3)
+    assert space.basis() == [{0: 1, 2: 1}, {1: 1, 2: 2}]
+    assert space.coordinates({0: 2, 1: 3, 2: 8}) == space.coordinates([2, 3, 8]) == [2, 3]
+    assert space.reduce({2: 5}) == ({}, {2: 5})
+
+
+def test_residual_only_in_column_zero_is_outside_the_span():
+    space = RowSpace()
+    space.add([0, 1])
+    assert space.reduce([1, 0])[1] == {0: 1}
+    with pytest.raises(NotInSpanError):
+        space.coordinates([1, 0])
+    with pytest.raises(NotInSpanError):
+        space.coordinates({0: 1})
 
 
 def test_express_in_basis_and_independence():
