@@ -165,7 +165,7 @@ def cmd_coproduct(args) -> int:
         raise CliError(str(exc)) from exc
     vec = wd.COPRODUCTS[args.family](u)
     if args.split is not None:
-        vec = wd.coproduct_component(vec, args.split)
+        vec = sr.graded_pieces(vec).get(args.split, FormalVector(kind="pair"))
     lines = [
         f"{coeff}\t{format_window(a.window)} (x) {format_window(b.window)}"
         for (a, b), coeff in vec.items()

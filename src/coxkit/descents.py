@@ -79,51 +79,35 @@ def sigma_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
     return x.map_to_vectors(one, kind=SIGMA)
 
 
-def interval_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
-                    ) -> tuple[frozenset[int], frozenset[int]]:
-    """Bounds (low, high) such that for u in the parabolic on ``subset``,
-    D(u z) = target iff low <= D(u) <= high, given the two side conditions
-    of :func:`is_class_rep`.  Both bounds are subsets of ``subset``.
+def class_rep_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
+                     ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """Bounds (low, high) inside ``subset`` such that for u in its parabolic,
+    D(u z) = target iff low <= D(u) <= high; None when z is the minimal-coset
+    part of no w with D(w) = target.  z must be a minimal right-coset
+    representative (ValueError otherwise).  One walk over the s not in D(z):
+    with E = D(s z^{-1}) & subset, an s in the target needs E nonempty and
+    raises ``low`` by E, and any other s lowers ``high`` by E.
     """
+    if z.left_descent_set() & subset:
+        raise ValueError("z is not a minimal right-coset representative")
+    dz = z.descent_set()
+    if not dz <= target:
+        return None
     system = z.system
     zinv = z.inverse()
-    dz = z.descent_set()
     low: frozenset[int] = frozenset()
     high = subset
     for s in system.generators:
         if s in dz:
             continue
-        ds_zinv = (system.generator(s) * zinv).descent_set()
-        if s in target:
-            low = low | (ds_zinv & subset)
+        ds_zinv = (system.generator(s) * zinv).descent_set() & subset
+        if s not in target:
+            high = high - ds_zinv
+        elif ds_zinv:
+            low = low | ds_zinv
         else:
-            high = high & (subset - ds_zinv)
-    return low, high
-
-
-def is_class_rep(z: Element, subset: frozenset[int], target: frozenset[int]) -> bool:
-    """Whether z is the minimal-coset part of some w with D(w) = target.
-
-    Requires z to be a minimal right-coset representative for ``subset``.
-    The three conditions: descents of z lie in the target; generators
-    whose product with z^{-1} stays a minimal representative must avoid
-    the target; and the interval bounds must be consistent.
-    """
-    system = z.system
-    zinv = z.inverse()
-    if z.left_descent_set() & subset:
-        raise ValueError("z is not a minimal right-coset representative")
-    dz = z.descent_set()
-    if not dz <= target:
-        return False
-    for s in system.generators:
-        if s in dz:
-            continue
-        ds_zinv = (system.generator(s) * zinv).descent_set()
-        if ds_zinv.isdisjoint(subset) and s in target:
-            return False
-    low, high = interval_bounds(z, subset, target)
-    return low <= high
+            return None
+    return (low, high) if low <= high else None
 
 
 def sigma_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
@@ -136,21 +120,21 @@ def sigma_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVecto
     def one(K: frozenset[int]) -> FormalVector:
         out = FormalVector(kind=SIGMA)
         for z in reps:
-            if not is_class_rep(z, subset, K):
-                continue
-            low, high = interval_bounds(z, subset, K)
-            out += FormalVector.from_keys(
-                [Kp for Kp in sub_subsets if low <= Kp <= high], kind=SIGMA
-            )
+            bounds = class_rep_bounds(z, subset, K)
+            if bounds is not None:
+                low, high = bounds
+                out += FormalVector.from_keys(
+                    [Kp for Kp in sub_subsets if low <= Kp <= high], kind=SIGMA
+                )
         return out
 
     return x.map_to_vectors(one, kind=SIGMA)
 
 
-def sigma_star_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
-                        within: Optional[frozenset[int]] = None) -> FormalVector:
+def sigma_star_restrict(system: CoxeterSystem, subset: frozenset[int],
+                        x: FormalVector) -> FormalVector:
     """Dual restriction: D*_K goes to D*_{K & subset}."""
-    del system, within
+    del system
     return x.map_keys(lambda K: K & subset, kind=SIGMA_STAR)
 
 

@@ -7,8 +7,8 @@ For a generator subset I the four maps act on formal sums of elements:
 * ``induce_right``     u |-> u * (sum of minimal right-coset reps)
 * ``restrict_right``   w |-> parabolic part of w = c * (part in W_I)
 
-all relative to an optional ambient parabolic ``within``.  They satisfy
-the composition laws along chains I <= J <= S and the adjunctions
+with the inductions relative to an optional ambient parabolic ``within``.  They
+satisfy the composition laws along chains I <= J <= S and the adjunctions
 <induce_left(x), y> = <x, restrict_right(y)> and
 <restrict_left(x), y> = <x, induce_right(y)>.
 """
@@ -61,17 +61,15 @@ def induce_right(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
     )
 
 
-def restrict_right(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
-                   within: Optional[frozenset[int]] = None) -> FormalVector:
+def restrict_right(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
     """rho: w |-> p where w = p * c with p in the parabolic."""
-    del system, within  # decomposition is intrinsic to each element
+    del system  # decomposition is intrinsic to each element
     return x.map_keys(lambda w: parabolic_decompose_right(w, subset)[0], kind=ELEMENT)
 
 
-def restrict_left(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
-                  within: Optional[frozenset[int]] = None) -> FormalVector:
+def restrict_left(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
     """rho-bar: w |-> p where w = c * p with p in the parabolic."""
-    del system, within
+    del system
     return x.map_keys(lambda w: parabolic_decompose_left(w, subset)[1], kind=ELEMENT)
 
 

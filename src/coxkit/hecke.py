@@ -33,8 +33,8 @@ from .systems import (
     all_subsets,
     composition_from_descents,
     descent_class,
+    descent_interval,
     min_coset_reps,
-    parabolic_elements,
 )
 
 #: X_s as a sparse column map: column j (the image of b_j) is {i: c}.
@@ -102,7 +102,7 @@ class HModule:
 def _descent_interval_module(system: CoxeterSystem, low: frozenset[int],
                              high: frozenset[int], carrier: frozenset[int]) -> HModule:
     """Norton's basis: the w of the carrier parabolic with low <= D(w) <= high,
-    in the order of :func:`parabolic_elements`, which are also the labels.
+    in the (length, window) order of :func:`descent_interval`; they are also the labels.
 
     X_s sends b_w to -b_w when length(sw) < length(w), to b_sw when sw is
     again in the basis, and to 0 otherwise.  A rise sw keeps every right
@@ -110,8 +110,7 @@ def _descent_interval_module(system: CoxeterSystem, low: frozenset[int],
     the span of {D(w) >= low} in the regular module by the span of
     {D(w) not <= high}, and both spans are submodules.
     """
-    basis = tuple(w for w in parabolic_elements(system, carrier)
-                  if low <= w.descent_set() <= high)
+    basis = descent_interval(system, low, high, carrier)
     index = {w: i for i, w in enumerate(basis)}
     mats: dict[int, ColumnMap] = {}
     for s in carrier:

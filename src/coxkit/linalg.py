@@ -97,17 +97,6 @@ def _span(rows: Iterable) -> RowSpace:
     return space
 
 
-def rref(rows: Sequence) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices),
-    the matrix dense and padded with zero rows to the input's row count."""
-    rows = list(rows)
-    ncols = _width(rows)
-    space = _span(rows)
-    mat = [[row.get(j, 0) for j in range(ncols)] for row in space.basis()]
-    mat += [[0] * ncols for _ in range(len(rows) - len(mat))]
-    return mat, sorted(space.rows)
-
-
 def matrix_rank(rows: Iterable) -> int:
     return len(_span(rows).rows)
 

@@ -75,15 +75,21 @@ def monomial_qsym(alpha: tuple[int, ...], K: int) -> CPoly:
     return CPoly(out)
 
 
-def fundamental_qsym(alpha: tuple[int, ...], K: int) -> CPoly:
-    """Weakly increasing index words with strict rises at the descents."""
-    n = sum(alpha)
+def _rising_at_descents(alpha: tuple[int, ...], chains, head=lambda chain: 0) -> CPoly:
+    """The chains that rise strictly at each descent of alpha, read after the
+    letter ``head(chain)``: the three fundamental truncations differ only there."""
     des = descents_of_composition(alpha)
     out = []
-    for chain in _weak_chains(1, K, n):
-        if all(chain[j - 1] < chain[j] for j in des):
+    for chain in chains:
+        full = (head(chain),) + chain
+        if all(full[j] < full[j + 1] for j in des):
             out.append((chain, 1))
     return CPoly(out)
+
+
+def fundamental_qsym(alpha: tuple[int, ...], K: int) -> CPoly:
+    """Weakly increasing index words with strict rises at the descents."""
+    return _rising_at_descents(alpha, _weak_chains(1, K, sum(alpha)))
 
 
 def complete_homogeneous(k: int, K: int, lo: int = 1) -> CPoly:
@@ -110,9 +116,17 @@ def _rearrangements(parts: tuple[int, ...]):
             yield (first,) + tail
 
 
+def _refuse_zero_parts(lam: tuple[int, ...], first: int = 0) -> None:
+    """A zero part from position ``first`` on counts x^0 = 1 once per index,
+    so it is refused."""
+    if 0 in lam[first:]:
+        raise ValueError(f"index {lam} has a zero part at position {lam.index(0, first) + 1}")
+
+
 def sym_m(lam: tuple[int, ...], K: int) -> CPoly:
     """Sum of the monomial truncations over the distinct rearrangements of
     ``lam``; an index longer than K has no monomials, so then it is 0."""
+    _refuse_zero_parts(lam)
     out = CPoly()
     if len(lam) > K:
         return out
@@ -122,6 +136,8 @@ def sym_m(lam: tuple[int, ...], K: int) -> CPoly:
 
 
 def sym_p(lam: tuple[int, ...], K: int) -> CPoly:
+    """The product of the power sums over the parts; a zero part raises ValueError."""
+    _refuse_zero_parts(lam)
     out = CPoly.one()
     for part in lam:
         out = out * CPoly((((i,) * part, 1) for i in range(1, K + 1)))
@@ -146,14 +162,7 @@ def monomial_qsym_b(alpha: tuple[int, ...], K: int) -> CPoly:
 
 
 def fundamental_qsym_b(alpha: tuple[int, ...], K: int) -> CPoly:
-    n = sum(alpha)
-    des = descents_of_composition(alpha)
-    out = []
-    for chain in _weak_chains(0, K, n):
-        full = (0,) + chain
-        if all(full[j] < full[j + 1] for j in des):
-            out.append((chain, 1))
-    return CPoly(out)
+    return _rising_at_descents(alpha, _weak_chains(0, K, sum(alpha)))
 
 
 def sym_h_b_block(k: int, K: int) -> CPoly:
@@ -185,6 +194,8 @@ def sym_h_b(alpha: tuple[int, ...], K: int) -> CPoly:
 
 
 def sym_m_b(lam: tuple[int, ...], K: int) -> CPoly:
+    """x_0 to the first part times sym_m of the rest; only the first part may be 0."""
+    _refuse_zero_parts(lam, 1)
     if not lam:
         return CPoly.one()
     return x0_power(lam[0]) * sym_m(lam[1:], K)
@@ -216,14 +227,7 @@ def monomial_qsym_d(alpha: tuple[int, ...], K: int) -> CPoly:
 
 
 def fundamental_qsym_d(alpha: tuple[int, ...], K: int) -> CPoly:
-    n = sum(alpha)
-    des = descents_of_composition(alpha)
-    out = []
-    for chain in _d_chains(n, K):
-        full = (-chain[1],) + chain
-        if all(full[j] < full[j + 1] for j in des):
-            out.append((chain, 1))
-    return CPoly(out)
+    return _rising_at_descents(alpha, _d_chains(sum(alpha), K), lambda chain: -chain[1])
 
 
 # -- coproduct splitting at the polynomial level ---------------------------------

@@ -28,7 +28,7 @@ from .systems import (
     descents_of_composition,
     word_cube,
 )
-from .words import _cap, _shuffle, _unshuffle
+from .words import _shuffle
 
 Word = tuple[int, ...]
 
@@ -213,7 +213,7 @@ def projection(family: str):
     return {"A": project_positive, "B": project_absolute, "D": project_signed_min}[family]
 
 
-# -- module action and coaction on the series level ---------------------------------
+# -- module action and coproduct grading ------------------------------------------
 
 
 def f_action(u: Element, v: Element, window: int, flavor: str | None = None) -> FormalVector:
@@ -229,17 +229,8 @@ def f_action(u: Element, v: Element, window: int, flavor: str | None = None) -> 
     return labels
 
 
-def f_coaction(u: Element, flavor: str | None = None) -> FormalVector:
-    """Coaction on the chamber basis: standardized (prefix, suffix) splits."""
-    return _unshuffle(flavor or u.system.family, u)
-
-
-def s_coaction(u: Element, flavor: str | None = None) -> FormalVector:
-    """Coaction on the fiber basis: letter-value splits with standardized tails."""
-    return _cap(flavor or u.system.family, u)
-
-
 def graded_pieces(vec: FormalVector) -> dict[int, FormalVector]:
+    """A pair vector split by the window size of its first slot."""
     pieces: dict[int, dict] = {}
     for (w1, w2), c in vec.terms.items():
         pieces.setdefault(w1.system.n, {})[(w1, w2)] = c

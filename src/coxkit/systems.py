@@ -330,9 +330,9 @@ def _capped_cache(fn):
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
-    def call(system, *args):
+    def call(system, *args, **kwargs):
         _check_order(system)
-        return cached(system, *args)
+        return cached(system, *args, **kwargs)
 
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call
@@ -429,6 +429,16 @@ def parabolic_decompose_right(w: Element, subset: frozenset[int]) -> tuple[Eleme
     return p.inverse(), c.inverse()
 
 
+@_capped_cache
+def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
+                     within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
+    """The w with low <= D(w) <= high, in the order of the pool: the group,
+    or with ``within`` the parabolic on that generator set.  The one filter
+    of group elements by descent set."""
+    pool = elements(system) if within is None else parabolic_elements(system, within)
+    return tuple(w for w in pool if low <= w.descent_set() <= high)
+
+
 @lru_cache(maxsize=None)
 def min_coset_reps(
     system: CoxeterSystem,
@@ -439,34 +449,30 @@ def min_coset_reps(
     """Minimal-length representatives of the ``subset``-parabolic cosets.
 
     side="left" gives {w : D(w) disjoint from subset} (representatives of
-    left cosets w*W_subset); side="right" uses inverse descents.  With
+    left cosets w*W_subset); side="right" gives their inverses.  With
     ``within`` the ambient group is the parabolic on that generator set.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    pool = elements(system) if within is None else parabolic_elements(system, within)
+    if side == "right":
+        return tuple(w.inverse() for w in min_coset_reps(system, subset, "left", within))
+    ambient = system.generator_set if within is None else within
+    reps = descent_interval(system, frozenset(), ambient - subset, within)
     if within is not None and not subset <= within:
         raise ValueError("subset must lie inside the ambient generator set")
-    out = []
-    for w in pool:
-        des = w.descent_set() if side == "left" else w.left_descent_set()
-        if not des & subset:
-            out.append(w)
-    return tuple(out)
+    return reps
 
 
 @lru_cache(maxsize=None)
 def descent_class(system: CoxeterSystem, subset: frozenset[int],
                   within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
     """All elements with descent set exactly ``subset``."""
-    pool = elements(system) if within is None else parabolic_elements(system, within)
-    return tuple(w for w in pool if w.descent_set() == subset)
+    return descent_interval(system, subset, subset, within)
 
 
 def class_maximum(system: CoxeterSystem, subset: frozenset[int]) -> Element:
     """The longest element whose descent set is contained in ``subset``."""
-    # the representatives come in (length, window) order, as in elements()
-    return min_coset_reps(system, system.generator_set - subset, "left")[-1]
+    return descent_interval(system, frozenset(), subset)[-1]
 
 
 # -- compositions and pseudo-compositions -------------------------------------

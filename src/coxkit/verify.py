@@ -1,8 +1,9 @@
 """Named machine-checkable suites behind the command-line ``verify`` runner.
 
 Every check is exact; a failing check names itself and carries a short
-detail string.  Suites accept an optional (family, n) target; defaults
-keep whole runs under a minute.
+detail string.  Every suite takes an optional (family, n) target; diagrams,
+duality and hecke read None as family B and window 3 (a window 0 is kept).
+Defaults keep whole runs under a minute.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def suite_paper_examples(family: str | None = None, n: int | None = None) -> lis
 # -- diagrams ----------------------------------------------------------------------
 
 
-def suite_diagrams(family: str = "B", n: int = 3) -> list[Check]:
-    system = CoxeterSystem(family, n)
+def suite_diagrams(family: str | None = None, n: int | None = None) -> list[Check]:
+    system = CoxeterSystem("B" if family is None else family, 3 if n is None else n)
     out: list[Check] = []
     subs = all_subsets(system)
 
@@ -180,9 +181,9 @@ def suite_diagrams(family: str = "B", n: int = 3) -> list[Check]:
                     ok = False
             for w in elements(system):
                 xw = gm.element_vector(w)
-                if gm.restrict_right(system, I, gm.restrict_right(system, J, xw), within=J) != gm.restrict_right(system, I, xw):
+                if gm.restrict_right(system, I, gm.restrict_right(system, J, xw)) != gm.restrict_right(system, I, xw):
                     ok = False
-                if gm.restrict_left(system, I, gm.restrict_left(system, J, xw), within=J) != gm.restrict_left(system, I, xw):
+                if gm.restrict_left(system, I, gm.restrict_left(system, J, xw)) != gm.restrict_left(system, I, xw):
                     ok = False
     out.append(_check("composition laws along chains", ok))
 
@@ -244,8 +245,8 @@ def suite_diagrams(family: str = "B", n: int = 3) -> list[Check]:
 # -- duality -----------------------------------------------------------------------
 
 
-def suite_duality(family: str = "B", n: int = 3) -> list[Check]:
-    system = CoxeterSystem(family, n)
+def suite_duality(family: str | None = None, n: int | None = None) -> list[Check]:
+    system = CoxeterSystem("B" if family is None else family, 3 if n is None else n)
     out: list[Check] = []
     subs = all_subsets(system)
 
@@ -538,8 +539,9 @@ def suite_series(family: str | None = None, n: int | None = None) -> list[Check]
 # -- hecke -------------------------------------------------------------------------
 
 
-def suite_hecke(family: str = "B", n: int = 3) -> list[Check]:
-    system = CoxeterSystem(family, n)
+def suite_hecke(family: str | None = None, n: int | None = None) -> list[Check]:
+    system = CoxeterSystem("B" if family is None else family, 3 if n is None else n)
+    family = system.family
     out: list[Check] = []
     reg = hk.regular_module(system)
     try:
@@ -626,12 +628,4 @@ SUITES = {
 
 
 def run_suite(name: str, family: str | None = None, n: int | None = None) -> list[Check]:
-    fn = SUITES[name]
-    if name in ("diagrams", "duality", "hecke"):
-        kwargs = {}
-        if family is not None:
-            kwargs["family"] = family
-        if n is not None:
-            kwargs["n"] = n
-        return fn(**kwargs)
-    return fn(family, n)
+    return SUITES[name](family, n)

@@ -320,9 +320,3 @@ COPRODUCTS = {
     "cupBB": cap_bb,
 }
 
-
-def coproduct_component(vec: FormalVector, i: int) -> FormalVector:
-    """Terms of a pair vector whose first slot has window size i."""
-    return FormalVector(
-        ((k, c) for k, c in vec.terms.items() if k[0].system.n == i), kind="pair"
-    )

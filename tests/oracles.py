@@ -54,6 +54,16 @@ def parabolic_conjugates(system: CoxeterSystem,
     return frozenset(seen)
 
 
+def right_coset_reps_by_inverse_descents(system: CoxeterSystem, subset: frozenset[int],
+                                         within: Optional[frozenset[int]] = None
+                                         ) -> set[Element]:
+    """The minimal right-coset representatives by their definition,
+    {w : D(w^{-1}) disjoint from subset}, over the whole group or the
+    parabolic on ``within``."""
+    pool = elements(system) if within is None else parabolic_elements_by_words(system, within)
+    return {w for w in pool if not w.inverse().descent_set() & subset}
+
+
 def orbit_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[int], ...], ...]:
     """Classes of subsets I, where I ~ J iff W_{I^c} and W_{J^c} are
     conjugate: J joins the first class whose orbit holds W_{J^c}."""

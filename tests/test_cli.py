@@ -202,6 +202,26 @@ class TestExpand:
         status, _, err = run(capsys, "expand", "--target", target, "--basis", "h:(1)")
         assert status == 2 and err.startswith("error: ") and "internal" not in err
 
+    @pytest.mark.parametrize("target,basis,window", [
+        ("m:(1,0)", "m:(1)", "3"), ("m:(1,0)", "m:(1)", "2"), ("m:(0)", "h:(0)", "1"),
+        ("m:(0)", "h:(0)", "4"), ("p:(2,0)", "p:(2)", "3"), ("mB:(1,0)", "mB:(1)", "3")])
+    def test_zero_part_of_a_partition_is_refused(self, capsys, target, basis, window):
+        # x^0 = 1 would be counted once per index, so the answer would
+        # depend on the window: the zero part is named, at every window
+        status, out, err = run(capsys, "expand", "--target", target, "--basis", basis,
+                               "--window", window)
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and "zero part" in err and "internal" not in err
+
+    @pytest.mark.parametrize("target,basis,answer", [
+        ("h:(2,0)", "h:(2)", "1"), ("hB:(0,2)", "hB:(0,2)", "1"), ("mB:(0,1)", "mB:(0,1)", "1")])
+    def test_zero_parts_the_families_allow(self, capsys, target, basis, answer):
+        # h:(0) is the constant 1, and a leading zero of a signed-family
+        # index is the paper's pseudo-composition
+        status, out, _ = run(capsys, "expand", "--target", target, "--basis", basis,
+                             "--window", "3")
+        assert status == 0 and out == f"{basis}: {answer}\n"
+
     @pytest.mark.parametrize("target,basis", [("h:(2000)", "h:(2000)"),
                                               ("F:(3000)", "M:(3000)")])
     def test_long_index_chains(self, capsys, target, basis):

@@ -6,13 +6,12 @@ from coxkit.descents import (
     c_matrix,
     class_index,
     class_label,
+    class_rep_bounds,
     conjugacy_class_of,
     embed_sigma,
     h_class_basis,
     h_gram_matrix,
     h_in_monomial_coordinates,
-    interval_bounds,
-    is_class_rep,
     m_class_basis,
     mutual_descent_count,
     p_class_basis,
@@ -94,14 +93,14 @@ class TestIntervalCriterion:
     def test_identity_rep(self):
         for I in all_subsets(B3):
             for K in (X for X in all_subsets(B3) if X <= I):
-                low, high = interval_bounds(B3.identity(), I, K)
+                low, high = class_rep_bounds(B3.identity(), I, K)
                 assert low == K and high == K
 
     def test_full_subset_case(self):
         S = B3.generator_set
         assert list(min_coset_reps(B3, S, "right")) == [B3.identity()]
         for K in all_subsets(B3):
-            assert is_class_rep(B3.identity(), S, K)
+            assert class_rep_bounds(B3.identity(), S, K) is not None
 
     def test_exhaustive_interval_criterion(self):
         for I in all_subsets(B3):
@@ -109,8 +108,9 @@ class TestIntervalCriterion:
             for z in min_coset_reps(B3, I, "right"):
                 for K in all_subsets(B3):
                     actual = {u for u in WI if (u * z).descent_set() == K}
-                    if is_class_rep(z, I, K):
-                        low, high = interval_bounds(z, I, K)
+                    bounds = class_rep_bounds(z, I, K)
+                    if bounds is not None:
+                        low, high = bounds
                         assert low <= high
                         predicted = {u for u in WI if low <= u.descent_set() <= high}
                     else:

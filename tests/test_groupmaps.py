@@ -96,9 +96,9 @@ class TestFourMaps:
                 assert induce_right(system, J, step_bar) == induce_right(system, I, xu)
             for w in elements(system):
                 xw = element_vector(w)
-                assert restrict_right(system, I, restrict_right(system, J, xw), within=J) \
+                assert restrict_right(system, I, restrict_right(system, J, xw)) \
                     == restrict_right(system, I, xw)
-                assert restrict_left(system, I, restrict_left(system, J, xw), within=J) \
+                assert restrict_left(system, I, restrict_left(system, J, xw)) \
                     == restrict_left(system, I, xw)
 
     def test_mixed_chain_variant_fails(self):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from coxkit.descents import interval_bounds, is_class_rep
+from coxkit.descents import class_rep_bounds, sigma_basis, sigma_restrict
 from coxkit.freemodule import FormalVector
 from coxkit.hecke import (
     HModule,
@@ -322,15 +322,7 @@ class TestRestriction:
         system, I = B3, frozenset([1, 2])
         for K in all_subsets(system):
             res = restrict(projective_module(system, K), I)
-            expected = FormalVector(kind="k0")
-            for z in min_coset_reps(system, I, "right"):
-                if not is_class_rep(z, I, K):
-                    continue
-                low, high = interval_bounds(z, I, K)
-                for Kp in all_subsets(system):
-                    if low <= Kp <= high:
-                        expected = expected + FormalVector.basis(Kp, kind="k0")
-            assert projective_multiplicities(res) == expected
+            assert projective_multiplicities(res) == sigma_restrict(system, I, sigma_basis(K))
 
     def test_restriction_block_isomorphism(self):
         # the block of the restricted projective at a fixed representative is
@@ -349,7 +341,7 @@ class TestRestriction:
                 part, coset = parabolic_decompose_right(w, I)
                 blocks.setdefault(coset, []).append((w, part))
             for z, members in blocks.items():
-                low, high = interval_bounds(z, I, K)
+                low, high = class_rep_bounds(z, I, K)
                 tail_z = act_word(
                     reg, longest_element(system, I - high).reduced_word(), e, bar=False)
                 source = [act_word(reg, w.reduced_word(), tail_k, bar=True)

@@ -1,10 +1,13 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every private helper it defines is referenced somewhere in it, every
-public function it defines has a caller or a README entry, and every
-brute-force oracle of the tests has a test that uses it."""
+public function it defines has a caller or a README entry, every
+``module.name`` the README gives exists, and every brute-force oracle of
+the tests has a test that uses it."""
 
 import ast
+import importlib
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -180,3 +183,31 @@ def test_every_public_function_has_a_caller_or_a_readme_entry():
     scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
     readme = (ROOT / "README.md").read_text()
     assert uncalled_unlisted_functions(modules, scripts, readme) == []
+
+
+def readme_names_missing(readme: str, modules: dict[str, object]) -> list[str]:
+    """Every ``module.name`` (``coxkit.`` prefix allowed) in a backtick span
+    of ``readme`` whose module is one of ``modules`` but has no such
+    attribute."""
+    missing = []
+    for span in re.findall(r"`([^`]*)`", readme):
+        for module, name in re.findall(r"(?<![\w.])(?:coxkit\.)?(\w+)\.(\w+)", span):
+            if module in modules and not hasattr(modules[module], name):
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+def test_scanner_flags_a_readme_name_that_is_gone():
+    linalg = types.SimpleNamespace(RowSpace=object)
+    words = types.SimpleNamespace(FLAVORS={})
+    readme = ("Use `words.FLAVORS`, `coxkit.linalg.RowSpace` and `linalg.rref`;\n"
+              "`coxkit.words` is a module, `oracles.h_block` is not ours and\n"
+              "`words.coproduct_component(vec, i)` is gone.\n")
+    assert readme_names_missing(readme, {"linalg": linalg, "words": words}) \
+        == ["linalg.rref", "words.coproduct_component"]
+
+
+def test_every_name_readme_gives_exists():
+    modules = {path.stem: importlib.import_module(f"coxkit.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    assert readme_names_missing((ROOT / "README.md").read_text(), modules) == []

@@ -47,7 +47,6 @@ from coxkit.series import (
     NCSeries,
     WindowError,
     f_action,
-    f_coaction,
     f_series,
     h_basis,
     parset_series,
@@ -57,7 +56,6 @@ from coxkit.series import (
     projection,
     s_basis,
     s_basis_by_fillings,
-    s_coaction,
     s_series,
 )
 from coxkit.systems import (
@@ -70,7 +68,14 @@ from coxkit.systems import (
     set_max_order,
     word_cube,
 )
-from coxkit.words import standardize, standardize_even_left, standardize_signed
+from coxkit.words import (
+    cap_b,
+    standardize,
+    standardize_even_left,
+    standardize_signed,
+    unshuffle_b,
+    unshuffle_d,
+)
 from oracles import caratheodory_cone_contains, h_block, inner, solved_parabolic_positive_roots
 
 A2 = CoxeterSystem("A", 2)
@@ -587,8 +592,14 @@ class TestCommutativeBases:
                                      (2, 1, 1), (1, 0, 1), (2, 0, 0, 1), (1, 1, 1, 1)])
     def test_monomial_symmetric_is_the_rearrangement_sum(self, lam):
         # the definition: one monomial quasisymmetric truncation per
-        # distinct rearrangement of lam, windows below and above len(lam)
+        # distinct rearrangement of lam, windows below and above len(lam);
+        # a zero part is refused at every window, as x^0 would count once
+        # per index
         for K in range(5):
+            if 0 in lam:
+                with pytest.raises(ValueError, match="zero part"):
+                    sym_m(lam, K)
+                continue
             expected = CPoly()
             for alpha in set(itertools.permutations(lam)):
                 expected += monomial_qsym(alpha, K)
@@ -704,7 +715,7 @@ class TestActionsAndCoactions:
             system = CoxeterSystem("B", k)
             acc = None
             for w in descent_class(system, frozenset()):
-                term = s_coaction(w)
+                term = cap_b(w)
                 acc = term if acc is None else acc + term
             expected = None
             for i in range(k + 1):
@@ -721,7 +732,7 @@ class TestActionsAndCoactions:
             got = sorted(
                 (composition_from_descents(a.system, a.descent_set()),
                  composition_from_descents(b.system, b.descent_set()))
-                for (a, b) in f_coaction(w).terms)
+                for (a, b) in unshuffle_b(w).terms)
             assert got == sorted(split_fundamental_b(alpha))
 
     def test_coaction_splits_match_composition_splits_d(self):
@@ -730,7 +741,7 @@ class TestActionsAndCoactions:
             got = sorted(
                 (composition_from_descents(a.system, a.descent_set()),
                  composition_from_descents(b.system, b.descent_set()))
-                for (a, b) in f_coaction(w).terms)
+                for (a, b) in unshuffle_d(w).terms)
             assert got == sorted(split_fundamental_d(alpha))
 
     def test_polynomial_coaction_identity_b(self):

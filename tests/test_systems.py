@@ -10,6 +10,7 @@ from coxkit.systems import (
     composition_from_descents,
     composition_prefix_split,
     descent_class,
+    descent_interval,
     descents_of_composition,
     elements,
     from_word,
@@ -35,6 +36,7 @@ from oracles import (
     orbit_conjugacy_classes,
     parabolic_conjugates,
     parabolic_elements_by_words,
+    right_coset_reps_by_inverse_descents,
 )
 
 A3 = CoxeterSystem("A", 3)
@@ -440,6 +442,27 @@ class TestParabolicOracle:
         for J in all_subsets(system):
             members = set(parabolic_elements_by_words(system, J))
             assert {w for w in elements(system) if in_parabolic(w, J)} == members
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_descent_interval_is_a_scan_of_the_pool(self, system):
+        subsets = all_subsets(system)
+        for within in (None,) + subsets:
+            pool = elements(system) if within is None \
+                else parabolic_elements_by_words(system, within)
+            descents = [(w, w.descent_set()) for w in pool]
+            for high in subsets:
+                for low in (X for X in subsets if X <= high):
+                    assert descent_interval(system, low, high, within) \
+                        == tuple(w for w, d in descents if low <= d <= high)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_right_coset_reps_are_the_inverse_descent_filter(self, system):
+        subsets = all_subsets(system)
+        for within in (None,) + subsets:
+            for I in (X for X in subsets if within is None or X <= within):
+                reps = min_coset_reps(system, I, "right", within)
+                assert len(set(reps)) == len(reps)
+                assert set(reps) == right_coset_reps_by_inverse_descents(system, I, within)
 
     def test_parabolic_elements_cap(self):
         set_max_order(10)
