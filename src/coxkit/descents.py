@@ -17,13 +17,13 @@ bases at the sym level.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .freemodule import FormalVector
 from .systems import (
     CoxeterSystem,
     Element,
+    _capped_cache,
     all_subsets,
     descent_class,
     elements,
@@ -63,18 +63,14 @@ def embed_sigma(system: CoxeterSystem, x: FormalVector,
 # -- closed formulas -----------------------------------------------------------
 
 
-def sigma_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
-                 within: Optional[frozenset[int]] = None) -> FormalVector:
+def sigma_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
     """Induce descent classes: D_J of the parabolic goes to sum of D_{J'} with
     J' meeting ``subset`` exactly in J."""
-    ambient = all_subsets(system) if within is None else [
-        I for I in all_subsets(system) if I <= within
-    ]
     def one(J: frozenset[int]) -> FormalVector:
         if not J <= subset:
             raise ValueError(f"key {sorted(J)} does not lie inside {sorted(subset)}")
         return FormalVector.from_keys(
-            [Jp for Jp in ambient if Jp & subset == J], kind=SIGMA
+            [Jp for Jp in all_subsets(system) if Jp & subset == J], kind=SIGMA
         )
     return x.map_to_vectors(one, kind=SIGMA)
 
@@ -110,11 +106,10 @@ def class_rep_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
     return (low, high) if low <= high else None
 
 
-def sigma_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
-                   within: Optional[frozenset[int]] = None) -> FormalVector:
+def sigma_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
     """Restrict descent classes by the double sum over class representatives
     and the descent interval they bound."""
-    reps = min_coset_reps(system, subset, "right", within)
+    reps = min_coset_reps(system, subset, "right")
     sub_subsets = [I for I in all_subsets(system) if I <= subset]
 
     def one(K: frozenset[int]) -> FormalVector:
@@ -138,14 +133,13 @@ def sigma_star_restrict(system: CoxeterSystem, subset: frozenset[int],
     return x.map_keys(lambda K: K & subset, kind=SIGMA_STAR)
 
 
-def sigma_star_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
-                      within: Optional[frozenset[int]] = None) -> FormalVector:
+def sigma_star_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
     """Dual induction: D*_J goes to the sum of D*_{D(u z)} over minimal reps z.
 
     The descent set D(u z) depends on u only through D(u) = J, so the
     longest element of the J-parabolic serves as the representative.
     """
-    reps = min_coset_reps(system, subset, "right", within)
+    reps = min_coset_reps(system, subset, "right")
 
     def one(J: frozenset[int]) -> FormalVector:
         if not J <= subset:
@@ -156,17 +150,15 @@ def sigma_star_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVe
     return x.map_to_vectors(one, kind=SIGMA_STAR)
 
 
-def sym_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
-               within: Optional[frozenset[int]] = None) -> FormalVector:
+def sym_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
     """Sym-level induction follows the same subset formula as sigma_induce."""
-    out = sigma_induce(system, subset, FormalVector(x.terms, kind=SIGMA), within)
+    out = sigma_induce(system, subset, FormalVector(x.terms, kind=SIGMA))
     return FormalVector(out.terms, kind=SYM)
 
 
-def sym_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector,
-                 within: Optional[frozenset[int]] = None) -> FormalVector:
+def sym_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
     """Sym-level restriction follows the same double sum as sigma_restrict."""
-    out = sigma_restrict(system, subset, FormalVector(x.terms, kind=SIGMA), within)
+    out = sigma_restrict(system, subset, FormalVector(x.terms, kind=SIGMA))
     return FormalVector(out.terms, kind=SYM)
 
 
@@ -185,7 +177,7 @@ def sym_to_sigma_star(system: CoxeterSystem, x: FormalVector,
 # -- bilinear forms ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_capped_cache
 def _descent_pair_tables(system: CoxeterSystem) -> tuple[dict[int, int], list[int], list[int]]:
     """Solomon's (1976) descent-pair count from one pass over W.
 
@@ -227,8 +219,10 @@ def mutual_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozen
 
 
 def c_matrix(system: CoxeterSystem) -> list[list[int]]:
-    subs = all_subsets(system)
-    return [[mutual_descent_count(system, I, J) for J in subs] for I in subs]
+    """Every :func:`mutual_descent_count` over all_subsets, from one fetch."""
+    bit, pairs, _ = _descent_pair_tables(system)
+    masks = [_mask(bit, I) for I in all_subsets(system)]
+    return [[pairs[row << len(bit) | col] for col in masks] for row in masks]
 
 
 def weak_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozenset[int]) -> int:

@@ -23,9 +23,9 @@ from .systems import CoxeterSystem, Element, check_word_cube, elements
 Root = tuple[int, ...]
 
 
-def _unit(n: int, i: int, sign: int = 1) -> Root:
+def _unit(n: int, i: int) -> Root:
     v = [0] * n
-    v[i] = sign
+    v[i] = 1
     return tuple(v)
 
 
@@ -217,11 +217,11 @@ def linear_extension_set(system: CoxeterSystem, parset: Iterable[Root]) -> list[
     return [w for w in elements(system) if P <= chamber(w)]
 
 
-def random_parset(system: CoxeterSystem, rng, max_seed: int = 4) -> frozenset[Root]:
-    """A uniform-ish valid parset: close a random seed set, retry on conflict."""
+def random_parset(system: CoxeterSystem, rng) -> frozenset[Root]:
+    """A uniform-ish valid parset: close at most four random roots, retry on conflict."""
     roots = sorted(all_roots(system))
     while True:
-        k = rng.randint(0, min(max_seed, len(roots)))
+        k = rng.randint(0, min(4, len(roots)))
         seed = rng.sample(roots, k) if k else []
         closed = parset_closure(system, seed)
         if closed is not None:

@@ -28,7 +28,7 @@ from .systems import (
     descents_of_composition,
     word_cube,
 )
-from .words import _shuffle
+from .words import FLAVORS, _shuffle
 
 Word = tuple[int, ...]
 
@@ -216,10 +216,14 @@ def projection(family: str):
 # -- module action and coproduct grading ------------------------------------------
 
 
-def f_action(u: Element, v: Element, window: int, flavor: str | None = None) -> FormalVector:
-    """Right action on the chamber basis: returns the label vector of the
-    product, cross-checked against literal series multiplication."""
-    labels = _shuffle(flavor or u.system.family, u, v)
+def f_action(u: Element, v: Element, window: int) -> FormalVector:
+    """Right action on the chamber basis, in the flavor that takes the operand
+    families (u's own flavor refuses any other pair): the label vector of
+    the product, cross-checked against literal series multiplication."""
+    families = (u.system.family, v.system.family)
+    flavor = next((name for name, f in FLAVORS.items() if (f.family, f.right) == families),
+                  u.system.family)
+    labels = _shuffle(flavor, u, v)
     literal = f_series(u, window) * f_series(v, window)
     total = NCSeries(u.system.n + v.system.n, window)
     for w in labels.terms:

@@ -7,8 +7,8 @@ subgroup of B with an even number of negative window entries (s_0 swaps
 and negates the first two entries).
 
 Elements are stored as full windows; equality is window equality.  All
-objects are immutable, and whole-group enumerations, coset
-representatives and descent classes are cached per system.
+objects are immutable, and each result derived from a group enumeration
+is held in one cache, which checks the size cap on every read.
 
 A window is checked where it enters: ``Element(...)``,
 ``CoxeterSystem.element`` and :func:`parse_window` raise ValueError on an
@@ -439,7 +439,6 @@ def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset
     return tuple(w for w in pool if low <= w.descent_set() <= high)
 
 
-@lru_cache(maxsize=None)
 def min_coset_reps(
     system: CoxeterSystem,
     subset: frozenset[int],
@@ -455,7 +454,7 @@ def min_coset_reps(
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if side == "right":
-        return tuple(w.inverse() for w in min_coset_reps(system, subset, "left", within))
+        return _right_coset_reps(system, subset, within)
     ambient = system.generator_set if within is None else within
     reps = descent_interval(system, frozenset(), ambient - subset, within)
     if within is not None and not subset <= within:
@@ -463,7 +462,13 @@ def min_coset_reps(
     return reps
 
 
-@lru_cache(maxsize=None)
+@_capped_cache
+def _right_coset_reps(system: CoxeterSystem, subset: frozenset[int],
+                      within: Optional[frozenset[int]]) -> tuple[Element, ...]:
+    """The inverses of the left representatives, in their order."""
+    return tuple(w.inverse() for w in min_coset_reps(system, subset, "left", within))
+
+
 def descent_class(system: CoxeterSystem, subset: frozenset[int],
                   within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
     """All elements with descent set exactly ``subset``."""
@@ -592,7 +597,7 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
     return tuple(tuple(cls) for cls in classes.values())
 
 
-@lru_cache(maxsize=None)
+@_capped_cache
 def normalizer_complement_order(system: CoxeterSystem, subset: frozenset[int]) -> int:
     """|N_J| for J = ``subset``: the minimal left-coset representatives w
     of W_J with w s_j w^{-1} a generator in J for every j in J.

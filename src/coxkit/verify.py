@@ -8,6 +8,7 @@ Defaults keep whole runs under a minute.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,29 +164,31 @@ def suite_paper_examples(family: str | None = None, n: int | None = None) -> lis
 # -- diagrams ----------------------------------------------------------------------
 
 
-def suite_diagrams(family: str | None = None, n: int | None = None) -> list[Check]:
-    system = CoxeterSystem("B" if family is None else family, 3 if n is None else n)
-    out: list[Check] = []
+def composition_law_failures(system: CoxeterSystem) -> list[str]:
+    """Where inducing from I through J, or restricting to J and then to I,
+    differs from the one-step map: one entry per chain I <= J, map and element."""
     subs = all_subsets(system)
-
-    ok = True
+    out: list[str] = []
     for J in subs:
-        for I in subs:
-            if not I <= J:
-                continue
+        for I in (X for X in subs if X <= J):
+            chain = f"{sorted(I)} <= {sorted(J)}"
             for u in parabolic_elements(system, I):
                 xu = gm.element_vector(u)
-                if gm.induce_left(system, J, gm.induce_left(system, I, xu, within=J)) != gm.induce_left(system, I, xu):
-                    ok = False
-                if gm.induce_right(system, J, gm.induce_right(system, I, xu, within=J)) != gm.induce_right(system, I, xu):
-                    ok = False
+                for induce in (gm.induce_left, gm.induce_right):
+                    if induce(system, J, induce(system, I, xu, within=J)) != induce(system, I, xu):
+                        out.append(f"{induce.__name__} {chain} at {u}")
             for w in elements(system):
                 xw = gm.element_vector(w)
-                if gm.restrict_right(system, I, gm.restrict_right(system, J, xw)) != gm.restrict_right(system, I, xw):
-                    ok = False
-                if gm.restrict_left(system, I, gm.restrict_left(system, J, xw)) != gm.restrict_left(system, I, xw):
-                    ok = False
-    out.append(_check("composition laws along chains", ok))
+                for restrict in (gm.restrict_right, gm.restrict_left):
+                    if restrict(system, I, restrict(system, J, xw)) != restrict(system, I, xw):
+                        out.append(f"{restrict.__name__} {chain} at {w}")
+    return out
+
+
+def suite_diagrams(family: str | None = None, n: int | None = None) -> list[Check]:
+    system = CoxeterSystem("B" if family is None else family, 3 if n is None else n)
+    out = [_check("composition laws along chains", not composition_law_failures(system))]
+    subs = all_subsets(system)
 
     ok = True
     for I in subs:
@@ -291,16 +294,9 @@ def suite_duality(family: str | None = None, n: int | None = None) -> list[Check
 # -- shuffles ----------------------------------------------------------------------
 
 
-def _sizes(total: int, parts: int, d_first: bool = False):
-    """All tuples of ``parts`` sizes summing to at most total (first >= 2 for D)."""
-    lo = 2 if d_first else 0
-    if parts == 1:
-        for m in range(lo, total + 1):
-            yield (m,)
-        return
-    for m in range(lo, total + 1):
-        for rest in _sizes(total - m, parts - 1):
-            yield (m,) + rest
+def _sizes(total: int, parts: int):
+    """All tuples of ``parts`` sizes summing to at most total, in lexicographic order."""
+    return (t for t in itertools.product(range(total + 1), repeat=parts) if sum(t) <= total)
 
 
 def _block_pair(p, m: int):
@@ -495,11 +491,9 @@ def suite_series(family: str | None = None, n: int | None = None) -> list[Check]
 
         # f_series comes from chamber lattice points; the standardization
         # fibers of the word cube are the independent side.
-        st = {"A": wd.standardize, "B": wd.standardize_signed,
-              "D": wd.standardize_even_left}[fam]
         fibers: dict = {}
         for f in word_cube(2, 3):
-            fibers.setdefault(st(f), []).append(f)
+            fibers.setdefault(wd.FLAVORS[fam].prefix(f), []).append(f)
         ok = all(sr.f_series(w, 3) == sr.NCSeries.from_words(2, 3, fibers.get(w.inverse(), ()))
                  for w in elements(small))
         out.append(_check(f"{fam}: fiber series equals chamber enumeration", ok))

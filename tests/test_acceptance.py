@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from coxkit import descents as dsc
 from coxkit import groupmaps as gm
 from coxkit import hecke as hk
@@ -49,20 +47,7 @@ def _report(number: int, text: str) -> None:
 def test_criterion_01_composition_laws():
     start = time.time()
     for system in (A3, B3, D4):
-        for J in all_subsets(system):
-            for I in (X for X in all_subsets(system) if X <= J):
-                for u in parabolic_elements(system, I):
-                    xu = gm.element_vector(u)
-                    assert gm.induce_left(system, J, gm.induce_left(system, I, xu, within=J)) \
-                        == gm.induce_left(system, I, xu)
-                    assert gm.induce_right(system, J, gm.induce_right(system, I, xu, within=J)) \
-                        == gm.induce_right(system, I, xu)
-                for w in elements(system):
-                    xw = gm.element_vector(w)
-                    assert gm.restrict_right(system, I, gm.restrict_right(system, J, xw)) \
-                        == gm.restrict_right(system, I, xw)
-                    assert gm.restrict_left(system, I, gm.restrict_left(system, J, xw)) \
-                        == gm.restrict_left(system, I, xw)
+        assert vf.composition_law_failures(system) == [], system
     elapsed = time.time() - start
     assert elapsed < 10, f"composition laws took {elapsed:.1f}s"
     _report(1, "composition laws along chains, A3/B3/D4")

@@ -36,7 +36,6 @@ from coxkit.systems import (
     all_subsets,
     composition_from_descents,
     descent_class,
-    elements,
     min_coset_reps,
     parabolic_conjugacy_classes,
     parabolic_elements,

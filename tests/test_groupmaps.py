@@ -18,7 +18,6 @@ from coxkit.systems import (
     all_subsets,
     descent_class,
     elements,
-    from_word,
     min_coset_reps,
     parabolic_elements,
 )

@@ -1,8 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every private helper it defines is referenced somewhere in it, every
 public function it defines has a caller or a README entry, every
-``module.name`` the README gives exists, and every brute-force oracle of
-the tests has a test that uses it."""
+parameter with a default of its top-level functions is set by some call
+in the package or its scripts, every ``module.name`` the README gives
+exists, and every brute-force oracle of the tests has a test that uses
+it.  The unused-import scan also covers the tests and the scripts."""
 
 import ast
 import importlib
@@ -49,7 +51,8 @@ def test_scanner_accepts_reexports_and_attribute_use():
     assert unused_imports(source) == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+                         + sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -183,6 +186,74 @@ def test_every_public_function_has_a_caller_or_a_readme_entry():
     scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
     readme = (ROOT / "README.md").read_text()
     assert uncalled_unlisted_functions(modules, scripts, readme) == []
+
+
+def unset_parameters(modules: dict[str, str], scripts: list[str]) -> list[str]:
+    """Parameters with a default, of the top-level functions of the package
+    ``modules`` (file name -> text), that no call in a module or in
+    ``scripts`` passes by position or by keyword.  Calls match by the called
+    name, and one with ``*args`` or ``**kwargs`` passes every parameter.  A
+    function that is also read as a value, not only called, is exempt."""
+    trees = {fname: ast.parse(source) for fname, source in sorted(modules.items())}
+    nodes = [node for tree in [*trees.values(), *map(ast.parse, scripts)]
+             for node in ast.walk(tree)]
+    calls: dict[str, list[ast.Call]] = {}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls.setdefault(name, []).append(node)
+    callees = {id(call.func) for found in calls.values() for call in found}
+    values = {getattr(node, "id", getattr(node, "attr", None)) for node in nodes
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+              and id(node) not in callees}
+
+    def passes(call: ast.Call, index: int | None, param: str) -> bool:
+        if any(isinstance(arg, ast.Starred) for arg in call.args) \
+                or any(kw.arg in (None, param) for kw in call.keywords):
+            return True
+        return index is not None and len(call.args) > index
+
+    out = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name in values:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            out += [f"{fname}: {node.name}({param}) (line {node.lineno})"
+                    for index, param in defaulted
+                    if not any(passes(call, index, param) for call in calls.get(node.name, []))]
+    return out
+
+
+def test_scanner_flags_an_unset_parameter():
+    roots = ("def _unit(n, i, sign=1):\n    return sign\n\n\n"
+             "def by_position(x, y=0):\n    return _unit(x, y)\n\n\n"
+             "def by_keyword(x, *, key=None):\n    return by_position(x, y=key)\n\n\n"
+             "def starred(x=0, y=0):\n    return x\n\n\n"
+             "def read(flavor=None):\n    pass\n\n\n"
+             "SUITES = {'read': read}\n\n\n"
+             "class Box:\n    def method(self, k=0):\n        return starred(*self.args)\n")
+    script = "from coxkit import roots\n\nroots.by_keyword(1, key=2)\n"
+    assert unset_parameters({"roots.py": roots}, [script]) == ["roots.py: _unit(sign) (line 1)"]
+
+
+def test_scanner_accepts_keyword_dicts_and_calls_from_scripts():
+    verify = "def _sizes(total, d_first=False):\n    pass\n\n\nOPTS = {}\n_sizes(4, **OPTS)\n"
+    roots = "def random_parset(system, rng, max_seed=4):\n    pass\n"
+    script = "import roots\n\nroots.random_parset(None, None, 2)\n"
+    assert unset_parameters({"verify.py": verify, "roots.py": roots}, [script]) == []
+    assert unset_parameters({"roots.py": roots}, []) == ["roots.py: random_parset(max_seed) (line 1)"]
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    assert unset_parameters(modules, scripts) == []
 
 
 def readme_names_missing(readme: str, modules: dict[str, object]) -> list[str]:

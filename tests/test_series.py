@@ -701,8 +701,7 @@ class TestActionsAndCoactions:
     def test_action_matches_product_a_and_d(self):
         f_action(CoxeterSystem("A", 1).element([1]), CoxeterSystem("A", 2).element([1, 2]), 4)
         f_action(CoxeterSystem("D", 2).element([-2, -1]), CoxeterSystem("A", 1).element([1]), 4)
-        f_action(CoxeterSystem("B", 1).element([-1]), CoxeterSystem("B", 1).element([1]),
-                 4, flavor="BB")
+        f_action(CoxeterSystem("B", 1).element([-1]), CoxeterSystem("B", 1).element([1]), 4)
 
     def test_window_policy_refusal(self):
         x = f_series(B2.element([1, 2]), 2)

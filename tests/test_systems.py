@@ -19,6 +19,7 @@ from coxkit.systems import (
     longest_element,
     min_coset_reps,
     near_concat_compositions,
+    normalizer_complement_order,
     parabolic_class_size,
     parabolic_conjugacy_classes,
     parabolic_decompose_left,
@@ -174,6 +175,53 @@ class TestEnumeration:
         finally:
             set_max_order(None)
         assert len(elements(B3)) == 48
+
+    def test_cap_applies_to_every_cached_read(self):
+        # every read derived from an enumeration of B3 is refused once the
+        # cap drops below |B3| = 48, however warm its cache, and answers as
+        # before once the cap is restored
+        from coxkit.descents import c_matrix, weak_descent_count
+
+        I = frozenset({1})
+        reads = {
+            "descent_class": lambda: descent_class(B3, I),
+            "min_coset_reps left": lambda: min_coset_reps(B3, I, "left"),
+            "min_coset_reps right": lambda: min_coset_reps(B3, I, "right"),
+            "normalizer_complement_order": lambda: normalizer_complement_order(B3, I),
+            "parabolic_class_size": lambda: parabolic_class_size(B3, I),
+            "c_matrix": lambda: c_matrix(B3),
+            "weak_descent_count": lambda: weak_descent_count(B3, I, B3.generator_set),
+        }
+        before = {name: read() for name, read in reads.items()}
+        set_max_order(10)
+        try:
+            for name, read in reads.items():
+                with pytest.raises(CapExceededError):
+                    read()
+                    pytest.fail(f"{name} answered over the cap")
+        finally:
+            set_max_order(None)
+        assert {name: read() for name, read in reads.items()} == before
+        # the lookups hand back one cached tuple on every call
+        for name in ("descent_class", "min_coset_reps left", "min_coset_reps right"):
+            assert reads[name]() is reads[name](), name
+
+    def test_min_coset_reps_refusal_order(self):
+        # a bad side is refused before the cap, and the cap before a subset
+        # outside ``within``
+        outside, within = frozenset({0}), frozenset({1, 2})
+        set_max_order(10)
+        try:
+            with pytest.raises(ValueError, match="side"):
+                min_coset_reps(B3, within, "middle")
+            for side in ("left", "right"):
+                with pytest.raises(CapExceededError):
+                    min_coset_reps(B3, outside, side, within)
+        finally:
+            set_max_order(None)
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="ambient"):
+                min_coset_reps(B3, outside, side, within)
 
     def test_cap_env_override(self, monkeypatch):
         from coxkit import systems

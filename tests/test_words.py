@@ -12,7 +12,6 @@ from coxkit.words import (
     abs_restrict,
     cap_a,
     cap_b,
-    cap_bb,
     cap_d,
     cross_a,
     cross_bb,
