@@ -171,7 +171,9 @@ def parset_closure(system: CoxeterSystem, roots: Iterable[Root]) -> frozenset[Ro
 
 def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -> list[tuple[int, ...]]:
     """All integer vectors f in [-window, window]^n weakly on the nonnegative
-    side of every parset root, strictly for the negative parset roots.
+    side of every given root, strictly for the negative ones.  Any set of
+    roots will do, a parset or not (the signed simple roots of a descent
+    set, say).
 
     The result is in lexicographic order.  Coordinates are fixed from f_0
     upwards; a root whose highest nonzero coordinate is j bounds f_j once

@@ -19,14 +19,12 @@ from typing import Iterable
 
 from .freemodule import FormalVector
 from .qsym import CPoly
-from .roots import chamber, lattice_points, parabolic_positive_roots
+from .roots import chamber, lattice_points, negate, parabolic_positive_roots, simple_roots
 from .systems import (
     CoxeterSystem,
     Element,
     check_word_cube,
-    descent_class,
     descents_of_composition,
-    word_cube,
 )
 from .words import FLAVORS, _shuffle
 
@@ -135,41 +133,20 @@ def f_series(w: Element, window: int) -> NCSeries:
 
 
 def s_basis(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSeries:
-    """Sum of s_series over the descent class of alpha."""
+    """Sum of s_series over the descent class of alpha: the words whose
+    descent set is D(alpha).
+
+    A word f has s as a descent exactly when <alpha_s, f> < 0, so the words
+    are the lattice points of the signed simple roots: alpha_s (weak) for s
+    outside D(alpha) and -alpha_s (strict) for s in it (Gessel 1984, Chow
+    2001).  A key with a descent outside the generators has no word.
+    """
     check_word_cube(system.n, window)
     subset = descents_of_composition(alpha)
-    out = NCSeries(system.n, window)
-    for w in descent_class(system, subset):
-        out += s_series(w, window)
-    return out
-
-
-def s_basis_by_fillings(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSeries:
-    """Same basis element by direct enumeration of ribbon fillings.
-
-    A word is kept when it rises weakly inside the rows of alpha and drops
-    strictly across row boundaries, with the extra type-B/D cell read as 0
-    or as minus the second letter.
-    """
-    des = descents_of_composition(alpha)
-    n = system.n
-
-    def keep(f: Word) -> bool:
-        for j in range(1, n):
-            if (f[j - 1] > f[j]) != (j in des):
-                return False
-        if system.family == "B":
-            head = 0 > f[0]
-        elif system.family == "D":
-            head = -f[1] > f[0]
-        else:
-            return True
-        return head == (0 in des)
-
-    return NCSeries.from_words(
-        n, window,
-        (f for f in word_cube(n, window) if keep(f)),
-    )
+    if not subset <= system.generator_set:
+        return NCSeries(system.n, window)
+    roots = [negate(r) if s in subset else r for s, r in simple_roots(system).items()]
+    return _word_sum(system.n, window, lattice_points(system, roots, window))
 
 
 def h_basis(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSeries:

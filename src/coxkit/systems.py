@@ -376,8 +376,11 @@ def parabolic_elements(system: CoxeterSystem, subset: frozenset[int]) -> tuple[E
     A breadth-first search from the identity under right multiplication by
     the generators in ``subset``: the search depth is the length, so each
     layer is sorted by window alone.  Refused when :func:`elements` would
-    refuse the whole group.
+    refuse the whole group; when ``subset`` covers the generators the
+    result is that group's own tuple.
     """
+    if system.generator_set <= subset:
+        return elements(system)
     gens = [system.generator(s) for s in subset & system.generator_set]
     seen = {system.identity()}
     layer = list(seen)

@@ -465,8 +465,10 @@ def suite_series(family: str | None = None, n: int | None = None) -> list[Check]
         ok = True
         for I in all_subsets(sysn):
             alpha = composition_from_descents(sysn, I)
-            a = sr.s_basis(sysn, alpha, m)
-            if a != sr.s_basis_by_fillings(sysn, alpha, m):
+            by_class = sr.NCSeries(sysn.n, m)
+            for w in descent_class(sysn, I):
+                by_class += sr.s_series(w, m)
+            if sr.s_basis(sysn, alpha, m) != by_class:
                 ok = False
             acc = sr.NCSeries(sysn.n, m)
             for J in all_subsets(sysn):

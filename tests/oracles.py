@@ -13,12 +13,13 @@ from coxkit.freemodule import FormalVector
 from coxkit.hecke import HModule, regular_module
 from coxkit.linalg import RowSpace, exact_div, matrix_rank, nullspace, solve
 from coxkit.roots import positive_roots, simple_roots
-from coxkit.series import NCSeries
+from coxkit.series import NCSeries, s_series
 from coxkit.systems import (
     CoxeterSystem,
     Element,
     all_subsets,
     descent_class,
+    descents_of_composition,
     elements,
     longest_element,
     word_cube,
@@ -382,3 +383,12 @@ def h_block(family: str, k: int, window: int) -> NCSeries:
         if all(f[i] <= f[i + 1] for i in range(k - 1)) and (not f or f[0] >= lo)
     )
     return NCSeries.from_words(k, window, words)
+
+
+def s_basis_by_class(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSeries:
+    """The ribbon element by its definition: the sum of the standardization
+    fibers over the descent class of alpha."""
+    out = NCSeries(system.n, window)
+    for w in descent_class(system, descents_of_composition(alpha)):
+        out += s_series(w, window)
+    return out

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +160,19 @@ class TestSeries:
         assert proc.returncode == 3
         assert "word cube" in proc.stderr and "815730721" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_small_cube_of_a_large_group_is_not_refused(self, capsys, monkeypatch):
+        # 3^10 words although |S_10| = 3628800 is over the cap; the cube
+        # alone decides the refusal.
+        monkeypatch.delenv("COXKIT_MAX_ORDER", raising=False)
+        status, out, _ = run(capsys, "series", "--kind", "sA", "--key", "(10)",
+                             "--window", "1")
+        assert status == 0
+        assert out.splitlines()[-1] == "# 66 words"
+        status, _, err = run(capsys, "series", "--kind", "sA", "--key", "(10)",
+                             "--window", "2")
+        assert status == 3
+        assert "(2*2+1)^10 = 9765625" in err
 
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
         from coxkit import series
@@ -560,3 +575,36 @@ class TestFuzz:
             outputs.append((status, out.getvalue(), err.getvalue()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] in (0, 2)
+
+
+def readme_commands():
+    """The ``coxkit`` lines of the README's command-line block, backslash
+    continuations joined, each with its trailing comment."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("coxkit "):
+            command, _, comment = line.partition(" #")
+            argv = shlex.split(command)[1:]
+            commands.append(pytest.param(argv, comment.strip(), id=" ".join(argv)))
+    return commands
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv,comment", readme_commands())
+    def test_command_line_example(self, capsys, monkeypatch, argv, comment):
+        monkeypatch.delenv("COXKIT_MAX_ORDER", raising=False)
+        status, out, err = run(capsys, *argv)
+        assert status == 0, err
+        if comment.startswith("-> "):
+            assert out.strip() == comment[3:]
+        terms = re.fullmatch(r"(\d+) terms", comment)
+        if terms:
+            assert out.splitlines()[-1] == f"# {terms[1]} terms"
+
+    def test_the_block_has_examples(self):
+        comments = [param.values[1] for param in readme_commands()]
+        assert len(comments) >= 10
+        assert any(comment.startswith("-> ") for comment in comments)
+        assert any(re.fullmatch(r"\d+ terms", comment) for comment in comments)

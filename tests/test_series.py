@@ -55,7 +55,6 @@ from coxkit.series import (
     project_signed_min,
     projection,
     s_basis,
-    s_basis_by_fillings,
     s_series,
 )
 from coxkit.systems import (
@@ -76,7 +75,14 @@ from coxkit.words import (
     unshuffle_b,
     unshuffle_d,
 )
-from oracles import caratheodory_cone_contains, h_block, inner, solved_parabolic_positive_roots
+from oracles import (
+    ORACLE_SYSTEMS,
+    caratheodory_cone_contains,
+    h_block,
+    inner,
+    s_basis_by_class,
+    solved_parabolic_positive_roots,
+)
 
 A2 = CoxeterSystem("A", 2)
 A3 = CoxeterSystem("A", 3)
@@ -95,6 +101,9 @@ def standardization_fibers(system, m):
         fibers.setdefault(std(f), []).append(f)
     return fibers
 
+
+#: Every system of rank at most 3, rank 0 included.
+SMALL_RANKS = tuple(system for system in ORACLE_SYSTEMS if system.rank <= 3)
 
 LATTICE_SYSTEMS = tuple(CoxeterSystem("A", n) for n in range(1, 5)) \
     + tuple(CoxeterSystem("B", n) for n in range(1, 5)) \
@@ -338,13 +347,13 @@ class TestSeriesBases:
             for w in elements(system):
                 assert sorted(s_series(w, m).terms) == sorted(fibers.get(w, []))
 
-    def test_s_basis_checks_the_cube_before_the_descent_class(self, monkeypatch):
+    def test_s_basis_checks_the_cube_before_enumerating(self, monkeypatch):
         import coxkit.series
 
         def refuse(*args):
-            raise AssertionError("descent_class called before the cube check")
+            raise AssertionError("lattice_points called before the cube check")
 
-        monkeypatch.setattr(coxkit.series, "descent_class", refuse)
+        monkeypatch.setattr(coxkit.series, "lattice_points", refuse)
         set_max_order(5 ** 3 - 1)
         try:
             with pytest.raises(CapExceededError, match=r"\(2\*2\+1\)\^3 = 125"):
@@ -352,19 +361,41 @@ class TestSeriesBases:
         finally:
             set_max_order(None)
 
-    @pytest.mark.parametrize("system", (A3, B3, D3))
+    @pytest.mark.parametrize("system", SMALL_RANKS, ids=repr)
     def test_bases_three_constructions(self, system):
         m = system.n + 1
         for I in all_subsets(system):
             alpha = composition_from_descents(system, I)
-            by_class = s_basis(system, alpha, m)
-            by_fill = s_basis_by_fillings(system, alpha, m)
-            assert by_class == by_fill
+            assert s_basis(system, alpha, m) == s_basis_by_class(system, alpha, m)
             acc = NCSeries(system.n, m)
             for J in all_subsets(system):
                 if J <= I:
                     acc = acc + s_basis(system, composition_from_descents(system, J), m)
             assert acc == h_basis(system, alpha, m)
+
+    @pytest.mark.parametrize("system", SMALL_RANKS, ids=repr)
+    def test_signed_simple_roots_match_cube_filter(self, system):
+        # the signed simple roots of a descent set are not a parset
+        for I in all_subsets(system):
+            roots = [negate(r) if s in I else r for s, r in simple_roots(system).items()]
+            for window in range(system.n + 2):
+                assert lattice_points(system, roots, window) \
+                    == _cube_filter(system, roots, window)
+
+    def test_s_basis_edge_keys(self):
+        for system in (CoxeterSystem("A", 0), CoxeterSystem("B", 0)):
+            assert s_basis(system, (), 2) == s_basis_by_class(system, (), 2) \
+                == NCSeries.from_words(0, 2, [()])
+        # a leading 0 is a descent at 0, which type A does not have
+        for alpha in ((0, 3), (0, 1, 2)):
+            assert s_basis(A3, alpha, 4) == NCSeries(3, 4) == s_basis_by_class(A3, alpha, 4)
+        set_max_order(7 ** 3 - 1)
+        try:
+            for system, alpha in ((A3, (1, 2)), (B3, (0, 3)), (D3, (2, 1)), (A3, (0, 3))):
+                with pytest.raises(CapExceededError, match=r"\(2\*3\+1\)\^3 = 343"):
+                    s_basis(system, alpha, 3)
+        finally:
+            set_max_order(None)
 
     @pytest.mark.parametrize("system", (A2, B2, D2))
     def test_chamber_basis_linearly_independent(self, system):
