@@ -244,10 +244,10 @@ def h_in_monomial_coordinates(system: CoxeterSystem, subset: frozenset[int]) -> 
     """The complete-homogeneous sym element attached to a subset, written in
     monomial coordinates (keyed by subsets): coefficient at J counts
     {w : D(w) <= subset, D(w^{-1}) <= J}."""
-    return FormalVector(
-        ((J, weak_descent_count(system, subset, J)) for J in all_subsets(system)),
-        kind="monomial",
-    )
+    bit, _, below = _descent_pair_tables(system)
+    row = _mask(bit, subset)
+    return FormalVector(((J, below[_mask(bit, J) << len(bit) | row]) for J in all_subsets(system)),
+                        kind="monomial")
 
 
 def conjugacy_class_of(system: CoxeterSystem, subset: frozenset[int]) -> tuple[frozenset[int], ...]:
@@ -314,5 +314,6 @@ def p_class_basis(system: CoxeterSystem) -> dict[frozenset[int], FormalVector]:
 def h_gram_matrix(system: CoxeterSystem) -> tuple[list[frozenset[int]], list[list[int]]]:
     """Gram matrix of the class h basis under the weak-descent-count form."""
     labels = [class_label(cls) for cls in parabolic_conjugacy_classes(system)]
-    gram = [[weak_descent_count(system, a, b) for b in labels] for a in labels]
+    bit, _, below = _descent_pair_tables(system)
+    gram = [[below[_mask(bit, b) << len(bit) | _mask(bit, a)] for b in labels] for a in labels]
     return labels, gram

@@ -30,11 +30,13 @@ from .linalg import matrix_rank
 from .qsym import CPoly, fundamental_qsym, fundamental_qsym_b, fundamental_qsym_d
 from .systems import (
     CoxeterSystem,
+    _root_table,
     all_subsets,
     composition_from_descents,
     descent_class,
     descent_interval,
     min_coset_reps,
+    reflect,
 )
 
 #: X_s as a sparse column map: column j (the image of b_j) is {i: c}.
@@ -104,7 +106,7 @@ def _descent_interval_module(system: CoxeterSystem, low: frozenset[int],
     """Norton's basis: the w of the carrier parabolic with low <= D(w) <= high,
     in the (length, window) order of :func:`descent_interval`; they are also the labels.
 
-    X_s sends b_w to -b_w when length(sw) < length(w), to b_sw when sw is
+    X_s sends b_w to -b_w when s is a left descent of w, to b_sw when sw is
     again in the basis, and to 0 otherwise.  A rise sw keeps every right
     descent of w, so it never leaves ``low``: the module is the quotient of
     the span of {D(w) >= low} in the regular module by the span of
@@ -112,13 +114,14 @@ def _descent_interval_module(system: CoxeterSystem, low: frozenset[int],
     """
     basis = descent_interval(system, low, high, carrier)
     index = {w: i for i, w in enumerate(basis)}
+    left = [w.left_descent_set() for w in basis]
     mats: dict[int, ColumnMap] = {}
     for s in carrier:
         g = system.generator(s)
         X: ColumnMap = {}
         for j, w in enumerate(basis):
             sw = g * w
-            if sw.length() < w.length():
+            if s in left[j]:
                 X[j] = {j: -1}
             elif sw in index:
                 X[j] = {index[sw]: 1}
@@ -183,6 +186,7 @@ def induce(module: HModule) -> HModule:
     reps = min_coset_reps(system, I, "left")
     rep_index = {z: i for i, z in enumerate(reps)}
     gen_label = {system.generator(s): s for s in I}
+    left = [z.left_descent_set() for z in reps]
     d = module.dim
     mats: dict[int, ColumnMap] = {}
     for s in system.generators:
@@ -192,7 +196,7 @@ def induce(module: HModule) -> HModule:
             # (z, m) has index zi * d + m
             sz = g * z
             at = zi * d
-            if sz.length() < z.length():
+            if s in left[zi]:
                 for mi in range(d):
                     X[at + mi] = {at + mi: -1}
             elif sz in rep_index:
@@ -301,20 +305,13 @@ def characteristic_polynomial(system: CoxeterSystem, g0: FormalVector, K: int):
 
 
 def sorting_operator(family: str, s: int, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Idempotent word operators realizing the generators on integer words."""
-    a = list(word)
-    if s == 0:
-        if family == "B":
-            if a and a[0] > 0:
-                a[0] = -a[0]
-        elif family == "D":
-            if len(a) >= 2 and a[0] + a[1] > 0:
-                a[0], a[1] = -a[1], -a[0]
-        else:
-            raise ValueError("type A has no generator 0")
-    else:
-        if s >= len(a):
-            raise ValueError("generator index out of range")
-        if a[s - 1] < a[s]:
-            a[s - 1], a[s] = a[s], a[s - 1]
-    return tuple(a)
+    """Idempotent word operators realizing the generators on integer words.
+
+    The word moves to its reflection in the simple root a_s of the family's
+    system on len(word) letters when <a_s, word> > 0, and otherwise stays.
+    A generator that system lacks is a ValueError.
+    """
+    for t, i, a, j, b in _root_table(family, len(word)).simple:
+        if t == s:
+            return reflect((i, a, j, b), word) if a * word[i] + b * word[j] > 0 else tuple(word)
+    raise ValueError(f"no generator {s} for a word of length {len(word)}")

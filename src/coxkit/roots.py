@@ -1,10 +1,12 @@
 """Root systems for the three families, partial root systems, and the
 lattice-point machinery behind the generating-function realizations.
 
-Roots are integer coordinate vectors.  A partial root system is a root
-subset P with no opposite pair that contains every root lying in the
-positive cone of P.  Its lattice points over a finite alphabet window,
-together with the chamber decomposition, drive the series module.
+Roots are integer coordinate vectors; each family's simple and positive
+roots are stated once, in :mod:`coxkit.systems`, and re-exported here.  A
+partial root system is a root subset P with no opposite pair that contains
+every root lying in the positive cone of P.  Its lattice points over a
+finite alphabet window, together with the chamber decomposition, drive the
+series module.
 
 Cone membership (parset checks and closures, parabolic root subsystems)
 describes each cone once by its facet normals inside the span of its
@@ -18,56 +20,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .linalg import RowSpace, nullspace
-from .systems import CoxeterSystem, Element, check_word_cube, elements
-
-Root = tuple[int, ...]
-
-
-def _unit(n: int, i: int) -> Root:
-    v = [0] * n
-    v[i] = 1
-    return tuple(v)
-
-
-def _pair(n: int, j: int, i: int, sign_i: int) -> Root:
-    v = [0] * n
-    v[j] = 1
-    v[i] = sign_i
-    return tuple(v)
-
-
-@lru_cache(maxsize=None)
-def simple_roots(system: CoxeterSystem) -> dict[int, Root]:
-    """Simple root attached to each generator label."""
-    n = system.n
-    out: dict[int, Root] = {}
-    for s in system.generators:
-        if s == 0 and system.family == "B":
-            out[s] = _unit(n, 0)
-        elif s == 0:
-            v = [0] * n
-            v[0] = v[1] = 1
-            out[s] = tuple(v)
-        else:
-            v = [0] * n
-            v[s] = 1
-            v[s - 1] = -1
-            out[s] = tuple(v)
-    return out
-
-
-@lru_cache(maxsize=None)
-def positive_roots(system: CoxeterSystem) -> frozenset[Root]:
-    n = system.n
-    out: set[Root] = set()
-    for j in range(n):
-        if system.family == "B":
-            out.add(_unit(n, j))
-        for i in range(j):
-            out.add(_pair(n, j, i, -1))
-            if system.family in ("B", "D"):
-                out.add(_pair(n, j, i, 1))
-    return frozenset(out)
+from .systems import (CoxeterSystem, Element, Root, check_word_cube, elements, positive_roots,
+                      simple_roots)
 
 
 @lru_cache(maxsize=None)

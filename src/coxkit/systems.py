@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, reduce, wraps
 from math import factorial
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 FAMILIES = ("A", "B", "D")
 
@@ -121,41 +121,104 @@ class CoxeterSystem:
         return 2 ** (self.n - 1) * factorial(self.n)
 
     def coxeter_order(self, s: int, t: int) -> int:
-        """Order m_st of the product of two distinct generators."""
+        """Order m_st of the product of two generators: 2, 3 or 4 as the simple
+        roots a, b have 4<a,b>^2 / (|a|^2 |b|^2) = 0, 1 or 2."""
         if s == t:
             return 1
-        s, t = min(s, t), max(s, t)
-        if self.family == "A":
-            return 3 if t - s == 1 else 2
-        if self.family == "B":
-            if (s, t) == (0, 1):
-                return 4
-            return 3 if (t - s == 1 and s >= 1) else 2
-        if s == 0:
-            return 3 if t == 2 else 2
-        return 3 if t - s == 1 else 2
+        roots = simple_roots(self)
+        if s not in roots or t not in roots:
+            raise ValueError(f"no generators {s}, {t} in {self}")
+        a, b = roots[s], roots[t]
+        return 2 + 4 * _inner(a, b) ** 2 // (_inner(a, a) * _inner(b, b))
 
     def identity(self) -> "Element":
         return _trusted_element(self, tuple(range(1, self.n + 1)))
 
     def generator(self, i: int) -> "Element":
-        if i not in self.generator_set:
+        """The reflection in the simple root of ``i``."""
+        if i not in self._roots.generators:
             raise ValueError(f"no generator {i} in {self}")
-        w = list(range(1, self.n + 1))
-        if i == 0:
-            if self.family == "B":
-                w[0] = -1
-            else:
-                w[0], w[1] = -2, -1
-        else:
-            w[i - 1], w[i] = w[i], w[i - 1]
-        return _trusted_element(self, tuple(w))
+        return _trusted_element(self, self._roots.generators[i])
+
+    @cached_property
+    def _roots(self) -> "_RootTable":
+        """The root table, kept in the instance dict: the kernel never hashes the system."""
+        return _root_table(self.family, self.n)
 
     def element(self, window: Iterable[int]) -> "Element":
         return Element(self, tuple(window))
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.family!r}, {self.n})"
+
+
+# -- roots: each family is stated once, by its simple and positive roots; the
+# element kernel reads them through the table ``CoxeterSystem._roots`` ---------
+
+Root = tuple[int, ...]
+
+
+def _unit(n: int, i: int) -> Root:
+    return tuple(int(k == i) for k in range(n))
+
+
+def _pair(n: int, j: int, i: int, sign_i: int) -> Root:
+    return tuple(1 if k == j else sign_i if k == i else 0 for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def simple_roots(system: CoxeterSystem) -> dict[int, Root]:
+    """Simple root attached to each generator label: e_{s+1} - e_s for s >= 1,
+    and e_1 in B or e_1 + e_2 in D for s = 0."""
+    n = system.n
+    return {s: _pair(n, s, s - 1, -1) if s else _unit(n, 0) if system.family == "B"
+            else _pair(n, 1, 0, 1) for s in system.generators}
+
+
+@lru_cache(maxsize=None)
+def positive_roots(system: CoxeterSystem) -> frozenset[Root]:
+    """e_j - e_i for i < j; in B and D also e_j + e_i; in B also every e_j."""
+    n, signs = system.n, (-1,) if system.family == "A" else (-1, 1)
+    units = [_unit(n, j) for j in range(n)] if system.family == "B" else []
+    return frozenset(units + [_pair(n, j, i, c) for j in range(n) for i in range(j) for c in signs])
+
+
+def _inner(a: Root, b: Root) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def reflect(root: tuple[int, int, int, int], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The reflection v - (2<r, v>/<r, r>) r of v in the root r = a e_i + b e_j
+    given as (i, a, j, b).  Exact, since <r, r> is 1 or 2."""
+    i, a, j, b = root
+    k = 2 * (a * v[i] + b * v[j]) // (a * a + b * b)
+    return tuple(x - k * (a * (p == i) + b * (p == j)) for p, x in enumerate(v))
+
+
+class _RootTable(NamedTuple):
+    """A system's roots as the kernel reads them: (s, i, a, j, b) per simple
+    root a_s = a e_i + b e_j, (i, a, j, b) per positive root (j = i, b = 0 if
+    it has one nonzero coordinate), and each generator's window: (1, ..., n)
+    reflected in its simple root."""
+
+    simple: tuple[tuple[int, int, int, int, int], ...]
+    positive: tuple[tuple[int, int, int, int], ...]
+    generators: dict[int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def _root_table(family: str, n: int) -> _RootTable:
+    """The root table of ``CoxeterSystem(family, n)``, one per equal system."""
+    system = CoxeterSystem(family, n)
+
+    def coordinates(root: Root) -> tuple[int, ...]:
+        (i, a), *rest = [(k, c) for k, c in enumerate(root) if c]
+        return (i, a, *(rest[0] if rest else (i, 0)))
+
+    simple = tuple((s, *coordinates(r)) for s, r in sorted(simple_roots(system).items()))
+    identity = tuple(range(1, n + 1))
+    return _RootTable(simple, tuple(sorted(map(coordinates, positive_roots(system)))),
+                      {s: reflect((i, a, j, b), identity) for s, i, a, j, b in simple})
 
 
 def _validate_window(system: CoxeterSystem, window: tuple[int, ...]) -> None:
@@ -213,27 +276,16 @@ class Element:
     # -- length and descents --------------------------------------------------
 
     def length(self) -> int:
+        """The number of positive roots a with <a, window> < 0."""
         w = self.window
-        n = len(w)
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-        if self.system.family == "A":
-            return inv
-        nsp = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] + w[j] < 0)
-        if self.system.family == "D":
-            return inv + nsp
-        return inv + sum(1 for x in w if x < 0) + nsp
+        return len([1 for i, a, j, b in self.system._roots.positive if a * w[i] + b * w[j] < 0])
 
     def descent_set(self) -> frozenset[int]:
-        """Right descents {s : length(w*s) < length(w)} via window comparisons."""
+        """Right descents {s : length(w*s) < length(w)}: the s whose simple
+        root a_s has <a_s, window> < 0."""
         w = self.window
-        if not w:
-            return frozenset()
-        out = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
-        if self.system.family == "B" and w[0] < 0:
-            out.append(0)
-        elif self.system.family == "D" and -w[1] > w[0]:
-            out.append(0)
-        return frozenset(out)
+        return frozenset([s for s, i, a, j, b in self.system._roots.simple
+                          if a * w[i] + b * w[j] < 0])
 
     def left_descent_set(self) -> frozenset[int]:
         return self.inverse().descent_set()
@@ -305,12 +357,8 @@ def parse_window(system: CoxeterSystem, text: str) -> Element:
     return system.element(window) if window else system.identity()
 
 
-def prod(system: CoxeterSystem, elements: Iterable[Element]) -> Element:
-    return reduce(lambda a, b: a * b, elements, system.identity())
-
-
 def from_word(system: CoxeterSystem, word: Iterable[int]) -> Element:
-    return prod(system, (system.generator(s) for s in word))
+    return reduce(lambda a, b: a * b, map(system.generator, word), system.identity())
 
 
 # -- whole-group machinery ----------------------------------------------------

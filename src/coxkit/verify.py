@@ -595,20 +595,17 @@ def suite_hecke(family: str | None = None, n: int | None = None) -> list[Check]:
             ok = False
     out.append(_check("projective characteristic equals ribbon polynomial", ok))
 
-    words = list(word_cube(2, 2))
-    fam = family
-    gens = [s for s in (0, 1) if fam != "A" or s != 0]
     ok = True
-    for w in words:
-        for s in gens:
-            one = hk.sorting_operator(fam, s, w)
-            if hk.sorting_operator(fam, s, one) != one:
-                ok = False
-    if fam == "B":
-        for w in words:
-            a = hk.sorting_operator
-            if a("B", 0, a("B", 1, a("B", 0, a("B", 1, w)))) != a("B", 1, a("B", 0, a("B", 1, a("B", 0, w)))):
-                ok = False
+    for w in word_cube(small.n, 2):
+        for s in small.generators:
+            once = hk.sorting_operator(family, s, w)
+            ok &= hk.sorting_operator(family, s, once) == once
+        for s, t in itertools.combinations(small.generators, 2):
+            lhs = rhs = w
+            for i in range(small.coxeter_order(s, t)):
+                lhs = hk.sorting_operator(family, (s, t)[i % 2], lhs)
+                rhs = hk.sorting_operator(family, (t, s)[i % 2], rhs)
+            ok &= lhs == rhs
     out.append(_check("sorting operators idempotent and braided", ok))
     return out
 

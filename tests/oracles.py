@@ -35,6 +35,25 @@ ORACLE_SYSTEMS = tuple(
 
 
 @lru_cache(maxsize=None)
+def cayley_distances(system: CoxeterSystem) -> dict[Element, int]:
+    """Breadth-first distance from the identity to every element in the
+    Cayley graph of the generators, built from ``*`` and ``generator`` only:
+    the length by its definition as the shortest word."""
+    gens = [system.generator(s) for s in system.generators]
+    dist = {system.identity(): 0}
+    layer = [system.identity()]
+    while layer:
+        nxt = []
+        for w in layer:
+            for g in gens:
+                if w * g not in dist:
+                    dist[w * g] = dist[w] + 1
+                    nxt.append(w * g)
+        layer = nxt
+    return dist
+
+
+@lru_cache(maxsize=None)
 def parabolic_elements_by_words(system: CoxeterSystem,
                                 subset: frozenset[int]) -> tuple[Element, ...]:
     """The elements of W, in the order of ``elements``, that have a reduced

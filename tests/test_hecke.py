@@ -660,6 +660,14 @@ class TestSortingOperators:
         assert sorting_operator("D", 0, (1, 2, 3)) == (-2, -1, 3)
         assert sorting_operator("D", 0, (-1, -2, 3)) == (-1, -2, 3)
 
+    @pytest.mark.parametrize("family,s,word", [
+        ("B", 0, ()), ("D", 0, (1,)), ("D", 1, ()), ("A", 0, (1, 2)), ("A", 2, (1, 2)),
+        ("A", -1, (1, 2, 3)), ("B", 2, (1, 2)), ("D", 3, (1, 2, 3)),
+    ])
+    def test_refuses_a_generator_the_word_system_lacks(self, family, s, word):
+        with pytest.raises(ValueError):
+            sorting_operator(family, s, word)
+
     @pytest.mark.parametrize("family,n", [("A", 2), ("B", 2), ("D", 2), ("D", 3)])
     def test_idempotent(self, family, n):
         gens = CoxeterSystem(family, n).generators

@@ -3,8 +3,9 @@ every private helper it defines is referenced somewhere in it, every
 public function it defines has a caller or a README entry, every
 parameter with a default of its top-level functions is set by some call
 in the package or its scripts, every ``module.name`` the README gives
-exists, and every brute-force oracle of the tests has a test that uses
-it.  The unused-import scan also covers the tests and the scripts."""
+exists, every brute-force oracle of the tests has a test that uses it,
+and the functions that read a family's type off its roots read no family
+name.  The unused-import scan also covers the tests and the scripts."""
 
 import ast
 import importlib
@@ -282,3 +283,56 @@ def test_every_name_readme_gives_exists():
     modules = {path.stem: importlib.import_module(f"coxkit.{path.stem}")
                for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
     assert readme_names_missing((ROOT / "README.md").read_text(), modules) == []
+
+
+def family_reads(source: str, qualnames: list[str]) -> list[str]:
+    """Each read of a name or an attribute called ``family`` inside the
+    functions ``qualnames`` (``name`` or ``Class.name``) of the module
+    ``source``.  A name ``family`` passed on as a call argument only names
+    a system, so it is not counted; comparing, indexing or branching on it
+    is."""
+    functions: dict[str, ast.AST] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            functions |= {f"{node.name}.{item.name}": item for item in node.body
+                          if isinstance(item, ast.FunctionDef)}
+    out = []
+    for qualname in qualnames:
+        body = functions[qualname]
+        passed = {id(arg) for call in ast.walk(body) if isinstance(call, ast.Call)
+                  for arg in call.args if isinstance(arg, ast.Name)}
+        out += [f"{qualname} (line {sub.lineno})" for sub in ast.walk(body)
+                if id(sub) not in passed
+                and (isinstance(sub, ast.Name) and sub.id == "family"
+                     or isinstance(sub, ast.Attribute) and sub.attr == "family")]
+    return out
+
+
+def test_scanner_flags_a_family_read():
+    source = ("class Element:\n    def length(self):\n"
+              "        return 2 if self.system.family == 'B' else 1\n\n"
+              "    def window(self):\n        return table(self.system.family)\n\n\n"
+              "def sort(family, s, word):\n    if family == 'A':\n        return word\n"
+              "    return FUND[family]\n\n\n"
+              "def named(family, word):\n    return CoxeterSystem(family, len(word))\n")
+    assert family_reads(source, ["Element.length", "Element.window", "sort", "named"]) == [
+        "Element.length (line 3)",
+        "Element.window (line 6)",
+        "sort (line 10)",
+        "sort (line 12)",
+    ]
+
+
+#: The functions that read each family's type off its roots alone.
+ROOT_RULES = {
+    "systems.py": ["Element.length", "Element.descent_set", "CoxeterSystem.coxeter_order",
+                   "CoxeterSystem.generator"],
+    "hecke.py": ["sorting_operator"],
+}
+
+
+def test_root_rules_read_no_family():
+    assert [read for fname, names in ROOT_RULES.items()
+            for read in family_reads((SRC / fname).read_text(), names)] == []

@@ -34,6 +34,7 @@ from coxkit.systems import (
 
 from oracles import (
     ORACLE_SYSTEMS,
+    cayley_distances,
     orbit_conjugacy_classes,
     parabolic_conjugates,
     parabolic_elements_by_words,
@@ -142,6 +143,51 @@ class TestLengthAndDescents:
         w = B2.element([-2, 1])
         word = w.reduced_word()
         assert len(word) == 2 and from_word(B2, word) == w
+
+
+class TestRootRulesAgainstTheCayleyGraph:
+    """Lengths, descents, Coxeter orders and generators are read off the
+    roots; here each is checked against its definition in the group, with
+    no call of ``length``."""
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_length_is_the_distance_from_the_identity(self, system):
+        dist = cayley_distances(system)
+        assert len(dist) == system.order()
+        assert all(w.length() == d for w, d in dist.items())
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_descents_are_the_generators_that_shorten(self, system):
+        dist = cayley_distances(system)
+        for w, d in dist.items():
+            assert w.descent_set() == {s for s in system.generators
+                                       if dist[w * system.generator(s)] < d}
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_coxeter_order_is_the_order_of_the_product(self, system):
+        for s in system.generators:
+            for t in system.generators:
+                product = power = system.generator(s) * system.generator(t)
+                order = 1
+                while not power.is_identity() and order <= 6:
+                    power, order = power * product, order + 1
+                assert system.coxeter_order(s, t) == order, (s, t)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_generators_are_involutions(self, system):
+        for s in system.generators:
+            g = system.generator(s)
+            assert not g.is_identity() and (g * g).is_identity()
+
+    @pytest.mark.parametrize("system,label", [
+        (CoxeterSystem("A", 0), 0), (CoxeterSystem("A", 1), 0), (CoxeterSystem("B", 0), 0),
+        (A4, 0), (B2, 2), (D3, 3),
+    ], ids=repr)
+    def test_a_label_outside_the_generators_is_refused(self, system, label):
+        with pytest.raises(ValueError):
+            system.generator(label)
+        with pytest.raises(ValueError):
+            system.coxeter_order(0 if label else 1, label)
 
 
 class TestEnumeration:
