@@ -15,8 +15,9 @@ handed in by a caller, since every other holder of ``a`` sees the change.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -148,7 +149,7 @@ class FormalVector:
         """Linear extension of a key-to-vector map."""
         out = FormalVector(kind=kind)
         for key, coeff in self.terms.items():
-            out += f(key).scale(coeff)
+            out += f(key) if coeff == 1 else f(key).scale(coeff)
         out.kind = kind
         return out
 

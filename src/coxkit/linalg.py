@@ -4,7 +4,11 @@ sequence or a ``{column: value}`` dict (as wide as its last key plus one).
 All row reduction in coxkit is one Gauss-Jordan step, :meth:`RowSpace.add`;
 everything here is built on it.  Integers stay integers: a row is divided
 by its leading entry only when that is not +-1, and a quotient becomes a
-``Fraction`` only when it is not an integer.  Results are never floats.
+``Fraction`` only when it is not an integer.  Inside a row space an entry
+may still be an integral ``Fraction`` (a difference of two fractions); the
+results that leave :func:`solve`, :func:`nullspace`,
+:meth:`RowSpace.coordinates` and :func:`express_in_basis` are turned back
+into ints wherever they are integers.  Results are never floats.
 """
 
 from __future__ import annotations
@@ -21,6 +25,11 @@ def exact_div(a, b):
     """The exact quotient a / b: an int when it is one, else a Fraction."""
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
+
+
+def _integral(x):
+    """x, as an int when it is an integral Fraction."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 def _sparse(v) -> dict[int, object]:
@@ -87,7 +96,7 @@ class RowSpace:
         coeffs, rest = self.reduce(v)
         if rest:
             raise NotInSpanError("vector is outside the row space")
-        return [coeffs.get(p, 0) for p in sorted(self.rows)]
+        return [_integral(coeffs.get(p, 0)) for p in sorted(self.rows)]
 
 
 def _span(rows: Iterable) -> RowSpace:
@@ -111,7 +120,7 @@ def nullspace(rows: Sequence, ncols: int) -> list[list]:
         vec = [0] * ncols
         vec[fc] = 1
         for pc, row in space.rows.items():
-            vec[pc] = -row.get(fc, 0)
+            vec[pc] = _integral(-row.get(fc, 0))
         basis.append(vec)
     return basis
 
@@ -126,7 +135,7 @@ def solve(rows: Sequence, rhs: Sequence) -> Optional[list]:
         return None
     x = [0] * ncols
     for c, row in space.rows.items():
-        x[c] = row.get(ncols, 0)
+        x[c] = _integral(row.get(ncols, 0))
     return x
 
 

@@ -12,21 +12,36 @@ They are one construction, read from the table :data:`FLAVORS`.  With x
 the block embedding of (u, v) and z running over the minimal "two-run"
 coset representatives of the block subgroup W_m x W_n of W_{m+n}, the
 shuffle product is the sum of x z^{-1} and the cup product the sum of
-z x.  The coproducts split a window into standardized prefix and suffix
-pieces.  Products return multiplicity-free element vectors; coproducts
-return vectors keyed by ordered pairs.  The empty window is a legal
-operand.  An operand of the wrong family raises ValueError.
+z x.  The representatives of each (family, m + n, m) are built once and
+kept in one cache, :func:`_two_run_table`, as plain tuples: z's signed
+lookup table and z^{-1}'s index tuple, the two halves of a composition
+of windows (see ``_lookup``).  A product composes x's window with every
+representative on these tuples and builds its result dict once: distinct
+representatives give distinct terms, so every coefficient is 1.  The coproducts split a
+window into standardized prefix and suffix pieces; the prefixes of the
+splits differ in size, so these terms are distinct too.  Products return
+element vectors and coproducts vectors keyed by ordered pairs.  The
+empty window is a legal operand.  An operand of the wrong family raises
+ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .freemodule import FormalVector
 from .systems import CoxeterSystem, Element, _trusted_element
 
 Word = tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _system(family: str, n: int) -> CoxeterSystem:
+    """The one system of each (family, window size) that the maps below
+    build their results in."""
+    return CoxeterSystem(family, n)
 
 
 def _ranks(order: list[int], n: int) -> list[int]:
@@ -41,7 +56,7 @@ def standardize(word: Iterable[int]) -> Element:
     a = tuple(word)
     n = len(a)
     order = sorted(range(n), key=a.__getitem__)
-    return _trusted_element(CoxeterSystem("A", n), tuple(_ranks(order, n)))
+    return _trusted_element(_system("A", n), tuple(_ranks(order, n)))
 
 
 def standardize_signed(word: Iterable[int]) -> Element:
@@ -54,7 +69,7 @@ def standardize_signed(word: Iterable[int]) -> Element:
     )
     ranks = _ranks(order, n)
     return _trusted_element(
-        CoxeterSystem("B", n),
+        _system("B", n),
         tuple(-r if x < 0 else r for r, x in zip(ranks, a)),
     )
 
@@ -76,7 +91,7 @@ def standardize_even_left(word: Iterable[int]) -> Element:
     window, odd = _even_signed(word)
     if odd:
         window = tuple(-v if abs(v) == 1 else v for v in window)
-    return _trusted_element(CoxeterSystem("D", len(window)), window)
+    return _trusted_element(_system("D", len(window)), window)
 
 
 def standardize_even_right(word: Iterable[int]) -> Element:
@@ -85,7 +100,7 @@ def standardize_even_right(word: Iterable[int]) -> Element:
     window, odd = _even_signed(word)
     if odd:
         window = (-window[0],) + window[1:]
-    return _trusted_element(CoxeterSystem("D", len(window)), window)
+    return _trusted_element(_system("D", len(window)), window)
 
 
 def hat_word(word: Iterable[int]) -> Word:
@@ -103,17 +118,23 @@ def abs_restrict(word: Iterable[int], lo: int, hi: int) -> Word:
 
 
 def cross_a(u: Element, v: Element) -> Element:
-    """Block embedding of a pair (signed or plain, plain) by shifting v up."""
+    """Block embedding of a pair (signed or plain, plain) by shifting v up;
+    a right operand outside family A is a ValueError."""
+    if v.system.family != "A":
+        raise ValueError(f"cross_a needs a right operand of family A, not {v.system.family}")
     m = u.system.n
     window = u.window + tuple(m + x for x in v.window)
-    return Element(CoxeterSystem(u.system.family, m + v.system.n), window)
+    return _trusted_element(_system(u.system.family, m + v.system.n), window)
 
 
 def cross_bb(u: Element, v: Element) -> Element:
-    """Sign-preserving block embedding of two signed permutations."""
+    """Sign-preserving block embedding of two signed permutations; an
+    operand outside family B is a ValueError."""
+    if u.system.family != "B" or v.system.family != "B":
+        raise ValueError("cross_bb needs operands of family B")
     m = u.system.n
     shifted = tuple(x + m if x > 0 else x - m for x in v.window)
-    return Element(CoxeterSystem("B", m + v.system.n), u.window + shifted)
+    return _trusted_element(_system("B", m + v.system.n), u.window + shifted)
 
 
 # -- the flavor table -------------------------------------------------------------
@@ -168,66 +189,97 @@ def _signed_ascending(values: list[int]) -> Iterator[Word]:
         yield tuple(sorted(s * v for s, v in zip(signs, values)))
 
 
-def _two_run_reps(family: str, system: CoxeterSystem, m: int) -> Iterator[Element]:
+# -- products, composed on windows ---------------------------------------------------
+#
+# The window of x y is read from two tuples: x's signed lookup table, which
+# holds x(t) at index t + n for -n <= t <= n, and y's index tuple, which
+# holds y(i) + n.  So x y = tuple(map(_lookup(x).__getitem__, _indices(y))).
+
+
+def _lookup(w: Word) -> Word:
+    return tuple(-x for x in reversed(w)) + (0,) + w
+
+
+def _indices(w: Word) -> Word:
+    n = len(w)
+    return tuple(t + n for t in w)
+
+
+@lru_cache(maxsize=None)
+def _two_run_table(family: str, total: int, m: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     """The minimal representatives z of the cosets z (W_m x S_n) in the
-    ``family`` group of window size m + n, as elements of ``system``.
+    ``family`` group of window size total = m + n, as two tuples in the
+    same order: the lookup tables of the z, and the index tuples of their
+    inverses.
 
     z(m+1) < ... < z(m+n), with any signs in B and D, and all positive in
     A.  The head is 0 < z(1) < ... < z(m); in D it is |z(1)| < z(2) < ...
-    < z(m), and the sign of z(1) makes the sign count even.
+    < z(m), and the sign of z(1) makes the sign count even.  There are
+    C(total, m) of them, times 2^n in B and D: a few, not a group, so the
+    cache has no order cap.
     """
-    values = range(1, system.n + 1)
+    system = _system(family, total)
+    values = range(1, total + 1)
+    reps = []
     for head in itertools.combinations(values, m):
         rest = [x for x in values if x not in head]
         tails = [tuple(rest)] if family == "A" else _signed_ascending(rest)
         for tail in tails:
-            if family == "D" and sum(1 for x in tail if x < 0) % 2:
-                yield _trusted_element(system, (-head[0],) + head[1:] + tail)
-            else:
-                yield _trusted_element(system, head + tail)
+            odd = family == "D" and sum(1 for x in tail if x < 0) % 2
+            reps.append(_trusted_element(system, ((-head[0],) + head[1:] if odd else head) + tail))
+    return (tuple(_lookup(z.window) for z in reps),
+            tuple(_indices(z.inverse().window) for z in reps))
+
+
+def _distinct_sum(keys: list, kind: str) -> FormalVector:
+    """The sum of ``keys``, which are distinct, each with coefficient 1."""
+    return FormalVector(kind=kind)._with_terms(dict.fromkeys(keys, 1))
 
 
 def _shuffle(flavor: str, u: Element, v: Element) -> FormalVector:
     """The sum of x z^{-1} over the two-run representatives z."""
     f = _flavor(flavor, u, v)
     x = f.embed(u, v)
-    return FormalVector.from_keys(
-        (x * z.inverse() for z in _two_run_reps(f.reps, x.system, u.system.n)),
-        kind="element",
-    )
+    system, at = x.system, _lookup(x.window).__getitem__
+    _, inverses = _two_run_table(f.reps, system.n, u.system.n)
+    return _distinct_sum(
+        [_trusted_element(system, tuple(map(at, zinv))) for zinv in inverses], "element")
 
 
 def _cup(flavor: str, u: Element, v: Element) -> FormalVector:
     """The sum of z x over the two-run representatives z."""
     f = _flavor(flavor, u, v)
     x = f.embed(u, v)
-    return FormalVector.from_keys(
-        (z * x for z in _two_run_reps(f.reps, x.system, u.system.n)), kind="element"
-    )
+    system, xs = x.system, _indices(x.window)
+    lookups, _ = _two_run_table(f.reps, system.n, u.system.n)
+    return _distinct_sum(
+        [_trusted_element(system, tuple(map(z.__getitem__, xs))) for z in lookups], "element")
 
 
 def _unshuffle(flavor: str, u: Element) -> FormalVector:
-    """Sum of the standardized (prefix, suffix) splits of the window."""
+    """Sum of the standardized (prefix, suffix) splits of the window; the
+    splits have prefixes of distinct sizes, so the pairs are distinct."""
     f = _flavor(flavor, u)
     a = u.window
-    return FormalVector.from_keys(
-        ((f.prefix(a[:i]), f.suffix(a[i:])) for i in range(f.first_split, len(a) + 1)),
-        kind="pair",
+    return _distinct_sum(
+        [(f.prefix(a[:i]), f.suffix(a[i:])) for i in range(f.first_split, len(a) + 1)],
+        "pair",
     )
 
 
 def _cap(flavor: str, u: Element) -> FormalVector:
-    """Sum over splits of (the small letters, the other letters), standardized."""
+    """Sum over splits of (the small letters, the other letters), standardized;
+    the prefixes have distinct sizes, as in :func:`_unshuffle`."""
     f = _flavor(flavor, u)
     a = u.window
     n = len(a)
     rest = hat_word(a) if f.cap_hat else a
-    return FormalVector.from_keys(
-        (
+    return _distinct_sum(
+        [
             (f.cap_prefix(abs_restrict(a, 1, i)), f.suffix(abs_restrict(rest, i + 1, n)))
             for i in range(f.first_split, n + 1)
-        ),
-        kind="pair",
+        ],
+        "pair",
     )
 
 

@@ -411,3 +411,21 @@ def s_basis_by_class(system: CoxeterSystem, alpha: tuple[int, ...], window: int)
     for w in descent_class(system, descents_of_composition(alpha)):
         out += s_series(w, window)
     return out
+
+
+def two_run_reps(family: str, system: CoxeterSystem, m: int) -> list[Element]:
+    """The minimal representatives z of the cosets z (W_m x S_n) in the
+    ``family`` group of window size m + n, as validated elements of
+    ``system``: z(m+1) < ... < z(m+n), with any signs in B and D and all
+    positive in A; 0 < z(1) < ... < z(m), except that in D the sign of z(1)
+    makes the sign count even."""
+    values = range(1, system.n + 1)
+    out = []
+    for head in itertools.combinations(values, m):
+        rest = [x for x in values if x not in head]
+        signs = itertools.product((1,) if family == "A" else (1, -1), repeat=len(rest))
+        for sign in signs:
+            tail = tuple(sorted(s * x for s, x in zip(sign, rest)))
+            odd = family == "D" and sign.count(-1) % 2
+            out.append(system.element(((-head[0],) + head[1:] if odd else head) + tail))
+    return out

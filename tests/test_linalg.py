@@ -174,6 +174,45 @@ def test_solve_matches_sympy_consistency(case):
         assert padded(sparse_x, len(x)) == x
 
 
+def integral_as_int(values) -> bool:
+    """Every entry that is an integer is an int, not a Fraction."""
+    return all(type(x) is int for x in values if x == int(x))
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows, x, y): an integer matrix, an integer vector of its width and
+    one integer per row."""
+    rows, ncols = draw(matrices(entries=INTS))
+    return rows, [draw(INTS) for _ in range(ncols)], [draw(INTS) for _ in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems())
+@example(([[2, 1], [1, 3]], [2, 1], [1, 1]))
+def test_integer_systems_give_int_results(case):
+    # A x = b has the integer solution x; the combination sum y_i row_i
+    # lies in the row space.  Every integral result entry must be an int.
+    rows, x, y = case
+    rhs = apply(rows, x)
+    got = solve(rows, rhs)
+    assert apply(rows, got) == rhs and integral_as_int(got)
+    assert all(integral_as_int(v) for v in nullspace(rows, len(x)))
+    combo = [sum(c * row[j] for c, row in zip(y, rows)) for j in range(len(x))]
+    space = RowSpace()
+    for row in rows:
+        space.add(row)
+    assert integral_as_int(space.coordinates(combo))
+    basis = [FormalVector(dict(enumerate(row))) for row in rows]
+    coeffs = express_in_basis(FormalVector(dict(enumerate(combo))), basis)
+    assert len(coeffs) == len(rows) and integral_as_int(coeffs)
+
+
+def test_solve_of_an_integer_system_returns_ints():
+    x = solve([[2, 1], [1, 3]], [5, 5])
+    assert x == [2, 1] and all(type(c) is int for c in x)
+
+
 def test_integers_stay_integers_with_unit_pivots():
     rows = [[1, 2, -1, 3], [0, -1, 4, 2], [0, 0, 1, -5], [2, 3, 2, 4]]
     _, mat = echelon(rows, 4)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from coxkit.freemodule import FormalVector
 from coxkit.groupmaps import element_vector, induce_left, induce_right, invert_vector
 from coxkit.series import graded_pieces
-from coxkit.systems import CoxeterSystem, elements
+from coxkit.systems import CoxeterSystem, elements, min_coset_reps
 from coxkit.words import (
+    FLAVORS,
+    PRODUCTS,
     abs_restrict,
     cap_a,
     cap_b,
@@ -33,6 +35,7 @@ from coxkit.words import (
     unshuffle_bb,
     unshuffle_d,
 )
+from oracles import two_run_reps
 
 words_strategy = st.lists(st.integers(-6, 6), min_size=0, max_size=7).map(tuple)
 words_strategy_2 = st.lists(st.integers(-6, 6), min_size=2, max_size=7).map(tuple)
@@ -422,3 +425,65 @@ class TestModuleComoduleAxioms:
                     for z2, cz2 in shuffle_a(x2, y2).terms.items():
                         rhs = rhs + FormalVector.basis((z1, z2), c1 * c2 * cz1 * cz2, kind="pair")
         assert lhs != rhs
+
+
+def _operand_pairs(name, max_total=4):
+    """Every (u, v) of the families of product ``name`` with total window at
+    most ``max_total``: empty operands included, D's left operand of size >= 2."""
+    f = FLAVORS[name.removeprefix("shuffle").removeprefix("cup")]
+    for total in range(max_total + 1):
+        for m in range(2 if f.family == "D" else 0, total + 1):
+            for u in elements(CoxeterSystem(f.family, m)):
+                for v in elements(CoxeterSystem(f.right, total - m)):
+                    yield f, u, v
+
+
+class TestProductKernel:
+    """The window-composing products against the element-level definition."""
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_products_match_oracle(self, name):
+        for f, u, v in _operand_pairs(name):
+            x = f.embed(u, v)
+            reps = two_run_reps(f.reps, x.system, u.system.n)
+            if name.startswith("shuffle"):
+                terms = [x * z.inverse() for z in reps]
+            else:
+                terms = [z * x for z in reps]
+            got = PRODUCTS[name](u, v)
+            assert got == FormalVector.from_keys(terms, kind="element")
+            assert len(got) == len(terms)
+            assert set(got.terms.values()) <= {1}
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_products_match_coset_maps(self, name):
+        # A, B, D: the block parabolic W_m x S_n is standard (generators
+        # without m); BB sums over the S_m x S_n representatives inside the
+        # type-A parabolic on generators 1..m+n-1
+        for f, u, v in _operand_pairs(name):
+            x = f.embed(u, v)
+            system, m = x.system, u.system.n
+            subset = frozenset(system.generators) - {m}
+            side = "right" if name.startswith("shuffle") else "left"
+            if f.embed is cross_bb:
+                within = frozenset(range(1, system.n))
+                reps = min_coset_reps(system, subset & within, side, within)
+                terms = [x * z for z in reps] if side == "right" else [z * x for z in reps]
+                expected = FormalVector.from_keys(terms, kind="element")
+            else:
+                induce = induce_right if side == "right" else induce_left
+                expected = induce(system, subset, element_vector(x))
+            assert PRODUCTS[name](u, v) == expected
+
+    def test_cross_a_refuses_a_right_operand_outside_a(self):
+        with pytest.raises(ValueError):
+            cross_a(B(1), B(-1))
+        with pytest.raises(ValueError):
+            cross_a(A(1), B(1))
+        assert cross_a(D(-1, -2), A(1)).window == (-1, -2, 3)
+
+    def test_cross_bb_refuses_operands_outside_b(self):
+        with pytest.raises(ValueError):
+            cross_bb(A(1), B(1))
+        with pytest.raises(ValueError):
+            cross_bb(B(1), A(1))
