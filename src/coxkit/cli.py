@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, Optional
 
 from . import descents as dsc
 from . import hecke as hk
@@ -101,12 +102,14 @@ def _vector_json(system: CoxeterSystem, vec: FormalVector, basis: str) -> dict:
     }
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], list[str]]) -> None:
+    """Print the one output format asked for; only that one is built."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        for line in text_lines:
-            print(line)
+        lines = text_lines()
+        if lines:
+            print("\n".join(lines))
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -116,23 +119,24 @@ def cmd_element(args) -> int:
     system = _system(args)
     w = parse_window(system, args.window)
     if args.op == "length":
-        _emit(args, {"op": "length", "value": w.length()}, [str(w.length())])
+        value, text = w.length(), str(w.length())
     elif args.op == "descents":
-        d = sorted(w.descent_set())
-        _emit(args, {"op": "descents", "value": d}, [",".join(map(str, d))])
+        value = sorted(w.descent_set())
+        text = ",".join(map(str, value))
     elif args.op == "inverse":
         v = w.inverse()
-        _emit(args, {"op": "inverse", "value": _element_json(v)}, [format_window(v.window)])
+        value, text = _element_json(v), format_window(v.window)
     elif args.op == "reduced-word":
-        rw = list(w.reduced_word())
-        _emit(args, {"op": "reduced-word", "value": rw}, [",".join(map(str, rw))])
+        value = list(w.reduced_word())
+        text = ",".join(map(str, value))
     elif args.op == "compose":
         if args.right is None:
             raise CliError("compose needs --right")
         v = w * parse_window(system, args.right)
-        _emit(args, {"op": "compose", "value": _element_json(v)}, [format_window(v.window)])
+        value, text = _element_json(v), format_window(v.window)
     else:
         raise CliError(f"unknown element op {args.op!r}")
+    _emit(args, lambda: {"op": args.op, "value": value}, lambda: [text])
     return EXIT_OK
 
 
@@ -148,9 +152,9 @@ def cmd_product(args) -> int:
         raise CliError(str(exc)) from exc
     vec = wd.PRODUCTS[args.family](u, v)
     out_system = next(iter(vec.terms)).system if vec.terms else u.system
-    lines = [f"{coeff}\t{format_window(k.window)}" for k, coeff in vec.items()]
-    lines.append(f"# {len(vec)} terms")
-    _emit(args, _vector_json(out_system, vec, "element"), lines)
+    _emit(args, lambda: _vector_json(out_system, vec, "element"),
+          lambda: [f"{coeff}\t{format_window(k.window)}" for k, coeff in vec.items()]
+          + [f"# {len(vec)} terms"])
     return EXIT_OK
 
 
@@ -166,12 +170,9 @@ def cmd_coproduct(args) -> int:
     vec = wd.COPRODUCTS[args.family](u)
     if args.split is not None:
         vec = sr.graded_pieces(vec).get(args.split, FormalVector(kind="pair"))
-    lines = [
-        f"{coeff}\t{format_window(a.window)} (x) {format_window(b.window)}"
-        for (a, b), coeff in vec.items()
-    ]
-    lines.append(f"# {len(vec)} terms")
-    _emit(args, _vector_json(u.system, vec, "pair"), lines)
+    _emit(args, lambda: _vector_json(u.system, vec, "pair"),
+          lambda: [f"{coeff}\t{format_window(a.window)} (x) {format_window(b.window)}"
+                   for (a, b), coeff in vec.items()] + [f"# {len(vec)} terms"])
     return EXIT_OK
 
 
@@ -188,14 +189,11 @@ def cmd_series(args) -> int:
         raise CliError(f"{alpha} is not a valid index for family {family}")
     builder = sr.s_basis if args.kind.startswith("s") else sr.h_basis
     x = builder(system, alpha, args.window)
-    payload = {
-        "degree": x.degree,
-        "window": x.window,
-        "terms": [{"word": list(wrd), "coeff": c} for wrd, c in sorted(x.terms.items())],
-    }
-    lines = [f"{c}\t{','.join(map(str, wrd))}" for wrd, c in sorted(x.terms.items())]
-    lines.append(f"# {len(x.terms)} words")
-    _emit(args, payload, lines)
+    terms = sorted(x.terms.items())
+    _emit(args, lambda: {"degree": x.degree, "window": x.window,
+                         "terms": [{"word": list(wrd), "coeff": c} for wrd, c in terms]},
+          lambda: [f"{c}\t{','.join(map(str, wrd))}" for wrd, c in terms]
+          + [f"# {len(terms)} words"])
     return EXIT_OK
 
 
@@ -252,13 +250,11 @@ def cmd_expand(args) -> int:
     try:
         coeffs = linalg.express_in_basis(target, basis)
     except linalg.NotInSpanError:
-        _emit(args, {"in_span": False}, ["not in span"])
+        _emit(args, lambda: {"in_span": False}, lambda: ["not in span"])
         return EXIT_CHECK_FAILED
-    payload = {"in_span": True,
-               "coefficients": [str(c) for c in coeffs],
-               "basis": basis_tokens}
-    lines = [f"{tok.strip()}: {c}" for tok, c in zip(basis_tokens, coeffs)]
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"in_span": True, "coefficients": [str(c) for c in coeffs],
+                         "basis": basis_tokens},
+          lambda: [f"{tok.strip()}: {c}" for tok, c in zip(basis_tokens, coeffs)])
     return EXIT_OK
 
 
@@ -272,8 +268,7 @@ def cmd_table(args) -> int:
         labels, gram = dsc.h_gram_matrix(system)
         hs = dsc.h_class_basis(system)
         ms = dsc.m_class_basis(system)
-        basis = [hs[l] for l in labels]
-        m_in_h = [linalg.express_in_basis(ms[mu], basis) for mu in labels]
+        m_in_h = linalg.express_all_in_basis([ms[mu] for mu in labels], [hs[l] for l in labels])
         mat = []
         for gram_row in gram:
             row = []
@@ -284,17 +279,16 @@ def cmd_table(args) -> int:
     else:
         raise CliError(f"unknown table {args.table!r}")
     comps = [composition_from_descents(system, I) for I in labels]
-    payload = {
-        "labels": [list(c) for c in comps],
-        "rows": mat,
-        "table": args.table,
-    }
-    width = max(len(str(x)) for row in mat for x in row)
-    lwidth = max(len(str(c)) for c in comps)
-    lines = [" " * lwidth + "  " + "  ".join(str(c).rjust(width + 4) for c in comps)]
-    for c, row in zip(comps, mat):
-        lines.append(str(c).ljust(lwidth) + "  " + "  ".join(str(x).rjust(width + 4) for x in row))
-    _emit(args, payload, lines)
+
+    def text_lines() -> list[str]:
+        width = max(len(str(x)) for row in mat for x in row)
+        lwidth = max(len(str(c)) for c in comps)
+        return [" " * lwidth + "  " + "  ".join(str(c).rjust(width + 4) for c in comps)] + [
+            str(c).ljust(lwidth) + "  " + "  ".join(str(x).rjust(width + 4) for x in row)
+            for c, row in zip(comps, mat)]
+
+    _emit(args, lambda: {"labels": [list(c) for c in comps], "rows": mat, "table": args.table},
+          text_lines)
     return EXIT_OK
 
 
@@ -317,15 +311,13 @@ def _parse_module(system: CoxeterSystem, spec: str, acting: frozenset[int]) -> h
     raise CliError(f"unknown module kind {kind!r}")
 
 
-def _mult_report(system: CoxeterSystem, vec: FormalVector, name: str,
-                 letter: str) -> tuple[dict, list[str]]:
-    """Multiplicities of simples (C) or projectives (P), keyed by composition."""
-    items = [
-        {"composition": list(composition_from_descents(system, k)), "mult": c}
-        for k, c in vec.items()
-    ]
-    lines = [f"{it['mult']}\t{letter}{tuple(it['composition'])}" for it in items]
-    return {name: items}, lines
+def _mult_report(system: CoxeterSystem, vec: FormalVector, name: str, letter: str
+                 ) -> tuple[Callable[[], dict], Callable[[], list[str]]]:
+    """Multiplicities of simples (C) or projectives (P), keyed by composition:
+    the two :func:`_emit` builders."""
+    items = [(composition_from_descents(system, k), c) for k, c in vec.items()]
+    return (lambda: {name: [{"composition": list(comp), "mult": c} for comp, c in items]},
+            lambda: [f"{c}\t{letter}{comp}" for comp, c in items])
 
 
 def cmd_hecke(args) -> int:
@@ -341,12 +333,11 @@ def cmd_hecke(args) -> int:
     elif args.op != "none":
         raise CliError(f"unknown hecke op {args.op!r}")
     if args.report == "factors":
-        payload, lines = _mult_report(system, hk.composition_factors(module), "factors", "C")
+        report = _mult_report(system, hk.composition_factors(module), "factors", "C")
     elif args.report == "multiplicities":
-        payload, lines = _mult_report(
-            system, hk.projective_multiplicities(module), "multiplicities", "P")
+        report = _mult_report(system, hk.projective_multiplicities(module), "multiplicities", "P")
     elif args.report == "dim":
-        payload, lines = {"dim": module.dim}, [str(module.dim)]
+        report = (lambda: {"dim": module.dim}), (lambda: [str(module.dim)])
     elif args.report == "matrices":
         def jnum(x):
             f = Fraction(x)
@@ -357,10 +348,10 @@ def cmd_hecke(args) -> int:
             "matrices": {str(s): [[jnum(x) for x in row] for row in module.matrix(s)]
                          for s in sorted(module.mats)},
         }
-        lines = [json.dumps(payload, sort_keys=True)]
+        report = (lambda: payload), (lambda: [json.dumps(payload, sort_keys=True)])
     else:
         raise CliError(f"unknown report {args.report!r}")
-    _emit(args, payload, lines)
+    _emit(args, *report)
     return EXIT_OK
 
 
@@ -389,15 +380,19 @@ def cmd_verify(args) -> int:
             "passed": passed,
             "failed": len(checks) - passed,
         }
-    payload = {"suites": report, "ok": all_ok}
-    lines = []
-    for name in names:
-        r = report[name]
-        lines.append(f"[{name}] {r['passed']}/{r['passed'] + r['failed']} checks passed")
-        for c in r["checks"]:
-            mark = "ok " if c["passed"] else "FAIL"
-            lines.append(f"  {mark} {c['name']}" + ("" if c["passed"] else f" -- {c.get('detail', '')}"))
-    _emit(args, payload, lines)
+
+    def text_lines() -> list[str]:
+        lines = []
+        for name in names:
+            r = report[name]
+            lines.append(f"[{name}] {r['passed']}/{r['passed'] + r['failed']} checks passed")
+            for c in r["checks"]:
+                mark = "ok " if c["passed"] else "FAIL"
+                lines.append(f"  {mark} {c['name']}"
+                             + ("" if c["passed"] else f" -- {c.get('detail', '')}"))
+        return lines
+
+    _emit(args, lambda: {"suites": report, "ok": all_ok}, text_lines)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -415,83 +410,106 @@ def _count(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_common(p, system_args: bool = True) -> None:
+    p.add_argument("--format", "--out", dest="format", choices=("text", "json"),
+                   default="text", help="output format")
+    if system_args:
+        p.add_argument("--type", choices=("A", "B", "D"), required=True)
+        p.add_argument("--rank", type=_count, required=True)
+        p.add_argument("--max-window", type=_count, default=None,
+                       help="override the per-family window cap")
+
+
+def _element_args(p) -> None:
+    _add_common(p)
+    p.add_argument("--op", required=True,
+                   choices=("length", "descents", "inverse", "reduced-word", "compose"))
+    p.add_argument("window", help="comma-separated window, e.g. '2,-4,-3,1'")
+    p.add_argument("--right", default=None, help="second operand for compose")
+
+
+def _product_args(p) -> None:
+    _add_common(p, system_args=False)
+    p.add_argument("--family", required=True, choices=sorted(wd.PRODUCTS))
+    p.add_argument("--left", required=True)
+    p.add_argument("--right", required=True)
+
+
+def _coproduct_args(p) -> None:
+    _add_common(p, system_args=False)
+    p.add_argument("--family", required=True, choices=sorted(wd.COPRODUCTS))
+    p.add_argument("--arg", required=True)
+    p.add_argument("--split", type=_count, default=None, help="keep one component")
+
+
+def _series_args(p) -> None:
+    _add_common(p, system_args=False)
+    p.add_argument("--kind", required=True, help="one of " + ", ".join(SERIES_KINDS))
+    p.add_argument("--key", required=True, help="(pseudo-)composition, e.g. '(0,2,1)'")
+    p.add_argument("--window", type=_count, required=True)
+
+
+def _expand_args(p) -> None:
+    _add_common(p, system_args=False)
+    p.add_argument("--target", required=True, help="token like 'x0:2' or 'h:(1,1)'")
+    p.add_argument("--basis", required=True,
+                   help="semicolon-separated tokens, e.g. 'hB:(2);hB:(1,1);hB:(0,2);hB:(0,1,1)'")
+    p.add_argument("--window", type=_count, default=3)
+
+
+def _table_args(p) -> None:
+    _add_common(p)
+    p.add_argument("--table", required=True, choices=("c", "hm", "hgram"))
+
+
+def _hecke_args(p) -> None:
+    _add_common(p)
+    p.add_argument("--op", default="none", choices=("none", "induce", "restrict"))
+    p.add_argument("--subset", default=None, help="acting generators, e.g. '1,2'")
+    p.add_argument("--module", required=True, help="'C:<subset>', 'P:<subset>' or 'regular'")
+    p.add_argument("--report", default="factors",
+                   choices=("factors", "multiplicities", "dim", "matrices"))
+
+
+def _verify_args(p) -> None:
+    _add_common(p, system_args=False)
+    p.add_argument("--suite", default="all",
+                   help="suite name (" + ", ".join(sorted(vf.SUITES)) + ") or 'all'")
+    p.add_argument("--type", choices=("A", "B", "D"), default=None)
+    p.add_argument("--rank", type=_count, default=None)
+
+
+#: Each subcommand's help line, handler and argument builder, in help order.
+COMMANDS = {
+    "element": ("window-notation arithmetic", cmd_element, _element_args),
+    "product": ("shuffle-style products", cmd_product, _product_args),
+    "coproduct": ("unshuffle-style coproducts", cmd_coproduct, _coproduct_args),
+    "series": ("truncated noncommutative basis elements", cmd_series, _series_args),
+    "expand": ("exact expansion in a polynomial basis", cmd_expand, _expand_args),
+    "table": ("pairing tables", cmd_table, _table_args),
+    "hecke": ("degenerate Hecke module calculus", cmd_hecke, _hecke_args),
+    "verify": ("run named verification suites", cmd_verify, _verify_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The coxkit parser.  When ``command`` names a subcommand only its
+    subparser is built, under a usage line that still lists every command:
+    an argument error then reads as it does from the full parser."""
     parser = argparse.ArgumentParser(
         prog="coxkit",
         description="Exact combinatorics of (signed) permutation groups: "
         "descent algebras, shuffle structures, series realizations, and "
         "degenerate Hecke representations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, system_args: bool = True):
-        p.add_argument("--format", "--out", dest="format", choices=("text", "json"),
-                       default="text", help="output format")
-        if system_args:
-            p.add_argument("--type", choices=("A", "B", "D"), required=True)
-            p.add_argument("--rank", type=_count, required=True)
-            p.add_argument("--max-window", type=_count, default=None,
-                           help="override the per-family window cap")
-
-    p = sub.add_parser("element", help="window-notation arithmetic")
-    add_common(p)
-    p.add_argument("--op", required=True,
-                   choices=("length", "descents", "inverse", "reduced-word", "compose"))
-    p.add_argument("window", help="comma-separated window, e.g. '2,-4,-3,1'")
-    p.add_argument("--right", default=None, help="second operand for compose")
-    p.set_defaults(fn=cmd_element)
-
-    p = sub.add_parser("product", help="shuffle-style products")
-    add_common(p, system_args=False)
-    p.add_argument("--family", required=True, choices=sorted(wd.PRODUCTS))
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser("coproduct", help="unshuffle-style coproducts")
-    add_common(p, system_args=False)
-    p.add_argument("--family", required=True, choices=sorted(wd.COPRODUCTS))
-    p.add_argument("--arg", required=True)
-    p.add_argument("--split", type=_count, default=None, help="keep one component")
-    p.set_defaults(fn=cmd_coproduct)
-
-    p = sub.add_parser("series", help="truncated noncommutative basis elements")
-    add_common(p, system_args=False)
-    p.add_argument("--kind", required=True, help="one of " + ", ".join(SERIES_KINDS))
-    p.add_argument("--key", required=True, help="(pseudo-)composition, e.g. '(0,2,1)'")
-    p.add_argument("--window", type=_count, required=True)
-    p.set_defaults(fn=cmd_series)
-
-    p = sub.add_parser("expand", help="exact expansion in a polynomial basis")
-    add_common(p, system_args=False)
-    p.add_argument("--target", required=True, help="token like 'x0:2' or 'h:(1,1)'")
-    p.add_argument("--basis", required=True,
-                   help="semicolon-separated tokens, e.g. 'hB:(2);hB:(1,1);hB:(0,2);hB:(0,1,1)'")
-    p.add_argument("--window", type=_count, default=3)
-    p.set_defaults(fn=cmd_expand)
-
-    p = sub.add_parser("table", help="pairing tables")
-    add_common(p)
-    p.add_argument("--table", required=True, choices=("c", "hm", "hgram"))
-    p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("hecke", help="degenerate Hecke module calculus")
-    add_common(p)
-    p.add_argument("--op", default="none", choices=("none", "induce", "restrict"))
-    p.add_argument("--subset", default=None, help="acting generators, e.g. '1,2'")
-    p.add_argument("--module", required=True, help="'C:<subset>', 'P:<subset>' or 'regular'")
-    p.add_argument("--report", default="factors",
-                   choices=("factors", "multiplicities", "dim", "matrices"))
-    p.set_defaults(fn=cmd_hecke)
-
-    p = sub.add_parser("verify", help="run named verification suites")
-    add_common(p, system_args=False)
-    p.add_argument("--suite", default="all",
-                   help="suite name (" + ", ".join(sorted(vf.SUITES)) + ") or 'all'")
-    p.add_argument("--type", choices=("A", "B", "D"), default=None)
-    p.add_argument("--rank", type=_count, default=None)
-    p.set_defaults(fn=cmd_verify)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None))
+    for name in names:
+        help_text, fn, add_args = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -519,10 +537,10 @@ def _protect_negative_windows(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _protect_negative_windows(list(argv))
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

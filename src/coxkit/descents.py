@@ -26,7 +26,8 @@ from .systems import (
     _capped_cache,
     all_subsets,
     descent_class,
-    elements,
+    descent_masks,
+    generator_bits,
     longest_element,
     min_coset_reps,
     normalizer_complement_order,
@@ -182,16 +183,18 @@ def _descent_pair_tables(system: CoxeterSystem) -> tuple[dict[int, int], list[in
     """Solomon's (1976) descent-pair count from one pass over W.
 
     Returns (bit, pairs, below).  ``bit`` maps each generator to its bit in
-    a subset mask.  With r generators, the entry at (row << r) | col of
+    a subset mask (:func:`~coxkit.systems.generator_bits`), and the pass
+    reads the masks of :func:`~coxkit.systems.descent_masks`.  With r
+    generators, the entry at (row << r) | col of
     ``pairs`` counts the w with D(w^{-1}) = row and D(w) = col, and
     ``below`` is its subset-sum (zeta) transform over both masks: the
     entry at (row << r) | col counts D(w^{-1}) <= row and D(w) <= col.
     """
-    bit = {s: 1 << i for i, s in enumerate(system.generators)}
+    bit = generator_bits(system)
     r = len(bit)
     pairs = [0] * (1 << 2 * r)
-    for w in elements(system):
-        pairs[_mask(bit, w.inverse().descent_set()) << r | _mask(bit, w.descent_set())] += 1
+    for right, left in zip(*descent_masks(system, None)):
+        pairs[left << r | right] += 1
     below = pairs[:]
     for b in range(2 * r):
         step = 1 << b

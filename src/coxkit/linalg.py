@@ -6,8 +6,8 @@ everything here is built on it.  Integers stay integers: a row is divided
 by its leading entry only when that is not +-1, and a quotient becomes a
 ``Fraction`` only when it is not an integer.  Inside a row space an entry
 may still be an integral ``Fraction`` (a difference of two fractions); the
-results that leave :func:`solve`, :func:`nullspace`,
-:meth:`RowSpace.coordinates` and :func:`express_in_basis` are turned back
+results that leave :func:`solve_columns`, :func:`nullspace`,
+:meth:`RowSpace.coordinates` and :func:`express_all_in_basis` are turned back
 into ints wherever they are integers.  Results are never floats.
 """
 
@@ -127,16 +127,31 @@ def nullspace(rows: Sequence, ncols: int) -> list[list]:
 
 def solve(rows: Sequence, rhs: Sequence) -> Optional[list]:
     """One exact solution of A x = b, or None when inconsistent."""
+    return solve_columns(rows, [rhs])[0]
+
+
+def solve_columns(rows: Sequence, columns: Sequence[Sequence]) -> list[Optional[list]]:
+    """One exact solution of A x = b for each right-hand side b in
+    ``columns`` (None where inconsistent), from one elimination of
+    [A | b_1 ... b_k].  A b is inconsistent exactly when a row whose pivot
+    lies right of A is nonzero at b; the other rows give its solution with
+    every free variable 0, so each answer is the one-column answer."""
     if not rows:
-        return [] if not any(rhs) else None
+        return [[] if not any(b) else None for b in columns]
     ncols = _width(rows)
-    space = _span({**_sparse(row), ncols: b} for row, b in zip(rows, rhs))
-    if ncols in space.rows:
-        return None
-    x = [0] * ncols
-    for c, row in space.rows.items():
-        x[c] = _integral(row.get(ncols, 0))
-    return x
+    space = _span({**_sparse(row), **{ncols + t: b[i] for t, b in enumerate(columns)}}
+                  for i, row in enumerate(rows))
+    blocked = {j for p, row in space.rows.items() if p >= ncols for j in row}
+    out: list[Optional[list]] = []
+    for j in range(ncols, ncols + len(columns)):
+        x = None
+        if j not in blocked:
+            x = [0] * ncols
+            for c, row in space.rows.items():
+                if c < ncols:
+                    x[c] = _integral(row.get(j, 0))
+        out.append(x)
+    return out
 
 
 def determinant(rows: Sequence):
@@ -164,18 +179,20 @@ def express_in_basis(target, basis: Sequence) -> list:
     combination exists; with a dependent basis some solution is returned.
     There is one coefficient per basis vector, all 0 when every operand is 0.
     """
-    keys = sorted(
-        {k for b in basis for k in b.terms} | set(target.terms),
-        key=repr,
-    )
+    return express_all_in_basis([target], basis)[0]
+
+
+def express_all_in_basis(targets: Sequence, basis: Sequence) -> list[list]:
+    """:func:`express_in_basis` of every target, from one elimination of
+    the basis with all the targets beside it."""
+    keys = sorted({k for v in (*basis, *targets) for k in v.terms}, key=repr)
     if not keys:
-        return [0] * len(basis)
+        return [[0] * len(basis) for _ in targets]
     rows = [[b.terms.get(k, 0) for b in basis] for k in keys]
-    rhs = [target.terms.get(k, 0) for k in keys]
-    x = solve(rows, rhs)
-    if x is None:
+    xs = solve_columns(rows, [[t.terms.get(k, 0) for k in keys] for t in targets])
+    if None in xs:
         raise NotInSpanError("target is not in the span of the basis")
-    return x
+    return xs
 
 
 def is_linearly_independent(vectors: Sequence) -> bool:

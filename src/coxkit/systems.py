@@ -480,14 +480,56 @@ def parabolic_decompose_right(w: Element, subset: frozenset[int]) -> tuple[Eleme
     return p.inverse(), c.inverse()
 
 
+def generator_bits(system: CoxeterSystem) -> dict[int, int]:
+    """Each generator's bit in a descent mask: bit k is ``system.generators[k]``."""
+    return {s: 1 << k for k, s in enumerate(system.generators)}
+
+
+@_capped_cache
+def descent_masks(system: CoxeterSystem, within: Optional[frozenset[int]]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The right and the left descent mask of each element of the pool (the
+    group for ``within=None``, else the parabolic on that generator set), as two
+    tuples in the pool's (length, window) order.  A mask holds the
+    :func:`generator_bits` of the s whose simple root a has <a, window> < 0,
+    read on the window for the right mask and on the inverse window for the
+    left one."""
+    pool = elements(system) if within is None else parabolic_elements(system, within)
+    bits = generator_bits(system)
+    simple = [(bits[s], i, a, j, b) for s, i, a, j, b in system._roots.simple]
+    right, left = [], []
+    inverse = [0] * system.n
+    for w in pool:
+        window = w.window
+        for p, v in enumerate(window, start=1):
+            if v > 0:
+                inverse[v - 1] = p
+            else:
+                inverse[-v - 1] = -p
+        right.append(sum([bit for bit, i, a, j, b in simple if a * window[i] + b * window[j] < 0]))
+        left.append(sum([bit for bit, i, a, j, b in simple if a * inverse[i] + b * inverse[j] < 0]))
+    return tuple(right), tuple(left)
+
+
 @_capped_cache
 def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
                      within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
     """The w with low <= D(w) <= high, in the order of the pool: the group,
     or with ``within`` the parabolic on that generator set.  The one filter
-    of group elements by descent set."""
+    of group elements by descent set: the masks d of :func:`descent_masks`
+    with d & lo == lo and d | hi == hi are listed once, and the pool is
+    read through them.  Labels of ``high`` outside the generators are
+    dropped, and a ``low`` holding one gives ()."""
+    bit = generator_bits(system)
+    if not low <= bit.keys():
+        return ()
+    lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
+    keep = {d for d in range(1 << len(bit)) if d & lo == lo and d | hi == hi}
+    if within is not None:  # one pool and one mask table, however ``within`` names them
+        gens = system.generator_set
+        within = None if gens <= within else within & gens
     pool = elements(system) if within is None else parabolic_elements(system, within)
-    return tuple(w for w in pool if low <= w.descent_set() <= high)
+    return tuple(itertools.compress(pool, map(keep.__contains__, descent_masks(system, within)[0])))
 
 
 def min_coset_reps(
@@ -504,13 +546,12 @@ def min_coset_reps(
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if within is not None and not subset <= within:
+        raise ValueError("subset must lie inside the ambient generator set")
     if side == "right":
         return _right_coset_reps(system, subset, within)
     ambient = system.generator_set if within is None else within
-    reps = descent_interval(system, frozenset(), ambient - subset, within)
-    if within is not None and not subset <= within:
-        raise ValueError("subset must lie inside the ambient generator set")
-    return reps
+    return descent_interval(system, frozenset(), ambient - subset, within)
 
 
 @_capped_cache

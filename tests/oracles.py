@@ -22,6 +22,7 @@ from coxkit.systems import (
     descents_of_composition,
     elements,
     longest_element,
+    parabolic_elements,
     word_cube,
 )
 
@@ -98,6 +99,29 @@ def orbit_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[int]
         else:
             classes.append([I])
     return tuple(tuple(cls) for cls in classes)
+
+
+def descent_interval_by_sets(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
+                             within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
+    """The w of the pool (the group, or the parabolic on ``within``) with
+    low <= D(w) <= high, in the pool's order: one descent frozenset per
+    element, compared as sets."""
+    pool = elements(system) if within is None else parabolic_elements(system, within)
+    return tuple(w for w in pool if low <= w.descent_set() <= high)
+
+
+def element_descent_pairs(system: CoxeterSystem) -> list[int]:
+    """Solomon's descent-pair histogram by one Element inverse and two
+    descent frozensets per element: with r generators, the entry at
+    (row << r) | col counts the w with D(w^{-1}) = row and D(w) = col,
+    bit k of a mask standing for the k-th generator."""
+    bit = {s: 1 << i for i, s in enumerate(system.generators)}
+    r = len(bit)
+    pairs = [0] * (1 << 2 * r)
+    for w in elements(system):
+        pairs[sum(bit[s] for s in w.inverse().descent_set()) << r
+              | sum(bit[s] for s in w.descent_set())] += 1
+    return pairs
 
 
 def scan_mutual_descent_count(system: CoxeterSystem, row: frozenset[int],

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit.cli import main
+from coxkit.cli import COMMANDS, build_parser, main
 from coxkit.systems import set_max_order
 from coxkit.words import COPRODUCTS, PRODUCTS
 
@@ -346,6 +347,30 @@ class TestHecke:
                              "--op", "induce", "--subset", "1,2", "--module", "C:0",
                              "--report", "factors")
         assert status == 2 and "acting set" in err
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_subparser_help_is_the_full_help(self, command, capsys):
+        # main builds only the invoked command's subparser; its help, and
+        # the usage line of an error, read as from the full parser
+        full = build_parser()
+        sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == sub.choices[command].format_help()
+        with pytest.raises(SystemExit):
+            full.parse_args([command, "--no-such-option"])
+        full_err = capsys.readouterr().err
+        assert main([command, "--no-such-option"]) == 2
+        assert capsys.readouterr().err == full_err
+
+    def test_unknown_or_no_command_builds_every_subparser(self, capsys):
+        for argv in ([], ["--help"], ["bogus"]):
+            sub = next(a for a in build_parser(argv[0] if argv else None)._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            assert list(sub.choices) == list(COMMANDS)
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == build_parser().format_help()
 
 
 class TestNegativeIntegerOptions:

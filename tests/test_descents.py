@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from coxkit.descents import (
+    _descent_pair_tables,
     c_matrix,
     class_index,
     class_label,
@@ -45,6 +46,7 @@ from oracles import (
     ORACLE_SYSTEMS,
     collect_by_descents,
     double_coset_count,
+    element_descent_pairs,
     scan_mutual_descent_count,
     scan_weak_descent_count,
 )
@@ -238,6 +240,12 @@ class TestDescentPairOracle:
                     == scan_mutual_descent_count(system, I, J), (I, J)
                 assert weak_descent_count(system, I, J) \
                     == scan_weak_descent_count(system, I, J), (I, J)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_histogram_matches_element_scan(self, system):
+        # the table counted from the descent masks equals the one built from
+        # an Element inverse and two descent frozensets per element
+        assert _descent_pair_tables(system)[1] == element_descent_pairs(system)
 
 
 class TestDoubleCosets:

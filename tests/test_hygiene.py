@@ -328,7 +328,7 @@ def test_scanner_flags_a_family_read():
 #: The functions that read each family's type off its roots alone.
 ROOT_RULES = {
     "systems.py": ["Element.length", "Element.descent_set", "CoxeterSystem.coxeter_order",
-                   "CoxeterSystem.generator"],
+                   "CoxeterSystem.generator", "descent_masks"],
     "hecke.py": ["sorting_operator"],
 }
 

@@ -14,11 +14,13 @@ from coxkit.linalg import (
     RowSpace,
     determinant,
     exact_div,
+    express_all_in_basis,
     express_in_basis,
     is_linearly_independent,
     matrix_rank,
     nullspace,
     solve,
+    solve_columns,
 )
 
 INTS = st.integers(-3, 3)
@@ -174,6 +176,42 @@ def test_solve_matches_sympy_consistency(case):
         assert padded(sparse_x, len(x)) == x
 
 
+@st.composite
+def multi_systems(draw):
+    """(rows, ncols, columns): a matrix and up to four right-hand sides,
+    each one of its column combinations or an arbitrary vector."""
+    rows, ncols = draw(matrices())
+    columns = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            columns.append(apply(rows, [draw(RATIONALS) for _ in range(ncols)]))
+        else:
+            columns.append([draw(RATIONALS) for _ in rows])
+    return rows, ncols, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_systems())
+@example(([[1, 0], [0, 0]], 2, [[0, 1], [1, 0], [0, 1], [2, 0]]))
+@example(([[0, 0], [0, 0]], 2, [[1, 0], [0, 1], [0, 0]]))
+@example(([], 3, [[], []]))
+@example(([[], []], 0, [[0, 5], [0, 0]]))
+def test_solve_columns_is_each_one_column_solve(case):
+    # an inconsistent column before or after a consistent one leaves its
+    # answer, to the type of each entry, as the one-column solve gives it
+    rows, ncols, columns = case
+    xs = solve_columns(rows, columns)
+    assert len(xs) == len(columns)
+    A = as_sympy(rows, ncols)
+    for b, x in zip(columns, xs):
+        consistent = A.rank() == A.row_join(as_sympy([[c] for c in b], 1)).rank()
+        assert (x is not None) == consistent
+        single = solve_columns(rows, [b])[0]
+        assert x == single and [type(c) for c in x or ()] == [type(c) for c in single or ()]
+        if x is not None:
+            assert exact(x) and apply(rows, x) == list(b)
+
+
 def integral_as_int(values) -> bool:
     """Every entry that is an integer is an int, not a Fraction."""
     return all(type(x) is int for x in values if x == int(x))
@@ -267,6 +305,18 @@ def test_express_in_basis_and_independence():
     assert is_linearly_independent([a, b])
     assert not is_linearly_independent([a, b, a + b])
     assert is_linearly_independent([])
+
+
+def test_express_all_in_basis_is_each_express_in_basis():
+    a = FormalVector({"x": 1, "y": 1})
+    b = FormalVector({"y": 2})
+    targets = [FormalVector({"x": 3, "y": 4}), FormalVector(), FormalVector({"y": -6}), a + b]
+    assert express_all_in_basis(targets, [a, b]) \
+        == [express_in_basis(t, [a, b]) for t in targets] \
+        == [[3, Fraction(1, 2)], [0, 0], [0, -3], [1, 1]]
+    assert express_all_in_basis([], [a, b]) == []
+    with pytest.raises(NotInSpanError):
+        express_all_in_basis([a, FormalVector({"z": 1})], [a, b])
 
 
 def test_express_in_basis_all_zero():

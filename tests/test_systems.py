@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxkit.systems import (
@@ -11,6 +11,7 @@ from coxkit.systems import (
     composition_prefix_split,
     descent_class,
     descent_interval,
+    descent_masks,
     descents_of_composition,
     elements,
     from_word,
@@ -35,6 +36,7 @@ from coxkit.systems import (
 from oracles import (
     ORACLE_SYSTEMS,
     cayley_distances,
+    descent_interval_by_sets,
     orbit_conjugacy_classes,
     parabolic_conjugates,
     parabolic_elements_by_words,
@@ -230,7 +232,11 @@ class TestEnumeration:
 
         I = frozenset({1})
         reads = {
+            "descent_masks": lambda: descent_masks(B3, None),
+            "descent_masks within": lambda: descent_masks(B3, I),
+            "descent_interval": lambda: descent_interval(B3, frozenset(), I),
             "descent_class": lambda: descent_class(B3, I),
+            "descent_class within": lambda: descent_class(B3, I, B3.generator_set - {0}),
             "min_coset_reps left": lambda: min_coset_reps(B3, I, "left"),
             "min_coset_reps right": lambda: min_coset_reps(B3, I, "right"),
             "normalizer_complement_order": lambda: normalizer_complement_order(B3, I),
@@ -249,25 +255,33 @@ class TestEnumeration:
             set_max_order(None)
         assert {name: read() for name, read in reads.items()} == before
         # the lookups hand back one cached tuple on every call
-        for name in ("descent_class", "min_coset_reps left", "min_coset_reps right"):
+        for name in ("descent_masks", "descent_interval", "descent_class",
+                     "min_coset_reps left", "min_coset_reps right"):
             assert reads[name]() is reads[name](), name
 
     def test_min_coset_reps_refusal_order(self):
-        # a bad side is refused before the cap, and the cap before a subset
-        # outside ``within``
+        # the arguments are checked before any enumeration: a bad side and a
+        # subset outside ``within`` are refused ahead of the cap, on a group
+        # over the cap (|B8| > 10**6) as on a lowered cap; the cap comes next
         outside, within = frozenset({0}), frozenset({1, 2})
+        B8 = CoxeterSystem("B", 8)
         set_max_order(10)
         try:
-            with pytest.raises(ValueError, match="side"):
-                min_coset_reps(B3, within, "middle")
-            for side in ("left", "right"):
-                with pytest.raises(CapExceededError):
-                    min_coset_reps(B3, outside, side, within)
+            for system in (B3, B8):
+                with pytest.raises(ValueError, match="side"):
+                    min_coset_reps(system, within, "middle")
+                for side in ("left", "right"):
+                    with pytest.raises(ValueError, match="ambient"):
+                        min_coset_reps(system, outside, side, within)
+                    with pytest.raises(CapExceededError):
+                        min_coset_reps(system, frozenset({1}), side, within)
         finally:
             set_max_order(None)
         for side in ("left", "right"):
             with pytest.raises(ValueError, match="ambient"):
-                min_coset_reps(B3, outside, side, within)
+                min_coset_reps(B8, outside, side, within)
+            with pytest.raises(CapExceededError):
+                min_coset_reps(B8, frozenset({1}), side, within)
 
     def test_cap_env_override(self, monkeypatch):
         from coxkit import systems
@@ -522,6 +536,20 @@ class TestConjugacyClasses:
             assert parabolic_class_size(system, J) == len(parabolic_conjugates(system, J))
 
 
+@st.composite
+def _intervals(draw):
+    """(system, low, high, within) on an oracle system: low and high hold
+    generators and labels outside them; within is None or holds generators
+    and the outside label -1."""
+    system = draw(st.sampled_from(ORACLE_SYSTEMS))
+    labels = st.frozensets(st.sampled_from(system.generators + (-1, system.n + 1)))
+    high = draw(labels)
+    low = draw(st.frozensets(st.sampled_from(sorted(high))) if high and draw(st.booleans())
+               else labels)
+    within = draw(st.none() | st.frozensets(st.sampled_from(system.generators + (-1,))))
+    return system, low, high, within
+
+
 class TestParabolicOracle:
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
     def test_parabolic_elements_match_word_filter(self, system):
@@ -549,6 +577,43 @@ class TestParabolicOracle:
                 for low in (X for X in subsets if X <= high):
                     assert descent_interval(system, low, high, within) \
                         == tuple(w for w, d in descents if low <= d <= high)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_descent_masks_are_the_descent_sets(self, system):
+        # bit k of each mask is generators[k] in D(w) (right) or D(w^-1) (left)
+        for within in (None, frozenset()) + all_subsets(system):
+            pool = elements(system) if within is None else parabolic_elements(system, within)
+            right, left = descent_masks(system, within)
+            assert len(right) == len(left) == len(pool)
+            for w, r, l in zip(pool, right, left):
+                for k, s in enumerate(system.generators):
+                    assert (r >> k & 1, l >> k & 1) \
+                        == (s in w.descent_set(), s in w.left_descent_set()), (w, s)
+                assert r >> system.rank == l >> system.rank == 0
+
+    def test_one_mask_table_per_pool(self):
+        # a ``within`` that covers the generators, or names labels outside
+        # them, reads the mask table of the pool it stands for
+        descent_interval.cache_clear()
+        descent_masks.cache_clear()
+        descent_interval(B3, frozenset(), B3.generator_set, B3.generator_set | {7})
+        descent_class(B3, frozenset({1}))
+        descent_interval(B3, frozenset(), frozenset({1}), frozenset({1, 7}))
+        descent_class(B3, frozenset({1}), frozenset({1}))
+        assert descent_masks.cache_info().currsize == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_intervals())
+    @example((CoxeterSystem("A", 0), frozenset(), frozenset(), None))
+    @example((CoxeterSystem("A", 1), frozenset(), frozenset({5}), frozenset()))
+    @example((CoxeterSystem("B", 1), frozenset({0}), frozenset({0}), frozenset()))
+    @example((CoxeterSystem("B", 1), frozenset({0}), frozenset({0, 1, 7}), frozenset({0})))
+    @example((A4, frozenset({7}), frozenset({1, 2, 3, 7}), None))
+    @example((D4, frozenset(), frozenset({-1, 0, 1, 2, 3, 4}), frozenset({1, 2})))
+    def test_descent_interval_matches_the_set_filter(self, interval):
+        # any low, high and within, labels outside the generators included:
+        # the same elements as the frozenset filter, in the same order
+        assert descent_interval(*interval) == descent_interval_by_sets(*interval)
 
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
     def test_right_coset_reps_are_the_inverse_descent_filter(self, system):
