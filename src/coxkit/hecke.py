@@ -17,7 +17,10 @@ rewrite of generator action on coset representatives.
 Composition factors are read off one rank per subset of the acting set:
 the simples are one-dimensional, so the fixed spaces of the idempotent
 generators count them, and a Moebius inversion over the subsets separates
-the labels.
+the labels.  Every module built here is monomial (each column is -b_j, a
+rise b_i or zero), and there each rank is a count of the rows hit and
+each Hom dimension a count of sign-consistent components; any other
+module is reduced by elimination.
 """
 
 from __future__ import annotations
@@ -35,12 +38,17 @@ from .systems import (
     composition_from_descents,
     descent_class,
     descent_interval,
-    min_coset_reps,
+    descent_interval_left_masks,
+    generator_bits,
     reflect,
 )
 
 #: X_s as a sparse column map: column j (the image of b_j) is {i: c}.
 ColumnMap = dict[int, dict[int, object]]
+
+#: A monomial module's columns, per generator: (rows hit, columns missing,
+#: rise neighbours of each basis vector); see :func:`_monomial_shape`.
+Shape = dict[int, tuple[set[int], set[int], dict[int, list[int]]]]
 
 
 class NonProjectiveError(ValueError):
@@ -114,16 +122,18 @@ def _descent_interval_module(system: CoxeterSystem, low: frozenset[int],
     """
     basis = descent_interval(system, low, high, carrier)
     index = {w: i for i, w in enumerate(basis)}
-    left = [w.left_descent_set() for w in basis]
+    left = descent_interval_left_masks(system, low, high, carrier)
+    bits = generator_bits(system)
     mats: dict[int, ColumnMap] = {}
     for s in carrier:
-        g = system.generator(s)
+        g, bit = system.generator(s), bits[s]
         X: ColumnMap = {}
         for j, w in enumerate(basis):
-            sw = g * w
-            if s in left[j]:
+            if left[j] & bit:
                 X[j] = {j: -1}
-            elif sw in index:
+                continue
+            sw = g * w
+            if sw in index:
                 X[j] = {index[sw]: 1}
         mats[s] = X
     return HModule(system, carrier, mats, len(basis), labels=basis)
@@ -183,10 +193,12 @@ def induce(module: HModule) -> HModule:
     """
     system = module.system
     I = module.acting
-    reps = min_coset_reps(system, I, "left")
+    # the minimal left-coset representatives, D(z) disjoint from I
+    reps = descent_interval(system, frozenset(), system.generator_set - I)
+    left = descent_interval_left_masks(system, frozenset(), system.generator_set - I, None)
     rep_index = {z: i for i, z in enumerate(reps)}
     gen_label = {system.generator(s): s for s in I}
-    left = [z.left_descent_set() for z in reps]
+    bits = generator_bits(system)
     d = module.dim
     mats: dict[int, ColumnMap] = {}
     for s in system.generators:
@@ -196,7 +208,7 @@ def induce(module: HModule) -> HModule:
             # (z, m) has index zi * d + m
             sz = g * z
             at = zi * d
-            if s in left[zi]:
+            if left[zi] & bits[s]:
                 for mi in range(d):
                     X[at + mi] = {at + mi: -1}
             elif sz in rep_index:
@@ -228,6 +240,28 @@ def _eigen_patterns(module: HModule) -> list[frozenset[int]]:
     return [I for I in all_subsets(module.system) if I <= module.acting]
 
 
+def _monomial_shape(module: HModule) -> Optional[Shape]:
+    """Per acting s, the rows X_s hits, the columns it leaves out and each
+    basis vector's neighbours along its rises, when every stored column of
+    X_s is {j: -1} or a rise {i: 1} with i != j; otherwise None."""
+    shape: Shape = {}
+    for s, X in module.mats.items():
+        rows: set[int] = set()
+        rises: dict[int, list[int]] = {}
+        for j, col in X.items():
+            if len(col) != 1:
+                return None
+            (i, c), = col.items()
+            if c != (-1 if i == j else 1):
+                return None
+            rows.add(i)
+            if i != j:
+                rises.setdefault(i, []).append(j)
+                rises.setdefault(j, []).append(i)
+        shape[s] = rows, set(range(module.dim)).difference(X), rises
+    return shape
+
+
 def composition_factors(module: HModule) -> FormalVector:
     """Multiset of simple factors, from the ranks of the fixed spaces.
 
@@ -241,12 +275,19 @@ def composition_factors(module: HModule) -> FormalVector:
 
     Each rank is taken on the stored columns, the rows of the transposes, so
     t(K) is read on the dual module; its composition factors are the same,
-    as the transposes keep the relations and each C_J is its own dual.
+    as the transposes keep the relations and each C_J is its own dual.  On
+    a monomial module (:func:`_monomial_shape`; every module built here is
+    one) each column is one signed unit vector, so the rank is the number
+    of distinct rows the columns hit and no elimination runs; any other
+    module goes through :func:`~coxkit.linalg.matrix_rank`.
     """
     A = module.acting
     patterns = _eigen_patterns(module)
+    shape = _monomial_shape(module)
     fixed = {
-        K: module.dim - matrix_rank(col for s in K for col in module.mats[s].values())
+        K: module.dim - (
+            matrix_rank(col for s in K for col in module.mats[s].values()) if shape is None
+            else len(set().union(*(shape[s][0] for s in K))))
         for K in patterns
     }
     return FormalVector(
@@ -259,22 +300,60 @@ def composition_factors(module: HModule) -> FormalVector:
 def hom_to_simple_dim(module: HModule, pattern: frozenset[int]) -> int:
     """Dimension of the space of maps onto the simple with the given pattern:
     the kernel of the stacked transposes of X_s + [s in pattern] * I, by column."""
-    def shifted_rows():
-        for s in module.acting:
-            for i in range(module.dim):
-                col = module.mats[s].get(i, {})
-                yield {**col, i: col.get(i, 0) + 1} if s in pattern else col
+    return _hom_dim(module, _monomial_shape(module), pattern)
 
-    return module.dim - matrix_rank(shifted_rows())
+
+def _hom_dim(module: HModule, shape: Optional[Shape], pattern: frozenset[int]) -> int:
+    """:func:`hom_to_simple_dim`, given the module's :func:`_monomial_shape`.
+
+    On a monomial module the kernel's equations on f have at most two terms.
+    A rise j -> i of X_s gives f(i) = -f(j) for s in the pattern and
+    f(i) = 0 otherwise; a diagonal column j gives f(j) = 0 for s outside
+    it; a missing column j gives f(j) = 0 for s in it.  So the dimension
+    is the number of components of the rise graph of the pattern that hold
+    no forced zero and no odd cycle, found by a two-colouring search from
+    the basis vectors that are not forced to zero.
+    """
+    if shape is None:
+        def shifted_rows():
+            for s in module.acting:
+                for i in range(module.dim):
+                    col = module.mats[s].get(i, {})
+                    yield {**col, i: col.get(i, 0) + 1} if s in pattern else col
+
+        return module.dim - matrix_rank(shifted_rows())
+    J = pattern & module.acting
+    zero = set().union(*(shape[s][0] for s in module.acting - J), *(shape[s][1] for s in J))
+    rises = [shape[s][2] for s in J]
+    side: dict[int, int] = {}
+    count = 0
+    for v in set(range(module.dim)) - zero:
+        if v in side:
+            continue
+        side[v], stack, free = 0, [v], True
+        while stack:
+            x = stack.pop()
+            for edges in rises:
+                for y in edges.get(x, ()):
+                    if y in zero:
+                        free = False
+                    elif y not in side:
+                        side[y] = side[x] ^ 1
+                        stack.append(y)
+                    elif side[y] == side[x]:
+                        free = False
+        count += free
+    return count
 
 
 def projective_multiplicities(module: HModule) -> FormalVector:
     """Multiplicity of each projective indecomposable among the acting set,
     with a dimension audit that flags non-projective inputs."""
+    shape = _monomial_shape(module)
     out = FormalVector(kind="k0")
     total = 0
     for pattern in _eigen_patterns(module):
-        m = hom_to_simple_dim(module, pattern)
+        m = _hom_dim(module, shape, pattern)
         if m:
             out += FormalVector.basis(pattern, m, kind="k0")
             total += m * len(descent_class(module.system, pattern, module.acting))

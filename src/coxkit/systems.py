@@ -511,25 +511,45 @@ def descent_masks(system: CoxeterSystem, within: Optional[frozenset[int]]
     return tuple(right), tuple(left)
 
 
+def _interval_selectors(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
+                        within: Optional[frozenset[int]]
+                        ) -> tuple[Optional[frozenset[int]], list[bool]]:
+    """The one filter of group elements by descent set.  It returns the key
+    of the pool (None for the group, also for a ``within`` that covers the
+    generators, else the generators ``within`` holds), so that one pool has
+    one mask table, and for each position of that pool whether its w has
+    low <= D(w) <= high: the masks d of :func:`descent_masks` with
+    d & lo == lo and d | hi == hi are listed once, and the table is read
+    through them.  Labels of ``high`` outside the generators are dropped,
+    and a ``low`` holding one keeps nothing."""
+    if within is not None:
+        within = None if system.generator_set <= within else within & system.generator_set
+    bit = generator_bits(system)
+    if not low <= bit.keys():
+        return within, []
+    lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
+    keep = {d for d in range(1 << len(bit)) if d & lo == lo and d | hi == hi}
+    return within, list(map(keep.__contains__, descent_masks(system, within)[0]))
+
+
 @_capped_cache
 def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
                      within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
     """The w with low <= D(w) <= high, in the order of the pool: the group,
-    or with ``within`` the parabolic on that generator set.  The one filter
-    of group elements by descent set: the masks d of :func:`descent_masks`
-    with d & lo == lo and d | hi == hi are listed once, and the pool is
-    read through them.  Labels of ``high`` outside the generators are
-    dropped, and a ``low`` holding one gives ()."""
-    bit = generator_bits(system)
-    if not low <= bit.keys():
-        return ()
-    lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
-    keep = {d for d in range(1 << len(bit)) if d & lo == lo and d | hi == hi}
-    if within is not None:  # one pool and one mask table, however ``within`` names them
-        gens = system.generator_set
-        within = None if gens <= within else within & gens
+    or with ``within`` the parabolic on that generator set
+    (:func:`_interval_selectors`)."""
+    within, kept = _interval_selectors(system, low, high, within)
     pool = elements(system) if within is None else parabolic_elements(system, within)
-    return tuple(itertools.compress(pool, map(keep.__contains__, descent_masks(system, within)[0])))
+    return tuple(itertools.compress(pool, kept))
+
+
+def descent_interval_left_masks(system: CoxeterSystem, low: frozenset[int],
+                                high: frozenset[int], within: Optional[frozenset[int]]
+                                ) -> tuple[int, ...]:
+    """The left descent masks (:func:`descent_masks`) of the elements of
+    :func:`descent_interval` with the same arguments, in its order."""
+    within, kept = _interval_selectors(system, low, high, within)
+    return tuple(itertools.compress(descent_masks(system, within)[1], kept))
 
 
 def min_coset_reps(

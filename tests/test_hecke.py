@@ -1,6 +1,12 @@
 import itertools
+import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxkit import cli, hecke
 
 from coxkit.descents import (
     class_rep_bounds,
@@ -11,6 +17,7 @@ from coxkit.descents import (
 )
 from coxkit.freemodule import FormalVector
 from coxkit.hecke import (
+    HModule,
     NonProjectiveError,
     characteristic_polynomial,
     composition_factors,
@@ -35,6 +42,7 @@ from coxkit.systems import (
     longest_element,
     min_coset_reps,
     parabolic_decompose_right,
+    parabolic_elements,
 )
 
 from oracles import (
@@ -440,7 +448,8 @@ def _modules_up_to_48(system):
 class TestStorageForm:
     """Each X_s is a sparse column map: no zero is stored, and on Norton's
     basis (and the simples and inductions built from it) every column
-    holds at most one entry."""
+    holds at most one entry, -b_j or a rise b_i, so every such module is
+    monomial and takes the counting path."""
 
     @pytest.mark.parametrize("system", ORACLE_MODULE_SYSTEMS, ids=repr)
     def test_columns_are_sparse_and_single(self, system):
@@ -451,6 +460,7 @@ class TestStorageForm:
                     assert 0 <= j < M.dim and all(0 <= i < M.dim for i in col), (name, s)
                     assert all(col.values()), (name, s, j)
                     assert len(col) <= 1, (name, s, j)
+            assert hecke._monomial_shape(M) is not None, name
 
     def test_missing_columns_render_as_zero(self):
         C = simple_module(B2, frozenset())
@@ -571,6 +581,148 @@ class TestCompositionFactors:
         M = module_from_matrices(B2, acting, {s: [] for s in acting}, 0)
         assert composition_factors(M) == extracted_composition_factors(M) \
             == FormalVector(kind="g0")
+
+
+MONOMIAL_SYSTEMS = [CoxeterSystem.of_rank(family, rank)
+                    for family in "ABD" for rank in range(5) if family != "D" or rank >= 2]
+
+
+def _subsets_of(generators):
+    return st.frozensets(st.sampled_from(sorted(generators))) if generators \
+        else st.just(frozenset())
+
+
+@st.composite
+def _monomial_modules(draw):
+    """A regular, projective, mixed projective or simple module of a
+    parabolic on ranks 0-4 of every family, then up to four restrictions
+    and inductions; an induction that would pass dimension 200 is skipped."""
+    system = draw(st.sampled_from(MONOMIAL_SYSTEMS))
+    carrier = draw(_subsets_of(system.generators))
+    label = draw(_subsets_of(carrier))
+    kind = draw(st.sampled_from(("regular", "P", "mixed", "C")))
+    M = {"regular": lambda: regular_module(system, carrier),
+         "P": lambda: projective_module(system, label, carrier),
+         "mixed": lambda: mixed_projective_module(system, label, carrier),
+         "C": lambda: simple_module(system, label, acting=carrier)}[kind]()
+    for op in draw(st.lists(st.sampled_from(("induce", "restrict")), max_size=4)):
+        if op == "restrict":
+            M = restrict(M, draw(_subsets_of(M.acting)))
+        elif M.dim * system.order() <= 200 * len(parabolic_elements(system, M.acting)):
+            M = induce(M)
+    return M
+
+
+def _counts(M):
+    """composition_factors and every hom_to_simple_dim of M."""
+    patterns = [J for J in all_subsets(M.system) if J <= M.acting]
+    return composition_factors(M), [hom_to_simple_dim(M, J) for J in patterns]
+
+
+def _counts_by_elimination(M):
+    """The same counts through the retained elimination, on the same columns."""
+    with mock.patch.object(hecke, "_monomial_shape", lambda module: None):
+        return _counts(M)
+
+
+class _Eliminated(Exception):
+    pass
+
+
+def _refuse_elimination(rows):
+    raise _Eliminated
+
+
+class TestMonomialCounting:
+    """On a monomial module (each column {j: -1} or {i: 1} with i != j) the
+    factors come from counting the rows hit and each Hom dimension from the
+    components of a parity search; both against the rank path."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_monomial_modules())
+    def test_counts_match_the_rank_path(self, M):
+        assert hecke._monomial_shape(M) is not None
+        assert _counts(M) == _counts_by_elimination(M)
+
+    @pytest.mark.parametrize("system", [CoxeterSystem.of_rank(f, r) for f in "AB" for r in (0, 1)],
+                             ids=repr)
+    def test_rank_zero_and_one(self, system):
+        for M in (regular_module(system), induce(simple_module(system, frozenset(), frozenset())),
+                  *(projective_module(system, J) for J in all_subsets(system))):
+            assert _counts(M) == _counts_by_elimination(M)
+
+    def test_empty_acting_set(self):
+        for M in (simple_module(B2, frozenset(), acting=frozenset()),
+                  restrict(regular_module(B2), frozenset())):
+            assert _counts(M) == _counts_by_elimination(M) \
+                == (FormalVector({frozenset(): M.dim}, kind="g0"), [M.dim])
+
+    @pytest.mark.parametrize("acting", [frozenset(), frozenset([1]), B2.generator_set])
+    def test_dimension_zero(self, acting):
+        M = HModule(B2, acting, {s: {} for s in acting}, 0)
+        assert _counts(M) == _counts_by_elimination(M) \
+            == (FormalVector(kind="g0"), [0] * 2 ** len(acting))
+
+    def test_forced_zero_beside_a_free_component(self):
+        # two copies of the regular module of <s1> on the basis pairs {0, 1}
+        # and {2, 3}; X_2 acts by -1 on the first and by 0 on the second
+        A2 = CoxeterSystem("A", 3)
+        M = HModule(A2, A2.generator_set, {
+            1: {0: {1: 1}, 1: {1: -1}, 2: {3: 1}, 3: {3: -1}},
+            2: {0: {0: -1}, 1: {1: -1}},
+        }, 4)
+        M.validate()
+        # pattern {1, 2}: the rise 0 -> 1 joins a free component, and the
+        # missing columns 2, 3 of X_2 force the component of 2 -> 3 to zero;
+        # pattern {1}: X_2 hits rows 0 and 1, and {2, 3} is free
+        for J in (frozenset({1, 2}), frozenset({1})):
+            assert hom_to_simple_dim(M, J) == 1
+        assert _counts(M) == _counts_by_elimination(M)
+
+    @pytest.mark.parametrize("length,dim", [(3, 0), (4, 1), (5, 0)])
+    def test_cycle_of_rises(self, length, dim):
+        # X_s b_j = b_{j+1 mod length}: each equation is f(j+1) = -f(j) on
+        # the pattern {s}, so an odd cycle forces f = 0 and an even one does not
+        A1 = CoxeterSystem("A", 2)
+        M = HModule(A1, A1.generator_set, {1: {j: {(j + 1) % length: 1}
+                                                for j in range(length)}}, length)
+        assert hom_to_simple_dim(M, A1.generator_set) == dim
+        assert _counts(M) == _counts_by_elimination(M)
+
+    def test_counting_runs_no_elimination(self, monkeypatch):
+        I, K, J = frozenset({1, 2}), frozenset({0, 2}), frozenset({2})
+        regular = FormalVector({X: len(descent_class(B3, X)) for X in all_subsets(B3)},
+                               kind="g0")
+        monkeypatch.setattr(hecke, "matrix_rank", _refuse_elimination)
+        assert composition_factors(regular_module(B3)) == regular
+        assert projective_multiplicities(restrict(projective_module(B3, K), I)) \
+            == sigma_restrict(B3, I, sigma_basis(K))
+        assert composition_factors(induce(simple_module(B3, J, acting=I))) \
+            == sigma_star_induce(B3, I, sigma_star_basis(J))
+        # the conjugated module of test_factors_invariant_under_basis_change
+        # is not monomial, so it still reaches the elimination
+        P = projective_module(B2, frozenset([0]))
+        n = P.dim
+        U = [[1 if i == j else (1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
+        Uinv = solve_matrix_inverse(U)
+        conj = {s: mat_mul(mat_mul(U, P.matrix(s)), Uinv) for s in P.mats}
+        M = module_from_matrices(P.system, P.acting, conj, P.dim)
+        with pytest.raises(_Eliminated):
+            composition_factors(M)
+        with pytest.raises(_Eliminated):
+            hom_to_simple_dim(M, frozenset([0]))
+
+
+class TestAtTheCap:
+    def test_verify_hecke_at_a_rank_6(self, capsys):
+        # window 7, the largest type-A group under the default cap
+        names = {}
+        for rank in (3, 6):
+            assert cli.main(["verify", "--suite", "hecke", "--type", "A", "--rank", str(rank),
+                             "--format", "json"]) == 0
+            checks = json.loads(capsys.readouterr().out)["suites"]["hecke"]["checks"]
+            names[rank] = [c["name"] for c in checks]
+        assert names[6] == names[3] and len(names[3]) == 8
 
 
 class TestGrothendieck:

@@ -11,6 +11,7 @@ from coxkit.systems import (
     composition_prefix_split,
     descent_class,
     descent_interval,
+    descent_interval_left_masks,
     descent_masks,
     descents_of_composition,
     elements,
@@ -235,6 +236,8 @@ class TestEnumeration:
             "descent_masks": lambda: descent_masks(B3, None),
             "descent_masks within": lambda: descent_masks(B3, I),
             "descent_interval": lambda: descent_interval(B3, frozenset(), I),
+            "descent_interval_left_masks":
+                lambda: descent_interval_left_masks(B3, frozenset(), I, None),
             "descent_class": lambda: descent_class(B3, I),
             "descent_class within": lambda: descent_class(B3, I, B3.generator_set - {0}),
             "min_coset_reps left": lambda: min_coset_reps(B3, I, "left"),
@@ -590,6 +593,19 @@ class TestParabolicOracle:
                     assert (r >> k & 1, l >> k & 1) \
                         == (s in w.descent_set(), s in w.left_descent_set()), (w, s)
                 assert r >> system.rank == l >> system.rank == 0
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_interval_left_masks_are_its_left_descent_sets(self, system):
+        subsets = all_subsets(system)
+        for within in (None,) + subsets:
+            for high in subsets:
+                for low in (X for X in subsets if X <= high):
+                    interval = descent_interval(system, low, high, within)
+                    masks = descent_interval_left_masks(system, low, high, within)
+                    assert len(masks) == len(interval)
+                    for w, m in zip(interval, masks):
+                        assert {s for k, s in enumerate(system.generators) if m >> k & 1} \
+                            == w.left_descent_set(), (w, low, high, within)
 
     def test_one_mask_table_per_pool(self):
         # a ``within`` that covers the generators, or names labels outside
