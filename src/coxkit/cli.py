@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -269,13 +271,16 @@ def cmd_table(args) -> int:
         hs = dsc.h_class_basis(system)
         ms = dsc.m_class_basis(system)
         m_in_h = linalg.express_all_in_basis([ms[mu] for mu in labels], [hs[l] for l in labels])
-        mat = []
-        for gram_row in gram:
-            row = []
-            for coeffs in m_in_h:
-                val = sum(c * g for c, g in zip(coeffs, gram_row))
-                row.append(int(val) if Fraction(val).denominator == 1 else str(val))
-            mat.append(row)
+        # each column of coordinates on one common denominator, so that an
+        # entry is an integer dot product and one exact division
+        columns = []
+        for coeffs in m_in_h:
+            fracs = [Fraction(c) for c in coeffs]
+            den = math.lcm(*(f.denominator for f in fracs))
+            columns.append(([f.numerator * (den // f.denominator) for f in fracs], den))
+        quotients = ([linalg.exact_div(sum(map(operator.mul, scaled, gram_row)), den)
+                      for scaled, den in columns] for gram_row in gram)
+        mat = [[q if isinstance(q, int) else str(q) for q in row] for row in quotients]
     else:
         raise CliError(f"unknown table {args.table!r}")
     comps = [composition_from_descents(system, I) for I in labels]

@@ -20,11 +20,12 @@ trusted constructor, :func:`_trusted_element`.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce, wraps
 from math import factorial
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 FAMILIES = ("A", "B", "D")
 
@@ -386,19 +387,83 @@ def _capped_cache(fn):
     return call
 
 
+def _lex_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """Every window of the group, in lexicographic order: the one place
+    that builds a group from its family's sign rule."""
+    perms = itertools.permutations(range(1, system.n + 1))
+    if system.family == "A":
+        return list(perms)
+    signs = [s for s in itertools.product((1, -1), repeat=system.n)
+             if system.family == "B" or s.count(-1) % 2 == 0]
+    return sorted(tuple(map(operator.mul, s, perm)) for perm in perms for s in signs)
+
+
+def _scaled_columns(columns: Iterable[tuple[int, ...]], size: int
+                    ) -> list[dict[int, tuple[int, ...]]]:
+    """Each column of ``size`` windows as {c: c * column} for the root
+    coefficients c in -1, 0, 1."""
+    zero = (0,) * size
+    return [{1: col, -1: tuple(map(operator.neg, col)), 0: zero} for col in columns]
+
+
+def _root_signs(scaled: list[dict[int, tuple[int, ...]]],
+                roots: Iterable[tuple[int, int, int, int]]) -> list[Iterable[bool]]:
+    """For each root (i, a, j, b), the flags <a e_i + b e_j, window> < 0 of
+    the windows of ``scaled`` (:func:`_scaled_columns`): one C-level
+    ``a * col_i < -b * col_j`` per root."""
+    return [map(operator.lt, scaled[i][a], scaled[j][-b]) for i, a, j, b in roots]
+
+
+def _mask_column(system: CoxeterSystem, columns: Iterable[tuple[int, ...]],
+                 size: int) -> tuple[int, ...]:
+    """The descent mask of each of ``size`` windows given by their columns:
+    the :func:`generator_bits` of the s whose simple root a_s has
+    <a_s, window> < 0."""
+    simple = system._roots.simple
+    bits = generator_bits(system)
+    flags = _root_signs(_scaled_columns(columns, size), [r[1:] for r in simple])
+    weighted = [map(operator.mul, f, itertools.repeat(bits[s]))
+                for (s, *_), f in zip(simple, flags)]
+    return tuple(map(sum, zip(*weighted))) if weighted else (0,) * size
+
+
+def _window_masks(system: CoxeterSystem, windows: Sequence[tuple[int, ...]]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The right and the left descent masks of ``windows``, column-wise.
+    The left masks are the right masks of the inverse windows, whose columns
+    are filled in place: column |v| of the inverse holds +-p where column p
+    holds v."""
+    size = len(windows)
+    columns = list(zip(*windows))
+    inverse = [[0] * size for _ in columns]
+    for p, col in enumerate(columns, start=1):
+        for k, v in enumerate(col):
+            if v > 0:
+                inverse[v - 1][k] = p
+            else:
+                inverse[-v - 1][k] = -p
+    return _mask_column(system, columns, size), _mask_column(system, inverse, size)
+
+
+@_capped_cache
+def _group_windows(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
+    """The group's windows in (length, window) order, from one column-wise
+    pass: the length of a window is the number of positive roots a with
+    <a, window> < 0 (Bjorner-Brenti 2005, ch. 8), counted for all windows
+    at once, and a stable sort of the lexicographic windows by length
+    gives the order.  No :class:`Element` is built."""
+    windows = _lex_windows(system)
+    size = len(windows)
+    flags = _root_signs(_scaled_columns(zip(*windows), size), system._roots.positive)
+    lengths = list(map(sum, zip(*flags))) if flags else [0] * size
+    return tuple(map(windows.__getitem__, sorted(range(size), key=lengths.__getitem__)))
+
+
 @_capped_cache
 def elements(system: CoxeterSystem) -> tuple[Element, ...]:
-    """All group elements, sorted by (length, window) for determinism."""
-    out = []
-    for perm in itertools.permutations(range(1, system.n + 1)):
-        if system.family == "A":
-            out.append(_trusted_element(system, perm))
-            continue
-        for signs in itertools.product((1, -1), repeat=system.n):
-            if system.family == "D" and signs.count(-1) % 2:
-                continue
-            out.append(_trusted_element(system, tuple(s * v for s, v in zip(signs, perm))))
-    return tuple(sorted(out, key=lambda w: (w.length(), w.window)))
+    """All group elements, sorted by (length, window) for determinism: the
+    windows of :func:`_group_windows`."""
+    return tuple(map(_trusted_element, itertools.repeat(system), _group_windows(system)))
 
 
 def subset_sort_key(subset: frozenset[int]) -> tuple:
@@ -494,21 +559,9 @@ def descent_masks(system: CoxeterSystem, within: Optional[frozenset[int]]
     :func:`generator_bits` of the s whose simple root a has <a, window> < 0,
     read on the window for the right mask and on the inverse window for the
     left one."""
-    pool = elements(system) if within is None else parabolic_elements(system, within)
-    bits = generator_bits(system)
-    simple = [(bits[s], i, a, j, b) for s, i, a, j, b in system._roots.simple]
-    right, left = [], []
-    inverse = [0] * system.n
-    for w in pool:
-        window = w.window
-        for p, v in enumerate(window, start=1):
-            if v > 0:
-                inverse[v - 1] = p
-            else:
-                inverse[-v - 1] = -p
-        right.append(sum([bit for bit, i, a, j, b in simple if a * window[i] + b * window[j] < 0]))
-        left.append(sum([bit for bit, i, a, j, b in simple if a * inverse[i] + b * inverse[j] < 0]))
-    return tuple(right), tuple(left)
+    if within is None:
+        return _window_masks(system, _group_windows(system))
+    return _window_masks(system, [w.window for w in parabolic_elements(system, within)])
 
 
 def _interval_selectors(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],

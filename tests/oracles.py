@@ -54,6 +54,31 @@ def cayley_distances(system: CoxeterSystem) -> dict[Element, int]:
     return dist
 
 
+def elements_by_length_sort(system: CoxeterSystem) -> tuple[Element, ...]:
+    """Every signed permutation window the validated ``Element`` accepts,
+    one ``Element`` each, sorted by ``(w.length(), w.window)``."""
+    n = system.n
+    out = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            try:
+                out.append(Element(system, tuple(s * v for s, v in zip(signs, perm))))
+            except ValueError:
+                continue
+    return tuple(sorted(out, key=lambda w: (w.length(), w.window)))
+
+
+def element_descent_masks(system: CoxeterSystem, pool: Iterable[Element]
+                          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The right and the left descent mask of each w of ``pool``, one
+    element at a time: bit k is set when ``system.generators[k]`` is in
+    ``w.descent_set()`` (right) or ``w.inverse().descent_set()`` (left)."""
+    bit = {s: 1 << k for k, s in enumerate(system.generators)}
+    pool = list(pool)
+    return (tuple(sum(bit[s] for s in w.descent_set()) for w in pool),
+            tuple(sum(bit[s] for s in w.inverse().descent_set()) for w in pool))
+
+
 @lru_cache(maxsize=None)
 def parabolic_elements_by_words(system: CoxeterSystem,
                                 subset: frozenset[int]) -> tuple[Element, ...]:

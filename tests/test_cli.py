@@ -291,6 +291,16 @@ class TestTable:
         data = json.loads(out)
         assert len(data["rows"]) == 4
 
+    @pytest.mark.parametrize("family,rank", [("A", r) for r in range(6)]
+                             + [("B", r) for r in range(5)] + [("D", r) for r in range(2, 5)])
+    def test_hm_table_is_the_identity(self, capsys, family, rank):
+        # h and m are dual bases under the weak-descent-count form
+        status, out, _ = run(capsys, "table", "--type", family, "--rank", str(rank),
+                             "--table", "hm", "--format", "json")
+        assert status == 0
+        rows = json.loads(out)["rows"]
+        assert rows == [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+
 
 class TestHecke:
     def test_induce_factors(self, capsys):

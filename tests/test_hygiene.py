@@ -325,10 +325,12 @@ def test_scanner_flags_a_family_read():
     ]
 
 
-#: The functions that read each family's type off its roots alone.
+#: The functions that read each family's type off its roots alone.  In the
+#: group enumeration only the window generator, ``systems._lex_windows``, may.
 ROOT_RULES = {
     "systems.py": ["Element.length", "Element.descent_set", "CoxeterSystem.coxeter_order",
-                   "CoxeterSystem.generator", "descent_masks"],
+                   "CoxeterSystem.generator", "descent_masks", "elements", "_group_windows",
+                   "_scaled_columns", "_root_signs", "_mask_column", "_window_masks"],
     "hecke.py": ["sorting_operator"],
 }
 

@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts, run as the README shows them."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,53 @@ def test_descent_tables():
 def test_descent_tables_exits_with_the_worst_status():
     proc = _run("scripts/descent_tables.py", "Q", "2")
     assert proc.returncode == 2
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts/bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _rows(workload, parent, change, metric="task_tail_s"):
+    """Canned rows: one parent and one change run per seed 1, 2, ..."""
+    return [{"workload": workload, "seed": seed, "side": side, "correct": True,
+             "failed": 0, "metrics": {metric: value}}
+            for seed, pair in enumerate(zip(parent, change), start=1)
+            for side, value in zip(("parent", "change"), pair)]
+
+
+def test_bench_pairs_summarizes_canned_rows():
+    bp = _bench_pairs()
+    assert bp.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    parent = [33.0, 32.0, 34.0, 31.0, 33.0, 35.0, 32.0, 33.0, 34.0, 33.0]
+    change = [25.0, 24.0, 26.0, 25.0, 24.0, 25.0, 33.0, 25.0, 26.0, 24.0]
+    rows = _rows("tables-cold", parent, change)
+    # a run with no partner on the other side is left out of the pairs
+    rows.append({"workload": "tables-cold", "seed": 11, "side": "parent", "correct": False,
+                 "failed": 3, "metrics": {"task_tail_s": 99.0}})
+    summary = bp.summarize(rows, {"task_tail_s": "lower", "tasks_per_s": "higher"})
+    entry = summary["tables-cold"]
+    assert (entry["pairs"], entry["correct"], entry["failed"], entry["parent_failed"]) \
+        == (10, True, 0, 0)
+    assert "tasks_per_s" not in entry
+    stats = entry["task_tail_s"]
+    assert (stats["parent_median"], stats["change_median"]) == (33.0, 25.0)
+    assert stats["parent_quartiles"] == [32.25, 33.75]
+    assert stats["change_better_pairs"] == 9
+    assert stats["parent_runs"] == parent and stats["change_runs"] == change
+    claim = bp.claimed_gain(summary, "tables-cold", "task_tail_s", {"task_tail_s": "lower"})
+    assert claim["met"] and claim["pairs"] == 10 and claim["parent_quartile_distance"] == 1.5
+    # eight wins of ten, or a gap inside the parent's spread, is no gain
+    assert not bp.claimed_gain(bp.summarize(_rows("w", parent, change[:8] + [40.0, 40.0]),
+                                            {"task_tail_s": "lower"}),
+                               "w", "task_tail_s", {"task_tail_s": "lower"})["met"]
+    close = [p - 0.5 for p in parent]
+    assert not bp.claimed_gain(bp.summarize(_rows("w", parent, close), {"task_tail_s": "lower"}),
+                               "w", "task_tail_s", {"task_tail_s": "lower"})["met"]
+    # for a higher-is-better metric the larger median wins
+    up = bp.summarize(_rows("w", parent, [p + 5 for p in parent], "tasks_per_s"),
+                      {"tasks_per_s": "higher"})
+    assert bp.claimed_gain(up, "w", "tasks_per_s", {"tasks_per_s": "higher"})["met"]
+

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from coxkit.systems import (
     CapExceededError,
     CoxeterSystem,
+    _group_windows,
     all_subsets,
     class_maximum,
     composition_from_descents,
@@ -38,6 +39,8 @@ from oracles import (
     ORACLE_SYSTEMS,
     cayley_distances,
     descent_interval_by_sets,
+    element_descent_masks,
+    elements_by_length_sort,
     orbit_conjugacy_classes,
     parabolic_conjugates,
     parabolic_elements_by_words,
@@ -233,6 +236,8 @@ class TestEnumeration:
 
         I = frozenset({1})
         reads = {
+            "elements": lambda: elements(B3),
+            "_group_windows": lambda: _group_windows(B3),
             "descent_masks": lambda: descent_masks(B3, None),
             "descent_masks within": lambda: descent_masks(B3, I),
             "descent_interval": lambda: descent_interval(B3, frozenset(), I),
@@ -258,8 +263,8 @@ class TestEnumeration:
             set_max_order(None)
         assert {name: read() for name, read in reads.items()} == before
         # the lookups hand back one cached tuple on every call
-        for name in ("descent_masks", "descent_interval", "descent_class",
-                     "min_coset_reps left", "min_coset_reps right"):
+        for name in ("elements", "_group_windows", "descent_masks", "descent_interval",
+                     "descent_class", "min_coset_reps left", "min_coset_reps right"):
             assert reads[name]() is reads[name](), name
 
     def test_min_coset_reps_refusal_order(self):
@@ -551,6 +556,47 @@ def _intervals(draw):
                else labels)
     within = draw(st.none() | st.frozensets(st.sampled_from(system.generators + (-1,))))
     return system, low, high, within
+
+
+def assert_group_windows_match_the_oracles(system, withins):
+    """The group's windows and their order, and the masks of the group and
+    of each parabolic pool on ``withins``, equal the one-element-at-a-time
+    oracles."""
+    expected = elements_by_length_sort(system)
+    assert [w.window for w in elements(system)] == [w.window for w in expected]
+    assert _group_windows(system) == tuple(w.window for w in expected)
+    for within in withins:
+        pool = expected if within is None else parabolic_elements(system, within)
+        assert descent_masks(system, within) == element_descent_masks(system, pool), within
+
+
+class TestGroupWindows:
+    """The column-wise passes of ``_group_windows`` and ``descent_masks`` against
+    one ``Element`` at a time."""
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_matches_the_element_oracles(self, system):
+        assert_group_windows_match_the_oracles(system, (None, frozenset()) + all_subsets(system))
+
+    def test_ranks_zero_and_one_are_covered(self):
+        assert {CoxeterSystem("A", 0), CoxeterSystem("A", 1), CoxeterSystem("B", 0),
+                CoxeterSystem("B", 1), CoxeterSystem("D", 2)} <= set(ORACLE_SYSTEMS)
+
+    def test_matches_the_element_oracles_at_the_caps(self):
+        for system in (CoxeterSystem("A", 7), CoxeterSystem("B", 5), CoxeterSystem("D", 5)):
+            assert_group_windows_match_the_oracles(system, (None, frozenset()) + all_subsets(system))
+
+    def test_the_windows_and_masks_build_no_element(self, monkeypatch):
+        from coxkit import systems
+
+        def refuse(system, window):
+            raise AssertionError(f"built an Element {window}")
+
+        monkeypatch.setattr(systems, "_trusted_element", refuse)
+        system = CoxeterSystem("B", 4)
+        _group_windows.cache_clear()
+        descent_masks.cache_clear()
+        assert len(_group_windows(system)) == len(descent_masks(system, None)[0]) == 384
 
 
 class TestParabolicOracle:
