@@ -191,11 +191,14 @@ def cmd_series(args) -> int:
         raise CliError(f"{alpha} is not a valid index for family {family}")
     builder = sr.s_basis if args.kind.startswith("s") else sr.h_basis
     x = builder(system, alpha, args.window)
-    terms = sorted(x.terms.items())
+    words = sorted(x.terms)
+    coeff = x.terms.__getitem__
+    # Every word has length x.degree, so one template formats every line.
+    line = "%s\t" + ",".join(["%s"] * x.degree)
     _emit(args, lambda: {"degree": x.degree, "window": x.window,
-                         "terms": [{"word": list(wrd), "coeff": c} for wrd, c in terms]},
-          lambda: [f"{c}\t{','.join(map(str, wrd))}" for wrd, c in terms]
-          + [f"# {len(terms)} words"])
+                         "terms": [{"word": list(wrd), "coeff": coeff(wrd)} for wrd in words]},
+          lambda: [*map(line.__mod__, map(tuple.__add__, zip(map(coeff, words)), words)),
+                   f"# {len(words)} words"])
     return EXIT_OK
 
 

@@ -147,6 +147,7 @@ def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -
         lower = tuple((i, c) for i, c in enumerate(r[:j]) if c)
         by_top[j].append((r[j], lower, threshold))
     out: list[tuple[int, ...]] = []
+    singles = [(v,) for v in range(-window, window + 1)]  # (v,) at index v + window
 
     def extend(prefix: tuple[int, ...]) -> None:
         j = len(prefix)
@@ -158,7 +159,8 @@ def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -
             else:
                 hi = min(hi, need // a)
         if j == n - 1:
-            out.extend(prefix + (v,) for v in range(lo, hi + 1))
+            if lo <= hi:
+                out.extend(map(prefix.__add__, singles[lo + window:hi + window + 1]))
         else:
             for v in range(lo, hi + 1):
                 extend(prefix + (v,))

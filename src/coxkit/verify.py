@@ -8,6 +8,7 @@ Defaults keep whole runs under a minute.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -309,6 +310,16 @@ def _block_pair(p, m: int):
 def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Check]:
     del family, n
     out: list[Check] = []
+    # The checks meet the same operands many times and only read the
+    # vectors they get back, so each (co)product is evaluated once per run;
+    # the memo goes with the run.
+    shuffle_a, cup_a, unshuffle_a, cap_a = map(
+        functools.cache, (wd.shuffle_a, wd.cup_a, wd.unshuffle_a, wd.cap_a))
+    shuffle_b, cup_b, unshuffle_b, cap_b = map(
+        functools.cache, (wd.shuffle_b, wd.cup_b, wd.unshuffle_b, wd.cap_b))
+    shuffle_d, cup_d = map(functools.cache, (wd.shuffle_d, wd.cup_d))
+    shuffle_bb, cup_bb, unshuffle_bb = map(
+        functools.cache, (wd.shuffle_bb, wd.cup_bb, wd.unshuffle_bb))
 
     ok = True
     for m, k in ((1, 2), (2, 1), (2, 2), (0, 2), (2, 0)):
@@ -317,9 +328,9 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
         for u in elements(CoxeterSystem("B", m)):
             for v in elements(CoxeterSystem("A", k)):
                 x = wd.cross_a(u, v)
-                if wd.shuffle_b(u, v) != gm.induce_right(system, I, gm.element_vector(x)):
+                if shuffle_b(u, v) != gm.induce_right(system, I, gm.element_vector(x)):
                     ok = False
-                if wd.cup_b(u, v) != gm.induce_left(system, I, gm.element_vector(x)):
+                if cup_b(u, v) != gm.induce_left(system, I, gm.element_vector(x)):
                     ok = False
     out.append(_check("signed products agree with coset-rep maps", ok))
 
@@ -330,25 +341,29 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
         for u in elements(CoxeterSystem("D", m)):
             for v in elements(CoxeterSystem("A", k)):
                 x = wd.FLAVORS["D"].embed(u, v)
-                if wd.shuffle_d(u, v) != gm.induce_right(system, I, gm.element_vector(x)):
+                if shuffle_d(u, v) != gm.induce_right(system, I, gm.element_vector(x)):
                     ok = False
-                if wd.cup_d(u, v) != gm.induce_left(system, I, gm.element_vector(x)):
+                if cup_d(u, v) != gm.induce_left(system, I, gm.element_vector(x)):
                     ok = False
     out.append(_check("even-signed products agree with coset-rep maps", ok))
 
     ok = True
+    graded = {}  # w -> graded pieces of its cap and unshuffle, computed once per w
     for total in (2, 3):
         system = CoxeterSystem("B", total)
         for m in range(total + 1):
             I = frozenset(range(total)) - {m}
             for w in elements(system):
+                if w not in graded:
+                    graded[w] = sr.graded_pieces(cap_b(w)), sr.graded_pieces(unshuffle_b(w))
+                cap_pieces, unsh_pieces = graded[w]
                 xw = gm.element_vector(w)
                 (right_part,) = gm.restrict_right(system, I, xw).support()
-                cap_m = sr.graded_pieces(wd.cap_b(w)).get(m, FormalVector(kind="pair"))
+                cap_m = cap_pieces.get(m, FormalVector(kind="pair"))
                 if cap_m != FormalVector.basis(_block_pair(right_part, m), kind="pair"):
                     ok = False
                 (left_part,) = gm.restrict_left(system, I, xw).support()
-                unsh_m = sr.graded_pieces(wd.unshuffle_b(w)).get(m, FormalVector(kind="pair"))
+                unsh_m = unsh_pieces.get(m, FormalVector(kind="pair"))
                 if unsh_m != FormalVector.basis(_block_pair(left_part, m), kind="pair"):
                     ok = False
     out.append(_check("signed coproduct components match block restriction", ok))
@@ -358,8 +373,8 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
         for u in elements(CoxeterSystem("B", mu)):
             for v in elements(CoxeterSystem("A", mv)):
                 for r in elements(CoxeterSystem("A", mr)):
-                    lhs = wd.cup_b(u, v).map_to_vectors(lambda w: wd.cup_b(w, r), kind="element")
-                    rhs = wd.cup_a(v, r).map_to_vectors(lambda x: wd.cup_b(u, x), kind="element")
+                    lhs = cup_b(u, v).map_to_vectors(lambda w: cup_b(w, r), kind="element")
+                    rhs = cup_a(v, r).map_to_vectors(lambda x: cup_b(u, x), kind="element")
                     if lhs != rhs:
                         ok = False
     out.append(_check("signed module associativity", ok))
@@ -367,14 +382,14 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     ok = True
     for total in (2, 3):
         for w in elements(CoxeterSystem("B", total)):
-            caps = wd.cap_b(w)
+            caps = cap_b(w)
             left = FormalVector(kind="triple")
             for (a, b), c in caps.terms.items():
-                for (a1, a2), c2 in wd.cap_b(a).terms.items():
+                for (a1, a2), c2 in cap_b(a).terms.items():
                     left += FormalVector.basis((a1, a2, b), c * c2, kind="triple")
             right = FormalVector(kind="triple")
             for (a, b), c in caps.terms.items():
-                for (b1, b2), c2 in wd.cap_a(b).terms.items():
+                for (b1, b2), c2 in cap_a(b).terms.items():
                     right += FormalVector.basis((a, b1, b2), c * c2, kind="triple")
             if left != right:
                 ok = False
@@ -384,7 +399,7 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     for mu, mv in _sizes(4, 2):
         for u in elements(CoxeterSystem("B", mu)):
             for v in elements(CoxeterSystem("A", mv)):
-                if gm.invert_vector(wd.cup_b(u, v)) != wd.shuffle_b(u.inverse(), v.inverse()):
+                if gm.invert_vector(cup_b(u, v)) != shuffle_b(u.inverse(), v.inverse()):
                     ok = False
     out.append(_check("inversion swaps the two signed products", ok))
 
@@ -393,10 +408,10 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     for mu, mv in _sizes(3, 2):
         for u in elements(CoxeterSystem("B", mu)):
             for v in elements(CoxeterSystem("A", mv)):
-                prod = wd.shuffle_b(u, v)
+                prod = shuffle_b(u, v)
                 for w in elements(CoxeterSystem("B", mu + mv)):
                     if w not in pieces:
-                        pieces[w] = sr.graded_pieces(wd.cap_b(w))
+                        pieces[w] = sr.graded_pieces(cap_b(w))
                     comp = pieces[w].get(mu, FormalVector(kind="pair"))
                     if prod.terms.get(w, 0) != comp.terms.get((u, v), 0):
                         ok = False
@@ -404,13 +419,13 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
 
     b1 = CoxeterSystem("B", 1).element([1])
     lhs = FormalVector(kind="pair")
-    for w in wd.shuffle_b(b1, CoxeterSystem("A", 1).element([1])).terms:
-        lhs += wd.unshuffle_b(w)
+    for w in shuffle_b(b1, CoxeterSystem("A", 1).element([1])).terms:
+        lhs += unshuffle_b(w)
     rhs = FormalVector(kind="pair")
-    for (a1, a2), c1 in wd.unshuffle_b(b1).terms.items():
-        for (b1_, b2_), c2 in wd.unshuffle_a(CoxeterSystem("A", 1).element([1])).terms.items():
-            inner1 = wd.shuffle_b(a1, b1_)
-            inner2 = wd.shuffle_a(a2, b2_)
+    for (a1, a2), c1 in unshuffle_b(b1).terms.items():
+        for (b1_, b2_), c2 in unshuffle_a(CoxeterSystem("A", 1).element([1])).terms.items():
+            inner1 = shuffle_b(a1, b1_)
+            inner2 = shuffle_a(a2, b2_)
             for x1, cx1 in inner1.terms.items():
                 for x2, cx2 in inner2.terms.items():
                     rhs += FormalVector.basis((x1, x2), c1 * c2 * cx1 * cx2, kind="pair")
@@ -421,7 +436,7 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     for m, k in sizes:
         for u in elements(CoxeterSystem("B", m)):
             for v in elements(CoxeterSystem("B", k)):
-                if wd.shuffle_bb(u, v) != gm.invert_vector(wd.cup_bb(u.inverse(), v.inverse())):
+                if shuffle_bb(u, v) != gm.invert_vector(cup_bb(u.inverse(), v.inverse())):
                     ok = False
     out.append(_check("sign-shifted products exchanged by inversion", ok))
 
@@ -431,13 +446,13 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
             for u in elements(CoxeterSystem("B", m)):
                 for v in elements(CoxeterSystem("B", total - m)):
                     lhs = FormalVector(kind="pair")
-                    for w, c in wd.shuffle_bb(u, v).terms.items():
-                        lhs += wd.unshuffle_bb(w).scale(c)
+                    for w, c in shuffle_bb(u, v).terms.items():
+                        lhs += unshuffle_bb(w).scale(c)
                     rhs = FormalVector(kind="pair")
-                    for (a1, a2), c1 in wd.unshuffle_bb(u).terms.items():
-                        for (bb1, bb2), c2 in wd.unshuffle_bb(v).terms.items():
-                            for x1, cx1 in wd.shuffle_bb(a1, bb1).terms.items():
-                                for x2, cx2 in wd.shuffle_bb(a2, bb2).terms.items():
+                    for (a1, a2), c1 in unshuffle_bb(u).terms.items():
+                        for (bb1, bb2), c2 in unshuffle_bb(v).terms.items():
+                            for x1, cx1 in shuffle_bb(a1, bb1).terms.items():
+                                for x2, cx2 in shuffle_bb(a2, bb2).terms.items():
                                     rhs += FormalVector.basis((x1, x2), c1 * c2 * cx1 * cx2, kind="pair")
                     if lhs != rhs:
                         ok = False

@@ -5,6 +5,7 @@ package replaced: the tests compare the two on small ranks.
 """
 
 import itertools
+import json
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -478,3 +479,16 @@ def two_run_reps(family: str, system: CoxeterSystem, m: int) -> list[Element]:
             odd = family == "D" and sign.count(-1) % 2
             out.append(system.element(((-head[0],) + head[1:] if odd else head) + tail))
     return out
+
+
+def series_output(x: NCSeries, fmt: str) -> str:
+    """What ``coxkit series`` prints for x in ``fmt`` ("text" or "json"),
+    formatted line by line: the (word, coefficient) pairs sorted, and one
+    f-string per line of text."""
+    terms = sorted(x.terms.items())
+    if fmt == "json":
+        return json.dumps({"degree": x.degree, "window": x.window,
+                           "terms": [{"word": list(wrd), "coeff": c} for wrd, c in terms]},
+                          sort_keys=True) + "\n"
+    lines = [f"{c}\t{','.join(map(str, wrd))}" for wrd, c in terms] + [f"# {len(terms)} words"]
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit.cli import COMMANDS, build_parser, main
-from coxkit.systems import set_max_order
+from coxkit.cli import COMMANDS, SERIES_KINDS, build_parser, main
+from coxkit.series import h_basis, s_basis
+from coxkit.systems import CoxeterSystem, is_valid_composition, set_max_order
 from coxkit.words import COPRODUCTS, PRODUCTS
+from oracles import series_output
 
 
 def run(capsys, *argv):
@@ -134,9 +137,6 @@ class TestSeries:
         assert all(len(t["word"]) == 3 for t in data["terms"])
 
     def test_series_matches_library(self, capsys):
-        from coxkit.series import s_basis
-        from coxkit.systems import CoxeterSystem
-
         status, out, _ = run(capsys, "series", "--kind", "sB", "--key", "(0,2,1)",
                              "--window", "4", "--format", "json")
         data = json.loads(out)
@@ -187,6 +187,50 @@ class TestSeries:
         assert status == 4
         assert err == "error: internal error: RuntimeError: boom\n"
         assert "Traceback" not in err
+
+
+#: The series tasks of the benchmark: (kind, key, window).
+BENCH_SERIES = (("sA", (1, 2, 2), 5), ("hA", (1, 1, 3), 5), ("sB", (0, 2, 2), 5),
+                ("hB", (1, 2, 2), 4), ("sD", (2, 2), 4), ("hD", (1, 1, 3), 5))
+
+
+def _valid_keys(family, size):
+    """Every valid (pseudo-)composition of ``size`` for the family."""
+    system = CoxeterSystem(family, size)
+    candidates = (t for parts in range(size + 2)
+                  for t in itertools.product(range(size + 1), repeat=parts))
+    return [t for t in candidates if is_valid_composition(system, t)]
+
+
+class TestSeriesOutput:
+    """The CLI prints each word sum exactly as the line-by-line formatter
+    in ``oracles.series_output`` does."""
+
+    @pytest.mark.parametrize("kind", SERIES_KINDS)
+    def test_matches_line_by_line_formatter(self, capsys, kind):
+        family = kind[-1]
+        builder = s_basis if kind.startswith("s") else h_basis
+        cases = [(alpha, window) for size in range(2 if family == "D" else 0, 5)
+                 for alpha in _valid_keys(family, size) for window in range(4)]
+        cases += [(alpha, window) for k, alpha, window in BENCH_SERIES if k == kind]
+        for alpha, window in cases:
+            x = builder(CoxeterSystem(family, sum(alpha)), alpha, window)
+            for fmt in ("text", "json"):
+                status, out, _ = run(capsys, "series", "--kind", kind, "--key", f"({','.join(map(str, alpha))})",
+                                     "--window", str(window), "--format", fmt)
+                assert status == 0 and out == series_output(x, fmt), (alpha, window, fmt)
+
+    def test_empty_word_sum_keeps_its_count_line(self, capsys):
+        # (1,1) has a strict descent, which no word of window 0 can take.
+        status, out, _ = run(capsys, "series", "--kind", "sA", "--key", "(1,1)", "--window", "0")
+        assert status == 0 and out == "# 0 words\n"
+        status, out, _ = run(capsys, "series", "--kind", "sA", "--key", "(1,1)", "--window", "0",
+                             "--format", "json")
+        assert json.loads(out) == {"degree": 2, "window": 0, "terms": []}
+
+    def test_empty_key(self, capsys):
+        status, out, _ = run(capsys, "series", "--kind", "sB", "--key", "()", "--window", "0")
+        assert status == 0 and out == "1\t\n# 1 words\n"
 
 
 class TestExpand:

@@ -185,6 +185,8 @@ class TestRoots:
         longest = max(elements(system), key=lambda w: w.length())
         for P in ([], positive_roots(system), chamber(longest)):
             assert lattice_points(system, P, window) == _cube_filter(system, P, window)
+        if window == 0:
+            assert lattice_points(system, [], 0) == [(0,) * system.n]
         # chamber(longest) holds only negative roots, so every inequality is strict
         assert all(not is_positive_root(r) for r in chamber(longest))
 
@@ -199,6 +201,26 @@ class TestRoots:
     def test_lattice_points_rank_zero(self, family):
         system = CoxeterSystem(family, 0)
         assert lattice_points(system, [], 2) == [()] == _cube_filter(system, [], 2)
+        assert lattice_points(system, [], 0) == [()] == _cube_filter(system, [], 0)
+
+    def test_lattice_points_empty_ranges(self):
+        # f_0 > f_1 leaves f_1 no value once f_0 = -window, one level above
+        # the last in B3; 2 f_0 > f_1 in B2 puts the last level's upper bound
+        # below -window - 1.
+        for system, P in ((B3, [(1, -1, 0)]), (B3, [(1, -1, 0), (0, 1, -1)]), (B2, [(2, -1)])):
+            for window in range(4):
+                pts = lattice_points(system, P, window)
+                assert pts == _cube_filter(system, P, window)
+                assert all(f[0] > -window for f in pts)
+
+    @pytest.mark.parametrize("system", [s for s in ORACLE_SYSTEMS if s.rank == 1],
+                             ids=lambda s: f"{s.family}{s.n}")
+    def test_lattice_points_rank_one(self, system):
+        roots = sorted(all_roots(system))
+        for k in range(len(roots) + 1):
+            for P in itertools.combinations(roots, k):
+                for window in range(4):
+                    assert lattice_points(system, P, window) == _cube_filter(system, P, window)
 
     def test_parabolic_chamber_extension_set(self):
         # the extension set of a parabolic chamber is the coset of the
