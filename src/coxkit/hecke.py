@@ -41,6 +41,7 @@ from .systems import (
     descent_interval_left_masks,
     generator_bits,
     reflect,
+    simple_roots,
 )
 
 #: X_s as a sparse column map: column j (the image of b_j) is {i: c}.
@@ -189,7 +190,8 @@ def induce(module: HModule) -> HModule:
     Basis pairs (z, m) over minimal left-coset representatives z; a
     generator s sends (z, m) to minus itself when s is a left descent of
     z, to (sz, m) when sz is again a representative, and otherwise acts
-    through the conjugated generator inside the parabolic.
+    through the conjugated generator z^{-1} s z = s_t of the parabolic,
+    read off the root z^{-1}(alpha_s) = alpha_t with no Element conjugated.
     """
     system = module.system
     I = module.acting
@@ -197,7 +199,8 @@ def induce(module: HModule) -> HModule:
     reps = descent_interval(system, frozenset(), system.generator_set - I)
     left = descent_interval_left_masks(system, frozenset(), system.generator_set - I, None)
     rep_index = {z: i for i, z in enumerate(reps)}
-    gen_label = {system.generator(s): s for s in I}
+    roots = simple_roots(system)
+    label = {a: t for t, a in roots.items()}
     bits = generator_bits(system)
     d = module.dim
     mats: dict[int, ColumnMap] = {}
@@ -216,7 +219,7 @@ def induce(module: HModule) -> HModule:
                 for mi in range(d):
                     X[at + mi] = {to + mi: 1}
             else:
-                R = module.mats[gen_label[z.inverse() * g * z]]
+                R = module.mats[label[z.inverse().apply_to_root(roots[s])]]
                 for mi, col in R.items():
                     X[at + mi] = {at + i: c for i, c in col.items()}
         mats[s] = X

@@ -2,15 +2,15 @@
 lattice-point machinery behind the generating-function realizations.
 
 Roots are integer coordinate vectors; each family's simple and positive
-roots are stated once, in :mod:`coxkit.systems`, and re-exported here.  A
-partial root system is a root subset P with no opposite pair that contains
-every root lying in the positive cone of P.  Its lattice points over a
-finite alphabet window, together with the chamber decomposition, drive the
-series module.
+roots, and the positive roots of each standard parabolic, are stated once,
+in :mod:`coxkit.systems`, and re-exported here.  A partial root system is
+a root subset P with no opposite pair that contains every root lying in
+the positive cone of P.  Its lattice points over a finite alphabet window,
+together with the chamber decomposition, drive the series module.
 
-Cone membership (parset checks and closures, parabolic root subsystems)
-describes each cone once by its facet normals inside the span of its
-generators, and then tests every candidate root against them exactly.
+Cone membership (parset checks and closures) describes each cone once by
+its facet normals inside the span of its generators, and then tests every
+candidate root against them exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +20,12 @@ from functools import lru_cache
 from typing import Iterable
 
 from .linalg import RowSpace, nullspace
-from .systems import (CoxeterSystem, Element, Root, check_word_cube, elements, positive_roots,
-                      simple_roots)
+from .systems import (CoxeterSystem, Element, Root, check_word_cube, elements,
+                      parabolic_positive_roots, positive_roots, simple_roots)
+
+__all__ = ["all_roots", "chamber", "is_parset", "is_positive_root", "lattice_points",
+           "linear_extension_set", "negate", "parabolic_positive_roots", "parset_closure",
+           "positive_roots", "random_parset", "simple_roots"]
 
 
 @lru_cache(maxsize=None)
@@ -46,13 +50,6 @@ def negate(root: Root) -> Root:
 def chamber(w: Element) -> frozenset[Root]:
     """The parset w * (positive roots)."""
     return frozenset(w.apply_to_root(a) for a in positive_roots(w.system))
-
-
-@lru_cache(maxsize=None)
-def parabolic_positive_roots(system: CoxeterSystem, subset: frozenset[int]) -> frozenset[Root]:
-    """Positive roots that are nonnegative combinations of the subset's simples."""
-    simples = [simple_roots(system)[s] for s in sorted(subset)]
-    return frozenset(_cone_roots(positive_roots(system), simples))
 
 
 # -- partial root systems --------------------------------------------------------

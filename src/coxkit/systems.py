@@ -507,9 +507,20 @@ def parabolic_elements(system: CoxeterSystem, subset: frozenset[int]) -> tuple[E
 
 
 def in_parabolic(w: Element, subset: frozenset[int]) -> bool:
-    """Whether w lies in the standard parabolic on ``subset``: its minimal
-    left-coset representative is then the identity."""
-    return parabolic_decompose_left(w, subset)[0].is_identity()
+    """Whether w lies in W_I, I = ``subset``: exactly when every positive root
+    a it inverts, <a, w> < 0, lies in :func:`parabolic_positive_roots`
+    (Humphreys 1990, ch. 1 and 5).  No peel, and no Element is built."""
+    inside = parabolic_positive_roots(w.system, subset)
+    return w.length() == sum(1 for a in inside if _inner(a, w.window) < 0)
+
+
+@lru_cache(maxsize=None)
+def parabolic_positive_roots(system: CoxeterSystem, subset: frozenset[int]) -> frozenset[Root]:
+    """The positive roots of W_I, I = ``subset``: the inversion set of its
+    longest element, the positive roots a with <a, w0(I)> < 0 (Bjorner-Brenti
+    2005, ch. 1-2).  Labels outside the generators are dropped."""
+    w0 = longest_element(system, subset).window
+    return frozenset(a for a in positive_roots(system) if _inner(a, w0) < 0)
 
 
 def longest_element(system: CoxeterSystem, subset: frozenset[int]) -> Element:
@@ -517,7 +528,7 @@ def longest_element(system: CoxeterSystem, subset: frozenset[int]) -> Element:
     w = system.identity()
     des = w.descent_set()
     while True:
-        up = [s for s in sorted(subset) if s not in des]
+        up = [s for s in sorted(subset & system.generator_set) if s not in des]
         if not up:
             return w
         w = w * system.generator(up[0])
@@ -734,14 +745,15 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
     for K a set of generators, s not in K and L = K + {s}, conjugation by
     the longest element w0(L) maps K onto another subset of L, and two
     standard parabolics are conjugate exactly when a chain of such moves
-    joins their generator sets.  Conjugation by w0(L) permutes the
-    generators of L, so the move sends K = L - {s} to L - {w0 s w0}.  A
-    union-find over the complements I = S - K collects the classes.
+    joins their generator sets.  The move sends K = L - {s} to L - {t} for
+    w0(alpha_s) = -alpha_t, as w0 s w0 = s_t.  A union-find over the
+    complements I = S - K collects the classes.
 
     Classes, and the members of each, come in order of first appearance in
     :func:`all_subsets`.
     """
-    S = system.generator_set
+    S, roots = system.generator_set, simple_roots(system)
+    label = {tuple(-c for c in a): s for s, a in roots.items()}
     parent = {I: I for I in all_subsets(system)}
 
     def find(I: frozenset[int]) -> frozenset[int]:
@@ -752,9 +764,8 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
 
     for L in all_subsets(system):
         w0 = longest_element(system, L)
-        generator_of = {system.generator(u).window: u for u in L}
         for s in L:
-            t = generator_of[(w0 * system.generator(s) * w0).window]
+            t = label[w0.apply_to_root(roots[s])]
             parent[find((S - L) | {t})] = find((S - L) | {s})
     classes: dict[frozenset[int], list[frozenset[int]]] = {}
     for I in all_subsets(system):
@@ -765,18 +776,16 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
 @_capped_cache
 def normalizer_complement_order(system: CoxeterSystem, subset: frozenset[int]) -> int:
     """|N_J| for J = ``subset``: the minimal left-coset representatives w
-    of W_J with w s_j w^{-1} a generator in J for every j in J.
+    of W_J with w(Delta_J) = Delta_J.
 
     Howlett (1980): the normalizer of the standard parabolic W_J is the
     semidirect product W_J x| N_J, where N_J = {w : w(Delta_J) = Delta_J}.
-    A w that maps the simple roots of J to positive roots has no right
-    descent in J, and then w s_j w^{-1} = s_k means w(alpha_j) = alpha_k.
+    As w s_j w^{-1} = s_{w(alpha_j)}, no Element is multiplied.
     """
     J = subset & system.generator_set
-    gens = [system.generator(j) for j in J]
-    targets = {g.window for g in gens}
+    delta = {simple_roots(system)[j] for j in J}
     return sum(1 for w in min_coset_reps(system, J, "left")
-               if all((w * g * w.inverse()).window in targets for g in gens))
+               if all(w.apply_to_root(a) in delta for a in delta))
 
 
 def parabolic_class_size(system: CoxeterSystem, subset: frozenset[int]) -> int:

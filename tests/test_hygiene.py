@@ -326,11 +326,14 @@ def test_scanner_flags_a_family_read():
 
 
 #: The functions that read each family's type off its roots alone.  In the
-#: group enumeration only the window generator, ``systems._lex_windows``, may.
+#: group enumeration only the window generator, ``systems._lex_windows``, may;
+#: the parabolic facts read the parabolic's roots alone.
 ROOT_RULES = {
     "systems.py": ["Element.length", "Element.descent_set", "CoxeterSystem.coxeter_order",
                    "CoxeterSystem.generator", "descent_masks", "elements", "_group_windows",
-                   "_scaled_columns", "_root_signs", "_mask_column", "_window_masks"],
+                   "_scaled_columns", "_root_signs", "_mask_column", "_window_masks",
+                   "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
+                   "parabolic_conjugacy_classes"],
     "hecke.py": ["sorting_operator"],
 }
 

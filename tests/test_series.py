@@ -345,6 +345,25 @@ class TestConeMembership:
         for I in all_subsets(system):
             assert parabolic_positive_roots(system, I) == solved_parabolic_positive_roots(system, I)
 
+    def test_parabolic_roots_call_no_linear_algebra(self, monkeypatch):
+        # the positive roots of W_I are the inversion set of w0(I): no cone
+        # is solved for them, so no row space or null space is built
+        import coxkit.linalg
+        import coxkit.roots
+
+        def refuse(*args):
+            raise AssertionError("parabolic_positive_roots called linalg")
+
+        systems = (CoxeterSystem("A", 4), B3, CoxeterSystem("D", 4))
+        expected = {(system, I): solved_parabolic_positive_roots(system, I)
+                    for system in systems for I in all_subsets(system)}
+        for module in (coxkit.roots, coxkit.linalg):
+            monkeypatch.setattr(module, "nullspace", refuse)
+            monkeypatch.setattr(module, "RowSpace", refuse)
+        parabolic_positive_roots.cache_clear()
+        for (system, I), roots in expected.items():
+            assert parabolic_positive_roots(system, I) == roots
+
 
 class TestSeriesBases:
     @pytest.mark.parametrize("system", (A2, B2, D2))

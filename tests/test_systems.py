@@ -2,9 +2,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxkit.roots import parabolic_positive_roots
 from coxkit.systems import (
     CapExceededError,
     CoxeterSystem,
+    Element,
     _group_windows,
     all_subsets,
     class_maximum,
@@ -693,3 +695,64 @@ class TestParabolicOracle:
                 parabolic_elements(CoxeterSystem("B", 6), frozenset({1}))
         finally:
             set_max_order(None)
+
+
+#: A windows 0-6, B0-B5 and D2-D5.
+HYPOTHESIS_SYSTEMS = ([CoxeterSystem("A", n) for n in range(7)]
+                      + [CoxeterSystem("B", n) for n in range(6)]
+                      + [CoxeterSystem("D", n) for n in range(2, 6)])
+
+
+class TestParabolicFromRoots:
+    """Membership, the positive roots of W_I and the normalizer complement,
+    read off roots."""
+
+    @pytest.mark.parametrize("system", [CoxeterSystem("A", 0), CoxeterSystem("A", 1),
+                                        CoxeterSystem("B", 0), CoxeterSystem("B", 1),
+                                        CoxeterSystem("D", 2)], ids=repr)
+    def test_labels_outside_the_generators_are_dropped(self, system):
+        empty = frozenset()
+        for I, with_99 in ((empty, frozenset({99})), (empty, empty),
+                           (system.generator_set, system.generator_set | {99})):
+            assert longest_element(system, with_99) == longest_element(system, I)
+            assert parabolic_positive_roots(system, with_99) \
+                == parabolic_positive_roots(system, I)
+            assert parabolic_elements(system, with_99) == parabolic_elements(system, I)
+            assert [in_parabolic(w, with_99) for w in elements(system)] \
+                == [in_parabolic(w, I) for w in elements(system)]
+            assert descent_interval(system, empty, with_99) == descent_interval(system, empty, I)
+            assert normalizer_complement_order(system, with_99) \
+                == normalizer_complement_order(system, I)
+
+    def test_labels_outside_the_generators_on_b2_and_a1(self):
+        assert longest_element(B2, frozenset({1, 99})) == B2.generator(1)
+        assert longest_element(CoxeterSystem("A", 1), frozenset({0})).is_identity()
+        assert parabolic_positive_roots(B2, frozenset({1, 99})) == frozenset({(-1, 1)})
+
+    def test_membership_and_normalizer_build_no_element_product(self, monkeypatch):
+        systems = (A4, B3, D4)
+        members = {(system, I): set(parabolic_elements_by_words(system, I))
+                   for system in systems for I in all_subsets(system)}
+        orders = {(system, I): normalizer_complement_order(system, I)
+                  for system in systems for I in all_subsets(system)}
+        for system, I in members:  # warm-up: the longest elements and the coset reps
+            parabolic_positive_roots(system, I)
+            min_coset_reps(system, I, "left")
+
+        def refuse(*args):
+            raise AssertionError("built an Element product or inverse")
+
+        monkeypatch.setattr(Element, "__mul__", refuse)
+        monkeypatch.setattr(Element, "inverse", refuse)
+        normalizer_complement_order.cache_clear()
+        for (system, I), inside in members.items():
+            assert {w for w in elements(system) if in_parabolic(w, I)} == inside
+            assert normalizer_complement_order(system, I) == orders[system, I]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_in_parabolic_matches_the_peel(self, data):
+        system = data.draw(st.sampled_from(HYPOTHESIS_SYSTEMS), label="system")
+        w = elements(system)[data.draw(st.integers(0, system.order() - 1), label="index")]
+        I = frozenset(data.draw(st.sets(st.sampled_from(system.generators + (99,))), label="I"))
+        assert in_parabolic(w, I) == parabolic_decompose_left(w, I)[0].is_identity()
