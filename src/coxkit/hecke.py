@@ -11,8 +11,10 @@ regular module, the projective indecomposables and the mixed projectives
 are all built on Norton's basis, the elements whose descent sets lie in an
 interval [low, high] of subsets, with each generator acting by -1, by a
 move to sw, or by 0.  Beside them are the one-dimensional simples indexed
-by generator subsets, and induction along a parabolic via the three-case
-rewrite of generator action on coset representatives.
+by generator subsets, and induction along a parabolic, which takes its -1
+and move columns from Norton's basis of the minimal coset representatives
+and reads the inner module only where a generator conjugates into the
+parabolic.
 
 Composition factors are read off one rank per subset of the acting set:
 the simples are one-dimensional, so the fixed spaces of the idempotent
@@ -187,44 +189,38 @@ def mixed_projective_module(system: CoxeterSystem, subset: frozenset[int],
 def induce(module: HModule) -> HModule:
     """Induction to the full algebra along the parabolic on the acting set.
 
-    Basis pairs (z, m) over minimal left-coset representatives z; a
-    generator s sends (z, m) to minus itself when s is a left descent of
-    z, to (sz, m) when sz is again a representative, and otherwise acts
-    through the conjugated generator z^{-1} s z = s_t of the parabolic,
-    read off the root z^{-1}(alpha_s) = alpha_t with no Element conjugated.
+    Basis pairs (z, m) over the minimal left-coset representatives z, which
+    are Norton's basis of the interval [{}, S - I].  Where that module moves
+    b_z (to -b_z, or to b_sz), X_s moves each (z, m) alike; where it has no
+    column, sz = z s_t with s_t in the parabolic, and X_s acts on the pairs
+    at z through the inner X_t, read off the root z^{-1}(alpha_s) = alpha_t
+    with no Element conjugated.
     """
     system = module.system
-    I = module.acting
-    # the minimal left-coset representatives, D(z) disjoint from I
-    reps = descent_interval(system, frozenset(), system.generator_set - I)
-    left = descent_interval_left_masks(system, frozenset(), system.generator_set - I, None)
-    rep_index = {z: i for i, z in enumerate(reps)}
+    reps = _descent_interval_module(system, frozenset(), system.generator_set - module.acting,
+                                    system.generator_set)
     roots = simple_roots(system)
     label = {a: t for t, a in roots.items()}
-    bits = generator_bits(system)
     d = module.dim
     mats: dict[int, ColumnMap] = {}
     for s in system.generators:
-        g = system.generator(s)
+        Z = reps.mats[s]
         X: ColumnMap = {}
-        for zi, z in enumerate(reps):
+        for zi, z in enumerate(reps.labels):
             # (z, m) has index zi * d + m
-            sz = g * z
             at = zi * d
-            if left[zi] & bits[s]:
+            if zi in Z:
+                (to, c), = Z[zi].items()
+                to *= d
                 for mi in range(d):
-                    X[at + mi] = {at + mi: -1}
-            elif sz in rep_index:
-                to = rep_index[sz] * d
-                for mi in range(d):
-                    X[at + mi] = {to + mi: 1}
+                    X[at + mi] = {to + mi: c}
             else:
                 R = module.mats[label[z.inverse().apply_to_root(roots[s])]]
                 for mi, col in R.items():
                     X[at + mi] = {at + i: c for i, c in col.items()}
         mats[s] = X
-    labels = tuple((z, mi) for z in reps for mi in range(d))
-    return HModule(system, system.generator_set, mats, len(reps) * d, labels=labels)
+    labels = tuple((z, mi) for z in reps.labels for mi in range(d))
+    return HModule(system, system.generator_set, mats, reps.dim * d, labels=labels)
 
 
 def restrict(module: HModule, subset: frozenset[int]) -> HModule:

@@ -475,7 +475,7 @@ def suite_series(family: str | None = None, n: int | None = None) -> list[Check]
         total = sum(len(sr.s_series(w, window).terms) for w in elements(system))
         out.append(_eq(f"{fam}: fibers partition the word cube", total, (2 * window + 1) ** deg))
 
-        sysn = CoxeterSystem(fam, 3 if fam != "A" else 3)
+        sysn = CoxeterSystem(fam, 3)
         m = sysn.n + 1
         ok = True
         for I in all_subsets(sysn):

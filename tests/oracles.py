@@ -23,6 +23,7 @@ from coxkit.systems import (
     descents_of_composition,
     elements,
     longest_element,
+    parabolic_decompose_left,
     parabolic_elements,
     word_cube,
 )
@@ -264,6 +265,41 @@ def module_from_matrices(system: CoxeterSystem, acting: frozenset[int],
                 if x:
                     columns[s].setdefault(j, {})[i] = x
     return HModule(system, acting, columns, dim)
+
+
+def induce_by_decomposition(module: HModule) -> HModule:
+    """Induction along the parabolic on the acting set I, each generator's
+    action read off the factorization sz = c * p of
+    :func:`~coxkit.systems.parabolic_decompose_left`: on the pair (z, m) over
+    a minimal left-coset representative z, X_s gives -(z, m) when sz is
+    shorter than z, (c, m) when p is the identity, and the inner X_t on the
+    pairs at z when p is the generator s_t (then c = z)."""
+    system = module.system
+    I = module.acting
+    reps = sorted((w for w in elements(system) if not w.descent_set() & I),
+                  key=lambda w: (w.length(), w.window))
+    index = {z: i for i, z in enumerate(reps)}
+    d = module.dim
+    mats = {}
+    for s in system.generators:
+        X = {}
+        for zi, z in enumerate(reps):
+            sz = system.generator(s) * z
+            at = zi * d
+            if sz.length() < z.length():
+                X.update((at + mi, {at + mi: -1}) for mi in range(d))
+                continue
+            c, p = parabolic_decompose_left(sz, I)
+            if p == system.identity():
+                X.update((at + mi, {index[c] * d + mi: 1}) for mi in range(d))
+                continue
+            assert c == z
+            t, = (t for t in I if p == system.generator(t))
+            X.update((at + mi, {at + i: x for i, x in col.items()})
+                     for mi, col in module.mats[t].items())
+        mats[s] = X
+    labels = tuple((z, mi) for z in reps for mi in range(d))
+    return HModule(system, system.generator_set, mats, len(reps) * d, labels=labels)
 
 
 def _mat_apply(a: list[list], v: Sequence) -> list:

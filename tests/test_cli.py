@@ -427,6 +427,21 @@ class TestParser:
         assert capsys.readouterr().out == build_parser().format_help()
 
 
+class TestRefusedChoices:
+    @pytest.mark.parametrize("argv", [
+        ("element", "--type", "A", "--rank", "2", "--op", "bogus", "1,2,3"),
+        ("product", "--family", "bogus", "--left", "1", "--right", "1"),
+        ("coproduct", "--family", "bogus", "--arg", "1"),
+        ("table", "--type", "A", "--rank", "2", "--table", "bogus"),
+        ("hecke", "--type", "A", "--rank", "2", "--module", "regular", "--op", "bogus"),
+        ("hecke", "--type", "A", "--rank", "2", "--module", "regular", "--report", "bogus"),
+    ], ids=lambda argv: f"{argv[0]} {argv[argv.index('bogus') - 1]}")
+    def test_exit_2_before_any_handler(self, capsys, argv):
+        status, out, err = run(capsys, *argv)
+        assert status == 2 and out == ""
+        assert "invalid choice" in err and "'bogus'" in err
+
+
 class TestNegativeIntegerOptions:
     CASES = [
         (("table", "--type", "A", "--table", "c"), "--rank"),

@@ -53,6 +53,7 @@ from oracles import (
     hom_dim,
     idempotent_matrix,
     identity_matrix,
+    induce_by_decomposition,
     mat_mul,
     mat_scale,
     module_from_matrices,
@@ -388,8 +389,20 @@ class TestEmptyActingSet:
         reg = regular_module(system)
         ind = induce(simple_module(system, frozenset(), acting=frozenset()))
         assert ind.dim == system.order()
+        assert ind.mats == reg.mats
+        assert tuple(z for z, _ in ind.labels) == reg.labels
         assert composition_factors(ind) == composition_factors(reg)
         assert projective_multiplicities(ind) == projective_multiplicities(reg)
+
+    @pytest.mark.parametrize("family,rank", RANKS_0_TO_2 + [("D", 2)])
+    def test_induce_from_the_full_generator_set_keeps_the_module(self, family, rank):
+        # the only minimal coset representative of the whole group is the
+        # identity, so each generator acts through the inner module's own X_s
+        system = CoxeterSystem.of_rank(family, rank)
+        for J in all_subsets(system):
+            P = projective_module(system, J)
+            ind = induce(P)
+            assert ind.mats == P.mats and ind.dim == P.dim, sorted(J)
 
     @pytest.mark.parametrize("family", ("A", "B"))
     def test_rank_zero_regular_module(self, family):
@@ -443,6 +456,24 @@ def _modules_up_to_48(system):
         for I in subsets:
             if I != S:
                 yield f"P{sorted(K)} restricted to {sorted(I)}", restrict(P, I)
+
+
+class TestInduceOracle:
+    """Induction on Norton's basis of the coset representatives against the
+    case-by-case reading of each sz by its parabolic factorization."""
+
+    @pytest.mark.parametrize("system", ORACLE_MODULE_SYSTEMS, ids=repr)
+    def test_matches_decomposition(self, system):
+        subsets = all_subsets(system)
+        for I in subsets:
+            inner = [(f"regular on {sorted(I)}", regular_module(system, I))]
+            for J in (X for X in subsets if X <= I):
+                inner += [(f"C{sorted(J)} on {sorted(I)}", simple_module(system, J, acting=I)),
+                          (f"P{sorted(J)} on {sorted(I)}",
+                           projective_module(system, J, carrier=I))]
+            for name, M in inner:
+                got, want = induce(M), induce_by_decomposition(M)
+                assert (got.mats, got.dim, got.labels) == (want.mats, want.dim, want.labels), name
 
 
 class TestStorageForm:

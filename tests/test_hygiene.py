@@ -334,7 +334,7 @@ ROOT_RULES = {
                    "_scaled_columns", "_root_signs", "_mask_column", "_window_masks",
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
                    "parabolic_conjugacy_classes"],
-    "hecke.py": ["sorting_operator"],
+    "hecke.py": ["sorting_operator", "induce", "_descent_interval_module"],
 }
 
 
