@@ -193,7 +193,7 @@ def _descent_pair_tables(system: CoxeterSystem) -> tuple[dict[int, int], list[in
     bit = generator_bits(system)
     r = len(bit)
     pairs = [0] * (1 << 2 * r)
-    for right, left in zip(*descent_masks(system, None)):
+    for right, left in zip(*descent_masks(system)):
         pairs[left << r | right] += 1
     below = pairs[:]
     for b in range(2 * r):

@@ -207,18 +207,19 @@ class _RootTable(NamedTuple):
     generators: dict[int, tuple[int, ...]]
 
 
+def _coordinates(root: Root) -> tuple[int, int, int, int]:
+    """The root a e_i + b e_j as (i, a, j, b); (i, a, i, 0) for a e_i."""
+    (i, a), *rest = [(k, c) for k, c in enumerate(root) if c]
+    return (i, a, *(rest[0] if rest else (i, 0)))
+
+
 @lru_cache(maxsize=None)
 def _root_table(family: str, n: int) -> _RootTable:
     """The root table of ``CoxeterSystem(family, n)``, one per equal system."""
     system = CoxeterSystem(family, n)
-
-    def coordinates(root: Root) -> tuple[int, ...]:
-        (i, a), *rest = [(k, c) for k, c in enumerate(root) if c]
-        return (i, a, *(rest[0] if rest else (i, 0)))
-
-    simple = tuple((s, *coordinates(r)) for s, r in sorted(simple_roots(system).items()))
+    simple = tuple((s, *_coordinates(r)) for s, r in sorted(simple_roots(system).items()))
     identity = tuple(range(1, n + 1))
-    return _RootTable(simple, tuple(sorted(map(coordinates, positive_roots(system)))),
+    return _RootTable(simple, tuple(sorted(map(_coordinates, positive_roots(system)))),
                       {s: reflect((i, a, j, b), identity) for s, i, a, j, b in simple})
 
 
@@ -481,29 +482,17 @@ def all_subsets(system: CoxeterSystem) -> tuple[frozenset[int], ...]:
     return tuple(sorted(subs, key=subset_sort_key))
 
 
-@_capped_cache
 def parabolic_elements(system: CoxeterSystem, subset: frozenset[int]) -> tuple[Element, ...]:
     """Elements of the standard parabolic subgroup generated by ``subset``,
-    sorted by (length, window) like :func:`elements`.
-
-    A breadth-first search from the identity under right multiplication by
-    the generators in ``subset``: the search depth is the length, so each
-    layer is sorted by window alone.  Refused when :func:`elements` would
-    refuse the whole group; when ``subset`` covers the generators the
-    result is that group's own tuple.
+    sorted by (length, window) like :func:`elements`: the group's elements
+    that :func:`_parabolic_flags` keeps, read through :func:`descent_interval`.
+    A parabolic's lengths are the group's, so its order is the group's.
+    Refused when :func:`elements` would refuse the whole group; when
+    ``subset`` covers the generators the result is that group's own tuple.
     """
     if system.generator_set <= subset:
         return elements(system)
-    gens = [system.generator(s) for s in subset & system.generator_set]
-    seen = {system.identity()}
-    layer = list(seen)
-    out: list[Element] = []
-    while layer:
-        layer.sort(key=lambda w: w.window)
-        out += layer
-        layer = list({w * g for w in layer for g in gens} - seen)
-        seen.update(layer)
-    return tuple(out)
+    return descent_interval(system, frozenset(), system.generator_set, subset)
 
 
 def in_parabolic(w: Element, subset: frozenset[int]) -> bool:
@@ -562,49 +551,57 @@ def generator_bits(system: CoxeterSystem) -> dict[int, int]:
 
 
 @_capped_cache
-def descent_masks(system: CoxeterSystem, within: Optional[frozenset[int]]
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The right and the left descent mask of each element of the pool (the
-    group for ``within=None``, else the parabolic on that generator set), as two
-    tuples in the pool's (length, window) order.  A mask holds the
-    :func:`generator_bits` of the s whose simple root a has <a, window> < 0,
-    read on the window for the right mask and on the inverse window for the
-    left one."""
-    if within is None:
-        return _window_masks(system, _group_windows(system))
-    return _window_masks(system, [w.window for w in parabolic_elements(system, within)])
+def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The right and the left descent mask of each group element, as two
+    tuples in the (length, window) order of :func:`elements`.  A mask holds
+    the :func:`generator_bits` of the s whose simple root a has
+    <a, window> < 0, read on the window for the right mask and on the
+    inverse window for the left one."""
+    return _window_masks(system, _group_windows(system))
+
+
+@_capped_cache
+def _parabolic_flags(system: CoxeterSystem, subset: frozenset[int]) -> tuple[bool, ...]:
+    """For each window of :func:`_group_windows`, whether it lies in W_I,
+    I = ``subset``, a set that misses a generator: whether it inverts no
+    positive root outside :func:`parabolic_positive_roots`, the test of
+    :func:`in_parabolic`, made column-wise for all windows at once.  No
+    :class:`Element` is built."""
+    windows = _group_windows(system)
+    outside = positive_roots(system) - parabolic_positive_roots(system, subset)
+    flags = _root_signs(_scaled_columns(zip(*windows), len(windows)),
+                        map(_coordinates, outside))
+    return tuple(map(operator.not_, map(any, zip(*flags))))
 
 
 def _interval_selectors(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
-                        within: Optional[frozenset[int]]
-                        ) -> tuple[Optional[frozenset[int]], list[bool]]:
-    """The one filter of group elements by descent set.  It returns the key
-    of the pool (None for the group, also for a ``within`` that covers the
-    generators, else the generators ``within`` holds), so that one pool has
-    one mask table, and for each position of that pool whether its w has
-    low <= D(w) <= high: the masks d of :func:`descent_masks` with
-    d & lo == lo and d | hi == hi are listed once, and the table is read
-    through them.  Labels of ``high`` outside the generators are dropped,
-    and a ``low`` holding one keeps nothing."""
-    if within is not None:
-        within = None if system.generator_set <= within else within & system.generator_set
+                        within: Optional[frozenset[int]]) -> list[bool]:
+    """The one filter of group elements by descent set: for each position
+    of :func:`elements`, whether its w has low <= D(w) <= high and, for a
+    ``within`` that does not cover the generators, lies in the parabolic on
+    the generators ``within`` holds (:func:`_parabolic_flags`).  The masks d
+    of :func:`descent_masks` with d & lo == lo and d | hi == hi are listed
+    once, and the table is read through them.  Labels of ``high`` outside
+    the generators are dropped, and a ``low`` holding one keeps nothing."""
     bit = generator_bits(system)
     if not low <= bit.keys():
-        return within, []
+        return []
     lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
     keep = {d for d in range(1 << len(bit)) if d & lo == lo and d | hi == hi}
-    return within, list(map(keep.__contains__, descent_masks(system, within)[0]))
+    kept = map(keep.__contains__, descent_masks(system)[0])
+    if within is not None and not system.generator_set <= within:
+        kept = map(operator.and_, kept, _parabolic_flags(system, within & system.generator_set))
+    return list(kept)
 
 
 @_capped_cache
 def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
                      within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
-    """The w with low <= D(w) <= high, in the order of the pool: the group,
-    or with ``within`` the parabolic on that generator set
+    """The w with low <= D(w) <= high, in the order of :func:`elements`,
+    kept to the parabolic on ``within`` when one is given
     (:func:`_interval_selectors`)."""
-    within, kept = _interval_selectors(system, low, high, within)
-    pool = elements(system) if within is None else parabolic_elements(system, within)
-    return tuple(itertools.compress(pool, kept))
+    return tuple(itertools.compress(elements(system),
+                                    _interval_selectors(system, low, high, within)))
 
 
 def descent_interval_left_masks(system: CoxeterSystem, low: frozenset[int],
@@ -612,8 +609,8 @@ def descent_interval_left_masks(system: CoxeterSystem, low: frozenset[int],
                                 ) -> tuple[int, ...]:
     """The left descent masks (:func:`descent_masks`) of the elements of
     :func:`descent_interval` with the same arguments, in its order."""
-    within, kept = _interval_selectors(system, low, high, within)
-    return tuple(itertools.compress(descent_masks(system, within)[1], kept))
+    return tuple(itertools.compress(descent_masks(system)[1],
+                                    _interval_selectors(system, low, high, within)))
 
 
 def min_coset_reps(

@@ -24,7 +24,6 @@ from coxkit.systems import (
     elements,
     longest_element,
     parabolic_decompose_left,
-    parabolic_elements,
     word_cube,
 )
 
@@ -133,7 +132,7 @@ def descent_interval_by_sets(system: CoxeterSystem, low: frozenset[int], high: f
     """The w of the pool (the group, or the parabolic on ``within``) with
     low <= D(w) <= high, in the pool's order: one descent frozenset per
     element, compared as sets."""
-    pool = elements(system) if within is None else parabolic_elements(system, within)
+    pool = elements(system) if within is None else parabolic_elements_by_words(system, within)
     return tuple(w for w in pool if low <= w.descent_set() <= high)
 
 

@@ -435,6 +435,8 @@ class TestRefusedChoices:
         ("table", "--type", "A", "--rank", "2", "--table", "bogus"),
         ("hecke", "--type", "A", "--rank", "2", "--module", "regular", "--op", "bogus"),
         ("hecke", "--type", "A", "--rank", "2", "--module", "regular", "--report", "bogus"),
+        ("series", "--kind", "bogus", "--key", "(1)", "--window", "1"),
+        ("verify", "--suite", "bogus"),
     ], ids=lambda argv: f"{argv[0]} {argv[argv.index('bogus') - 1]}")
     def test_exit_2_before_any_handler(self, capsys, argv):
         status, out, err = run(capsys, *argv)

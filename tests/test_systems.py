@@ -8,6 +8,7 @@ from coxkit.systems import (
     CoxeterSystem,
     Element,
     _group_windows,
+    _parabolic_flags,
     all_subsets,
     class_maximum,
     composition_from_descents,
@@ -240,8 +241,9 @@ class TestEnumeration:
         reads = {
             "elements": lambda: elements(B3),
             "_group_windows": lambda: _group_windows(B3),
-            "descent_masks": lambda: descent_masks(B3, None),
-            "descent_masks within": lambda: descent_masks(B3, I),
+            "descent_masks": lambda: descent_masks(B3),
+            "_parabolic_flags": lambda: _parabolic_flags(B3, I),
+            "parabolic_elements": lambda: parabolic_elements(B3, I),
             "descent_interval": lambda: descent_interval(B3, frozenset(), I),
             "descent_interval_left_masks":
                 lambda: descent_interval_left_masks(B3, frozenset(), I, None),
@@ -265,8 +267,9 @@ class TestEnumeration:
             set_max_order(None)
         assert {name: read() for name, read in reads.items()} == before
         # the lookups hand back one cached tuple on every call
-        for name in ("elements", "_group_windows", "descent_masks", "descent_interval",
-                     "descent_class", "min_coset_reps left", "min_coset_reps right"):
+        for name in ("elements", "_group_windows", "descent_masks", "_parabolic_flags",
+                     "parabolic_elements", "descent_interval", "descent_class",
+                     "min_coset_reps left", "min_coset_reps right"):
             assert reads[name]() is reads[name](), name
 
     def test_min_coset_reps_refusal_order(self):
@@ -560,16 +563,13 @@ def _intervals(draw):
     return system, low, high, within
 
 
-def assert_group_windows_match_the_oracles(system, withins):
-    """The group's windows and their order, and the masks of the group and
-    of each parabolic pool on ``withins``, equal the one-element-at-a-time
-    oracles."""
+def assert_group_windows_match_the_oracles(system):
+    """The group's windows and their order, and the group's masks, equal
+    the one-element-at-a-time oracles."""
     expected = elements_by_length_sort(system)
     assert [w.window for w in elements(system)] == [w.window for w in expected]
     assert _group_windows(system) == tuple(w.window for w in expected)
-    for within in withins:
-        pool = expected if within is None else parabolic_elements(system, within)
-        assert descent_masks(system, within) == element_descent_masks(system, pool), within
+    assert descent_masks(system) == element_descent_masks(system, expected)
 
 
 class TestGroupWindows:
@@ -578,7 +578,7 @@ class TestGroupWindows:
 
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
     def test_matches_the_element_oracles(self, system):
-        assert_group_windows_match_the_oracles(system, (None, frozenset()) + all_subsets(system))
+        assert_group_windows_match_the_oracles(system)
 
     def test_ranks_zero_and_one_are_covered(self):
         assert {CoxeterSystem("A", 0), CoxeterSystem("A", 1), CoxeterSystem("B", 0),
@@ -586,7 +586,7 @@ class TestGroupWindows:
 
     def test_matches_the_element_oracles_at_the_caps(self):
         for system in (CoxeterSystem("A", 7), CoxeterSystem("B", 5), CoxeterSystem("D", 5)):
-            assert_group_windows_match_the_oracles(system, (None, frozenset()) + all_subsets(system))
+            assert_group_windows_match_the_oracles(system)
 
     def test_the_windows_and_masks_build_no_element(self, monkeypatch):
         from coxkit import systems
@@ -598,7 +598,7 @@ class TestGroupWindows:
         system = CoxeterSystem("B", 4)
         _group_windows.cache_clear()
         descent_masks.cache_clear()
-        assert len(_group_windows(system)) == len(descent_masks(system, None)[0]) == 384
+        assert len(_group_windows(system)) == len(descent_masks(system)[0]) == 384
 
 
 class TestParabolicOracle:
@@ -632,15 +632,13 @@ class TestParabolicOracle:
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
     def test_descent_masks_are_the_descent_sets(self, system):
         # bit k of each mask is generators[k] in D(w) (right) or D(w^-1) (left)
-        for within in (None, frozenset()) + all_subsets(system):
-            pool = elements(system) if within is None else parabolic_elements(system, within)
-            right, left = descent_masks(system, within)
-            assert len(right) == len(left) == len(pool)
-            for w, r, l in zip(pool, right, left):
-                for k, s in enumerate(system.generators):
-                    assert (r >> k & 1, l >> k & 1) \
-                        == (s in w.descent_set(), s in w.left_descent_set()), (w, s)
-                assert r >> system.rank == l >> system.rank == 0
+        right, left = descent_masks(system)
+        assert len(right) == len(left) == system.order()
+        for w, r, l in zip(elements(system), right, left):
+            for k, s in enumerate(system.generators):
+                assert (r >> k & 1, l >> k & 1) \
+                    == (s in w.descent_set(), s in w.left_descent_set()), (w, s)
+            assert r >> system.rank == l >> system.rank == 0
 
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
     def test_interval_left_masks_are_its_left_descent_sets(self, system):
@@ -655,16 +653,27 @@ class TestParabolicOracle:
                         assert {s for k, s in enumerate(system.generators) if m >> k & 1} \
                             == w.left_descent_set(), (w, low, high, within)
 
-    def test_one_mask_table_per_pool(self):
-        # a ``within`` that covers the generators, or names labels outside
-        # them, reads the mask table of the pool it stands for
+    def test_one_mask_table_per_group(self):
+        # every pool, the group or a parabolic, labels outside the
+        # generators or not, reads the group's one mask table
         descent_interval.cache_clear()
         descent_masks.cache_clear()
         descent_interval(B3, frozenset(), B3.generator_set, B3.generator_set | {7})
         descent_class(B3, frozenset({1}))
         descent_interval(B3, frozenset(), frozenset({1}), frozenset({1, 7}))
         descent_class(B3, frozenset({1}), frozenset({1}))
-        assert descent_masks.cache_info().currsize == 2
+        parabolic_elements(B3, frozenset({0, 2}))
+        assert descent_masks.cache_info().currsize == 1
+
+    def test_the_group_has_one_spelling_in_the_interval_cache(self):
+        # the coset representatives and the induced module's basis are one
+        # interval, whether the whole group is named by None or by S
+        from coxkit import hecke
+
+        descent_interval.cache_clear()
+        min_coset_reps(B3, frozenset({1, 2}))
+        hecke.induce(hecke.simple_module(B3, frozenset(), acting=frozenset({1, 2})))
+        assert descent_interval.cache_info().currsize == 1
 
     @settings(max_examples=300, deadline=None)
     @given(_intervals())
@@ -748,6 +757,22 @@ class TestParabolicFromRoots:
         for (system, I), inside in members.items():
             assert {w for w in elements(system) if in_parabolic(w, I)} == inside
             assert normalizer_complement_order(system, I) == orders[system, I]
+
+    def test_parabolic_elements_build_no_element_product(self, monkeypatch):
+        systems = (CoxeterSystem("A", 5), B4, D4)
+        members = {(system, I): parabolic_elements_by_words(system, I)
+                   for system in systems for I in all_subsets(system)}
+        for system, I in members:  # warm-up: the longest elements
+            parabolic_positive_roots(system, I)
+
+        def refuse(*args):
+            raise AssertionError("built an Element product")
+
+        monkeypatch.setattr(Element, "__mul__", refuse)
+        descent_interval.cache_clear()
+        _parabolic_flags.cache_clear()
+        for (system, I), inside in members.items():
+            assert parabolic_elements(system, I) == inside, (system, I)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
