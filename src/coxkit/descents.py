@@ -32,6 +32,7 @@ from .systems import (
     min_coset_reps,
     normalizer_complement_order,
     parabolic_conjugacy_classes,
+    simple_roots,
     subset_sort_key,
 )
 
@@ -83,25 +84,26 @@ def class_rep_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
     part of no w with D(w) = target.  z must be a minimal right-coset
     representative (ValueError otherwise).  One walk over the s not in D(z):
     with E = D(s z^{-1}) & subset, an s in the target needs E nonempty and
-    raises ``low`` by E, and any other s lowers ``high`` by E.
+    raises ``low`` by E, and any other s lowers ``high`` by E.  E is {t} when
+    z(a_s) = a_t, t in ``subset``, and else empty: s negates only a_s, and z^{-1}(a_t) > 0.
     """
     if z.left_descent_set() & subset:
         raise ValueError("z is not a minimal right-coset representative")
     dz = z.descent_set()
     if not dz <= target:
         return None
-    system = z.system
-    zinv = z.inverse()
+    roots = simple_roots(z.system)
+    label = {a: t for t, a in roots.items()}
     low: frozenset[int] = frozenset()
     high = subset
-    for s in system.generators:
+    for s in z.system.generators:
         if s in dz:
             continue
-        ds_zinv = (system.generator(s) * zinv).descent_set() & subset
+        E = subset & {label.get(z.apply_to_root(roots[s]))}
         if s not in target:
-            high = high - ds_zinv
-        elif ds_zinv:
-            low = low | ds_zinv
+            high = high - E
+        elif E:
+            low = low | E
         else:
             return None
     return (low, high) if low <= high else None

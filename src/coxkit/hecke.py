@@ -123,10 +123,9 @@ def _descent_interval_module(system: CoxeterSystem, low: frozenset[int],
     the span of {D(w) >= low} in the regular module by the span of
     {D(w) not <= high}, and both spans are submodules.
     """
-    within = None if system.generator_set <= carrier else carrier
-    basis = descent_interval(system, low, high, within)
+    basis = descent_interval(system, low, high, carrier)
     index = {w: i for i, w in enumerate(basis)}
-    left = descent_interval_left_masks(system, low, high, within)
+    left = descent_interval_left_masks(system, low, high, carrier)
     bits = generator_bits(system)
     mats: dict[int, ColumnMap] = {}
     for s in carrier:

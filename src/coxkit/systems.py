@@ -594,14 +594,23 @@ def _interval_selectors(system: CoxeterSystem, low: frozenset[int], high: frozen
     return list(kept)
 
 
-@_capped_cache
 def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
                      within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
     """The w with low <= D(w) <= high, in the order of :func:`elements`,
     kept to the parabolic on ``within`` when one is given
-    (:func:`_interval_selectors`)."""
+    (:func:`_interval_selectors`); one that covers the generators is cached as None."""
+    covers = within is not None and system.generator_set <= within
+    return _descent_interval(system, low, high, None if covers else within)
+
+
+@_capped_cache
+def _descent_interval(system, low, high, within):
     return tuple(itertools.compress(elements(system),
                                     _interval_selectors(system, low, high, within)))
+
+
+descent_interval.cache_info, descent_interval.cache_clear = \
+    _descent_interval.cache_info, _descent_interval.cache_clear
 
 
 def descent_interval_left_masks(system: CoxeterSystem, low: frozenset[int],

@@ -3,7 +3,7 @@
 Every check is exact; a failing check names itself and carries a short
 detail string.  Every suite takes an optional (family, n) target; diagrams,
 duality and hecke read None as family B and window 3 (a window 0 is kept).
-Defaults keep whole runs under a minute.
+At the window caps a diagrams run took 6-116 s, a duality run 5-30 s (2-vCPU VM, BENCH_26.json).
 """
 
 from __future__ import annotations
@@ -165,83 +165,77 @@ def suite_paper_examples(family: str | None = None, n: int | None = None) -> lis
 # -- diagrams ----------------------------------------------------------------------
 
 
+def _basis_images(system: CoxeterSystem, subset: frozenset[int]) -> dict[str, dict]:
+    """The four :mod:`~coxkit.groupmaps` maps for ``subset``, by name, as {key: image of its
+    basis vector}: inductions over W_I, restrictions over W.  Images keep the group's own
+    elements as keys, not the copies the maps build, which halves the tables' memory."""
+    inner, group = parabolic_elements(system, subset), elements(system)
+    own = dict(zip(group, group))
+    return {name: {k: getattr(gm, name)(system, subset, gm.element_vector(k))
+                   .map_keys(own.__getitem__, kind=gm.ELEMENT) for k in keys}
+            for name, keys in (("induce_left", inner), ("induce_right", inner),
+                               ("restrict_right", group), ("restrict_left", group))}
+
+
 def composition_law_failures(system: CoxeterSystem) -> list[str]:
     """Where inducing from I through J, or restricting to J and then to I,
     differs from the one-step map: one entry per chain I <= J, map and element."""
+    return _group_map_laws(system)[0]
+
+
+def _group_map_laws(system: CoxeterSystem) -> tuple[list[str], bool]:
+    """The composition-law failures, and whether inversion intertwines the two sides,
+    read from the :func:`_basis_images` of every subset; only the inductions within J run."""
     subs = all_subsets(system)
+    images = {I: _basis_images(system, I) for I in subs}
     out: list[str] = []
     for J in subs:
         for I in (X for X in subs if X <= J):
             chain = f"{sorted(I)} <= {sorted(J)}"
             for u in parabolic_elements(system, I):
-                xu = gm.element_vector(u)
-                for induce in (gm.induce_left, gm.induce_right):
-                    if induce(system, J, induce(system, I, xu, within=J)) != induce(system, I, xu):
-                        out.append(f"{induce.__name__} {chain} at {u}")
+                for name, induce in (("induce_left", gm.induce_left), ("induce_right", gm.induce_right)):
+                    step = induce(system, I, gm.element_vector(u), within=J)
+                    if step.map_to_vectors(images[J][name].__getitem__) != images[I][name][u]:
+                        out.append(f"{name} {chain} at {u}")
             for w in elements(system):
-                xw = gm.element_vector(w)
-                for restrict in (gm.restrict_right, gm.restrict_left):
-                    if restrict(system, I, restrict(system, J, xw)) != restrict(system, I, xw):
-                        out.append(f"{restrict.__name__} {chain} at {w}")
-    return out
+                for name in ("restrict_right", "restrict_left"):
+                    if images[J][name][w].map_to_vectors(images[I][name].__getitem__) != images[I][name][w]:
+                        out.append(f"{name} {chain} at {w}")
+    inverts = all(gm.invert_vector(maps[f][x]) == maps[g][x.inverse()] for maps in images.values()
+                  for f, g in (("induce_left", "induce_right"), ("restrict_right", "restrict_left"))
+                  for x in maps[f])
+    return out, inverts
 
 
 def suite_diagrams(family: str | None = None, n: int | None = None) -> list[Check]:
     system = CoxeterSystem("B" if family is None else family, 3 if n is None else n)
-    out = [_check("composition laws along chains", not composition_law_failures(system))]
+    failures, inverts = _group_map_laws(system)
+    out = [_check("composition laws along chains", not failures),
+           _check("inversion intertwines the two sides", inverts)]
     subs = all_subsets(system)
 
     ok = True
     for I in subs:
-        for u in parabolic_elements(system, I):
-            xu = gm.element_vector(u)
-            if gm.invert_vector(gm.induce_left(system, I, xu)) != gm.induce_right(system, I, gm.invert_vector(xu)):
-                ok = False
-        for w in elements(system):
-            xw = gm.element_vector(w)
-            if gm.invert_vector(gm.restrict_right(system, I, xw)) != gm.restrict_left(system, I, gm.invert_vector(xw)):
-                ok = False
-    out.append(_check("inversion intertwines the two sides", ok))
-
-    ok = True
-    for I in subs:
-        for J in subs:
-            if not J <= I:
-                continue
-            lhs = gm.induce_left(system, I, dsc.embed_sigma(system, dsc.sigma_basis(J), within=I))
-            rhs = dsc.embed_sigma(system, dsc.sigma_induce(system, I, dsc.sigma_basis(J)))
-            if lhs != rhs:
-                ok = False
-            star_lhs = gm.descent_projection(system, gm.induce_right(system, I,
-                       dsc.embed_sigma(system, dsc.sigma_basis(J), within=I)))
-            # chi on the parabolic side needs element sums; compare star formulas
-            star_rhs = dsc.sigma_star_induce(system, I, dsc.sigma_star_basis(J))
-            # chi(class sum of J within I) = |class| * D*_J; scale to compare
-            cls = len(descent_class(system, J, within=I))
-            if star_lhs != star_rhs.scale(cls):
-                ok = False
+        for J in (X for X in subs if X <= I):
+            inner = dsc.embed_sigma(system, dsc.sigma_basis(J), within=I)
+            ok &= gm.induce_left(system, I, inner) \
+                == dsc.embed_sigma(system, dsc.sigma_induce(system, I, dsc.sigma_basis(J)))
+            # chi of the class sum of J within I is |class| * D*_J
+            ok &= gm.descent_projection(system, gm.induce_right(system, I, inner)) \
+                == dsc.sigma_star_induce(system, I, dsc.sigma_star_basis(J)).scale(len(inner))
         for K in subs:
-            lhs = gm.restrict_right(system, I, dsc.embed_sigma(system, dsc.sigma_basis(K)))
-            rhs = dsc.embed_sigma(system, dsc.sigma_restrict(system, I, dsc.sigma_basis(K)), within=I)
-            if lhs != rhs:
-                ok = False
+            ok &= gm.restrict_right(system, I, dsc.embed_sigma(system, dsc.sigma_basis(K))) \
+                == dsc.embed_sigma(system, dsc.sigma_restrict(system, I, dsc.sigma_basis(K)), within=I)
     out.append(_check("descent-level squares commute", ok))
 
     ok = True
     for I in subs:
-        for J in subs:
-            if not J <= I:
-                continue
-            lhs = dsc.sym_to_sigma_star(system, dsc.sym_induce(system, I, dsc.sym_basis(J)))
-            rhs = dsc.sigma_star_induce(system, I,
-                  dsc.sym_to_sigma_star(system, dsc.sym_basis(J), within=I))
-            if lhs != rhs:
-                ok = False
+        for J in (X for X in subs if X <= I):
+            ok &= dsc.sym_to_sigma_star(system, dsc.sym_induce(system, I, dsc.sym_basis(J))) \
+                == dsc.sigma_star_induce(system, I, dsc.sym_to_sigma_star(system, dsc.sym_basis(J), within=I))
         for K in subs:
-            lhs = dsc.sym_to_sigma_star(system, dsc.sym_restrict(system, I, dsc.sym_basis(K)), within=I)
-            rhs = dsc.sigma_star_restrict(system, I, dsc.sym_to_sigma_star(system, dsc.sym_basis(K)))
-            if lhs != rhs:
-                ok = False
+            ok &= dsc.sym_to_sigma_star(system, dsc.sym_restrict(system, I, dsc.sym_basis(K)), within=I) \
+                == dsc.sigma_star_restrict(system, I, dsc.sym_to_sigma_star(system, dsc.sym_basis(K)))
     out.append(_check("sym-level squares commute", ok))
     return out
 
@@ -256,27 +250,23 @@ def suite_duality(family: str | None = None, n: int | None = None) -> list[Check
 
     ok = True
     for I in subs:
-        induced = [(yu, gm.induce_left(system, I, yu), gm.induce_right(system, I, yu))
-                   for yu in map(gm.element_vector, parabolic_elements(system, I))]
-        for yw in map(gm.element_vector, elements(system)):
-            res_left, res_right = gm.restrict_left(system, I, yw), gm.restrict_right(system, I, yw)
-            for yu, mu_u, mub_u in induced:
-                if mu_u.pairing(yw) != yu.pairing(res_left):
-                    ok = False
-                if res_right.pairing(yu) != yw.pairing(mub_u):
-                    ok = False
+        # <induce(u), w> = <u, restrict(w)> on W_I x W: equal matrices, the restriction's kept to W_I
+        maps = _basis_images(system, I)
+        for induce, restrict in (("induce_left", "restrict_left"), ("induce_right", "restrict_right")):
+            inner = maps[induce]
+            ok &= {(w, u): c for u, image in inner.items() for w, c in image.terms.items()} \
+                == {(w, u): c for w, image in maps[restrict].items()
+                    for u, c in image.terms.items() if u in inner}
     out.append(_check("coset-rep adjunctions on all basis pairs", ok))
 
     ok = True
     for I in subs:
         for J in (X for X in subs if X <= I):
+            induced = dsc.sigma_induce(system, I, dsc.sigma_basis(J))
             for K in subs:
-                lhs = dsc.sigma_induce(system, I, dsc.sigma_basis(J)).pairing(
-                    FormalVector.basis(K, kind=dsc.SIGMA))
-                rhs = FormalVector(dsc.sigma_star_restrict(system, I, dsc.sigma_star_basis(K)).terms,
-                                   kind=dsc.SIGMA).pairing(dsc.sigma_basis(J))
-                if lhs != rhs:
-                    ok = False
+                ok &= induced.pairing(FormalVector.basis(K, kind=dsc.SIGMA)) \
+                    == FormalVector(dsc.sigma_star_restrict(system, I, dsc.sigma_star_basis(K)).terms,
+                                    kind=dsc.SIGMA).pairing(dsc.sigma_basis(J))
     out.append(_check("descent-level adjunction", ok))
 
     mat = dsc.c_matrix(system)

@@ -111,6 +111,32 @@ def right_coset_reps_by_inverse_descents(system: CoxeterSystem, subset: frozense
     return {w for w in pool if not w.inverse().descent_set() & subset}
 
 
+def class_rep_bounds_by_products(z: Element, subset: frozenset[int], target: frozenset[int]
+                                 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """:func:`coxkit.descents.class_rep_bounds` by its walk on products:
+    E = D(s z^{-1}) & subset is read from the element s * z^{-1}."""
+    if z.left_descent_set() & subset:
+        raise ValueError("z is not a minimal right-coset representative")
+    dz = z.descent_set()
+    if not dz <= target:
+        return None
+    system = z.system
+    zinv = z.inverse()
+    low: frozenset[int] = frozenset()
+    high = subset
+    for s in system.generators:
+        if s in dz:
+            continue
+        ds_zinv = (system.generator(s) * zinv).descent_set() & subset
+        if s not in target:
+            high = high - ds_zinv
+        elif ds_zinv:
+            low = low | ds_zinv
+        else:
+            return None
+    return (low, high) if low <= high else None
+
+
 def orbit_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[int], ...], ...]:
     """Classes of subsets I, where I ~ J iff W_{I^c} and W_{J^c} are
     conjugate: J joins the first class whose orbit holds W_{J^c}."""

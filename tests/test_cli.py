@@ -484,6 +484,17 @@ class TestVerify:
         names = [c["name"] for c in json.loads(out)["suites"]["duality"]["checks"]]
         assert names == sorted(names)
 
+    @pytest.mark.parametrize("suite,names", [
+        ("diagrams", ["composition laws along chains", "descent-level squares commute",
+                      "inversion intertwines the two sides", "sym-level squares commute"]),
+        ("duality", ["coset-rep adjunctions on all basis pairs", "descent-level adjunction",
+                     "pair-count form nondegenerate on the span", "pair-count form symmetric"]),
+    ])
+    def test_group_map_suites_at_rank_4(self, capsys, suite, names):
+        status, out, err = run(capsys, "verify", "--suite", suite, "--type", "D", "--rank", "4")
+        assert status == 0 and err == ""
+        assert out.splitlines() == [f"[{suite}] 4/4 checks passed"] + [f"  ok  {n}" for n in names]
+
     @pytest.mark.parametrize("family,rank", [("A", 0), ("A", 1), ("B", 0), ("B", 1)])
     def test_low_rank_hecke_suite(self, capsys, family, rank):
         status, out, err = run(capsys, "verify", "--suite", "hecke", "--type", family,

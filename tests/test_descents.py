@@ -34,6 +34,7 @@ from coxkit.linalg import express_in_basis, matrix_rank
 from coxkit.qsym import CPoly, monomial_qsym, sym_p
 from coxkit.systems import (
     CoxeterSystem,
+    Element,
     all_subsets,
     composition_from_descents,
     descent_class,
@@ -44,6 +45,7 @@ from coxkit.systems import (
 
 from oracles import (
     ORACLE_SYSTEMS,
+    class_rep_bounds_by_products,
     collect_by_descents,
     double_coset_count,
     element_descent_pairs,
@@ -117,6 +119,27 @@ class TestIntervalCriterion:
                     else:
                         predicted = set()
                     assert actual == predicted
+
+    @pytest.mark.parametrize("system", (CoxeterSystem("A", 5), CoxeterSystem("B", 4),
+                                        CoxeterSystem("D", 4)), ids=repr)
+    def test_bounds_from_roots_match_the_product_walk(self, system):
+        for I in all_subsets(system):
+            for z in min_coset_reps(system, I, "right"):
+                for K in all_subsets(system):
+                    assert class_rep_bounds(z, I, K) == class_rep_bounds_by_products(z, I, K), \
+                        (z, I, K)
+
+    def test_sigma_restrict_builds_no_element_product(self, monkeypatch):
+        systems = (CoxeterSystem("A", 5), CoxeterSystem("B", 4), CoxeterSystem("D", 4))
+        expected = {(system, I, K): sigma_restrict(system, I, sigma_basis(K))
+                    for system in systems for I in all_subsets(system) for K in all_subsets(system)}
+
+        def refuse(*args):
+            raise AssertionError("built an Element product")
+
+        monkeypatch.setattr(Element, "__mul__", refuse)
+        for (system, I, K), out in expected.items():
+            assert sigma_restrict(system, I, sigma_basis(K)) == out
 
 
 class TestDualFormulas:

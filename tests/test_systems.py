@@ -675,6 +675,18 @@ class TestParabolicOracle:
         hecke.induce(hecke.simple_module(B3, frozenset(), acting=frozenset({1, 2})))
         assert descent_interval.cache_info().currsize == 1
 
+    def test_a_within_covering_the_generators_is_cached_as_none(self):
+        # projective_multiplicities reads each descent class within the acting
+        # set, which for the regular module is S: the same entries as None
+        from coxkit import hecke
+
+        descent_interval.cache_clear()
+        hecke.projective_multiplicities(hecke.regular_module(B3))
+        for I in all_subsets(B3):
+            descent_class(B3, I)
+        info = descent_interval.cache_info()
+        assert (info.currsize, info.hits) == (9, 8)
+
     @settings(max_examples=300, deadline=None)
     @given(_intervals())
     @example((CoxeterSystem("A", 0), frozenset(), frozenset(), None))
