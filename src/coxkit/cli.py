@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: element, product, coproduct, series, expand, table, hecke,
-verify.  Output is deterministic; ``--format json`` emits the documented
-schemas.  Exit status: 0 success, 1 verification failure, 2 argument or
+verify.  Only :mod:`coxkit.systems` and :mod:`coxkit.freemodule` are
+imported with this module; each subcommand imports the modules it uses
+when it runs, so a process compiles only what its command needs.  Output
+is deterministic; ``--format json`` emits the documented schemas.  Exit
+status: 0 success, 1 verification failure, 2 argument or
 parse error, 3 enumeration cap exceeded, 4 internal error (an unexpected
 exception, reported in one line without a traceback).
 
@@ -21,15 +24,8 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from . import descents as dsc
-from . import hecke as hk
-from . import linalg
-from . import qsym
-from . import series as sr
-from . import verify as vf
-from . import words as wd
 from .freemodule import FormalVector
 from .systems import (
     CapExceededError,
@@ -42,6 +38,10 @@ from .systems import (
     parse_ints,
     parse_window,
 )
+
+if TYPE_CHECKING:
+    from .hecke import HModule
+    from .qsym import CPoly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -141,6 +141,7 @@ def cmd_element(args) -> int:
 
 
 def cmd_product(args) -> int:
+    from . import words as wd
     flavor = wd.FLAVORS[args.family.removeprefix("shuffle").removeprefix("cup")]
     try:
         lwin, rwin = parse_ints(args.left), parse_ints(args.right)
@@ -157,6 +158,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_coproduct(args) -> int:
+    from . import words as wd
     flavor = wd.FLAVORS[args.family.removeprefix("shuffle").removeprefix("cup")]
     try:
         win = parse_ints(args.arg)
@@ -165,6 +167,7 @@ def cmd_coproduct(args) -> int:
         raise CliError(str(exc)) from exc
     vec = wd.COPRODUCTS[args.family](u)
     if args.split is not None:
+        from . import series as sr
         vec = sr.graded_pieces(vec).get(args.split, FormalVector(kind="pair"))
     _emit(args, lambda: _vector_json(u.system, vec, "pair"),
           lambda: [f"{coeff}\t{format_window(a.window)} (x) {format_window(b.window)}"
@@ -176,6 +179,7 @@ SERIES_KINDS = ("sA", "hA", "sB", "hB", "sD", "hD")
 
 
 def cmd_series(args) -> int:
+    from . import series as sr
     family = args.kind[-1]
     alpha = parse_ints(args.key)
     system = CoxeterSystem(family, sum(alpha))
@@ -199,7 +203,8 @@ _COMPOSITION_FAMILY = {"sA": "A", "sB": "B", "sD": "D", "M": "A", "F": "A",
                        "MB": "B", "FB": "B", "MD": "D", "FD": "D"}
 
 
-def _parse_poly_token(token: str, K: int) -> qsym.CPoly:
+def _parse_poly_token(token: str, K: int) -> CPoly:
+    from . import qsym
     token = token.strip()
     if ":" in token:
         kind, key = token.split(":", 1)
@@ -220,6 +225,7 @@ def _parse_poly_token(token: str, K: int) -> qsym.CPoly:
         if not is_valid_composition(system, alpha):
             raise CliError(f"{alpha} is not a valid index for family {family}")
         if kind.startswith("s"):
+            from . import series as sr
             return sr.projection(family)(sr.s_basis(system, alpha, K))
     table = {
         "M": qsym.monomial_qsym,
@@ -240,6 +246,7 @@ def _parse_poly_token(token: str, K: int) -> qsym.CPoly:
 
 
 def cmd_expand(args) -> int:
+    from . import linalg
     K = args.window
     target = _parse_poly_token(args.target, K)
     basis_tokens = [t for t in args.basis.split(";") if t.strip()]
@@ -256,12 +263,14 @@ def cmd_expand(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import descents as dsc
     system = _system(args)
     if args.table == "c":
         labels, mat = all_subsets(system), dsc.c_matrix(system)
     elif args.table == "hgram":
         labels, mat = dsc.h_gram_matrix(system)
     else:
+        from . import linalg
         labels, gram = dsc.h_gram_matrix(system)
         hs = dsc.h_class_basis(system)
         ms = dsc.m_class_basis(system)
@@ -290,7 +299,8 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _parse_module(system: CoxeterSystem, spec: str, acting: frozenset[int]) -> hk.HModule:
+def _parse_module(system: CoxeterSystem, spec: str, acting: frozenset[int]) -> HModule:
+    from . import hecke as hk
     spec = spec.strip()
     if spec == "regular":
         return hk.regular_module(system, acting)
@@ -319,6 +329,7 @@ def _mult_report(system: CoxeterSystem, vec: FormalVector, name: str, letter: st
 
 
 def cmd_hecke(args) -> int:
+    from . import hecke as hk
     system = _system(args)
     acting = _parse_subset(args.subset) if args.subset is not None else system.generator_set
     if not acting <= system.generator_set:
@@ -345,6 +356,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
     names = sorted(vf.SUITES) if args.suite == "all" else [args.suite]
     family = args.type
     n = None
@@ -415,6 +427,7 @@ def _element_args(p) -> None:
 
 
 def _product_args(p) -> None:
+    from . import words as wd
     _add_common(p, system_args=False)
     p.add_argument("--family", required=True, choices=sorted(wd.PRODUCTS))
     p.add_argument("--left", required=True)
@@ -422,6 +435,7 @@ def _product_args(p) -> None:
 
 
 def _coproduct_args(p) -> None:
+    from . import words as wd
     _add_common(p, system_args=False)
     p.add_argument("--family", required=True, choices=sorted(wd.COPRODUCTS))
     p.add_argument("--arg", required=True)
@@ -458,6 +472,7 @@ def _hecke_args(p) -> None:
 
 
 def _verify_args(p) -> None:
+    from . import verify as vf
     _add_common(p, system_args=False)
     p.add_argument("--suite", default="all", choices=sorted(vf.SUITES) + ["all"])
     p.add_argument("--type", choices=("A", "B", "D"), default=None)

@@ -22,8 +22,10 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, partial, reduce, wraps
 from math import factorial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -550,14 +552,31 @@ def generator_bits(system: CoxeterSystem) -> dict[int, int]:
     return {s: 1 << k for k, s in enumerate(system.generators)}
 
 
-@_capped_cache
 def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The right and the left descent mask of each group element, as two
     tuples in the (length, window) order of :func:`elements`.  A mask holds
     the :func:`generator_bits` of the s whose simple root a has
     <a, window> < 0, read on the window for the right mask and on the
-    inverse window for the left one."""
-    return _window_masks(system, _group_windows(system))
+    inverse window for the left one.  The cache is :func:`_mask_index`'s."""
+    return _mask_index(system)[0]
+
+
+@_capped_cache
+def _mask_index(system: CoxeterSystem
+                ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[int, array]]:
+    """The group's :func:`descent_masks` and, for each right mask that
+    occurs, the positions of its elements in increasing order, from one
+    pass over the masks.  A run is an unsigned-int array, so the index
+    holds no int objects."""
+    masks = _window_masks(system, _group_windows(system))
+    runs: defaultdict[int, array] = defaultdict(partial(array, "I"))
+    for k, d in enumerate(masks[0]):
+        runs[d].append(k)
+    return masks, dict(runs)
+
+
+descent_masks.cache_info, descent_masks.cache_clear = \
+    _mask_index.cache_info, _mask_index.cache_clear
 
 
 @_capped_cache
@@ -574,39 +593,42 @@ def _parabolic_flags(system: CoxeterSystem, subset: frozenset[int]) -> tuple[boo
     return tuple(map(operator.not_, map(any, zip(*flags))))
 
 
-def _interval_selectors(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
-                        within: Optional[frozenset[int]]) -> list[bool]:
-    """The one filter of group elements by descent set: for each position
-    of :func:`elements`, whether its w has low <= D(w) <= high and, for a
-    ``within`` that does not cover the generators, lies in the parabolic on
-    the generators ``within`` holds (:func:`_parabolic_flags`).  The masks d
-    of :func:`descent_masks` with d & lo == lo and d | hi == hi are listed
-    once, and the table is read through them.  Labels of ``high`` outside
-    the generators are dropped, and a ``low`` holding one keeps nothing."""
+def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
+                        within: Optional[frozenset[int]]) -> Sequence[int]:
+    """The one filter of group elements by descent set: the positions in
+    :func:`elements`, in increasing order, of the w with low <= D(w) <= high
+    that, for a ``within`` that does not cover the generators, lie in the
+    parabolic on the generators ``within`` holds (:func:`_parabolic_flags`).
+    Only the masks d of :func:`_mask_index` with d & lo == lo and
+    d | hi == hi are read, and their runs of positions merged, so the cost
+    is the size of the answer, not of the group.  Labels of ``high``
+    outside the generators are dropped, and a ``low`` holding one keeps
+    nothing."""
     bit = generator_bits(system)
     if not low <= bit.keys():
-        return []
+        return ()
     lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
-    keep = {d for d in range(1 << len(bit)) if d & lo == lo and d | hi == hi}
-    kept = map(keep.__contains__, descent_masks(system)[0])
+    runs = [run for d, run in _mask_index(system)[1].items() if d & lo == lo and d | hi == hi]
+    positions = runs[0] if len(runs) == 1 else sorted(itertools.chain.from_iterable(runs))
     if within is not None and not system.generator_set <= within:
-        kept = map(operator.and_, kept, _parabolic_flags(system, within & system.generator_set))
-    return list(kept)
+        flags = _parabolic_flags(system, within & system.generator_set)
+        positions = list(itertools.compress(positions, map(flags.__getitem__, positions)))
+    return positions
 
 
 def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
                      within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
     """The w with low <= D(w) <= high, in the order of :func:`elements`,
     kept to the parabolic on ``within`` when one is given
-    (:func:`_interval_selectors`); one that covers the generators is cached as None."""
+    (:func:`_interval_positions`); one that covers the generators is cached as None."""
     covers = within is not None and system.generator_set <= within
     return _descent_interval(system, low, high, None if covers else within)
 
 
 @_capped_cache
 def _descent_interval(system, low, high, within):
-    return tuple(itertools.compress(elements(system),
-                                    _interval_selectors(system, low, high, within)))
+    return tuple(map(elements(system).__getitem__,
+                     _interval_positions(system, low, high, within)))
 
 
 descent_interval.cache_info, descent_interval.cache_clear = \
@@ -618,8 +640,8 @@ def descent_interval_left_masks(system: CoxeterSystem, low: frozenset[int],
                                 ) -> tuple[int, ...]:
     """The left descent masks (:func:`descent_masks`) of the elements of
     :func:`descent_interval` with the same arguments, in its order."""
-    return tuple(itertools.compress(descent_masks(system)[1],
-                                    _interval_selectors(system, low, high, within)))
+    return tuple(map(descent_masks(system)[1].__getitem__,
+                     _interval_positions(system, low, high, within)))
 
 
 def min_coset_reps(
@@ -638,6 +660,8 @@ def min_coset_reps(
         raise ValueError("side must be 'left' or 'right'")
     if within is not None and not subset <= within:
         raise ValueError("subset must lie inside the ambient generator set")
+    if within is not None and system.generator_set <= within:
+        within = None
     if side == "right":
         return _right_coset_reps(system, subset, within)
     ambient = system.generator_set if within is None else within

@@ -18,10 +18,13 @@ from coxkit.series import NCSeries, s_series
 from coxkit.systems import (
     CoxeterSystem,
     Element,
+    _parabolic_flags,
     all_subsets,
     descent_class,
+    descent_masks,
     descents_of_composition,
     elements,
+    generator_bits,
     longest_element,
     parabolic_decompose_left,
     word_cube,
@@ -160,6 +163,25 @@ def descent_interval_by_sets(system: CoxeterSystem, low: frozenset[int], high: f
     element, compared as sets."""
     pool = elements(system) if within is None else parabolic_elements_by_words(system, within)
     return tuple(w for w in pool if low <= w.descent_set() <= high)
+
+
+def interval_selectors_by_mask_pass(system: CoxeterSystem, low: frozenset[int],
+                                    high: frozenset[int], within: Optional[frozenset[int]]
+                                    ) -> list[bool]:
+    """The descent-interval filter as one pass over the group: for each
+    position of ``elements``, whether its right descent mask d has
+    d & lo == lo and d | hi == hi and, for a ``within`` that misses a
+    generator, the element lies in that parabolic.  Labels of ``high``
+    outside the generators are dropped; a ``low`` holding one keeps nothing."""
+    bit = generator_bits(system)
+    if not low <= bit.keys():
+        return [False] * system.order()
+    lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
+    kept = [d & lo == lo and d | hi == hi for d in descent_masks(system)[0]]
+    if within is not None and not system.generator_set <= within:
+        flags = _parabolic_flags(system, within & system.generator_set)
+        kept = [k and f for k, f in zip(kept, flags)]
+    return kept
 
 
 def element_descent_pairs(system: CoxeterSystem) -> list[int]:

@@ -444,6 +444,89 @@ class TestRefusedChoices:
         assert "invalid choice" in err and "'bogus'" in err
 
 
+#: The choices that ``--family`` and ``--suite`` name in a refusal, spelled
+#: out: they are read from ``words`` and ``verify``, which the parser imports
+#: only when it builds those subcommands.
+FAMILY_CHOICES = ("'cupA', 'cupB', 'cupBB', 'cupD', "
+                  "'shuffleA', 'shuffleB', 'shuffleBB', 'shuffleD'")
+SUITE_CHOICES = "'diagrams', 'duality', 'hecke', 'paper-examples', 'series', 'shuffles', 'all'"
+
+
+class TestLazyChoices:
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]], ids=str)
+    def test_every_subcommand_is_listed(self, capsys, argv):
+        status, out, err = run(capsys, *argv)
+        assert status == (0 if argv == ["--help"] else 2)
+        text = out + err
+        assert "{" + ",".join(COMMANDS) + "}" in text
+        if argv == ["--help"]:
+            for name, (help_text, *_) in COMMANDS.items():
+                assert re.search(rf"^    {name} +{help_text}$", out, re.M), name
+
+    @pytest.mark.parametrize("argv, choices", [
+        (("product", "--family", "bogus", "--left", "1", "--right", "1"), FAMILY_CHOICES),
+        (("coproduct", "--family", "bogus", "--arg", "1"), FAMILY_CHOICES),
+        (("verify", "--suite", "bogus"), SUITE_CHOICES),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else "")
+    def test_refusal_names_the_same_choices(self, capsys, argv, choices):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        option = argv[1].lstrip("-")
+        assert err.endswith(f"argument --{option}: invalid choice: 'bogus' "
+                            f"(choose from {choices})\n")
+
+
+#: The coxkit modules a fresh interpreter holds after ``import coxkit.cli``,
+#: and those each command adds when ``cli.main`` runs it.
+IMPORTED_WITH_CLI = {"coxkit", "coxkit.cli", "coxkit.freemodule", "coxkit.systems"}
+COMMAND_MODULES = {
+    ("element", "--type", "B", "--rank", "3", "--op", "length", "2,-3,1"): set(),
+    ("product", "--family", "shuffleB", "--left", "-1", "--right", "1"): {"coxkit.words"},
+    ("coproduct", "--family", "cupA", "--arg", "2,1"): {"coxkit.words"},
+    ("table", "--type", "B", "--rank", "3", "--table", "c"): {"coxkit.descents"},
+    ("table", "--type", "B", "--rank", "3", "--table", "hm"):
+        {"coxkit.descents", "coxkit.linalg"},
+    ("hecke", "--type", "B", "--rank", "3", "--module", "regular"):
+        {"coxkit.hecke", "coxkit.linalg", "coxkit.qsym"},
+    ("expand", "--target", "h:(1,1)", "--basis", "M:(2);M:(1,1)", "--window", "2"):
+        {"coxkit.linalg", "coxkit.qsym"},
+}
+
+
+def fresh_interpreter_modules(code: str) -> tuple[int, list[str]]:
+    """Run ``code`` in a new interpreter on this checkout's sources and
+    return the status it printed last and the coxkit modules it then held."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (f"import sys\n{code}\n"
+             "print(status, *sorted(m for m in sys.modules if m.split('.')[0] == 'coxkit'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, *modules = proc.stdout.splitlines()[-1].split()
+    return int(status), modules
+
+
+class TestImportSets:
+    def test_importing_the_cli_loads_the_group_layer_alone(self):
+        assert fresh_interpreter_modules("import coxkit.cli\nstatus = 0") \
+            == (0, sorted(IMPORTED_WITH_CLI))
+
+    @pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=" ".join)
+    def test_each_command_loads_the_modules_it_uses(self, argv):
+        code = f"from coxkit import cli\nstatus = cli.main({list(argv)!r})"
+        assert fresh_interpreter_modules(code) \
+            == (0, sorted(IMPORTED_WITH_CLI | COMMAND_MODULES[argv]))
+
+    def test_verify_loads_every_module_and_passes(self):
+        code = ("from coxkit import cli\n"
+                "status = cli.main(['verify', '--suite', 'shuffles'])")
+        src = Path(__file__).resolve().parent.parent / "src" / "coxkit"
+        assert fresh_interpreter_modules(code) \
+            == (0, sorted({"coxkit"} | {f"coxkit.{p.stem}" for p in src.glob("*.py")
+                                        if p.stem != "__init__"}))
+
+
 class TestNegativeIntegerOptions:
     CASES = [
         (("table", "--type", "A", "--table", "c"), "--rank"),

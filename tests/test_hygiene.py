@@ -333,8 +333,8 @@ ROOT_RULES = {
                    "CoxeterSystem.generator", "descent_masks", "elements", "_group_windows",
                    "_scaled_columns", "_root_signs", "_mask_column", "_window_masks",
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
-                   "parabolic_conjugacy_classes", "parabolic_elements", "_interval_selectors",
-                   "_parabolic_flags"],
+                   "parabolic_conjugacy_classes", "parabolic_elements", "_interval_positions",
+                   "_mask_index", "_parabolic_flags"],
     "hecke.py": ["sorting_operator", "induce", "_descent_interval_module"],
 }
 

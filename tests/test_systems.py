@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,7 @@ from oracles import (
     descent_interval_by_sets,
     element_descent_masks,
     elements_by_length_sort,
+    interval_selectors_by_mask_pass,
     orbit_conjugacy_classes,
     parabolic_conjugates,
     parabolic_elements_by_words,
@@ -652,6 +655,48 @@ class TestParabolicOracle:
                     for w, m in zip(interval, masks):
                         assert {s for k, s in enumerate(system.generators) if m >> k & 1} \
                             == w.left_descent_set(), (w, low, high, within)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_interval_reads_match_the_pass_over_the_group(self, system):
+        # every (low, high, within) of generator subsets, a label outside
+        # the generators alone and with all of them, and no within
+        outside = 99
+        labels = all_subsets(system) + (frozenset({outside}),
+                                        system.generator_set | {outside})
+        group, left_masks = elements(system), descent_masks(system)[1]
+        for within in (None,) + labels:
+            for high in labels:
+                for low in labels:
+                    kept = interval_selectors_by_mask_pass(system, low, high, within)
+                    expected = tuple(itertools.compress(group, kept))
+                    key = (low, high, within)
+                    assert descent_interval(system, *key) == expected, key
+                    assert descent_interval_left_masks(system, *key) \
+                        == tuple(itertools.compress(left_masks, kept)), key
+                    if low == high:
+                        assert descent_class(system, low, within) == expected, key
+            for I in labels:
+                if within is not None and not I <= within:
+                    continue
+                ambient = system.generator_set if within is None else within
+                reps = tuple(itertools.compress(group, interval_selectors_by_mask_pass(
+                    system, frozenset(), ambient - I, within)))
+                assert min_coset_reps(system, I, "left", within) == reps, (I, within)
+                assert min_coset_reps(system, I, "right", within) \
+                    == tuple(w.inverse() for w in reps), (I, within)
+        assert descent_interval(system, frozenset({outside}), labels[-1]) == ()
+
+    def test_right_coset_reps_of_the_group_have_one_spelling(self):
+        # a within that covers the generators is the whole group, so it is
+        # cached as None: reading both spellings is one miss and one hit
+        from coxkit.systems import _right_coset_reps
+
+        _right_coset_reps.cache_clear()
+        for I in all_subsets(B3):
+            assert min_coset_reps(B3, I, "right") is min_coset_reps(B3, I, "right",
+                                                                   B3.generator_set)
+        info = _right_coset_reps.cache_info()
+        assert (info.currsize, info.hits) == (8, 8)
 
     def test_one_mask_table_per_group(self):
         # every pool, the group or a parabolic, labels outside the
