@@ -492,10 +492,11 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None, arguments: bool = True) -> argparse.ArgumentParser:
     """The coxkit parser.  When ``command`` names a subcommand only its
     subparser is built, under a usage line that still lists every command:
-    an argument error then reads as it does from the full parser."""
+    an argument error then reads as it does from the full parser.  Without
+    ``arguments`` (for an argv that names no subcommand) none gets its own."""
     parser = argparse.ArgumentParser(
         prog="coxkit",
         description="Exact combinatorics of (signed) permutation groups: "
@@ -508,7 +509,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     for name in names:
         help_text, fn, add_args = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        add_args(p)
+        if arguments:
+            add_args(p)
         p.set_defaults(fn=fn)
     return parser
 
@@ -540,7 +542,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _protect_negative_windows(list(argv))
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser(argv[0] if argv else None, not COMMANDS.keys().isdisjoint(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

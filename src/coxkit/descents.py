@@ -16,6 +16,7 @@ bases at the sym level.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .systems import (
     _capped_cache,
     all_subsets,
     descent_class,
+    descent_interval_left_masks,
     descent_masks,
     generator_bits,
     longest_element,
@@ -89,6 +91,13 @@ def class_rep_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
     """
     if z.left_descent_set() & subset:
         raise ValueError("z is not a minimal right-coset representative")
+    return _class_rep_bounds(z, subset, target)
+
+
+def _class_rep_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
+                      ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """:func:`class_rep_bounds` without its check, for a z that
+    :func:`~coxkit.systems.min_coset_reps` gave as a right representative."""
     dz = z.descent_set()
     if not dz <= target:
         return None
@@ -117,13 +126,8 @@ def sigma_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVecto
 
     def one(K: frozenset[int]) -> FormalVector:
         out = FormalVector(kind=SIGMA)
-        for z in reps:
-            bounds = class_rep_bounds(z, subset, K)
-            if bounds is not None:
-                low, high = bounds
-                out += FormalVector.from_keys(
-                    [Kp for Kp in sub_subsets if low <= Kp <= high], kind=SIGMA
-                )
+        for low, high in filter(None, (_class_rep_bounds(z, subset, K) for z in reps)):
+            out += FormalVector.from_keys([Kp for Kp in sub_subsets if low <= Kp <= high], kind=SIGMA)
         return out
 
     return x.map_to_vectors(one, kind=SIGMA)
@@ -168,12 +172,12 @@ def sym_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector)
 def sym_to_sigma_star(system: CoxeterSystem, x: FormalVector,
                       within: Optional[frozenset[int]] = None) -> FormalVector:
     """Expand sym-level spanning vectors in dual-descent coordinates:
-    the I-th spanning vector is the sum of D*_{D(w^{-1})} over the class of I."""
+    the I-th spanning vector is the sum of D*_{D(w^{-1})} over the class of I,
+    read from the class's left descent masks: no element is inverted."""
     def one(I: frozenset[int]) -> FormalVector:
-        return FormalVector(
-            ((w.inverse().descent_set(), 1) for w in descent_class(system, I, within)),
-            kind=SIGMA_STAR,
-        )
+        left = Counter(descent_interval_left_masks(system, I, I, within))
+        return FormalVector(((frozenset(s for k, s in enumerate(system.generators) if m >> k & 1), c)
+                             for m, c in left.items()), kind=SIGMA_STAR)
     return x.map_to_vectors(one, kind=SIGMA_STAR)
 
 

@@ -448,18 +448,9 @@ def _window_masks(system: CoxeterSystem, windows: Sequence[tuple[int, ...]]
     return _mask_column(system, columns, size), _mask_column(system, inverse, size)
 
 
-@_capped_cache
 def _group_windows(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
-    """The group's windows in (length, window) order, from one column-wise
-    pass: the length of a window is the number of positive roots a with
-    <a, window> < 0 (Bjorner-Brenti 2005, ch. 8), counted for all windows
-    at once, and a stable sort of the lexicographic windows by length
-    gives the order.  No :class:`Element` is built."""
-    windows = _lex_windows(system)
-    size = len(windows)
-    flags = _root_signs(_scaled_columns(zip(*windows), size), system._roots.positive)
-    lengths = list(map(sum, zip(*flags))) if flags else [0] * size
-    return tuple(map(windows.__getitem__, sorted(range(size), key=lengths.__getitem__)))
+    """The group's windows in (length, window) order: :func:`_mask_index`'s."""
+    return _mask_index(system)[0]
 
 
 @_capped_cache
@@ -558,21 +549,28 @@ def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ..
     the :func:`generator_bits` of the s whose simple root a has
     <a, window> < 0, read on the window for the right mask and on the
     inverse window for the left one.  The cache is :func:`_mask_index`'s."""
-    return _mask_index(system)[0]
+    return _mask_index(system)[1]
 
 
 @_capped_cache
-def _mask_index(system: CoxeterSystem
-                ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[int, array]]:
-    """The group's :func:`descent_masks` and, for each right mask that
-    occurs, the positions of its elements in increasing order, from one
-    pass over the masks.  A run is an unsigned-int array, so the index
-    holds no int objects."""
-    masks = _window_masks(system, _group_windows(system))
-    runs: defaultdict[int, array] = defaultdict(partial(array, "I"))
-    for k, d in enumerate(masks[0]):
-        runs[d].append(k)
-    return masks, dict(runs)
+def _mask_index(system: CoxeterSystem) -> tuple[tuple, tuple, tuple[dict[int, array], ...]]:
+    """The group's one table: its windows, their :func:`descent_masks` and,
+    for each right and each left mask, its elements' positions.  The length
+    of a window is the number of positive roots a with <a, window> < 0
+    (Bjorner-Brenti 2005, ch. 8), counted for all windows at once, and a
+    stable sort of the lexicographic windows by length gives the order.  A
+    run of positions is an unsigned-int array.  No :class:`Element` is built."""
+    lex = _lex_windows(system)
+    size = len(lex)
+    flags = _root_signs(_scaled_columns(zip(*lex), size), system._roots.positive)
+    lengths = list(map(sum, zip(*flags))) if flags else [0] * size
+    windows = tuple(map(lex.__getitem__, sorted(range(size), key=lengths.__getitem__)))
+    masks = _window_masks(system, windows)
+    right, left = defaultdict(partial(array, "I")), defaultdict(partial(array, "I"))
+    for k, (r, l) in enumerate(zip(*masks)):
+        right[r].append(k)
+        left[l].append(k)
+    return windows, masks, (dict(right), dict(left))
 
 
 descent_masks.cache_info, descent_masks.cache_clear = \
@@ -594,21 +592,19 @@ def _parabolic_flags(system: CoxeterSystem, subset: frozenset[int]) -> tuple[boo
 
 
 def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
-                        within: Optional[frozenset[int]]) -> Sequence[int]:
+                        within: Optional[frozenset[int]], on_left: bool = False) -> Sequence[int]:
     """The one filter of group elements by descent set: the positions in
     :func:`elements`, in increasing order, of the w with low <= D(w) <= high
-    that, for a ``within`` that does not cover the generators, lie in the
-    parabolic on the generators ``within`` holds (:func:`_parabolic_flags`).
-    Only the masks d of :func:`_mask_index` with d & lo == lo and
-    d | hi == hi are read, and their runs of positions merged, so the cost
-    is the size of the answer, not of the group.  Labels of ``high``
-    outside the generators are dropped, and a ``low`` holding one keeps
-    nothing."""
+    (D(w^{-1}) ``on_left``) in the parabolic on ``within`` when it misses a
+    generator (:func:`_parabolic_flags`).  Only the runs of :func:`_mask_index`
+    whose mask d has d & lo == lo and d | hi == hi are merged, so the cost is
+    the size of the answer, not of the group.  Labels of ``high`` outside
+    the generators are dropped, and a ``low`` holding one keeps nothing."""
     bit = generator_bits(system)
     if not low <= bit.keys():
         return ()
     lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
-    runs = [run for d, run in _mask_index(system)[1].items() if d & lo == lo and d | hi == hi]
+    runs = [run for d, run in _mask_index(system)[2][on_left].items() if d & lo == lo and d | hi == hi]
     positions = runs[0] if len(runs) == 1 else sorted(itertools.chain.from_iterable(runs))
     if within is not None and not system.generator_set <= within:
         flags = _parabolic_flags(system, within & system.generator_set)
@@ -622,13 +618,13 @@ def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset
     kept to the parabolic on ``within`` when one is given
     (:func:`_interval_positions`); one that covers the generators is cached as None."""
     covers = within is not None and system.generator_set <= within
-    return _descent_interval(system, low, high, None if covers else within)
+    return _descent_interval(system, low, high, None if covers else within, False)
 
 
 @_capped_cache
-def _descent_interval(system, low, high, within):
+def _descent_interval(system, low, high, within, on_left):
     return tuple(map(elements(system).__getitem__,
-                     _interval_positions(system, low, high, within)))
+                     _interval_positions(system, low, high, within, on_left)))
 
 
 descent_interval.cache_info, descent_interval.cache_clear = \
@@ -650,10 +646,12 @@ def min_coset_reps(
     side: str = "left",
     within: Optional[frozenset[int]] = None,
 ) -> tuple[Element, ...]:
-    """Minimal-length representatives of the ``subset``-parabolic cosets.
+    """Minimal-length representatives of the cosets of W_I, I = ``subset``:
+    the group's own elements, in the order of :func:`elements`.
 
-    side="left" gives {w : D(w) disjoint from subset} (representatives of
-    left cosets w*W_subset); side="right" gives their inverses.  With
+    side="left" gives {w : D(w) disjoint from I} (left cosets w*W_I) and
+    side="right" {w : D(w^{-1}) disjoint from I} (right cosets W_I*w), the
+    same interval read on left descents (Bjorner-Brenti 2005, ch. 2).  With
     ``within`` the ambient group is the parabolic on that generator set.
     """
     if side not in ("left", "right"):
@@ -662,17 +660,8 @@ def min_coset_reps(
         raise ValueError("subset must lie inside the ambient generator set")
     if within is not None and system.generator_set <= within:
         within = None
-    if side == "right":
-        return _right_coset_reps(system, subset, within)
     ambient = system.generator_set if within is None else within
-    return descent_interval(system, frozenset(), ambient - subset, within)
-
-
-@_capped_cache
-def _right_coset_reps(system: CoxeterSystem, subset: frozenset[int],
-                      within: Optional[frozenset[int]]) -> tuple[Element, ...]:
-    """The inverses of the left representatives, in their order."""
-    return tuple(w.inverse() for w in min_coset_reps(system, subset, "left", within))
+    return _descent_interval(system, frozenset(), ambient - subset, within, side == "right")
 
 
 def descent_class(system: CoxeterSystem, subset: frozenset[int],

@@ -166,18 +166,19 @@ def descent_interval_by_sets(system: CoxeterSystem, low: frozenset[int], high: f
 
 
 def interval_selectors_by_mask_pass(system: CoxeterSystem, low: frozenset[int],
-                                    high: frozenset[int], within: Optional[frozenset[int]]
-                                    ) -> list[bool]:
+                                    high: frozenset[int], within: Optional[frozenset[int]],
+                                    side: int = 0) -> list[bool]:
     """The descent-interval filter as one pass over the group: for each
-    position of ``elements``, whether its right descent mask d has
-    d & lo == lo and d | hi == hi and, for a ``within`` that misses a
-    generator, the element lies in that parabolic.  Labels of ``high``
-    outside the generators are dropped; a ``low`` holding one keeps nothing."""
+    position of ``elements``, whether its descent mask d, right (``side``
+    0) or left (1), has d & lo == lo and d | hi == hi and, for a ``within``
+    that misses a generator, the element lies in that parabolic.  Labels of
+    ``high`` outside the generators are dropped; a ``low`` holding one
+    keeps nothing."""
     bit = generator_bits(system)
     if not low <= bit.keys():
         return [False] * system.order()
     lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
-    kept = [d & lo == lo and d | hi == hi for d in descent_masks(system)[0]]
+    kept = [d & lo == lo and d | hi == hi for d in descent_masks(system)[side]]
     if within is not None and not system.generator_set <= within:
         flags = _parabolic_flags(system, within & system.generator_set)
         kept = [k and f for k, f in zip(kept, flags)]

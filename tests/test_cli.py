@@ -518,6 +518,15 @@ class TestImportSets:
         assert fresh_interpreter_modules(code) \
             == (0, sorted(IMPORTED_WITH_CLI | COMMAND_MODULES[argv]))
 
+    @pytest.mark.parametrize("argv, status", [
+        ((), 2), (("--help",), 0), (("-h",), 0), (("bogus",), 2), (("bogus", "--x"), 2),
+    ], ids=lambda v: " ".join(v) or "bare" if isinstance(v, tuple) else str(v))
+    def test_naming_no_command_loads_no_command_module(self, argv, status):
+        # the help, a bare call and an unknown command list every subcommand
+        # without building their arguments, so nothing past the CLI loads
+        code = f"from coxkit import cli\nstatus = cli.main({list(argv)!r})"
+        assert fresh_interpreter_modules(code) == (status, sorted(IMPORTED_WITH_CLI))
+
     def test_verify_loads_every_module_and_passes(self):
         code = ("from coxkit import cli\n"
                 "status = cli.main(['verify', '--suite', 'shuffles'])")

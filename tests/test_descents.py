@@ -38,6 +38,8 @@ from coxkit.systems import (
     all_subsets,
     composition_from_descents,
     descent_class,
+    descent_interval,
+    elements,
     min_coset_reps,
     parabolic_conjugacy_classes,
     parabolic_elements,
@@ -138,6 +140,33 @@ class TestIntervalCriterion:
             raise AssertionError("built an Element product")
 
         monkeypatch.setattr(Element, "__mul__", refuse)
+        for (system, I, K), out in expected.items():
+            assert sigma_restrict(system, I, sigma_basis(K)) == out
+
+    def test_class_rep_bounds_refuses_a_non_representative(self):
+        # the public walk checks that z has no left descent in the subset
+        for system in (B3, D3):
+            for I in all_subsets(system):
+                reps = set(min_coset_reps(system, I, "right"))
+                for z in elements(system):
+                    if z in reps:
+                        class_rep_bounds(z, I, frozenset())
+                        continue
+                    with pytest.raises(ValueError, match="minimal right-coset"):
+                        class_rep_bounds(z, I, frozenset())
+
+    def test_sigma_restrict_inverts_no_element(self, monkeypatch):
+        # the representatives are read from the group's table and walked
+        # without the public check, so no inverse is built, cold or warm
+        systems = (CoxeterSystem("A", 5), CoxeterSystem("B", 4), CoxeterSystem("D", 4))
+        expected = {(system, I, K): sigma_restrict(system, I, sigma_basis(K))
+                    for system in systems for I in all_subsets(system) for K in all_subsets(system)}
+
+        def refuse(*args):
+            raise AssertionError("built an Element inverse")
+
+        monkeypatch.setattr(Element, "inverse", refuse)
+        descent_interval.cache_clear()
         for (system, I, K), out in expected.items():
             assert sigma_restrict(system, I, sigma_basis(K)) == out
 

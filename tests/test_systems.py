@@ -599,7 +599,6 @@ class TestGroupWindows:
 
         monkeypatch.setattr(systems, "_trusted_element", refuse)
         system = CoxeterSystem("B", 4)
-        _group_windows.cache_clear()
         descent_masks.cache_clear()
         assert len(_group_windows(system)) == len(descent_masks(system)[0]) == 384
 
@@ -679,24 +678,32 @@ class TestParabolicOracle:
                 if within is not None and not I <= within:
                     continue
                 ambient = system.generator_set if within is None else within
-                reps = tuple(itertools.compress(group, interval_selectors_by_mask_pass(
-                    system, frozenset(), ambient - I, within)))
-                assert min_coset_reps(system, I, "left", within) == reps, (I, within)
-                assert min_coset_reps(system, I, "right", within) \
-                    == tuple(w.inverse() for w in reps), (I, within)
+                for side, name in enumerate(("left", "right")):
+                    reps = tuple(itertools.compress(group, interval_selectors_by_mask_pass(
+                        system, frozenset(), ambient - I, within, side)))
+                    assert min_coset_reps(system, I, name, within) == reps, (I, within, name)
         assert descent_interval(system, frozenset({outside}), labels[-1]) == ()
 
     def test_right_coset_reps_of_the_group_have_one_spelling(self):
         # a within that covers the generators is the whole group, so it is
         # cached as None: reading both spellings is one miss and one hit
-        from coxkit.systems import _right_coset_reps
-
-        _right_coset_reps.cache_clear()
+        descent_interval.cache_clear()
         for I in all_subsets(B3):
             assert min_coset_reps(B3, I, "right") is min_coset_reps(B3, I, "right",
                                                                    B3.generator_set)
-        info = _right_coset_reps.cache_info()
+        info = descent_interval.cache_info()
         assert (info.currsize, info.hits) == (8, 8)
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_right_coset_reps_are_the_groups_own_elements(self, system):
+        # the right representatives are read from the group's table, not
+        # inverted: each is the very object that elements() holds
+        group = {id(w) for w in elements(system)}
+        subsets = all_subsets(system)
+        for within in (None, system.generator_set) + subsets:
+            for I in (X for X in subsets if within is None or X <= within):
+                for z in min_coset_reps(system, I, "right", within):
+                    assert id(z) in group, (z, I, within)
 
     def test_one_mask_table_per_group(self):
         # every pool, the group or a parabolic, labels outside the
