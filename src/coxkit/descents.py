@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .freemodule import FormalVector
@@ -25,10 +26,10 @@ from .systems import (
     CoxeterSystem,
     Element,
     _capped_cache,
+    _lex_descent_masks,
     all_subsets,
     descent_class,
     descent_interval_left_masks,
-    descent_masks,
     generator_bits,
     longest_element,
     min_coset_reps,
@@ -184,30 +185,49 @@ def sym_to_sigma_star(system: CoxeterSystem, x: FormalVector,
 # -- bilinear forms ------------------------------------------------------------
 
 
+class _DescentPairs(tuple):
+    """The pair (bit, pairs) of :func:`_descent_pair_tables`, whose
+    ``below`` is built on its first read."""
+
+    @cached_property
+    def below(self) -> list[int]:
+        """The subset-sum (zeta) transform of ``pairs`` over both masks: the
+        entry at (row << r) | col counts D(w^{-1}) <= row and D(w) <= col."""
+        bit, pairs = self
+        below = pairs[:]
+        for b in range(2 * len(bit)):
+            step = 1 << b
+            for i in range(len(below)):
+                if i & step:
+                    below[i] += below[i ^ step]
+        return below
+
+
 @_capped_cache
-def _descent_pair_tables(system: CoxeterSystem) -> tuple[dict[int, int], list[int], list[int]]:
+def _descent_pair_tables(system: CoxeterSystem) -> _DescentPairs:
     """Solomon's (1976) descent-pair count from one pass over W.
 
-    Returns (bit, pairs, below).  ``bit`` maps each generator to its bit in
-    a subset mask (:func:`~coxkit.systems.generator_bits`), and the pass
-    reads the masks of :func:`~coxkit.systems.descent_masks`.  With r
-    generators, the entry at (row << r) | col of
-    ``pairs`` counts the w with D(w^{-1}) = row and D(w) = col, and
-    ``below`` is its subset-sum (zeta) transform over both masks: the
-    entry at (row << r) | col counts D(w^{-1}) <= row and D(w) <= col.
+    Returns (bit, pairs), with the zeta transform ``below`` of
+    :class:`_DescentPairs` as an attribute.  ``bit`` maps each generator to
+    its bit in a subset mask (:func:`~coxkit.systems.generator_bits`).  The
+    count does not depend on the order of W, so the pass reads the masks in
+    lexicographic order (:func:`~coxkit.systems._lex_descent_masks`) and
+    computes no length.  With r generators, the entry at (row << r) | col
+    of ``pairs`` counts the w with D(w^{-1}) = row and D(w) = col.
     """
     bit = generator_bits(system)
     r = len(bit)
     pairs = [0] * (1 << 2 * r)
-    for right, left in zip(*descent_masks(system)):
+    for right, left in zip(*_lex_descent_masks(system)):
         pairs[left << r | right] += 1
-    below = pairs[:]
-    for b in range(2 * r):
-        step = 1 << b
-        for i in range(len(below)):
-            if i & step:
-                below[i] += below[i ^ step]
-    return bit, pairs, below
+    return _DescentPairs((bit, pairs))
+
+
+def _weak_counts(system: CoxeterSystem) -> tuple[dict[int, int], list[int]]:
+    """``bit`` and the zeta transform ``below`` of :func:`_descent_pair_tables`,
+    which the first weak-count read builds."""
+    tables = _descent_pair_tables(system)
+    return tables[0], tables.below
 
 
 def _mask(bit: dict[int, int], subset: frozenset[int]) -> int:
@@ -221,7 +241,7 @@ def mutual_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozen
     A read of Solomon's (1976) descent-pair histogram, built by one pass
     over W; a key outside the generators gives 0.
     """
-    bit, pairs, _ = _descent_pair_tables(system)
+    bit, pairs = _descent_pair_tables(system)
     if not all(s in bit for s in row) or not all(s in bit for s in col):
         return 0
     return pairs[_mask(bit, row) << len(bit) | _mask(bit, col)]
@@ -229,7 +249,7 @@ def mutual_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozen
 
 def c_matrix(system: CoxeterSystem) -> list[list[int]]:
     """Every :func:`mutual_descent_count` over all_subsets, from one fetch."""
-    bit, pairs, _ = _descent_pair_tables(system)
+    bit, pairs = _descent_pair_tables(system)
     masks = [_mask(bit, I) for I in all_subsets(system)]
     return [[pairs[row << len(bit) | col] for col in masks] for row in masks]
 
@@ -242,7 +262,7 @@ def weak_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozense
     transform of the descent-pair histogram; keys outside the generators
     are dropped, since descent sets lie inside them.
     """
-    bit, _, below = _descent_pair_tables(system)
+    bit, below = _weak_counts(system)
     return below[_mask(bit, col) << len(bit) | _mask(bit, row)]
 
 
@@ -253,7 +273,7 @@ def h_in_monomial_coordinates(system: CoxeterSystem, subset: frozenset[int]) -> 
     """The complete-homogeneous sym element attached to a subset, written in
     monomial coordinates (keyed by subsets): coefficient at J counts
     {w : D(w) <= subset, D(w^{-1}) <= J}."""
-    bit, _, below = _descent_pair_tables(system)
+    bit, below = _weak_counts(system)
     row = _mask(bit, subset)
     return FormalVector(((J, below[_mask(bit, J) << len(bit) | row]) for J in all_subsets(system)),
                         kind="monomial")
@@ -323,6 +343,6 @@ def p_class_basis(system: CoxeterSystem) -> dict[frozenset[int], FormalVector]:
 def h_gram_matrix(system: CoxeterSystem) -> tuple[list[frozenset[int]], list[list[int]]]:
     """Gram matrix of the class h basis under the weak-descent-count form."""
     labels = [class_label(cls) for cls in parabolic_conjugacy_classes(system)]
-    bit, _, below = _descent_pair_tables(system)
+    bit, below = _weak_counts(system)
     gram = [[below[_mask(bit, b) << len(bit) | _mask(bit, a)] for b in labels] for a in labels]
     return labels, gram

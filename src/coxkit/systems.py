@@ -449,8 +449,9 @@ def _window_masks(system: CoxeterSystem, windows: Sequence[tuple[int, ...]]
 
 
 def _group_windows(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
-    """The group's windows in (length, window) order: :func:`_mask_index`'s."""
-    return _mask_index(system)[0]
+    """The group's windows in (length, window) order: stage 2 of
+    :func:`_mask_index`."""
+    return _mask_index(system).ordered[0]
 
 
 @_capped_cache
@@ -548,29 +549,73 @@ def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ..
     tuples in the (length, window) order of :func:`elements`.  A mask holds
     the :func:`generator_bits` of the s whose simple root a has
     <a, window> < 0, read on the window for the right mask and on the
-    inverse window for the left one.  The cache is :func:`_mask_index`'s."""
-    return _mask_index(system)[1]
+    inverse window for the left one.  The cache is :func:`_mask_index`'s
+    (stage 2)."""
+    return _mask_index(system).ordered[1]
+
+
+def _lex_descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks of :func:`descent_masks` in the lexicographic order of
+    :func:`_lex_windows`: stage 1 of :func:`_mask_index`, which computes
+    no length."""
+    return _mask_index(system).lex[1]
+
+
+def _mask_runs(masks: Iterable[int]) -> dict[int, array]:
+    """For each mask that occurs, the positions holding it, in increasing
+    order, as an unsigned-int array."""
+    runs = defaultdict(partial(array, "I"))
+    for k, d in enumerate(masks):
+        runs[d].append(k)
+    return dict(runs)
+
+
+class _GroupTable:
+    """The group's one table, each part built on its first read.  No
+    :class:`Element` is built.
+
+    Stage 1, ``lex``: the windows of :func:`_lex_windows` and their right
+    and left descent masks (:func:`_window_masks`).  Stage 2, ``ordered``:
+    the windows and both mask tuples in (length, window) order.  The
+    length of a window is the number of positive roots a with
+    <a, window> < 0 (Bjorner-Brenti 2005, ch. 8), counted for all windows
+    at once, and a stable sort of the lexicographic windows by length gives
+    the order.  ``right_runs`` and ``left_runs`` map each right or left
+    mask of stage 2 to its :func:`_mask_runs`."""
+
+    def __init__(self, system: CoxeterSystem):
+        self.system = system
+
+    @cached_property
+    def lex(self) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]]:
+        windows = _lex_windows(self.system)
+        return windows, _window_masks(self.system, windows)
+
+    @cached_property
+    def ordered(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+        lex, masks = self.lex
+        size = len(lex)
+        flags = _root_signs(_scaled_columns(zip(*lex), size), self.system._roots.positive)
+        lengths = list(map(sum, zip(*flags))) if flags else [0] * size
+        order = sorted(range(size), key=lengths.__getitem__)
+        return (tuple(map(lex.__getitem__, order)),
+                tuple(tuple(map(m.__getitem__, order)) for m in masks))
+
+    @cached_property
+    def right_runs(self) -> dict[int, array]:
+        return _mask_runs(self.ordered[1][0])
+
+    @cached_property
+    def left_runs(self) -> dict[int, array]:
+        return _mask_runs(self.ordered[1][1])
 
 
 @_capped_cache
-def _mask_index(system: CoxeterSystem) -> tuple[tuple, tuple, tuple[dict[int, array], ...]]:
-    """The group's one table: its windows, their :func:`descent_masks` and,
-    for each right and each left mask, its elements' positions.  The length
-    of a window is the number of positive roots a with <a, window> < 0
-    (Bjorner-Brenti 2005, ch. 8), counted for all windows at once, and a
-    stable sort of the lexicographic windows by length gives the order.  A
-    run of positions is an unsigned-int array.  No :class:`Element` is built."""
-    lex = _lex_windows(system)
-    size = len(lex)
-    flags = _root_signs(_scaled_columns(zip(*lex), size), system._roots.positive)
-    lengths = list(map(sum, zip(*flags))) if flags else [0] * size
-    windows = tuple(map(lex.__getitem__, sorted(range(size), key=lengths.__getitem__)))
-    masks = _window_masks(system, windows)
-    right, left = defaultdict(partial(array, "I")), defaultdict(partial(array, "I"))
-    for k, (r, l) in enumerate(zip(*masks)):
-        right[r].append(k)
-        left[l].append(k)
-    return windows, masks, (dict(right), dict(left))
+def _mask_index(system: CoxeterSystem) -> _GroupTable:
+    """The group's one :class:`_GroupTable`: every array derived from the
+    group's windows is read through here, so the cap is checked on every
+    read."""
+    return _GroupTable(system)
 
 
 descent_masks.cache_info, descent_masks.cache_clear = \
@@ -597,14 +642,17 @@ def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozen
     :func:`elements`, in increasing order, of the w with low <= D(w) <= high
     (D(w^{-1}) ``on_left``) in the parabolic on ``within`` when it misses a
     generator (:func:`_parabolic_flags`).  Only the runs of :func:`_mask_index`
-    whose mask d has d & lo == lo and d | hi == hi are merged, so the cost is
-    the size of the answer, not of the group.  Labels of ``high`` outside
-    the generators are dropped, and a ``low`` holding one keeps nothing."""
+    (its right or, ``on_left``, its left runs) whose mask d has d & lo == lo
+    and d | hi == hi are merged, so the cost is the size of the answer, not
+    of the group.  Labels of ``high`` outside the generators are dropped,
+    and a ``low`` holding one keeps nothing."""
     bit = generator_bits(system)
     if not low <= bit.keys():
         return ()
     lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
-    runs = [run for d, run in _mask_index(system)[2][on_left].items() if d & lo == lo and d | hi == hi]
+    table = _mask_index(system)
+    index = table.left_runs if on_left else table.right_runs
+    runs = [run for d, run in index.items() if d & lo == lo and d | hi == hi]
     positions = runs[0] if len(runs) == 1 else sorted(itertools.chain.from_iterable(runs))
     if within is not None and not system.generator_set <= within:
         flags = _parabolic_flags(system, within & system.generator_set)

@@ -334,7 +334,9 @@ ROOT_RULES = {
                    "_scaled_columns", "_root_signs", "_mask_column", "_window_masks",
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
                    "parabolic_conjugacy_classes", "parabolic_elements", "_interval_positions",
-                   "_mask_index", "_parabolic_flags"],
+                   "_mask_index", "_parabolic_flags", "_lex_descent_masks", "_mask_runs",
+                   "_GroupTable.lex", "_GroupTable.ordered", "_GroupTable.right_runs",
+                   "_GroupTable.left_runs"],
     "hecke.py": ["sorting_operator", "induce", "_descent_interval_module"],
 }
 

@@ -10,6 +10,8 @@ from coxkit.systems import (
     CoxeterSystem,
     Element,
     _group_windows,
+    _lex_descent_masks,
+    _mask_index,
     _parabolic_flags,
     all_subsets,
     class_maximum,
@@ -45,6 +47,7 @@ from oracles import (
     cayley_distances,
     descent_interval_by_sets,
     element_descent_masks,
+    element_descent_pairs,
     elements_by_length_sort,
     interval_selectors_by_mask_pass,
     orbit_conjugacy_classes,
@@ -238,13 +241,16 @@ class TestEnumeration:
         # every read derived from an enumeration of B3 is refused once the
         # cap drops below |B3| = 48, however warm its cache, and answers as
         # before once the cap is restored
-        from coxkit.descents import c_matrix, weak_descent_count
+        from coxkit.descents import c_matrix, h_gram_matrix, weak_descent_count
 
         I = frozenset({1})
         reads = {
             "elements": lambda: elements(B3),
             "_group_windows": lambda: _group_windows(B3),
             "descent_masks": lambda: descent_masks(B3),
+            "_mask_index": lambda: _mask_index(B3),
+            "_lex_descent_masks": lambda: _lex_descent_masks(B3),
+            "h_gram_matrix": lambda: h_gram_matrix(B3),
             "_parabolic_flags": lambda: _parabolic_flags(B3, I),
             "parabolic_elements": lambda: parabolic_elements(B3, I),
             "descent_interval": lambda: descent_interval(B3, frozenset(), I),
@@ -270,9 +276,10 @@ class TestEnumeration:
             set_max_order(None)
         assert {name: read() for name, read in reads.items()} == before
         # the lookups hand back one cached tuple on every call
-        for name in ("elements", "_group_windows", "descent_masks", "_parabolic_flags",
-                     "parabolic_elements", "descent_interval", "descent_class",
-                     "min_coset_reps left", "min_coset_reps right"):
+        for name in ("elements", "_group_windows", "descent_masks", "_mask_index",
+                     "_lex_descent_masks", "_parabolic_flags", "parabolic_elements",
+                     "descent_interval", "descent_class", "min_coset_reps left",
+                     "min_coset_reps right"):
             assert reads[name]() is reads[name](), name
 
     def test_min_coset_reps_refusal_order(self):
@@ -567,12 +574,18 @@ def _intervals(draw):
 
 
 def assert_group_windows_match_the_oracles(system):
-    """The group's windows and their order, and the group's masks, equal
-    the one-element-at-a-time oracles."""
+    """The group's windows and their order, and the group's masks in both
+    stages of its table (and the pair histogram counted from stage 1),
+    equal the one-element-at-a-time oracles."""
+    from coxkit.descents import _descent_pair_tables
+
     expected = elements_by_length_sort(system)
     assert [w.window for w in elements(system)] == [w.window for w in expected]
     assert _group_windows(system) == tuple(w.window for w in expected)
     assert descent_masks(system) == element_descent_masks(system, expected)
+    lex = sorted(expected, key=lambda w: w.window)
+    assert _lex_descent_masks(system) == element_descent_masks(system, lex)
+    assert _descent_pair_tables(system)[1] == element_descent_pairs(system)
 
 
 class TestGroupWindows:
@@ -601,6 +614,31 @@ class TestGroupWindows:
         system = CoxeterSystem("B", 4)
         descent_masks.cache_clear()
         assert len(_group_windows(system)) == len(descent_masks(system)[0]) == 384
+
+    def test_each_stage_is_built_by_its_first_reader(self, capsys):
+        # the descent tables read stage 1 alone, so they compute no length;
+        # a descent class builds stage 2 and the right runs, and only a
+        # right coset read builds the left runs
+        from coxkit import cli
+        from coxkit.descents import _descent_pair_tables, c_matrix, h_gram_matrix
+
+        def built():
+            return sorted(set(vars(_mask_index(B4))) - {"system"})
+
+        descent_masks.cache_clear()
+        descent_interval.cache_clear()
+        _descent_pair_tables.cache_clear()
+        c_matrix(B4)
+        assert "below" not in vars(_descent_pair_tables(B4))
+        h_gram_matrix(B4)
+        assert "below" in vars(_descent_pair_tables(B4))
+        assert cli.main(["table", "--type", "B", "--rank", "4", "--table", "hm"]) == 0
+        assert capsys.readouterr().out
+        assert built() == ["lex"]
+        descent_class(B4, frozenset({1}))
+        assert built() == ["lex", "ordered", "right_runs"]
+        min_coset_reps(B4, frozenset({1}), "right")
+        assert built() == ["left_runs", "lex", "ordered", "right_runs"]
 
 
 class TestParabolicOracle:
