@@ -6,15 +6,19 @@ Usage::
     python3 scripts/bench_pairs.py PARENT CHANGE --workload tables-cold \\
         [--workload hecke-cold ...] --seeds 1-10 [--claim tables-cold:task_tail_s]
 
-For each seed, and for each workload in turn, ``perfbench/run.py --trace 0``
-runs once in each checkout, with the benchmark's own run length: the parent
-first on odd seeds, the change first on even ones.  Each run's last stdout
+Before the first pair, ``python -m compileall -q`` compiles ``src`` and
+``perfbench`` of both checkouts, so both sides run with the same bytecode
+state whatever earlier runs left behind.  Then, for each seed and for each
+workload in turn, ``perfbench/run.py --trace 0`` runs once in each checkout,
+with the benchmark's own run length: the parent first on odd seeds, the
+change first on even ones.  Each run's last stdout
 line (correctness, failures and end-to-end metrics) is kept as one row.
 
 The summary, printed as JSON, gives per workload and per end-to-end metric
 of the change's ``BENCHMARK.json`` each side's median, quartiles
 (``statistics.quantiles(runs, n=4, method='inclusive')``) and runs, and the
-number of pairs (seeds) in which the change is strictly better.  A
+number of pairs (seeds) in which the change is strictly better, and
+``compiled`` names the directories compiled in each checkout.  A
 ``--claim WORKLOAD:METRIC`` adds ``claimed_gain``: it is met when the change
 wins at least nine tenths of the pairs and its median is better than the
 parent's by more than the distance between the parent's quartiles.
@@ -31,6 +35,7 @@ from pathlib import Path
 from typing import Optional
 
 SIDES = ("parent", "change")
+COMPILED = ("src", "perfbench")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -47,6 +52,12 @@ def directions(checkout: Path) -> dict[str, str]:
     "higher" is better."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Write the bytecode of the checkout's :data:`COMPILED` directories."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", *COMPILED],
+                   cwd=checkout, check=True)
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -154,9 +165,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
     parser.add_argument("--claim", help="WORKLOAD:METRIC")
     args = parser.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        compile_checkout(checkout)
     rows = run_pairs(args.parent, args.change, args.workload, args.seeds)
     better = directions(args.change)
-    out = {"summary": summarize(rows, better)}
+    out = {"compiled": {side: list(COMPILED) for side in SIDES},
+           "summary": summarize(rows, better)}
     if args.claim:
         workload, _, metric = args.claim.partition(":")
         out["claimed_gain"] = claimed_gain(out["summary"], workload, metric, better)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .freemodule import FormalVector
@@ -26,7 +25,7 @@ from .systems import (
     CoxeterSystem,
     Element,
     _capped_cache,
-    _lex_descent_masks,
+    _lex_table,
     all_subsets,
     descent_class,
     descent_interval_left_masks,
@@ -185,49 +184,39 @@ def sym_to_sigma_star(system: CoxeterSystem, x: FormalVector,
 # -- bilinear forms ------------------------------------------------------------
 
 
-class _DescentPairs(tuple):
-    """The pair (bit, pairs) of :func:`_descent_pair_tables`, whose
-    ``below`` is built on its first read."""
-
-    @cached_property
-    def below(self) -> list[int]:
-        """The subset-sum (zeta) transform of ``pairs`` over both masks: the
-        entry at (row << r) | col counts D(w^{-1}) <= row and D(w) <= col."""
-        bit, pairs = self
-        below = pairs[:]
-        for b in range(2 * len(bit)):
-            step = 1 << b
-            for i in range(len(below)):
-                if i & step:
-                    below[i] += below[i ^ step]
-        return below
-
-
 @_capped_cache
-def _descent_pair_tables(system: CoxeterSystem) -> _DescentPairs:
+def _descent_pair_tables(system: CoxeterSystem) -> tuple[dict[int, int], list[int]]:
     """Solomon's (1976) descent-pair count from one pass over W.
 
-    Returns (bit, pairs), with the zeta transform ``below`` of
-    :class:`_DescentPairs` as an attribute.  ``bit`` maps each generator to
-    its bit in a subset mask (:func:`~coxkit.systems.generator_bits`).  The
-    count does not depend on the order of W, so the pass reads the masks in
-    lexicographic order (:func:`~coxkit.systems._lex_descent_masks`) and
+    Returns (bit, pairs).  ``bit`` maps each generator to its bit in a
+    subset mask (:func:`~coxkit.systems.generator_bits`).  The count does
+    not depend on the order of W, so the pass reads the masks in
+    lexicographic order (stage 1, :func:`~coxkit.systems._lex_table`) and
     computes no length.  With r generators, the entry at (row << r) | col
     of ``pairs`` counts the w with D(w^{-1}) = row and D(w) = col.
     """
     bit = generator_bits(system)
     r = len(bit)
     pairs = [0] * (1 << 2 * r)
-    for right, left in zip(*_lex_descent_masks(system)):
+    for right, left in zip(*_lex_table(system)[1]):
         pairs[left << r | right] += 1
-    return _DescentPairs((bit, pairs))
+    return bit, pairs
 
 
+@_capped_cache
 def _weak_counts(system: CoxeterSystem) -> tuple[dict[int, int], list[int]]:
-    """``bit`` and the zeta transform ``below`` of :func:`_descent_pair_tables`,
-    which the first weak-count read builds."""
-    tables = _descent_pair_tables(system)
-    return tables[0], tables.below
+    """``bit`` and the subset-sum (zeta) transform ``below`` of the pairs of
+    :func:`_descent_pair_tables` over both masks, built by the first
+    weak-count read: the entry at (row << r) | col counts D(w^{-1}) <= row
+    and D(w) <= col."""
+    bit, pairs = _descent_pair_tables(system)
+    below = pairs[:]
+    for b in range(2 * len(bit)):
+        step = 1 << b
+        for i in range(len(below)):
+            if i & step:
+                below[i] += below[i ^ step]
+    return bit, below
 
 
 def _mask(bit: dict[int, int], subset: frozenset[int]) -> int:

@@ -8,7 +8,7 @@ and negates the first two entries).
 
 Elements are stored as full windows; equality is window equality.  All
 objects are immutable, and each result derived from a group enumeration
-is held in one cache, which checks the size cap on every read.
+is held in that group's one store, which checks the size cap on every read.
 
 A window is checked where it enters: ``Element(...)``,
 ``CoxeterSystem.element`` and :func:`parse_window` raise ValueError on an
@@ -114,7 +114,7 @@ class CoxeterSystem:
 
     @property
     def generator_set(self) -> frozenset[int]:
-        return frozenset(self.generators)
+        return frozenset(self._roots.generators)
 
     def order(self) -> int:
         if self.family == "A":
@@ -375,18 +375,31 @@ def _check_order(system: CoxeterSystem) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _store(system: CoxeterSystem) -> dict:
+    """The group's one store: every result of :func:`_capped_cache` for it,
+    keyed by (function, arguments)."""
+    return {}
+
+
 def _capped_cache(fn):
-    """Cache ``fn(system, ...)`` per argument tuple, but check the order cap
-    on every call: a cap lowered after a group was enumerated still refuses
-    it.  The cache statistics stay readable through ``cache_info``."""
-    cached = lru_cache(maxsize=None)(fn)
+    """Keep ``fn(system, *args)`` in the group's :func:`_store`, but check
+    the order cap on every call first: a cap lowered after a group was
+    enumerated still refuses it, and a refused read makes no store.  The
+    store's statistics stay readable through ``cache_info``, which counts
+    groups, and ``cache_clear`` empties every group's store."""
 
     @wraps(fn)
-    def call(system, *args, **kwargs):
+    def call(system, *args):
         _check_order(system)
-        return cached(system, *args, **kwargs)
+        store, key = _store(system), (fn, args)
+        try:
+            return store[key]
+        except KeyError:
+            value = store[key] = fn(system, *args)
+            return value
 
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    call.cache_info, call.cache_clear = _store.cache_info, _store.cache_clear
     return call
 
 
@@ -448,10 +461,37 @@ def _window_masks(system: CoxeterSystem, windows: Sequence[tuple[int, ...]]
     return _mask_column(system, columns, size), _mask_column(system, inverse, size)
 
 
+@_capped_cache
+def _lex_table(system: CoxeterSystem
+               ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Stage 1 of the group's table: the windows of :func:`_lex_windows` and
+    their right and left descent masks (:func:`_window_masks`), in that
+    lexicographic order.  No length is computed and no :class:`Element` is
+    built."""
+    windows = _lex_windows(system)
+    return windows, _window_masks(system, windows)
+
+
+@_capped_cache
+def _ordered_table(system: CoxeterSystem
+                   ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Stage 2 of the group's table: the windows and both mask tuples of
+    :func:`_lex_table` in (length, window) order.  The length of a window is
+    the number of positive roots a with <a, window> < 0 (Bjorner-Brenti
+    2005, ch. 8), counted for all windows at once, and a stable sort of the
+    lexicographic windows by length gives the order."""
+    lex, masks = _lex_table(system)
+    size = len(lex)
+    flags = _root_signs(_scaled_columns(zip(*lex), size), system._roots.positive)
+    lengths = list(map(sum, zip(*flags))) if flags else [0] * size
+    order = sorted(range(size), key=lengths.__getitem__)
+    return (tuple(map(lex.__getitem__, order)),
+            tuple(tuple(map(m.__getitem__, order)) for m in masks))
+
+
 def _group_windows(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
-    """The group's windows in (length, window) order: stage 2 of
-    :func:`_mask_index`."""
-    return _mask_index(system).ordered[0]
+    """The group's windows in (length, window) order (:func:`_ordered_table`)."""
+    return _ordered_table(system)[0]
 
 
 @_capped_cache
@@ -549,77 +589,19 @@ def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ..
     tuples in the (length, window) order of :func:`elements`.  A mask holds
     the :func:`generator_bits` of the s whose simple root a has
     <a, window> < 0, read on the window for the right mask and on the
-    inverse window for the left one.  The cache is :func:`_mask_index`'s
-    (stage 2)."""
-    return _mask_index(system).ordered[1]
-
-
-def _lex_descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The masks of :func:`descent_masks` in the lexicographic order of
-    :func:`_lex_windows`: stage 1 of :func:`_mask_index`, which computes
-    no length."""
-    return _mask_index(system).lex[1]
-
-
-def _mask_runs(masks: Iterable[int]) -> dict[int, array]:
-    """For each mask that occurs, the positions holding it, in increasing
-    order, as an unsigned-int array."""
-    runs = defaultdict(partial(array, "I"))
-    for k, d in enumerate(masks):
-        runs[d].append(k)
-    return dict(runs)
-
-
-class _GroupTable:
-    """The group's one table, each part built on its first read.  No
-    :class:`Element` is built.
-
-    Stage 1, ``lex``: the windows of :func:`_lex_windows` and their right
-    and left descent masks (:func:`_window_masks`).  Stage 2, ``ordered``:
-    the windows and both mask tuples in (length, window) order.  The
-    length of a window is the number of positive roots a with
-    <a, window> < 0 (Bjorner-Brenti 2005, ch. 8), counted for all windows
-    at once, and a stable sort of the lexicographic windows by length gives
-    the order.  ``right_runs`` and ``left_runs`` map each right or left
-    mask of stage 2 to its :func:`_mask_runs`."""
-
-    def __init__(self, system: CoxeterSystem):
-        self.system = system
-
-    @cached_property
-    def lex(self) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]]:
-        windows = _lex_windows(self.system)
-        return windows, _window_masks(self.system, windows)
-
-    @cached_property
-    def ordered(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-        lex, masks = self.lex
-        size = len(lex)
-        flags = _root_signs(_scaled_columns(zip(*lex), size), self.system._roots.positive)
-        lengths = list(map(sum, zip(*flags))) if flags else [0] * size
-        order = sorted(range(size), key=lengths.__getitem__)
-        return (tuple(map(lex.__getitem__, order)),
-                tuple(tuple(map(m.__getitem__, order)) for m in masks))
-
-    @cached_property
-    def right_runs(self) -> dict[int, array]:
-        return _mask_runs(self.ordered[1][0])
-
-    @cached_property
-    def left_runs(self) -> dict[int, array]:
-        return _mask_runs(self.ordered[1][1])
+    inverse window for the left one (:func:`_ordered_table`)."""
+    return _ordered_table(system)[1]
 
 
 @_capped_cache
-def _mask_index(system: CoxeterSystem) -> _GroupTable:
-    """The group's one :class:`_GroupTable`: every array derived from the
-    group's windows is read through here, so the cap is checked on every
-    read."""
-    return _GroupTable(system)
-
-
-descent_masks.cache_info, descent_masks.cache_clear = \
-    _mask_index.cache_info, _mask_index.cache_clear
+def _mask_runs(system: CoxeterSystem, on_left: bool) -> dict[int, array]:
+    """For each right (left ``on_left``) mask of :func:`descent_masks` that
+    occurs, the positions holding it, in increasing order, as an
+    unsigned-int array."""
+    runs = defaultdict(partial(array, "I"))
+    for k, d in enumerate(descent_masks(system)[on_left]):
+        runs[d].append(k)
+    return dict(runs)
 
 
 @_capped_cache
@@ -641,8 +623,8 @@ def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozen
     """The one filter of group elements by descent set: the positions in
     :func:`elements`, in increasing order, of the w with low <= D(w) <= high
     (D(w^{-1}) ``on_left``) in the parabolic on ``within`` when it misses a
-    generator (:func:`_parabolic_flags`).  Only the runs of :func:`_mask_index`
-    (its right or, ``on_left``, its left runs) whose mask d has d & lo == lo
+    generator (:func:`_parabolic_flags`).  Only the :func:`_mask_runs` (of
+    the right or, ``on_left``, the left masks) whose mask d has d & lo == lo
     and d | hi == hi are merged, so the cost is the size of the answer, not
     of the group.  Labels of ``high`` outside the generators are dropped,
     and a ``low`` holding one keeps nothing."""
@@ -650,9 +632,8 @@ def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozen
     if not low <= bit.keys():
         return ()
     lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
-    table = _mask_index(system)
-    index = table.left_runs if on_left else table.right_runs
-    runs = [run for d, run in index.items() if d & lo == lo and d | hi == hi]
+    runs = [run for d, run in _mask_runs(system, on_left).items()
+            if d & lo == lo and d | hi == hi]
     positions = runs[0] if len(runs) == 1 else sorted(itertools.chain.from_iterable(runs))
     if within is not None and not system.generator_set <= within:
         flags = _parabolic_flags(system, within & system.generator_set)
@@ -664,19 +645,29 @@ def descent_interval(system: CoxeterSystem, low: frozenset[int], high: frozenset
                      within: Optional[frozenset[int]] = None) -> tuple[Element, ...]:
     """The w with low <= D(w) <= high, in the order of :func:`elements`,
     kept to the parabolic on ``within`` when one is given
-    (:func:`_interval_positions`); one that covers the generators is cached as None."""
-    covers = within is not None and system.generator_set <= within
-    return _descent_interval(system, low, high, None if covers else within, False)
+    (:func:`_interval_positions`)."""
+    return _interval_entry(system, low, high, within, False)
+
+
+def _interval_entry(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
+                    within: Optional[frozenset[int]], on_left: bool) -> tuple[Element, ...]:
+    """The stored :func:`_descent_interval`, one entry per interval however
+    it is spelled: ``high`` and ``within`` keep only generator labels, and a
+    ``within`` that covers the generators is None.  A ``low`` holding another
+    label keeps nothing, so it is answered, after the cap, with no entry."""
+    gens = system.generator_set
+    if not low <= gens:
+        _check_order(system)
+        return ()
+    if within is not None:
+        within = None if gens <= within else within & gens
+    return _descent_interval(system, low, high & gens, within, on_left)
 
 
 @_capped_cache
 def _descent_interval(system, low, high, within, on_left):
     return tuple(map(elements(system).__getitem__,
                      _interval_positions(system, low, high, within, on_left)))
-
-
-descent_interval.cache_info, descent_interval.cache_clear = \
-    _descent_interval.cache_info, _descent_interval.cache_clear
 
 
 def descent_interval_left_masks(system: CoxeterSystem, low: frozenset[int],
@@ -706,10 +697,8 @@ def min_coset_reps(
         raise ValueError("side must be 'left' or 'right'")
     if within is not None and not subset <= within:
         raise ValueError("subset must lie inside the ambient generator set")
-    if within is not None and system.generator_set <= within:
-        within = None
     ambient = system.generator_set if within is None else within
-    return _descent_interval(system, frozenset(), ambient - subset, within, side == "right")
+    return _interval_entry(system, frozenset(), ambient - subset, within, side == "right")
 
 
 def descent_class(system: CoxeterSystem, subset: frozenset[int],

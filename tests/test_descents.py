@@ -38,7 +38,6 @@ from coxkit.systems import (
     all_subsets,
     composition_from_descents,
     descent_class,
-    descent_interval,
     elements,
     min_coset_reps,
     parabolic_conjugacy_classes,
@@ -166,7 +165,7 @@ class TestIntervalCriterion:
             raise AssertionError("built an Element inverse")
 
         monkeypatch.setattr(Element, "inverse", refuse)
-        descent_interval.cache_clear()
+        elements.cache_clear()
         for (system, I, K), out in expected.items():
             assert sigma_restrict(system, I, sigma_basis(K)) == out
 

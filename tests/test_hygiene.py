@@ -334,9 +334,8 @@ ROOT_RULES = {
                    "_scaled_columns", "_root_signs", "_mask_column", "_window_masks",
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
                    "parabolic_conjugacy_classes", "parabolic_elements", "_interval_positions",
-                   "_mask_index", "_parabolic_flags", "_lex_descent_masks", "_mask_runs",
-                   "_GroupTable.lex", "_GroupTable.ordered", "_GroupTable.right_runs",
-                   "_GroupTable.left_runs"],
+                   "_ordered_table", "_parabolic_flags", "_lex_table", "_mask_runs",
+                   "_store", "_capped_cache", "_interval_entry", "_descent_interval"],
     "hecke.py": ["sorting_operator", "induce", "_descent_interval_module"],
 }
 

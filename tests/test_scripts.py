@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts, run as the README shows them."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -80,3 +81,28 @@ def test_bench_pairs_summarizes_canned_rows():
                       {"tasks_per_s": "higher"})
     assert bp.claimed_gain(up, "w", "tasks_per_s", {"tasks_per_s": "higher"})["met"]
 
+
+
+def test_bench_pairs_compiles_both_checkouts_before_any_run(tmp_path, monkeypatch, capsys):
+    bp = _bench_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "task_tail_s", "better": "lower"}]}')
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((Path(cwd), argv[1:]))
+        line = '{"correct": true, "failed": 0, "metrics": {"task_tail_s": {"value": 1.0}}}'
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    assert bp.main([str(parent), str(change), "--workload", "w", "--seeds", "1-2"]) == 0
+    compile_argv = ["-m", "compileall", "-q", "src", "perfbench"]
+    assert calls[:2] == [(parent, compile_argv), (change, compile_argv)]
+    runs = calls[2:]
+    assert len(runs) == 4 and all(argv[0] == "perfbench/run.py" for _, argv in runs)
+    out = json.loads(capsys.readouterr().out)
+    assert out["compiled"] == {"parent": ["src", "perfbench"], "change": ["src", "perfbench"]}
+    assert out["summary"]["w"]["pairs"] == 2

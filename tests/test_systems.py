@@ -9,10 +9,13 @@ from coxkit.systems import (
     CapExceededError,
     CoxeterSystem,
     Element,
+    _descent_interval,
     _group_windows,
-    _lex_descent_masks,
-    _mask_index,
+    _lex_table,
+    _mask_runs,
+    _ordered_table,
     _parabolic_flags,
+    _store,
     all_subsets,
     class_maximum,
     composition_from_descents,
@@ -65,6 +68,12 @@ D3 = CoxeterSystem("D", 3)
 D4 = CoxeterSystem("D", 4)
 
 SMALL = (A4, B3, D3)
+
+
+def entries(system, fn):
+    """The arguments of each entry of the capped ``fn`` in the group's one
+    store."""
+    return [args for f, args in _store(system) if f is fn.__wrapped__]
 
 
 def random_element(system, data):
@@ -237,19 +246,52 @@ class TestEnumeration:
             set_max_order(None)
         assert len(elements(B3)) == 48
 
+    def test_a_refused_read_makes_no_store(self):
+        # the cap is checked before the group's store is made: over the
+        # default cap and under a lowered one
+        elements.cache_clear()
+        with pytest.raises(CapExceededError):
+            elements(CoxeterSystem("B", 8))
+        set_max_order(10)
+        try:
+            with pytest.raises(CapExceededError):
+                elements(B3)
+            with pytest.raises(CapExceededError):
+                descent_interval(B3, frozenset({99}), B3.generator_set)
+        finally:
+            set_max_order(None)
+        assert _store.cache_info().currsize == 0
+
+    def test_one_store_per_group(self):
+        # every capped read of a group lands in its one store, and one
+        # cache_clear empties every store: the values come back equal and new
+        reads = (lambda: elements(B3), lambda: descent_masks(B3),
+                 lambda: descent_class(D4, frozenset({1})),
+                 lambda: min_coset_reps(D4, frozenset({1}), "right"))
+        elements.cache_clear()
+        before = [read() for read in reads]
+        assert _store.cache_info().currsize == 2
+        _ordered_table.cache_clear()
+        assert _store.cache_info().currsize == 0
+        after = [read() for read in reads]
+        assert after == before
+        assert not any(a is b for a, b in zip(after, before))
+
     def test_cap_applies_to_every_cached_read(self):
         # every read derived from an enumeration of B3 is refused once the
         # cap drops below |B3| = 48, however warm its cache, and answers as
         # before once the cap is restored
-        from coxkit.descents import c_matrix, h_gram_matrix, weak_descent_count
+        from coxkit.descents import _weak_counts, c_matrix, h_gram_matrix, weak_descent_count
 
         I = frozenset({1})
         reads = {
             "elements": lambda: elements(B3),
             "_group_windows": lambda: _group_windows(B3),
             "descent_masks": lambda: descent_masks(B3),
-            "_mask_index": lambda: _mask_index(B3),
-            "_lex_descent_masks": lambda: _lex_descent_masks(B3),
+            "_ordered_table": lambda: _ordered_table(B3),
+            "_lex_table": lambda: _lex_table(B3),
+            "_mask_runs right": lambda: _mask_runs(B3, False),
+            "_mask_runs left": lambda: _mask_runs(B3, True),
             "h_gram_matrix": lambda: h_gram_matrix(B3),
             "_parabolic_flags": lambda: _parabolic_flags(B3, I),
             "parabolic_elements": lambda: parabolic_elements(B3, I),
@@ -264,6 +306,7 @@ class TestEnumeration:
             "parabolic_class_size": lambda: parabolic_class_size(B3, I),
             "c_matrix": lambda: c_matrix(B3),
             "weak_descent_count": lambda: weak_descent_count(B3, I, B3.generator_set),
+            "_weak_counts": lambda: _weak_counts(B3),
         }
         before = {name: read() for name, read in reads.items()}
         set_max_order(10)
@@ -276,10 +319,11 @@ class TestEnumeration:
             set_max_order(None)
         assert {name: read() for name, read in reads.items()} == before
         # the lookups hand back one cached tuple on every call
-        for name in ("elements", "_group_windows", "descent_masks", "_mask_index",
-                     "_lex_descent_masks", "_parabolic_flags", "parabolic_elements",
+        for name in ("elements", "_group_windows", "descent_masks", "_ordered_table",
+                     "_lex_table", "_parabolic_flags", "parabolic_elements",
                      "descent_interval", "descent_class", "min_coset_reps left",
-                     "min_coset_reps right"):
+                     "min_coset_reps right", "_mask_runs right", "_mask_runs left",
+                     "_weak_counts"):
             assert reads[name]() is reads[name](), name
 
     def test_min_coset_reps_refusal_order(self):
@@ -584,7 +628,7 @@ def assert_group_windows_match_the_oracles(system):
     assert _group_windows(system) == tuple(w.window for w in expected)
     assert descent_masks(system) == element_descent_masks(system, expected)
     lex = sorted(expected, key=lambda w: w.window)
-    assert _lex_descent_masks(system) == element_descent_masks(system, lex)
+    assert _lex_table(system)[1] == element_descent_masks(system, lex)
     assert _descent_pair_tables(system)[1] == element_descent_pairs(system)
 
 
@@ -612,7 +656,7 @@ class TestGroupWindows:
 
         monkeypatch.setattr(systems, "_trusted_element", refuse)
         system = CoxeterSystem("B", 4)
-        descent_masks.cache_clear()
+        _ordered_table.cache_clear()
         assert len(_group_windows(system)) == len(descent_masks(system)[0]) == 384
 
     def test_each_stage_is_built_by_its_first_reader(self, capsys):
@@ -620,25 +664,27 @@ class TestGroupWindows:
         # a descent class builds stage 2 and the right runs, and only a
         # right coset read builds the left runs
         from coxkit import cli
-        from coxkit.descents import _descent_pair_tables, c_matrix, h_gram_matrix
+        from coxkit.descents import c_matrix, h_gram_matrix
 
         def built():
-            return sorted(set(vars(_mask_index(B4))) - {"system"})
+            return {(f.__name__, *args) for f, args in _store(B4)}
 
-        descent_masks.cache_clear()
-        descent_interval.cache_clear()
-        _descent_pair_tables.cache_clear()
+        elements.cache_clear()
         c_matrix(B4)
-        assert "below" not in vars(_descent_pair_tables(B4))
+        assert built() == {("_lex_table",), ("_descent_pair_tables",)}
         h_gram_matrix(B4)
-        assert "below" in vars(_descent_pair_tables(B4))
         assert cli.main(["table", "--type", "B", "--rank", "4", "--table", "hm"]) == 0
         assert capsys.readouterr().out
-        assert built() == ["lex"]
-        descent_class(B4, frozenset({1}))
-        assert built() == ["lex", "ordered", "right_runs"]
-        min_coset_reps(B4, frozenset({1}), "right")
-        assert built() == ["left_runs", "lex", "ordered", "right_runs"]
+        assert built() == {("_lex_table",), ("_descent_pair_tables",), ("_weak_counts",)}
+        tables = built()
+        I, rest = frozenset({1}), B4.generator_set - {1}
+        descent_class(B4, I)
+        assert built() - tables == {("_ordered_table",), ("elements",), ("_mask_runs", False),
+                                    ("_descent_interval", I, I, None, False)}
+        tables = built()
+        min_coset_reps(B4, I, "right")
+        assert built() - tables == {("_mask_runs", True),
+                                    ("_descent_interval", frozenset(), rest, None, True)}
 
 
 class TestParabolicOracle:
@@ -724,13 +770,12 @@ class TestParabolicOracle:
 
     def test_right_coset_reps_of_the_group_have_one_spelling(self):
         # a within that covers the generators is the whole group, so it is
-        # cached as None: reading both spellings is one miss and one hit
-        descent_interval.cache_clear()
+        # stored as None: both spellings read one entry
+        elements.cache_clear()
         for I in all_subsets(B3):
             assert min_coset_reps(B3, I, "right") is min_coset_reps(B3, I, "right",
                                                                    B3.generator_set)
-        info = descent_interval.cache_info()
-        assert (info.currsize, info.hits) == (8, 8)
+        assert len(entries(B3, _descent_interval)) == 8
 
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
     def test_right_coset_reps_are_the_groups_own_elements(self, system):
@@ -746,36 +791,44 @@ class TestParabolicOracle:
     def test_one_mask_table_per_group(self):
         # every pool, the group or a parabolic, labels outside the
         # generators or not, reads the group's one mask table
-        descent_interval.cache_clear()
-        descent_masks.cache_clear()
+        elements.cache_clear()
         descent_interval(B3, frozenset(), B3.generator_set, B3.generator_set | {7})
         descent_class(B3, frozenset({1}))
         descent_interval(B3, frozenset(), frozenset({1}), frozenset({1, 7}))
         descent_class(B3, frozenset({1}), frozenset({1}))
         parabolic_elements(B3, frozenset({0, 2}))
-        assert descent_masks.cache_info().currsize == 1
+        assert (_store.cache_info().currsize, len(entries(B3, _ordered_table))) == (1, 1)
 
     def test_the_group_has_one_spelling_in_the_interval_cache(self):
         # the coset representatives and the induced module's basis are one
         # interval, whether the whole group is named by None or by S
         from coxkit import hecke
 
-        descent_interval.cache_clear()
+        elements.cache_clear()
         min_coset_reps(B3, frozenset({1, 2}))
         hecke.induce(hecke.simple_module(B3, frozenset(), acting=frozenset({1, 2})))
-        assert descent_interval.cache_info().currsize == 1
+        assert len(entries(B3, _descent_interval)) == 1
+        # labels of high and within outside the generators are dropped
+        # before the entry is keyed
+        one = descent_interval(B3, frozenset(), frozenset({1}), frozenset({1, 7}))
+        assert descent_interval(B3, frozenset(), frozenset({1}), frozenset({1})) is one
+        assert descent_interval(B3, frozenset(), frozenset({1, 99}), frozenset({1})) is one
+        assert parabolic_elements(B3, frozenset({0, 99})) is parabolic_elements(B3, frozenset({0}))
+        assert len(entries(B3, _descent_interval)) == 3
+        # a low holding one keeps nothing and makes no entry
+        assert descent_interval(B3, frozenset({99}), B3.generator_set) == ()
+        assert len(entries(B3, _descent_interval)) == 3
 
     def test_a_within_covering_the_generators_is_cached_as_none(self):
         # projective_multiplicities reads each descent class within the acting
         # set, which for the regular module is S: the same entries as None
         from coxkit import hecke
 
-        descent_interval.cache_clear()
+        elements.cache_clear()
         hecke.projective_multiplicities(hecke.regular_module(B3))
         for I in all_subsets(B3):
-            descent_class(B3, I)
-        info = descent_interval.cache_info()
-        assert (info.currsize, info.hits) == (9, 8)
+            assert descent_class(B3, I) is descent_class(B3, I, B3.generator_set)
+        assert len(entries(B3, _descent_interval)) == 9
 
     @settings(max_examples=300, deadline=None)
     @given(_intervals())
@@ -871,8 +924,7 @@ class TestParabolicFromRoots:
             raise AssertionError("built an Element product")
 
         monkeypatch.setattr(Element, "__mul__", refuse)
-        descent_interval.cache_clear()
-        _parabolic_flags.cache_clear()
+        elements.cache_clear()
         for (system, I), inside in members.items():
             assert parabolic_elements(system, I) == inside, (system, I)
 
