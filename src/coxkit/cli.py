@@ -7,7 +7,8 @@ when it runs, so a process compiles only what its command needs.  Output
 is deterministic; ``--format json`` emits the documented schemas.  Exit
 status: 0 success, 1 verification failure, 2 argument or
 parse error, 3 enumeration cap exceeded, 4 internal error (an unexpected
-exception, reported in one line without a traceback).
+exception, reported in one line without a traceback).  A reader that
+closes stdout early is not an error: the command keeps its own status.
 
 Window-notation arguments are ASCII comma-separated signed integers,
 optionally parenthesized ("2,-4,-3,1" or "(2,-4,-3,1)"); subsets are sorted
@@ -21,10 +22,11 @@ import argparse
 import json
 import math
 import operator
+import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .freemodule import FormalVector
 from .systems import (
@@ -104,14 +106,26 @@ def _vector_json(system: CoxeterSystem, vec: FormalVector, basis: str) -> dict:
     }
 
 
+def _write(chunks: Iterable[str]) -> None:
+    """The one printer: write ``chunks`` to stdout and flush.  A reader that
+    closes the pipe early ends the output, not the command: stdout is then
+    pointed at os.devnull, so the rest is neither built nor reported at exit."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], list[str]]) -> None:
     """Print the one output format asked for; only that one is built."""
     if args.format == "json":
-        print(json.dumps(payload(), sort_keys=True))
+        _write((json.dumps(payload(), sort_keys=True), "\n"))
     else:
         lines = text_lines()
-        if lines:
-            print("\n".join(lines))
+        _write(("\n".join(lines), "\n") if lines else ())
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -346,13 +360,31 @@ def cmd_hecke(args) -> int:
     elif args.report == "dim":
         report = (lambda: {"dim": module.dim}), (lambda: [str(module.dim)])
     else:
-        payload = {
-            "dim": module.dim,
-            "matrices": {str(s): module.matrix(s) for s in sorted(module.mats)},
-        }
-        report = (lambda: payload), (lambda: [json.dumps(payload, sort_keys=True)])
+        _write(_matrices_json(module))
+        return EXIT_OK
     _emit(args, *report)
     return EXIT_OK
+
+
+def _matrices_json(module: HModule) -> Iterator[str]:
+    """The ``--report matrices`` line of both formats: the JSON of
+    {"dim": dim, "matrices": {str(s): X_s as dense rows}} with sorted keys,
+    made one row at a time from the sparse columns, so no dense matrix is
+    held (the B5 regular module has 5 of 3840 x 3840)."""
+    yield f'{{"dim": {module.dim}, "matrices": {{'
+    for k, s in enumerate(sorted(module.mats, key=str)):
+        rows: list[dict] = [{} for _ in range(module.dim)]
+        for j, col in module.mats[s].items():
+            for i, c in col.items():
+                rows[i][j] = c
+        yield f'{", " if k else ""}{json.dumps(str(s))}: ['
+        for i, row in enumerate(rows):
+            cells = ["0"] * module.dim
+            for j, c in row.items():
+                cells[j] = json.dumps(c)
+            yield f'{", " if i else ""}[{", ".join(cells)}]'
+        yield "]"
+    yield "}}\n"
 
 
 def cmd_verify(args) -> int:

@@ -101,8 +101,7 @@ def _class_rep_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
     dz = z.descent_set()
     if not dz <= target:
         return None
-    roots = simple_roots(z.system)
-    label = {a: t for t, a in roots.items()}
+    roots, label = simple_roots(z.system), z.system._roots.labels
     low: frozenset[int] = frozenset()
     high = subset
     for s in z.system.generators:
@@ -176,7 +175,7 @@ def sym_to_sigma_star(system: CoxeterSystem, x: FormalVector,
     read from the class's left descent masks: no element is inverted."""
     def one(I: frozenset[int]) -> FormalVector:
         left = Counter(descent_interval_left_masks(system, I, I, within))
-        return FormalVector(((frozenset(s for k, s in enumerate(system.generators) if m >> k & 1), c)
+        return FormalVector(((frozenset(s for s, b in generator_bits(system).items() if m & b), c)
                              for m, c in left.items()), kind=SIGMA_STAR)
     return x.map_to_vectors(one, kind=SIGMA_STAR)
 
@@ -185,43 +184,41 @@ def sym_to_sigma_star(system: CoxeterSystem, x: FormalVector,
 
 
 @_capped_cache
-def _descent_pair_tables(system: CoxeterSystem) -> tuple[dict[int, int], list[int]]:
-    """Solomon's (1976) descent-pair count from one pass over W.
-
-    Returns (bit, pairs).  ``bit`` maps each generator to its bit in a
-    subset mask (:func:`~coxkit.systems.generator_bits`).  The count does
-    not depend on the order of W, so the pass reads the masks in
-    lexicographic order (stage 1, :func:`~coxkit.systems._lex_table`) and
-    computes no length.  With r generators, the entry at (row << r) | col
-    of ``pairs`` counts the w with D(w^{-1}) = row and D(w) = col.
+def _descent_pair_tables(system: CoxeterSystem) -> list[int]:
+    """Solomon's (1976) descent-pair count from one pass over W: the entry
+    at :func:`_pair_indices` (row, col) counts the w with D(w^{-1}) = row
+    and D(w) = col.  The count does not depend on the order of W, so the
+    pass reads the masks in lexicographic order (stage 1,
+    :func:`~coxkit.systems._lex_table`) and computes no length.
     """
-    bit = generator_bits(system)
-    r = len(bit)
+    r = len(system.generators)
     pairs = [0] * (1 << 2 * r)
     for right, left in zip(*_lex_table(system)[1]):
         pairs[left << r | right] += 1
-    return bit, pairs
+    return pairs
 
 
 @_capped_cache
-def _weak_counts(system: CoxeterSystem) -> tuple[dict[int, int], list[int]]:
-    """``bit`` and the subset-sum (zeta) transform ``below`` of the pairs of
-    :func:`_descent_pair_tables` over both masks, built by the first
-    weak-count read: the entry at (row << r) | col counts D(w^{-1}) <= row
-    and D(w) <= col."""
-    bit, pairs = _descent_pair_tables(system)
-    below = pairs[:]
-    for b in range(2 * len(bit)):
+def _weak_counts(system: CoxeterSystem) -> list[int]:
+    """The subset-sum (zeta) transform of :func:`_descent_pair_tables` over
+    both masks, built by the first weak-count read: the entry at
+    :func:`_pair_indices` (row, col) counts D(w^{-1}) <= row and D(w) <= col."""
+    below = _descent_pair_tables(system)[:]
+    for b in range(2 * len(system.generators)):
         step = 1 << b
         for i in range(len(below)):
             if i & step:
                 below[i] += below[i ^ step]
-    return bit, below
+    return below
 
 
-def _mask(bit: dict[int, int], subset: frozenset[int]) -> int:
-    """The mask of the generators in ``subset``; other keys are dropped."""
-    return sum(bit.get(s, 0) for s in subset)
+def _pair_indices(system: CoxeterSystem, rows, cols) -> list[list[int]]:
+    """The position in the pair tables of each (row, col) in ``rows`` x ``cols``:
+    (mask of row) << r | (mask of col) with r generators, each subset's mask
+    made once from :func:`~coxkit.systems.generator_bits`; other labels are dropped."""
+    bits = generator_bits(system)
+    col_masks = [sum(bits.get(s, 0) for s in J) for J in cols]
+    return [[sum(bits.get(s, 0) for s in I) << len(bits) | c for c in col_masks] for I in rows]
 
 
 def mutual_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozenset[int]) -> int:
@@ -230,17 +227,16 @@ def mutual_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozen
     A read of Solomon's (1976) descent-pair histogram, built by one pass
     over W; a key outside the generators gives 0.
     """
-    bit, pairs = _descent_pair_tables(system)
-    if not all(s in bit for s in row) or not all(s in bit for s in col):
+    if not row | col <= system.generator_set:
         return 0
-    return pairs[_mask(bit, row) << len(bit) | _mask(bit, col)]
+    (k,), = _pair_indices(system, [row], [col])
+    return _descent_pair_tables(system)[k]
 
 
 def c_matrix(system: CoxeterSystem) -> list[list[int]]:
     """Every :func:`mutual_descent_count` over all_subsets, from one fetch."""
-    bit, pairs = _descent_pair_tables(system)
-    masks = [_mask(bit, I) for I in all_subsets(system)]
-    return [[pairs[row << len(bit) | col] for col in masks] for row in masks]
+    pairs, subsets = _descent_pair_tables(system), all_subsets(system)
+    return [[pairs[k] for k in row] for row in _pair_indices(system, subsets, subsets)]
 
 
 def weak_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozenset[int]) -> int:
@@ -251,8 +247,8 @@ def weak_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozense
     transform of the descent-pair histogram; keys outside the generators
     are dropped, since descent sets lie inside them.
     """
-    bit, below = _weak_counts(system)
-    return below[_mask(bit, col) << len(bit) | _mask(bit, row)]
+    (k,), = _pair_indices(system, [col], [row])
+    return _weak_counts(system)[k]
 
 
 # -- conjugacy-class bases at the sym level ------------------------------------
@@ -262,10 +258,9 @@ def h_in_monomial_coordinates(system: CoxeterSystem, subset: frozenset[int]) -> 
     """The complete-homogeneous sym element attached to a subset, written in
     monomial coordinates (keyed by subsets): coefficient at J counts
     {w : D(w) <= subset, D(w^{-1}) <= J}."""
-    bit, below = _weak_counts(system)
-    row = _mask(bit, subset)
-    return FormalVector(((J, below[_mask(bit, J) << len(bit) | row]) for J in all_subsets(system)),
-                        kind="monomial")
+    below, keys = _weak_counts(system), all_subsets(system)
+    column = _pair_indices(system, keys, [subset])
+    return FormalVector(((J, below[k]) for J, (k,) in zip(keys, column)), kind="monomial")
 
 
 def conjugacy_class_of(system: CoxeterSystem, subset: frozenset[int]) -> tuple[frozenset[int], ...]:
@@ -332,6 +327,7 @@ def p_class_basis(system: CoxeterSystem) -> dict[frozenset[int], FormalVector]:
 def h_gram_matrix(system: CoxeterSystem) -> tuple[list[frozenset[int]], list[list[int]]]:
     """Gram matrix of the class h basis under the weak-descent-count form."""
     labels = [class_label(cls) for cls in parabolic_conjugacy_classes(system)]
-    bit, below = _weak_counts(system)
-    gram = [[below[_mask(bit, b) << len(bit) | _mask(bit, a)] for b in labels] for a in labels]
+    below = _weak_counts(system)
+    # entry (a, b) reads the table at (b, a): the columns of the index matrix
+    gram = [[below[k] for k in col] for col in zip(*_pair_indices(system, labels, labels))]
     return labels, gram

@@ -199,8 +199,7 @@ def induce(module: HModule) -> HModule:
     system = module.system
     reps = _descent_interval_module(system, frozenset(), system.generator_set - module.acting,
                                     system.generator_set)
-    roots = simple_roots(system)
-    label = {a: t for t, a in roots.items()}
+    roots, label = simple_roots(system), system._roots.labels
     d = module.dim
     mats: dict[int, ColumnMap] = {}
     for s in system.generators:

@@ -2,10 +2,10 @@
 lattice-point machinery behind the generating-function realizations.
 
 Roots are integer coordinate vectors; each family's simple and positive
-roots, and the positive roots of each standard parabolic, are stated once,
-in :mod:`coxkit.systems`, and re-exported here.  A partial root system is
-a root subset P with no opposite pair that contains every root lying in
-the positive cone of P.  Its lattice points over a finite alphabet window,
+roots, its parabolic positive roots and root negation are stated once, in
+:mod:`coxkit.systems`, and re-exported here.  A partial root system is a
+root subset P with no opposite pair that contains every root lying in the
+positive cone of P.  Its lattice points over a finite alphabet window,
 together with the chamber decomposition, drive the series module.
 
 Cone membership (parset checks and closures) describes each cone once by
@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .linalg import RowSpace, nullspace
-from .systems import (CoxeterSystem, Element, Root, check_word_cube, elements,
+from .systems import (CoxeterSystem, Element, Root, check_word_cube, elements, negate,
                       parabolic_positive_roots, positive_roots, simple_roots)
 
 __all__ = ["all_roots", "chamber", "is_parset", "is_positive_root", "lattice_points",
@@ -31,7 +31,7 @@ __all__ = ["all_roots", "chamber", "is_parset", "is_positive_root", "lattice_poi
 @lru_cache(maxsize=None)
 def all_roots(system: CoxeterSystem) -> frozenset[Root]:
     pos = positive_roots(system)
-    return pos | frozenset(tuple(-c for c in r) for r in pos)
+    return pos | frozenset(map(negate, pos))
 
 
 def is_positive_root(root: Root) -> bool:
@@ -40,10 +40,6 @@ def is_positive_root(root: Root) -> bool:
         if c:
             return c > 0
     raise ValueError("zero vector is not a root")
-
-
-def negate(root: Root) -> Root:
-    return tuple(-c for c in root)
 
 
 @lru_cache(maxsize=None)

@@ -160,11 +160,10 @@ def h_basis(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSer
 
 
 def project_positive(x: NCSeries) -> CPoly:
-    """Relabel the window order-isomorphically onto 1..2m+1 and abelianize."""
-    shift = x.window + 1
-    return CPoly(
-        ((tuple(sorted(letter + shift for letter in w)), c) for w, c in x.terms.items())
-    )
+    """Keep the words over the letters 1..m of the window [-m, m] and
+    abelianize: x_i = 0 for i <= 0, which keeps a quasisymmetric function
+    quasisymmetric, on the m letters of :func:`~coxkit.qsym.fundamental_qsym`."""
+    return CPoly((tuple(sorted(w)), c) for w, c in x.terms.items() if min(w, default=1) > 0)
 
 
 def project_absolute(x: NCSeries) -> CPoly:

@@ -186,6 +186,10 @@ def positive_roots(system: CoxeterSystem) -> frozenset[Root]:
     return frozenset(units + [_pair(n, j, i, c) for j in range(n) for i in range(j) for c in signs])
 
 
+def negate(root: Root) -> Root:
+    return tuple(-c for c in root)
+
+
 def _inner(a: Root, b: Root) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -201,12 +205,15 @@ def reflect(root: tuple[int, int, int, int], v: tuple[int, ...]) -> tuple[int, .
 class _RootTable(NamedTuple):
     """A system's roots as the kernel reads them: (s, i, a, j, b) per simple
     root a_s = a e_i + b e_j, (i, a, j, b) per positive root (j = i, b = 0 if
-    it has one nonzero coordinate), and each generator's window: (1, ..., n)
-    reflected in its simple root."""
+    it has one nonzero coordinate), each generator's window: (1, ..., n)
+    reflected in its simple root, each generator's bit in a descent mask
+    (bit k is the k-th generator), and the generator of each simple root."""
 
     simple: tuple[tuple[int, int, int, int, int], ...]
     positive: tuple[tuple[int, int, int, int], ...]
     generators: dict[int, tuple[int, ...]]
+    bits: dict[int, int]
+    labels: dict[Root, int]
 
 
 def _coordinates(root: Root) -> tuple[int, int, int, int]:
@@ -222,7 +229,9 @@ def _root_table(family: str, n: int) -> _RootTable:
     simple = tuple((s, *_coordinates(r)) for s, r in sorted(simple_roots(system).items()))
     identity = tuple(range(1, n + 1))
     return _RootTable(simple, tuple(sorted(map(_coordinates, positive_roots(system)))),
-                      {s: reflect((i, a, j, b), identity) for s, i, a, j, b in simple})
+                      {s: reflect((i, a, j, b), identity) for s, i, a, j, b in simple},
+                      {s: 1 << k for k, s in enumerate(system.generators)},
+                      {a: s for s, a in simple_roots(system).items()})
 
 
 def _validate_window(system: CoxeterSystem, window: tuple[int, ...]) -> None:
@@ -295,17 +304,8 @@ class Element:
         return self.inverse().descent_set()
 
     def reduced_word(self) -> tuple[int, ...]:
-        """A reduced word, peeling the smallest right descent greedily."""
-        word: list[int] = []
-        w = self
-        while True:
-            des = w.descent_set()
-            if not des:
-                break
-            s = min(des)
-            w = w * w.system.generator(s)
-            word.append(s)
-        return tuple(reversed(word))
+        """A reduced word: what :func:`_peel` takes off w, in reverse."""
+        return tuple(reversed(_peel(self, self.system.generator_set)[1]))
 
     def apply_to_root(self, root: tuple[int, ...]) -> tuple[int, ...]:
         """Push a coordinate vector through w (e_i goes to sign * e_{|w(i)|})."""
@@ -558,18 +558,26 @@ def longest_element(system: CoxeterSystem, subset: frozenset[int]) -> Element:
         des = w.descent_set()
 
 
+def _peel(w: Element, subset: frozenset[int]) -> tuple[Element, list[int]]:
+    """The greedy peel: right-multiply w by its smallest right descent in
+    ``subset`` until none is left.  Returns the minimal representative of
+    w W_I, I = ``subset``, and the generators taken off, in order."""
+    word: list[int] = []
+    generator = w.system.generator
+    while des := w.descent_set() & subset:
+        word.append(s := min(des))
+        w = w * generator(s)
+    return w, word
+
+
 def parabolic_decompose_left(w: Element, subset: frozenset[int]) -> tuple[Element, Element]:
     """Split w = c * p with p in the parabolic and c of minimal coset length.
 
     The representative c has no right descent inside ``subset`` and
     lengths add: length(w) = length(c) + length(p).
     """
-    v = w
-    while True:
-        des = v.descent_set() & subset
-        if not des:
-            return v, v.inverse() * w
-        v = v * w.system.generator(min(des))
+    c = _peel(w, subset)[0]
+    return c, c.inverse() * w
 
 
 def parabolic_decompose_right(w: Element, subset: frozenset[int]) -> tuple[Element, Element]:
@@ -580,8 +588,8 @@ def parabolic_decompose_right(w: Element, subset: frozenset[int]) -> tuple[Eleme
 
 
 def generator_bits(system: CoxeterSystem) -> dict[int, int]:
-    """Each generator's bit in a descent mask: bit k is ``system.generators[k]``."""
-    return {s: 1 << k for k, s in enumerate(system.generators)}
+    """Each generator's bit in a descent mask (bit k for ``system.generators[k]``); shared."""
+    return system._roots.bits
 
 
 def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -808,8 +816,7 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
     Classes, and the members of each, come in order of first appearance in
     :func:`all_subsets`.
     """
-    S, roots = system.generator_set, simple_roots(system)
-    label = {tuple(-c for c in a): s for s, a in roots.items()}
+    S, roots, label = system.generator_set, simple_roots(system), system._roots.labels
     parent = {I: I for I in all_subsets(system)}
 
     def find(I: frozenset[int]) -> frozenset[int]:
@@ -821,7 +828,7 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
     for L in all_subsets(system):
         w0 = longest_element(system, L)
         for s in L:
-            t = label[w0.apply_to_root(roots[s])]
+            t = label[negate(w0.apply_to_root(roots[s]))]
             parent[find((S - L) | {t})] = find((S - L) | {s})
     classes: dict[frozenset[int], list[frozenset[int]]] = {}
     for I in all_subsets(system):
@@ -839,9 +846,9 @@ def normalizer_complement_order(system: CoxeterSystem, subset: frozenset[int]) -
     As w s_j w^{-1} = s_{w(alpha_j)}, no Element is multiplied.
     """
     J = subset & system.generator_set
-    delta = {simple_roots(system)[j] for j in J}
+    roots, label = simple_roots(system), system._roots.labels
     return sum(1 for w in min_coset_reps(system, J, "left")
-               if all(w.apply_to_root(a) in delta for a in delta))
+               if all(label.get(w.apply_to_root(roots[j])) in J for j in J))
 
 
 def parabolic_class_size(system: CoxeterSystem, subset: frozenset[int]) -> int:

@@ -3,7 +3,6 @@
 Every check is exact; a failing check names itself and carries a short
 detail string.  Every suite takes an optional (family, n) target; diagrams,
 duality and hecke read None as family B and window 3 (a window 0 is kept).
-At the window caps a diagrams run took 6-116 s, a duality run 5-30 s (2-vCPU VM, BENCH_26.json).
 """
 
 from __future__ import annotations
@@ -297,12 +296,27 @@ def _block_pair(p, m: int):
     return head, tail
 
 
+def _bialgebra_sides(u, v, product, coproduct, second, second_coproduct):
+    """Delta(u v) and Delta(u) Delta(v): u v is ``product`` of u's flavor, split by
+    ``coproduct``, and (a1, a2)(b1, b2) is product(a1, b1) (x) second(a2, b2)."""
+    lhs = FormalVector(kind="pair")
+    for w, c in product(u, v).terms.items():
+        lhs += coproduct(w).scale(c)
+    rhs = FormalVector(kind="pair")
+    for (a1, a2), c1 in coproduct(u).terms.items():
+        for (b1, b2), c2 in second_coproduct(v).terms.items():
+            for x1, d1 in product(a1, b1).terms.items():
+                for x2, d2 in second(a2, b2).terms.items():
+                    rhs += FormalVector.basis((x1, x2), c1 * c2 * d1 * d2, kind="pair")
+    return lhs, rhs
+
+
 def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Check]:
     del family, n
     out: list[Check] = []
-    # The checks meet the same operands many times and only read the
-    # vectors they get back, so each (co)product is evaluated once per run;
-    # the memo goes with the run.
+    # The checks meet the same operands many times and only read what they
+    # get back, so each (co)product and each graded split of a coproduct is
+    # evaluated once per run; the memo goes with the run.
     shuffle_a, cup_a, unshuffle_a, cap_a = map(
         functools.cache, (wd.shuffle_a, wd.cup_a, wd.unshuffle_a, wd.cap_a))
     shuffle_b, cup_b, unshuffle_b, cap_b = map(
@@ -310,52 +324,39 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     shuffle_d, cup_d = map(functools.cache, (wd.shuffle_d, wd.cup_d))
     shuffle_bb, cup_bb, unshuffle_bb = map(
         functools.cache, (wd.shuffle_bb, wd.cup_bb, wd.unshuffle_bb))
+    graded = functools.cache(lambda coproduct, w: sr.graded_pieces(coproduct(w)))
+
+    for name, fam, sizes, shuffle, cup in (
+            ("signed products agree with coset-rep maps", "B",
+             ((1, 2), (2, 1), (2, 2), (0, 2), (2, 0)), shuffle_b, cup_b),
+            ("even-signed products agree with coset-rep maps", "D",
+             ((2, 1), (2, 2), (3, 1)), shuffle_d, cup_d)):
+        ok = True
+        for m, k in sizes:
+            system = CoxeterSystem(fam, m + k)
+            I = frozenset(range(m + k)) - {m}
+            for u in elements(CoxeterSystem(fam, m)):
+                for v in elements(CoxeterSystem("A", k)):
+                    x = gm.element_vector(wd.FLAVORS[fam].embed(u, v))
+                    if shuffle(u, v) != gm.induce_right(system, I, x):
+                        ok = False
+                    if cup(u, v) != gm.induce_left(system, I, x):
+                        ok = False
+        out.append(_check(name, ok))
 
     ok = True
-    for m, k in ((1, 2), (2, 1), (2, 2), (0, 2), (2, 0)):
-        I = frozenset(range(m + k)) - {m}
-        system = CoxeterSystem("B", m + k)
-        for u in elements(CoxeterSystem("B", m)):
-            for v in elements(CoxeterSystem("A", k)):
-                x = wd.cross_a(u, v)
-                if shuffle_b(u, v) != gm.induce_right(system, I, gm.element_vector(x)):
-                    ok = False
-                if cup_b(u, v) != gm.induce_left(system, I, gm.element_vector(x)):
-                    ok = False
-    out.append(_check("signed products agree with coset-rep maps", ok))
-
-    ok = True
-    for m, k in ((2, 1), (2, 2), (3, 1)):
-        system = CoxeterSystem("D", m + k)
-        I = frozenset(range(m + k)) - {m}
-        for u in elements(CoxeterSystem("D", m)):
-            for v in elements(CoxeterSystem("A", k)):
-                x = wd.FLAVORS["D"].embed(u, v)
-                if shuffle_d(u, v) != gm.induce_right(system, I, gm.element_vector(x)):
-                    ok = False
-                if cup_d(u, v) != gm.induce_left(system, I, gm.element_vector(x)):
-                    ok = False
-    out.append(_check("even-signed products agree with coset-rep maps", ok))
-
-    ok = True
-    graded = {}  # w -> graded pieces of its cap and unshuffle, computed once per w
     for total in (2, 3):
         system = CoxeterSystem("B", total)
         for m in range(total + 1):
             I = frozenset(range(total)) - {m}
             for w in elements(system):
-                if w not in graded:
-                    graded[w] = sr.graded_pieces(cap_b(w)), sr.graded_pieces(unshuffle_b(w))
-                cap_pieces, unsh_pieces = graded[w]
                 xw = gm.element_vector(w)
-                (right_part,) = gm.restrict_right(system, I, xw).support()
-                cap_m = cap_pieces.get(m, FormalVector(kind="pair"))
-                if cap_m != FormalVector.basis(_block_pair(right_part, m), kind="pair"):
-                    ok = False
-                (left_part,) = gm.restrict_left(system, I, xw).support()
-                unsh_m = unsh_pieces.get(m, FormalVector(kind="pair"))
-                if unsh_m != FormalVector.basis(_block_pair(left_part, m), kind="pair"):
-                    ok = False
+                for coproduct, restrict in ((cap_b, gm.restrict_right),
+                                            (unshuffle_b, gm.restrict_left)):
+                    (part,) = restrict(system, I, xw).support()
+                    piece = graded(coproduct, w).get(m, FormalVector(kind="pair"))
+                    if piece != FormalVector.basis(_block_pair(part, m), kind="pair"):
+                        ok = False
     out.append(_check("signed coproduct components match block restriction", ok))
 
     ok = True
@@ -372,78 +373,49 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     ok = True
     for total in (2, 3):
         for w in elements(CoxeterSystem("B", total)):
-            caps = cap_b(w)
-            left = FormalVector(kind="triple")
-            for (a, b), c in caps.terms.items():
+            left, right = FormalVector(kind="triple"), FormalVector(kind="triple")
+            for (a, b), c in cap_b(w).terms.items():
                 for (a1, a2), c2 in cap_b(a).terms.items():
                     left += FormalVector.basis((a1, a2, b), c * c2, kind="triple")
-            right = FormalVector(kind="triple")
-            for (a, b), c in caps.terms.items():
                 for (b1, b2), c2 in cap_a(b).terms.items():
                     right += FormalVector.basis((a, b1, b2), c * c2, kind="triple")
             if left != right:
                 ok = False
     out.append(_check("signed comodule coassociativity", ok))
 
-    ok = True
-    for mu, mv in _sizes(4, 2):
-        for u in elements(CoxeterSystem("B", mu)):
-            for v in elements(CoxeterSystem("A", mv)):
-                if gm.invert_vector(cup_b(u, v)) != shuffle_b(u.inverse(), v.inverse()):
-                    ok = False
-    out.append(_check("inversion swaps the two signed products", ok))
+    for name, right, total, shuffle, cup in (
+            ("inversion swaps the two signed products", "A", 4, shuffle_b, cup_b),
+            ("sign-shifted products exchanged by inversion", "B", 3, shuffle_bb, cup_bb)):
+        ok = True
+        for m, k in _sizes(total, 2):
+            for u in elements(CoxeterSystem("B", m)):
+                for v in elements(CoxeterSystem(right, k)):
+                    if gm.invert_vector(cup(u, v)) != shuffle(u.inverse(), v.inverse()):
+                        ok = False
+        out.append(_check(name, ok))
 
     ok = True
-    pieces = {}  # w -> graded pieces of its coproduct, computed once per w
     for mu, mv in _sizes(3, 2):
         for u in elements(CoxeterSystem("B", mu)):
             for v in elements(CoxeterSystem("A", mv)):
                 prod = shuffle_b(u, v)
                 for w in elements(CoxeterSystem("B", mu + mv)):
-                    if w not in pieces:
-                        pieces[w] = sr.graded_pieces(cap_b(w))
-                    comp = pieces[w].get(mu, FormalVector(kind="pair"))
+                    comp = graded(cap_b, w).get(mu, FormalVector(kind="pair"))
                     if prod.terms.get(w, 0) != comp.terms.get((u, v), 0):
                         ok = False
     out.append(_check("product/coproduct duality on all triples", ok))
 
-    b1 = CoxeterSystem("B", 1).element([1])
-    lhs = FormalVector(kind="pair")
-    for w in shuffle_b(b1, CoxeterSystem("A", 1).element([1])).terms:
-        lhs += unshuffle_b(w)
-    rhs = FormalVector(kind="pair")
-    for (a1, a2), c1 in unshuffle_b(b1).terms.items():
-        for (b1_, b2_), c2 in unshuffle_a(CoxeterSystem("A", 1).element([1])).terms.items():
-            inner1 = shuffle_b(a1, b1_)
-            inner2 = shuffle_a(a2, b2_)
-            for x1, cx1 in inner1.terms.items():
-                for x2, cx2 in inner2.terms.items():
-                    rhs += FormalVector.basis((x1, x2), c1 * c2 * cx1 * cx2, kind="pair")
+    lhs, rhs = _bialgebra_sides(CoxeterSystem("B", 1).element([1]), CoxeterSystem("A", 1).element([1]),
+                                shuffle_b, unshuffle_b, shuffle_a, unshuffle_a)
     out.append(_check("coproduct of a product differs (no bialgebra law)", lhs != rhs))
-
-    ok = True
-    sizes = [(m, k) for m in range(4) for k in range(4 - m)]
-    for m, k in sizes:
-        for u in elements(CoxeterSystem("B", m)):
-            for v in elements(CoxeterSystem("B", k)):
-                if shuffle_bb(u, v) != gm.invert_vector(cup_bb(u.inverse(), v.inverse())):
-                    ok = False
-    out.append(_check("sign-shifted products exchanged by inversion", ok))
 
     ok = True
     for total in (2, 3):
         for m in range(total + 1):
             for u in elements(CoxeterSystem("B", m)):
                 for v in elements(CoxeterSystem("B", total - m)):
-                    lhs = FormalVector(kind="pair")
-                    for w, c in shuffle_bb(u, v).terms.items():
-                        lhs += unshuffle_bb(w).scale(c)
-                    rhs = FormalVector(kind="pair")
-                    for (a1, a2), c1 in unshuffle_bb(u).terms.items():
-                        for (bb1, bb2), c2 in unshuffle_bb(v).terms.items():
-                            for x1, cx1 in shuffle_bb(a1, bb1).terms.items():
-                                for x2, cx2 in shuffle_bb(a2, bb2).terms.items():
-                                    rhs += FormalVector.basis((x1, x2), c1 * c2 * cx1 * cx2, kind="pair")
+                    lhs, rhs = _bialgebra_sides(u, v, shuffle_bb, unshuffle_bb,
+                                                shuffle_bb, unshuffle_bb)
                     if lhs != rhs:
                         ok = False
     out.append(_check("sign-shifted bialgebra compatibility (sizes <= 3)", ok))
@@ -589,13 +561,11 @@ def suite_hecke(family: str | None = None, n: int | None = None) -> list[Check]:
     ok = True
     small = CoxeterSystem(family, 2)
     K = 3
-    # project_positive relabels the window [-K, K] onto the letters 1..2K+1
-    letters = 2 * K + 1 if family == "A" else K
     proj = sr.projection(family)
     for I2 in all_subsets(small):
         alpha = composition_from_descents(small, I2)
         P = hk.projective_module(small, I2)
-        if hk.characteristic_polynomial(small, hk.composition_factors(P), letters) \
+        if hk.characteristic_polynomial(small, hk.composition_factors(P), K) \
                 != proj(sr.s_basis(small, alpha, K)):
             ok = False
     out.append(_check("projective characteristic equals ribbon polynomial", ok))

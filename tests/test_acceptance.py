@@ -277,7 +277,7 @@ def test_criterion_10_hecke_structure():
         res = hk.restrict(hk.projective_module(system, K), I)
         assert hk.projective_multiplicities(res) \
             == dsc.sigma_restrict(system, I, dsc.sigma_basis(K))
-    for family in ("B", "D"):
+    for family in ("A", "B", "D"):
         for n in (2, 3):
             sysn = CoxeterSystem(family, n)
             Kw = n + 1

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxkit import hecke as hk
 from coxkit.cli import COMMANDS, SERIES_KINDS, build_parser, main
 from coxkit.series import h_basis, s_basis
 from coxkit.systems import CoxeterSystem, is_valid_composition, set_max_order
@@ -396,6 +397,25 @@ class TestHecke:
         status, out, err = run(capsys, "hecke", *argv.split(), "--report", "matrices")
         assert (status, out, err) == (0, expected + "\n", "")
 
+    @pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+    @pytest.mark.parametrize("spec,build", [
+        ("--module regular", lambda system: hk.regular_module(system)),
+        ("--op induce --subset 1,2 --module C:1", lambda system: hk.induce(
+            hk.simple_module(system, frozenset({1}), acting=frozenset({1, 2})))),
+        ("--subset= --module regular", lambda system: hk.regular_module(system, frozenset())),
+    ], ids=("regular", "induced", "empty acting set"))
+    def test_matrices_report_is_the_dense_rendering(self, capsys, family, rank, spec, build):
+        # the report is written one row at a time from the sparse columns,
+        # byte for byte the JSON of the dense matrices, in both formats
+        module = build(CoxeterSystem.of_rank(family, rank))
+        dense = json.dumps({"dim": module.dim,
+                            "matrices": {str(s): module.matrix(s) for s in sorted(module.mats)}},
+                           sort_keys=True)
+        for fmt in ("text", "json"):
+            status, out, err = run(capsys, "hecke", "--type", family, "--rank", str(rank),
+                                   *spec.split(), "--report", "matrices", "--format", fmt)
+            assert (status, out, err) == (0, dense + "\n", "")
+
     def test_label_outside_acting_set(self, capsys):
         status, _, err = run(capsys, "hecke", "--type", "B", "--rank", "3",
                              "--op", "induce", "--subset", "1,2", "--module", "C:0",
@@ -505,6 +525,29 @@ def fresh_interpreter_modules(code: str) -> tuple[int, list[str]]:
     assert proc.returncode == 0, proc.stderr
     status, *modules = proc.stdout.splitlines()[-1].split()
     return int(status), modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--kind", "hA", "--key", "(1,1,3)", "--window", "5"),
+    ("hecke", "--type", "D", "--rank", "4", "--module", "regular", "--report", "matrices"),
+    ("table", "--type", "A", "--rank", "6", "--table", "hm"),
+    ("verify", "--suite", "shuffles"),
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_is_not_an_error(argv):
+    # the reader takes one byte and closes the pipe: the command ends with
+    # its own status and reports nothing (the series and matrices outputs
+    # are larger than a pipe's buffer, so their writes meet the closed pipe)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "coxkit.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")
 
 
 class TestImportSets:

@@ -586,7 +586,7 @@ class TestProjections:
     def test_positive_projection_on_chambers(self):
         for w in elements(A2):
             alpha = composition_from_descents(A2, w.descent_set())
-            assert project_positive(f_series(w, 3)) == fundamental_qsym(alpha, 7)
+            assert project_positive(f_series(w, 3)) == fundamental_qsym(alpha, 3)
 
     def test_absolute_projection_on_chambers(self):
         for w in elements(B3):
@@ -681,6 +681,24 @@ class TestCommutativeBases:
         K = 3
         assert folded_h_block(1, K) == x0_power(1) + complete_homogeneous(1, K).scale(2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([CoxeterSystem(family, n) for family in "ABD" for n in range(5)
+                            if family != "D" or n >= 2]).flatmap(
+        lambda system: st.tuples(st.just(system), st.sampled_from(all_subsets(system)),
+                                 st.integers(0, 3))))
+    def test_projected_ribbon_is_inverse_class_sum_on_every_key(self, case):
+        # every valid key of size <= 4 and windows 0-3: the projection of
+        # each family takes s_basis(alpha) to the fundamentals of D(w^{-1})
+        # over the class, on the window's own letters
+        system, I, K = case
+        fund = {"A": fundamental_qsym, "B": fundamental_qsym_b,
+                "D": fundamental_qsym_d}[system.family]
+        rhs = CPoly()
+        for w in descent_class(system, I):
+            rhs = rhs + fund(composition_from_descents(system, w.inverse().descent_set()), K)
+        alpha = composition_from_descents(system, I)
+        assert projection(system.family)(s_basis(system, alpha, K)) == rhs
+
     @pytest.mark.parametrize("system", (A2, B2, D2))
     def test_commutative_ribbon_is_inverse_class_sum(self, system):
         # the projected ribbon equals the sum of fundamentals at the inverse
@@ -689,14 +707,13 @@ class TestCommutativeBases:
         proj = projection(system.family)
         fund = {"A": fundamental_qsym, "B": fundamental_qsym_b,
                 "D": fundamental_qsym_d}[system.family]
-        scale = {"A": 2 * K + 1, "B": K, "D": K}[system.family]
         for I in all_subsets(system):
             alpha = composition_from_descents(system, I)
             lhs = proj(s_basis(system, alpha, K))
             rhs = CPoly()
             for w in descent_class(system, I):
                 beta = composition_from_descents(system, w.inverse().descent_set())
-                rhs = rhs + fund(beta, scale)
+                rhs = rhs + fund(beta, K)
             assert lhs == rhs
 
     def test_signed_h_has_nonnegative_tensor_expansion(self):

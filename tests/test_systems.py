@@ -27,11 +27,13 @@ from coxkit.systems import (
     descents_of_composition,
     elements,
     from_word,
+    generator_bits,
     in_parabolic,
     is_valid_composition,
     longest_element,
     min_coset_reps,
     near_concat_compositions,
+    negate,
     normalizer_complement_order,
     parabolic_class_size,
     parabolic_conjugacy_classes,
@@ -42,6 +44,7 @@ from coxkit.systems import (
     refines,
     set_max_order,
     shape_of_composition,
+    simple_roots,
     word_cube,
 )
 
@@ -202,6 +205,17 @@ class TestRootRulesAgainstTheCayleyGraph:
         for s in system.generators:
             g = system.generator(s)
             assert not g.is_identity() and (g * g).is_identity()
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_root_table_bits_and_labels(self, system):
+        # the mask bits and simple-root labels every layer reads are the
+        # root table's own dicts, equal to the ones each caller once built
+        roots = simple_roots(system)
+        assert generator_bits(system) == {s: 1 << k for k, s in enumerate(system.generators)}
+        assert generator_bits(system) is generator_bits(system) is system._roots.bits
+        assert system._roots.labels == {a: t for t, a in roots.items()}
+        assert {negate(a): t for a, t in system._roots.labels.items()} \
+            == {tuple(-c for c in a): t for t, a in roots.items()}
 
     @pytest.mark.parametrize("system,label", [
         (CoxeterSystem("A", 0), 0), (CoxeterSystem("A", 1), 0), (CoxeterSystem("B", 0), 0),
@@ -629,7 +643,7 @@ def assert_group_windows_match_the_oracles(system):
     assert descent_masks(system) == element_descent_masks(system, expected)
     lex = sorted(expected, key=lambda w: w.window)
     assert _lex_table(system)[1] == element_descent_masks(system, lex)
-    assert _descent_pair_tables(system)[1] == element_descent_pairs(system)
+    assert _descent_pair_tables(system) == element_descent_pairs(system)
 
 
 class TestGroupWindows:

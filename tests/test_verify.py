@@ -71,6 +71,13 @@ class TestShufflesSuiteMemo:
                           "signed module associativity",
                           "inversion swaps the two signed products"}
 
+    def test_a_swapped_even_signed_product_is_caught(self, monkeypatch):
+        # the B and D coset-map checks share one loop: the D pass still
+        # tells the cup product from the shuffle product
+        monkeypatch.setattr(wd, "cup_d", wd.shuffle_d)
+        failed = {check.name for check in verify.suite_shuffles() if not check.passed}
+        assert failed == {"even-signed products agree with coset-rep maps"}
+
 
 B3 = CoxeterSystem("B", 3)
 #: The subset and the element the mutations below corrupt.
