@@ -94,10 +94,8 @@ def _vector_json(system: CoxeterSystem, vec: FormalVector, basis: str) -> dict:
     for key, coeff in vec.items():
         if basis == "element":
             jkey = _element_json(key)
-        elif basis == "pair":
-            jkey = [_element_json(key[0]), _element_json(key[1])]
         else:
-            jkey = sorted(key)
+            jkey = [_element_json(key[0]), _element_json(key[1])]
         terms.append({"key": jkey, "coeff": coeff if isinstance(coeff, int) else str(coeff)})
     return {
         "system": {"family": system.family, "rank": system.rank},

@@ -30,11 +30,10 @@ from .systems import (
     descent_class,
     descent_interval_left_masks,
     generator_bits,
-    longest_element,
     min_coset_reps,
     normalizer_complement_order,
     parabolic_conjugacy_classes,
-    simple_roots,
+    simple_image,
     subset_sort_key,
 )
 
@@ -79,57 +78,60 @@ def sigma_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector)
     return x.map_to_vectors(one, kind=SIGMA)
 
 
+def _simple_pairs(z: Element, subset: frozenset[int]) -> dict[int, int]:
+    """{s: t} for the generators s with z(a_s) = a_t, t in ``subset``."""
+    return {s: t for s in z.system.generators if (t := simple_image(z, s)) in subset}
+
+
 def class_rep_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
                      ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Bounds (low, high) inside ``subset`` such that for u in its parabolic,
     D(u z) = target iff low <= D(u) <= high; None when z is the minimal-coset
     part of no w with D(w) = target.  z must be a minimal right-coset
-    representative (ValueError otherwise).  One walk over the s not in D(z):
-    with E = D(s z^{-1}) & subset, an s in the target needs E nonempty and
-    raises ``low`` by E, and any other s lowers ``high`` by E.  E is {t} when
-    z(a_s) = a_t, t in ``subset``, and else empty: s negates only a_s, and z^{-1}(a_t) > 0.
+    representative (ValueError otherwise).  By Deodhar's lemma,
+    D(u z) = D(z) | {s : z(a_s) = a_t, t in D(u)} (:func:`_induce_counts`):
+    so ``low`` holds the t of the s in the target and ``high`` drops the t
+    of the others; each s of the target outside D(z) needs its t.  As
+    s -> z(a_s) is injective, low <= high always holds.
     """
     if z.left_descent_set() & subset:
         raise ValueError("z is not a minimal right-coset representative")
-    return _class_rep_bounds(z, subset, target)
-
-
-def _class_rep_bounds(z: Element, subset: frozenset[int], target: frozenset[int]
-                      ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """:func:`class_rep_bounds` without its check, for a z that
-    :func:`~coxkit.systems.min_coset_reps` gave as a right representative."""
-    dz = z.descent_set()
-    if not dz <= target:
+    dz, pairs = z.descent_set(), _simple_pairs(z, subset)
+    if not dz <= target <= z.system.generator_set or not target - dz <= pairs.keys():
         return None
-    roots, label = simple_roots(z.system), z.system._roots.labels
-    low: frozenset[int] = frozenset()
-    high = subset
-    for s in z.system.generators:
-        if s in dz:
-            continue
-        E = subset & {label.get(z.apply_to_root(roots[s]))}
-        if s not in target:
-            high = high - E
-        elif E:
-            low = low | E
-        else:
-            return None
-    return (low, high) if low <= high else None
+    return (frozenset(t for s, t in pairs.items() if s in target),
+            subset - {t for s, t in pairs.items() if s not in target})
+
+
+@_capped_cache
+def _induce_counts(system: CoxeterSystem, subset: frozenset[int]
+                   ) -> dict[frozenset[int], Counter]:
+    """The count table c_I(J, K) = #{z : D(u z) = K} of I = ``subset``, over
+    the minimal right representatives z, for any u in W_I with D(u) = J: for
+    each J <= I, the Counter of D(w0(J) z).  Dual induction reads it by rows
+    and restriction by columns.  By Deodhar's lemma, z(a_s) for s outside
+    D(z) is a_t with t in I or a positive root outside W_I, and every
+    descent of z is one of u z; so D(u z) = D(z) | {s : z(a_s) = a_t, t in J},
+    and the representatives are read once, grouped by D(z) and their pairs.
+    """
+    shapes = Counter((z.descent_set(), tuple(_simple_pairs(z, subset).items()))
+                     for z in min_coset_reps(system, subset, "right"))
+    counts: dict[frozenset[int], Counter] = {}
+    for J in all_subsets(system):
+        if J <= subset:
+            row = counts[J] = Counter()
+            for (dz, pairs), n in shapes.items():
+                row[dz | {s for s, t in pairs if t in J}] += n
+    return counts
 
 
 def sigma_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
-    """Restrict descent classes by the double sum over class representatives
-    and the descent interval they bound."""
-    reps = min_coset_reps(system, subset, "right")
-    sub_subsets = [I for I in all_subsets(system) if I <= subset]
-
-    def one(K: frozenset[int]) -> FormalVector:
-        out = FormalVector(kind=SIGMA)
-        for low, high in filter(None, (_class_rep_bounds(z, subset, K) for z in reps)):
-            out += FormalVector.from_keys([Kp for Kp in sub_subsets if low <= Kp <= high], kind=SIGMA)
-        return out
-
-    return x.map_to_vectors(one, kind=SIGMA)
+    """Restrict descent classes: D_K goes to the sum of c_I(J, K) D_J over
+    J <= I, column K of :func:`_induce_counts`.  A key holding a label that
+    is not a generator is no descent set, and goes to 0."""
+    counts = _induce_counts(system, subset & system.generator_set)
+    return x.map_to_vectors(
+        lambda K: FormalVector(((J, row[K]) for J, row in counts.items()), kind=SIGMA), kind=SIGMA)
 
 
 def sigma_star_restrict(system: CoxeterSystem, subset: frozenset[int],
@@ -140,18 +142,15 @@ def sigma_star_restrict(system: CoxeterSystem, subset: frozenset[int],
 
 
 def sigma_star_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
-    """Dual induction: D*_J goes to the sum of D*_{D(u z)} over minimal reps z.
-
-    The descent set D(u z) depends on u only through D(u) = J, so the
-    longest element of the J-parabolic serves as the representative.
-    """
-    reps = min_coset_reps(system, subset, "right")
+    """Dual induction: D*_J goes to the sum of D*_{D(u z)} over minimal reps z,
+    for any u of the parabolic with D(u) = J: row J of :func:`_induce_counts`.
+    Generator labels outside the system are dropped from J."""
+    counts = _induce_counts(system, subset & system.generator_set)
 
     def one(J: frozenset[int]) -> FormalVector:
         if not J <= subset:
             raise ValueError(f"key {sorted(J)} does not lie inside {sorted(subset)}")
-        u = longest_element(system, J)
-        return FormalVector(((((u * z).descent_set()), 1) for z in reps), kind=SIGMA_STAR)
+        return FormalVector(counts[J & system.generator_set], kind=SIGMA_STAR)
 
     return x.map_to_vectors(one, kind=SIGMA_STAR)
 
@@ -163,7 +162,7 @@ def sym_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -
 
 
 def sym_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
-    """Sym-level restriction follows the same double sum as sigma_restrict."""
+    """Sym-level restriction follows the same column sum as sigma_restrict."""
     out = sigma_restrict(system, subset, FormalVector(x.terms, kind=SIGMA))
     return FormalVector(out.terms, kind=SYM)
 

@@ -43,7 +43,7 @@ from .systems import (
     descent_interval_left_masks,
     generator_bits,
     reflect,
-    simple_roots,
+    simple_image,
 )
 
 #: X_s as a sparse column map: column j (the image of b_j) is {i: c}.
@@ -80,14 +80,6 @@ class HModule:
     mats: dict[int, ColumnMap]
     dim: int
     labels: Optional[tuple] = None
-
-    def matrix(self, s: int) -> list[list]:
-        """X_s as a dense dim x dim list of rows."""
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for j, col in self.mats[s].items():
-            for i, c in col.items():
-                out[i][j] = c
-        return out
 
     def validate(self) -> None:
         """Quadratic relations X^2 = -X and all pairwise braid relations,
@@ -199,7 +191,6 @@ def induce(module: HModule) -> HModule:
     system = module.system
     reps = _descent_interval_module(system, frozenset(), system.generator_set - module.acting,
                                     system.generator_set)
-    roots, label = simple_roots(system), system._roots.labels
     d = module.dim
     mats: dict[int, ColumnMap] = {}
     for s in system.generators:
@@ -214,7 +205,7 @@ def induce(module: HModule) -> HModule:
                 for mi in range(d):
                     X[at + mi] = {to + mi: c}
             else:
-                R = module.mats[label[z.inverse().apply_to_root(roots[s])]]
+                R = module.mats[simple_image(z.inverse(), s)]
                 for mi, col in R.items():
                     X[at + mi] = {at + i: c for i, c in col.items()}
         mats[s] = X

@@ -592,6 +592,12 @@ def generator_bits(system: CoxeterSystem) -> dict[int, int]:
     return system._roots.bits
 
 
+def simple_image(w: Element, s: int) -> Optional[int]:
+    """The generator t with w(a_s) = a_t, or None when w(a_s) is no simple
+    root: the one read of the root table's simple-root labels."""
+    return w.system._roots.labels.get(w.apply_to_root(simple_roots(w.system)[s]))
+
+
 def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The right and the left descent mask of each group element, as two
     tuples in the (length, window) order of :func:`elements`.  A mask holds
@@ -810,13 +816,14 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
     the longest element w0(L) maps K onto another subset of L, and two
     standard parabolics are conjugate exactly when a chain of such moves
     joins their generator sets.  The move sends K = L - {s} to L - {t} for
-    w0(alpha_s) = -alpha_t, as w0 s w0 = s_t.  A union-find over the
+    w0(alpha_s) = -alpha_t, as w0 s w0 = s_t: t is the :func:`simple_image`
+    of s under w0 s, which sends alpha_s to alpha_t.  A union-find over the
     complements I = S - K collects the classes.
 
     Classes, and the members of each, come in order of first appearance in
     :func:`all_subsets`.
     """
-    S, roots, label = system.generator_set, simple_roots(system), system._roots.labels
+    S = system.generator_set
     parent = {I: I for I in all_subsets(system)}
 
     def find(I: frozenset[int]) -> frozenset[int]:
@@ -828,7 +835,7 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
     for L in all_subsets(system):
         w0 = longest_element(system, L)
         for s in L:
-            t = label[negate(w0.apply_to_root(roots[s]))]
+            t = simple_image(w0 * system.generator(s), s)
             parent[find((S - L) | {t})] = find((S - L) | {s})
     classes: dict[frozenset[int], list[frozenset[int]]] = {}
     for I in all_subsets(system):
@@ -846,9 +853,8 @@ def normalizer_complement_order(system: CoxeterSystem, subset: frozenset[int]) -
     As w s_j w^{-1} = s_{w(alpha_j)}, no Element is multiplied.
     """
     J = subset & system.generator_set
-    roots, label = simple_roots(system), system._roots.labels
     return sum(1 for w in min_coset_reps(system, J, "left")
-               if all(label.get(w.apply_to_root(roots[j])) in J for j in J))
+               if all(simple_image(w, j) in J for j in J))
 
 
 def parabolic_class_size(system: CoxeterSystem, subset: frozenset[int]) -> int:

@@ -539,7 +539,8 @@ def suite_hecke(family: str | None = None, n: int | None = None) -> list[Check]:
 
     I = frozenset(sorted(system.generators)[1:])
     # Inducing C_J and restricting P_K are the descent-level maps
-    # D*_J -> sum_z D*_{D(w0(J) z)} and the interval sum of D_K.
+    # D*_J -> sum_z D*_{D(w0(J) z)} and D_K -> sum_J c_I(J, K) D_J: row J and
+    # column K of one count table, checked here against the modules.
     ok = True
     for J in all_subsets(system):
         if J <= I:

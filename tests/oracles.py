@@ -350,6 +350,16 @@ def induce_by_decomposition(module: HModule) -> HModule:
     return HModule(system, system.generator_set, mats, len(reps) * d, labels=labels)
 
 
+def dense_matrix(module: HModule, s: int) -> list[list]:
+    """X_s of ``module`` as a dense dim x dim list of rows, read off its
+    sparse columns."""
+    out = [[0] * module.dim for _ in range(module.dim)]
+    for j, col in module.mats[s].items():
+        for i, c in col.items():
+            out[i][j] = c
+    return out
+
+
 def _mat_apply(a: list[list], v: Sequence) -> list:
     """Matrix times vector, touching only the nonzero entries of ``v``."""
     nonzero = [(j, y) for j, y in enumerate(v) if y]
@@ -358,7 +368,8 @@ def _mat_apply(a: list[list], v: Sequence) -> list:
 
 def idempotent_matrix(module: HModule, s: int) -> list[list]:
     """The matrix of pi_s = X_s + 1."""
-    return [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(module.matrix(s))]
+    return [[x + (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(dense_matrix(module, s))]
 
 
 def act_word(module: HModule, word: Iterable[int], v: Sequence, bar: bool = True) -> list:
@@ -370,7 +381,7 @@ def act_word(module: HModule, word: Iterable[int], v: Sequence, bar: bool = True
     """
     out = list(v)
     word = tuple(word)
-    mats = {s: module.matrix(s) for s in set(word)}
+    mats = {s: dense_matrix(module, s) for s in set(word)}
     for s in reversed(word):
         image = _mat_apply(mats[s], out)
         # pi_s = X_s + 1, applied without building its matrix
@@ -381,7 +392,7 @@ def act_word(module: HModule, word: Iterable[int], v: Sequence, bar: bool = True
 def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModule:
     """The submodule generated by the seed vectors, in its own coordinates:
     the reduced echelon basis of its span, ordered by pivot column."""
-    dense = {s: ambient.matrix(s) for s in ambient.acting}
+    dense = {s: dense_matrix(ambient, s) for s in ambient.acting}
     space = RowSpace()
     frontier = [list(v) for v in seeds]
     while frontier:
@@ -428,7 +439,7 @@ def _common_eigenvectors(module: HModule, pattern: frozenset[int]) -> list[list]
     or 0 (outside): the kernel of the stacked X_s + [s in pattern] * I."""
     rows = []
     for s in module.acting:
-        for i, row in enumerate(module.matrix(s)):
+        for i, row in enumerate(dense_matrix(module, s)):
             if s in pattern:
                 row = list(row)
                 row[i] += 1
@@ -444,7 +455,7 @@ def _quotient_by_line(module: HModule, v: Sequence) -> HModule:
     ratio = [exact_div(x, v[p]) if x else 0 for x in v]
     mats = {}
     for s in module.mats:
-        X = module.matrix(s)
+        X = dense_matrix(module, s)
         mats[s] = [
             [X[i][j] - X[p][j] * ratio[i] for j in keep] if ratio[i] else [X[i][j] for j in keep]
             for i in keep
@@ -475,7 +486,7 @@ def hom_dim(source: HModule, target: HModule) -> int:
     ds, dt = source.dim, target.dim
     rows = []
     for s in source.acting:
-        A, B = source.matrix(s), target.matrix(s)
+        A, B = dense_matrix(source, s), dense_matrix(target, s)
         for i in range(dt):
             for j in range(ds):
                 row = [0] * (dt * ds)

@@ -19,7 +19,7 @@ from coxkit.cli import COMMANDS, SERIES_KINDS, build_parser, main
 from coxkit.series import h_basis, s_basis
 from coxkit.systems import CoxeterSystem, is_valid_composition, set_max_order
 from coxkit.words import COPRODUCTS, PRODUCTS
-from oracles import series_output
+from oracles import dense_matrix, series_output
 
 
 def run(capsys, *argv):
@@ -408,9 +408,8 @@ class TestHecke:
         # the report is written one row at a time from the sparse columns,
         # byte for byte the JSON of the dense matrices, in both formats
         module = build(CoxeterSystem.of_rank(family, rank))
-        dense = json.dumps({"dim": module.dim,
-                            "matrices": {str(s): module.matrix(s) for s in sorted(module.mats)}},
-                           sort_keys=True)
+        dense = json.dumps({"dim": module.dim, "matrices": {
+            str(s): dense_matrix(module, s) for s in sorted(module.mats)}}, sort_keys=True)
         for fmt in ("text", "json"):
             status, out, err = run(capsys, "hecke", "--type", family, "--rank", str(rank),
                                    *spec.split(), "--report", "matrices", "--format", fmt)

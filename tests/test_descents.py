@@ -131,16 +131,32 @@ class TestIntervalCriterion:
                         (z, I, K)
 
     def test_sigma_restrict_builds_no_element_product(self, monkeypatch):
+        # restriction and dual induction read one count table per subset,
+        # built from the group's table and the roots, cold or warm
         systems = (CoxeterSystem("A", 5), CoxeterSystem("B", 4), CoxeterSystem("D", 4))
-        expected = {(system, I, K): sigma_restrict(system, I, sigma_basis(K))
-                    for system in systems for I in all_subsets(system) for K in all_subsets(system)}
+        maps = ((sigma_restrict, sigma_basis), (sigma_star_induce, sigma_star_basis))
+        expected = {(f, basis, system, I, K): f(system, I, basis(K))
+                    for f, basis in maps for system in systems
+                    for I in all_subsets(system) for K in all_subsets(system)
+                    if f is sigma_restrict or K <= I}
 
         def refuse(*args):
             raise AssertionError("built an Element product")
 
         monkeypatch.setattr(Element, "__mul__", refuse)
-        for (system, I, K), out in expected.items():
-            assert sigma_restrict(system, I, sigma_basis(K)) == out
+        elements.cache_clear()
+        for (f, basis, system, I, K), out in expected.items():
+            assert f(system, I, basis(K)) == out
+
+    def test_key_outside_the_generators_restricts_to_zero(self):
+        # no w has a descent set holding 99, so the class is empty and its
+        # restriction 0, as the group-level restriction of the empty sum
+        I, K = frozenset({0, 1}), frozenset({1, 99})
+        assert restrict_right(B3, I, embed_sigma(B3, sigma_basis(K))) == FormalVector(kind="element")
+        assert sigma_restrict(B3, I, sigma_basis(K)) == FormalVector(kind="sigma")
+        assert sym_restrict(B3, I, sym_basis(K)) == FormalVector(kind="sym")
+        for z in min_coset_reps(B3, I, "right"):
+            assert class_rep_bounds(z, I, K) is None
 
     def test_class_rep_bounds_refuses_a_non_representative(self):
         # the public walk checks that z has no left descent in the subset
@@ -182,15 +198,18 @@ class TestDualFormulas:
             out = sigma_star_induce(B3, I, sigma_star_basis(frozenset()))
             assert out.coefficient_sum() == len(min_coset_reps(B3, I, "right"))
 
-    def test_star_induce_rep_independent(self):
-        for I in all_subsets(B3):
-            reps = min_coset_reps(B3, I, "right")
-            for J in (X for X in all_subsets(B3) if X <= I):
-                target = sigma_star_induce(B3, I, sigma_star_basis(J))
-                for u in descent_class(B3, J, within=I):
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_star_induce_rep_independent(self, system):
+        # every u of the class of J, not only w0(J), gives the row of J;
+        # the subsets include the empty and the full one
+        for I in all_subsets(system):
+            reps = min_coset_reps(system, I, "right")
+            for J in (X for X in all_subsets(system) if X <= I):
+                target = sigma_star_induce(system, I, sigma_star_basis(J))
+                for u in descent_class(system, J, within=I):
                     direct = FormalVector(
                         (((u * z).descent_set(), 1) for z in reps), kind="sigma_star")
-                    assert direct == target
+                    assert direct == target, (I, J, u)
 
     def test_adjunction_b2(self):
         for I in all_subsets(B2):

@@ -48,6 +48,7 @@ from coxkit.systems import (
 from oracles import (
     act_word,
     alternating_product,
+    dense_matrix,
     expected_mixed_projective_dim,
     extracted_composition_factors,
     hom_dim,
@@ -80,8 +81,8 @@ class TestRegularModule:
 
     def test_braid_matrices_a2(self):
         reg = regular_module(A3)
-        assert alternating_product(reg.matrix(1), reg.matrix(2), 3) \
-            == alternating_product(reg.matrix(2), reg.matrix(1), 3)
+        assert alternating_product(dense_matrix(reg, 1), dense_matrix(reg, 2), 3) \
+            == alternating_product(dense_matrix(reg, 2), dense_matrix(reg, 1), 3)
 
     def test_idempotent_generators(self):
         reg = regular_module(B2)
@@ -108,7 +109,7 @@ class TestRegularModule:
 class TestSimpleModules:
     def test_action_values(self):
         C = simple_module(B2, frozenset([0]))
-        assert C.matrix(0) == [[-1]] and C.matrix(1) == [[0]]
+        assert dense_matrix(C, 0) == [[-1]] and dense_matrix(C, 1) == [[0]]
 
     def test_restriction_of_simples(self):
         I = frozenset([1, 2])
@@ -177,7 +178,7 @@ def _sympy_submodule(ambient, seed):
     on its reduced echelon basis, computed with sympy."""
     import sympy
 
-    X = {s: sympy.Matrix(ambient.matrix(s)) for s in ambient.mats}
+    X = {s: sympy.Matrix(dense_matrix(ambient, s)) for s in ambient.mats}
     span = sympy.Matrix([seed])
     while True:
         rows = [span.row(i) for i in range(span.rows)]
@@ -225,7 +226,7 @@ class TestSubmoduleCoordinates:
             dim, mats = _sympy_submodule(reg, seed)
             M = submodule_coordinates(reg, [seed])
             assert M.dim == dim
-            dense = {s: M.matrix(s) for s in M.mats}
+            dense = {s: dense_matrix(M, s) for s in M.mats}
             assert dense == mats
             assert all(type(x) is int for m in dense.values() for row in m for x in row)
 
@@ -266,7 +267,7 @@ class TestInduction:
         for J in (X for X in all_subsets(system) if X <= I):
             ind = induce(simple_module(system, J, acting=I))
             u = longest_element(system, J)
-            dense = {s: ind.matrix(s) for s in system.generators}
+            dense = {s: dense_matrix(ind, s) for s in system.generators}
             for s in system.generators:
                 X = dense[s]
                 for i in range(ind.dim):
@@ -360,7 +361,7 @@ class TestRestriction:
                 target = [act_word(reg, part.reduced_word(), tail_z, bar=True)
                           for _, part in members]
                 for s in I:
-                    X = reg.matrix(s)
+                    X = dense_matrix(reg, s)
                     for idx, (w, part) in enumerate(members):
                         img_src = [sum(X[i][j] * source[idx][j]
                                        for j in range(reg.dim) if source[idx][j])
@@ -496,7 +497,7 @@ class TestStorageForm:
     def test_missing_columns_render_as_zero(self):
         C = simple_module(B2, frozenset())
         assert C.mats == {0: {}, 1: {}}
-        assert C.matrix(0) == C.matrix(1) == zero_matrix(1)
+        assert dense_matrix(C, 0) == dense_matrix(C, 1) == zero_matrix(1)
 
     def test_d5_regular_module_is_small(self):
         # the dense form of the 1920-dimensional module held 5 * 1920^2
@@ -583,7 +584,7 @@ class TestDescentClassBasis:
                 P = mixed_projective_module(system, I, within)
                 vecs = stated_projective_basis(system, I, within)
                 for s in system.generators:
-                    X = P.matrix(s)
+                    X = dense_matrix(P, s)
                     for j, v in enumerate(vecs):
                         image = act_word(reg, (s,), v)
                         expected = [sum(X[i][j] * u[k] for i, u in enumerate(vecs))
@@ -736,7 +737,7 @@ class TestMonomialCounting:
         n = P.dim
         U = [[1 if i == j else (1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
         Uinv = solve_matrix_inverse(U)
-        conj = {s: mat_mul(mat_mul(U, P.matrix(s)), Uinv) for s in P.mats}
+        conj = {s: mat_mul(mat_mul(U, dense_matrix(P, s)), Uinv) for s in P.mats}
         M = module_from_matrices(P.system, P.acting, conj, P.dim)
         with pytest.raises(_Eliminated):
             composition_factors(M)
@@ -786,7 +787,7 @@ class TestGrothendieck:
         n = P.dim
         U = [[1 if i == j else (1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
         Uinv = solve_matrix_inverse(U)
-        conj = {s: mat_mul(mat_mul(U, P.matrix(s)), Uinv) for s in P.mats}
+        conj = {s: mat_mul(mat_mul(U, dense_matrix(P, s)), Uinv) for s in P.mats}
         M = module_from_matrices(P.system, P.acting, conj, P.dim)
         assert composition_factors(M) == composition_factors(P)
 

@@ -335,7 +335,9 @@ ROOT_RULES = {
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
                    "parabolic_conjugacy_classes", "parabolic_elements", "_interval_positions",
                    "_ordered_table", "_parabolic_flags", "_lex_table", "_mask_runs",
-                   "_store", "_capped_cache", "_interval_entry", "_descent_interval"],
+                   "_store", "_capped_cache", "_interval_entry", "_descent_interval",
+                   "simple_image"],
+    "descents.py": ["_simple_pairs", "class_rep_bounds", "_induce_counts"],
     "hecke.py": ["sorting_operator", "induce", "_descent_interval_module"],
 }
 

@@ -295,7 +295,8 @@ class TestEnumeration:
         # every read derived from an enumeration of B3 is refused once the
         # cap drops below |B3| = 48, however warm its cache, and answers as
         # before once the cap is restored
-        from coxkit.descents import _weak_counts, c_matrix, h_gram_matrix, weak_descent_count
+        from coxkit.descents import (_induce_counts, _weak_counts, c_matrix, h_gram_matrix,
+                                     weak_descent_count)
 
         I = frozenset({1})
         reads = {
@@ -321,6 +322,7 @@ class TestEnumeration:
             "c_matrix": lambda: c_matrix(B3),
             "weak_descent_count": lambda: weak_descent_count(B3, I, B3.generator_set),
             "_weak_counts": lambda: _weak_counts(B3),
+            "_induce_counts": lambda: _induce_counts(B3, I),
         }
         before = {name: read() for name, read in reads.items()}
         set_max_order(10)
@@ -337,7 +339,7 @@ class TestEnumeration:
                      "_lex_table", "_parabolic_flags", "parabolic_elements",
                      "descent_interval", "descent_class", "min_coset_reps left",
                      "min_coset_reps right", "_mask_runs right", "_mask_runs left",
-                     "_weak_counts"):
+                     "_weak_counts", "_induce_counts"):
             assert reads[name]() is reads[name](), name
 
     def test_min_coset_reps_refusal_order(self):
