@@ -207,12 +207,14 @@ class _RootTable(NamedTuple):
     root a_s = a e_i + b e_j, (i, a, j, b) per positive root (j = i, b = 0 if
     it has one nonzero coordinate), each generator's window: (1, ..., n)
     reflected in its simple root, each generator's bit in a descent mask
-    (bit k is the k-th generator), and the generator of each simple root."""
+    (bit k is the k-th generator), each generator's simple root, and the
+    generator of each simple root."""
 
     simple: tuple[tuple[int, int, int, int, int], ...]
     positive: tuple[tuple[int, int, int, int], ...]
     generators: dict[int, tuple[int, ...]]
     bits: dict[int, int]
+    alpha: dict[int, Root]
     labels: dict[Root, int]
 
 
@@ -231,7 +233,7 @@ def _root_table(family: str, n: int) -> _RootTable:
     return _RootTable(simple, tuple(sorted(map(_coordinates, positive_roots(system)))),
                       {s: reflect((i, a, j, b), identity) for s, i, a, j, b in simple},
                       {s: 1 << k for k, s in enumerate(system.generators)},
-                      {a: s for s, a in simple_roots(system).items()})
+                      simple_roots(system), {a: s for s, a in simple_roots(system).items()})
 
 
 def _validate_window(system: CoxeterSystem, window: tuple[int, ...]) -> None:
@@ -594,8 +596,9 @@ def generator_bits(system: CoxeterSystem) -> dict[int, int]:
 
 def simple_image(w: Element, s: int) -> Optional[int]:
     """The generator t with w(a_s) = a_t, or None when w(a_s) is no simple
-    root: the one read of the root table's simple-root labels."""
-    return w.system._roots.labels.get(w.apply_to_root(simple_roots(w.system)[s]))
+    root, read off the root table."""
+    roots = w.system._roots
+    return roots.labels.get(w.apply_to_root(roots.alpha[s]))
 
 
 def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -816,14 +819,13 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
     the longest element w0(L) maps K onto another subset of L, and two
     standard parabolics are conjugate exactly when a chain of such moves
     joins their generator sets.  The move sends K = L - {s} to L - {t} for
-    w0(alpha_s) = -alpha_t, as w0 s w0 = s_t: t is the :func:`simple_image`
-    of s under w0 s, which sends alpha_s to alpha_t.  A union-find over the
+    w0(alpha_s) = -alpha_t, as w0 s w0 = s_t.  A union-find over the
     complements I = S - K collects the classes.
 
     Classes, and the members of each, come in order of first appearance in
     :func:`all_subsets`.
     """
-    S = system.generator_set
+    S, roots = system.generator_set, system._roots
     parent = {I: I for I in all_subsets(system)}
 
     def find(I: frozenset[int]) -> frozenset[int]:
@@ -835,7 +837,7 @@ def parabolic_conjugacy_classes(system: CoxeterSystem) -> tuple[tuple[frozenset[
     for L in all_subsets(system):
         w0 = longest_element(system, L)
         for s in L:
-            t = simple_image(w0 * system.generator(s), s)
+            t = roots.labels[negate(w0.apply_to_root(roots.alpha[s]))]
             parent[find((S - L) | {t})] = find((S - L) | {s})
     classes: dict[frozenset[int], list[frozenset[int]]] = {}
     for I in all_subsets(system):

@@ -44,6 +44,7 @@ from coxkit.systems import (
     refines,
     set_max_order,
     shape_of_composition,
+    simple_image,
     simple_roots,
     word_cube,
 )
@@ -213,9 +214,21 @@ class TestRootRulesAgainstTheCayleyGraph:
         roots = simple_roots(system)
         assert generator_bits(system) == {s: 1 << k for k, s in enumerate(system.generators)}
         assert generator_bits(system) is generator_bits(system) is system._roots.bits
+        assert system._roots.alpha == roots
         assert system._roots.labels == {a: t for t, a in roots.items()}
         assert {negate(a): t for a, t in system._roots.labels.items()} \
             == {tuple(-c for c in a): t for t, a in roots.items()}
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_simple_image_is_the_conjugated_generator(self, system):
+        # w(a_s) = a_t exactly when w s w^-1 = s_t and s is no descent of w
+        dist = cayley_distances(system)
+        for w in dist:
+            for s in system.generators:
+                conjugate = w * system.generator(s) * w.inverse()
+                t = [t for t in system.generators if conjugate == system.generator(t)]
+                expected = t[0] if t and s not in w.descent_set() else None
+                assert simple_image(w, s) == expected, (w, s)
 
     @pytest.mark.parametrize("system,label", [
         (CoxeterSystem("A", 0), 0), (CoxeterSystem("A", 1), 0), (CoxeterSystem("B", 0), 0),
