@@ -57,24 +57,15 @@ EXIT_INTERNAL = 4
 DEFAULT_WINDOW_CAPS = {"A": 7, "B": 5, "D": 5}
 
 
-class CliError(Exception):
-    def __init__(self, message: str, status: int = EXIT_PARSE):
-        super().__init__(message)
-        self.status = status
-
-
 def _system(args) -> CoxeterSystem:
     family = args.type
     rank = args.rank
-    try:
-        system = CoxeterSystem.of_rank(family, rank)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    system = CoxeterSystem.of_rank(family, rank)
     cap = getattr(args, "max_window", None)
     cap = DEFAULT_WINDOW_CAPS[family] if cap is None else cap
     if system.n > cap:
         hint = " (raise with --max-window)" if hasattr(args, "max_window") else ""
-        raise CliError(f"window size {system.n} exceeds the {family} cap {cap}{hint}", EXIT_CAP)
+        raise CapExceededError(f"window size {system.n} exceeds the {family} cap {cap}{hint}")
     return system
 
 
@@ -145,7 +136,7 @@ def cmd_element(args) -> int:
         text = ",".join(map(str, value))
     else:
         if args.right is None:
-            raise CliError("compose needs --right")
+            raise ValueError("compose needs --right")
         v = w * parse_window(system, args.right)
         value, text = _element_json(v), format_window(v.window)
     _emit(args, lambda: {"op": args.op, "value": value}, lambda: [text])
@@ -155,12 +146,9 @@ def cmd_element(args) -> int:
 def cmd_product(args) -> int:
     from . import words as wd
     flavor = wd.FLAVORS[args.family.removeprefix("shuffle").removeprefix("cup")]
-    try:
-        lwin, rwin = parse_ints(args.left), parse_ints(args.right)
-        u = CoxeterSystem(flavor.family, len(lwin)).element(lwin)
-        v = CoxeterSystem(flavor.right, len(rwin)).element(rwin)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    lwin, rwin = parse_ints(args.left), parse_ints(args.right)
+    u = CoxeterSystem(flavor.family, len(lwin)).element(lwin)
+    v = CoxeterSystem(flavor.right, len(rwin)).element(rwin)
     vec = wd.PRODUCTS[args.family](u, v)
     out_system = next(iter(vec.terms)).system if vec.terms else u.system
     _emit(args, lambda: _vector_json(out_system, vec, "element"),
@@ -172,11 +160,8 @@ def cmd_product(args) -> int:
 def cmd_coproduct(args) -> int:
     from . import words as wd
     flavor = wd.FLAVORS[args.family.removeprefix("shuffle").removeprefix("cup")]
-    try:
-        win = parse_ints(args.arg)
-        u = CoxeterSystem(flavor.family, len(win)).element(win)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    win = parse_ints(args.arg)
+    u = CoxeterSystem(flavor.family, len(win)).element(win)
     vec = wd.COPRODUCTS[args.family](u)
     if args.split is not None:
         from . import series as sr
@@ -196,7 +181,7 @@ def cmd_series(args) -> int:
     alpha = parse_ints(args.key)
     system = CoxeterSystem(family, sum(alpha))
     if not is_valid_composition(system, alpha):
-        raise CliError(f"{alpha} is not a valid index for family {family}")
+        raise ValueError(f"{alpha} is not a valid index for family {family}")
     builder = sr.s_basis if args.kind.startswith("s") else sr.h_basis
     x = builder(system, alpha, args.window)
     words = sorted(x.terms)
@@ -226,16 +211,16 @@ def _parse_poly_token(token: str, K: int) -> CPoly:
     if kind == "x0":
         power = int(key or 1)
         if power < 0:
-            raise CliError(f"x0 power must be nonnegative, got {power}")
+            raise ValueError(f"x0 power must be nonnegative, got {power}")
         return qsym.x0_power(power)
     alpha = parse_ints(key)
     if any(part < 0 for part in alpha):
-        raise CliError(f"index {alpha} has a negative part")
+        raise ValueError(f"index {alpha} has a negative part")
     if kind in _COMPOSITION_FAMILY:
         family = _COMPOSITION_FAMILY[kind]
         system = CoxeterSystem(family, sum(alpha))
         if not is_valid_composition(system, alpha):
-            raise CliError(f"{alpha} is not a valid index for family {family}")
+            raise ValueError(f"{alpha} is not a valid index for family {family}")
         if kind.startswith("s"):
             from . import series as sr
             return sr.projection(family)(sr.s_basis(system, alpha, K))
@@ -253,7 +238,7 @@ def _parse_poly_token(token: str, K: int) -> CPoly:
         "mB": qsym.sym_m_b,
     }
     if kind not in table:
-        raise CliError(f"unknown polynomial token kind {kind!r}")
+        raise ValueError(f"unknown polynomial token kind {kind!r}")
     return table[kind](alpha, K)
 
 
@@ -317,18 +302,18 @@ def _parse_module(system: CoxeterSystem, spec: str, acting: frozenset[int]) -> H
     if spec == "regular":
         return hk.regular_module(system, acting)
     if ":" not in spec:
-        raise CliError("module spec must be 'C:<subset>', 'P:<subset>' or 'regular'")
+        raise ValueError("module spec must be 'C:<subset>', 'P:<subset>' or 'regular'")
     kind, key = spec.split(":", 1)
     subset = _parse_subset(key)
     if not subset <= acting:
-        raise CliError(
+        raise ValueError(
             f"module label {sorted(subset)} must lie inside the acting set {sorted(acting)}"
         )
     if kind == "C":
         return hk.simple_module(system, subset, acting=acting)
     if kind == "P":
         return hk.projective_module(system, subset, carrier=acting)
-    raise CliError(f"unknown module kind {kind!r}")
+    raise ValueError(f"unknown module kind {kind!r}")
 
 
 def _mult_report(system: CoxeterSystem, vec: FormalVector, name: str, letter: str
@@ -345,7 +330,7 @@ def cmd_hecke(args) -> int:
     system = _system(args)
     acting = _parse_subset(args.subset) if args.subset is not None else system.generator_set
     if not acting <= system.generator_set:
-        raise CliError("subset contains unknown generators")
+        raise ValueError("subset contains unknown generators")
     module = _parse_module(system, args.module, acting if args.op != "restrict" else system.generator_set)
     if args.op == "induce":
         module = hk.induce(module)
@@ -392,7 +377,7 @@ def cmd_verify(args) -> int:
     n = None
     if args.rank is not None:
         if family is None:
-            raise CliError("--rank needs --type")
+            raise ValueError("--rank needs --type")
         n = _system(args).n
     report = {}
     all_ok = True
@@ -579,9 +564,6 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.status
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

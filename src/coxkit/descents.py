@@ -136,21 +136,24 @@ def sigma_restrict(system: CoxeterSystem, subset: frozenset[int], x: FormalVecto
 
 def sigma_star_restrict(system: CoxeterSystem, subset: frozenset[int],
                         x: FormalVector) -> FormalVector:
-    """Dual restriction: D*_K goes to D*_{K & subset}."""
-    del system
-    return x.map_keys(lambda K: K & subset, kind=SIGMA_STAR)
+    """Dual restriction: D*_K goes to D*_{K & subset}.  A key holding a label
+    that is not a generator is no descent set, and goes to 0."""
+    gens = system.generator_set
+    return FormalVector(((K & subset, c) for K, c in x.terms.items() if K <= gens),
+                        kind=SIGMA_STAR)
 
 
 def sigma_star_induce(system: CoxeterSystem, subset: frozenset[int], x: FormalVector) -> FormalVector:
     """Dual induction: D*_J goes to the sum of D*_{D(u z)} over minimal reps z,
     for any u of the parabolic with D(u) = J: row J of :func:`_induce_counts`.
-    Generator labels outside the system are dropped from J."""
+    A key holding a label that is not a generator goes to 0, as in
+    :func:`sigma_induce`."""
     counts = _induce_counts(system, subset & system.generator_set)
 
     def one(J: frozenset[int]) -> FormalVector:
         if not J <= subset:
             raise ValueError(f"key {sorted(J)} does not lie inside {sorted(subset)}")
-        return FormalVector(counts[J & system.generator_set], kind=SIGMA_STAR)
+        return FormalVector(counts.get(J), kind=SIGMA_STAR)
 
     return x.map_to_vectors(one, kind=SIGMA_STAR)
 

@@ -26,7 +26,7 @@ from .systems import (
     check_word_cube,
     descents_of_composition,
 )
-from .words import FLAVORS, _shuffle
+from .words import FLAVORS, shuffle
 
 Word = tuple[int, ...]
 
@@ -199,7 +199,7 @@ def f_action(u: Element, v: Element, window: int) -> FormalVector:
     families = (u.system.family, v.system.family)
     flavor = next((name for name, f in FLAVORS.items() if (f.family, f.right) == families),
                   u.system.family)
-    labels = _shuffle(flavor, u, v)
+    labels = shuffle(flavor, u, v)
     literal = f_series(u, window) * f_series(v, window)
     total = NCSeries(u.system.n + v.system.n, window)
     for w in labels.terms:

@@ -72,14 +72,14 @@ def suite_paper_examples(family: str | None = None, n: int | None = None) -> lis
     if "A" in fams:
         out.append(_eq("standardize word", wd.standardize((3, 2, 2, 3, 6, 2, 5)).window,
                        (4, 1, 2, 5, 7, 3, 6)))
-        out.append(_eq("shuffle 21*12", _wins(wd.shuffle_a(_el("A", 2, 1), _el("A", 1, 2))),
+        out.append(_eq("shuffle 21*12", _wins(wd.shuffle("A", _el("A", 2, 1), _el("A", 1, 2))),
                        sorted([(2, 1, 3, 4), (2, 3, 1, 4), (3, 2, 1, 4), (2, 3, 4, 1), (3, 2, 4, 1), (3, 4, 2, 1)])))
-        out.append(_eq("cup 21*12", _wins(wd.cup_a(_el("A", 2, 1), _el("A", 1, 2))),
+        out.append(_eq("cup 21*12", _wins(wd.cup("A", _el("A", 2, 1), _el("A", 1, 2))),
                        sorted([(2, 1, 3, 4), (3, 1, 2, 4), (3, 2, 1, 4), (4, 1, 2, 3), (4, 2, 1, 3), (4, 3, 1, 2)])))
-        out.append(_eq("unshuffle 2431", _pairs(wd.unshuffle_a(_el("A", 2, 4, 3, 1))),
+        out.append(_eq("unshuffle 2431", _pairs(wd.unshuffle("A", _el("A", 2, 4, 3, 1))),
                        sorted([((), (2, 4, 3, 1)), ((1,), (3, 2, 1)), ((1, 2), (2, 1)),
                                ((1, 3, 2), (1,)), ((2, 4, 3, 1), ())])))
-        out.append(_eq("cap 2431", _pairs(wd.cap_a(_el("A", 2, 4, 3, 1))),
+        out.append(_eq("cap 2431", _pairs(wd.cap("A", _el("A", 2, 4, 3, 1))),
                        sorted([((), (2, 4, 3, 1)), ((1,), (1, 3, 2)), ((2, 1), (2, 1)),
                                ((2, 3, 1), (1,)), ((2, 4, 3, 1), ())])))
 
@@ -87,25 +87,25 @@ def suite_paper_examples(family: str | None = None, n: int | None = None) -> lis
         out.append(_eq("signed standardize word",
                        wd.standardize_signed((2, -4, 3, -2, 0, 2, 0, -2)).window,
                        (5, -8, 7, -4, 1, 6, 2, -3)))
-        out.append(_eq("shuffleB -1*21", _wins(wd.shuffle_b(_el("B", -1), _el("A", 2, 1))),
+        out.append(_eq("shuffleB -1*21", _wins(wd.shuffle("B", _el("B", -1), _el("A", 2, 1))),
                        sorted([(-1, 3, 2), (3, -1, 2), (3, 2, -1), (-1, -3, 2), (-3, -1, 2), (-3, 2, -1),
                                (-1, 2, -3), (2, -1, -3), (2, -3, -1), (-1, -2, -3), (-2, -1, -3), (-2, -3, -1)])))
-        out.append(_eq("cupB -1*21", _wins(wd.cup_b(_el("B", -1), _el("A", 2, 1))),
+        out.append(_eq("cupB -1*21", _wins(wd.cup("B", _el("B", -1), _el("A", 2, 1))),
                        sorted([(-1, 3, 2), (-2, 3, 1), (-3, 2, 1), (-1, 3, -2), (-2, 3, -1), (-3, 2, -1),
                                (-1, 2, -3), (-2, 1, -3), (-3, 1, -2), (-1, -2, -3), (-2, -1, -3), (-3, -1, -2)])))
-        out.append(_eq("unshuffleB 2,-4,-3,1", _pairs(wd.unshuffle_b(_el("B", 2, -4, -3, 1))),
+        out.append(_eq("unshuffleB 2,-4,-3,1", _pairs(wd.unshuffle("B", _el("B", 2, -4, -3, 1))),
                        sorted([((), (4, 1, 2, 3)), ((1,), (1, 2, 3)), ((1, -2), (1, 2)),
                                ((1, -3, -2), (1,)), ((2, -4, -3, 1), ())])))
-        out.append(_eq("capB 2,-4,-3,1", _pairs(wd.cap_b(_el("B", 2, -4, -3, 1))),
+        out.append(_eq("capB 2,-4,-3,1", _pairs(wd.cap("B", _el("B", 2, -4, -3, 1))),
                        sorted([((), (3, 4, 2, 1)), ((1,), (2, 3, 1)), ((2, 1), (1, 2)),
                                ((2, -3, 1), (1,)), ((2, -4, -3, 1), ())])))
-        out.append(_eq("shuffleBB -2,1*1,-2", _wins(wd.shuffle_bb(_el("B", -2, 1), _el("B", 1, -2))),
+        out.append(_eq("shuffleBB -2,1*1,-2", _wins(wd.shuffle("BB", _el("B", -2, 1), _el("B", 1, -2))),
                        sorted([(-2, 1, 3, -4), (-2, 3, 1, -4), (3, -2, 1, -4),
                                (-2, 3, -4, 1), (3, -2, -4, 1), (3, -4, -2, 1)])))
-        out.append(_eq("cupBB -2,1*1,-2", _wins(wd.cup_bb(_el("B", -2, 1), _el("B", 1, -2))),
+        out.append(_eq("cupBB -2,1*1,-2", _wins(wd.cup("BB", _el("B", -2, 1), _el("B", 1, -2))),
                        sorted([(-2, 1, 3, -4), (-3, 1, 2, -4), (-3, 2, 1, -4),
                                (-4, 1, 2, -3), (-4, 2, 1, -3), (-4, 3, 1, -2)])))
-        out.append(_eq("unshuffleBB -2,4,-3,1", _pairs(wd.unshuffle_bb(_el("B", -2, 4, -3, 1))),
+        out.append(_eq("unshuffleBB -2,4,-3,1", _pairs(wd.unshuffle("BB", _el("B", -2, 4, -3, 1))),
                        sorted([((), (-2, 4, -3, 1)), ((-1,), (3, -2, 1)), ((-1, 2), (-2, 1)),
                                ((-1, 3, -2), (1,)), ((-2, 4, -3, 1), ())])))
         b2 = CoxeterSystem("B", 2)
@@ -132,15 +132,15 @@ def suite_paper_examples(family: str | None = None, n: int | None = None) -> lis
                        (4, 3, -2, -6, 5, 1)))
         out.append(_eq("even standardize right", wd.standardize_even_right((2, 1, -1, -3, 2, -1)).window,
                        (-4, 3, -2, -6, 5, -1)))
-        out.append(_eq("shuffleD -2,3,-1*1", _wins(wd.shuffle_d(_el("D", -2, 3, -1), _el("A", 1))),
+        out.append(_eq("shuffleD -2,3,-1*1", _wins(wd.shuffle("D", _el("D", -2, 3, -1), _el("A", 1))),
                        sorted([(-2, 3, -1, 4), (-2, 3, 4, -1), (-2, 4, 3, -1), (4, -2, 3, -1),
                                (2, 3, -1, -4), (2, 3, -4, -1), (2, -4, 3, -1), (-4, 2, 3, -1)])))
-        out.append(_eq("cupD -2,3,-1*1", _wins(wd.cup_d(_el("D", -2, 3, -1), _el("A", 1))),
+        out.append(_eq("cupD -2,3,-1*1", _wins(wd.cup("D", _el("D", -2, 3, -1), _el("A", 1))),
                        sorted([(-2, 3, -1, 4), (-2, 4, -1, 3), (-3, 4, -1, 2), (-3, 4, -2, 1),
                                (-2, 3, 1, -4), (-2, 4, 1, -3), (-3, 4, 1, -2), (-3, 4, 2, -1)])))
-        out.append(_eq("unshuffleD 2,-4,-3,1", _pairs(wd.unshuffle_d(_el("D", 2, -4, -3, 1))),
+        out.append(_eq("unshuffleD 2,-4,-3,1", _pairs(wd.unshuffle("D", _el("D", 2, -4, -3, 1))),
                        sorted([((-1, -2), (1, 2)), ((1, -3, -2), (1,)), ((2, -4, -3, 1), ())])))
-        out.append(_eq("capD 2,-4,-3,1", _pairs(wd.cap_d(_el("D", 2, -4, -3, 1))),
+        out.append(_eq("capD 2,-4,-3,1", _pairs(wd.cap("D", _el("D", 2, -4, -3, 1))),
                        sorted([((2, 1), (1, 2)), ((-2, -3, 1), (1,)), ((2, -4, -3, 1), ())])))
         d5 = CoxeterSystem("D", 5)
         p, c = parabolic_decompose_right(d5.element([2, -5, 1, -3, 4]), frozenset([0, 1, 2, 4]))
@@ -296,17 +296,20 @@ def _block_pair(p, m: int):
     return head, tail
 
 
-def _bialgebra_sides(u, v, product, coproduct, second, second_coproduct):
-    """Delta(u v) and Delta(u) Delta(v): u v is ``product`` of u's flavor, split by
-    ``coproduct``, and (a1, a2)(b1, b2) is product(a1, b1) (x) second(a2, b2)."""
+def _bialgebra_sides(shuffle, unshuffle, u, v, flavor: str, second: str):
+    """Delta(u v) and Delta(u) Delta(v): u v is the ``flavor`` shuffle product,
+    split by its unshuffle, v is split by the ``second`` unshuffle, and
+    (a1, a2)(b1, b2) is the ``flavor`` product of a1, b1 (x) the ``second``
+    product of a2, b2.  ``shuffle`` and ``unshuffle`` are the run's memos of
+    :func:`words.shuffle` and :func:`words.unshuffle`."""
     lhs = FormalVector(kind="pair")
-    for w, c in product(u, v).terms.items():
-        lhs += coproduct(w).scale(c)
+    for w, c in shuffle(flavor, u, v).terms.items():
+        lhs += unshuffle(flavor, w).scale(c)
     rhs = FormalVector(kind="pair")
-    for (a1, a2), c1 in coproduct(u).terms.items():
-        for (b1, b2), c2 in second_coproduct(v).terms.items():
-            for x1, d1 in product(a1, b1).terms.items():
-                for x2, d2 in second(a2, b2).terms.items():
+    for (a1, a2), c1 in unshuffle(flavor, u).terms.items():
+        for (b1, b2), c2 in unshuffle(second, v).terms.items():
+            for x1, d1 in shuffle(flavor, a1, b1).terms.items():
+                for x2, d2 in shuffle(second, a2, b2).terms.items():
                     rhs += FormalVector.basis((x1, x2), c1 * c2 * d1 * d2, kind="pair")
     return lhs, rhs
 
@@ -315,32 +318,25 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     del family, n
     out: list[Check] = []
     # The checks meet the same operands many times and only read what they
-    # get back, so each (co)product and each graded split of a coproduct is
-    # evaluated once per run; the memo goes with the run.
-    shuffle_a, cup_a, unshuffle_a, cap_a = map(
-        functools.cache, (wd.shuffle_a, wd.cup_a, wd.unshuffle_a, wd.cap_a))
-    shuffle_b, cup_b, unshuffle_b, cap_b = map(
-        functools.cache, (wd.shuffle_b, wd.cup_b, wd.unshuffle_b, wd.cap_b))
-    shuffle_d, cup_d = map(functools.cache, (wd.shuffle_d, wd.cup_d))
-    shuffle_bb, cup_bb, unshuffle_bb = map(
-        functools.cache, (wd.shuffle_bb, wd.cup_bb, wd.unshuffle_bb))
-    graded = functools.cache(lambda coproduct, w: sr.graded_pieces(coproduct(w)))
+    # get back, so each (co)product and each graded split of a signed
+    # coproduct is evaluated once per run; the memo goes with the run.
+    shuffle, cup, unshuffle, cap = map(functools.cache, (wd.shuffle, wd.cup, wd.unshuffle, wd.cap))
+    graded = functools.cache(lambda coproduct, w: sr.graded_pieces(coproduct("B", w)))
 
-    for name, fam, sizes, shuffle, cup in (
+    for name, flavor, sizes in (
             ("signed products agree with coset-rep maps", "B",
-             ((1, 2), (2, 1), (2, 2), (0, 2), (2, 0)), shuffle_b, cup_b),
-            ("even-signed products agree with coset-rep maps", "D",
-             ((2, 1), (2, 2), (3, 1)), shuffle_d, cup_d)):
+             ((1, 2), (2, 1), (2, 2), (0, 2), (2, 0))),
+            ("even-signed products agree with coset-rep maps", "D", ((2, 1), (2, 2), (3, 1)))):
         ok = True
         for m, k in sizes:
-            system = CoxeterSystem(fam, m + k)
+            system = CoxeterSystem(flavor, m + k)
             I = frozenset(range(m + k)) - {m}
-            for u in elements(CoxeterSystem(fam, m)):
+            for u in elements(CoxeterSystem(flavor, m)):
                 for v in elements(CoxeterSystem("A", k)):
-                    x = gm.element_vector(wd.FLAVORS[fam].embed(u, v))
-                    if shuffle(u, v) != gm.induce_right(system, I, x):
+                    x = gm.element_vector(wd.FLAVORS[flavor].embed(u, v))
+                    if shuffle(flavor, u, v) != gm.induce_right(system, I, x):
                         ok = False
-                    if cup(u, v) != gm.induce_left(system, I, x):
+                    if cup(flavor, u, v) != gm.induce_left(system, I, x):
                         ok = False
         out.append(_check(name, ok))
 
@@ -351,8 +347,7 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
             I = frozenset(range(total)) - {m}
             for w in elements(system):
                 xw = gm.element_vector(w)
-                for coproduct, restrict in ((cap_b, gm.restrict_right),
-                                            (unshuffle_b, gm.restrict_left)):
+                for coproduct, restrict in ((cap, gm.restrict_right), (unshuffle, gm.restrict_left)):
                     (part,) = restrict(system, I, xw).support()
                     piece = graded(coproduct, w).get(m, FormalVector(kind="pair"))
                     if piece != FormalVector.basis(_block_pair(part, m), kind="pair"):
@@ -364,8 +359,8 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
         for u in elements(CoxeterSystem("B", mu)):
             for v in elements(CoxeterSystem("A", mv)):
                 for r in elements(CoxeterSystem("A", mr)):
-                    lhs = cup_b(u, v).map_to_vectors(lambda w: cup_b(w, r), kind="element")
-                    rhs = cup_a(v, r).map_to_vectors(lambda x: cup_b(u, x), kind="element")
+                    lhs = cup("B", u, v).map_to_vectors(lambda w: cup("B", w, r), kind="element")
+                    rhs = cup("A", v, r).map_to_vectors(lambda x: cup("B", u, x), kind="element")
                     if lhs != rhs:
                         ok = False
     out.append(_check("signed module associativity", ok))
@@ -374,23 +369,22 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     for total in (2, 3):
         for w in elements(CoxeterSystem("B", total)):
             left, right = FormalVector(kind="triple"), FormalVector(kind="triple")
-            for (a, b), c in cap_b(w).terms.items():
-                for (a1, a2), c2 in cap_b(a).terms.items():
+            for (a, b), c in cap("B", w).terms.items():
+                for (a1, a2), c2 in cap("B", a).terms.items():
                     left += FormalVector.basis((a1, a2, b), c * c2, kind="triple")
-                for (b1, b2), c2 in cap_a(b).terms.items():
+                for (b1, b2), c2 in cap("A", b).terms.items():
                     right += FormalVector.basis((a, b1, b2), c * c2, kind="triple")
             if left != right:
                 ok = False
     out.append(_check("signed comodule coassociativity", ok))
 
-    for name, right, total, shuffle, cup in (
-            ("inversion swaps the two signed products", "A", 4, shuffle_b, cup_b),
-            ("sign-shifted products exchanged by inversion", "B", 3, shuffle_bb, cup_bb)):
+    for name, flavor, total in (("inversion swaps the two signed products", "B", 4),
+                                ("sign-shifted products exchanged by inversion", "BB", 3)):
         ok = True
         for m, k in _sizes(total, 2):
             for u in elements(CoxeterSystem("B", m)):
-                for v in elements(CoxeterSystem(right, k)):
-                    if gm.invert_vector(cup(u, v)) != shuffle(u.inverse(), v.inverse()):
+                for v in elements(CoxeterSystem(wd.FLAVORS[flavor].right, k)):
+                    if gm.invert_vector(cup(flavor, u, v)) != shuffle(flavor, u.inverse(), v.inverse()):
                         ok = False
         out.append(_check(name, ok))
 
@@ -398,15 +392,15 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     for mu, mv in _sizes(3, 2):
         for u in elements(CoxeterSystem("B", mu)):
             for v in elements(CoxeterSystem("A", mv)):
-                prod = shuffle_b(u, v)
+                prod = shuffle("B", u, v)
                 for w in elements(CoxeterSystem("B", mu + mv)):
-                    comp = graded(cap_b, w).get(mu, FormalVector(kind="pair"))
+                    comp = graded(cap, w).get(mu, FormalVector(kind="pair"))
                     if prod.terms.get(w, 0) != comp.terms.get((u, v), 0):
                         ok = False
     out.append(_check("product/coproduct duality on all triples", ok))
 
-    lhs, rhs = _bialgebra_sides(CoxeterSystem("B", 1).element([1]), CoxeterSystem("A", 1).element([1]),
-                                shuffle_b, unshuffle_b, shuffle_a, unshuffle_a)
+    lhs, rhs = _bialgebra_sides(shuffle, unshuffle, CoxeterSystem("B", 1).element([1]),
+                                CoxeterSystem("A", 1).element([1]), "B", "A")
     out.append(_check("coproduct of a product differs (no bialgebra law)", lhs != rhs))
 
     ok = True
@@ -414,8 +408,7 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
         for m in range(total + 1):
             for u in elements(CoxeterSystem("B", m)):
                 for v in elements(CoxeterSystem("B", total - m)):
-                    lhs, rhs = _bialgebra_sides(u, v, shuffle_bb, unshuffle_bb,
-                                                shuffle_bb, unshuffle_bb)
+                    lhs, rhs = _bialgebra_sides(shuffle, unshuffle, u, v, "BB", "BB")
                     if lhs != rhs:
                         ok = False
     out.append(_check("sign-shifted bialgebra compatibility (sizes <= 3)", ok))

@@ -8,27 +8,34 @@ formal sums of group elements:
 * ``D``  : even-signed permutations with permutations (module/comodule),
 * ``BB`` : signed with signed via the sign-shifted embedding (Hopf).
 
-They are one construction, read from the table :data:`FLAVORS`.  With x
-the block embedding of (u, v) and z running over the minimal "two-run"
-coset representatives of the block subgroup W_m x W_n of W_{m+n}, the
-shuffle product is the sum of x z^{-1} and the cup product the sum of
-z x.  The representatives of each (family, m + n, m) are built once and
-kept in one cache, :func:`_two_run_table`, as plain tuples: z's signed
-lookup table and z^{-1}'s index tuple, the two halves of a composition
-of windows (see ``_lookup``).  A product composes x's window with every
-representative on these tuples and builds its result dict once: distinct
-representatives give distinct terms, so every coefficient is 1.  The coproducts split a
+They are one construction, read from the table :data:`FLAVORS`, and four
+functions carry it out, each taking the flavor as its first argument: the
+products :func:`shuffle` and :func:`cup` and the coproducts
+:func:`unshuffle` and :func:`cap`.  With x the block embedding of (u, v)
+and z running over the minimal "two-run" coset representatives of the
+block subgroup W_m x W_n of W_{m+n}, the shuffle product is the sum of
+x z^{-1} and the cup product the sum of z x.  The representatives of each
+(family, m + n, m) are built once and kept in one cache,
+:func:`_two_run_table`, as plain tuples: z's signed lookup table and
+z^{-1}'s index tuple, the two halves of a composition of windows (see
+``_lookup``).  A product composes x's window with every representative on
+these tuples and builds its result dict once: distinct representatives
+give distinct terms, so every coefficient is 1.  The coproducts split a
 window into standardized prefix and suffix pieces; the prefixes of the
 splits differ in size, so these terms are distinct too.  Products return
-element vectors and coproducts vectors keyed by ordered pairs.  The
-empty window is a legal operand.  An operand of the wrong family raises
+element vectors and coproducts vectors keyed by ordered pairs.  The empty
+window is a legal operand.  An operand of the wrong family raises
 ValueError.
+
+:data:`PRODUCTS` and :data:`COPRODUCTS` bind the flavor under the sixteen
+command-line names: ``shuffleB`` is :func:`shuffle` of flavor ``B`` and,
+as a coproduct, :func:`unshuffle`; ``cupB`` is :func:`cup` and :func:`cap`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .freemodule import FormalVector
@@ -236,7 +243,7 @@ def _distinct_sum(keys: list, kind: str) -> FormalVector:
     return FormalVector(kind=kind)._with_terms(dict.fromkeys(keys, 1))
 
 
-def _shuffle(flavor: str, u: Element, v: Element) -> FormalVector:
+def shuffle(flavor: str, u: Element, v: Element) -> FormalVector:
     """The sum of x z^{-1} over the two-run representatives z."""
     f = _flavor(flavor, u, v)
     x = f.embed(u, v)
@@ -246,7 +253,7 @@ def _shuffle(flavor: str, u: Element, v: Element) -> FormalVector:
         [_trusted_element(system, tuple(map(at, zinv))) for zinv in inverses], "element")
 
 
-def _cup(flavor: str, u: Element, v: Element) -> FormalVector:
+def cup(flavor: str, u: Element, v: Element) -> FormalVector:
     """The sum of z x over the two-run representatives z."""
     f = _flavor(flavor, u, v)
     x = f.embed(u, v)
@@ -256,7 +263,7 @@ def _cup(flavor: str, u: Element, v: Element) -> FormalVector:
         [_trusted_element(system, tuple(map(z.__getitem__, xs))) for z in lookups], "element")
 
 
-def _unshuffle(flavor: str, u: Element) -> FormalVector:
+def unshuffle(flavor: str, u: Element) -> FormalVector:
     """Sum of the standardized (prefix, suffix) splits of the window; the
     splits have prefixes of distinct sizes, so the pairs are distinct."""
     f = _flavor(flavor, u)
@@ -267,9 +274,9 @@ def _unshuffle(flavor: str, u: Element) -> FormalVector:
     )
 
 
-def _cap(flavor: str, u: Element) -> FormalVector:
+def cap(flavor: str, u: Element) -> FormalVector:
     """Sum over splits of (the small letters, the other letters), standardized;
-    the prefixes have distinct sizes, as in :func:`_unshuffle`."""
+    the prefixes have distinct sizes, as in :func:`unshuffle`."""
     f = _flavor(flavor, u)
     a = u.window
     n = len(a)
@@ -283,92 +290,8 @@ def _cap(flavor: str, u: Element) -> FormalVector:
     )
 
 
-# -- the sixteen named (co)products ------------------------------------------------
-
-
-def shuffle_a(u: Element, v: Element) -> FormalVector:
-    return _shuffle("A", u, v)
-
-
-def cup_a(u: Element, v: Element) -> FormalVector:
-    return _cup("A", u, v)
-
-
-def unshuffle_a(u: Element) -> FormalVector:
-    return _unshuffle("A", u)
-
-
-def cap_a(u: Element) -> FormalVector:
-    return _cap("A", u)
-
-
-def shuffle_b(u: Element, v: Element) -> FormalVector:
-    return _shuffle("B", u, v)
-
-
-def cup_b(u: Element, v: Element) -> FormalVector:
-    return _cup("B", u, v)
-
-
-def unshuffle_b(u: Element) -> FormalVector:
-    return _unshuffle("B", u)
-
-
-def cap_b(u: Element) -> FormalVector:
-    return _cap("B", u)
-
-
-def shuffle_d(u: Element, v: Element) -> FormalVector:
-    return _shuffle("D", u, v)
-
-
-def cup_d(u: Element, v: Element) -> FormalVector:
-    return _cup("D", u, v)
-
-
-def unshuffle_d(u: Element) -> FormalVector:
-    return _unshuffle("D", u)
-
-
-def cap_d(u: Element) -> FormalVector:
-    return _cap("D", u)
-
-
-def shuffle_bb(u: Element, v: Element) -> FormalVector:
-    return _shuffle("BB", u, v)
-
-
-def cup_bb(u: Element, v: Element) -> FormalVector:
-    return _cup("BB", u, v)
-
-
-def unshuffle_bb(u: Element) -> FormalVector:
-    return _unshuffle("BB", u)
-
-
-def cap_bb(u: Element) -> FormalVector:
-    return _cap("BB", u)
-
-
-PRODUCTS = {
-    "shuffleA": shuffle_a,
-    "cupA": cup_a,
-    "shuffleB": shuffle_b,
-    "cupB": cup_b,
-    "shuffleD": shuffle_d,
-    "cupD": cup_d,
-    "shuffleBB": shuffle_bb,
-    "cupBB": cup_bb,
-}
-
-COPRODUCTS = {
-    "shuffleA": unshuffle_a,
-    "cupA": cap_a,
-    "shuffleB": unshuffle_b,
-    "cupB": cap_b,
-    "shuffleD": unshuffle_d,
-    "cupD": cap_d,
-    "shuffleBB": unshuffle_bb,
-    "cupBB": cap_bb,
-}
-
+#: The sixteen (co)products by command-line name (see the module docstring).
+PRODUCTS = {f"{kind}{name}": partial(op, name)
+            for name in FLAVORS for kind, op in (("shuffle", shuffle), ("cup", cup))}
+COPRODUCTS = {f"{kind}{name}": partial(op, name)
+              for name in FLAVORS for kind, op in (("shuffle", unshuffle), ("cup", cap))}

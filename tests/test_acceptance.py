@@ -298,20 +298,20 @@ def test_criterion_11_sign_shifted_hopf_checks():
         for u in elements(CoxeterSystem("B", ma)):
             for v in elements(CoxeterSystem("B", mb)):
                 for r in elements(CoxeterSystem("B", mc)):
-                    lhs = wd.shuffle_bb(u, v).map_to_vectors(
-                        lambda w: wd.shuffle_bb(w, r), kind="element")
-                    rhs = wd.shuffle_bb(v, r).map_to_vectors(
-                        lambda x: wd.shuffle_bb(u, x), kind="element")
+                    lhs = wd.shuffle("BB", u, v).map_to_vectors(
+                        lambda w: wd.shuffle("BB", w, r), kind="element")
+                    rhs = wd.shuffle("BB", v, r).map_to_vectors(
+                        lambda x: wd.shuffle("BB", u, x), kind="element")
                     assert lhs == rhs
     for total in (2, 3):
         for w in elements(CoxeterSystem("B", total)):
             left = FormalVector(kind="triple")
-            for (a, b), c in wd.unshuffle_bb(w).terms.items():
-                for (a1, a2), c2 in wd.unshuffle_bb(a).terms.items():
+            for (a, b), c in wd.unshuffle("BB", w).terms.items():
+                for (a1, a2), c2 in wd.unshuffle("BB", a).terms.items():
                     left = left + FormalVector.basis((a1, a2, b), c * c2, kind="triple")
             right = FormalVector(kind="triple")
-            for (a, b), c in wd.unshuffle_bb(w).terms.items():
-                for (b1, b2), c2 in wd.unshuffle_bb(b).terms.items():
+            for (a, b), c in wd.unshuffle("BB", w).terms.items():
+                for (b1, b2), c2 in wd.unshuffle("BB", b).terms.items():
                     right = right + FormalVector.basis((a, b1, b2), c * c2, kind="triple")
             assert left == right
     for total in (2, 3):
@@ -319,29 +319,29 @@ def test_criterion_11_sign_shifted_hopf_checks():
             for u in elements(CoxeterSystem("B", m)):
                 for v in elements(CoxeterSystem("B", total - m)):
                     lhs = FormalVector(kind="pair")
-                    for w, c in wd.shuffle_bb(u, v).terms.items():
-                        lhs = lhs + wd.unshuffle_bb(w).scale(c)
+                    for w, c in wd.shuffle("BB", u, v).terms.items():
+                        lhs = lhs + wd.unshuffle("BB", w).scale(c)
                     rhs = FormalVector(kind="pair")
-                    for (a1, a2), c1 in wd.unshuffle_bb(u).terms.items():
-                        for (b1, b2), c2 in wd.unshuffle_bb(v).terms.items():
-                            for x1, cx1 in wd.shuffle_bb(a1, b1).terms.items():
-                                for x2, cx2 in wd.shuffle_bb(a2, b2).terms.items():
+                    for (a1, a2), c1 in wd.unshuffle("BB", u).terms.items():
+                        for (b1, b2), c2 in wd.unshuffle("BB", v).terms.items():
+                            for x1, cx1 in wd.shuffle("BB", a1, b1).terms.items():
+                                for x2, cx2 in wd.shuffle("BB", a2, b2).terms.items():
                                     rhs = rhs + FormalVector.basis(
                                         (x1, x2), c1 * c2 * cx1 * cx2, kind="pair")
                     assert lhs == rhs
-                    assert gm.invert_vector(wd.shuffle_bb(u, v)) \
-                        == wd.cup_bb(u.inverse(), v.inverse())
+                    assert gm.invert_vector(wd.shuffle("BB", u, v)) \
+                        == wd.cup("BB", u.inverse(), v.inverse())
     # the mixed signed-with-plain pair must FAIL the compatibility law
     b1 = CoxeterSystem("B", 1).element([1])
     a1 = CoxeterSystem("A", 1).element([1])
     lhs = FormalVector(kind="pair")
-    for w, c in wd.shuffle_b(b1, a1).terms.items():
-        lhs = lhs + wd.unshuffle_b(w).scale(c)
+    for w, c in wd.shuffle("B", b1, a1).terms.items():
+        lhs = lhs + wd.unshuffle("B", w).scale(c)
     rhs = FormalVector(kind="pair")
-    for (x1, x2), c1 in wd.unshuffle_b(b1).terms.items():
-        for (y1, y2), c2 in wd.unshuffle_a(a1).terms.items():
-            for z1, cz1 in wd.shuffle_b(x1, y1).terms.items():
-                for z2, cz2 in wd.shuffle_a(x2, y2).terms.items():
+    for (x1, x2), c1 in wd.unshuffle("B", b1).terms.items():
+        for (y1, y2), c2 in wd.unshuffle("A", a1).terms.items():
+            for z1, cz1 in wd.shuffle("B", x1, y1).terms.items():
+                for z2, cz2 in wd.shuffle("A", x2, y2).terms.items():
                     rhs = rhs + FormalVector.basis((z1, z2), c1 * c2 * cz1 * cz2, kind="pair")
     assert lhs != rhs
     _report(11, "sign-shifted Hopf laws and the negative witness")

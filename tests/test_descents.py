@@ -157,6 +157,11 @@ class TestIntervalCriterion:
         assert sym_restrict(B3, I, sym_basis(K)) == FormalVector(kind="sym")
         for z in min_coset_reps(B3, I, "right"):
             assert class_rep_bounds(z, I, K) is None
+        # the dual maps send such keys to 0 too, or their adjunctions with
+        # sigma_induce and sigma_restrict would fail on them
+        assert sigma_star_restrict(B3, I, sigma_star_basis(K)) == FormalVector(kind="sigma_star")
+        assert sigma_star_induce(B3, I | {99}, sigma_star_basis(frozenset({99}))) \
+            == FormalVector(kind="sigma_star")
 
     def test_class_rep_bounds_refuses_a_non_representative(self):
         # the public walk checks that z has no left descent in the subset

@@ -325,6 +325,59 @@ def test_scanner_flags_a_family_read():
     ]
 
 
+def private_reads(fname: str, source: str, package: set[str]) -> list[str]:
+    """Each private name of another module of ``package`` (module names)
+    that the module ``fname`` imports, or reads as an attribute of a name
+    bound to that module."""
+    tree = ast.parse(source)
+    aliases: dict[str, str] = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.level or (node.module or "").split(".")[0] == "coxkit"):
+            module = (node.module or "").removeprefix("coxkit").removeprefix(".")
+            if not module:
+                aliases |= {alias.asname or alias.name: alias.name for alias in node.names
+                            if alias.name in package}
+            elif module in package:
+                found += [(module, alias.name) for alias in node.names if _is_private(alias.name)]
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname: alias.name.removeprefix("coxkit.") for alias in node.names
+                        if alias.asname and alias.name.removeprefix("coxkit.") in package}
+    found += [(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and _is_private(node.attr)]
+    own = fname.removesuffix(".py")
+    return sorted({f"{fname}: {module}.{name}" for module, name in found if module != own})
+
+
+def test_scanner_flags_a_private_read():
+    package = {"systems", "words", "series"}
+    series = ("from .words import FLAVORS, _shuffle\nfrom . import systems as sy\n"
+              "from coxkit.systems import _store\nimport coxkit.words as wd\n\n\n"
+              "def f(u):\n    return sy._root_table, sy.elements, wd._flavor, u._private\n")
+    words = "from .systems import _trusted_element\n\n\ndef _flavor():\n    return _flavor\n"
+    assert private_reads("series.py", series, package) == [
+        "series.py: systems._root_table", "series.py: systems._store",
+        "series.py: words._flavor", "series.py: words._shuffle"]
+    assert private_reads("words.py", words, package) == ["words.py: systems._trusted_element"]
+    assert private_reads("systems.py", "from .systems import _store\n", package) == []
+
+
+#: The private names one module may read of another, each documented in the
+#: README: the trusted constructor, the cap-checking cache, the group table's
+#: first stage and the root table.
+PRIVATE_READS = {"words.py: systems._trusted_element", "descents.py: systems._capped_cache",
+                 "descents.py: systems._lex_table", "hecke.py: systems._root_table"}
+
+
+def test_no_module_reads_another_modules_private_names():
+    package = {path.stem for path in SRC.glob("*.py")}
+    reads = [read for path in sorted(SRC.glob("*.py"))
+             for read in private_reads(path.name, path.read_text(), package)]
+    assert [read for read in reads if read not in PRIVATE_READS] == []
+
+
 #: The functions that read each family's type off its roots alone.  In the
 #: group enumeration only the window generator, ``systems._lex_windows``, may;
 #: the parabolic facts read the parabolic's roots alone.

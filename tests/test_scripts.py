@@ -106,3 +106,17 @@ def test_bench_pairs_compiles_both_checkouts_before_any_run(tmp_path, monkeypatc
     out = json.loads(capsys.readouterr().out)
     assert out["compiled"] == {"parent": ["src", "perfbench"], "change": ["src", "perfbench"]}
     assert out["summary"]["w"]["pairs"] == 2
+
+
+def test_bench_reach_counts_each_task_of_one_workload():
+    before = sorted((ROOT / "perfbench").rglob("*"))
+    proc = _run("scripts/bench_reach.py", "cli.main", "descents.c_matrix", "words.shuffle",
+                "--workload", "tables-cold")
+    assert proc.returncode == 0, proc.stderr
+    tasks = json.loads(proc.stdout)["tables-cold"]
+    assert len(tasks) == 9
+    # each task is one command; only the c tables build c_matrix, and no
+    # table multiplies words
+    assert all(calls == {"cli.main": 1, "descents.c_matrix": int(name.endswith(" c")),
+                         "words.shuffle": 0} for name, calls in tasks.items())
+    assert sorted((ROOT / "perfbench").rglob("*")) == before

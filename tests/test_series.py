@@ -68,12 +68,11 @@ from coxkit.systems import (
     word_cube,
 )
 from coxkit.words import (
-    cap_b,
+    cap,
     standardize,
     standardize_even_left,
     standardize_signed,
-    unshuffle_b,
-    unshuffle_d,
+    unshuffle,
 )
 from oracles import (
     ORACLE_SYSTEMS,
@@ -803,7 +802,7 @@ class TestActionsAndCoactions:
             system = CoxeterSystem("B", k)
             acc = None
             for w in descent_class(system, frozenset()):
-                term = cap_b(w)
+                term = cap("B", w)
                 acc = term if acc is None else acc + term
             expected = None
             for i in range(k + 1):
@@ -820,7 +819,7 @@ class TestActionsAndCoactions:
             got = sorted(
                 (composition_from_descents(a.system, a.descent_set()),
                  composition_from_descents(b.system, b.descent_set()))
-                for (a, b) in unshuffle_b(w).terms)
+                for (a, b) in unshuffle("B", w).terms)
             assert got == sorted(split_fundamental_b(alpha))
 
     def test_coaction_splits_match_composition_splits_d(self):
@@ -829,7 +828,7 @@ class TestActionsAndCoactions:
             got = sorted(
                 (composition_from_descents(a.system, a.descent_set()),
                  composition_from_descents(b.system, b.descent_set()))
-                for (a, b) in unshuffle_d(w).terms)
+                for (a, b) in unshuffle("D", w).terms)
             assert got == sorted(split_fundamental_d(alpha))
 
     def test_polynomial_coaction_identity_b(self):

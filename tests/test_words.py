@@ -9,31 +9,21 @@ from coxkit.groupmaps import element_vector, induce_left, induce_right, invert_v
 from coxkit.series import graded_pieces
 from coxkit.systems import CoxeterSystem, elements, min_coset_reps
 from coxkit.words import (
+    COPRODUCTS,
     FLAVORS,
     PRODUCTS,
     abs_restrict,
-    cap_a,
-    cap_b,
-    cap_d,
+    cap,
     cross_a,
     cross_bb,
-    cup_a,
-    cup_b,
-    cup_bb,
-    cup_d,
+    cup,
     hat_word,
-    shuffle_a,
-    shuffle_b,
-    shuffle_bb,
-    shuffle_d,
+    shuffle,
     standardize,
     standardize_even_left,
     standardize_even_right,
     standardize_signed,
-    unshuffle_a,
-    unshuffle_b,
-    unshuffle_bb,
-    unshuffle_d,
+    unshuffle,
 )
 from oracles import two_run_reps
 
@@ -141,42 +131,42 @@ class TestStandardizeEven:
 
 class TestTypeAProducts:
     def test_shuffle_example(self):
-        got = wins(shuffle_a(A(2, 1), A(1, 2)))
+        got = wins(shuffle("A", A(2, 1), A(1, 2)))
         assert got == sorted([(2, 1, 3, 4), (2, 3, 1, 4), (3, 2, 1, 4),
                               (2, 3, 4, 1), (3, 2, 4, 1), (3, 4, 2, 1)])
 
     def test_cup_example(self):
-        got = wins(cup_a(A(2, 1), A(1, 2)))
+        got = wins(cup("A", A(2, 1), A(1, 2)))
         assert got == sorted([(2, 1, 3, 4), (3, 1, 2, 4), (3, 2, 1, 4),
                               (4, 1, 2, 3), (4, 2, 1, 3), (4, 3, 1, 2)])
 
     def test_unshuffle_example(self):
-        got = pairs(unshuffle_a(A(2, 4, 3, 1)))
+        got = pairs(unshuffle("A", A(2, 4, 3, 1)))
         assert got == sorted([((), (2, 4, 3, 1)), ((1,), (3, 2, 1)), ((1, 2), (2, 1)),
                               ((1, 3, 2), (1,)), ((2, 4, 3, 1), ())])
 
     def test_cap_example(self):
-        got = pairs(cap_a(A(2, 4, 3, 1)))
+        got = pairs(cap("A", A(2, 4, 3, 1)))
         assert got == sorted([((), (2, 4, 3, 1)), ((1,), (1, 3, 2)), ((2, 1), (2, 1)),
                               ((2, 3, 1), (1,)), ((2, 4, 3, 1), ())])
 
     def test_unit_laws(self):
         e = CoxeterSystem("A", 0).identity()
         u = A(3, 1, 2)
-        assert wins(shuffle_a(u, e)) == [u.window]
-        assert wins(shuffle_a(e, u)) == [u.window]
-        assert wins(cup_a(u, e)) == [u.window]
+        assert wins(shuffle("A", u, e)) == [u.window]
+        assert wins(shuffle("A", e, u)) == [u.window]
+        assert wins(cup("A", u, e)) == [u.window]
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_cardinalities(self, m, n):
         for u in elements(CoxeterSystem("A", m)):
             for v in elements(CoxeterSystem("A", n)):
-                assert len(shuffle_a(u, v)) == comb(m + n, m)
-                assert len(cup_a(u, v)) == comb(m + n, m)
+                assert len(shuffle("A", u, v)) == comb(m + n, m)
+                assert len(cup("A", u, v)) == comb(m + n, m)
 
     def test_membership_characterization(self):
         u, v = A(2, 1), A(1, 2)
-        prod = shuffle_a(u, v)
+        prod = shuffle("A", u, v)
         for w in elements(CoxeterSystem("A", 4)):
             member = (abs_restrict(w.window, 1, 2) == u.window
                       and standardize(abs_restrict(w.window, 3, 4)).window == v.window)
@@ -185,44 +175,44 @@ class TestTypeAProducts:
 
 class TestTypeBProducts:
     def test_shuffle_example(self):
-        got = wins(shuffle_b(B(-1), A(2, 1)))
+        got = wins(shuffle("B", B(-1), A(2, 1)))
         assert got == sorted([(-1, 3, 2), (3, -1, 2), (3, 2, -1),
                               (-1, -3, 2), (-3, -1, 2), (-3, 2, -1),
                               (-1, 2, -3), (2, -1, -3), (2, -3, -1),
                               (-1, -2, -3), (-2, -1, -3), (-2, -3, -1)])
 
     def test_cup_example(self):
-        got = wins(cup_b(B(-1), A(2, 1)))
+        got = wins(cup("B", B(-1), A(2, 1)))
         assert got == sorted([(-1, 3, 2), (-2, 3, 1), (-3, 2, 1),
                               (-1, 3, -2), (-2, 3, -1), (-3, 2, -1),
                               (-1, 2, -3), (-2, 1, -3), (-3, 1, -2),
                               (-1, -2, -3), (-2, -1, -3), (-3, -1, -2)])
 
     def test_unshuffle_example(self):
-        got = pairs(unshuffle_b(B(2, -4, -3, 1)))
+        got = pairs(unshuffle("B", B(2, -4, -3, 1)))
         assert got == sorted([((), (4, 1, 2, 3)), ((1,), (1, 2, 3)), ((1, -2), (1, 2)),
                               ((1, -3, -2), (1,)), ((2, -4, -3, 1), ())])
 
     def test_cap_example(self):
-        got = pairs(cap_b(B(2, -4, -3, 1)))
+        got = pairs(cap("B", B(2, -4, -3, 1)))
         assert got == sorted([((), (3, 4, 2, 1)), ((1,), (2, 3, 1)), ((2, 1), (1, 2)),
                               ((2, -3, 1), (1,)), ((2, -4, -3, 1), ())])
 
     def test_unit_law(self):
         u = B(2, -3, 1)
         e = CoxeterSystem("A", 0).identity()
-        assert wins(shuffle_b(u, e)) == [u.window]
+        assert wins(shuffle("B", u, e)) == [u.window]
 
     @pytest.mark.parametrize("m,n", [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
     def test_cardinality(self, m, n):
         for u in elements(CoxeterSystem("B", m)):
             for v in elements(CoxeterSystem("A", n)):
-                assert len(shuffle_b(u, v)) == comb(m + n, m) * 2**n
-                assert len(cup_b(u, v)) == comb(m + n, m) * 2**n
+                assert len(shuffle("B", u, v)) == comb(m + n, m) * 2**n
+                assert len(cup("B", u, v)) == comb(m + n, m) * 2**n
 
     def test_membership_characterization(self):
         u, v = B(-1), A(2, 1)
-        prod = shuffle_b(u, v)
+        prod = shuffle("B", u, v)
         for w in elements(CoxeterSystem("B", 3)):
             member = (abs_restrict(w.window, 1, 1) == u.window
                       and standardize(abs_restrict(hat_word(w.window), 2, 3)).window == v.window)
@@ -234,8 +224,8 @@ class TestTypeBProducts:
         for u in elements(CoxeterSystem("B", 1)):
             for v in elements(CoxeterSystem("A", 2)):
                 x = element_vector(cross_a(u, v))
-                assert shuffle_b(u, v) == induce_right(system, I, x)
-                assert cup_b(u, v) == induce_left(system, I, x)
+                assert shuffle("B", u, v) == induce_right(system, I, x)
+                assert cup("B", u, v) == induce_left(system, I, x)
 
     def test_factorization_components(self):
         # unique block factorization: every w determines its pieces by
@@ -244,7 +234,7 @@ class TestTypeBProducts:
         for w in elements(CoxeterSystem("B", 3)):
             u = B(*abs_restrict(w.window, 1, m))
             v = standardize(abs_restrict(hat_word(w.window), m + 1, m + n))
-            assert w in shuffle_b(u, v).terms
+            assert w in shuffle("B", u, v).terms
             winv = w.inverse()
             u2 = standardize_signed(winv.window[:m])
             v2 = standardize(winv.window[m:])
@@ -295,21 +285,21 @@ class TestUniqueFactorizationD:
 
 class TestTypeDProducts:
     def test_shuffle_example(self):
-        got = wins(shuffle_d(D(-2, 3, -1), A(1)))
+        got = wins(shuffle("D", D(-2, 3, -1), A(1)))
         assert got == sorted([(-2, 3, -1, 4), (-2, 3, 4, -1), (-2, 4, 3, -1), (4, -2, 3, -1),
                               (2, 3, -1, -4), (2, 3, -4, -1), (2, -4, 3, -1), (-4, 2, 3, -1)])
 
     def test_cup_example(self):
-        got = wins(cup_d(D(-2, 3, -1), A(1)))
+        got = wins(cup("D", D(-2, 3, -1), A(1)))
         assert got == sorted([(-2, 3, -1, 4), (-2, 4, -1, 3), (-3, 4, -1, 2), (-3, 4, -2, 1),
                               (-2, 3, 1, -4), (-2, 4, 1, -3), (-3, 4, 1, -2), (-3, 4, 2, -1)])
 
     def test_unshuffle_example(self):
-        got = pairs(unshuffle_d(D(2, -4, -3, 1)))
+        got = pairs(unshuffle("D", D(2, -4, -3, 1)))
         assert got == sorted([((-1, -2), (1, 2)), ((1, -3, -2), (1,)), ((2, -4, -3, 1), ())])
 
     def test_cap_example(self):
-        got = pairs(cap_d(D(2, -4, -3, 1)))
+        got = pairs(cap("D", D(2, -4, -3, 1)))
         assert got == sorted([((2, 1), (1, 2)), ((-2, -3, 1), (1,)), ((2, -4, -3, 1), ())])
 
     def test_small_factor_rejected(self):
@@ -320,22 +310,22 @@ class TestTypeDProducts:
     def test_cardinality(self, m, n):
         for u in elements(CoxeterSystem("D", m)):
             for v in elements(CoxeterSystem("A", n)):
-                assert len(shuffle_d(u, v)) == comb(m + n, m) * 2**n
+                assert len(shuffle("D", u, v)) == comb(m + n, m) * 2**n
 
 
 class TestSignShiftedProducts:
     def test_shuffle_example(self):
-        got = wins(shuffle_bb(B(-2, 1), B(1, -2)))
+        got = wins(shuffle("BB", B(-2, 1), B(1, -2)))
         assert got == sorted([(-2, 1, 3, -4), (-2, 3, 1, -4), (3, -2, 1, -4),
                               (-2, 3, -4, 1), (3, -2, -4, 1), (3, -4, -2, 1)])
 
     def test_cup_example(self):
-        got = wins(cup_bb(B(-2, 1), B(1, -2)))
+        got = wins(cup("BB", B(-2, 1), B(1, -2)))
         assert got == sorted([(-2, 1, 3, -4), (-3, 1, 2, -4), (-3, 2, 1, -4),
                               (-4, 1, 2, -3), (-4, 2, 1, -3), (-4, 3, 1, -2)])
 
     def test_unshuffle_example(self):
-        got = pairs(unshuffle_bb(B(-2, 4, -3, 1)))
+        got = pairs(unshuffle("BB", B(-2, 4, -3, 1)))
         assert got == sorted([((), (-2, 4, -3, 1)), ((-1,), (3, -2, 1)), ((-1, 2), (-2, 1)),
                               ((-1, 3, -2), (1,)), ((-2, 4, -3, 1), ())])
 
@@ -349,13 +339,13 @@ class TestSignShiftedProducts:
                 for u in elements(CoxeterSystem("B", m)):
                     for v in elements(CoxeterSystem("B", total - m)):
                         lhs = FormalVector(kind="pair")
-                        for w, c in shuffle_bb(u, v).terms.items():
-                            lhs = lhs + unshuffle_bb(w).scale(c)
+                        for w, c in shuffle("BB", u, v).terms.items():
+                            lhs = lhs + unshuffle("BB", w).scale(c)
                         rhs = FormalVector(kind="pair")
-                        for (a1, a2), c1 in unshuffle_bb(u).terms.items():
-                            for (b1, b2), c2 in unshuffle_bb(v).terms.items():
-                                for x1, cx1 in shuffle_bb(a1, b1).terms.items():
-                                    for x2, cx2 in shuffle_bb(a2, b2).terms.items():
+                        for (a1, a2), c1 in unshuffle("BB", u).terms.items():
+                            for (b1, b2), c2 in unshuffle("BB", v).terms.items():
+                                for x1, cx1 in shuffle("BB", a1, b1).terms.items():
+                                    for x2, cx2 in shuffle("BB", a2, b2).terms.items():
                                         rhs = rhs + FormalVector.basis(
                                             (x1, x2), c1 * c2 * cx1 * cx2, kind="pair")
                         assert lhs == rhs
@@ -367,17 +357,17 @@ class TestSignShiftedProducts:
             for u in elements(CoxeterSystem("B", ma)):
                 for v in elements(CoxeterSystem("B", mb)):
                     for r in elements(CoxeterSystem("B", mc)):
-                        lhs = shuffle_bb(u, v).map_to_vectors(
-                            lambda w: shuffle_bb(w, r), kind="element")
-                        rhs = shuffle_bb(v, r).map_to_vectors(
-                            lambda x: shuffle_bb(u, x), kind="element")
+                        lhs = shuffle("BB", u, v).map_to_vectors(
+                            lambda w: shuffle("BB", w, r), kind="element")
+                        rhs = shuffle("BB", v, r).map_to_vectors(
+                            lambda x: shuffle("BB", u, x), kind="element")
                         assert lhs == rhs
 
     def test_inversion_isomorphism(self):
         for m in range(3):
             for u in elements(CoxeterSystem("B", m)):
                 for v in elements(CoxeterSystem("B", 3 - m)):
-                    assert invert_vector(shuffle_bb(u, v)) == cup_bb(u.inverse(), v.inverse())
+                    assert invert_vector(shuffle("BB", u, v)) == cup("BB", u.inverse(), v.inverse())
 
 
 class TestModuleComoduleAxioms:
@@ -388,10 +378,10 @@ class TestModuleComoduleAxioms:
                 for u in elements(CoxeterSystem("B", mu)):
                     for v in elements(CoxeterSystem("A", mv)):
                         for r in elements(CoxeterSystem("A", mr)):
-                            lhs = cup_b(u, v).map_to_vectors(
-                                lambda w: cup_b(w, r), kind="element")
-                            rhs = cup_a(v, r).map_to_vectors(
-                                lambda x: cup_b(u, x), kind="element")
+                            lhs = cup("B", u, v).map_to_vectors(
+                                lambda w: cup("B", w, r), kind="element")
+                            rhs = cup("A", v, r).map_to_vectors(
+                                lambda x: cup("B", u, x), kind="element")
                             assert lhs == rhs
 
     def test_duality_of_shuffle_and_cap(self):
@@ -399,9 +389,9 @@ class TestModuleComoduleAxioms:
             for mv in range(0, 3 - mu + 1):
                 for u in elements(CoxeterSystem("B", mu)):
                     for v in elements(CoxeterSystem("A", mv)):
-                        prod = shuffle_b(u, v)
+                        prod = shuffle("B", u, v)
                         for w in elements(CoxeterSystem("B", mu + mv)):
-                            comp = graded_pieces(cap_b(w)).get(mu, FormalVector(kind="pair"))
+                            comp = graded_pieces(cap("B", w)).get(mu, FormalVector(kind="pair"))
                             assert prod.terms.get(w, 0) == comp.terms.get((u, v), 0)
 
     def test_inverse_map_intertwines(self):
@@ -409,20 +399,20 @@ class TestModuleComoduleAxioms:
             for mv in range(0, 3 - mu + 1):
                 for u in elements(CoxeterSystem("B", mu)):
                     for v in elements(CoxeterSystem("A", mv)):
-                        assert invert_vector(cup_b(u, v)) == shuffle_b(u.inverse(), v.inverse())
+                        assert invert_vector(cup("B", u, v)) == shuffle("B", u.inverse(), v.inverse())
 
     def test_non_bialgebra_witness(self):
         # the coproduct of this product does NOT factor component-wise
         b1 = CoxeterSystem("B", 1).element([1])
         a1 = CoxeterSystem("A", 1).element([1])
         lhs = FormalVector(kind="pair")
-        for w, c in shuffle_b(b1, a1).terms.items():
-            lhs = lhs + unshuffle_b(w).scale(c)
+        for w, c in shuffle("B", b1, a1).terms.items():
+            lhs = lhs + unshuffle("B", w).scale(c)
         rhs = FormalVector(kind="pair")
-        for (x1, x2), c1 in unshuffle_b(b1).terms.items():
-            for (y1, y2), c2 in unshuffle_a(a1).terms.items():
-                for z1, cz1 in shuffle_b(x1, y1).terms.items():
-                    for z2, cz2 in shuffle_a(x2, y2).terms.items():
+        for (x1, x2), c1 in unshuffle("B", b1).terms.items():
+            for (y1, y2), c2 in unshuffle("A", a1).terms.items():
+                for z1, cz1 in shuffle("B", x1, y1).terms.items():
+                    for z2, cz2 in shuffle("A", x2, y2).terms.items():
                         rhs = rhs + FormalVector.basis((z1, z2), c1 * c2 * cz1 * cz2, kind="pair")
         assert lhs != rhs
 
@@ -440,6 +430,11 @@ def _operand_pairs(name, max_total=4):
 
 class TestProductKernel:
     """The window-composing products against the element-level definition."""
+
+    def test_sixteen_command_line_names(self):
+        names = ["cupA", "cupB", "cupBB", "cupD", "shuffleA", "shuffleB", "shuffleBB", "shuffleD"]
+        assert sorted(PRODUCTS) == names
+        assert sorted(COPRODUCTS) == names
 
     @pytest.mark.parametrize("name", sorted(PRODUCTS))
     def test_products_match_oracle(self, name):
