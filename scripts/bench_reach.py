@@ -36,7 +36,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(ROOT / "src"))
 
-WORKLOADS = ("tables-cold", "hecke-cold", "series-cold", "kernel-warm")
 #: kernel-warm batches run after its set-up: one chunk of the benchmark's stream.
 WARM_BATCHES = 512
 #: Seconds a child may take, the profile hook's cost included.
@@ -83,9 +82,9 @@ def counted(run, codes: dict) -> dict:
     return {"calls": calls}
 
 
-def reach(workloads: list[str], names: list[str], seed: int) -> dict:
-    """Per workload and task, the child's result: the counts, or why it failed."""
-    wl = load_workloads()
+def reach(wl, workloads: list[str], names: list[str], seed: int) -> dict:
+    """Per workload of the loaded ``wl`` and per task, the child's result:
+    the counts, or why it failed."""
     codes = {code_of(name): name for name in names}
     out = {}
     for workload in workloads:
@@ -116,10 +115,12 @@ def reach(workloads: list[str], names: list[str], seed: int) -> dict:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("function", nargs="+")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    wl = load_workloads()
+    workloads = [*wl.COLD_WORKLOADS, "kernel-warm"]
+    parser.add_argument("--workload", action="append", choices=workloads)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    out = reach(args.workload or list(WORKLOADS), args.function, args.seed)
+    out = reach(wl, args.workload or workloads, args.function, args.seed)
     print(json.dumps(out, indent=1))
     return int(any("status" in counts for tasks in out.values() for counts in tasks.values()))
 

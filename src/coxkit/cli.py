@@ -145,11 +145,12 @@ def cmd_element(args) -> int:
 
 def cmd_product(args) -> int:
     from . import words as wd
-    flavor = wd.FLAVORS[args.family.removeprefix("shuffle").removeprefix("cup")]
+    name = args.family.removeprefix("shuffle").removeprefix("cup")
+    flavor = wd.FLAVORS[name]
     lwin, rwin = parse_ints(args.left), parse_ints(args.right)
     u = CoxeterSystem(flavor.family, len(lwin)).element(lwin)
     v = CoxeterSystem(flavor.right, len(rwin)).element(rwin)
-    vec = wd.PRODUCTS[args.family](u, v)
+    vec = wd.PRODUCTS[args.family](name, u, v)
     out_system = next(iter(vec.terms)).system if vec.terms else u.system
     _emit(args, lambda: _vector_json(out_system, vec, "element"),
           lambda: [f"{coeff}\t{format_window(k.window)}" for k, coeff in vec.items()]
@@ -159,10 +160,11 @@ def cmd_product(args) -> int:
 
 def cmd_coproduct(args) -> int:
     from . import words as wd
-    flavor = wd.FLAVORS[args.family.removeprefix("shuffle").removeprefix("cup")]
+    name = args.family.removeprefix("shuffle").removeprefix("cup")
+    flavor = wd.FLAVORS[name]
     win = parse_ints(args.arg)
     u = CoxeterSystem(flavor.family, len(win)).element(win)
-    vec = wd.COPRODUCTS[args.family](u)
+    vec = wd.COPRODUCTS[args.family](name, u)
     if args.split is not None:
         from . import series as sr
         vec = sr.graded_pieces(vec).get(args.split, FormalVector(kind="pair"))

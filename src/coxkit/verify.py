@@ -321,7 +321,7 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
     # get back, so each (co)product and each graded split of a signed
     # coproduct is evaluated once per run; the memo goes with the run.
     shuffle, cup, unshuffle, cap = map(functools.cache, (wd.shuffle, wd.cup, wd.unshuffle, wd.cap))
-    graded = functools.cache(lambda coproduct, w: sr.graded_pieces(coproduct("B", w)))
+    graded = functools.cache(lambda coproduct, flavor, w: sr.graded_pieces(coproduct(flavor, w)))
 
     for name, flavor, sizes in (
             ("signed products agree with coset-rep maps", "B",
@@ -349,7 +349,7 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
                 xw = gm.element_vector(w)
                 for coproduct, restrict in ((cap, gm.restrict_right), (unshuffle, gm.restrict_left)):
                     (part,) = restrict(system, I, xw).support()
-                    piece = graded(coproduct, w).get(m, FormalVector(kind="pair"))
+                    piece = graded(coproduct, "B", w).get(m, FormalVector(kind="pair"))
                     if piece != FormalVector.basis(_block_pair(part, m), kind="pair"):
                         ok = False
     out.append(_check("signed coproduct components match block restriction", ok))
@@ -394,7 +394,7 @@ def suite_shuffles(family: str | None = None, n: int | None = None) -> list[Chec
             for v in elements(CoxeterSystem("A", mv)):
                 prod = shuffle("B", u, v)
                 for w in elements(CoxeterSystem("B", mu + mv)):
-                    comp = graded(cap, w).get(mu, FormalVector(kind="pair"))
+                    comp = graded(cap, "B", w).get(mu, FormalVector(kind="pair"))
                     if prod.terms.get(w, 0) != comp.terms.get((u, v), 0):
                         ok = False
     out.append(_check("product/coproduct duality on all triples", ok))

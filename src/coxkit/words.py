@@ -27,15 +27,16 @@ element vectors and coproducts vectors keyed by ordered pairs.  The empty
 window is a legal operand.  An operand of the wrong family raises
 ValueError.
 
-:data:`PRODUCTS` and :data:`COPRODUCTS` bind the flavor under the sixteen
-command-line names: ``shuffleB`` is :func:`shuffle` of flavor ``B`` and,
-as a coproduct, :func:`unshuffle`; ``cupB`` is :func:`cup` and :func:`cap`.
+:data:`PRODUCTS` and :data:`COPRODUCTS` give the function of each of the
+sixteen command-line names, whose suffix is the flavor: ``shuffleB`` is
+:func:`shuffle` called with flavor ``B`` and, as a coproduct,
+:func:`unshuffle`; ``cupB`` is :func:`cup` and :func:`cap`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .freemodule import FormalVector
@@ -290,8 +291,9 @@ def cap(flavor: str, u: Element) -> FormalVector:
     )
 
 
-#: The sixteen (co)products by command-line name (see the module docstring).
-PRODUCTS = {f"{kind}{name}": partial(op, name)
+#: The function of each command-line name; the name's suffix is the flavor
+#: it is called with (see the module docstring).
+PRODUCTS = {f"{kind}{name}": op
             for name in FLAVORS for kind, op in (("shuffle", shuffle), ("cup", cup))}
-COPRODUCTS = {f"{kind}{name}": partial(op, name)
+COPRODUCTS = {f"{kind}{name}": op
               for name in FLAVORS for kind, op in (("shuffle", unshuffle), ("cup", cap))}

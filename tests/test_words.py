@@ -417,10 +417,15 @@ class TestModuleComoduleAxioms:
         assert lhs != rhs
 
 
+def _flavor_key(name):
+    """The flavor of the command-line name ``name``: its suffix."""
+    return name.removeprefix("shuffle").removeprefix("cup")
+
+
 def _operand_pairs(name, max_total=4):
     """Every (u, v) of the families of product ``name`` with total window at
     most ``max_total``: empty operands included, D's left operand of size >= 2."""
-    f = FLAVORS[name.removeprefix("shuffle").removeprefix("cup")]
+    f = FLAVORS[_flavor_key(name)]
     for total in range(max_total + 1):
         for m in range(2 if f.family == "D" else 0, total + 1):
             for u in elements(CoxeterSystem(f.family, m)):
@@ -445,7 +450,7 @@ class TestProductKernel:
                 terms = [x * z.inverse() for z in reps]
             else:
                 terms = [z * x for z in reps]
-            got = PRODUCTS[name](u, v)
+            got = PRODUCTS[name](_flavor_key(name), u, v)
             assert got == FormalVector.from_keys(terms, kind="element")
             assert len(got) == len(terms)
             assert set(got.terms.values()) <= {1}
@@ -468,7 +473,7 @@ class TestProductKernel:
             else:
                 induce = induce_right if side == "right" else induce_left
                 expected = induce(system, subset, element_vector(x))
-            assert PRODUCTS[name](u, v) == expected
+            assert PRODUCTS[name](_flavor_key(name), u, v) == expected
 
     def test_cross_a_refuses_a_right_operand_outside_a(self):
         with pytest.raises(ValueError):
