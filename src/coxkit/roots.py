@@ -8,6 +8,13 @@ root subset P with no opposite pair that contains every root lying in the
 positive cone of P.  Its lattice points over a finite alphabet window,
 together with the chamber decomposition, drive the series module.
 
+Lattice points are enumerated level by level.  A root bounds its highest
+nonzero coordinate once the coordinates below are fixed, so one list of
+prefixes is extended one coordinate at a time, each prefix by the interval
+that its roots leave.  Coordinates that no root links fall into independent
+blocks: each block is walked on its own and the blocks' points are joined
+in lexicographic order.
+
 Cone membership (parset checks and closures) describes each cone once by
 its facet normals inside the span of its generators, and then tests every
 candidate root against them exactly.
@@ -120,46 +127,105 @@ def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -
     """All integer vectors f in [-window, window]^n weakly on the nonnegative
     side of every given root, strictly for the negative ones.  Any set of
     roots will do, a parset or not (the signed simple roots of a descent
-    set, say).
+    set, say); each must have length n.
 
-    The result is in lexicographic order.  Coordinates are fixed from f_0
-    upwards; a root whose highest nonzero coordinate is j bounds f_j once
-    f_0..f_{j-1} are known, so each coordinate only ranges over the interval
-    its roots leave and the cost follows the output, not the cube.
+    The result is in lexicographic order.  A root whose highest nonzero
+    coordinate is j bounds f_j once f_0..f_{j-1} are known.  Coordinate k
+    starts a new block when no root with top coordinate >= k reads below k;
+    each block is walked one level at a time, extending every prefix by the
+    interval its roots leave, and the blocks' points are then joined.  The
+    cost follows the output, not the cube.
     """
     n = system.n
     check_word_cube(n, window)
-    if n == 0:
-        return [()]
-    # by_top[j]: (a, lower terms, threshold) for the roots r with top
-    # coordinate j; r.f = a*f_j + sum(c*f_i) must reach the threshold.
-    by_top: list[list[tuple[int, tuple[tuple[int, int], ...], int]]] = [[] for _ in range(n)]
-    for r in set(parset):
+    roots = set(parset)
+    for r in roots:
+        if len(r) != n:
+            raise ValueError(f"vector {r} has length {len(r)}, not n = {n}")
+    # tops: (j, r, threshold) with j the top coordinate of r; r.f must reach
+    # the threshold.  low[j]: the lowest coordinate a root with top j reads.
+    tops, low = [], list(range(n))
+    for r in roots:
         threshold = 0 if is_positive_root(r) else 1
-        j = max(i for i, c in enumerate(r) if c)
-        lower = tuple((i, c) for i, c in enumerate(r[:j]) if c)
-        by_top[j].append((r[j], lower, threshold))
-    out: list[tuple[int, ...]] = []
-    singles = [(v,) for v in range(-window, window + 1)]  # (v,) at index v + window
-
-    def extend(prefix: tuple[int, ...]) -> None:
-        j = len(prefix)
-        lo, hi = -window, window
-        for a, lower, threshold in by_top[j]:
-            need = threshold - sum(c * prefix[i] for i, c in lower)
-            if a > 0:
-                lo = max(lo, -(-need // a))
-            else:
-                hi = min(hi, need // a)
-        if j == n - 1:
-            if lo <= hi:
-                out.extend(map(prefix.__add__, singles[lo + window:hi + window + 1]))
+        read = [i for i, c in enumerate(r) if c]
+        j = read[-1]
+        low[j] = min(low[j], read[0])
+        tops.append((j, r, threshold))
+    starts, reach = [], n
+    for k in reversed(range(n)):
+        reach = min(reach, low[k])
+        if reach >= k:
+            starts.append(k)
+    starts.reverse()
+    blocks = list(zip(starts, starts[1:] + [n]))
+    start_of = [b for b, e in blocks for _ in range(b, e)]
+    # levels[j]: [lo, hi, lower bounds, upper bounds, general bounds] of f_j.
+    # lo and hi hold the roots that read no earlier coordinate; a root
+    # a*f_j + c*f_i reading one coordinate i of its block is (i, c, t, a),
+    # one reading several is (a, ((i, c), ...), t).
+    levels = [[-window, window, [], [], []] for _ in range(n)]
+    for j, r, t in tops:
+        level, a, b = levels[j], r[j], start_of[j]
+        lower = [(i - b, c) for i, c in enumerate(r[:j]) if c]
+        if len(lower) > 1:
+            level[4].append((a, tuple(lower), t))
+        elif lower:
+            (i, c), = lower
+            level[2 if a > 0 else 3].append((i, c, t, a))
+        elif a > 0:
+            level[0] = max(level[0], -(-t // a))
         else:
-            for v in range(lo, hi + 1):
-                extend(prefix + (v,))
+            level[1] = min(level[1], t // a)
+    singles = [(v,) for v in range(-window, window + 1)]  # (v,) at index v + window
+    points: list[tuple[int, ...]] = [()]
+    for b, e in blocks:
+        block = _block_points(levels[b:e], window, singles)
+        if b == 0:
+            points = block
+            continue
+        joined: list[tuple[int, ...]] = []
+        for p in points:
+            joined.extend(map(p.__add__, block))
+        points = joined
+    return points
 
-    extend(())
-    return out
+
+def _block_points(levels: list, window: int, singles: list[tuple[int]]) -> list[tuple[int, ...]]:
+    """The points of one block of :func:`lattice_points`, in lexicographic
+    order: the prefixes are extended one level at a time, each by the
+    interval [lo, hi] of its level that the prefix leaves."""
+    points: list[tuple[int, ...]] = [()]
+    for lo0, hi0, lows, highs, general in levels:
+        out: list[tuple[int, ...]] = []
+        extend = out.extend
+        if not (lows or highs or general):
+            # thresholds are 0 or 1, so hi0 >= -1 and the slice cannot wrap
+            tail = singles[lo0 + window:hi0 + window + 1]
+            for p in points:
+                extend(map(p.__add__, tail))
+        else:
+            for p in points:
+                lo, hi = lo0, hi0
+                for i, c, t, a in lows:  # a*f_j + c*f_i >= t, a > 0
+                    v = -((c * p[i] - t) // a)
+                    if v > lo:
+                        lo = v
+                for i, c, t, a in highs:  # the same, a < 0
+                    v = (t - c * p[i]) // a
+                    if v < hi:
+                        hi = v
+                for a, lower, t in general:
+                    need = t - sum(c * p[i] for i, c in lower)
+                    if a > 0:
+                        lo = max(lo, -(-need // a))
+                    else:
+                        hi = min(hi, need // a)
+                if lo <= hi:
+                    extend(map(p.__add__, singles[lo + window:hi + window + 1]))
+        if not out:
+            return out
+        points = out
+    return points
 
 
 def linear_extension_set(system: CoxeterSystem, parset: Iterable[Root]) -> list[Element]:

@@ -120,3 +120,17 @@ def test_bench_reach_counts_each_task_of_one_workload():
     assert all(calls == {"cli.main": 1, "descents.c_matrix": int(name.endswith(" c")),
                          "words.shuffle": 0} for name, calls in tasks.items())
     assert sorted((ROOT / "perfbench").rglob("*")) == before
+
+
+def test_lattice_timing():
+    before = sorted((ROOT / "perfbench").rglob("*"))
+    proc = _run("scripts/lattice_timing.py", "--repeat", "1", "--seed", "2")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["repeat"], out["seed"]) == (1, 2)
+    shapes = out["shapes"]
+    assert {"hA (1,1,3) w5", "sA (1,2,2) w5", "chambers D4 w5", "parsets B4 9"} <= set(shapes)
+    assert all(entry["best_ms"] > 0 for entry in shapes.values())
+    # every word of the cube lies in exactly one chamber
+    assert shapes["chambers D4 w5"]["points"] == shapes["chambers A4 w5"]["points"] == 11 ** 4
+    assert sorted((ROOT / "perfbench").rglob("*")) == before

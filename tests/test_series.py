@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxkit.linalg import NotInSpanError, express_in_basis, is_linearly_independent
@@ -109,6 +110,44 @@ LATTICE_SYSTEMS = tuple(CoxeterSystem("A", n) for n in range(1, 5)) \
     + tuple(CoxeterSystem("D", n) for n in range(2, 5))
 
 
+#: The systems of the lattice-point property on root subsets: A windows 0-4,
+#: B0-B4 and D2-D4.
+SUBSET_SYSTEMS = tuple(CoxeterSystem("A", n) for n in range(5)) \
+    + tuple(CoxeterSystem("B", n) for n in range(5)) \
+    + tuple(CoxeterSystem("D", n) for n in range(2, 5))
+
+
+def _reads(root):
+    """The lowest and the highest coordinate a root reads."""
+    read = [i for i, c in enumerate(root) if c]
+    return read[0], read[-1]
+
+
+@st.composite
+def _root_subsets(draw):
+    """A system, a window 0-3 and a set of its roots that need not be a
+    parset, in one of three kinds: any roots; roots each lying wholly on one
+    side of a cut coordinate, so that the set splits into blocks; or the
+    positive roots of a parabolic, some of them negated.  An opposite pair
+    is often added."""
+    system = draw(st.sampled_from(SUBSET_SYSTEMS))
+    window = draw(st.integers(0, 3))
+    roots = sorted(all_roots(system))
+    kind = draw(st.sampled_from(("any", "split", "parabolic")))
+    if kind == "parabolic":
+        chosen = sorted(parabolic_positive_roots(system, draw(st.sampled_from(all_subsets(system)))))
+        flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        chosen = [negate(r) if flip else r for r, flip in zip(chosen, flips)]
+    else:
+        if kind == "split" and system.n > 1:
+            cut = draw(st.integers(1, system.n - 1))
+            roots = [r for r in roots if _reads(r)[1] < cut or _reads(r)[0] >= cut]
+        chosen = draw(st.lists(st.sampled_from(roots), max_size=6)) if roots else []
+    if chosen and draw(st.booleans()):
+        chosen.append(negate(draw(st.sampled_from(chosen))))
+    return system, window, chosen
+
+
 def _cube_filter(system, parset, window):
     """Oracle: the words of the cube on the allowed side of every root, in
     lexicographic order."""
@@ -195,6 +234,10 @@ class TestRoots:
         for P in ([(1, 2)], [(1, -2)], [(-3, 2), (1, -2)], [(0, -2), (1, 3)]):
             for window in range(4):
                 assert lattice_points(B2, P, window) == _cube_filter(B2, P, window)
+        # vectors reading two earlier coordinates
+        for P in ([(1, 1, -1)], [(2, -1, 3), (-1, 1, -2)], [(1, 1, 2), (0, 1, 0), (0, -1, 1)]):
+            for window in range(4):
+                assert lattice_points(B3, P, window) == _cube_filter(B3, P, window)
 
     @pytest.mark.parametrize("family", ("A", "B"))
     def test_lattice_points_rank_zero(self, family):
@@ -220,6 +263,39 @@ class TestRoots:
             for P in itertools.combinations(roots, k):
                 for window in range(4):
                     assert lattice_points(system, P, window) == _cube_filter(system, P, window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_root_subsets())
+    # e3 - e1 and e4 + e1 read a far coordinate: no block may start between
+    @example((B3, 2, [(-1, 0, 1)]))
+    @example((CoxeterSystem("D", 4), 2, [(1, 0, 0, 1), (0, -1, 1, 0)]))
+    # a block with no point: f_0 > f_1 >= f_0, and f_2 < 0 at window 0
+    @example((B3, 1, [(1, -1, 0), (-1, 1, 0), (0, 0, 1)]))
+    @example((B3, 0, [(1, 0, 0), (0, 0, -1)]))
+    def test_lattice_points_on_root_subsets(self, case):
+        system, window, roots = case
+        assert lattice_points(system, roots, window) == _cube_filter(system, roots, window)
+
+    @pytest.mark.parametrize("system", SUBSET_SYSTEMS, ids=lambda s: f"{s.family}{s.n}")
+    def test_lattice_points_of_every_parabolic(self, system):
+        # the h-basis input
+        for I in all_subsets(system):
+            roots = parabolic_positive_roots(system, I)
+            for window in range(4):
+                assert lattice_points(system, roots, window) == _cube_filter(system, roots, window)
+
+    def test_lattice_points_with_an_empty_block(self):
+        for window in range(3):
+            assert lattice_points(B3, [(1, -1, 0), (-1, 1, 0), (0, 0, 1)], window) == []
+        assert lattice_points(B3, [(1, 0, 0), (0, 0, -1)], 0) == []
+        assert lattice_points(B3, [(1, 0, 0), (0, 0, -1)], 1) == [(0, v, -1) for v in (-1, 0, 1)] \
+            + [(1, v, -1) for v in (-1, 0, 1)]
+
+    @pytest.mark.parametrize("vector", [(1, -1), (1, -1, 0, 0), ()])
+    def test_lattice_points_refuse_a_vector_of_another_length(self, vector):
+        with pytest.raises(ValueError, match=re.escape(f"vector {vector} has length {len(vector)}, "
+                                                       "not n = 3")):
+            lattice_points(B3, [(0, 1, 0), vector], 1)
 
     def test_parabolic_chamber_extension_set(self):
         # the extension set of a parabolic chamber is the coset of the
