@@ -24,12 +24,13 @@ Scalar = Union[int, Fraction]
 
 def sort_key(key: Hashable):
     """A total order on mixed basis keys, for deterministic iteration."""
+    if type(key) is tuple:
+        return (1, len(key), tuple(sort_key(k) for k in key))
     if isinstance(key, frozenset):
         return (0, len(key), tuple(sorted(key)))
-    if isinstance(key, tuple):
-        return (1, len(key), tuple(sort_key(k) for k in key))
     if isinstance(key, (int, Fraction)):
         return (2, key)
+    # an Element is a tuple too, but only a plain tuple takes the tuple branch
     if hasattr(key, "window"):
         return (3, key.system.family, key.system.n, key.window)
     return (4, repr(key))

@@ -6,15 +6,20 @@ s_0..s_{n-1} where s_0 negates the first entry), and type D is the
 subgroup of B with an even number of negative window entries (s_0 swaps
 and negates the first two entries).
 
-Elements are stored as full windows; equality is window equality.  All
-objects are immutable, and each result derived from a group enumeration
-is held in that group's one store, which checks the size cap on every read.
+A system is the tuple ``(family, n)`` and an Element the tuple ``(system,
+window)``, with the window in full.  Both subclass ``namedtuple``, so
+hashing and equality are tuple's own: two Elements are equal exactly when
+family, window size and window agree.  As a tuple, an Element also equals
+the plain tuple ``(system, window)``, has length 2 and unpacks to
+``(system, window)``; nothing here relies on that.  All objects are
+immutable, and each result derived from a group enumeration is held in
+that group's one store, which checks the size cap on every read.
 
 A window is checked where it enters: ``Element(...)``,
-``CoxeterSystem.element`` and :func:`parse_window` raise ValueError on an
-invalid one.  Maps that turn valid elements into valid elements (products,
-inverses, enumeration, standardization) skip the check through the one
-trusted constructor, :func:`_trusted_element`.
+``CoxeterSystem.element``, :func:`parse_window` and unpickling raise
+ValueError on an invalid one.  Maps that turn valid elements into valid
+elements (products, inverses, enumeration, standardization) skip the check
+through the one trusted constructor, :func:`_trusted_element`.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ import itertools
 import operator
 import os
 from array import array
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import cached_property, lru_cache, partial, reduce, wraps
 from math import factorial
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -75,8 +79,7 @@ def word_cube(n: int, window: int) -> Iterable[tuple[int, ...]]:
     return itertools.product(range(-window, window + 1), repeat=n)
 
 
-@dataclass(frozen=True, order=True)
-class CoxeterSystem:
+class CoxeterSystem(namedtuple("CoxeterSystem", "family n")):
     """A realized Coxeter system, identified by family and window size.
 
     ``n`` is the window size: A gives the symmetric group S_n (rank n-1),
@@ -84,16 +87,18 @@ class CoxeterSystem:
     the even-signed subgroup (rank n, requires n >= 2).
     """
 
-    family: str
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 0:
+    def __new__(cls, family: str, n: int) -> "CoxeterSystem":
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if n < 0:
             raise ValueError("window size must be nonnegative")
-        if self.family == "D" and self.n < 2:
+        if family == "D" and n < 2:
             raise ValueError("family D requires rank >= 2")
+        return tuple.__new__(cls, (family, n))
+
+    def __reduce__(self):
+        # through the checks again, and without the cached root table
+        return type(self), tuple(self)
 
     @classmethod
     def of_rank(cls, family: str, rank: int) -> "CoxeterSystem":
@@ -249,21 +254,17 @@ def _validate_window(system: CoxeterSystem, window: tuple[int, ...]) -> None:
         raise ValueError("type D windows need an even number of signs")
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(namedtuple("Element", "system window")):
     """A group element in window notation ``(w(1), ..., w(n))``."""
 
-    system: CoxeterSystem
-    window: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _validate_window(self.system, self.window)
+    def __new__(cls, system: CoxeterSystem, window: tuple[int, ...]) -> "Element":
+        _validate_window(system, window)
+        return tuple.__new__(cls, (system, window))
 
-    def __hash__(self) -> int:
-        # The window alone: hashing the system too would hash the
-        # CoxeterSystem dataclass on every dict operation.  Equality still
-        # compares the system.
-        return hash(self.window)
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     # -- basic group structure ------------------------------------------------
 
@@ -335,10 +336,7 @@ def _trusted_element(system: CoxeterSystem, window: tuple[int, ...]) -> Element:
     outside goes through ``Element`` or ``CoxeterSystem.element``, which
     check it.
     """
-    w = object.__new__(Element)
-    object.__setattr__(w, "system", system)
-    object.__setattr__(w, "window", window)
-    return w
+    return tuple.__new__(Element, (system, window))
 
 
 def format_window(window: tuple[int, ...]) -> str:

@@ -549,6 +549,22 @@ def test_a_closed_stdout_is_not_an_error(argv):
     assert (proc.returncode, err) == (0, b"")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "shuffles"),
+    ("hecke", "--type", "B", "--rank", "3", "--module", "regular", "--report", "multiplicities"),
+    ("coproduct", "--family", "cupD", "--arg", "2,-4,-3,1"),
+], ids=lambda argv: argv[0])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # an Element's hash includes its family's string hash, which each
+    # interpreter randomizes; no output order may follow it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = [subprocess.run([sys.executable, "-m", "coxkit.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                              capture_output=True, timeout=60, check=True).stdout
+               for seed in ("0", "1")]
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 class TestImportSets:
     def test_importing_the_cli_loads_the_group_layer_alone(self):
         assert fresh_interpreter_modules("import coxkit.cli\nstatus = 0") \

@@ -134,3 +134,21 @@ def test_lattice_timing():
     # every word of the cube lies in exactly one chamber
     assert shapes["chambers D4 w5"]["points"] == shapes["chambers A4 w5"]["points"] == 11 ** 4
     assert sorted((ROOT / "perfbench").rglob("*")) == before
+
+
+def test_check_timing():
+    from coxkit.verify import run_suite
+
+    proc = _run("scripts/check_timing.py", "shuffles", "--repeat", "2")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["suite"], out["type"], out["rank"], out["repeat"]) == ("shuffles", None, None, 2)
+    assert [c["name"] for c in out["checks"]] == [c.name for c in run_suite("shuffles")]
+    assert all(c["passed"] and c["best_s"] >= 0 for c in out["checks"])
+    steps = sum(c["best_s"] for c in out["checks"]) + out["after_last_s"]
+    assert abs(out["sum_s"] - steps) < 1e-5
+    proc = _run("scripts/check_timing.py", "hecke", "--type", "B", "--rank", "2", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert [c["name"] for c in json.loads(proc.stdout)["checks"]] \
+        == [c.name for c in run_suite("hecke", "B", 2)]
+    assert _run("scripts/check_timing.py", "shuffles", "--rank", "3").returncode == 2

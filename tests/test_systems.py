@@ -1,9 +1,12 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxkit.freemodule import FormalVector
 from coxkit.roots import parabolic_positive_roots
 from coxkit.systems import (
     CapExceededError,
@@ -16,6 +19,7 @@ from coxkit.systems import (
     _ordered_table,
     _parabolic_flags,
     _store,
+    _trusted_element,
     all_subsets,
     class_maximum,
     composition_from_descents,
@@ -92,10 +96,12 @@ class TestWindows:
     def test_identity_window(self):
         assert B3.identity().window == (1, 2, 3)
 
-    def test_hash_is_window_hash(self):
-        # dict operations hash the window only; equality still tells systems apart
+    def test_hash_and_equality_are_tuples(self):
+        # dict operations hash and compare in tuple's own slots; equality
+        # still tells systems apart
+        for cls in (Element, CoxeterSystem):
+            assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
         w, v = B2.element((2, 1)), CoxeterSystem("A", 2).element((2, 1))
-        assert hash(w) == hash(v) == hash((2, 1))
         assert w != v and len({w, v, B2.element([2, 1])}) == 2
 
     def test_generator_windows(self):
@@ -138,6 +144,128 @@ class TestWindows:
         assert (u * v) * w == u * (v * w)
         assert u * u.inverse() == system.identity()
         assert (u * v).inverse() == v.inverse() * u.inverse()
+
+
+#: A windows 0-4, B0-B3 and D2-D4.
+VALUE_SYSTEMS = ([CoxeterSystem("A", n) for n in range(5)]
+                 + [CoxeterSystem("B", n) for n in range(4)]
+                 + [CoxeterSystem("D", n) for n in range(2, 5)])
+
+
+@st.composite
+def value_elements(draw):
+    """An element of one of :data:`VALUE_SYSTEMS`."""
+    return draw(st.sampled_from(elements(draw(st.sampled_from(VALUE_SYSTEMS)))))
+
+
+@st.composite
+def value_pairs(draw):
+    """Two elements; often of systems of one window size, and then often of
+    one window, so that equal and unequal pairs with equal windows both
+    come up."""
+    u = draw(value_elements())
+    same_n = [s for s in VALUE_SYSTEMS if s.n == u.system.n]
+    system = draw(st.sampled_from(same_n) if draw(st.booleans()) else st.sampled_from(VALUE_SYSTEMS))
+    if system.n == u.system.n and draw(st.booleans()):
+        try:
+            return u, system.element(u.window)
+        except ValueError:
+            pass
+    return u, draw(st.sampled_from(elements(system)))
+
+
+class TestValueSemantics:
+    """Systems and Elements are compared, hashed, copied and pickled as the
+    values (family, n) and (family, n, window)."""
+
+    @given(value_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_exactly_when_family_size_and_window_agree(self, pair):
+        u, v = pair
+        same = (u.system.family, u.system.n, u.window) == (v.system.family, v.system.n, v.window)
+        assert (u == v) is same and (u != v) is not same
+        assert (u.system == v.system) is (u.system.family == v.system.family
+                                          and u.system.n == v.system.n)
+        if same:
+            assert hash(u) == hash(v) and len({u, v}) == 1
+
+    @given(value_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_elements_have_equal_hashes(self, w):
+        twin = CoxeterSystem(w.system.family, w.system.n).element(list(w.window))
+        assert twin == w and hash(twin) == hash(w)
+        assert hash(twin.system) == hash(w.system)
+
+    @given(value_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_trusted_element_equals_checked_element(self, w):
+        assert _trusted_element(w.system, w.window) == w.system.element(w.window)
+        assert type(_trusted_element(w.system, w.window)) is Element
+
+    @given(value_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_pickle_and_copy_round_trip(self, w):
+        copies = [copy.copy(w), copy.deepcopy(w)]
+        copies += [pickle.loads(pickle.dumps(w, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is Element and type(twin.system) is CoxeterSystem
+            assert twin == w and hash(twin) == hash(w)
+            assert twin.length() == w.length()
+
+    @pytest.mark.parametrize("system, window", [
+        (A3, (1, -2, 3)), (D3, (-1, 2, 3)), (B2, (1, 1)), (B2, (1, 2, 3)),
+        (CoxeterSystem("A", 0), (1,)),
+    ])
+    def test_unpickling_an_invalid_trusted_element_raises(self, system, window):
+        bad = _trusted_element(system, window)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(ValueError):
+                pickle.loads(pickle.dumps(bad, protocol))
+        with pytest.raises(ValueError):
+            copy.deepcopy(bad)
+
+    def test_system_pickles_without_its_root_table(self):
+        system = CoxeterSystem("B", 3)
+        system.generator(0)  # fills the cached root table
+        twin = pickle.loads(pickle.dumps(system))
+        assert twin == system and "_roots" not in vars(twin)
+        assert twin.generator(0) == system.generator(0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CoxeterSystem("D", 1), "family D requires rank >= 2"),
+        (lambda: CoxeterSystem("C", 2), "unknown family 'C'"),
+        (lambda: CoxeterSystem("A", -1), "window size must be nonnegative"),
+        (lambda: A3.element((1, -2, 3)), "type A windows must be positive"),
+        (lambda: D3.element((-1, 2, 3)), "type D windows need an even number of signs"),
+        (lambda: B2.element((1, 1)), "not a signed permutation window"),
+        (lambda: B2.element((1, 2, 3)), "window length 3 != 2"),
+        (lambda: Element(A3, (2, 1)), "window length 2 != 3"),
+    ])
+    def test_constructor_errors(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_items_over_elements_of_mixed_systems(self):
+        A2, B1, D2 = (CoxeterSystem("A", 2), CoxeterSystem("B", 1), CoxeterSystem("D", 2))
+        order = [A2.element((1, 2)), A2.element((2, 1)), A3.identity(), B1.element((-1,)),
+                 B1.identity(), B2.element((-2, 1)), B2.element((1, -2)), B2.identity(),
+                 D2.element((-1, -2)), D2.identity()]
+        vector = FormalVector({w: k + 1 for k, w in enumerate(reversed(order))})
+        assert [w for w, _ in vector.items()] == order
+        assert vector.support() == order
+
+    def test_items_over_pair_keys_and_mixed_kinds(self):
+        s0, s1 = B2.generator(0), B2.generator(1)
+        e = B2.identity()
+        # windows: s0 = (-1, 2) < e = (1, 2) < s1 = (2, 1)
+        pairs = [(s0, e), (s0, s1), (e, s0), (e, e), (s1, s0)]
+        vector = FormalVector({p: 1 for p in reversed(pairs)})
+        assert [k for k, _ in vector.items()] == pairs
+        # frozensets, then plain tuples, then numbers, then Elements
+        mixed = [frozenset({1}), (B2.identity(), e), (3, 4), 7, s0]
+        vector = FormalVector({k: 1 for k in reversed(mixed)})
+        assert [k for k, _ in vector.items()] == [frozenset({1}), (3, 4), (B2.identity(), e), 7, s0]
 
 
 class TestLengthAndDescents:
