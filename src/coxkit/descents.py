@@ -220,7 +220,8 @@ def _pair_indices(system: CoxeterSystem, rows, cols) -> list[list[int]]:
     made once from :func:`~coxkit.systems.generator_bits`; other labels are dropped."""
     bits = generator_bits(system)
     col_masks = [sum(bits.get(s, 0) for s in J) for J in cols]
-    return [[sum(bits.get(s, 0) for s in I) << len(bits) | c for c in col_masks] for I in rows]
+    row_masks = (sum(bits.get(s, 0) for s in I) << len(bits) for I in rows)
+    return [[r | c for c in col_masks] for r in row_masks]
 
 
 def mutual_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozenset[int]) -> int:

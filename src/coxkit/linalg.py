@@ -2,19 +2,23 @@
 sequence or a ``{column: value}`` dict (as wide as its last key plus one).
 
 All row reduction in coxkit is one Gauss-Jordan step, :meth:`RowSpace.add`;
-everything here is built on it.  Integers stay integers: a row is divided
-by its leading entry only when that is not +-1, and a quotient becomes a
-``Fraction`` only when it is not an integer.  Inside a row space an entry
-may still be an integral ``Fraction`` (a difference of two fractions); the
-results that leave :func:`solve_columns`, :func:`nullspace`,
-:meth:`RowSpace.coordinates` and :func:`express_all_in_basis` are turned back
-into ints wherever they are integers.  Results are never floats.
+everything here is built on it.  Elimination runs on integers only.  The
+one row normalizer scales a row with Fraction entries to integers (an int
+row is taken as it is) and refuses any other entry.  A :class:`RowSpace`
+keeps its reduced echelon form as primitive integer rows: each is positive
+at its pivot and zero at every other pivot, and the reduced row is that row
+divided by its pivot entry.  A new pivot is cleared from a row by integer
+cross-multiplication and one ``gcd``; a row whose pivot entry is 1 is
+cleared as in plain Gauss-Jordan, with neither.  Quotients are taken only
+for results, once per entry, by :func:`exact_div`: an int wherever it is
+an integer, else a Fraction, and never a float.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 
 class NotInSpanError(ValueError):
@@ -23,18 +27,39 @@ class NotInSpanError(ValueError):
 
 def exact_div(a, b):
     """The exact quotient a / b: an int when it is one, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
 
 
-def _integral(x):
-    """x, as an int when it is an integral Fraction."""
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-
-
-def _sparse(v) -> dict[int, object]:
-    """The one row normalizer: a fresh map of a row's nonzero entries."""
-    return {j: c for j, c in (v.items() if isinstance(v, dict) else enumerate(v)) if c}
+def _sparse(v) -> tuple[dict[int, int], int]:
+    """The one row normalizer: (w, d) with v = w / d, where w is a fresh map
+    of the row's nonzero entries as ints and d a positive int (1 for an int
+    row).  An entry that is not an int or a Fraction raises TypeError."""
+    if isinstance(v, dict):
+        values, items = v.values(), v.items()
+    elif isinstance(v, (list, tuple)):
+        values, items = v, enumerate(v)
+    else:
+        return _sparse(list(v))
+    try:
+        # int + x is an int only for an int x: a Fraction or float entry
+        # makes the sum a Fraction or a float
+        if type(sum(values)) is int:
+            return {j: c for j, c in items if c}, 1
+    except TypeError:
+        pass
+    row = {}
+    for j, c in items:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"entry {c!r} at column {j} is not an int or a Fraction")
+        if c:
+            row[j] = c
+    d = math.lcm(*(c.denominator for c in row.values()))
+    return {j: c.numerator * (d // c.denominator) for j, c in row.items()}, d
 
 
 def _width(rows: Sequence) -> int:
@@ -42,67 +67,121 @@ def _width(rows: Sequence) -> int:
                default=0)
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
 class RowSpace:
     """A row space in reduced row echelon form, grown one vector at a time:
-    ``rows`` maps each pivot column to its row (a map: 1 there, no other
-    pivot, no zero); a new pivot j clears only the rows in ``_holders[j]``."""
+    ``rows`` maps each pivot column to its row, a primitive map of ints
+    (positive there, 0 at every other pivot, no zero stored) whose quotient
+    by its pivot entry is the reduced row; ``_leads`` holds the pivot
+    entries other than 1, and a new pivot j clears only the rows in
+    ``_holders[j]``."""
 
-    __slots__ = ("rows", "_holders")
+    __slots__ = ("rows", "_holders", "_leads")
 
     def __init__(self):
-        self.rows: dict[int, dict[int, object]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
         self._holders: dict[int, set[int]] = {}
+        self._leads: dict[int, int] = {}
 
     def basis(self) -> list[dict[int, object]]:
-        """Copies of the rows, ordered by pivot column."""
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+        """The reduced rows, ordered by pivot column."""
+        out = []
+        for p in sorted(self.rows):
+            row = self.rows[p]
+            lead = row[p]
+            out.append(dict(row) if lead == 1 else {j: exact_div(x, lead) for j, x in row.items()})
+        return out
+
+    def _residue(self, w: dict[int, int], hit: Collection[int]) -> tuple[dict[int, int], int]:
+        """(r, s) with r / s what is left of the int map w (consumed) once
+        the pivots ``hit`` (those of w's columns) are cleared: r a map of
+        ints, no zero, and s a positive int, 1 when every pivot hit is 1."""
+        rows, leads = self.rows, self._leads
+        s = math.lcm(*[leads[p] for p in hit if p in leads]) if leads else 1
+        if s != 1:
+            w = {j: s * x for j, x in w.items()}
+        for p in hit:
+            row = rows[p]
+            c = w[p] if s == 1 else w[p] // row[p]
+            for j, b in row.items():
+                w[j] = w.get(j, 0) - c * b
+        return {j: x for j, x in w.items() if x}, s
 
     def reduce(self, v) -> tuple[dict[int, object], dict[int, object]]:
-        """(c, rest) with v = sum(c[p] * rows[p]) + rest, rest a map empty at every pivot."""
-        rest = _sparse(v)
-        coeffs = {p: rest[p] for p in rest if p in self.rows}
-        for p, c in coeffs.items():
-            for j, b in self.rows[p].items():
-                rest[j] = rest.get(j, 0) - c * b
-        return coeffs, {j: x for j, x in rest.items() if x}
+        """(c, rest) with v = sum(c[p] * reduced row p) + rest, rest a map
+        empty at every pivot."""
+        w, d = _sparse(v)
+        coeffs = {p: w[p] for p in w if p in self.rows}
+        rest, s = self._residue(w, coeffs)
+        if d != 1:
+            coeffs = {p: exact_div(c, d) for p, c in coeffs.items()}
+        s *= d
+        if s != 1:
+            rest = {j: exact_div(x, s) for j, x in rest.items()}
+        return coeffs, rest
 
-    def add(self, v) -> tuple[Optional[int], object]:
-        """One Gauss-Jordan step: insert v, returning its new pivot column and
-        the leading entry it was divided by, or (None, 0) if v is in the span."""
-        _, rest = self.reduce(v)
+    def _insert(self, v) -> tuple[Optional[int], int, int]:
+        """:meth:`add` with its divisor as a fraction: (column, numerator,
+        positive denominator), or (None, 0, 1) if v is in the span."""
+        w, d = _sparse(v)
+        rows, leads = self.rows, self._leads
+        rest, s = self._residue(w, [p for p in w if p in rows])
         if not rest:
-            return None, 0
+            return None, 0, 1
         col = min(rest)
         lead = rest[col]
         if lead == -1:
             rest = {j: -x for j, x in rest.items()}
         elif lead != 1:
-            rest = {j: exact_div(x, lead) for j, x in rest.items()}
+            rest = _primitive(rest if lead > 0 else {j: -x for j, x in rest.items()})
+        a = rest[col]
         for p in self._holders.pop(col, ()):
-            row = self.rows[p]
+            row = rows[p]
             c = row.get(col)
             if c:
+                if a != 1:
+                    row = {j: a * x for j, x in row.items()}
                 for j, b in rest.items():
                     row[j] = row.get(j, 0) - c * b
                     self._holders.setdefault(j, set()).add(p)
-                self.rows[p] = {j: x for j, x in row.items() if x}
+                row = {j: x for j, x in row.items() if x}
+                if row[p] != 1:
+                    row = _primitive(row)
+                    if row[p] != 1:
+                        leads[p] = row[p]
+                    else:
+                        leads.pop(p, None)
+                rows[p] = row
         for j in rest:
             self._holders.setdefault(j, set()).add(col)
-        self.rows[col] = rest
-        return col, lead
+        rows[col] = rest
+        if a != 1:
+            leads[col] = a
+        return col, lead, s * d
+
+    def add(self, v) -> tuple[Optional[int], object]:
+        """One Gauss-Jordan step: insert v, returning its new pivot column and
+        the leading entry it was divided by, or (None, 0) if v is in the span."""
+        col, lead, den = self._insert(v)
+        return col, lead if den == 1 else exact_div(lead, den)
 
     def coordinates(self, v) -> list:
         """Coefficients of v on :meth:`basis`; NotInSpanError outside the span."""
         coeffs, rest = self.reduce(v)
         if rest:
             raise NotInSpanError("vector is outside the row space")
-        return [_integral(coeffs.get(p, 0)) for p in sorted(self.rows)]
+        return [coeffs.get(p, 0) for p in sorted(self.rows)]
 
 
 def _span(rows: Iterable) -> RowSpace:
     space = RowSpace()
     for row in rows:
-        space.add(row)
+        space._insert(row)
     return space
 
 
@@ -120,7 +199,9 @@ def nullspace(rows: Sequence, ncols: int) -> list[list]:
         vec = [0] * ncols
         vec[fc] = 1
         for pc, row in space.rows.items():
-            vec[pc] = _integral(-row.get(fc, 0))
+            x = row.get(fc)
+            if x:
+                vec[pc] = -x if row[pc] == 1 else exact_div(-x, row[pc])
         basis.append(vec)
     return basis
 
@@ -139,7 +220,8 @@ def solve_columns(rows: Sequence, columns: Sequence[Sequence]) -> list[Optional[
     if not rows:
         return [[] if not any(b) else None for b in columns]
     ncols = _width(rows)
-    space = _span({**_sparse(row), **{ncols + t: b[i] for t, b in enumerate(columns)}}
+    space = _span({**(row if isinstance(row, dict) else dict(enumerate(row))),
+                   **{ncols + t: b[i] for t, b in enumerate(columns)}}
                   for i, row in enumerate(rows))
     blocked = {j for p, row in space.rows.items() if p >= ncols for j in row}
     out: list[Optional[list]] = []
@@ -148,27 +230,30 @@ def solve_columns(rows: Sequence, columns: Sequence[Sequence]) -> list[Optional[
         if j not in blocked:
             x = [0] * ncols
             for c, row in space.rows.items():
-                if c < ncols:
-                    x[c] = _integral(row.get(j, 0))
+                b = row.get(j)
+                if c < ncols and b:
+                    x[c] = b if row[c] == 1 else exact_div(b, row[c])
         out.append(x)
     return out
 
 
 def determinant(rows: Sequence):
     """Determinant of a square matrix: the product of the leading entries
-    the rows are divided by, signed by the order of their pivots."""
+    the rows are divided by, signed by the order of their pivots, taken as
+    one integer numerator over one denominator."""
     rows = list(rows)
     if _width(rows) > len(rows) or any(
             not isinstance(row, dict) and len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
-    space, det, order = RowSpace(), 1, []
+    space, num, den, order = RowSpace(), 1, 1, []
     for row in rows:
-        col, lead = space.add(row)
+        col, lead, d = space._insert(row)
         if col is None:
             return 0
-        det *= -lead if sum(c > col for c in order) % 2 else lead
+        num *= -lead if sum(c > col for c in order) % 2 else lead
+        den *= d
         order.append(col)
-    return exact_div(det, 1)  # an int whenever the value is one
+    return exact_div(num, den)
 
 
 def express_in_basis(target, basis: Sequence) -> list:

@@ -23,6 +23,7 @@ candidate root against them exactly.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterable
 
@@ -66,9 +67,10 @@ def _cone_roots(candidates: Iterable[Root], generators: Iterable[Root]) -> set[R
     reduced echelon basis of V are its entries at the pivot columns.  Every
     r - 1 independent generators span a hyperplane of V with a normal y;
     when all generators lie weakly on one side of it, y (or -y) is kept as
-    a facet normal.  A vector lies in the cone exactly when it lies in V and
-    on the nonnegative side of every kept normal (a cone containing a line
-    has fewer normals; one with none is all of V).  Arithmetic is exact.
+    a facet normal.  A vector lies in the cone exactly when it lies in V (it
+    is orthogonal to the kernel of the generators) and on the nonnegative
+    side of every kept normal (a cone containing a line has fewer normals;
+    one with none is all of V).  Arithmetic is exact.
     """
     gens = list(dict.fromkeys(generators))
     span = RowSpace()
@@ -79,6 +81,7 @@ def _cone_roots(candidates: Iterable[Root], generators: Iterable[Root]) -> set[R
     if r == 0:
         return set()
     coords = [[g[p] for p in pivots] for g in gens]
+    outside = nullspace(gens, len(gens[0])) if r < len(gens[0]) else []
     normals, seen = [], set()
     for face in itertools.combinations(coords, r - 1):
         kernel = nullspace(face, r)
@@ -95,7 +98,7 @@ def _cone_roots(candidates: Iterable[Root], generators: Iterable[Root]) -> set[R
             normals.append(tuple(-a for a in y))
     out = set()
     for beta in candidates:
-        if span.reduce(beta)[1]:
+        if any(sum(map(operator.mul, x, beta)) for x in outside):
             continue
         c = [beta[p] for p in pivots]
         if all(sum(a * b for a, b in zip(y, c)) >= 0 for y in normals):

@@ -337,7 +337,8 @@ class TestTable:
         assert len(data["rows"]) == 4
 
     @pytest.mark.parametrize("family,rank", [("A", r) for r in range(6)]
-                             + [("B", r) for r in range(5)] + [("D", r) for r in range(2, 5)])
+                             + [("B", r) for r in range(5)] + [("D", r) for r in range(2, 5)]
+                             + [("A", 6), ("B", 5), ("D", 5)])
     def test_hm_table_is_the_identity(self, capsys, family, rank):
         # h and m are dual bases under the weak-descent-count form
         status, out, _ = run(capsys, "table", "--type", family, "--rank", str(rank),

@@ -1,13 +1,16 @@
 """The exact elimination core against sympy, on small integer and rational
 matrices of every shape, including 0 rows, 0 columns and zero matrices."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxkit import linalg
 from coxkit.freemodule import FormalVector
 from coxkit.linalg import (
     NotInSpanError,
@@ -25,6 +28,8 @@ from coxkit.linalg import (
 
 INTS = st.integers(-3, 3)
 RATIONALS = st.one_of(INTS, st.fractions(-3, 3, max_denominator=4))
+LARGE = st.one_of(st.integers(-10**20, 10**20),
+                  st.fractions(-10**12, 10**12, max_denominator=10**9))
 
 
 @st.composite
@@ -257,6 +262,80 @@ def test_integers_stay_integers_with_unit_pivots():
     assert all(type(x) is int for row in mat for x in row)
     assert all(type(x) is int for v in nullspace(rows, 4) for x in v)
     assert all(type(x) is int for x in solve(rows, [1, 2, 3, 4]))
+
+
+def stored_rows_are_primitive(space) -> bool:
+    """Each stored row is a map of nonzero ints with gcd 1, positive at its
+    pivot and absent at every other pivot; ``_leads`` holds exactly the
+    pivot entries other than 1."""
+    for p, row in space.rows.items():
+        if not row or not all(type(x) is int and x for x in row.values()):
+            return False
+        if row.get(p, 0) <= 0 or math.gcd(*row.values()) != 1 or set(row) & set(space.rows) - {p}:
+            return False
+    return space._leads == {p: row[p] for p, row in space.rows.items() if row[p] != 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(entries=INTS), matrices(), matrices(entries=LARGE, max_rows=4)))
+@example(([[2, 4, 6], [3, 5, 7], [1, 1, 2]], 3))
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 3), Fraction(-5, 7)]], 2))
+def test_stored_rows_stay_primitive_integer_maps(case):
+    # after every step the rows are primitive int maps whose quotients by
+    # their pivot entries are sympy's reduced echelon form
+    rows, ncols = case
+    space = RowSpace()
+    for row in rows:
+        space.add(row)
+        assert stored_rows_are_primitive(space)
+    want, want_pivots = as_sympy(rows, ncols).rref()
+    assert sorted(space.rows) == list(want_pivots)
+    got = [[row.get(j, 0) for j in range(ncols)] for row in space.basis()]
+    assert [[sympy.Rational(x.numerator, x.denominator) for x in map(Fraction, row)]
+            for row in got] == want.tolist()[:len(want_pivots)]
+    assert all(integral_as_int(row) and exact(row) for row in got)
+
+
+class _NoFraction:
+    def __new__(cls, *args):
+        raise AssertionError(f"Fraction{args} built during integer elimination")
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(entries=st.integers(-6, 6), square=True))
+@example(([[2, 4, 6], [3, 5, 7], [1, 1, 2]], 3))
+def test_integer_elimination_builds_no_fraction(case):
+    # rank, the reduced basis scaled to integers and the determinant of an
+    # int matrix never build a Fraction, whatever its pivot entries are
+    rows, n = case
+    with mock.patch.object(linalg, "Fraction", _NoFraction):
+        space = RowSpace()
+        for row in rows:
+            space._insert(row)
+        assert matrix_rank(rows) == matrix_rank(as_maps(rows)) == len(space.rows)
+        assert type(determinant(rows)) is int
+        for p, row in space.rows.items():
+            assert space.coordinates(row) == [row[p] if q == p else 0 for q in sorted(space.rows)]
+    assert stored_rows_are_primitive(space)
+
+
+def test_integral_results_build_no_fraction():
+    rows = [[2, 4, 6], [3, 5, 7], [1, 1, 2]]
+    with mock.patch.object(linalg, "Fraction", _NoFraction):
+        assert solve(rows, [12, 15, 4]) == [1, 1, 1]
+        assert nullspace([[2, 4, 6], [3, 6, 9]], 3) == [[-2, 1, 0], [-3, 0, 1]]
+        assert determinant(rows) == -2
+        assert exact_div(-12, 4) == -3
+
+
+@pytest.mark.parametrize("rows,entry", [([[1, 2], [2, 4.0]], "4.0"), ([[0.5, 1]], "0.5"),
+                                        ([{0: 1, 3: 2.5}], "2.5"), ([[1, 0.0]], "0.0"),
+                                        ([[1, "2"]], "'2'")])
+def test_a_float_or_other_entry_is_refused_by_the_row_normalizer(rows, entry):
+    with pytest.raises(TypeError, match=f"entry {entry} at column"):
+        matrix_rank(rows)
+    with pytest.raises(TypeError, match=f"entry {entry} at column"):
+        RowSpace().reduce(rows[-1])
 
 
 def test_exact_div():
