@@ -218,7 +218,7 @@ def solve_columns(rows: Sequence, columns: Sequence[Sequence]) -> list[Optional[
     lies right of A is nonzero at b; the other rows give its solution with
     every free variable 0, so each answer is the one-column answer."""
     if not rows:
-        return [[] if not any(b) else None for b in columns]
+        return [None if _sparse(b)[0] else [] for b in columns]
     ncols = _width(rows)
     space = _span({**(row if isinstance(row, dict) else dict(enumerate(row))),
                    **{ncols + t: b[i] for t, b in enumerate(columns)}}

@@ -336,6 +336,8 @@ def test_a_float_or_other_entry_is_refused_by_the_row_normalizer(rows, entry):
         matrix_rank(rows)
     with pytest.raises(TypeError, match=f"entry {entry} at column"):
         RowSpace().reduce(rows[-1])
+    with pytest.raises(TypeError, match=f"entry {entry} at column"):
+        solve([], rows[-1])
 
 
 def test_exact_div():
