@@ -305,8 +305,8 @@ class _NoFraction:
 @given(matrices(entries=st.integers(-6, 6), square=True))
 @example(([[2, 4, 6], [3, 5, 7], [1, 1, 2]], 3))
 def test_integer_elimination_builds_no_fraction(case):
-    # rank, the reduced basis scaled to integers and the determinant of an
-    # int matrix never build a Fraction, whatever its pivot entries are
+    # the rank, the stored integer rows, their coordinates and the
+    # determinant of an int matrix build no Fraction, whatever its pivots
     rows, n = case
     with mock.patch.object(linalg, "Fraction", _NoFraction):
         space = RowSpace()
