@@ -25,7 +25,6 @@ import operator
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .freemodule import FormalVector
@@ -275,12 +274,12 @@ def cmd_table(args) -> int:
         ms = dsc.m_class_basis(system)
         m_in_h = linalg.express_all_in_basis([ms[mu] for mu in labels], [hs[l] for l in labels])
         # each column of coordinates on one common denominator, so that an
-        # entry is an integer dot product and one exact division
+        # entry is an integer dot product and one exact division; an int
+        # coordinate is its own numerator over 1
         columns = []
         for coeffs in m_in_h:
-            fracs = [Fraction(c) for c in coeffs]
-            den = math.lcm(*(f.denominator for f in fracs))
-            columns.append(([f.numerator * (den // f.denominator) for f in fracs], den))
+            den = math.lcm(*(c.denominator for c in coeffs))
+            columns.append(([c.numerator * (den // c.denominator) for c in coeffs], den))
         quotients = ([linalg.exact_div(sum(map(operator.mul, scaled, gram_row)), den)
                       for scaled, den in columns] for gram_row in gram)
         mat = [[q if isinstance(q, int) else str(q) for q in row] for row in quotients]

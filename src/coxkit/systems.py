@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+import struct
 from array import array
 from collections import defaultdict, namedtuple
 from functools import cached_property, lru_cache, partial, reduce, wraps
@@ -414,79 +415,153 @@ def _lex_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
     return sorted(tuple(map(operator.mul, s, perm)) for perm in perms for s in signs)
 
 
-def _scaled_columns(columns: Iterable[tuple[int, ...]], size: int
-                    ) -> list[dict[int, tuple[int, ...]]]:
-    """Each column of ``size`` windows as {c: c * column} for the root
-    coefficients c in -1, 0, 1."""
-    zero = (0,) * size
-    return [{1: col, -1: tuple(map(operator.neg, col)), 0: zero} for col in columns]
+# -- the group table in 16-bit lanes: a column of windows is one int, and a
+# root's sign on every window at once is a few big-integer operations --------
+
+#: Every byte value twice: ``_RAMP[n:n + 256]`` is the :meth:`bytes.translate`
+#: table that turns the two's-complement byte of v into v + n.
+_RAMP = bytes(range(256)) * 2
+
+#: The largest window size the lanes hold: a descent mask has one bit per
+#: generator, at most n of them, in a 16-bit lane.
+_LANE_MAX_N = 16
 
 
-def _root_signs(scaled: list[dict[int, tuple[int, ...]]],
-                roots: Iterable[tuple[int, int, int, int]]) -> list[Iterable[bool]]:
-    """For each root (i, a, j, b), the flags <a e_i + b e_j, window> < 0 of
-    the windows of ``scaled`` (:func:`_scaled_columns`): one C-level
-    ``a * col_i < -b * col_j`` per root."""
-    return [map(operator.lt, scaled[i][a], scaled[j][-b]) for i, a, j, b in roots]
+class _Lanes(NamedTuple):
+    """``size`` windows of size ``n`` packed column by column: lane k, bits
+    16k to 16k + 15 of an int, belongs to window k, so one operation on the
+    ints acts on every window.  Column p is the triple of the lanes of
+    c * w(p) + n for c = 0, 1, -1, indexed by c, so that a root coefficient
+    picks its lanes, and every lane lies in [0, 2n], below the guard bit 15
+    of its lane."""
+
+    n: int
+    size: int
+    ones: int
+    guard: int
+    columns: list[tuple[int, int, int]]
 
 
-def _mask_column(system: CoxeterSystem, columns: Iterable[tuple[int, ...]],
-                 size: int) -> tuple[int, ...]:
-    """The descent mask of each of ``size`` windows given by their columns:
-    the :func:`generator_bits` of the s whose simple root a_s has
-    <a_s, window> < 0."""
-    simple = system._roots.simple
-    bits = generator_bits(system)
-    flags = _root_signs(_scaled_columns(columns, size), [r[1:] for r in simple])
-    weighted = [map(operator.mul, f, itertools.repeat(bits[s]))
-                for (s, *_), f in zip(simple, flags)]
-    return tuple(map(sum, zip(*weighted))) if weighted else (0,) * size
+def _lanes(n: int, size: int, ones: int, packed: Iterable[int]) -> _Lanes:
+    """The :class:`_Lanes` whose column p holds the lanes w(p) + n of
+    ``packed``; ``ones`` holds 1 in each of the ``size`` lanes."""
+    zero = n * ones
+    return _Lanes(n, size, ones, ones << 15, [(zero, x, 2 * zero - x) for x in packed])
 
 
-def _window_masks(system: CoxeterSystem, windows: Sequence[tuple[int, ...]]
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The right and the left descent masks of ``windows``, column-wise.
-    The left masks are the right masks of the inverse windows, whose columns
-    are filled in place: column |v| of the inverse holds +-p where column p
-    holds v."""
+def _pack_windows(windows: Sequence[tuple[int, ...]], n: int) -> _Lanes:
+    """The ``windows``, each of size ``n``, in lanes: the signed bytes of all
+    their entries are shifted by n in one translate, and the bytes of each
+    column are read, little-endian, as the low bytes of its lanes.  A window
+    size past :data:`_LANE_MAX_N` is refused with ValueError."""
+    if n > _LANE_MAX_N:
+        raise ValueError(f"window size {n} exceeds {_LANE_MAX_N}, the most 16-bit lanes hold")
     size = len(windows)
-    columns = list(zip(*windows))
-    inverse = [[0] * size for _ in columns]
-    for p, col in enumerate(columns, start=1):
-        for k, v in enumerate(col):
-            if v > 0:
-                inverse[v - 1][k] = p
-            else:
-                inverse[-v - 1][k] = -p
-    return _mask_column(system, columns, size), _mask_column(system, inverse, size)
+    flat = struct.pack(f"<{size * n}b", *itertools.chain.from_iterable(windows))
+    flat = flat.translate(_RAMP[n:n + 256])
+    lane, packed = bytearray(2 * size), []
+    for p in range(n):
+        lane[::2] = flat[p::n]
+        packed.append(int.from_bytes(lane, "little"))
+    return _lanes(n, size, int.from_bytes(b"\1\0" * size, "little"), packed)
+
+
+def _root_flags(lanes: _Lanes, roots: Iterable[tuple[int, int, int, int]]) -> list[int]:
+    """For each root (i, a, j, b), the guard bit of each lane whose window
+    has <a e_i + b e_j, w> < 0, that is a * w(i) < -b * w(j).  With x and y
+    the lanes of both sides, (x | guard) - y keeps a lane's guard bit
+    exactly when x >= y, and borrows from no other lane."""
+    cols, guard = lanes.columns, lanes.guard
+    return [((cols[i][a] | guard) - cols[j][-b] & guard) ^ guard for i, a, j, b in roots]
+
+
+def _unpack(lanes: _Lanes, flags: int) -> tuple[int, ...]:
+    """Lane by lane, a sum of :func:`_root_flags` times small ints: each
+    flag counts 1 at the guard bit, and every lane's sum is below 2^16."""
+    return struct.unpack(f"<{lanes.size}H", (flags >> 15).to_bytes(2 * lanes.size, "little"))
+
+
+def _lane_masks(system: CoxeterSystem, lanes: _Lanes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The right and the left descent mask of each window of ``lanes``: the
+    sum of the flags of the simple roots a_s, each times its
+    :func:`generator_bits` bit (both are in the order of the generators),
+    on the lanes of the windows and on those of their inverses
+    (:func:`_inverse_lanes`)."""
+    roots = system._roots
+    simple, bits = [r[1:] for r in roots.simple], roots.bits.values()
+    right = sum(map(operator.mul, bits, _root_flags(lanes, simple)))
+    left = sum(map(operator.mul, bits, _root_flags(_inverse_lanes(lanes), simple)))
+    return _unpack(lanes, right), _unpack(lanes, left)
+
+
+def _lane_lengths(system: CoxeterSystem, lanes: _Lanes) -> tuple[int, ...]:
+    """The length of each window of ``lanes``: the number of positive roots
+    a with <a, window> < 0 (Bjorner-Brenti 2005, ch. 8)."""
+    return _unpack(lanes, sum(_root_flags(lanes, system._roots.positive)))
+
+
+def _inverse_lanes(lanes: _Lanes) -> _Lanes:
+    """The lanes of the inverse windows: column v of w^{-1} holds p where
+    column p of w holds v and -p where it holds -v, so it is n plus the sum
+    over p of p * ([w(p) = v] - [w(p) = -v]).  A lane of x ^ (c | guard)
+    minus one keeps its guard bit exactly when x != c there, so that
+    difference is [w(p) != -v] - [w(p) != v]."""
+    n, ones, guard = lanes.n, lanes.ones, lanes.guard
+    columns = [x for _, x, _ in lanes.columns]
+    packed = []
+    for v in range(1, n + 1):
+        plus, minus, signed = (n + v) * ones | guard, (n - v) * ones | guard, 0
+        for p, x in enumerate(columns, start=1):
+            signed += p * (((x ^ minus) - ones & guard) - ((x ^ plus) - ones & guard))
+        packed.append(n * ones + (signed >> 15))
+    return _lanes(n, lanes.size, ones, packed)
+
+
+def _lane_members(system: CoxeterSystem, lanes: _Lanes, subset: frozenset[int]
+                  ) -> tuple[bool, ...]:
+    """Whether each window of ``lanes`` lies in W_I, I = ``subset``: whether
+    it inverts no positive root outside :func:`parabolic_positive_roots`,
+    the test of :func:`in_parabolic`, as the OR of those roots' flags."""
+    outside = positive_roots(system) - parabolic_positive_roots(system, subset)
+    inverted = reduce(operator.or_, _root_flags(lanes, map(_coordinates, outside)), 0)
+    return tuple(map(operator.not_, _unpack(lanes, inverted)))
+
+
+def _lex_lanes(system: CoxeterSystem) -> tuple[list[tuple[int, ...]], _Lanes,
+                                               tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The windows of :func:`_lex_windows`, packed into lanes once
+    (:func:`_pack_windows`), and their right and left descent masks
+    (:func:`_lane_masks`)."""
+    windows = _lex_windows(system)
+    lanes = _pack_windows(windows, system.n)
+    return windows, lanes, _lane_masks(system, lanes)
 
 
 @_capped_cache
 def _lex_table(system: CoxeterSystem
                ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Stage 1 of the group's table: the windows of :func:`_lex_windows` and
-    their right and left descent masks (:func:`_window_masks`), in that
-    lexicographic order.  No length is computed and no :class:`Element` is
+    their right and left descent masks, in that lexicographic order
+    (:func:`_lex_lanes`).  No length is computed and no :class:`Element` is
     built."""
-    windows = _lex_windows(system)
-    return windows, _window_masks(system, windows)
+    windows, _, masks = _lex_lanes(system)
+    return windows, masks
 
 
 @_capped_cache
 def _ordered_table(system: CoxeterSystem
                    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Stage 2 of the group's table: the windows and both mask tuples of
-    :func:`_lex_table` in (length, window) order.  The length of a window is
-    the number of positive roots a with <a, window> < 0 (Bjorner-Brenti
-    2005, ch. 8), counted for all windows at once, and a stable sort of the
-    lexicographic windows by length gives the order."""
-    lex, masks = _lex_table(system)
-    size = len(lex)
-    flags = _root_signs(_scaled_columns(zip(*lex), size), system._roots.positive)
-    lengths = list(map(sum, zip(*flags))) if flags else [0] * size
-    order = sorted(range(size), key=lengths.__getitem__)
+    :func:`_lex_lanes` in (length, window) order.  The lengths of all the
+    windows come from the same lanes at once (:func:`_lane_lengths`), so the
+    windows are packed once, and a stable sort of the lexicographic windows
+    by length gives the order.  Stage 1 is not read: a group that only needs
+    this stage stores no lexicographic copy."""
+    lex, lanes, (right, left) = _lex_lanes(system)
+    lengths = _lane_lengths(system, lanes)
+    order = sorted(range(len(lex)), key=lengths.__getitem__)
     return (tuple(map(lex.__getitem__, order)),
-            tuple(tuple(map(m.__getitem__, order)) for m in masks))
+            (tuple(map(right.__getitem__, order)), tuple(map(left.__getitem__, order))))
 
 
 def _group_windows(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
@@ -604,7 +679,9 @@ def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ..
     tuples in the (length, window) order of :func:`elements`.  A mask holds
     the :func:`generator_bits` of the s whose simple root a has
     <a, window> < 0, read on the window for the right mask and on the
-    inverse window for the left one (:func:`_ordered_table`)."""
+    inverse window for the left one: sums of root flags over the lanes of
+    all windows at once (:func:`_lane_masks`), permuted into the order of
+    :func:`_ordered_table`."""
     return _ordered_table(system)[1]
 
 
@@ -622,15 +699,12 @@ def _mask_runs(system: CoxeterSystem, on_left: bool) -> dict[int, array]:
 @_capped_cache
 def _parabolic_flags(system: CoxeterSystem, subset: frozenset[int]) -> tuple[bool, ...]:
     """For each window of :func:`_group_windows`, whether it lies in W_I,
-    I = ``subset``, a set that misses a generator: whether it inverts no
-    positive root outside :func:`parabolic_positive_roots`, the test of
-    :func:`in_parabolic`, made column-wise for all windows at once.  No
-    :class:`Element` is built."""
+    I = ``subset``, a set that misses a generator: the windows are packed
+    into lanes (:func:`_pack_windows`), and a window is kept when the OR of
+    the flags of the positive roots outside W_I is clear in its lane
+    (:func:`_lane_members`).  No :class:`Element` is built."""
     windows = _group_windows(system)
-    outside = positive_roots(system) - parabolic_positive_roots(system, subset)
-    flags = _root_signs(_scaled_columns(zip(*windows), len(windows)),
-                        map(_coordinates, outside))
-    return tuple(map(operator.not_, map(any, zip(*flags))))
+    return _lane_members(system, _pack_windows(windows, system.n), subset)
 
 
 def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],

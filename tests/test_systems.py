@@ -1,5 +1,6 @@
 import copy
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -13,10 +14,16 @@ from coxkit.systems import (
     CoxeterSystem,
     Element,
     _descent_interval,
+    _LANE_MAX_N,
     _group_windows,
+    _inverse_lanes,
+    _lane_lengths,
+    _lane_masks,
+    _lane_members,
     _lex_table,
     _mask_runs,
     _ordered_table,
+    _pack_windows,
     _parabolic_flags,
     _store,
     _trusted_element,
@@ -842,6 +849,55 @@ class TestGroupWindows:
         min_coset_reps(B4, I, "right")
         assert built() - tables == {("_mask_runs", True),
                                     ("_descent_interval", frozenset(), rest, None, True)}
+
+
+@st.composite
+def lane_windows(draw):
+    """A system of family A, B or D of any window size the lanes hold, a
+    few of its windows (none, or repeats, allowed) and a set of labels."""
+    family = draw(st.sampled_from("ABD"))
+    n = draw(st.integers(2 if family == "D" else 0, _LANE_MAX_N))
+    system = CoxeterSystem(family, n)
+    windows = []
+    for _ in range(draw(st.integers(0, 6))):
+        perm = draw(st.permutations(range(1, n + 1)))
+        signs = [1] * n if family == "A" else draw(st.lists(st.sampled_from((1, -1)),
+                                                            min_size=n, max_size=n))
+        if family == "D" and signs.count(-1) % 2:
+            signs[-1] = -signs[-1]
+        windows.append(tuple(map(operator.mul, signs, perm)))
+    return system, windows, frozenset(draw(st.sets(st.sampled_from(range(-1, n + 1)))))
+
+
+class TestLanes:
+    """The lane helper on hand-made windows, not whole groups, against one
+    ``Element`` at a time."""
+
+    @given(lane_windows())
+    @settings(max_examples=150, deadline=None)
+    @example((CoxeterSystem("A", 0), [(), ()], frozenset()))
+    @example((CoxeterSystem("B", 16), [tuple(range(-16, 0))], frozenset({0})))
+    @example((CoxeterSystem("D", 16), [(-16, *range(2, 16), -1), tuple(range(1, 17))],
+              frozenset(range(1, 16))))
+    def test_masks_lengths_and_members_match_the_element_oracles(self, case):
+        system, windows, labels = case
+        bits = generator_bits(system)
+        lanes = _pack_windows(windows, system.n)
+        elems = [system.element(w) for w in windows]
+        right, left = _lane_masks(system, lanes)
+        assert list(right) == [sum(bits[s] for s in w.descent_set()) for w in elems]
+        assert list(left) == [sum(bits[s] for s in w.left_descent_set()) for w in elems]
+        assert list(_lane_lengths(system, lanes)) == [w.length() for w in elems]
+        subset = labels & system.generator_set
+        assert list(_lane_members(system, lanes, subset)) \
+            == [in_parabolic(w, subset) for w in elems]
+        # the inverse lanes are the lanes of the inverse windows
+        assert _inverse_lanes(lanes) == _pack_windows([w.inverse().window for w in elems],
+                                                      system.n)
+
+    def test_a_window_size_past_the_lanes_is_refused(self):
+        with pytest.raises(ValueError, match=f"window size {_LANE_MAX_N + 1} "):
+            _pack_windows([tuple(range(1, _LANE_MAX_N + 2))], _LANE_MAX_N + 1)
 
 
 class TestParabolicOracle:
