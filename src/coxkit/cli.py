@@ -10,6 +10,13 @@ parse error, 3 enumeration cap exceeded, 4 internal error (an unexpected
 exception, reported in one line without a traceback).  A reader that
 closes stdout early is not an error: the command keeps its own status.
 
+One option table (:data:`COMMANDS`) describes every subcommand's options.
+:func:`_parse_table` reads a well-formed argv off it directly;
+:func:`build_parser` makes the argparse parser from the same rows, and
+argparse parses only what the table parser leaves: help, errors and
+unusual forms such as abbreviated option names.  So ``argparse`` is
+imported only then, and ``json`` only for JSON output.
+
 Window-notation arguments are ASCII comma-separated signed integers,
 optionally parenthesized ("2,-4,-3,1" or "(2,-4,-3,1)"); subsets are sorted
 generator indices ("0,2"); (pseudo-)compositions are parenthesized
@@ -18,14 +25,12 @@ generator indices ("0,2"); (pseudo-)compositions are parenthesized
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import operator
 import os
-import re
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .freemodule import FormalVector
 from .systems import (
@@ -41,6 +46,8 @@ from .systems import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .hecke import HModule
     from .qsym import CPoly
 
@@ -110,6 +117,7 @@ def _write(chunks: Iterable[str]) -> None:
 def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], list[str]]) -> None:
     """Print the one output format asked for; only that one is built."""
     if args.format == "json":
+        import json
         _write((json.dumps(payload(), sort_keys=True), "\n"))
     else:
         lines = text_lines()
@@ -355,6 +363,7 @@ def _matrices_json(module: HModule) -> Iterator[str]:
     {"dim": dim, "matrices": {str(s): X_s as dense rows}} with sorted keys,
     made one row at a time from the sparse columns, so no dense matrix is
     held (the B5 regular module has 5 of 3840 x 3840)."""
+    import json
     yield f'{{"dim": {module.dim}, "matrices": {{'
     for k, s in enumerate(sorted(module.mats, key=str)):
         rows: list[dict] = [{} for _ in range(module.dim)]
@@ -414,105 +423,117 @@ def cmd_verify(args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type of the integer options: a nonnegative int."""
+    """Type of the integer options: a nonnegative int.  A refusal is
+    argparse's ArgumentTypeError, which argparse words as an argument error."""
     try:
         value = int(text)
+        problem = f"must be nonnegative, got {value}" if value < 0 else None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        problem = f"invalid integer {text!r}"
+    if problem:
+        import argparse
+        raise argparse.ArgumentTypeError(problem)
     return value
 
 
-def _add_common(p, system_args: bool = True) -> None:
-    p.add_argument("--format", "--out", dest="format", choices=("text", "json"),
-                   default="text", help="output format")
-    if system_args:
-        p.add_argument("--type", choices=("A", "B", "D"), required=True)
-        p.add_argument("--rank", type=_count, required=True)
-        p.add_argument("--max-window", type=_count, default=None,
-                       help="override the per-family window cap")
+class Option(NamedTuple):
+    """One option row, its ``dest`` argparse's own.  A name without '-' is
+    a positional; ``choices`` may be a zero-argument callable, called only
+    when the row is used."""
+    names: tuple[str, ...]
+    dest: str
+    type: Optional[Callable[[str], object]]
+    choices: Union[None, tuple, Callable[[], list[str]]]
+    default: object
+    required: bool
+    help: Optional[str]
+
+    def allowed(self) -> Optional[Iterable]:
+        return self.choices() if callable(self.choices) else self.choices
 
 
-def _element_args(p) -> None:
-    _add_common(p)
-    p.add_argument("--op", required=True,
-                   choices=("length", "descents", "inverse", "reduced-word", "compose"))
-    p.add_argument("window", help="comma-separated window, e.g. '2,-4,-3,1'")
-    p.add_argument("--right", default=None, help="second operand for compose")
+def _opt(*names: str, type=None, choices=None, default=None, required=False, help=None
+         ) -> Option:
+    """The row of ``names``, with argparse's dest and defaults."""
+    return Option(names, names[0].lstrip("-").replace("-", "_"), type, choices, default,
+                  required, help)
 
 
-def _product_args(p) -> None:
-    from . import words as wd
-    _add_common(p, system_args=False)
-    p.add_argument("--family", required=True, choices=sorted(wd.PRODUCTS))
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+def _product_families() -> list[str]:
+    from .words import PRODUCTS
+    return sorted(PRODUCTS)
 
 
-def _coproduct_args(p) -> None:
-    from . import words as wd
-    _add_common(p, system_args=False)
-    p.add_argument("--family", required=True, choices=sorted(wd.COPRODUCTS))
-    p.add_argument("--arg", required=True)
-    p.add_argument("--split", type=_count, default=None, help="keep one component")
+def _coproduct_families() -> list[str]:
+    from .words import COPRODUCTS
+    return sorted(COPRODUCTS)
 
 
-def _series_args(p) -> None:
-    _add_common(p, system_args=False)
-    p.add_argument("--kind", required=True, choices=SERIES_KINDS)
-    p.add_argument("--key", required=True, help="(pseudo-)composition, e.g. '(0,2,1)'")
-    p.add_argument("--window", type=_count, required=True)
+def _suites() -> list[str]:
+    from .verify import SUITES
+    return sorted(SUITES) + ["all"]
 
 
-def _expand_args(p) -> None:
-    _add_common(p, system_args=False)
-    p.add_argument("--target", required=True, help="token like 'x0:2' or 'h:(1,1)'")
-    p.add_argument("--basis", required=True,
-                   help="semicolon-separated tokens, e.g. 'hB:(2);hB:(1,1);hB:(0,2);hB:(0,1,1)'")
-    p.add_argument("--window", type=_count, default=3)
+_FORMAT = _opt("--format", "--out", choices=("text", "json"), default="text",
+               help="output format")
+_SYSTEM = (_opt("--type", choices=("A", "B", "D"), required=True),
+           _opt("--rank", type=_count, required=True),
+           _opt("--max-window", type=_count, help="override the per-family window cap"))
 
-
-def _table_args(p) -> None:
-    _add_common(p)
-    p.add_argument("--table", required=True, choices=("c", "hm", "hgram"))
-
-
-def _hecke_args(p) -> None:
-    _add_common(p)
-    p.add_argument("--op", default="none", choices=("none", "induce", "restrict"))
-    p.add_argument("--subset", default=None, help="acting generators, e.g. '1,2'")
-    p.add_argument("--module", required=True, help="'C:<subset>', 'P:<subset>' or 'regular'")
-    p.add_argument("--report", default="factors",
-                   choices=("factors", "multiplicities", "dim", "matrices"))
-
-
-def _verify_args(p) -> None:
-    from . import verify as vf
-    _add_common(p, system_args=False)
-    p.add_argument("--suite", default="all", choices=sorted(vf.SUITES) + ["all"])
-    p.add_argument("--type", choices=("A", "B", "D"), default=None)
-    p.add_argument("--rank", type=_count, default=None)
-
-
-#: Each subcommand's help line, handler and argument builder, in help order.
+#: Each subcommand's help line, handler and option rows, in help order.
 COMMANDS = {
-    "element": ("window-notation arithmetic", cmd_element, _element_args),
-    "product": ("shuffle-style products", cmd_product, _product_args),
-    "coproduct": ("unshuffle-style coproducts", cmd_coproduct, _coproduct_args),
-    "series": ("truncated noncommutative basis elements", cmd_series, _series_args),
-    "expand": ("exact expansion in a polynomial basis", cmd_expand, _expand_args),
-    "table": ("pairing tables", cmd_table, _table_args),
-    "hecke": ("degenerate Hecke module calculus", cmd_hecke, _hecke_args),
-    "verify": ("run named verification suites", cmd_verify, _verify_args),
+    "element": ("window-notation arithmetic", cmd_element, (
+        _FORMAT, *_SYSTEM,
+        _opt("--op", required=True,
+             choices=("length", "descents", "inverse", "reduced-word", "compose")),
+        _opt("window", required=True, help="comma-separated window, e.g. '2,-4,-3,1'"),
+        _opt("--right", help="second operand for compose"))),
+    "product": ("shuffle-style products", cmd_product, (
+        _FORMAT,
+        _opt("--family", required=True, choices=_product_families),
+        _opt("--left", required=True),
+        _opt("--right", required=True))),
+    "coproduct": ("unshuffle-style coproducts", cmd_coproduct, (
+        _FORMAT,
+        _opt("--family", required=True, choices=_coproduct_families),
+        _opt("--arg", required=True),
+        _opt("--split", type=_count, help="keep one component"))),
+    "series": ("truncated noncommutative basis elements", cmd_series, (
+        _FORMAT,
+        _opt("--kind", required=True, choices=SERIES_KINDS),
+        _opt("--key", required=True, help="(pseudo-)composition, e.g. '(0,2,1)'"),
+        _opt("--window", type=_count, required=True))),
+    "expand": ("exact expansion in a polynomial basis", cmd_expand, (
+        _FORMAT,
+        _opt("--target", required=True, help="token like 'x0:2' or 'h:(1,1)'"),
+        _opt("--basis", required=True,
+             help="semicolon-separated tokens, e.g. 'hB:(2);hB:(1,1);hB:(0,2);hB:(0,1,1)'"),
+        _opt("--window", type=_count, default=3))),
+    "table": ("pairing tables", cmd_table, (
+        _FORMAT, *_SYSTEM,
+        _opt("--table", required=True, choices=("c", "hm", "hgram")))),
+    "hecke": ("degenerate Hecke module calculus", cmd_hecke, (
+        _FORMAT, *_SYSTEM,
+        _opt("--op", default="none", choices=("none", "induce", "restrict")),
+        _opt("--subset", help="acting generators, e.g. '1,2'"),
+        _opt("--module", required=True, help="'C:<subset>', 'P:<subset>' or 'regular'"),
+        _opt("--report", default="factors",
+             choices=("factors", "multiplicities", "dim", "matrices")))),
+    "verify": ("run named verification suites", cmd_verify, (
+        _FORMAT,
+        _opt("--suite", default="all", choices=_suites),
+        _opt("--type", choices=("A", "B", "D")),
+        _opt("--rank", type=_count))),
 }
 
 
 def build_parser(command: Optional[str] = None, arguments: bool = True) -> argparse.ArgumentParser:
-    """The coxkit parser.  When ``command`` names a subcommand only its
-    subparser is built, under a usage line that still lists every command:
-    an argument error then reads as it does from the full parser.  Without
-    ``arguments`` (for an argv that names no subcommand) none gets its own."""
+    """The coxkit parser, made from the option rows of :data:`COMMANDS`.
+    When ``command`` names a subcommand only its subparser is built, under a
+    usage line that still lists every command: an argument error then reads
+    as it does from the full parser.  Without ``arguments`` (for an argv that
+    names no subcommand) none gets its own."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="coxkit",
         description="Exact combinatorics of (signed) permutation groups: "
@@ -523,18 +544,76 @@ def build_parser(command: Optional[str] = None, arguments: bool = True) -> argpa
     sub = parser.add_subparsers(dest="command", required=True, metavar=(
         "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None))
     for name in names:
-        help_text, fn, add_args = COMMANDS[name]
+        help_text, fn, rows = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        if arguments:
-            add_args(p)
+        for row in rows if arguments else ():
+            if row.names[0].startswith("-"):
+                p.add_argument(*row.names, dest=row.dest, type=row.type, default=row.default,
+                               required=row.required, choices=row.allowed(), help=row.help)
+            else:
+                p.add_argument(*row.names, help=row.help)
         p.set_defaults(fn=fn)
     return parser
+
+
+def _parse_table(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would give for a well-formed protected argv,
+    read off the option rows alone, or None to leave ``argv`` to argparse.
+    Well-formed: an exact command name, then '--name value' (the value not
+    starting with '-') or '--name=value' (the value not starting with '-',
+    or a negative window) with exact names, and for ``element`` its window,
+    also as the last token after a '--'; every value passes its row's type
+    and choices, and every required row is given.  Anything else, '--help'
+    and abbreviations among it, is None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, fn, rows = COMMANDS[argv[0]]
+    options = {name: row for row in rows for name in row.names if name.startswith("-")}
+    positional = next((row for row in rows if not row.names[0].startswith("-")), None)
+    values: dict[str, object] = {}
+    i = 1
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--" and i == len(argv) - 2 and _is_negative_window(argv[-1]):
+            row, value, i = positional, argv[-1], i + 2
+        elif not tok.startswith("-"):
+            row, value, i = positional, tok, i + 1
+        elif "=" in tok:
+            flag, _, value = tok.partition("=")
+            if value.startswith("-") and not _is_negative_window(value):
+                return None  # argparse reads such values its own way: '--' becomes []
+            row, i = options.get(flag), i + 1
+        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            row, value, i = options.get(tok), argv[i + 1], i + 2
+        else:
+            return None
+        if row is None or row is positional and row.dest in values:
+            return None
+        if row.type is not None:
+            try:
+                value = row.type(value)
+            except Exception:  # refused: argparse words the error
+                return None
+        if row.choices is not None and value not in row.allowed():
+            return None
+        values[row.dest] = value
+    if any(row.required and row.dest not in values for row in rows):
+        return None
+    return SimpleNamespace(command=argv[0], fn=fn,
+                           **{row.dest: values.get(row.dest, row.default) for row in rows})
+
+
+def _is_negative_window(tok: str) -> bool:
+    """Whether ``tok`` is '-' and then comma-separated integers, each but the
+    first optionally signed: '-2,1' or '-3,-1' (digits as ``str.isdecimal``)."""
+    head, *rest = tok.split(",")
+    return (head[:1] == "-" and head[1:].isdecimal()
+            and all(part.removeprefix("-").isdecimal() for part in rest))
 
 
 def _protect_negative_windows(argv: list[str]) -> list[str]:
     """Keep window and integer arguments starting with '-' out of option parsing:
     fuse them into '--opt=value' form and shield bare positionals with '--'."""
-    window = re.compile(r"-\d+(,-?\d+)*")
     fused: list[str] = []
     i = 0
     while i < len(argv):
@@ -542,14 +621,14 @@ def _protect_negative_windows(argv: list[str]) -> list[str]:
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if tok in ("--right", "--left", "--arg", "--key",
                    "--rank", "--window", "--split", "--max-window") and nxt is not None \
-                and window.fullmatch(nxt):
+                and _is_negative_window(nxt):
             fused.append(f"{tok}={nxt}")
             i += 2
         else:
             fused.append(tok)
             i += 1
     for i, tok in enumerate(fused):
-        if window.fullmatch(tok) and "--" not in fused[:i]:
+        if _is_negative_window(tok) and "--" not in fused[:i]:
             return fused[:i] + ["--"] + fused[i:]
     return fused
 
@@ -558,11 +637,13 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _protect_negative_windows(list(argv))
-    parser = build_parser(argv[0] if argv else None, not COMMANDS.keys().isdisjoint(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    args = _parse_table(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv else None, not COMMANDS.keys().isdisjoint(argv))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
     except CapExceededError as exc:

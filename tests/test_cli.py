@@ -11,11 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxkit import hecke as hk
-from coxkit.cli import COMMANDS, SERIES_KINDS, build_parser, main
+from coxkit.cli import (COMMANDS, SERIES_KINDS, _is_negative_window, _parse_table,
+                        _protect_negative_windows, build_parser, main)
 from coxkit.series import h_basis, s_basis
 from coxkit.systems import CoxeterSystem, is_valid_composition, set_max_order
 from coxkit.words import COPRODUCTS, PRODUCTS
@@ -513,13 +514,15 @@ COMMAND_MODULES = {
 }
 
 
-def fresh_interpreter_modules(code: str) -> tuple[int, list[str]]:
+def fresh_interpreter_modules(code: str, packages: tuple[str, ...] = ("coxkit",)
+                              ) -> tuple[int, list[str]]:
     """Run ``code`` in a new interpreter on this checkout's sources and
-    return the status it printed last and the coxkit modules it then held."""
+    return the status it printed last and the modules of ``packages`` (by
+    top-level name) it then held."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = (f"import sys\n{code}\n"
-             "print(status, *sorted(m for m in sys.modules if m.split('.')[0] == 'coxkit'))")
+             f"print(status, *sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -595,6 +598,29 @@ class TestImportSets:
                                         if p.stem != "__init__"}))
 
 
+#: The standard-library packages that the CLI imports only where it uses them.
+LAZY_STDLIB = ("argparse", "gettext", "json", "_json")
+
+
+class TestStdlibImports:
+    @pytest.mark.parametrize("code, status, loaded", [
+        ("import coxkit.cli\nstatus = 0", 0, []),
+        ("from coxkit import cli\n"
+         "status = cli.main(['table', '--type', 'B', '--rank', '3', '--table', 'c'])", 0, []),
+        ("from coxkit import cli\n"
+         "status = cli.main(['table', '--type', 'B', '--rank', '3', '--table', 'c', "
+         "'--format', 'json'])", 0, ["_json", "json", "json.decoder", "json.encoder",
+                                     "json.scanner"]),
+        ("from coxkit import cli\nstatus = cli.main(['--help'])", 0, ["argparse", "gettext"]),
+        ("from coxkit import cli\nstatus = cli.main(['table', '--help'])", 0,
+         ["argparse", "gettext"]),
+    ], ids=["import", "table text", "table json", "help", "table help"])
+    def test_argparse_and_json_load_only_when_used(self, code, status, loaded):
+        # a well-formed command is parsed by the option table, and only the
+        # JSON format loads json
+        assert fresh_interpreter_modules(code, LAZY_STDLIB) == (status, loaded)
+
+
 class TestNegativeIntegerOptions:
     CASES = [
         (("table", "--type", "A", "--table", "c"), "--rank"),
@@ -617,6 +643,28 @@ class TestNegativeIntegerOptions:
     def test_zero_is_accepted(self, capsys):
         status, out, _ = run(capsys, "series", "--kind", "sA", "--key", "()", "--window=0")
         assert status == 0 and out.splitlines()[-1] == "# 1 words"
+
+
+class TestNegativeWindowPredicate:
+    #: The pattern that ``_is_negative_window`` replaces, kept as its oracle.
+    WINDOW = re.compile(r"-\d+(,-?\d+)*")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["", "-", "--"]),
+                              st.text(alphabet="019\u0661\u06f3\U0001d7d8\u00b2a \n-", max_size=3))
+                    .map("".join), min_size=1, max_size=4).map(",".join))
+    @example("--1")
+    @example("-1,--2")
+    @example("-1,")
+    @example("-1,,2")
+    @example("-\u0661,-\u0662")
+    @example("-1,-2,3")
+    @example("-")
+    def test_accepts_what_the_pattern_accepts(self, tok):
+        # empty parts, doubled signs, trailing commas, and decimal digits of
+        # other scripts (Arabic-Indic, Extended Arabic-Indic, mathematical
+        # bold), next to a superscript two that is no decimal digit
+        assert _is_negative_window(tok) == bool(self.WINDOW.fullmatch(tok))
 
 
 class TestVerify:
@@ -835,6 +883,106 @@ class TestFuzz:
         assert outputs[0][0] in (0, 2)
 
 
+def _units(tokens):
+    """``tokens`` grouped into units: an option with the token after it, or
+    one token."""
+    units, i = [], 0
+    while i < len(tokens):
+        take = 2 if tokens[i].startswith("--") and i + 1 < len(tokens) else 1
+        units.append(tokens[i:i + take])
+        i += take
+    return units
+
+
+@st.composite
+def _perturbed_argv(draw):
+    """A ``_cli_argv()`` argv, its options perhaps shuffled, one repeated or
+    dropped, some fused into '--name=value', abbreviated or given an empty
+    value, and a '-h' or '--' perhaps inserted."""
+    command, *rest = draw(_cli_argv())
+    units = _units(rest)
+    if draw(st.booleans()):
+        units = draw(st.permutations(units))
+    if units and draw(st.booleans()):
+        units.append(draw(st.sampled_from(units)))
+    if units and draw(st.booleans()):
+        del units[draw(st.integers(0, len(units) - 1))]
+    units = [list(unit) for unit in units]
+    for unit in units:
+        how = draw(st.sampled_from(["keep"] * 4 + ["fuse", "abbreviate", "empty"]))
+        if unit[0].startswith("--") and len(unit) == 2:
+            if how == "fuse":
+                unit[:] = [f"{unit[0]}={unit[1]}"]
+            elif how == "abbreviate" and len(unit[0]) > 3:
+                unit[0] = unit[0][:draw(st.integers(3, len(unit[0]) - 1))]
+            elif how == "empty":
+                unit[1] = ""
+    argv = [command] + [tok for unit in units for tok in unit]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["-h", "--"])))
+    return argv
+
+
+class TestTableParser:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(_cli_argv(), _perturbed_argv()))
+    def test_a_parsed_argv_reads_as_argparse_reads_it(self, argv):
+        # whenever the option table parses an argv, argparse accepts it and
+        # gives the same namespace: every type, choice, requirement and default
+        protected = _protect_negative_windows(argv)
+        args = _parse_table(protected)
+        if args is not None:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    expected = vars(build_parser(protected[0]).parse_args(protected))
+                except SystemExit:
+                    expected = "refused"
+            assert vars(args) == expected, protected
+
+    @pytest.mark.parametrize("argv", [
+        "hecke --type B --rank 2 --module regular --rep dim",
+        "table --type A --rank 2 --table c --help",
+        "table -h",
+        "table --type A --rank 2",
+        "table --type A --rank x --table c",
+        "table --type A --rank 2 --table bogus",
+        "table --type A --rank 2 --table",
+        "table --type A --rank 2 --table c --bogus 1",
+        "table --type A --rank=-1 --table c",
+        "hecke --type B --rank 2 --module -x",
+        "hecke --type B --rank 2 --module=--",
+        "element --type A --rank 2 --op length 1,2,3 3,2,1",
+        "element --type A --rank 2 1,2,3 -- --op length",
+        "series --kind sA --key (1) --window 1 extra",
+        "--help",
+        "",
+        "bogus --type A",
+    ], ids=lambda argv: argv or "bare")
+    def test_unusual_forms_are_left_to_argparse(self, argv):
+        assert _parse_table(_protect_negative_windows(argv.split())) is None
+
+    @pytest.mark.parametrize("argv, attributes", [
+        ("element --type=B --rank 2 --op length -2,1",
+         {"format": "text", "type": "B", "rank": 2, "max_window": None, "op": "length",
+          "window": "-2,1", "right": None}),
+        ("element --type B --rank 2 --op compose 2,1 --right -1,2 --out json",
+         {"format": "json", "type": "B", "rank": 2, "max_window": None, "op": "compose",
+          "window": "2,1", "right": "-1,2"}),
+        ("verify --suite hecke --type A --type B",
+         {"format": "text", "suite": "hecke", "type": "B", "rank": None}),
+        ("hecke --subset= --module regular --type D --rank 2 --max-window 9",
+         {"format": "text", "type": "D", "rank": 2, "max_window": 9, "op": "none",
+          "subset": "", "module": "regular", "report": "factors"}),
+    ])
+    def test_well_formed_forms_are_parsed(self, argv, attributes):
+        # '=' forms, a protected negative window, repeats (the last one
+        # counts), any order, and the defaults of every option not given
+        args = _parse_table(_protect_negative_windows(argv.split()))
+        command = argv.split()[0]
+        assert vars(args) == {"command": command, "fn": COMMANDS[command][1], **attributes}
+
+
 def readme_commands():
     """The ``coxkit`` lines of the README's command-line block, backslash
     continuations joined, each with its trailing comment."""
@@ -860,6 +1008,11 @@ class TestReadme:
         terms = re.fullmatch(r"(\d+) terms", comment)
         if terms:
             assert out.splitlines()[-1] == f"# {terms[1]} terms"
+
+    @pytest.mark.parametrize("argv,comment", readme_commands())
+    def test_command_line_example_takes_the_table_path(self, argv, comment):
+        # argparse is left to help, errors and unusual forms
+        assert _parse_table(_protect_negative_windows(argv)) is not None
 
     def test_the_block_has_examples(self):
         comments = [param.values[1] for param in readme_commands()]
