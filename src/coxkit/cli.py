@@ -38,6 +38,7 @@ from .systems import (
     CoxeterSystem,
     Element,
     all_subsets,
+    check_word_cube,
     composition_from_descents,
     format_window,
     is_valid_composition,
@@ -186,22 +187,45 @@ SERIES_KINDS = ("sA", "hA", "sB", "hB", "sD", "hD")
 
 def cmd_series(args) -> int:
     from . import series as sr
+    from .roots import lattice_runs
     family = args.kind[-1]
-    alpha = parse_ints(args.key)
+    alpha = _parse_index(args.key)
     system = CoxeterSystem(family, sum(alpha))
     if not is_valid_composition(system, alpha):
         raise ValueError(f"{alpha} is not a valid index for family {family}")
-    builder = sr.s_basis if args.kind.startswith("s") else sr.h_basis
-    x = builder(system, alpha, args.window)
-    words = sorted(x.terms)
-    coeff = x.terms.__getitem__
-    # Every word has length x.degree, so one template formats every line.
-    line = "%s\t" + ",".join(["%s"] * x.degree)
-    _emit(args, lambda: {"degree": x.degree, "window": x.window,
-                         "terms": [{"word": list(wrd), "coeff": coeff(wrd)} for wrd in words]},
-          lambda: [*map(line.__mod__, map(tuple.__add__, zip(map(coeff, words)), words)),
-                   f"# {len(words)} words"])
+    n, window = system.n, args.window
+    check_word_cube(n, window)
+    # a valid key's descents are generators, so the roots are never None;
+    # lattice points are distinct, so every coefficient is 1
+    runs = lattice_runs(system, sr.basis_roots(system, args.kind[0], alpha), window)
+    count = sum(hi - lo + 1 for _, lo, hi in runs) if n else 1
+
+    def text_lines() -> list[str]:
+        # one block of lines per run: its prefix, then each of its letters
+        if not n:
+            return ["1\t", "# 1 words"]
+        letters = [str(v) for v in range(-window, window + 1)]  # v at index v + window
+        blocks = []
+        for p, lo, hi in runs:
+            head = "1\t" + "".join([letters[v + window] + "," for v in p])
+            blocks.append(head + ("\n" + head).join(letters[lo + window:hi + window + 1]))
+        return [*blocks, f"# {count} words"]
+
+    def payload() -> dict:
+        words = [[*p, v] for p, lo, hi in runs for v in range(lo, hi + 1)] if n else [[]]
+        return {"degree": n, "window": window,
+                "terms": [{"word": word, "coeff": 1} for word in words]}
+
+    _emit(args, payload, text_lines)
     return EXIT_OK
+
+
+def _parse_index(text: str) -> tuple[int, ...]:
+    """A series key or polynomial index: integers, none of them negative."""
+    alpha = parse_ints(text)
+    if any(part < 0 for part in alpha):
+        raise ValueError(f"index {alpha} has a negative part")
+    return alpha
 
 
 #: The family whose (pseudo-)compositions index each quasisymmetric token.
@@ -222,9 +246,7 @@ def _parse_poly_token(token: str, K: int) -> CPoly:
         if power < 0:
             raise ValueError(f"x0 power must be nonnegative, got {power}")
         return qsym.x0_power(power)
-    alpha = parse_ints(key)
-    if any(part < 0 for part in alpha):
-        raise ValueError(f"index {alpha} has a negative part")
+    alpha = _parse_index(key)
     if kind in _COMPOSITION_FAMILY:
         family = _COMPOSITION_FAMILY[kind]
         system = CoxeterSystem(family, sum(alpha))
@@ -644,6 +666,13 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+        # argparse stores [] for an explicit '--name=--', past type and choices
+        empty = next((row for row in COMMANDS[args.command][2]
+                      if isinstance(getattr(args, row.dest), list)), None)
+        if empty is not None:
+            print(f"error: argument {'/'.join(empty.names)}: expected one argument",
+                  file=sys.stderr)
+            return EXIT_PARSE
     try:
         return args.fn(args)
     except CapExceededError as exc:

@@ -11,9 +11,12 @@ together with the chamber decomposition, drive the series module.
 Lattice points are enumerated level by level.  A root bounds its highest
 nonzero coordinate once the coordinates below are fixed, so one list of
 prefixes is extended one coordinate at a time, each prefix by the interval
-that its roots leave.  Coordinates that no root links fall into independent
-blocks: each block is walked on its own and the blocks' points are joined
-in lexicographic order.
+(its run) that its roots leave.  Coordinates that no root links fall into
+independent blocks: each block is walked on its own and the blocks are
+joined in lexicographic order.  The walk ends in the runs of the last
+coordinate: :func:`lattice_runs` returns them as (prefix, lo, hi) triples,
+so that a caller that only prints the points need not build them, and
+:func:`lattice_points` is their expansion.
 
 Cone membership (parset checks and closures) describes each cone once by
 its facet normals inside the span of its generators, and then tests every
@@ -32,8 +35,8 @@ from .systems import (CoxeterSystem, Element, Root, check_word_cube, elements, n
                       parabolic_positive_roots, positive_roots, simple_roots)
 
 __all__ = ["all_roots", "chamber", "is_parset", "is_positive_root", "lattice_points",
-           "linear_extension_set", "negate", "parabolic_positive_roots", "parset_closure",
-           "positive_roots", "random_parset", "simple_roots"]
+           "lattice_runs", "linear_extension_set", "negate", "parabolic_positive_roots",
+           "parset_closure", "positive_roots", "random_parset", "simple_roots"]
 
 
 @lru_cache(maxsize=None)
@@ -132,19 +135,54 @@ def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -
     roots will do, a parset or not (the signed simple roots of a descent
     set, say); each must have length n.
 
-    The result is in lexicographic order.  A root whose highest nonzero
-    coordinate is j bounds f_j once f_0..f_{j-1} are known.  Coordinate k
-    starts a new block when no root with top coordinate >= k reads below k;
-    each block is walked one level at a time, extending every prefix by the
-    interval its roots leave, and the blocks' points are then joined.  The
-    cost follows the output, not the cube.
+    The result is in lexicographic order: the expansion of
+    :func:`lattice_runs`, or ``[()]`` at rank 0.  The last block's runs are
+    expanded once and then joined to the leading points, as in
+    :func:`_block_runs`.
     """
+    leading, runs = _block_runs(system, parset, window)
+    if not system.n:
+        return [()]
+    return _join(leading, _expand(runs, window, [(v,) for v in range(-window, window + 1)]))
+
+
+def lattice_runs(system: CoxeterSystem, roots: Iterable[Root], window: int
+                 ) -> list[tuple[tuple[int, ...], int, int]]:
+    """The points of :func:`lattice_points` as runs of their last coordinate:
+    lexicographically ordered (prefix, lo, hi) triples, one per prefix of
+    length n - 1 that has a point, whose points are prefix + (v,) for
+    lo <= v <= hi.  Every run is non-empty.  Rank 0 has no last coordinate
+    and no run; its one point () is :func:`lattice_points`' own.
+
+    A root whose highest nonzero coordinate is j bounds f_j once
+    f_0..f_{j-1} are known.  Coordinate k starts a new block when no root
+    with top coordinate >= k reads below k; each block is walked one level
+    at a time, extending every prefix by the interval its roots leave (the
+    last level's intervals are the runs), and the blocks are then joined.
+    The cost follows the output, not the cube.
+    """
+    leading, runs = _block_runs(system, roots, window)
+    if leading == [()]:
+        return runs
+    return [(p + q, lo, hi) for p in leading for q, lo, hi in runs]
+
+
+def _block_runs(system: CoxeterSystem, roots: Iterable[Root], window: int
+                ) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], int, int]]]:
+    """The one walk behind :func:`lattice_runs` and :func:`lattice_points`:
+    the points of every block but the last, joined in lexicographic order
+    (``[()]`` when there is one block), and the runs of the last block.  A
+    run of the whole is a leading point followed by a run of the last
+    block, so the leading points are joined only to what each caller needs.
+    Rank 0 is ``([()], [])``."""
     n = system.n
     check_word_cube(n, window)
-    roots = set(parset)
+    roots = set(roots)
     for r in roots:
         if len(r) != n:
             raise ValueError(f"vector {r} has length {len(r)}, not n = {n}")
+    if not n:
+        return [()], []
     # tops: (j, r, threshold) with j the top coordinate of r; r.f must reach
     # the threshold.  low[j]: the lowest coordinate a root with top j reads.
     tops, low = [], list(range(n))
@@ -180,55 +218,75 @@ def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -
         else:
             level[1] = min(level[1], t // a)
     singles = [(v,) for v in range(-window, window + 1)]  # (v,) at index v + window
+    # the points of every block but the last, joined, then the last one's runs
     points: list[tuple[int, ...]] = [()]
-    for b, e in blocks:
-        block = _block_points(levels[b:e], window, singles)
-        if b == 0:
-            points = block
-            continue
-        joined: list[tuple[int, ...]] = []
-        for p in points:
-            joined.extend(map(p.__add__, block))
-        points = joined
-    return points
+    for b, e in blocks[:-1]:
+        points = _join(points, _block_points(levels[b:e], window, singles))
+    b, e = blocks[-1]
+    *inner, last = levels[b:e]
+    return points, _level_runs(_block_points(inner, window, singles), last)
 
 
 def _block_points(levels: list, window: int, singles: list[tuple[int]]) -> list[tuple[int, ...]]:
-    """The points of one block of :func:`lattice_points`, in lexicographic
-    order: the prefixes are extended one level at a time, each by the
-    interval [lo, hi] of its level that the prefix leaves."""
+    """The points of the coordinates of ``levels``, one block or the start
+    of one, in lexicographic order: the prefixes are extended one level at
+    a time, each by its run."""
     points: list[tuple[int, ...]] = [()]
-    for lo0, hi0, lows, highs, general in levels:
-        out: list[tuple[int, ...]] = []
-        extend = out.extend
-        if not (lows or highs or general):
-            # thresholds are 0 or 1, so hi0 >= -1 and the slice cannot wrap
-            tail = singles[lo0 + window:hi0 + window + 1]
-            for p in points:
-                extend(map(p.__add__, tail))
-        else:
-            for p in points:
-                lo, hi = lo0, hi0
-                for i, c, t, a in lows:  # a*f_j + c*f_i >= t, a > 0
-                    v = -((c * p[i] - t) // a)
-                    if v > lo:
-                        lo = v
-                for i, c, t, a in highs:  # the same, a < 0
-                    v = (t - c * p[i]) // a
-                    if v < hi:
-                        hi = v
-                for a, lower, t in general:
-                    need = t - sum(c * p[i] for i, c in lower)
-                    if a > 0:
-                        lo = max(lo, -(-need // a))
-                    else:
-                        hi = min(hi, need // a)
-                if lo <= hi:
-                    extend(map(p.__add__, singles[lo + window:hi + window + 1]))
-        if not out:
-            return out
-        points = out
+    for level in levels:
+        points = _expand(_level_runs(points, level), window, singles)
+        if not points:
+            break
     return points
+
+
+def _join(left: list[tuple[int, ...]], right: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each point of ``left`` followed by each point of ``right``, in
+    lexicographic order when both are."""
+    if left == [()]:
+        return right
+    points: list[tuple[int, ...]] = []
+    for p in left:
+        points.extend(map(p.__add__, right))
+    return points
+
+
+def _expand(runs: list[tuple[tuple[int, ...], int, int]], window: int,
+            singles: list[tuple[int]]) -> list[tuple[int, ...]]:
+    """The points of ``runs``, in order; ``singles`` holds (v,) at index
+    v + window."""
+    points: list[tuple[int, ...]] = []
+    extend = points.extend
+    for p, lo, hi in runs:
+        extend(map(p.__add__, singles[lo + window:hi + window + 1]))
+    return points
+
+
+def _level_runs(points: list[tuple[int, ...]], level: list) -> list[tuple[tuple[int, ...], int, int]]:
+    """The run (p, lo, hi) of each prefix p of ``points`` at one level: the
+    interval of the level's coordinate that p leaves, kept when non-empty."""
+    lo0, hi0, lows, highs, general = level
+    if not (lows or highs or general):
+        return [(p, lo0, hi0) for p in points] if lo0 <= hi0 else []
+    runs = []
+    for p in points:
+        lo, hi = lo0, hi0
+        for i, c, t, a in lows:  # a*f_j + c*f_i >= t, a > 0
+            v = -((c * p[i] - t) // a)
+            if v > lo:
+                lo = v
+        for i, c, t, a in highs:  # the same, a < 0
+            v = (t - c * p[i]) // a
+            if v < hi:
+                hi = v
+        for a, lower, t in general:
+            need = t - sum(c * p[i] for i, c in lower)
+            if a > 0:
+                lo = max(lo, -(-need // a))
+            else:
+                hi = min(hi, need // a)
+        if lo <= hi:
+            runs.append((p, lo, hi))
+    return runs
 
 
 def linear_extension_set(system: CoxeterSystem, parset: Iterable[Root]) -> list[Element]:

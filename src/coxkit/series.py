@@ -15,7 +15,7 @@ is the expected outcome rather than numerical evidence.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Collection, Iterable, Optional
 
 from .freemodule import FormalVector
 from .qsym import CPoly
@@ -23,6 +23,7 @@ from .roots import chamber, lattice_points, negate, parabolic_positive_roots, si
 from .systems import (
     CoxeterSystem,
     Element,
+    Root,
     check_word_cube,
     descents_of_composition,
 )
@@ -132,28 +133,42 @@ def f_series(w: Element, window: int) -> NCSeries:
 # -- word-sum bases ---------------------------------------------------------------
 
 
+def basis_roots(system: CoxeterSystem, kind: str, alpha: tuple[int, ...]
+                ) -> Optional[Collection[Root]]:
+    """The roots whose lattice points are the words of the basis element of
+    ``kind`` at alpha, or None when that element has no word.
+
+    For the ribbon kind "s", a word f has s as a descent exactly when
+    <alpha_s, f> < 0: the roots are alpha_s (weak) for s outside D(alpha)
+    and -alpha_s (strict) for s in it (Gessel 1984, Chow 2001), and a key
+    with a descent outside the generators has no word.  For the complete
+    kind "h", they are the positive roots of the parabolic complementary
+    to D(alpha).
+    """
+    descents = descents_of_composition(alpha)
+    if kind == "h":
+        return parabolic_positive_roots(system, system.generator_set - descents)
+    if not descents <= system.generator_set:
+        return None
+    return [negate(r) if s in descents else r for s, r in simple_roots(system).items()]
+
+
 def s_basis(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSeries:
     """Sum of s_series over the descent class of alpha: the words whose
-    descent set is D(alpha).
-
-    A word f has s as a descent exactly when <alpha_s, f> < 0, so the words
-    are the lattice points of the signed simple roots: alpha_s (weak) for s
-    outside D(alpha) and -alpha_s (strict) for s in it (Gessel 1984, Chow
-    2001).  A key with a descent outside the generators has no word.
-    """
+    descent set is D(alpha), the lattice points of
+    :func:`basis_roots` (a key with a descent outside the generators has
+    none)."""
     check_word_cube(system.n, window)
-    subset = descents_of_composition(alpha)
-    if not subset <= system.generator_set:
+    roots = basis_roots(system, "s", alpha)
+    if roots is None:
         return NCSeries(system.n, window)
-    roots = [negate(r) if s in subset else r for s, r in simple_roots(system).items()]
     return _word_sum(system.n, window, lattice_points(system, roots, window))
 
 
 def h_basis(system: CoxeterSystem, alpha: tuple[int, ...], window: int) -> NCSeries:
     """Complete-homogeneous analogue: the generating function of the positive
     roots of the parabolic complementary to the descents of alpha."""
-    subset = system.generator_set - descents_of_composition(alpha)
-    return parset_series(system, parabolic_positive_roots(system, subset), window)
+    return parset_series(system, basis_roots(system, "h", alpha), window)
 
 
 # -- projections to commutative polynomials ----------------------------------------

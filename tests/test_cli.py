@@ -150,6 +150,11 @@ class TestSeries:
                              "--window", "3")
         assert status == 2
 
+    def test_negative_key_part_is_named(self, capsys):
+        # refused before a system of negative size is built
+        status, out, err = run(capsys, "series", "--kind", "sA", "--key", "(-1)", "--window", "2")
+        assert (status, out, err) == (2, "", "error: index (-1,) has a negative part\n")
+
     def test_word_cube_over_cap_exits_3(self):
         # 13^8 words: refused up front instead of enumerated.
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -183,7 +188,7 @@ class TestSeries:
         def broken(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(series, "s_basis", broken)
+        monkeypatch.setattr(series, "basis_roots", broken)
         status, _, err = run(capsys, "series", "--kind", "sA", "--key", "(1,2)",
                              "--window", "2")
         assert status == 4
@@ -463,6 +468,18 @@ class TestRefusedChoices:
         status, out, err = run(capsys, *argv)
         assert status == 2 and out == ""
         assert "invalid choice" in err and "'bogus'" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        ("hecke --type B --rank 2 --module=--", "--module"),
+        ("product --family shuffleB --left=-- --right 1", "--left"),
+        ("expand --target=-- --basis F:(1) --window 2", "--target"),
+        ("table --type=-- --rank 2 --table c", "--type"),
+        ("table --type A --rank 2 --table c --out=--", "--format/--out"),
+    ], ids=lambda v: v.split()[0] if " " in v else v)
+    def test_a_double_dash_value_is_refused_by_name(self, capsys, argv, option):
+        # argparse stores [] for '--name=--', which no choice or type sees
+        status, out, err = run(capsys, *argv.split())
+        assert (status, out, err) == (2, "", f"error: argument {option}: expected one argument\n")
 
 
 #: The choices that ``--family`` and ``--suite`` name in a refusal, spelled

@@ -36,6 +36,7 @@ from coxkit.roots import (
     is_parset,
     is_positive_root,
     lattice_points,
+    lattice_runs,
     linear_extension_set,
     negate,
     parabolic_positive_roots,
@@ -151,6 +152,19 @@ def _cube_filter(system, parset, window):
             if all(inner(r, f) >= 0 for r in P) and all(inner(r, f) > 0 for r in strict)]
 
 
+def _run_points(system, roots, window):
+    """The points of ``lattice_runs``, expanded, once every run is checked
+    to be non-empty and the prefixes to be strictly increasing; rank 0 has
+    no run, and its one point is ()."""
+    runs = lattice_runs(system, roots, window)
+    assert all(lo <= hi for _, lo, hi in runs)
+    assert all(a[0] < b[0] for a, b in zip(runs, runs[1:]))
+    if not system.n:
+        assert runs == []
+        return [()]
+    return [p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1)]
+
+
 class TestRoots:
     @pytest.mark.parametrize("system,count", [(A3, 3), (B3, 9), (D3, 6)])
     def test_positive_root_counts(self, system, count):
@@ -209,14 +223,16 @@ class TestRoots:
     @given(st.sampled_from(LATTICE_SYSTEMS), st.integers(0, 2), st.integers(0, 10**6))
     def test_lattice_points_match_cube_filter(self, system, window, seed):
         P = random_parset(system, random.Random(seed))
-        assert lattice_points(system, P, window) == _cube_filter(system, P, window)
+        assert lattice_points(system, P, window) == _run_points(system, P, window) \
+            == _cube_filter(system, P, window)
 
     @pytest.mark.parametrize("system", LATTICE_SYSTEMS, ids=lambda s: f"{s.family}{s.n}")
     @pytest.mark.parametrize("window", (0, 1, 2))
     def test_lattice_points_extreme_parsets(self, system, window):
         longest = max(elements(system), key=lambda w: w.length())
         for P in ([], positive_roots(system), chamber(longest)):
-            assert lattice_points(system, P, window) == _cube_filter(system, P, window)
+            assert lattice_points(system, P, window) == _run_points(system, P, window) \
+                == _cube_filter(system, P, window)
         if window == 0:
             assert lattice_points(system, [], 0) == [(0,) * system.n]
         # chamber(longest) holds only negative roots, so every inequality is strict
@@ -227,17 +243,20 @@ class TestRoots:
         # floor and ceiling divisions.
         for P in ([(1, 2)], [(1, -2)], [(-3, 2), (1, -2)], [(0, -2), (1, 3)]):
             for window in range(4):
-                assert lattice_points(B2, P, window) == _cube_filter(B2, P, window)
+                assert lattice_points(B2, P, window) == _run_points(B2, P, window) \
+                    == _cube_filter(B2, P, window)
         # vectors reading two earlier coordinates
         for P in ([(1, 1, -1)], [(2, -1, 3), (-1, 1, -2)], [(1, 1, 2), (0, 1, 0), (0, -1, 1)]):
             for window in range(4):
-                assert lattice_points(B3, P, window) == _cube_filter(B3, P, window)
+                assert lattice_points(B3, P, window) == _run_points(B3, P, window) \
+                    == _cube_filter(B3, P, window)
 
     @pytest.mark.parametrize("family", ("A", "B"))
     def test_lattice_points_rank_zero(self, family):
         system = CoxeterSystem(family, 0)
-        assert lattice_points(system, [], 2) == [()] == _cube_filter(system, [], 2)
-        assert lattice_points(system, [], 0) == [()] == _cube_filter(system, [], 0)
+        for window in (2, 0):
+            assert lattice_points(system, [], window) == [()] == _run_points(system, [], window) \
+                == _cube_filter(system, [], window)
 
     def test_lattice_points_empty_ranges(self):
         # f_0 > f_1 leaves f_1 no value once f_0 = -window, one level above
@@ -248,7 +267,7 @@ class TestRoots:
                           (B3, [(1, -1, 0), (-1, 1, 0), (0, 0, 1)]), (B3, [(1, 0, 0), (0, 0, -1)])):
             for window in range(4):
                 pts = lattice_points(system, P, window)
-                assert pts == _cube_filter(system, P, window)
+                assert pts == _run_points(system, P, window) == _cube_filter(system, P, window)
                 assert all(f[0] > -window for f in pts)
         assert lattice_points(B3, [(1, -1, 0), (-1, 1, 0), (0, 0, 1)], 2) == []
         assert lattice_points(B3, [(1, 0, 0), (0, 0, -1)], 0) == []
@@ -269,7 +288,8 @@ class TestRoots:
     @example((CoxeterSystem("D", 4), 2, [(1, 0, 0, 1), (0, -1, 1, 0)]))
     def test_lattice_points_on_root_subsets(self, case):
         system, window, roots = case
-        assert lattice_points(system, roots, window) == _cube_filter(system, roots, window)
+        assert lattice_points(system, roots, window) == _run_points(system, roots, window) \
+            == _cube_filter(system, roots, window)
 
     @pytest.mark.parametrize("system", LATTICE_SYSTEMS, ids=lambda s: f"{s.family}{s.n}")
     def test_lattice_points_of_every_parabolic(self, system):
