@@ -25,10 +25,10 @@ from .systems import (
     CoxeterSystem,
     Element,
     _capped_cache,
-    _lex_table,
     all_subsets,
     descent_class,
     descent_interval_left_masks,
+    descent_pair_counts,
     generator_bits,
     min_coset_reps,
     normalizer_complement_order,
@@ -186,26 +186,12 @@ def sym_to_sigma_star(system: CoxeterSystem, x: FormalVector,
 
 
 @_capped_cache
-def _descent_pair_tables(system: CoxeterSystem) -> list[int]:
-    """Solomon's (1976) descent-pair count from one pass over W: the entry
-    at :func:`_pair_indices` (row, col) counts the w with D(w^{-1}) = row
-    and D(w) = col.  The count does not depend on the order of W, so the
-    pass reads the masks in lexicographic order (stage 1,
-    :func:`~coxkit.systems._lex_table`) and computes no length.
-    """
-    r = len(system.generators)
-    pairs = [0] * (1 << 2 * r)
-    for right, left in zip(*_lex_table(system)[1]):
-        pairs[left << r | right] += 1
-    return pairs
-
-
-@_capped_cache
 def _weak_counts(system: CoxeterSystem) -> list[int]:
-    """The subset-sum (zeta) transform of :func:`_descent_pair_tables` over
-    both masks, built by the first weak-count read: the entry at
-    :func:`_pair_indices` (row, col) counts D(w^{-1}) <= row and D(w) <= col."""
-    below = _descent_pair_tables(system)[:]
+    """The subset-sum (zeta) transform of Solomon's descent-pair histogram
+    (:func:`~coxkit.systems.descent_pair_counts`) over both masks, built by
+    the first weak-count read: the entry at :func:`_pair_indices` (row, col)
+    counts D(w^{-1}) <= row and D(w) <= col."""
+    below = descent_pair_counts(system)[:]
     for b in range(2 * len(system.generators)):
         step = 1 << b
         for i in range(len(below)):
@@ -233,12 +219,12 @@ def mutual_descent_count(system: CoxeterSystem, row: frozenset[int], col: frozen
     if not row | col <= system.generator_set:
         return 0
     (k,), = _pair_indices(system, [row], [col])
-    return _descent_pair_tables(system)[k]
+    return descent_pair_counts(system)[k]
 
 
 def c_matrix(system: CoxeterSystem) -> list[list[int]]:
     """Every :func:`mutual_descent_count` over all_subsets, from one fetch."""
-    pairs, subsets = _descent_pair_tables(system), all_subsets(system)
+    pairs, subsets = descent_pair_counts(system), all_subsets(system)
     return [[pairs[k] for k in row] for row in _pair_indices(system, subsets, subsets)]
 
 

@@ -3,14 +3,15 @@
 For a generator subset I the four maps act on formal sums of elements:
 
 * ``induce_left``      u |-> (sum of minimal left-coset reps) * u
-* ``restrict_left``    w |-> parabolic part of w = w_I * c
+* ``restrict_left``    w |-> p, where w = c * p with p in W_I
 * ``induce_right``     u |-> u * (sum of minimal right-coset reps)
-* ``restrict_right``   w |-> parabolic part of w = c * (part in W_I)
+* ``restrict_right``   w |-> p, where w = p * c with p in W_I
 
 with the inductions relative to an optional ambient parabolic ``within``.  They
-satisfy the composition laws along chains I <= J <= S and the adjunctions
-<induce_left(x), y> = <x, restrict_right(y)> and
-<restrict_left(x), y> = <x, induce_right(y)>.
+satisfy the composition laws along chains I <= J <= S, and each induction is
+adjoint to the restriction on its own side: for x on W_I and y on W,
+<induce_left(x), y> = <x, restrict_left(y)> and
+<induce_right(x), y> = <x, restrict_right(y)>.
 """
 
 from __future__ import annotations

@@ -404,15 +404,16 @@ def _capped_cache(fn):
     return call
 
 
-def _lex_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
-    """Every window of the group, in lexicographic order: the one place
-    that builds a group from its family's sign rule."""
+def _family_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """Every window of the group, in the order its family's sign rule
+    generates them (lexicographic for A only): the one place that builds a
+    group from that rule."""
     perms = itertools.permutations(range(1, system.n + 1))
     if system.family == "A":
         return list(perms)
     signs = [s for s in itertools.product((1, -1), repeat=system.n)
              if system.family == "B" or s.count(-1) % 2 == 0]
-    return sorted(tuple(map(operator.mul, s, perm)) for perm in perms for s in signs)
+    return [tuple(map(operator.mul, s, perm)) for perm in perms for s in signs]
 
 
 # -- the group table in 16-bit lanes: a column of windows is one int, and a
@@ -527,37 +528,34 @@ def _lane_members(system: CoxeterSystem, lanes: _Lanes, subset: frozenset[int]
     return tuple(map(operator.not_, _unpack(lanes, inverted)))
 
 
-def _lex_lanes(system: CoxeterSystem) -> tuple[list[tuple[int, ...]], _Lanes,
-                                               tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The windows of :func:`_lex_windows`, packed into lanes once
-    (:func:`_pack_windows`), and their right and left descent masks
-    (:func:`_lane_masks`)."""
-    windows = _lex_windows(system)
-    lanes = _pack_windows(windows, system.n)
-    return windows, lanes, _lane_masks(system, lanes)
-
-
 @_capped_cache
-def _lex_table(system: CoxeterSystem
-               ) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Stage 1 of the group's table: the windows of :func:`_lex_windows` and
-    their right and left descent masks, in that lexicographic order
-    (:func:`_lex_lanes`).  No length is computed and no :class:`Element` is
-    built."""
-    windows, _, masks = _lex_lanes(system)
-    return windows, masks
+def descent_pair_counts(system: CoxeterSystem) -> list[int]:
+    """Solomon's (1976) descent-pair histogram from one pass over W: with r
+    generators, the entry at (row mask) << r | (col mask) counts the w with
+    D(w^{-1}) = row and D(w) = col, each mask of :func:`generator_bits`.
+    The count does not depend on the order of W, so the windows are packed
+    as their family rule generates them (:func:`_family_windows`) and read
+    for both masks at once (:func:`_lane_masks`): no sort, no length and no
+    :class:`Element`, and only the counts are kept."""
+    r = len(system.generators)
+    pairs = [0] * (1 << 2 * r)
+    right, left = _lane_masks(system, _pack_windows(_family_windows(system), system.n))
+    for col, row in zip(right, left):
+        pairs[row << r | col] += 1
+    return pairs
 
 
 @_capped_cache
 def _ordered_table(system: CoxeterSystem
                    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Stage 2 of the group's table: the windows and both mask tuples of
-    :func:`_lex_lanes` in (length, window) order.  The lengths of all the
-    windows come from the same lanes at once (:func:`_lane_lengths`), so the
-    windows are packed once, and a stable sort of the lexicographic windows
-    by length gives the order.  Stage 1 is not read: a group that only needs
-    this stage stores no lexicographic copy."""
-    lex, lanes, (right, left) = _lex_lanes(system)
+    """The group's table: its windows and both mask tuples in (length,
+    window) order.  The generated windows (:func:`_family_windows`) are
+    sorted and packed once; the masks (:func:`_lane_masks`) and the lengths
+    (:func:`_lane_lengths`) come from the same lanes, and a stable sort of
+    the sorted windows by length gives the order."""
+    lex = sorted(_family_windows(system))
+    lanes = _pack_windows(lex, system.n)
+    right, left = _lane_masks(system, lanes)
     lengths = _lane_lengths(system, lanes)
     order = sorted(range(len(lex)), key=lengths.__getitem__)
     return (tuple(map(lex.__getitem__, order)),

@@ -18,7 +18,6 @@ from coxkit.series import NCSeries, s_series
 from coxkit.systems import (
     CoxeterSystem,
     Element,
-    _parabolic_flags,
     all_subsets,
     descent_class,
     descent_masks,
@@ -180,9 +179,18 @@ def interval_selectors_by_mask_pass(system: CoxeterSystem, low: frozenset[int],
     lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
     kept = [d & lo == lo and d | hi == hi for d in descent_masks(system)[side]]
     if within is not None and not system.generator_set <= within:
-        flags = _parabolic_flags(system, within & system.generator_set)
+        flags = _parabolic_membership_by_words(system, within & system.generator_set)
         kept = [k and f for k, f in zip(kept, flags)]
     return kept
+
+
+@lru_cache(maxsize=None)
+def _parabolic_membership_by_words(system: CoxeterSystem, subset: frozenset[int]
+                                   ) -> tuple[bool, ...]:
+    """For each position of ``elements``, whether that element has a reduced
+    word in the generators of ``subset`` (:func:`parabolic_elements_by_words`)."""
+    members = set(parabolic_elements_by_words(system, subset))
+    return tuple(w in members for w in elements(system))
 
 
 def element_descent_pairs(system: CoxeterSystem) -> list[int]:

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from coxkit.descents import (
-    _descent_pair_tables,
     c_matrix,
     class_index,
     class_label,
@@ -38,6 +37,7 @@ from coxkit.systems import (
     all_subsets,
     composition_from_descents,
     descent_class,
+    descent_pair_counts,
     elements,
     min_coset_reps,
     parabolic_conjugacy_classes,
@@ -318,9 +318,9 @@ class TestDescentPairOracle:
 
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
     def test_histogram_matches_element_scan(self, system):
-        # the table counted from the descent masks equals the one built from
-        # an Element inverse and two descent frozensets per element
-        assert _descent_pair_tables(system) == element_descent_pairs(system)
+        # the histogram counted from the descent masks equals the one built
+        # from an Element inverse and two descent frozensets per element
+        assert descent_pair_counts(system) == element_descent_pairs(system)
 
 
 class TestDoubleCosets:

@@ -34,6 +34,19 @@ def chains(system):
                 yield I, J
 
 
+def adjoint(system, induce, restrict):
+    """Whether <induce(u), w> = <u, restrict(w)> for every generator subset
+    I, every u in W_I and every w in W."""
+    for I in all_subsets(system):
+        induced = {(w, u): c for u in parabolic_elements(system, I)
+                   for w, c in induce(system, I, element_vector(u)).terms.items()}
+        restricted = {(w, u): c for w in elements(system)
+                      for u, c in restrict(system, I, element_vector(w)).terms.items()}
+        if induced != restricted:
+            return False
+    return True
+
+
 class TestFormalVector:
     def test_zero_coefficients_dropped(self):
         v = FormalVector({1: 2}) - FormalVector({1: 2})
@@ -119,6 +132,15 @@ class TestFourMaps:
                         restrict_left(B2, I, yw))
                     assert restrict_right(B2, I, yw).pairing(element_vector(u)) \
                         == yw.pairing(mub_u)
+
+    @pytest.mark.parametrize("system", (B3, CoxeterSystem("A", 4), CoxeterSystem("D", 4)),
+                             ids=repr)
+    def test_each_induction_pairs_with_the_restriction_on_its_side(self, system):
+        assert adjoint(system, induce_left, restrict_left)
+        assert adjoint(system, induce_right, restrict_right)
+        # the crossed pairs fail, so the partner of each induction is pinned
+        assert not adjoint(system, induce_left, restrict_right)
+        assert not adjoint(system, induce_right, restrict_left)
 
     def test_inverse_involution(self):
         for w in elements(B3):

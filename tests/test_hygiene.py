@@ -365,10 +365,9 @@ def test_scanner_flags_a_private_read():
 
 
 #: The private names one module may read of another, each documented in the
-#: README: the trusted constructor, the cap-checking cache, the group table's
-#: first stage and the root table.
+#: README: the trusted constructor, the cap-checking cache and the root table.
 PRIVATE_READS = {"words.py: systems._trusted_element", "descents.py: systems._capped_cache",
-                 "descents.py: systems._lex_table", "hecke.py: systems._root_table"}
+                 "hecke.py: systems._root_table"}
 
 
 def test_no_module_reads_another_modules_private_names():
@@ -379,16 +378,16 @@ def test_no_module_reads_another_modules_private_names():
 
 
 #: The functions that read each family's type off its roots alone.  In the
-#: group enumeration only the window generator, ``systems._lex_windows``, may;
+#: group enumeration only the window generator, ``systems._family_windows``, may;
 #: the parabolic facts read the parabolic's roots alone.
 ROOT_RULES = {
     "systems.py": ["Element.length", "Element.descent_set", "CoxeterSystem.coxeter_order",
                    "CoxeterSystem.generator", "descent_masks", "elements", "_group_windows",
                    "_lanes", "_pack_windows", "_root_flags", "_unpack", "_lane_masks",
-                   "_lane_lengths", "_inverse_lanes", "_lane_members", "_lex_lanes",
+                   "_lane_lengths", "_inverse_lanes", "_lane_members", "descent_pair_counts",
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
                    "parabolic_conjugacy_classes", "parabolic_elements", "_interval_positions",
-                   "_ordered_table", "_parabolic_flags", "_lex_table", "_mask_runs",
+                   "_ordered_table", "_parabolic_flags", "_mask_runs",
                    "_store", "_capped_cache", "_interval_entry", "_descent_interval",
                    "simple_image"],
     "descents.py": ["_simple_pairs", "class_rep_bounds", "_induce_counts"],

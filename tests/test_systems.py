@@ -1,7 +1,9 @@
+import ast
 import copy
 import itertools
 import operator
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,6 @@ from coxkit.systems import (
     _lane_lengths,
     _lane_masks,
     _lane_members,
-    _lex_table,
     _mask_runs,
     _ordered_table,
     _pack_windows,
@@ -35,6 +36,7 @@ from coxkit.systems import (
     descent_interval,
     descent_interval_left_masks,
     descent_masks,
+    descent_pair_counts,
     descents_of_composition,
     elements,
     from_word,
@@ -376,6 +378,18 @@ class TestRootRulesAgainstTheCayleyGraph:
             system.coxeter_order(0 if label else 1, label)
 
 
+def capped_functions() -> set[str]:
+    """The names of the functions of the package decorated with
+    ``_capped_cache``, read from its source."""
+    from coxkit import systems
+
+    return {node.name for path in Path(systems.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Name) and d.id == "_capped_cache"
+                    for d in node.decorator_list)}
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("system,order", [(A4, 24), (B3, 48), (D3, 24), (D4, 192)])
     def test_orders(self, system, order):
@@ -452,13 +466,14 @@ class TestEnumeration:
             "_group_windows": lambda: _group_windows(B3),
             "descent_masks": lambda: descent_masks(B3),
             "_ordered_table": lambda: _ordered_table(B3),
-            "_lex_table": lambda: _lex_table(B3),
+            "descent_pair_counts": lambda: descent_pair_counts(B3),
             "_mask_runs right": lambda: _mask_runs(B3, False),
             "_mask_runs left": lambda: _mask_runs(B3, True),
             "h_gram_matrix": lambda: h_gram_matrix(B3),
             "_parabolic_flags": lambda: _parabolic_flags(B3, I),
             "parabolic_elements": lambda: parabolic_elements(B3, I),
             "descent_interval": lambda: descent_interval(B3, frozenset(), I),
+            "_descent_interval": lambda: _descent_interval(B3, frozenset(), I, None, True),
             "descent_interval_left_masks":
                 lambda: descent_interval_left_masks(B3, frozenset(), I, None),
             "descent_class": lambda: descent_class(B3, I),
@@ -473,6 +488,11 @@ class TestEnumeration:
             "_induce_counts": lambda: _induce_counts(B3, I),
         }
         before = {name: read() for name, read in reads.items()}
+        # every capped function of the package is read above under its own
+        # name, and that read went through the group's store
+        capped = capped_functions()
+        assert capped - {name.split()[0] for name in reads} == set()
+        assert capped - {fn.__name__ for fn, _ in _store(B3)} == set()
         set_max_order(10)
         try:
             for name, read in reads.items():
@@ -484,7 +504,7 @@ class TestEnumeration:
         assert {name: read() for name, read in reads.items()} == before
         # the lookups hand back one cached tuple on every call
         for name in ("elements", "_group_windows", "descent_masks", "_ordered_table",
-                     "_lex_table", "_parabolic_flags", "parabolic_elements",
+                     "descent_pair_counts", "_parabolic_flags", "parabolic_elements",
                      "descent_interval", "descent_class", "min_coset_reps left",
                      "min_coset_reps right", "_mask_runs right", "_mask_runs left",
                      "_weak_counts", "_induce_counts"):
@@ -782,18 +802,14 @@ def _intervals(draw):
 
 
 def assert_group_windows_match_the_oracles(system):
-    """The group's windows and their order, and the group's masks in both
-    stages of its table (and the pair histogram counted from stage 1),
-    equal the one-element-at-a-time oracles."""
-    from coxkit.descents import _descent_pair_tables
-
+    """The group's windows and their order, the group's masks in its table,
+    and the pair histogram counted from the generated windows equal the
+    one-element-at-a-time oracles."""
     expected = elements_by_length_sort(system)
     assert [w.window for w in elements(system)] == [w.window for w in expected]
     assert _group_windows(system) == tuple(w.window for w in expected)
     assert descent_masks(system) == element_descent_masks(system, expected)
-    lex = sorted(expected, key=lambda w: w.window)
-    assert _lex_table(system)[1] == element_descent_masks(system, lex)
-    assert _descent_pair_tables(system) == element_descent_pairs(system)
+    assert descent_pair_counts(system) == element_descent_pairs(system)
 
 
 class TestGroupWindows:
@@ -822,11 +838,12 @@ class TestGroupWindows:
         system = CoxeterSystem("B", 4)
         _ordered_table.cache_clear()
         assert len(_group_windows(system)) == len(descent_masks(system)[0]) == 384
+        assert sum(descent_pair_counts(system)) == 384
 
-    def test_each_stage_is_built_by_its_first_reader(self, capsys):
-        # the descent tables read stage 1 alone, so they compute no length;
-        # a descent class builds stage 2 and the right runs, and only a
-        # right coset read builds the left runs
+    def test_each_entry_is_built_by_its_first_reader(self, capsys):
+        # the descent tables read the pair histogram alone, so they sort no
+        # window and compute no length; a descent class builds the table and
+        # the right runs, and only a right coset read builds the left runs
         from coxkit import cli
         from coxkit.descents import c_matrix, h_gram_matrix
 
@@ -835,11 +852,11 @@ class TestGroupWindows:
 
         elements.cache_clear()
         c_matrix(B4)
-        assert built() == {("_lex_table",), ("_descent_pair_tables",)}
+        assert built() == {("descent_pair_counts",)}
         h_gram_matrix(B4)
         assert cli.main(["table", "--type", "B", "--rank", "4", "--table", "hm"]) == 0
         assert capsys.readouterr().out
-        assert built() == {("_lex_table",), ("_descent_pair_tables",), ("_weak_counts",)}
+        assert built() == {("descent_pair_counts",), ("_weak_counts",)}
         tables = built()
         I, rest = frozenset({1}), B4.generator_set - {1}
         descent_class(B4, I)
