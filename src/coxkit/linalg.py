@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class NotInSpanError(ValueError):
@@ -77,31 +77,23 @@ class RowSpace:
     """A row space in reduced row echelon form, grown one vector at a time:
     ``rows`` maps each pivot column to its row, a primitive map of ints
     (positive there, 0 at every other pivot, no zero stored) whose quotient
-    by its pivot entry is the reduced row; ``_leads`` holds the pivot
-    entries other than 1, and a new pivot j clears only the rows in
-    ``_holders[j]``."""
+    by its pivot entry is the reduced row, and ``_leads`` holds the pivot
+    entries other than 1."""
 
-    __slots__ = ("rows", "_holders", "_leads")
+    __slots__ = ("rows", "_leads")
 
     def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
-        self._holders: dict[int, set[int]] = {}
         self._leads: dict[int, int] = {}
 
-    def basis(self) -> list[dict[int, object]]:
-        """The reduced rows, ordered by pivot column."""
-        out = []
-        for p in sorted(self.rows):
-            row = self.rows[p]
-            lead = row[p]
-            out.append(dict(row) if lead == 1 else {j: exact_div(x, lead) for j, x in row.items()})
-        return out
-
-    def _residue(self, w: dict[int, int], hit: Collection[int]) -> tuple[dict[int, int], int]:
-        """(r, s) with r / s what is left of the int map w (consumed) once
-        the pivots ``hit`` (those of w's columns) are cleared: r a map of
-        ints, no zero, and s a positive int, 1 when every pivot hit is 1."""
+    def _insert(self, v) -> tuple[Optional[int], int, int]:
+        """:meth:`add` with its divisor as a fraction: (column, numerator,
+        positive denominator), or (None, 0, 1) if v is in the span.  The
+        int map of v is first scaled by s, the lcm of the pivot entries it
+        meets (1 when all are 1), so that each of those rows clears in ints."""
+        w, d = _sparse(v)
         rows, leads = self.rows, self._leads
+        hit = [p for p in w if p in rows]
         s = math.lcm(*[leads[p] for p in hit if p in leads]) if leads else 1
         if s != 1:
             w = {j: s * x for j, x in w.items()}
@@ -110,27 +102,7 @@ class RowSpace:
             c = w[p] if s == 1 else w[p] // row[p]
             for j, b in row.items():
                 w[j] = w.get(j, 0) - c * b
-        return {j: x for j, x in w.items() if x}, s
-
-    def reduce(self, v) -> tuple[dict[int, object], dict[int, object]]:
-        """(c, rest) with v = sum(c[p] * reduced row p) + rest, rest a map
-        empty at every pivot."""
-        w, d = _sparse(v)
-        coeffs = {p: w[p] for p in w if p in self.rows}
-        rest, s = self._residue(w, coeffs)
-        if d != 1:
-            coeffs = {p: exact_div(c, d) for p, c in coeffs.items()}
-        s *= d
-        if s != 1:
-            rest = {j: exact_div(x, s) for j, x in rest.items()}
-        return coeffs, rest
-
-    def _insert(self, v) -> tuple[Optional[int], int, int]:
-        """:meth:`add` with its divisor as a fraction: (column, numerator,
-        positive denominator), or (None, 0, 1) if v is in the span."""
-        w, d = _sparse(v)
-        rows, leads = self.rows, self._leads
-        rest, s = self._residue(w, [p for p in w if p in rows])
+        rest = {j: x for j, x in w.items() if x}
         if not rest:
             return None, 0, 1
         col = min(rest)
@@ -140,15 +112,13 @@ class RowSpace:
         elif lead != 1:
             rest = _primitive(rest if lead > 0 else {j: -x for j, x in rest.items()})
         a = rest[col]
-        for p in self._holders.pop(col, ()):
-            row = rows[p]
+        for p, row in rows.items():
             c = row.get(col)
             if c:
                 if a != 1:
                     row = {j: a * x for j, x in row.items()}
                 for j, b in rest.items():
                     row[j] = row.get(j, 0) - c * b
-                    self._holders.setdefault(j, set()).add(p)
                 row = {j: x for j, x in row.items() if x}
                 if row[p] != 1:
                     row = _primitive(row)
@@ -157,8 +127,6 @@ class RowSpace:
                     else:
                         leads.pop(p, None)
                 rows[p] = row
-        for j in rest:
-            self._holders.setdefault(j, set()).add(col)
         rows[col] = rest
         if a != 1:
             leads[col] = a
@@ -169,13 +137,6 @@ class RowSpace:
         the leading entry it was divided by, or (None, 0) if v is in the span."""
         col, lead, den = self._insert(v)
         return col, lead if den == 1 else exact_div(lead, den)
-
-    def coordinates(self, v) -> list:
-        """Coefficients of v on :meth:`basis`; NotInSpanError outside the span."""
-        coeffs, rest = self.reduce(v)
-        if rest:
-            raise NotInSpanError("vector is outside the row space")
-        return [coeffs.get(p, 0) for p in sorted(self.rows)]
 
 
 def _span(rows: Iterable) -> RowSpace:

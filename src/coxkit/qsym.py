@@ -9,7 +9,8 @@ index of minimal absolute value.  All coefficients are exact.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from collections import Counter
+from math import comb, factorial, prod
 from typing import Iterable
 
 from .freemodule import FormalVector
@@ -41,6 +42,12 @@ class CPoly(FormalVector):
         return cls({(): 1})
 
     def __mul__(self, other: "CPoly") -> "CPoly":
+        """The product, term by term; more than :func:`max_order` term
+        pairs is refused before any is multiplied."""
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > max_order():
+            raise CapExceededError(f"polynomial product {len(self.terms)} x {len(other.terms)}"
+                                   f" = {pairs} term pairs exceed cap {max_order()}")
         return CPoly(
             ((m1 + m2, c1 * c2)
              for m1, c1 in self.terms.items()
@@ -65,9 +72,16 @@ def _weak_chains(lo: int, hi: int, length: int):
 # -- type A -------------------------------------------------------------------
 
 
+def _check_monomials(count: int, what: str) -> None:
+    if count > max_order():
+        raise CapExceededError(f"{what} = {count} monomials exceed cap {max_order()}")
+
+
 def monomial_qsym(alpha: tuple[int, ...], K: int) -> CPoly:
-    """Sum of x_{i_1}^{a_1} ... x_{i_l}^{a_l} over 0 < i_1 < ... < i_l <= K."""
+    """Sum of x_{i_1}^{a_1} ... x_{i_l}^{a_l} over 0 < i_1 < ... < i_l <= K;
+    more than :func:`max_order` index sets, C(K, l), is refused up front."""
     ell = len(alpha)
+    _check_monomials(comb(K, ell), f"index sets C({K}, {ell})")
     out = []
     for idx in itertools.combinations(range(1, K + 1), ell):
         mono = tuple(i for i, a in zip(idx, alpha) for _ in range(a))
@@ -125,11 +139,16 @@ def _refuse_zero_parts(lam: tuple[int, ...], first: int = 0) -> None:
 
 def sym_m(lam: tuple[int, ...], K: int) -> CPoly:
     """Sum of the monomial truncations over the distinct rearrangements of
-    ``lam``; an index longer than K has no monomials, so then it is 0."""
+    ``lam``; an index longer than K has no monomials, so then it is 0.  More
+    than :func:`max_order` monomials, the multinomial count of rearrangements
+    times C(K, l), is refused before any is built."""
     _refuse_zero_parts(lam)
     out = CPoly()
     if len(lam) > K:
         return out
+    orderings = factorial(len(lam)) // prod(map(factorial, Counter(lam).values()))
+    _check_monomials(orderings * comb(K, len(lam)),
+                     f"{orderings} rearrangements x C({K}, {len(lam)})")
     for alpha in _rearrangements(lam):
         out += monomial_qsym(alpha, K)
     return out

@@ -54,10 +54,21 @@ def set_max_order(limit: Optional[int]) -> None:
 
 
 def max_order() -> int:
+    """The enumeration cap: :func:`set_max_order`'s value, else
+    COXKIT_MAX_ORDER, else the default when that is unset or empty.  A
+    variable that is not a nonnegative integer raises ValueError naming it."""
     if _max_order_override is not None:
         return _max_order_override
     env = os.environ.get("COXKIT_MAX_ORDER")
-    return int(env) if env else DEFAULT_MAX_ORDER
+    if not env:
+        return DEFAULT_MAX_ORDER
+    try:
+        value = int(env)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"COXKIT_MAX_ORDER={env!r} is not a nonnegative integer")
 
 
 def check_word_cube(n: int, window: int) -> None:
@@ -407,7 +418,9 @@ def _capped_cache(fn):
 def _family_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
     """Every window of the group, in the order its family's sign rule
     generates them (lexicographic for A only): the one place that builds a
-    group from that rule."""
+    group from that rule.  Every caller packs them into lanes, so a window
+    size the lanes cannot hold is refused before any window is made."""
+    _check_lane_size(system.n)
     perms = itertools.permutations(range(1, system.n + 1))
     if system.family == "A":
         return list(perms)
@@ -450,13 +463,18 @@ def _lanes(n: int, size: int, ones: int, packed: Iterable[int]) -> _Lanes:
     return _Lanes(n, size, ones, ones << 15, [(zero, x, 2 * zero - x) for x in packed])
 
 
+def _check_lane_size(n: int) -> None:
+    """Refuse, with ValueError, a window size past :data:`_LANE_MAX_N`."""
+    if n > _LANE_MAX_N:
+        raise ValueError(f"window size {n} exceeds {_LANE_MAX_N}, the most 16-bit lanes hold")
+
+
 def _pack_windows(windows: Sequence[tuple[int, ...]], n: int) -> _Lanes:
     """The ``windows``, each of size ``n``, in lanes: the signed bytes of all
     their entries are shifted by n in one translate, and the bytes of each
     column are read, little-endian, as the low bytes of its lanes.  A window
-    size past :data:`_LANE_MAX_N` is refused with ValueError."""
-    if n > _LANE_MAX_N:
-        raise ValueError(f"window size {n} exceeds {_LANE_MAX_N}, the most 16-bit lanes hold")
+    size past :data:`_LANE_MAX_N` is refused (:func:`_check_lane_size`)."""
+    _check_lane_size(n)
     size = len(windows)
     flat = struct.pack(f"<{size * n}b", *itertools.chain.from_iterable(windows))
     flat = flat.translate(_RAMP[n:n + 256])
@@ -537,9 +555,9 @@ def descent_pair_counts(system: CoxeterSystem) -> list[int]:
     as their family rule generates them (:func:`_family_windows`) and read
     for both masks at once (:func:`_lane_masks`): no sort, no length and no
     :class:`Element`, and only the counts are kept."""
+    right, left = _lane_masks(system, _pack_windows(_family_windows(system), system.n))
     r = len(system.generators)
     pairs = [0] * (1 << 2 * r)
-    right, left = _lane_masks(system, _pack_windows(_family_windows(system), system.n))
     for col, row in zip(right, left):
         pairs[row << r | col] += 1
     return pairs

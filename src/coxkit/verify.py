@@ -483,11 +483,7 @@ def suite_series(family: str | None = None, n: int | None = None) -> list[Check]
         d3 = CoxeterSystem("D", 3)
         for w in elements(d3):
             alpha = composition_from_descents(d3, w.descent_set())
-            pieces = FormalVector(kind="pair")
-            for i in range(2, 4):
-                pre = wd.standardize_even_left(w.window[:i])
-                suf = wd.standardize(w.window[i:])
-                pieces += FormalVector.basis((pre, suf), kind="pair")
+            pieces = wd.unshuffle("D", w)
             # composition-split form
             split = qsym.split_fundamental_d(alpha)
             got = sorted(

@@ -397,6 +397,25 @@ def act_word(module: HModule, word: Iterable[int], v: Sequence, bar: bool = True
     return out
 
 
+def reduced_rows(space: RowSpace, width: int) -> list[list]:
+    """The reduced echelon basis of ``space`` as dense rows of ``width``
+    entries, ordered by pivot column: each stored row divided by its pivot
+    entry."""
+    return [[exact_div(row.get(j, 0), row[p]) for j in range(width)]
+            for p, row in sorted(space.rows.items())]
+
+
+def echelon_coordinates(space: RowSpace, v: Sequence) -> Optional[list]:
+    """The coefficients of the dense vector v on :func:`reduced_rows`: its
+    entries at the pivot columns, ints where they are integers, or None
+    when those entries do not rebuild v (v is outside the row space)."""
+    coeffs = [exact_div(v[p], 1) for p in sorted(space.rows)]
+    rebuilt = [0] * len(v)
+    for c, row in zip(coeffs, reduced_rows(space, len(v))):
+        rebuilt = [x + c * b for x, b in zip(rebuilt, row)]
+    return coeffs if rebuilt == list(v) else None
+
+
 def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModule:
     """The submodule generated by the seed vectors, in its own coordinates:
     the reduced echelon basis of its span, ordered by pivot column."""
@@ -407,11 +426,12 @@ def submodule_coordinates(ambient: HModule, seeds: Sequence[Sequence]) -> HModul
         v = frontier.pop()
         if space.add(v)[0] is not None:
             frontier.extend(_mat_apply(dense[s], v) for s in ambient.acting)
-    basis = [[row.get(j, 0) for j in range(ambient.dim)] for row in space.basis()]
+    basis = reduced_rows(space, ambient.dim)
     # column j of X_s holds the coordinates of X_s b_j
     mats = {}
     for s in ambient.acting:
-        cols = [space.coordinates(_mat_apply(dense[s], b)) for b in basis]
+        cols = [echelon_coordinates(space, _mat_apply(dense[s], b)) for b in basis]
+        assert None not in cols, "the span is not closed under the action"
         mats[s] = [[col[i] for col in cols] for i in range(len(basis))]
     return module_from_matrices(ambient.system, ambient.acting, mats, len(basis))
 

@@ -325,6 +325,29 @@ class TestExpand:
         assert at_cap == (0, "x0:50: 1\n", "")
         assert over[0] == 3 and over[2] == "error: x0 power 51 exceeds cap 50\n"
 
+    @pytest.mark.parametrize("target,cap,at_cap,refusal", [
+        ("M:(1,1)", 10, "5", "index sets C(6, 2) = 15 monomials exceed cap 10"),
+        ("m:(1,1,2)", 12, "4", "3 rearrangements x C(5, 3) = 30 monomials exceed cap 12"),
+        ("p:(1,1)", 9, "3", "polynomial product 4 x 4 = 16 term pairs exceed cap 9")])
+    def test_supports_over_the_cap_exit_3(self, capsys, monkeypatch, target, cap, at_cap,
+                                          refusal):
+        # M counts its index sets, m its rearrangements (a multinomial,
+        # never listed) times those, and a product its term pairs, each
+        # before any is built; one window more than at_cap is over the cap
+        from coxkit import qsym
+
+        set_max_order(cap)
+        try:
+            answered = run(capsys, "expand", "--target", target, "--basis", target,
+                           "--window", at_cap)
+            monkeypatch.setattr(qsym, "_rearrangements", None)
+            over = run(capsys, "expand", "--target", target, "--basis", target,
+                       "--window", str(int(at_cap) + 1))
+        finally:
+            set_max_order(None)
+        assert answered == (0, f"{target}: 1\n", "")
+        assert over == (3, "", f"error: {refusal}\n")
+
 
 class TestTable:
     def test_c_table_json(self, capsys):
@@ -352,6 +375,28 @@ class TestTable:
         assert status == 0
         rows = json.loads(out)["rows"]
         assert rows == [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+
+    @pytest.mark.parametrize("value", ["abc", "1e6", "-1"])
+    def test_a_malformed_cap_variable_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("COXKIT_MAX_ORDER", value)
+        assert run(capsys, "table", "--type", "A", "--rank", "1", "--table", "c") \
+            == (2, "", f"error: COXKIT_MAX_ORDER={value!r} is not a nonnegative integer\n")
+
+    def test_an_empty_cap_variable_is_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("COXKIT_MAX_ORDER", "")
+        assert run(capsys, "table", "--type", "A", "--rank", "1", "--table", "c")[0] == 0
+
+    def test_the_lane_limit_is_checked_before_any_window(self, capsys, monkeypatch):
+        # with the cap past 17! the order check passes A rank 16; the window
+        # size is refused before its 17! windows are generated
+        def refuse(*args):
+            raise AssertionError("itertools.permutations called before the lane check")
+
+        monkeypatch.setenv("COXKIT_MAX_ORDER", str(10 ** 15))
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        assert run(capsys, "table", "--type", "A", "--rank", "16", "--max-window", "17",
+                   "--table", "c") \
+            == (2, "", "error: window size 17 exceeds 16, the most 16-bit lanes hold\n")
 
 
 class TestHecke:

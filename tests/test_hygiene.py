@@ -383,8 +383,9 @@ def test_no_module_reads_another_modules_private_names():
 ROOT_RULES = {
     "systems.py": ["Element.length", "Element.descent_set", "CoxeterSystem.coxeter_order",
                    "CoxeterSystem.generator", "descent_masks", "elements", "_group_windows",
-                   "_lanes", "_pack_windows", "_root_flags", "_unpack", "_lane_masks",
-                   "_lane_lengths", "_inverse_lanes", "_lane_members", "descent_pair_counts",
+                   "_lanes", "_check_lane_size", "_pack_windows", "_root_flags", "_unpack",
+                   "_lane_masks", "_lane_lengths", "_inverse_lanes", "_lane_members",
+                   "descent_pair_counts",
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
                    "parabolic_conjugacy_classes", "parabolic_elements", "_interval_positions",
                    "_ordered_table", "_parabolic_flags", "_mask_runs",

@@ -81,6 +81,20 @@ class TestShufflesSuiteMemo:
         assert failed == {"even-signed products agree with coset-rep maps"}
 
 
+class TestSeriesSuiteCoaction:
+    COACTION = "D: coaction splits match composition splits"
+
+    @pytest.mark.parametrize("change", [{"prefix": wd.standardize_even_right},
+                                        {"first_split": 3},
+                                        {"suffix": wd.standardize_signed}],
+                             ids=["prefix", "first_split", "suffix"])
+    def test_a_broken_d_unshuffle_row_fails_the_check(self, monkeypatch, change):
+        # the check reads the library's D unshuffle, not a copy of its rule
+        assert {c.name: c.passed for c in verify.suite_series("D")}[self.COACTION]
+        monkeypatch.setitem(wd.FLAVORS, "D", wd.FLAVORS["D"]._replace(**change))
+        assert not {c.name: c.passed for c in verify.suite_series("D")}[self.COACTION]
+
+
 B3 = CoxeterSystem("B", 3)
 #: The subset and the element the mutations below corrupt.
 I0, W0 = frozenset({1, 2}), (-3, 2, 1)
