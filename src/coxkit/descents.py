@@ -314,9 +314,10 @@ def p_class_basis(system: CoxeterSystem) -> dict[frozenset[int], FormalVector]:
 
 
 def h_gram_matrix(system: CoxeterSystem) -> tuple[list[frozenset[int]], list[list[int]]]:
-    """Gram matrix of the class h basis under the weak-descent-count form."""
-    labels = [class_label(cls) for cls in parabolic_conjugacy_classes(system)]
+    """Gram matrix of the class h basis under the weak-descent-count form; the
+    capped counts come first, so a group past the cap makes no conjugacy move."""
     below = _weak_counts(system)
+    labels = [class_label(cls) for cls in parabolic_conjugacy_classes(system)]
     # entry (a, b) reads the table at (b, a): the columns of the index matrix
     gram = [[below[k] for k in col] for col in zip(*_pair_indices(system, labels, labels))]
     return labels, gram

@@ -224,14 +224,19 @@ def sym_m_b(lam: tuple[int, ...], K: int) -> CPoly:
 
 
 def _d_chains(n: int, K: int):
-    """Chains -i_2 <= i_1 <= i_2 <= ... <= i_n within [-K, K]."""
+    """Chains -i_2 <= i_1 <= i_2 <= ... <= i_n within [-K, K]: a tail of
+    :func:`_weak_chains` from i_2 = a takes 2a + 1 values of i_1, so there
+    are (2K + 1) C(K + n - 1, n - 1) - 2 (n - 1) C(K + n - 1, n) chains; more
+    than :func:`max_order` is refused, after the tails, before the walk."""
     if n < 2:
         raise ValueError("type D truncations need degree >= 2")
-    for tail in _weak_chains(0, K, n - 1):
-        i2 = tail[0]
-        for i1 in range(-i2, i2 + 1):
-            if i1 <= i2:
-                yield (i1,) + tail
+    tails = _weak_chains(0, K, n - 1)
+    top = max(K + n - 1, 0)
+    count = (2 * K + 1) * comb(top, n - 1) - 2 * (n - 1) * comb(top, n)
+    if count > max_order():
+        raise CapExceededError(
+            f"degree-{n} type D chains in [-{K}, {K}] = {count} exceed cap {max_order()}")
+    return ((i1,) + tail for tail in tails for i1 in range(-tail[0], tail[0] + 1))
 
 
 def monomial_qsym_d(alpha: tuple[int, ...], K: int) -> CPoly:

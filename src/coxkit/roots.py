@@ -5,8 +5,12 @@ Roots are integer coordinate vectors; each family's simple and positive
 roots, its parabolic positive roots and root negation are stated once, in
 :mod:`coxkit.systems`, and re-exported here.  A partial root system is a
 root subset P with no opposite pair that contains every root lying in the
-positive cone of P.  Its lattice points over a finite alphabet window,
-together with the chamber decomposition, drive the series module.
+positive cone of P: the roots in a cone of the reflection arrangement, so
+the closure of a root set is the intersection of the chambers that contain
+it (Bjorner-Brenti 2005, ch. 4; Reiner 1993), read off the sign of every
+root on every window (:func:`coxkit.systems.root_sign_masks`).  Its lattice
+points over a finite alphabet window, together with the chamber
+decomposition, drive the series module.
 
 Lattice points are enumerated level by level.  A root bounds its highest
 nonzero coordinate once the coordinates below are fixed, so one list of
@@ -17,22 +21,15 @@ joined in lexicographic order.  The walk ends in the runs of the last
 coordinate: :func:`lattice_runs` returns them as (prefix, lo, hi) triples,
 so that a caller that only prints the points need not build them, and
 :func:`lattice_points` is their expansion.
-
-Cone membership (parset checks and closures) describes each cone once by
-its facet normals inside the span of its generators, and then tests every
-candidate root against them exactly.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from functools import lru_cache
 from typing import Iterable
 
-from .linalg import RowSpace, nullspace
 from .systems import (CoxeterSystem, Element, Root, check_word_cube, elements, negate,
-                      parabolic_positive_roots, positive_roots, simple_roots)
+                      parabolic_positive_roots, positive_roots, root_sign_masks, simple_roots)
 
 __all__ = ["all_roots", "chamber", "is_parset", "is_positive_root", "lattice_points",
            "lattice_runs", "linear_extension_set", "negate", "parabolic_positive_roots",
@@ -62,71 +59,35 @@ def chamber(w: Element) -> frozenset[Root]:
 # -- partial root systems --------------------------------------------------------
 
 
-def _cone_roots(candidates: Iterable[Root], generators: Iterable[Root]) -> set[Root]:
-    """The candidates lying in the cone of nonnegative combinations of the
-    generators, from one description of that cone.
-
-    The generators span a space V of rank r; a vector's coordinates on the
-    reduced echelon basis of V are its entries at the pivot columns.  Every
-    r - 1 independent generators span a hyperplane of V with a normal y;
-    when all generators lie weakly on one side of it, y (or -y) is kept as
-    a facet normal.  A vector lies in the cone exactly when it lies in V (it
-    is orthogonal to the kernel of the generators) and on the nonnegative
-    side of every kept normal (a cone containing a line has fewer normals;
-    one with none is all of V).  Arithmetic is exact.
-    """
-    gens = list(dict.fromkeys(generators))
-    span = RowSpace()
-    for g in gens:
-        span.add(g)
-    pivots = sorted(span.rows)
-    r = len(pivots)
-    if r == 0:
-        return set()
-    coords = [[g[p] for p in pivots] for g in gens]
-    outside = nullspace(gens, len(gens[0])) if r < len(gens[0]) else []
-    normals, seen = [], set()
-    for face in itertools.combinations(coords, r - 1):
-        kernel = nullspace(face, r)
-        if len(kernel) != 1:
-            continue
-        y = tuple(kernel[0])
-        if y in seen:
-            continue
-        seen.add(y)
-        sides = [sum(a * b for a, b in zip(y, c)) for c in coords]
-        if min(sides) >= 0:
-            normals.append(y)
-        elif max(sides) <= 0:
-            normals.append(tuple(-a for a in y))
-    out = set()
-    for beta in candidates:
-        if any(sum(map(operator.mul, x, beta)) for x in outside):
-            continue
-        c = [beta[p] for p in pivots]
-        if all(sum(a * b for a, b in zip(y, c)) >= 0 for y in normals):
-            out.add(beta)
-    return out
-
-
 def is_parset(system: CoxeterSystem, roots: Iterable[Root]) -> bool:
-    """Check the no-opposite-pair and positive-cone-closure axioms."""
+    """Whether ``roots`` is a set of roots that is its own :func:`parset_closure`."""
     P = frozenset(roots)
-    if not P <= all_roots(system):
-        return False
-    if any(negate(r) in P for r in P):
-        return False
-    return not _cone_roots(all_roots(system) - P, P)
+    return P <= all_roots(system) and parset_closure(system, P) == P
 
 
 def parset_closure(system: CoxeterSystem, roots: Iterable[Root]) -> frozenset[Root] | None:
-    """Add all roots in the positive cone; None if an opposite pair appears."""
-    gens = tuple(roots)
-    closed = set(gens) | _cone_roots(all_roots(system), gens)
-    for r in closed:
-        if negate(r) in closed:
-            return None
-    return frozenset(closed)
+    """The roots in the positive cone of P = ``roots``, or None when it
+    holds an opposite pair; a vector that is no root is a ValueError.
+
+    The closure is the intersection of the chambers that contain P: those
+    of the windows outside every generator's mask
+    (:func:`~coxkit.systems.root_sign_masks`).  (subset) A chamber, the
+    roots positive on an open region, that contains P contains cone(P).
+    (superset) By Farkas' lemma a root b outside cone(P) has a y with
+    <p, y> >= 0 on P and <b, y> < 0; adding a little of a point of a
+    chamber that contains P, then moving off the reflecting hyperplanes,
+    gives a region whose chamber holds P and not b.  No chamber contains P
+    exactly when (Gordan) a nonzero nonnegative combination of P vanishes:
+    then cone(P) holds a line and -p for some p in P, so the answer is None.
+    """
+    masks, everywhere = root_sign_masks(system)
+    cut = 0
+    for p in roots:
+        if p not in masks:
+            raise ValueError(f"vector {p} is not a root of {system}")
+        cut |= masks[p]
+    chambers = everywhere ^ cut  # the windows on which every root of P is positive
+    return frozenset(a for a, mask in masks.items() if not mask & chambers) if chambers else None
 
 
 def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -> list[tuple[int, ...]]:

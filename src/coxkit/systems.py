@@ -564,6 +564,17 @@ def descent_pair_counts(system: CoxeterSystem) -> list[int]:
 
 
 @_capped_cache
+def root_sign_masks(system: CoxeterSystem) -> tuple[dict[Root, int], int]:
+    """For each root a, the :func:`_root_flags` mask of the windows x, packed
+    as :func:`_family_windows` makes them, with <a, x> < 0; and the mask of
+    every window.  No root vanishes on a window, so the roots whose mask
+    misses x are the chamber w * (positive roots) of the w with w^{-1} = x."""
+    lanes, positive = _pack_windows(_family_windows(system), system.n), positive_roots(system)
+    roots = [*positive, *map(negate, positive)]
+    return dict(zip(roots, _root_flags(lanes, map(_coordinates, roots)))), lanes.guard
+
+
+@_capped_cache
 def _ordered_table(system: CoxeterSystem
                    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], tuple[int, ...]]]:
     """The group's table: its windows and both mask tuples in (length,

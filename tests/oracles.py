@@ -13,7 +13,7 @@ from coxkit.descents import SIGMA
 from coxkit.freemodule import FormalVector
 from coxkit.hecke import HModule, regular_module
 from coxkit.linalg import RowSpace, exact_div, matrix_rank, nullspace, solve
-from coxkit.roots import positive_roots, simple_roots
+from coxkit.roots import chamber, linear_extension_set, positive_roots, simple_roots
 from coxkit.series import NCSeries, s_series
 from coxkit.systems import (
     CoxeterSystem,
@@ -543,6 +543,18 @@ def caratheodory_cone_contains(generators: Sequence[tuple[int, ...]], target: tu
             if x is not None and all(c >= 0 for c in x):
                 return True
     return False
+
+
+def chamber_intersection(system: CoxeterSystem, roots: Iterable[tuple[int, ...]]
+                         ) -> Optional[frozenset[tuple[int, ...]]]:
+    """The parset closure of ``roots`` by its definition through chambers:
+    the intersection of the chambers w * (positive roots) of the elements w
+    of :func:`~coxkit.roots.linear_extension_set`, or None when no chamber
+    contains ``roots``."""
+    extensions = linear_extension_set(system, roots)
+    if not extensions:
+        return None
+    return frozenset.intersection(*map(chamber, extensions))
 
 
 def solved_parabolic_positive_roots(system: CoxeterSystem,

@@ -315,6 +315,21 @@ class TestExpand:
         assert over == (3, "", "error: weak chains C(11, 1) = 11 exceed cap 10\n")
         assert fd_over == (3, "", "error: weak chains C(12, 2) = 66 exceed cap 10\n")
 
+    def test_type_d_chains_over_the_cap_exit_3(self, capsys):
+        # MD:(2) and FD:(2) at window K walk (K + 1)^2 chains i_1 <= i_2 with
+        # |i_1| <= i_2 <= K over only K + 1 tails: the chains are counted
+        # before the walk
+        set_max_order(10)
+        try:
+            answered = [run(capsys, "expand", "--target", t, "--basis", t, "--window", "2")
+                        for t in ("MD:(2)", "FD:(2)")]
+            over = [run(capsys, "expand", "--target", t, "--basis", t, "--window", "3")
+                    for t in ("MD:(2)", "FD:(2)")]
+        finally:
+            set_max_order(None)
+        assert answered == [(0, "MD:(2): 1\n", ""), (0, "FD:(2): 1\n", "")]
+        assert over == [(3, "", "error: degree-2 type D chains in [-3, 3] = 16 exceed cap 10\n")] * 2
+
     def test_x0_power_over_the_cap_exits_3(self, capsys):
         set_max_order(50)
         try:
@@ -385,6 +400,24 @@ class TestTable:
     def test_an_empty_cap_variable_is_the_default(self, capsys, monkeypatch):
         monkeypatch.setenv("COXKIT_MAX_ORDER", "")
         assert run(capsys, "table", "--type", "A", "--rank", "1", "--table", "c")[0] == 0
+
+    @pytest.mark.parametrize("table", ("hm", "hgram"))
+    def test_the_cap_is_checked_before_the_conjugacy_moves(self, capsys, monkeypatch, table):
+        # the parabolic conjugacy classes of A rank 6 take one longest_element
+        # per subset, 2^6 of them; |W| = 7! is refused before the first
+        from coxkit import systems
+
+        def refuse(*args):
+            raise AssertionError("longest_element called before the cap check")
+
+        monkeypatch.setattr(systems, "longest_element", refuse)
+        systems.parabolic_conjugacy_classes.cache_clear()
+        set_max_order(100)
+        try:
+            refused = run(capsys, "table", "--type", "A", "--rank", "6", "--table", table)
+        finally:
+            set_max_order(None)
+        assert refused == (3, "", "error: |W| = 5040 exceeds cap 100\n")
 
     def test_the_lane_limit_is_checked_before_any_window(self, capsys, monkeypatch):
         # with the cap past 17! the order check passes A rank 16; the window

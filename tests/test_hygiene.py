@@ -5,7 +5,8 @@ parameter with a default of its top-level functions is set by some call
 in the package or its scripts, every ``module.name`` the README gives
 exists, every brute-force oracle of the tests has a test that uses it,
 and the functions that read a family's type off its roots read no family
-name.  The unused-import scan also covers the tests and the scripts."""
+name.  The unused-import scan also covers the tests and the scripts, and
+every file of the three parses as Python 3.10."""
 
 import ast
 import importlib
@@ -52,10 +53,27 @@ def test_scanner_accepts_reexports_and_attribute_use():
     assert unused_imports(source) == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
-                         + sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+#: Every Python file of the package, its tests and its scripts.
+PY_FILES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) \
+    + sorted((ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PY_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_a_python_3_11_construct_is_flagged():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", PY_FILES, ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # CI also runs the tests on Python 3.10: no file may use later syntax
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def _is_private(name: str) -> bool:
@@ -385,7 +403,7 @@ ROOT_RULES = {
                    "CoxeterSystem.generator", "descent_masks", "elements", "_group_windows",
                    "_lanes", "_check_lane_size", "_pack_windows", "_root_flags", "_unpack",
                    "_lane_masks", "_lane_lengths", "_inverse_lanes", "_lane_members",
-                   "descent_pair_counts",
+                   "descent_pair_counts", "root_sign_masks",
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
                    "parabolic_conjugacy_classes", "parabolic_elements", "_interval_positions",
                    "_ordered_table", "_parabolic_flags", "_mask_runs",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -79,6 +80,7 @@ from coxkit.words import (
 from oracles import (
     ORACLE_SYSTEMS,
     caratheodory_cone_contains,
+    chamber_intersection,
     h_block,
     inner,
     s_basis_by_class,
@@ -346,18 +348,23 @@ def _scan_parset_closure(system, roots):
 
 
 @st.composite
-def _root_lists(draw):
-    """A system and a short list of its roots: possibly empty, with
-    duplicates, often with an opposite pair (a cone containing a line) and
-    usually spanning less than the whole space."""
-    system = draw(st.sampled_from(CONE_SYSTEMS))
+def _root_lists(draw, systems=CONE_SYSTEMS, max_size=5):
+    """A system of ``systems`` and a short list of its roots: possibly
+    empty, with duplicates, often with an opposite pair (a cone containing
+    a line) and usually spanning less than the whole space."""
+    system = draw(st.sampled_from(systems))
     roots = sorted(all_roots(system))
-    gens = draw(st.lists(st.sampled_from(roots), max_size=5))
+    gens = draw(st.lists(st.sampled_from(roots), max_size=max_size))
     if gens and draw(st.booleans()):
         gens.append(negate(draw(st.sampled_from(gens))))
     if gens and draw(st.booleans()):
         gens.append(draw(st.sampled_from(gens)))
     return system, draw(st.permutations(gens))
+
+
+#: Systems past the reach of the Caratheodory scan, on which the closure
+#: is checked against the intersection of the chambers that contain it.
+CHAMBER_SYSTEMS = (CoxeterSystem("B", 5), CoxeterSystem("D", 5), CoxeterSystem("A", 6))
 
 
 def _draw_parsets_by_size(system, sizes, seed):
@@ -392,6 +399,19 @@ class TestConeMembership:
         for P in candidates:
             assert is_parset(system, P) == _scan_is_parset(system, P), sorted(P)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_root_lists(CHAMBER_SYSTEMS, max_size=8), st.integers(0, 10**6))
+    def test_closure_is_the_chamber_intersection(self, case, seed):
+        # the drawn list, its closure, and the closure less one root
+        system, gens = case
+        closed = parset_closure(system, gens)
+        assert closed == chamber_intersection(system, gens)
+        candidates = [gens]
+        if closed:
+            candidates += [closed, closed - {sorted(closed)[seed % len(closed)]}]
+        for P in candidates:
+            assert is_parset(system, P) == (chamber_intersection(system, P) == frozenset(P))
+
     def test_cones_with_lines_and_low_rank(self):
         e1, e2 = (1, 0, 0), (0, 1, 0)
         # a line: the cone of {e1, -e1} is the e1 axis, closed under nothing else
@@ -423,6 +443,26 @@ class TestConeMembership:
             assert parset_closure(B4, P) == P
         assert time.perf_counter() - start < 5.0
 
+    def test_closure_refuses_a_vector_that_is_no_root(self):
+        for vector in ((2, 0, 0), (1, 1, 1), (1, 0), (0, 0, 0)):
+            with pytest.raises(ValueError, match=re.escape(f"vector {vector} is not a root of")):
+                parset_closure(B3, [(1, 0, 0), vector])
+            assert not is_parset(B3, [vector])
+        with pytest.raises(ValueError, match=re.escape("vector (1, 0, 0) is not a root of")):
+            parset_closure(CoxeterSystem("A", 3), [(1, 0, 0)])
+
+    def test_closure_past_the_cap_is_refused(self):
+        # the chambers are read off the whole group, so the order cap holds
+        set_max_order(B3.order() - 1)
+        try:
+            with pytest.raises(CapExceededError, match=r"\|W\| = 48 exceeds cap 47"):
+                parset_closure(B3, [(1, 0, 0)])
+            with pytest.raises(CapExceededError):
+                is_parset(B3, [(1, 0, 0)])
+        finally:
+            set_max_order(None)
+        assert parset_closure(B3, [(1, 0, 0)]) == frozenset({(1, 0, 0)})
+
     @pytest.mark.parametrize("system", (B3, CoxeterSystem("D", 4)), ids=("B3", "D4"))
     def test_parabolic_roots_match_solve(self, system):
         for I in all_subsets(system):
@@ -430,19 +470,22 @@ class TestConeMembership:
 
     def test_parabolic_roots_call_no_linear_algebra(self, monkeypatch):
         # the positive roots of W_I are the inversion set of w0(I): no cone
-        # is solved for them, so no row space or null space is built
+        # is solved for them, so no row space or null space is built, and
+        # roots binds no name of linalg that could build one
         import coxkit.linalg
         import coxkit.roots
 
         def refuse(*args):
             raise AssertionError("parabolic_positive_roots called linalg")
 
+        assert [name for name, value in vars(coxkit.roots).items()
+                if value is coxkit.linalg
+                or getattr(value, "__module__", None) == "coxkit.linalg"] == []
         systems = (CoxeterSystem("A", 4), B3, CoxeterSystem("D", 4))
         expected = {(system, I): solved_parabolic_positive_roots(system, I)
                     for system in systems for I in all_subsets(system)}
-        for module in (coxkit.roots, coxkit.linalg):
-            monkeypatch.setattr(module, "nullspace", refuse)
-            monkeypatch.setattr(module, "RowSpace", refuse)
+        monkeypatch.setattr(coxkit.linalg, "nullspace", refuse)
+        monkeypatch.setattr(coxkit.linalg, "RowSpace", refuse)
         parabolic_positive_roots.cache_clear()
         for (system, I), roots in expected.items():
             assert parabolic_positive_roots(system, I) == roots
@@ -727,6 +770,22 @@ class TestCommutativeBases:
                                 i for i, a in zip(idx, alpha[2:]) for _ in range(a))
                             predicted = predicted + CPoly.monomial(mono)
                 assert direct == predicted, alpha
+
+    def test_type_d_chains_are_counted_before_the_walk(self):
+        # the chains -i_2 <= i_1 <= i_2 <= ... <= i_n in [-K, K], one term
+        # each of F_(n), number sum_a (2a + 1) C(K - a + n - 2, n - 2): a cap
+        # at that count answers, and one below it refuses, naming the count
+        for n in range(2, 6):
+            for K in range(7):
+                count = sum((2 * a + 1) * math.comb(K - a + n - 2, n - 2) for a in range(K + 1))
+                set_max_order(count)
+                try:
+                    assert len(fundamental_qsym_d((n,), K).terms) == count
+                    set_max_order(count - 1)
+                    with pytest.raises(CapExceededError, match=f"= {count} exceed cap {count - 1}"):
+                        fundamental_qsym_d((n,), K)
+                finally:
+                    set_max_order(None)
 
     def test_h_well_defined_on_tail_reordering(self):
         assert sym_h_b((0, 2, 1), 4) == sym_h_b((0, 1, 2), 4)

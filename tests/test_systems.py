@@ -55,6 +55,7 @@ from coxkit.systems import (
     parabolic_elements,
     parse_window,
     refines,
+    root_sign_masks,
     set_max_order,
     shape_of_composition,
     simple_image,
@@ -467,6 +468,7 @@ class TestEnumeration:
             "descent_masks": lambda: descent_masks(B3),
             "_ordered_table": lambda: _ordered_table(B3),
             "descent_pair_counts": lambda: descent_pair_counts(B3),
+            "root_sign_masks": lambda: root_sign_masks(B3),
             "_mask_runs right": lambda: _mask_runs(B3, False),
             "_mask_runs left": lambda: _mask_runs(B3, True),
             "h_gram_matrix": lambda: h_gram_matrix(B3),
