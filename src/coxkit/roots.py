@@ -71,7 +71,9 @@ def parset_closure(system: CoxeterSystem, roots: Iterable[Root]) -> frozenset[Ro
 
     The closure is the intersection of the chambers that contain P: those
     of the windows outside every generator's mask
-    (:func:`~coxkit.systems.root_sign_masks`).  (subset) A chamber, the
+    (:func:`~coxkit.systems.root_sign_masks`, which keeps the positive
+    roots' masks; a negative root's is the complement of its opposite's,
+    as no root vanishes on a window).  (subset) A chamber, the
     roots positive on an open region, that contains P contains cone(P).
     (superset) By Farkas' lemma a root b outside cone(P) has a y with
     <p, y> >= 0 on P and <b, y> < 0; adding a little of a point of a
@@ -81,13 +83,25 @@ def parset_closure(system: CoxeterSystem, roots: Iterable[Root]) -> frozenset[Ro
     then cone(P) holds a line and -p for some p in P, so the answer is None.
     """
     masks, everywhere = root_sign_masks(system)
-    cut = 0
+    phi, cut = all_roots(system), 0
     for p in roots:
-        if p not in masks:
+        if p in masks:
+            cut |= masks[p]
+        elif p in phi:
+            cut |= everywhere ^ masks[negate(p)]
+        else:
             raise ValueError(f"vector {p} is not a root of {system}")
-        cut |= masks[p]
     chambers = everywhere ^ cut  # the windows on which every root of P is positive
-    return frozenset(a for a, mask in masks.items() if not mask & chambers) if chambers else None
+    if not chambers:
+        return None
+    kept, flipped = [], []
+    for a, mask in masks.items():
+        hit = mask & chambers
+        if not hit:
+            kept.append(a)
+        elif hit == chambers:  # a is negative on every chamber, so -a is positive
+            flipped.append(negate(a))
+    return frozenset(kept + flipped)
 
 
 def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -> list[tuple[int, ...]]:

@@ -415,17 +415,30 @@ def _capped_cache(fn):
     return call
 
 
-def _family_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
-    """Every window of the group, in the order its family's sign rule
-    generates them (lexicographic for A only): the one place that builds a
-    group from that rule.  Every caller packs them into lanes, so a window
-    size the lanes cannot hold is refused before any window is made."""
+def _family_rule(system: CoxeterSystem) -> tuple[Iterable[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The family's rule for its windows, the one place that states it: the
+    permutations of 1..n in lexicographic order, as an iterator, and the
+    sign vectors, all of them in B, those with an even number of -1 in D,
+    and only the vector of +1 in A.  The windows are each permutation times
+    each sign vector in turn.  A window size the lanes cannot hold is
+    refused before any permutation is made (:func:`_check_lane_size`)."""
     _check_lane_size(system.n)
-    perms = itertools.permutations(range(1, system.n + 1))
     if system.family == "A":
+        signs = [(1,) * system.n]
+    else:
+        signs = [s for s in itertools.product((1, -1), repeat=system.n)
+                 if system.family == "B" or s.count(-1) % 2 == 0]
+    return itertools.permutations(range(1, system.n + 1)), signs
+
+
+def _family_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """Every window of the group, in the order of its family rule
+    (:func:`_family_rule`): lexicographic when the only sign vector is all
+    +1, as in A.  Only :func:`_ordered_table`, which sorts them, builds
+    these tuples; the readers of lanes alone take :func:`_family_lanes`."""
+    perms, signs = _family_rule(system)
+    if len(signs) == 1:
         return list(perms)
-    signs = [s for s in itertools.product((1, -1), repeat=system.n)
-             if system.family == "B" or s.count(-1) % 2 == 0]
     return [tuple(map(operator.mul, s, perm)) for perm in perms for s in signs]
 
 
@@ -481,6 +494,28 @@ def _pack_windows(windows: Sequence[tuple[int, ...]], n: int) -> _Lanes:
     lane, packed = bytearray(2 * size), []
     for p in range(n):
         lane[::2] = flat[p::n]
+        packed.append(int.from_bytes(lane, "little"))
+    return _lanes(n, size, int.from_bytes(b"\1\0" * size, "little"), packed)
+
+
+def _family_lanes(system: CoxeterSystem) -> _Lanes:
+    """The lanes of :func:`_family_windows`, in its order, with no window
+    built.  Each permutation p is followed by every sign vector, so in
+    column q the block of p is one byte pattern of the value p(q), the
+    lanes' low bytes n + s(q) * p(q) over the sign vectors s: the column is
+    those patterns joined over the permutations, or, with one sign vector,
+    the column of the permutations shifted by n in one translate."""
+    n = system.n
+    perms, signs = _family_rule(system)
+    perms = list(perms)
+    size = len(perms) * len(signs)
+    lane, packed = bytearray(2 * size), []
+    for q, column in enumerate(zip(*perms)):
+        if len(signs) == 1:
+            lane[::2] = bytes(column).translate(_RAMP[n:n + 256])
+        else:
+            blocks = [bytes(n + s[q] * v for s in signs) for v in range(n + 1)]
+            lane[::2] = b"".join(map(blocks.__getitem__, column))
         packed.append(int.from_bytes(lane, "little"))
     return _lanes(n, size, int.from_bytes(b"\1\0" * size, "little"), packed)
 
@@ -551,11 +586,11 @@ def descent_pair_counts(system: CoxeterSystem) -> list[int]:
     """Solomon's (1976) descent-pair histogram from one pass over W: with r
     generators, the entry at (row mask) << r | (col mask) counts the w with
     D(w^{-1}) = row and D(w) = col, each mask of :func:`generator_bits`.
-    The count does not depend on the order of W, so the windows are packed
-    as their family rule generates them (:func:`_family_windows`) and read
-    for both masks at once (:func:`_lane_masks`): no sort, no length and no
-    :class:`Element`, and only the counts are kept."""
-    right, left = _lane_masks(system, _pack_windows(_family_windows(system), system.n))
+    The count does not depend on the order of W, so the lanes are packed
+    straight from the family rule (:func:`_family_lanes`) and read for both
+    masks at once (:func:`_lane_masks`): no window tuple, no sort, no length
+    and no :class:`Element`, and only the counts are kept."""
+    right, left = _lane_masks(system, _family_lanes(system))
     r = len(system.generators)
     pairs = [0] * (1 << 2 * r)
     for col, row in zip(right, left):
@@ -565,13 +600,13 @@ def descent_pair_counts(system: CoxeterSystem) -> list[int]:
 
 @_capped_cache
 def root_sign_masks(system: CoxeterSystem) -> tuple[dict[Root, int], int]:
-    """For each root a, the :func:`_root_flags` mask of the windows x, packed
-    as :func:`_family_windows` makes them, with <a, x> < 0; and the mask of
-    every window.  No root vanishes on a window, so the roots whose mask
-    misses x are the chamber w * (positive roots) of the w with w^{-1} = x."""
-    lanes, positive = _pack_windows(_family_windows(system), system.n), positive_roots(system)
-    roots = [*positive, *map(negate, positive)]
-    return dict(zip(roots, _root_flags(lanes, map(_coordinates, roots)))), lanes.guard
+    """For each positive root a, the :func:`_root_flags` mask of the windows
+    x, in the lanes of :func:`_family_lanes`, with <a, x> < 0; and the mask
+    of every window.  No root vanishes on a window, so the mask of -a is
+    the mask of every window xor that of a, and the roots whose mask misses
+    x are the chamber w * (positive roots) of the w with w^{-1} = x."""
+    lanes, positive = _family_lanes(system), positive_roots(system)
+    return dict(zip(positive, _root_flags(lanes, map(_coordinates, positive)))), lanes.guard
 
 
 @_capped_cache

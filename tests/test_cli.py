@@ -419,6 +419,24 @@ class TestTable:
             set_max_order(None)
         assert refused == (3, "", "error: |W| = 5040 exceeds cap 100\n")
 
+    def test_table_c_and_is_parset_build_no_window(self, capsys, monkeypatch):
+        # the pair histogram and the root signs read lanes packed straight
+        # from the family rule; only the group's sorted table builds windows
+        from coxkit import roots, systems
+
+        B4 = CoxeterSystem("B", 4)
+        argv = ("table", "--type", "B", "--rank", "4", "--table", "c")
+        expected = run(capsys, *argv)
+
+        def refuse(system):
+            raise AssertionError("a window tuple was built")
+
+        monkeypatch.setattr(systems, "_family_windows", refuse)
+        systems._store.cache_clear()
+        assert run(capsys, *argv) == expected
+        assert roots.is_parset(B4, systems.positive_roots(B4))
+        assert roots.parset_closure(B4, [(1, 0, 0, 0), (-1, 0, 0, 0)]) is None
+
     def test_the_lane_limit_is_checked_before_any_window(self, capsys, monkeypatch):
         # with the cap past 17! the order check passes A rank 16; the window
         # size is refused before its 17! windows are generated

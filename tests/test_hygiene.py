@@ -396,11 +396,13 @@ def test_no_module_reads_another_modules_private_names():
 
 
 #: The functions that read each family's type off its roots alone.  In the
-#: group enumeration only the window generator, ``systems._family_windows``, may;
-#: the parabolic facts read the parabolic's roots alone.
+#: group enumeration only the family rule, ``systems._family_rule``, may: the
+#: windows and their lanes take the permutations and sign vectors from it; the
+#: parabolic facts read the parabolic's roots alone.
 ROOT_RULES = {
     "systems.py": ["Element.length", "Element.descent_set", "CoxeterSystem.coxeter_order",
                    "CoxeterSystem.generator", "descent_masks", "elements", "_group_windows",
+                   "_family_windows", "_family_lanes",
                    "_lanes", "_check_lane_size", "_pack_windows", "_root_flags", "_unpack",
                    "_lane_masks", "_lane_lengths", "_inverse_lanes", "_lane_members",
                    "descent_pair_counts", "root_sign_masks",

@@ -16,6 +16,8 @@ from coxkit.systems import (
     CoxeterSystem,
     Element,
     _descent_interval,
+    _family_lanes,
+    _family_windows,
     _LANE_MAX_N,
     _group_windows,
     _inverse_lanes,
@@ -917,6 +919,35 @@ class TestLanes:
     def test_a_window_size_past_the_lanes_is_refused(self):
         with pytest.raises(ValueError, match=f"window size {_LANE_MAX_N + 1} "):
             _pack_windows([tuple(range(1, _LANE_MAX_N + 2))], _LANE_MAX_N + 1)
+
+
+FAMILY_SYSTEMS = ([CoxeterSystem("A", n) for n in range(8)]
+                  + [CoxeterSystem("B", n) for n in range(7)]
+                  + [CoxeterSystem("D", n) for n in range(2, 7)])
+
+
+class TestFamilyLanes:
+    """The lanes packed straight from the family rule against the packed
+    window tuples of that rule."""
+
+    @pytest.mark.parametrize("system", FAMILY_SYSTEMS, ids=repr)
+    def test_equal_the_packed_family_windows(self, system):
+        assert _family_lanes(system) == _pack_windows(_family_windows(system), system.n)
+
+    def test_the_root_signs_refuse_a_window_past_the_lanes_before_any_permutation(
+            self, monkeypatch):
+        # with the cap past 17! the order check passes A window 17; the window
+        # size is refused before its permutations are generated
+        def refuse(*args):
+            raise AssertionError("itertools.permutations called before the lane check")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        set_max_order(10 ** 15)
+        try:
+            with pytest.raises(ValueError, match="window size 17 exceeds 16, the most"):
+                root_sign_masks(CoxeterSystem("A", 17))
+        finally:
+            set_max_order(None)
 
 
 class TestParabolicOracle:
