@@ -420,26 +420,18 @@ def _family_rule(system: CoxeterSystem) -> tuple[Iterable[tuple[int, ...]], list
     permutations of 1..n in lexicographic order, as an iterator, and the
     sign vectors, all of them in B, those with an even number of -1 in D,
     and only the vector of +1 in A.  The windows are each permutation times
-    each sign vector in turn.  A window size the lanes cannot hold is
-    refused before any permutation is made (:func:`_check_lane_size`)."""
-    _check_lane_size(system.n)
+    each sign vector in turn.  A window size past :data:`_LANE_MAX_N`, which
+    the lanes cannot hold, is refused with ValueError before any permutation
+    is made."""
+    if system.n > _LANE_MAX_N:
+        raise ValueError(f"window size {system.n} exceeds {_LANE_MAX_N}, "
+                         "the most 16-bit lanes hold")
     if system.family == "A":
         signs = [(1,) * system.n]
     else:
         signs = [s for s in itertools.product((1, -1), repeat=system.n)
                  if system.family == "B" or s.count(-1) % 2 == 0]
     return itertools.permutations(range(1, system.n + 1)), signs
-
-
-def _family_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
-    """Every window of the group, in the order of its family rule
-    (:func:`_family_rule`): lexicographic when the only sign vector is all
-    +1, as in A.  Only :func:`_ordered_table`, which sorts them, builds
-    these tuples; the readers of lanes alone take :func:`_family_lanes`."""
-    perms, signs = _family_rule(system)
-    if len(signs) == 1:
-        return list(perms)
-    return [tuple(map(operator.mul, s, perm)) for perm in perms for s in signs]
 
 
 # -- the group table in 16-bit lanes: a column of windows is one int, and a
@@ -476,48 +468,39 @@ def _lanes(n: int, size: int, ones: int, packed: Iterable[int]) -> _Lanes:
     return _Lanes(n, size, ones, ones << 15, [(zero, x, 2 * zero - x) for x in packed])
 
 
-def _check_lane_size(n: int) -> None:
-    """Refuse, with ValueError, a window size past :data:`_LANE_MAX_N`."""
-    if n > _LANE_MAX_N:
-        raise ValueError(f"window size {n} exceeds {_LANE_MAX_N}, the most 16-bit lanes hold")
-
-
-def _pack_windows(windows: Sequence[tuple[int, ...]], n: int) -> _Lanes:
-    """The ``windows``, each of size ``n``, in lanes: the signed bytes of all
-    their entries are shifted by n in one translate, and the bytes of each
-    column are read, little-endian, as the low bytes of its lanes.  A window
-    size past :data:`_LANE_MAX_N` is refused (:func:`_check_lane_size`)."""
-    _check_lane_size(n)
-    size = len(windows)
-    flat = struct.pack(f"<{size * n}b", *itertools.chain.from_iterable(windows))
-    flat = flat.translate(_RAMP[n:n + 256])
-    lane, packed = bytearray(2 * size), []
-    for p in range(n):
-        lane[::2] = flat[p::n]
-        packed.append(int.from_bytes(lane, "little"))
-    return _lanes(n, size, int.from_bytes(b"\1\0" * size, "little"), packed)
-
-
 def _family_lanes(system: CoxeterSystem) -> _Lanes:
-    """The lanes of :func:`_family_windows`, in its order, with no window
-    built.  Each permutation p is followed by every sign vector, so in
+    """The group's windows in lanes, in the order of its family rule
+    (:func:`_family_rule`), the one path from that rule into lanes or
+    windows.  Each permutation p is followed by every sign vector, so in
     column q the block of p is one byte pattern of the value p(q), the
     lanes' low bytes n + s(q) * p(q) over the sign vectors s: the column is
-    those patterns joined over the permutations, or, with one sign vector,
-    the column of the permutations shifted by n in one translate."""
+    those patterns joined over the bytes p(q), read as ``flat[q::n]`` off
+    the permutations in one byte string, or, with one sign vector, those
+    bytes shifted by n in one translate."""
     n = system.n
     perms, signs = _family_rule(system)
-    perms = list(perms)
-    size = len(perms) * len(signs)
+    flat = bytes(itertools.chain.from_iterable(perms))
+    size = factorial(n) * len(signs)
     lane, packed = bytearray(2 * size), []
-    for q, column in enumerate(zip(*perms)):
+    for q in range(n):
         if len(signs) == 1:
-            lane[::2] = bytes(column).translate(_RAMP[n:n + 256])
+            lane[::2] = flat[q::n].translate(_RAMP[n:n + 256])
         else:
             blocks = [bytes(n + s[q] * v for s in signs) for v in range(n + 1)]
-            lane[::2] = b"".join(map(blocks.__getitem__, column))
+            lane[::2] = b"".join(map(blocks.__getitem__, flat[q::n]))
         packed.append(int.from_bytes(lane, "little"))
     return _lanes(n, size, int.from_bytes(b"\1\0" * size, "little"), packed)
+
+
+def _lane_windows(lanes: _Lanes) -> list[tuple[int, ...]]:
+    """The windows of ``lanes``, in their order: the low bytes of each
+    column, shifted back by n and read as signed bytes, zipped."""
+    n, size = lanes.n, lanes.size
+    if not n:
+        return [()] * size
+    back = _RAMP[256 - n:512 - n]
+    return list(zip(*[array("b", x.to_bytes(2 * size, "little")[::2].translate(back))
+                      for _, x, _ in lanes.columns]))
 
 
 def _root_flags(lanes: _Lanes, roots: Iterable[tuple[int, int, int, int]]) -> list[int]:
@@ -529,10 +512,11 @@ def _root_flags(lanes: _Lanes, roots: Iterable[tuple[int, int, int, int]]) -> li
     return [((cols[i][a] | guard) - cols[j][-b] & guard) ^ guard for i, a, j, b in roots]
 
 
-def _unpack(lanes: _Lanes, flags: int) -> tuple[int, ...]:
-    """Lane by lane, a sum of :func:`_root_flags` times small ints: each
-    flag counts 1 at the guard bit, and every lane's sum is below 2^16."""
-    return struct.unpack(f"<{lanes.size}H", (flags >> 15).to_bytes(2 * lanes.size, "little"))
+def _unpack(size: int, flags: int) -> tuple[int, ...]:
+    """Lane by lane, over ``size`` lanes, a sum of :func:`_root_flags` times
+    small ints: each flag counts 1 at the guard bit, and every lane's sum is
+    below 2^16."""
+    return struct.unpack(f"<{size}H", (flags >> 15).to_bytes(2 * size, "little"))
 
 
 def _lane_masks(system: CoxeterSystem, lanes: _Lanes) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -545,13 +529,13 @@ def _lane_masks(system: CoxeterSystem, lanes: _Lanes) -> tuple[tuple[int, ...], 
     simple, bits = [r[1:] for r in roots.simple], roots.bits.values()
     right = sum(map(operator.mul, bits, _root_flags(lanes, simple)))
     left = sum(map(operator.mul, bits, _root_flags(_inverse_lanes(lanes), simple)))
-    return _unpack(lanes, right), _unpack(lanes, left)
+    return _unpack(lanes.size, right), _unpack(lanes.size, left)
 
 
 def _lane_lengths(system: CoxeterSystem, lanes: _Lanes) -> tuple[int, ...]:
     """The length of each window of ``lanes``: the number of positive roots
     a with <a, window> < 0 (Bjorner-Brenti 2005, ch. 8)."""
-    return _unpack(lanes, sum(_root_flags(lanes, system._roots.positive)))
+    return _unpack(lanes.size, sum(_root_flags(lanes, system._roots.positive)))
 
 
 def _inverse_lanes(lanes: _Lanes) -> _Lanes:
@@ -569,16 +553,6 @@ def _inverse_lanes(lanes: _Lanes) -> _Lanes:
             signed += p * (((x ^ minus) - ones & guard) - ((x ^ plus) - ones & guard))
         packed.append(n * ones + (signed >> 15))
     return _lanes(n, lanes.size, ones, packed)
-
-
-def _lane_members(system: CoxeterSystem, lanes: _Lanes, subset: frozenset[int]
-                  ) -> tuple[bool, ...]:
-    """Whether each window of ``lanes`` lies in W_I, I = ``subset``: whether
-    it inverts no positive root outside :func:`parabolic_positive_roots`,
-    the test of :func:`in_parabolic`, as the OR of those roots' flags."""
-    outside = positive_roots(system) - parabolic_positive_roots(system, subset)
-    inverted = reduce(operator.or_, _root_flags(lanes, map(_coordinates, outside)), 0)
-    return tuple(map(operator.not_, _unpack(lanes, inverted)))
 
 
 @_capped_cache
@@ -609,33 +583,39 @@ def root_sign_masks(system: CoxeterSystem) -> tuple[dict[Root, int], int]:
     return dict(zip(positive, _root_flags(lanes, map(_coordinates, positive)))), lanes.guard
 
 
+class _Table(NamedTuple):
+    """The group's table in (length, window) order: its windows, its right
+    and its left descent masks, and the position in the family rule
+    (:func:`_family_lanes`) of each of its windows."""
+
+    windows: tuple[tuple[int, ...], ...]
+    masks: tuple[tuple[int, ...], tuple[int, ...]]
+    order: array
+
+
 @_capped_cache
-def _ordered_table(system: CoxeterSystem
-                   ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The group's table: its windows and both mask tuples in (length,
-    window) order.  The generated windows (:func:`_family_windows`) are
-    sorted and packed once; the masks (:func:`_lane_masks`) and the lengths
-    (:func:`_lane_lengths`) come from the same lanes, and a stable sort of
-    the sorted windows by length gives the order."""
-    lex = sorted(_family_windows(system))
-    lanes = _pack_windows(lex, system.n)
+def _ordered_table(system: CoxeterSystem) -> _Table:
+    """The group's :class:`_Table`, read off the family lanes: the masks
+    (:func:`_lane_masks`), the lengths (:func:`_lane_lengths`) and the
+    windows (:func:`_lane_windows`).  The family positions are sorted by
+    window, then stably by length, and kept as an unsigned-int array."""
+    lanes = _family_lanes(system)
+    windows = _lane_windows(lanes)
     right, left = _lane_masks(system, lanes)
     lengths = _lane_lengths(system, lanes)
-    order = sorted(range(len(lex)), key=lengths.__getitem__)
-    return (tuple(map(lex.__getitem__, order)),
-            (tuple(map(right.__getitem__, order)), tuple(map(left.__getitem__, order))))
-
-
-def _group_windows(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
-    """The group's windows in (length, window) order (:func:`_ordered_table`)."""
-    return _ordered_table(system)[0]
+    order = sorted(range(lanes.size), key=windows.__getitem__)
+    order.sort(key=lengths.__getitem__)
+    return _Table(tuple(map(windows.__getitem__, order)),
+                  (tuple(map(right.__getitem__, order)), tuple(map(left.__getitem__, order))),
+                  array("I", order))
 
 
 @_capped_cache
 def elements(system: CoxeterSystem) -> tuple[Element, ...]:
     """All group elements, sorted by (length, window) for determinism: the
-    windows of :func:`_group_windows`."""
-    return tuple(map(_trusted_element, itertools.repeat(system), _group_windows(system)))
+    windows of :func:`_ordered_table`."""
+    return tuple(map(_trusted_element, itertools.repeat(system),
+                     _ordered_table(system).windows))
 
 
 def subset_sort_key(subset: frozenset[int]) -> tuple:
@@ -744,7 +724,7 @@ def descent_masks(system: CoxeterSystem) -> tuple[tuple[int, ...], tuple[int, ..
     inverse window for the left one: sums of root flags over the lanes of
     all windows at once (:func:`_lane_masks`), permuted into the order of
     :func:`_ordered_table`."""
-    return _ordered_table(system)[1]
+    return _ordered_table(system).masks
 
 
 @_capped_cache
@@ -760,13 +740,18 @@ def _mask_runs(system: CoxeterSystem, on_left: bool) -> dict[int, array]:
 
 @_capped_cache
 def _parabolic_flags(system: CoxeterSystem, subset: frozenset[int]) -> tuple[bool, ...]:
-    """For each window of :func:`_group_windows`, whether it lies in W_I,
-    I = ``subset``, a set that misses a generator: the windows are packed
-    into lanes (:func:`_pack_windows`), and a window is kept when the OR of
-    the flags of the positive roots outside W_I is clear in its lane
-    (:func:`_lane_members`).  No :class:`Element` is built."""
-    windows = _group_windows(system)
-    return _lane_members(system, _pack_windows(windows, system.n), subset)
+    """For each window of :func:`_ordered_table`, whether it lies in W_I,
+    I = ``subset``, a set that misses a generator: whether it inverts no
+    positive root outside :func:`parabolic_positive_roots`, the test of
+    :func:`in_parabolic`.  The OR of those roots' :func:`root_sign_masks`
+    is decoded once and read through the table's family positions, so no
+    lane is packed, and no window or :class:`Element` is built."""
+    masks, everywhere = root_sign_masks(system)
+    outside = positive_roots(system) - parabolic_positive_roots(system, subset)
+    inverted = reduce(operator.or_, map(masks.__getitem__, outside), 0)
+    order = _ordered_table(system).order
+    kept = _unpack(len(order), inverted ^ everywhere)
+    return tuple(map(bool, map(kept.__getitem__, order)))
 
 
 def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],

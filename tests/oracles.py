@@ -6,6 +6,8 @@ package replaced: the tests compare the two on small ranks.
 
 import itertools
 import json
+import operator
+import struct
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -28,6 +30,7 @@ from coxkit.systems import (
     parabolic_decompose_left,
     word_cube,
 )
+from coxkit.systems import _RAMP, _family_rule, _Lanes, _lanes
 
 #: Every system up to rank 4, ranks 0 and 1 included: the fast paths are
 #: checked against the oracles on these.
@@ -69,6 +72,28 @@ def elements_by_length_sort(system: CoxeterSystem) -> tuple[Element, ...]:
             except ValueError:
                 continue
     return tuple(sorted(out, key=lambda w: (w.length(), w.window)))
+
+
+def family_windows(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """Every window of the group as a tuple, in the order of its family
+    rule: each permutation times each sign vector in turn."""
+    perms, signs = _family_rule(system)
+    return [tuple(map(operator.mul, s, perm)) for perm in perms for s in signs]
+
+
+def pack_windows(windows: Sequence[tuple[int, ...]], n: int) -> _Lanes:
+    """The ``windows``, each of size ``n``, in lanes, one tuple at a time:
+    the signed bytes of all their entries are shifted by n in one
+    translate, and the bytes of each column are read, little-endian, as the
+    low bytes of its lanes."""
+    size = len(windows)
+    flat = struct.pack(f"<{size * n}b", *itertools.chain.from_iterable(windows))
+    flat = flat.translate(_RAMP[n:n + 256])
+    lane, packed = bytearray(2 * size), []
+    for p in range(n):
+        lane[::2] = flat[p::n]
+        packed.append(int.from_bytes(lane, "little"))
+    return _lanes(n, size, int.from_bytes(b"\1\0" * size, "little"), packed)
 
 
 def element_descent_masks(system: CoxeterSystem, pool: Iterable[Element]

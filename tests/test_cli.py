@@ -421,7 +421,8 @@ class TestTable:
 
     def test_table_c_and_is_parset_build_no_window(self, capsys, monkeypatch):
         # the pair histogram and the root signs read lanes packed straight
-        # from the family rule; only the group's sorted table builds windows
+        # from the family rule; only the group's sorted table reads windows
+        # back off them
         from coxkit import roots, systems
 
         B4 = CoxeterSystem("B", 4)
@@ -431,7 +432,7 @@ class TestTable:
         def refuse(system):
             raise AssertionError("a window tuple was built")
 
-        monkeypatch.setattr(systems, "_family_windows", refuse)
+        monkeypatch.setattr(systems, "_lane_windows", refuse)
         systems._store.cache_clear()
         assert run(capsys, *argv) == expected
         assert roots.is_parset(B4, systems.positive_roots(B4))

@@ -401,10 +401,9 @@ def test_no_module_reads_another_modules_private_names():
 #: parabolic facts read the parabolic's roots alone.
 ROOT_RULES = {
     "systems.py": ["Element.length", "Element.descent_set", "CoxeterSystem.coxeter_order",
-                   "CoxeterSystem.generator", "descent_masks", "elements", "_group_windows",
-                   "_family_windows", "_family_lanes",
-                   "_lanes", "_check_lane_size", "_pack_windows", "_root_flags", "_unpack",
-                   "_lane_masks", "_lane_lengths", "_inverse_lanes", "_lane_members",
+                   "CoxeterSystem.generator", "descent_masks", "elements", "_family_lanes",
+                   "_lane_windows", "_lanes", "_root_flags", "_unpack",
+                   "_lane_masks", "_lane_lengths", "_inverse_lanes",
                    "descent_pair_counts", "root_sign_masks",
                    "parabolic_positive_roots", "in_parabolic", "normalizer_complement_order",
                    "parabolic_conjugacy_classes", "parabolic_elements", "_interval_positions",

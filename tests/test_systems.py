@@ -17,16 +17,14 @@ from coxkit.systems import (
     Element,
     _descent_interval,
     _family_lanes,
-    _family_windows,
+    _family_rule,
     _LANE_MAX_N,
-    _group_windows,
     _inverse_lanes,
     _lane_lengths,
     _lane_masks,
-    _lane_members,
+    _lane_windows,
     _mask_runs,
     _ordered_table,
-    _pack_windows,
     _parabolic_flags,
     _store,
     _trusted_element,
@@ -72,8 +70,10 @@ from oracles import (
     element_descent_masks,
     element_descent_pairs,
     elements_by_length_sort,
+    family_windows,
     interval_selectors_by_mask_pass,
     orbit_conjugacy_classes,
+    pack_windows,
     parabolic_conjugates,
     parabolic_elements_by_words,
     right_coset_reps_by_inverse_descents,
@@ -466,9 +466,9 @@ class TestEnumeration:
         I = frozenset({1})
         reads = {
             "elements": lambda: elements(B3),
-            "_group_windows": lambda: _group_windows(B3),
             "descent_masks": lambda: descent_masks(B3),
             "_ordered_table": lambda: _ordered_table(B3),
+            "_ordered_table windows": lambda: _ordered_table(B3).windows,
             "descent_pair_counts": lambda: descent_pair_counts(B3),
             "root_sign_masks": lambda: root_sign_masks(B3),
             "_mask_runs right": lambda: _mask_runs(B3, False),
@@ -507,7 +507,7 @@ class TestEnumeration:
             set_max_order(None)
         assert {name: read() for name, read in reads.items()} == before
         # the lookups hand back one cached tuple on every call
-        for name in ("elements", "_group_windows", "descent_masks", "_ordered_table",
+        for name in ("elements", "_ordered_table windows", "descent_masks", "_ordered_table",
                      "descent_pair_counts", "_parabolic_flags", "parabolic_elements",
                      "descent_interval", "descent_class", "min_coset_reps left",
                      "min_coset_reps right", "_mask_runs right", "_mask_runs left",
@@ -811,13 +811,13 @@ def assert_group_windows_match_the_oracles(system):
     one-element-at-a-time oracles."""
     expected = elements_by_length_sort(system)
     assert [w.window for w in elements(system)] == [w.window for w in expected]
-    assert _group_windows(system) == tuple(w.window for w in expected)
+    assert _ordered_table(system).windows == tuple(w.window for w in expected)
     assert descent_masks(system) == element_descent_masks(system, expected)
     assert descent_pair_counts(system) == element_descent_pairs(system)
 
 
 class TestGroupWindows:
-    """The column-wise passes of ``_group_windows`` and ``descent_masks`` against
+    """The column-wise passes of ``_ordered_table`` and ``descent_masks`` against
     one ``Element`` at a time."""
 
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
@@ -841,7 +841,7 @@ class TestGroupWindows:
         monkeypatch.setattr(systems, "_trusted_element", refuse)
         system = CoxeterSystem("B", 4)
         _ordered_table.cache_clear()
-        assert len(_group_windows(system)) == len(descent_masks(system)[0]) == 384
+        assert len(_ordered_table(system).windows) == len(descent_masks(system)[0]) == 384
         assert sum(descent_pair_counts(system)) == 384
 
     def test_each_entry_is_built_by_its_first_reader(self, capsys):
@@ -870,12 +870,34 @@ class TestGroupWindows:
         min_coset_reps(B4, I, "right")
         assert built() - tables == {("_mask_runs", True),
                                     ("_descent_interval", frozenset(), rest, None, True)}
+        # a parabolic reads the root signs and the table it already has
+        tables = built()
+        parabolic_elements(B4, I)
+        assert built() - tables == {("root_sign_masks",), ("_parabolic_flags", I),
+                                    ("_descent_interval", frozenset(), B4.generator_set, I,
+                                     False)}
+
+    @pytest.mark.parametrize("system", [B4, D4], ids=repr)
+    def test_parabolic_reads_pack_no_lane_and_build_no_window(self, system, monkeypatch):
+        # once the table and the root signs are built, every parabolic is
+        # read through them: no lane is packed and no window is read back
+        from coxkit import systems
+
+        def refuse(*args):
+            raise AssertionError("lanes packed or windows read back for a parabolic")
+
+        elements.cache_clear()
+        _ordered_table(system), root_sign_masks(system)
+        for name in ("_lanes", "_family_lanes", "_lane_windows"):
+            monkeypatch.setattr(systems, name, refuse)
+        for J in all_subsets(system):
+            assert parabolic_elements(system, J) == parabolic_elements_by_words(system, J)
 
 
 @st.composite
 def lane_windows(draw):
     """A system of family A, B or D of any window size the lanes hold, a
-    few of its windows (none, or repeats, allowed) and a set of labels."""
+    few of its windows (none, or repeats, allowed)."""
     family = draw(st.sampled_from("ABD"))
     n = draw(st.integers(2 if family == "D" else 0, _LANE_MAX_N))
     system = CoxeterSystem(family, n)
@@ -887,38 +909,43 @@ def lane_windows(draw):
         if family == "D" and signs.count(-1) % 2:
             signs[-1] = -signs[-1]
         windows.append(tuple(map(operator.mul, signs, perm)))
-    return system, windows, frozenset(draw(st.sets(st.sampled_from(range(-1, n + 1)))))
+    return system, windows
 
 
 class TestLanes:
-    """The lane helper on hand-made windows, not whole groups, against one
-    ``Element`` at a time."""
+    """The lane helpers on hand-made windows, not whole groups, packed one
+    tuple at a time, against one ``Element`` at a time."""
 
     @given(lane_windows())
     @settings(max_examples=150, deadline=None)
-    @example((CoxeterSystem("A", 0), [(), ()], frozenset()))
-    @example((CoxeterSystem("B", 16), [tuple(range(-16, 0))], frozenset({0})))
-    @example((CoxeterSystem("D", 16), [(-16, *range(2, 16), -1), tuple(range(1, 17))],
-              frozenset(range(1, 16))))
-    def test_masks_lengths_and_members_match_the_element_oracles(self, case):
-        system, windows, labels = case
+    @example((CoxeterSystem("A", 0), [(), ()]))
+    @example((CoxeterSystem("B", 16), [tuple(range(-16, 0))]))
+    @example((CoxeterSystem("D", 16), [(-16, *range(2, 16), -1), tuple(range(1, 17))]))
+    def test_masks_and_lengths_match_the_element_oracles(self, case):
+        system, windows = case
         bits = generator_bits(system)
-        lanes = _pack_windows(windows, system.n)
+        lanes = pack_windows(windows, system.n)
         elems = [system.element(w) for w in windows]
         right, left = _lane_masks(system, lanes)
         assert list(right) == [sum(bits[s] for s in w.descent_set()) for w in elems]
         assert list(left) == [sum(bits[s] for s in w.left_descent_set()) for w in elems]
         assert list(_lane_lengths(system, lanes)) == [w.length() for w in elems]
-        subset = labels & system.generator_set
-        assert list(_lane_members(system, lanes, subset)) \
-            == [in_parabolic(w, subset) for w in elems]
         # the inverse lanes are the lanes of the inverse windows
-        assert _inverse_lanes(lanes) == _pack_windows([w.inverse().window for w in elems],
-                                                      system.n)
+        assert _inverse_lanes(lanes) == pack_windows([w.inverse().window for w in elems],
+                                                     system.n)
+
+    @given(lane_windows())
+    @settings(max_examples=150, deadline=None)
+    @example((CoxeterSystem("A", 0), [(), ()]))
+    @example((CoxeterSystem("B", 0), []))
+    @example((CoxeterSystem("B", 16), [tuple(range(-16, 0))] * 2))
+    def test_the_windows_read_back_off_the_lanes(self, case):
+        system, windows = case
+        assert _lane_windows(pack_windows(windows, system.n)) == windows
 
     def test_a_window_size_past_the_lanes_is_refused(self):
         with pytest.raises(ValueError, match=f"window size {_LANE_MAX_N + 1} "):
-            _pack_windows([tuple(range(1, _LANE_MAX_N + 2))], _LANE_MAX_N + 1)
+            _family_rule(CoxeterSystem("B", _LANE_MAX_N + 1))
 
 
 FAMILY_SYSTEMS = ([CoxeterSystem("A", n) for n in range(8)]
@@ -927,12 +954,14 @@ FAMILY_SYSTEMS = ([CoxeterSystem("A", n) for n in range(8)]
 
 
 class TestFamilyLanes:
-    """The lanes packed straight from the family rule against the packed
-    window tuples of that rule."""
+    """The lanes packed straight from the family rule against the window
+    tuples of that rule, packed one at a time."""
 
     @pytest.mark.parametrize("system", FAMILY_SYSTEMS, ids=repr)
     def test_equal_the_packed_family_windows(self, system):
-        assert _family_lanes(system) == _pack_windows(_family_windows(system), system.n)
+        windows = family_windows(system)
+        assert _family_lanes(system) == pack_windows(windows, system.n)
+        assert _lane_windows(_family_lanes(system)) == windows
 
     def test_the_root_signs_refuse_a_window_past_the_lanes_before_any_permutation(
             self, monkeypatch):
