@@ -32,7 +32,7 @@ from array import array
 from collections import defaultdict, namedtuple
 from functools import cached_property, lru_cache, partial, reduce, wraps
 from math import factorial
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 FAMILIES = ("A", "B", "D")
 
@@ -755,9 +755,10 @@ def _parabolic_flags(system: CoxeterSystem, subset: frozenset[int]) -> tuple[boo
 
 
 def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozenset[int],
-                        within: Optional[frozenset[int]], on_left: bool = False) -> Sequence[int]:
+                        within: Optional[frozenset[int]], on_left: bool = False) -> array:
     """The one filter of group elements by descent set: the positions in
-    :func:`elements`, in increasing order, of the w with low <= D(w) <= high
+    :func:`elements`, in increasing order and as an unsigned-int array (a
+    single :func:`_mask_runs` array itself), of the w with low <= D(w) <= high
     (D(w^{-1}) ``on_left``) in the parabolic on ``within`` when it misses a
     generator (:func:`_parabolic_flags`).  Only the :func:`_mask_runs` (of
     the right or, ``on_left``, the left masks) whose mask d has d & lo == lo
@@ -766,14 +767,15 @@ def _interval_positions(system: CoxeterSystem, low: frozenset[int], high: frozen
     and a ``low`` holding one keeps nothing."""
     bit = generator_bits(system)
     if not low <= bit.keys():
-        return ()
+        return array("I")
     lo, hi = sum(bit[s] for s in low), sum(bit.get(s, 0) for s in high)
     runs = [run for d, run in _mask_runs(system, on_left).items()
             if d & lo == lo and d | hi == hi]
-    positions = runs[0] if len(runs) == 1 else sorted(itertools.chain.from_iterable(runs))
+    positions = runs[0] if len(runs) == 1 \
+        else array("I", sorted(itertools.chain.from_iterable(runs)))
     if within is not None and not system.generator_set <= within:
         flags = _parabolic_flags(system, within & system.generator_set)
-        positions = list(itertools.compress(positions, map(flags.__getitem__, positions)))
+        positions = array("I", itertools.compress(positions, map(flags.__getitem__, positions)))
     return positions
 
 
@@ -794,25 +796,44 @@ def _interval_entry(system: CoxeterSystem, low: frozenset[int], high: frozenset[
     gens = system.generator_set
     if not low <= gens:
         _check_order(system)
-        return ()
+        return _NO_INTERVAL
     if within is not None:
         within = None if gens <= within else within & gens
     return _descent_interval(system, low, high & gens, within, on_left)
 
 
+class _Interval(tuple):
+    """The elements of a descent interval, in the order of :func:`elements`,
+    with ``positions``, theirs in it as an unsigned-int array, from the one
+    :func:`_interval_positions` pass that chose them.  ``left``, their left
+    descent masks, is read at those positions on first use."""
+
+    positions: array
+    left: Optional[tuple[int, ...]] = None
+
+
+_NO_INTERVAL = _Interval()
+_NO_INTERVAL.positions, _NO_INTERVAL.left = array("I"), ()
+
+
 @_capped_cache
 def _descent_interval(system, low, high, within, on_left):
-    return tuple(map(elements(system).__getitem__,
-                     _interval_positions(system, low, high, within, on_left)))
+    positions = _interval_positions(system, low, high, within, on_left)
+    interval = _Interval(map(elements(system).__getitem__, positions))
+    interval.positions = positions
+    return interval
 
 
 def descent_interval_left_masks(system: CoxeterSystem, low: frozenset[int],
                                 high: frozenset[int], within: Optional[frozenset[int]]
                                 ) -> tuple[int, ...]:
     """The left descent masks (:func:`descent_masks`) of the elements of
-    :func:`descent_interval` with the same arguments, in its order."""
-    return tuple(map(descent_masks(system)[1].__getitem__,
-                     _interval_positions(system, low, high, within)))
+    :func:`descent_interval` with the same arguments, in its order: read at
+    the positions its store entry keeps, once, and kept there."""
+    interval = _interval_entry(system, low, high, within, False)
+    if interval.left is None:
+        interval.left = tuple(map(descent_masks(system)[1].__getitem__, interval.positions))
+    return interval.left
 
 
 def min_coset_reps(

@@ -516,12 +516,12 @@ def suite_hecke(family: str | None = None, n: int | None = None) -> list[Check]:
                    sum(len(descent_class(system, I)) for I in all_subsets(system)), system.order()))
 
     ok = True
-    for I in all_subsets(system):
+    projectives = {I: hk.projective_module(system, I) for I in all_subsets(system)}
+    for I, P in projectives.items():
         # the top is C_I, and the multiplicity audit checks the dimension
         # against the size of the descent class of I
         try:
-            ok &= hk.projective_multiplicities(hk.projective_module(system, I)) \
-                == FormalVector.basis(I, kind="k0")
+            ok &= hk.projective_multiplicities(P) == FormalVector.basis(I, kind="k0")
         except hk.NonProjectiveError:
             ok = False
     out.append(_check("projective dimensions count descent classes", ok))
@@ -539,8 +539,8 @@ def suite_hecke(family: str | None = None, n: int | None = None) -> list[Check]:
     out.append(_check("induced simple factors match coset formula", ok))
 
     ok, detail = True, ""
-    for K in all_subsets(system):
-        res = hk.restrict(hk.projective_module(system, K), I)
+    for K, P in projectives.items():
+        res = hk.restrict(P, I)
         try:
             ok &= hk.projective_multiplicities(res) \
                 == dsc.sigma_restrict(system, I, dsc.sigma_basis(K))

@@ -22,6 +22,7 @@ from coxkit.systems import (
     Element,
     all_subsets,
     descent_class,
+    descent_interval,
     descent_masks,
     descents_of_composition,
     elements,
@@ -346,6 +347,31 @@ def module_from_matrices(system: CoxeterSystem, acting: frozenset[int],
                 if x:
                     columns[s].setdefault(j, {})[i] = x
     return HModule(system, acting, columns, dim)
+
+
+def descent_interval_module_by_products(system: CoxeterSystem, low: frozenset[int],
+                                        high: frozenset[int], carrier: frozenset[int]
+                                        ) -> HModule:
+    """Norton's module on the w of the carrier parabolic with
+    low <= D(w) <= high, in the order of ``descent_interval``, with g * w
+    built as an Element product for each generator g and looked up in an
+    Element-keyed index: X_s b_w is -b_w when s is a left descent of w,
+    b_sw when sw is in the basis, and 0 otherwise."""
+    basis = descent_interval(system, low, high, carrier)
+    index = {w: i for i, w in enumerate(basis)}
+    mats = {}
+    for s in carrier:
+        g = system.generator(s)
+        X = {}
+        for j, w in enumerate(basis):
+            if s in w.left_descent_set():
+                X[j] = {j: -1}
+                continue
+            sw = g * w
+            if sw in index:
+                X[j] = {index[sw]: 1}
+        mats[s] = X
+    return HModule(system, carrier, mats, len(basis), labels=basis)
 
 
 def induce_by_decomposition(module: HModule) -> HModule:

@@ -35,6 +35,7 @@ from coxkit.linalg import matrix_rank, solve
 from coxkit.series import projection, s_basis
 from coxkit.systems import (
     CoxeterSystem,
+    Element,
     all_subsets,
     composition_from_descents,
     descent_class,
@@ -46,9 +47,11 @@ from coxkit.systems import (
 )
 
 from oracles import (
+    ORACLE_SYSTEMS,
     act_word,
     alternating_product,
     dense_matrix,
+    descent_interval_module_by_products,
     expected_mixed_projective_dim,
     extracted_composition_factors,
     hom_dim,
@@ -279,6 +282,18 @@ class TestInduction:
                 # the diagonal pattern at block z is the descent set of u z^{-1}
                 assert pattern == (u * z.inverse()).descent_set()
 
+    def test_each_representative_is_inverted_once(self, monkeypatch):
+        # the conjugated generator is read off z^{-1}(alpha_s): one inverse
+        # per coset representative, however many generators read it
+        calls = []
+        inverse = Element.inverse
+        monkeypatch.setattr(Element, "inverse", lambda w: calls.append(w) or inverse(w))
+        for I in (frozenset([1, 2]), frozenset([0, 2]), frozenset()):
+            calls.clear()
+            ind = induce(simple_module(B3, frozenset(), acting=I))
+            assert sorted(calls) == sorted(min_coset_reps(B3, I, "left"))
+            assert ind.dim == len(calls)
+
     def test_projective_induction_pattern(self):
         # inducing a parabolic projective spreads over the complement subsets
         system = B3
@@ -477,6 +492,24 @@ class TestInduceOracle:
                 assert (got.mats, got.dim, got.labels) == (want.mats, want.dim, want.labels), name
 
 
+class TestNortonBuilderOracle:
+    """Norton's basis built on windows against the Element-product build:
+    the same labels, and the same columns in the same order."""
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_matches_the_product_build(self, system):
+        S = system.generator_set
+        for C in all_subsets(system):
+            built = [(regular_module(system, C), (frozenset(), C, C))]
+            for J in (X for X in all_subsets(system) if X <= C):
+                built += [(projective_module(system, J, carrier=C), (J, J, C)),
+                          (mixed_projective_module(system, J, C), (J, (S - C) | J, S))]
+            for M, key in built:
+                want = descent_interval_module_by_products(system, *key)
+                assert (M.labels, M.dim, M.acting) == (want.labels, want.dim, want.acting), key
+                assert repr(M.mats) == repr(want.mats), key
+
+
 class TestStorageForm:
     """Each X_s is a sparse column map: no zero is stored, and on Norton's
     basis (and the simples and inductions built from it) every column
@@ -492,7 +525,10 @@ class TestStorageForm:
                     assert 0 <= j < M.dim and all(0 <= i < M.dim for i in col), (name, s)
                     assert all(col.values()), (name, s, j)
                     assert len(col) <= 1, (name, s, j)
-            assert hecke._monomial_shape(M) is not None, name
+            # the view a builder or restrict hands over is the scan's
+            shape = hecke._monomial_shape(M)
+            assert shape is not None, name
+            assert shape.images == hecke.Monomial.scan(M.mats, M.dim).images, name
 
     def test_missing_columns_render_as_zero(self):
         C = simple_module(B2, frozenset())
@@ -532,6 +568,18 @@ class TestValidateFailures:
             assert mat_mul(X, X) == mat_scale(X, -1)
         assert alternating_product(X1, X3, 2) != alternating_product(X3, X1, 2)
         M = module_from_matrices(A4, frozenset([1, 3]), {1: X1, 3: X3}, 2)
+        with pytest.raises(AssertionError, match=r"braid relation fails for \(1, 3\)"):
+            M.validate()
+
+    def test_broken_braid_relation_off_the_integer_path(self):
+        # X_1 has a coefficient 2, so the module is checked through _apply:
+        # X_1 and X_3 square to their negatives but do not commute
+        X1, X3 = [[-1, 2], [0, 0]], [[0, 0], [0, -1]]
+        for X in (X1, X3):
+            assert mat_mul(X, X) == mat_scale(X, -1)
+        assert alternating_product(X1, X3, 2) != alternating_product(X3, X1, 2)
+        M = module_from_matrices(A4, frozenset([1, 3]), {1: X1, 3: X3}, 2)
+        assert hecke._monomial_shape(M) is None
         with pytest.raises(AssertionError, match=r"braid relation fails for \(1, 3\)"):
             M.validate()
 
@@ -743,6 +791,82 @@ class TestMonomialCounting:
             composition_factors(M)
         with pytest.raises(_Eliminated):
             hom_to_simple_dim(M, frozenset([0]))
+
+
+def _verdict(M):
+    """The message validate raises on M, or None when it passes."""
+    try:
+        M.validate()
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _signed_unit_modules(draw):
+    """A module whose every column is a signed unit vector or absent: a
+    built monomial module with up to three columns redrawn (a sign flipped,
+    a column sent to another row or dropped), or one drawn at random on
+    dimension at most 6."""
+    if draw(st.booleans()):
+        M = draw(_monomial_modules())
+        system, acting, dim = M.system, M.acting, M.dim
+        images = {s: list(img) for s, img in hecke._monomial_shape(M).images.items()}
+        if dim and images:
+            for _ in range(draw(st.integers(0, 3))):
+                s = draw(st.sampled_from(sorted(images)))
+                images[s][draw(st.integers(0, dim - 1))] = draw(st.integers(-dim, dim))
+    else:
+        system = draw(st.sampled_from(MONOMIAL_SYSTEMS))
+        acting = draw(_subsets_of(system.generators))
+        dim = draw(st.integers(0, 6))
+        images = {s: draw(st.lists(st.integers(-dim, dim), min_size=dim, max_size=dim))
+                  for s in sorted(acting)}
+    mats = {s: {j: {abs(x) - 1: 1 if x > 0 else -1} for j, x in enumerate(img) if x}
+            for s, img in images.items()}
+    return HModule(system, acting, mats, dim)
+
+
+class TestIntegerValidation:
+    """validate on signed integer images against validate through _apply."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signed_unit_modules())
+    def test_same_verdict_as_apply(self, M):
+        assert hecke._monomial_shape(M) is not None
+        with mock.patch.object(hecke, "_monomial_shape", lambda module: None):
+            by_columns = _verdict(M)
+        assert _verdict(M) == by_columns
+
+    @settings(max_examples=100, deadline=None)
+    @given(_signed_unit_modules())
+    def test_counts_match_the_rank_path(self, M):
+        # negative rises and +b_j diagonals are counted too
+        assert _counts(M) == _counts_by_elimination(M)
+
+    def test_built_modules_never_apply(self, monkeypatch):
+        def refuse(X, v):
+            raise _Eliminated
+
+        monkeypatch.setattr(hecke, "_apply", refuse)
+        for M in (regular_module(B3), induce(simple_module(B3, frozenset({1}), frozenset({1, 2}))),
+                  restrict(projective_module(D4, frozenset({1})), frozenset({0, 1}))):
+            M.validate()
+
+    @pytest.mark.parametrize("X", [
+        [[-1, 0], [-1, 0]],  # a column of two entries
+        [[-1, 2], [0, 0]],   # a coefficient of 2
+    ])
+    def test_other_columns_go_through_apply(self, X, monkeypatch):
+        A1 = CoxeterSystem("A", 2)
+        assert mat_mul(X, X) == mat_scale(X, -1)
+        M = module_from_matrices(A1, A1.generator_set, {1: X}, 2)
+        assert hecke._monomial_shape(M) is None
+        calls = []
+        apply = hecke._apply
+        monkeypatch.setattr(hecke, "_apply", lambda X, v: calls.append(v) or apply(X, v))
+        M.validate()
+        assert calls
 
 
 class TestAtTheCap:

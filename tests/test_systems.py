@@ -1031,6 +1031,23 @@ class TestParabolicOracle:
                         assert {s for k, s in enumerate(system.generators) if m >> k & 1} \
                             == w.left_descent_set(), (w, low, high, within)
 
+    def test_interval_and_its_left_masks_share_one_positions_pass(self, monkeypatch):
+        # a Norton module's basis and its left masks are read at the positions
+        # of one filter pass, whether the carrier is spelled None or S
+        from coxkit import hecke, systems
+
+        elements.cache_clear()
+        calls = []
+        positions = systems._interval_positions
+        monkeypatch.setattr(systems, "_interval_positions",
+                            lambda *args: calls.append(args) or positions(*args))
+        J = frozenset({1})
+        P = hecke.projective_module(B3, J)
+        masks = descent_interval_left_masks(B3, J, J, None)
+        assert len(calls) == 1
+        assert masks is descent_interval_left_masks(B3, J, J, B3.generator_set)
+        assert len(masks) == P.dim
+
     @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
     def test_interval_reads_match_the_pass_over_the_group(self, system):
         # every (low, high, within) of generator subsets, a label outside
