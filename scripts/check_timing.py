@@ -9,10 +9,12 @@ The suite runs ``--repeat`` times in one interpreter, as ``coxkit verify
 --suite SUITE`` runs it (``--type`` and ``--rank`` as there).  A check's
 time is the time from the previous check's construction (or from the start
 of the run) to its own, so the work a suite does before a check is charged
-to that check; ``after_last_s`` is the rest of the run.  Each figure is the
-best over the repeats, taken position by position.  The first run fills the
-group stores and caches that later runs read, so with ``--repeat`` 2 or
-more the figures are warm-cache times.  The output is JSON, with the checks
+to that check; ``after_last_s`` is the rest of the run.  Each check's
+``best_s`` is the best over the repeats, taken position by position, and
+``first_s`` its time in the first run.  The first run fills the group stores
+and caches that later runs read, so ``first_s`` is the cold time a fresh
+process (such as a forked benchmark task) pays, and with ``--repeat`` 2 or
+more ``best_s`` is a warm-cache time.  The output is JSON, with the checks
 in the order the suite makes them.
 """
 
@@ -55,16 +57,16 @@ def timed_run(suite: str, family: Optional[str], n: Optional[int]) -> tuple[list
 
 
 def check_times(suite: str, family: Optional[str], n: Optional[int], repeat: int) -> dict:
-    checks, best = timed_run(suite, family, n)
-    names = [(c.name, c.passed) for c in checks]
+    checks, first = timed_run(suite, family, n)
+    names, best = [(c.name, c.passed) for c in checks], first
     for _ in range(repeat - 1):
         checks, steps = timed_run(suite, family, n)
         if [(c.name, c.passed) for c in checks] != names:
             raise RuntimeError(f"suite {suite} made other checks on a later run")
         best = list(map(min, best, steps))
     return {
-        "checks": [{"name": name, "passed": passed, "best_s": round(s, 6)}
-                   for (name, passed), s in zip(names, best)],
+        "checks": [{"name": name, "passed": passed, "first_s": round(f, 6), "best_s": round(s, 6)}
+                   for (name, passed), f, s in zip(names, first, best)],
         "after_last_s": round(best[-1], 6),
         "sum_s": round(sum(best), 6),
     }

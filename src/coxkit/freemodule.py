@@ -11,12 +11,19 @@ built on it.
 merges ``b`` into ``a`` in place.  Use ``+=`` only on an accumulator the
 calling code created itself, never on a vector taken from a cache or
 handed in by a caller, since every other holder of ``a`` sees the change.
+
+The linear extensions :meth:`FormalVector.map_keys` and
+:meth:`FormalVector.map_to_vectors` add every image into one new dict in
+one pass, with no intermediate or scaled vector, and refuse what ``+=``
+refuses: an image of another class (TypeError) and an image in another
+basis (ValueError).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from fractions import Fraction
+from types import GeneratorType
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -57,7 +64,14 @@ class FormalVector:
         self.terms: dict = {}
         self.kind = kind
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            # dicts and generators are told apart by their concrete types
+            # first, so they never walk the ABC registry behind Mapping
+            if isinstance(terms, dict):
+                items = terms.items()
+            elif isinstance(terms, GeneratorType):
+                items = terms
+            else:
+                items = terms.items() if isinstance(terms, Mapping) else terms
             if self._key is not None:
                 key = self._key
                 items = ((key(k), c) for k, c in items)
@@ -144,15 +158,44 @@ class FormalVector:
 
     def map_keys(self, f: Callable, kind: str | None = None) -> "FormalVector":
         """Linear extension of a key-to-key map (collects collisions)."""
-        return FormalVector(((f(k), c) for k, c in self.terms.items()), kind=kind)
+        data: dict = {}
+        get = data.get
+        for key, coeff in self.terms.items():
+            key = f(key)
+            acc = get(key, 0) + coeff
+            if acc:
+                data[key] = acc
+            else:
+                del data[key]
+        return FormalVector(kind=kind)._with_terms(data)
 
     def map_to_vectors(self, f: Callable[[Hashable], "FormalVector"], kind: str | None = None) -> "FormalVector":
-        """Linear extension of a key-to-vector map."""
-        out = FormalVector(kind=kind)
+        """Linear extension of a key-to-vector map.  Each image must be a
+        plain :class:`FormalVector`, and the images' kinds must agree with
+        each other and with ``kind`` when that is given."""
+        data: dict = {}
+        get = data.get
+        merged = kind
         for key, coeff in self.terms.items():
-            out += f(key) if coeff == 1 else f(key).scale(coeff)
-        out.kind = kind
-        return out
+            image = f(key)
+            if type(image) is not FormalVector:
+                raise TypeError(f"cannot add {type(image).__name__} to FormalVector")
+            if image.kind is not None and image.kind != merged:
+                if merged is not None:
+                    raise ValueError(f"mixing bases {merged!r} and {image.kind!r}")
+                merged = image.kind
+            terms = image.terms
+            # an image of new keys only, the common case, merges in one update
+            if coeff == 1 and data.keys().isdisjoint(terms):
+                data.update(terms)
+                continue
+            for k, c in terms.items():
+                acc = get(k, 0) + coeff * c
+                if acc:
+                    data[k] = acc
+                else:
+                    del data[k]
+        return FormalVector(kind=kind)._with_terms(data)
 
     def pairing(self, other: "FormalVector") -> Scalar:
         """Bilinear extension of <u, v> = delta_{u,v} on basis keys."""

@@ -39,6 +39,8 @@ from .linalg import matrix_rank
 from .qsym import CPoly, fundamental_qsym, fundamental_qsym_b, fundamental_qsym_d
 from .systems import (
     CoxeterSystem,
+    Element,
+    _capped_cache,
     _root_table,
     all_subsets,
     composition_from_descents,
@@ -282,21 +284,32 @@ def mixed_projective_module(system: CoxeterSystem, subset: frozenset[int],
         system, subset, (system.generator_set - within) | subset, system.generator_set)
 
 
+@_capped_cache
+def _coset_moves(system: CoxeterSystem, acting: frozenset[int]
+                 ) -> tuple[tuple[Element, ...], dict[int, list[int]], tuple[Element, ...]]:
+    """The minimal left-coset representatives z of the parabolic on
+    ``acting``, as Norton's basis of the interval [{}, S - I] with its
+    :func:`_norton_images`, and the inverse of each z.  Kept in the group's
+    store, one entry per acting set, so every induction along one parabolic
+    reads the same build; the callers only read it."""
+    reps, moves = _norton_images(system, frozenset(), system.generator_set - acting,
+                                 system.generator_set)
+    return reps, moves, tuple(z.inverse() for z in reps)
+
+
 def induce(module: HModule) -> HModule:
     """Induction to the full algebra along the parabolic on the acting set.
 
     Basis pairs (z, m) over the minimal left-coset representatives z, which
-    are Norton's basis of the interval [{}, S - I].  Where that module moves
-    b_z (to -b_z, or to b_sz), X_s moves each (z, m) alike; where it has no
-    column, sz = z s_t with s_t in the parabolic, and X_s acts on the pairs
-    at z through the inner X_t, read off the root z^{-1}(alpha_s) = alpha_t
-    with no Element conjugated.
+    are Norton's basis of the interval [{}, S - I] (:func:`_coset_moves`).
+    Where that module moves b_z (to -b_z, or to b_sz), X_s moves each (z, m)
+    alike; where it has no column, sz = z s_t with s_t in the parabolic, and
+    X_s acts on the pairs at z through the inner X_t, read off the root
+    z^{-1}(alpha_s) = alpha_t with no Element conjugated.
     """
     system = module.system
-    reps, moves = _norton_images(system, frozenset(), system.generator_set - module.acting,
-                                 system.generator_set)
+    reps, moves, inverses = _coset_moves(system, module.acting)
     d = module.dim
-    inverses = [z.inverse() for z in reps]
     mats: dict[int, ColumnMap] = {}
     for s in system.generators:
         X: ColumnMap = {}

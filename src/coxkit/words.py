@@ -18,8 +18,10 @@ x z^{-1} and the cup product the sum of z x.  The representatives of each
 (family, m + n, m) are built once and kept in one cache,
 :func:`_two_run_table`, as plain tuples: z's signed lookup table and
 z^{-1}'s index tuple, the two halves of a composition of windows (see
-``_lookup``).  A product composes x's window with every representative on
-these tuples and builds its result dict once: distinct representatives
+``_lookup``).  A product reads x's window off the operands' windows
+(``_block_window``), builds no element for x, composes that window with
+every representative on these tuples and builds its result dict once:
+distinct representatives
 give distinct terms, so every coefficient is 1.  The coproducts split a
 window into standardized prefix and suffix pieces; the prefixes of the
 splits differ in size, so these terms are distinct too.  Products return
@@ -125,14 +127,20 @@ def abs_restrict(word: Iterable[int], lo: int, hi: int) -> Word:
 # -- embeddings ----------------------------------------------------------------
 
 
+def _block_window(u: Element, v: Element) -> Word:
+    """The window of both block embeddings: u's window, then v's letters
+    shifted past u's with their signs kept (in :func:`cross_a` they are
+    all positive)."""
+    m = u.system.n
+    return u.window + tuple(x + m if x > 0 else x - m for x in v.window)
+
+
 def cross_a(u: Element, v: Element) -> Element:
     """Block embedding of a pair (signed or plain, plain) by shifting v up;
     a right operand outside family A is a ValueError."""
     if v.system.family != "A":
         raise ValueError(f"cross_a needs a right operand of family A, not {v.system.family}")
-    m = u.system.n
-    window = u.window + tuple(m + x for x in v.window)
-    return _trusted_element(_system(u.system.family, m + v.system.n), window)
+    return _trusted_element(_system(u.system.family, u.system.n + v.system.n), _block_window(u, v))
 
 
 def cross_bb(u: Element, v: Element) -> Element:
@@ -140,9 +148,7 @@ def cross_bb(u: Element, v: Element) -> Element:
     operand outside family B is a ValueError."""
     if u.system.family != "B" or v.system.family != "B":
         raise ValueError("cross_bb needs operands of family B")
-    m = u.system.n
-    shifted = tuple(x + m if x > 0 else x - m for x in v.window)
-    return _trusted_element(_system("B", m + v.system.n), u.window + shifted)
+    return _trusted_element(_system("B", u.system.n + v.system.n), _block_window(u, v))
 
 
 # -- the flavor table -------------------------------------------------------------
@@ -247,9 +253,9 @@ def _distinct_sum(keys: list, kind: str) -> FormalVector:
 def shuffle(flavor: str, u: Element, v: Element) -> FormalVector:
     """The sum of x z^{-1} over the two-run representatives z."""
     f = _flavor(flavor, u, v)
-    x = f.embed(u, v)
-    system, at = x.system, _lookup(x.window).__getitem__
-    _, inverses = _two_run_table(f.reps, system.n, u.system.n)
+    total = u.system.n + v.system.n
+    system, at = _system(f.family, total), _lookup(_block_window(u, v)).__getitem__
+    _, inverses = _two_run_table(f.reps, total, u.system.n)
     return _distinct_sum(
         [_trusted_element(system, tuple(map(at, zinv))) for zinv in inverses], "element")
 
@@ -257,9 +263,9 @@ def shuffle(flavor: str, u: Element, v: Element) -> FormalVector:
 def cup(flavor: str, u: Element, v: Element) -> FormalVector:
     """The sum of z x over the two-run representatives z."""
     f = _flavor(flavor, u, v)
-    x = f.embed(u, v)
-    system, xs = x.system, _indices(x.window)
-    lookups, _ = _two_run_table(f.reps, system.n, u.system.n)
+    total = u.system.n + v.system.n
+    system, xs = _system(f.family, total), _indices(_block_window(u, v))
+    lookups, _ = _two_run_table(f.reps, total, u.system.n)
     return _distinct_sum(
         [_trusted_element(system, tuple(map(z.__getitem__, xs))) for z in lookups], "element")
 

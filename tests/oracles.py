@@ -678,3 +678,25 @@ def series_output(x: NCSeries, fmt: str) -> str:
                           sort_keys=True) + "\n"
     lines = [f"{c}\t{','.join(map(str, wrd))}" for wrd, c in terms] + [f"# {len(terms)} words"]
     return "\n".join(lines) + "\n"
+
+
+def map_keys_by_constructor(x: FormalVector, f, kind: Optional[str] = None) -> FormalVector:
+    """``FormalVector.map_keys`` as the constructor's accumulation of the
+    mapped (key, coefficient) pairs."""
+    return FormalVector(((f(k), c) for k, c in x.terms.items()), kind=kind)
+
+
+def map_to_vectors_by_iadd(x: FormalVector, f, kind: Optional[str] = None) -> FormalVector:
+    """``FormalVector.map_to_vectors`` as one ``+=`` per image, scaled by a
+    copy when the coefficient is not 1; ``+=`` checks each image's class
+    and kind."""
+    out = FormalVector(kind=kind)
+    for key, coeff in x.terms.items():
+        out += f(key) if coeff == 1 else f(key).scale(coeff)
+    out.kind = kind
+    return out
+
+
+def invert_vector_by_map_keys(x: FormalVector) -> FormalVector:
+    """``groupmaps.invert_vector`` as the key map w -> w^{-1}."""
+    return map_keys_by_constructor(x, lambda w: w.inverse(), kind=x.kind)

@@ -1,12 +1,13 @@
 import itertools
 import json
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxkit import cli, hecke
+from coxkit import cli, hecke, verify
 
 from coxkit.descents import (
     class_rep_bounds,
@@ -45,6 +46,7 @@ from coxkit.systems import (
     parabolic_decompose_right,
     parabolic_elements,
 )
+from coxkit.systems import _store
 
 from oracles import (
     ORACLE_SYSTEMS,
@@ -284,7 +286,9 @@ class TestInduction:
 
     def test_each_representative_is_inverted_once(self, monkeypatch):
         # the conjugated generator is read off z^{-1}(alpha_s): one inverse
-        # per coset representative, however many generators read it
+        # per coset representative, however many generators read it, kept
+        # in the group's store for every later induction along I
+        _store.cache_clear()
         calls = []
         inverse = Element.inverse
         monkeypatch.setattr(Element, "inverse", lambda w: calls.append(w) or inverse(w))
@@ -293,6 +297,30 @@ class TestInduction:
             ind = induce(simple_module(B3, frozenset(), acting=I))
             assert sorted(calls) == sorted(min_coset_reps(B3, I, "left"))
             assert ind.dim == len(calls)
+            calls.clear()
+            induce(simple_module(B3, I, acting=I))
+            assert calls == []
+
+    def test_hecke_suite_builds_the_coset_basis_once_per_run(self, monkeypatch):
+        # "induced simple factors match coset formula" induces along one I
+        # for each J <= I: one Norton build of [{}, S - I] for all of them
+        builds = Counter()
+        real = hecke._norton_images
+
+        def spy(*args):
+            builds[args] += 1
+            return real(*args)
+
+        monkeypatch.setattr(hecke, "_norton_images", spy)
+        for system in (B3, CoxeterSystem("A", 4), CoxeterSystem("D", 4)):
+            S = system.generator_set
+            I = frozenset(sorted(S)[1:])
+            _store.cache_clear()
+            assert all(c.passed for c in verify.suite_hecke(system.family, system.n))
+            assert builds[(system, frozenset(), S - I, S)] == 1
+            builds.clear()
+            assert all(c.passed for c in verify.suite_hecke(system.family, system.n))
+            assert builds[(system, frozenset(), S - I, S)] == 0
 
     def test_projective_induction_pattern(self):
         # inducing a parabolic projective spreads over the complement subsets
@@ -508,6 +536,18 @@ class TestNortonBuilderOracle:
                 want = descent_interval_module_by_products(system, *key)
                 assert (M.labels, M.dim, M.acting) == (want.labels, want.dim, want.acting), key
                 assert repr(M.mats) == repr(want.mats), key
+
+    @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=repr)
+    def test_stored_coset_basis_matches_the_product_build(self, system):
+        # the store's entry per acting set I is Norton's basis of [{}, S - I]
+        S = system.generator_set
+        for I in all_subsets(system):
+            reps, moves, inverses = hecke._coset_moves(system, I)
+            want = descent_interval_module_by_products(system, frozenset(), S - I, S)
+            assert reps == want.labels
+            assert moves == hecke.Monomial.scan(want.mats, want.dim).images
+            assert inverses == tuple(z.inverse() for z in reps)
+            assert hecke._coset_moves(system, I)[1] is moves
 
 
 class TestStorageForm:

@@ -385,7 +385,7 @@ def test_scanner_flags_a_private_read():
 #: The private names one module may read of another, each documented in the
 #: README: the trusted constructor, the cap-checking cache and the root table.
 PRIVATE_READS = {"words.py: systems._trusted_element", "descents.py: systems._capped_cache",
-                 "hecke.py: systems._root_table"}
+                 "hecke.py: systems._capped_cache", "hecke.py: systems._root_table"}
 
 
 def test_no_module_reads_another_modules_private_names():

@@ -462,6 +462,7 @@ class TestEnumeration:
         # before once the cap is restored
         from coxkit.descents import (_induce_counts, _weak_counts, c_matrix, h_gram_matrix,
                                      weak_descent_count)
+        from coxkit.hecke import _coset_moves
 
         I = frozenset({1})
         reads = {
@@ -490,6 +491,7 @@ class TestEnumeration:
             "weak_descent_count": lambda: weak_descent_count(B3, I, B3.generator_set),
             "_weak_counts": lambda: _weak_counts(B3),
             "_induce_counts": lambda: _induce_counts(B3, I),
+            "_coset_moves": lambda: _coset_moves(B3, I),
         }
         before = {name: read() for name, read in reads.items()}
         # every capped function of the package is read above under its own

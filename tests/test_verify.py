@@ -2,11 +2,12 @@ from collections import Counter
 
 import pytest
 
+from coxkit import cli
 from coxkit import groupmaps as gm
 from coxkit import verify
 from coxkit import words as wd
 from coxkit.freemodule import FormalVector
-from coxkit.systems import CoxeterSystem, parabolic_elements
+from coxkit.systems import CoxeterSystem, parabolic_decompose_right, parabolic_elements
 
 #: The four flavor-keyed (co)products of :mod:`coxkit.words`.
 MAPS = ("shuffle", "cup", "unshuffle", "cap")
@@ -51,6 +52,21 @@ class TestShufflesSuiteMemo:
         for name, counter in counts.items():
             assert set(counter.values()) <= {2}, name
 
+    def test_each_group_read_once_per_run(self, monkeypatch):
+        reads = Counter()
+        real = verify.elements
+
+        def spy(system):
+            reads[system] += 1
+            return real(system)
+
+        monkeypatch.setattr(verify, "elements", spy)
+        for runs in (1, 2):
+            assert all(check.passed for check in verify.suite_shuffles())
+            assert set(reads.values()) == {runs}
+        assert {(s.family, s.n) for s in reads} \
+            == {("A", n) for n in range(5)} | {("B", n) for n in range(5)} | {("D", n) for n in (2, 3)}
+
     def test_a_dropped_cup_term_is_caught(self, monkeypatch):
         real = wd.cup
         target = None
@@ -79,6 +95,95 @@ class TestShufflesSuiteMemo:
                             (wd.shuffle if flavor == "D" else real)(flavor, u, v))
         failed = {check.name for check in verify.suite_shuffles() if not check.passed}
         assert failed == {"even-signed products agree with coset-rep maps"}
+
+
+BLOCK, DUALITY = ("signed coproduct components match block restriction",
+                  "product/coproduct duality on all triples")
+
+
+def _shuffles_failures() -> set[str]:
+    return {check.name for check in verify.suite_shuffles() if not check.passed}
+
+
+class TestShufflesSuiteMutations:
+    """Broken maps make the shuffles suite report the checks they break,
+    through ``verify`` and the command line alike: a FAIL and exit 1."""
+
+    def _fails_with(self, capsys, expected: set[str]) -> None:
+        assert _shuffles_failures() == expected
+        assert cli.main(["verify", "--suite", "shuffles"]) == 1
+        out = capsys.readouterr().out
+        assert all(f"FAIL {name}" in out for name in expected)
+
+    def test_a_restriction_to_the_coset_part_fails(self, monkeypatch, capsys):
+        # the coset part is no block element: its tail is no type A window
+        monkeypatch.setattr(gm, "restrict_right", lambda system, subset, x: x.map_keys(
+            lambda w: parabolic_decompose_right(w, subset)[1], kind=gm.ELEMENT))
+        self._fails_with(capsys, {BLOCK})
+
+    @pytest.mark.parametrize("terms", (0, 2))
+    def test_a_restriction_of_other_than_one_term_fails(self, monkeypatch, capsys, terms):
+        real = gm.restrict_left
+
+        def broken(system, subset, x):
+            vec = real(system, subset, x)
+            return vec.scale(0) if terms == 0 else vec + gm.element_vector(system.identity())
+
+        monkeypatch.setattr(gm, "restrict_left", broken)
+        self._fails_with(capsys, {BLOCK})
+
+    @pytest.mark.parametrize("change", ("doubled", "dropped"))
+    def test_one_wrong_shuffle_coefficient_fails_the_duality(self, monkeypatch, capsys, change):
+        real = wd.shuffle
+
+        def broken(flavor, u, v):
+            vec = real(flavor, u, v)
+            if flavor == "B" and (u.window, v.window) == ((-1,), (2, 1)):
+                terms = dict(vec.terms)
+                target = min(terms, key=lambda w: w.window)
+                if change == "doubled":
+                    terms[target] = 2
+                else:
+                    del terms[target]
+                return FormalVector(kind="element")._with_terms(terms)
+            return vec
+
+        monkeypatch.setattr(wd, "shuffle", broken)
+        self._fails_with(capsys, {DUALITY, "signed products agree with coset-rep maps",
+                                  "inversion swaps the two signed products"})
+
+    def test_one_wrong_cap_piece_key_fails_the_duality(self, monkeypatch, capsys):
+        # the degree-1 piece of cap(2,-3,1) names the other signed letter
+        real, b1 = wd.cap, CoxeterSystem("B", 1)
+
+        def broken(flavor, w):
+            vec = real(flavor, w)
+            if flavor == "B" and w.window == (2, -3, 1):
+                terms = dict(vec.terms)
+                (a, b), = (key for key in terms if key[0].system.n == 1)
+                del terms[(a, b)]
+                terms[(b1.element([-a.window[0]]), b)] = 1
+                return FormalVector(kind="pair")._with_terms(terms)
+            return vec
+
+        monkeypatch.setattr(wd, "cap", broken)
+        self._fails_with(capsys, {DUALITY, BLOCK, "signed comodule coassociativity"})
+
+    def test_a_cap_term_outside_the_size_pair_fails_the_duality(self, monkeypatch, capsys):
+        # an extra degree-1 term (B1[1], A1[1]) in cap(-1) pairs a letter too
+        # many with w: no (u, v, w) probe over B1 x A0 x B1 could see it, the
+        # two tables do
+        real = wd.cap
+        extra = (CoxeterSystem("B", 1).element([1]), CoxeterSystem("A", 1).element([1]))
+
+        def broken(flavor, w):
+            vec = real(flavor, w)
+            if flavor == "B" and w.window == (-1,):
+                return vec + FormalVector.basis(extra, kind="pair")
+            return vec
+
+        monkeypatch.setattr(wd, "cap", broken)
+        self._fails_with(capsys, {DUALITY, "signed comodule coassociativity"})
 
 
 class TestSeriesSuiteCoaction:
