@@ -13,10 +13,11 @@ calling code created itself, never on a vector taken from a cache or
 handed in by a caller, since every other holder of ``a`` sees the change.
 
 The linear extensions :meth:`FormalVector.map_keys` and
-:meth:`FormalVector.map_to_vectors` add every image into one new dict in
-one pass, with no intermediate or scaled vector, and refuse what ``+=``
-refuses: an image of another class (TypeError) and an image in another
-basis (ValueError).
+:meth:`FormalVector.map_to_vectors` add every image into one new
+accumulator through the same zero-dropping accumulation, with no
+intermediate or scaled vector; ``map_to_vectors`` runs each image through
+the checks of ``+=``, so it refuses what ``+=`` refuses: an image of
+another class (TypeError) and an image in another basis (ValueError).
 """
 
 from __future__ import annotations
@@ -158,44 +159,23 @@ class FormalVector:
 
     def map_keys(self, f: Callable, kind: str | None = None) -> "FormalVector":
         """Linear extension of a key-to-key map (collects collisions)."""
-        data: dict = {}
-        get = data.get
-        for key, coeff in self.terms.items():
-            key = f(key)
-            acc = get(key, 0) + coeff
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
-        return FormalVector(kind=kind)._with_terms(data)
+        out = FormalVector(kind=kind)
+        out._accumulate((f(k), c) for k, c in self.terms.items())
+        return out
 
     def map_to_vectors(self, f: Callable[[Hashable], "FormalVector"], kind: str | None = None) -> "FormalVector":
         """Linear extension of a key-to-vector map.  Each image must be a
         plain :class:`FormalVector`, and the images' kinds must agree with
         each other and with ``kind`` when that is given."""
-        data: dict = {}
-        get = data.get
-        merged = kind
+        out = FormalVector(kind=kind)
         for key, coeff in self.terms.items():
             image = f(key)
-            if type(image) is not FormalVector:
-                raise TypeError(f"cannot add {type(image).__name__} to FormalVector")
-            if image.kind is not None and image.kind != merged:
-                if merged is not None:
-                    raise ValueError(f"mixing bases {merged!r} and {image.kind!r}")
-                merged = image.kind
-            terms = image.terms
-            # an image of new keys only, the common case, merges in one update
-            if coeff == 1 and data.keys().isdisjoint(terms):
-                data.update(terms)
-                continue
-            for k, c in terms.items():
-                acc = get(k, 0) + coeff * c
-                if acc:
-                    data[k] = acc
-                else:
-                    del data[k]
-        return FormalVector(kind=kind)._with_terms(data)
+            out._check_compatible(image)
+            out.kind = out._merge_kind(image)
+            items = image.terms.items()
+            out._accumulate(items if coeff == 1 else ((k, coeff * c) for k, c in items))
+        out.kind = kind
+        return out
 
     def pairing(self, other: "FormalVector") -> Scalar:
         """Bilinear extension of <u, v> = delta_{u,v} on basis keys."""

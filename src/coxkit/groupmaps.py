@@ -75,9 +75,8 @@ def restrict_left(system: CoxeterSystem, subset: frozenset[int], x: FormalVector
 
 
 def invert_vector(x: FormalVector) -> FormalVector:
-    """Key-wise group inverse; an involution of the free module.  Inversion
-    is a bijection, so no two keys collide and the terms are built at once."""
-    return FormalVector(kind=x.kind)._with_terms({w.inverse(): c for w, c in x.terms.items()})
+    """Key-wise group inverse; an involution of the free module."""
+    return x.map_keys(lambda w: w.inverse(), kind=x.kind)
 
 
 def descent_projection(system: CoxeterSystem, x: FormalVector) -> FormalVector:
