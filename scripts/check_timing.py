@@ -16,6 +16,10 @@ and caches that later runs read, so ``first_s`` is the cold time a fresh
 process (such as a forked benchmark task) pays, and with ``--repeat`` 2 or
 more ``best_s`` is a warm-cache time.  The output is JSON, with the checks
 in the order the suite makes them.
+
+The script imports coxkit from the ``src`` directory of its own checkout,
+which it puts first on ``sys.path``, so ``PYTHONPATH`` does not redirect
+it.  To compare two trees, run each tree's own copy of the script.
 """
 
 from __future__ import annotations

@@ -197,22 +197,30 @@ def cmd_series(args) -> int:
     check_word_cube(n, window)
     # a valid key's descents are generators, so the roots are never None;
     # lattice points are distinct, so every coefficient is 1
-    runs = lattice_runs(system, sr.basis_roots(system, args.kind[0], alpha), window)
-    count = sum(hi - lo + 1 for _, lo, hi in runs) if n else 1
+    leading, runs = lattice_runs(system, sr.basis_roots(system, args.kind[0], alpha), window)
+    count = len(leading) * sum(hi - lo + 1 for _, lo, hi in runs) if n else 1
 
     def text_lines() -> list[str]:
-        # one block of lines per run: its prefix, then each of its letters
+        # the last block's lines once; with more than one block, one copy of
+        # them per leading point, its letters put after every line's "1\t"
         if not n:
             return ["1\t", "# 1 words"]
         letters = [str(v) for v in range(-window, window + 1)]  # v at index v + window
-        blocks = []
-        for p, lo, hi in runs:
-            head = "1\t" + "".join([letters[v + window] + "," for v in p])
-            blocks.append(head + ("\n" + head).join(letters[lo + window:hi + window + 1]))
-        return [*blocks, f"# {count} words"]
+        lines = []
+        for q, lo, hi in runs:
+            head = "1\t" + "".join([letters[v + window] + "," for v in q])
+            lines.append(head + ("\n" + head).join(letters[lo + window:hi + window + 1]))
+        if leading != [()] and lines:
+            block = "\n".join(lines)
+            lines = [block.replace("\t", "\t" + "".join([letters[v + window] + "," for v in p]))
+                     for p in leading]
+        return [*lines, f"# {count} words"]
 
     def payload() -> dict:
-        words = [[*p, v] for p, lo, hi in runs for v in range(lo, hi + 1)] if n else [[]]
+        # the last block's words once, then each leading point's copy of them
+        words = [[*q, v] for q, lo, hi in runs for v in range(lo, hi + 1)] if n else [[]]
+        if leading != [()]:
+            words = [[*p, *w] for p in leading for w in words]
         return {"degree": n, "window": window,
                 "terms": [{"word": word, "coeff": 1} for word in words]}
 
@@ -687,4 +695,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

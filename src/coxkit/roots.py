@@ -16,11 +16,11 @@ Lattice points are enumerated level by level.  A root bounds its highest
 nonzero coordinate once the coordinates below are fixed, so one list of
 prefixes is extended one coordinate at a time, each prefix by the interval
 (its run) that its roots leave.  Coordinates that no root links fall into
-independent blocks: each block is walked on its own and the blocks are
-joined in lexicographic order.  The walk ends in the runs of the last
-coordinate: :func:`lattice_runs` returns them as (prefix, lo, hi) triples,
-so that a caller that only prints the points need not build them, and
-:func:`lattice_points` is their expansion.
+independent blocks, each walked on its own.  :func:`lattice_runs` returns
+the walk factored: the joined points of every block but the last, and the
+last block's runs of its last coordinate as (prefix, lo, hi) triples, so
+that a caller that only prints the points need build neither them nor a
+full-length prefix.  :func:`lattice_points` is their expansion.
 """
 
 from __future__ import annotations
@@ -112,44 +112,35 @@ def lattice_points(system: CoxeterSystem, parset: Iterable[Root], window: int) -
 
     The result is in lexicographic order: the expansion of
     :func:`lattice_runs`, or ``[()]`` at rank 0.  The last block's runs are
-    expanded once and then joined to the leading points, as in
-    :func:`_block_runs`.
+    expanded once and then joined to the leading points.
     """
-    leading, runs = _block_runs(system, parset, window)
+    leading, runs = lattice_runs(system, parset, window)
     if not system.n:
         return [()]
     return _join(leading, _expand(runs, window, [(v,) for v in range(-window, window + 1)]))
 
 
 def lattice_runs(system: CoxeterSystem, roots: Iterable[Root], window: int
-                 ) -> list[tuple[tuple[int, ...], int, int]]:
-    """The points of :func:`lattice_points` as runs of their last coordinate:
-    lexicographically ordered (prefix, lo, hi) triples, one per prefix of
-    length n - 1 that has a point, whose points are prefix + (v,) for
-    lo <= v <= hi.  Every run is non-empty.  Rank 0 has no last coordinate
-    and no run; its one point () is :func:`lattice_points`' own.
+                 ) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], int, int]]]:
+    """The points of :func:`lattice_points`, factored by coordinate block:
+    ``(leading, runs)``.  ``leading`` holds the points of every block but
+    the last, joined in lexicographic order (``[()]`` when there is one
+    block); ``runs`` holds the last block's points as runs of its last
+    coordinate, lexicographically ordered (prefix, lo, hi) triples, one per
+    prefix that has a point, whose points are prefix + (v,) for
+    lo <= v <= hi.  Every run is non-empty.  The points are p + q + (v,)
+    for p in ``leading``, then each run (q, lo, hi), then v, in that order,
+    so a caller pays per leading point and per run of the last block, not
+    per run of the whole.  Rank 0 has no last coordinate and no run:
+    ``([()], [])``, and its one point () is :func:`lattice_points`' own.
 
     A root whose highest nonzero coordinate is j bounds f_j once
     f_0..f_{j-1} are known.  Coordinate k starts a new block when no root
     with top coordinate >= k reads below k; each block is walked one level
     at a time, extending every prefix by the interval its roots leave (the
-    last level's intervals are the runs), and the blocks are then joined.
-    The cost follows the output, not the cube.
+    last level's intervals are the runs).  The cost follows the output, not
+    the cube.
     """
-    leading, runs = _block_runs(system, roots, window)
-    if leading == [()]:
-        return runs
-    return [(p + q, lo, hi) for p in leading for q, lo, hi in runs]
-
-
-def _block_runs(system: CoxeterSystem, roots: Iterable[Root], window: int
-                ) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], int, int]]]:
-    """The one walk behind :func:`lattice_runs` and :func:`lattice_points`:
-    the points of every block but the last, joined in lexicographic order
-    (``[()]`` when there is one block), and the runs of the last block.  A
-    run of the whole is a leading point followed by a run of the last
-    block, so the leading points are joined only to what each caller needs.
-    Rank 0 is ``([()], [])``."""
     n = system.n
     check_word_cube(n, window)
     roots = set(roots)

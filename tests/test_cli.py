@@ -240,6 +240,34 @@ class TestSeriesOutput:
         assert status == 0 and out == "1\t\n# 1 words\n"
 
 
+class TestSeriesFactoredText:
+    def test_multi_block_key_builds_no_full_length_prefix(self, capsys, monkeypatch):
+        # The roots of hA (1,1,3) split into the blocks {0}, {1} and {2,3,4}:
+        # the printer reads the leading points and the last block's runs as
+        # the walk returns them, and no tuple of n - 1 = 4 letters is built.
+        import coxkit.roots
+        real, walks = coxkit.roots.lattice_runs, []
+
+        def spy(*args):
+            walks.append(real(*args))
+            return walks[-1]
+
+        def int_tuples(x):
+            if isinstance(x, (tuple, list)):
+                if isinstance(x, tuple) and all(isinstance(v, int) for v in x):
+                    yield x
+                else:
+                    for item in x:
+                        yield from int_tuples(item)
+
+        monkeypatch.setattr(coxkit.roots, "lattice_runs", spy)
+        status, out, _ = run(capsys, "series", "--kind", "hA", "--key", "(1,1,3)", "--window", "2")
+        assert status == 0 and len(walks) == 1
+        assert max(map(len, int_tuples(walks))) == 2
+        x = h_basis(CoxeterSystem("A", 5), (1, 1, 3), 2)
+        assert out == series_output(x, "text") and out.endswith(f"# {len(x)} words\n")
+
+
 class TestExpand:
     def test_transition_row(self, capsys):
         status, out, _ = run(capsys, "expand", "--target", "x0:2", "--basis",

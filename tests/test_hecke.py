@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coxkit import cli, hecke, verify
 
 from coxkit.descents import (
+    c_matrix,
     class_rep_bounds,
     sigma_basis,
     sigma_restrict,
@@ -701,6 +702,44 @@ class TestCompositionFactors:
         M = module_from_matrices(B2, acting, {s: [] for s in acting}, 0)
         assert composition_factors(M) == extracted_composition_factors(M) \
             == FormalVector(kind="g0")
+
+
+#: A windows 1-5, B0-B3 and D2-D4.
+CARTAN_SYSTEMS = [CoxeterSystem("A", n) for n in range(1, 6)] \
+    + [CoxeterSystem("B", n) for n in range(4)] + [CoxeterSystem("D", n) for n in range(2, 5)]
+
+
+def _cartan_matrix(system):
+    """[P_J : C_I] at row I and column J, over all_subsets: the composition
+    factors of Norton's projective modules (L5)."""
+    subsets = all_subsets(system)
+    factors = [composition_factors(projective_module(system, J)).terms for J in subsets]
+    return [[column.get(I, 0) for column in factors] for I in subsets]
+
+
+class TestCartanMatrix:
+    """The 0-Hecke algebra's Cartan invariant [P_J : C_I] counts the w with
+    D(w) = J and D(w^-1) = I (Carter 1986 in type A; Fayers 2005 for every
+    finite Coxeter group): the fixed-space ranks of the projectives equal
+    Solomon's descent-pair histogram, read off the family lanes (L1).  The
+    matrix is symmetric, as w -> w^-1 swaps the two descent sets, so a
+    transposed c_matrix would pass too; only the counts themselves are
+    checked."""
+
+    @pytest.mark.parametrize("system", CARTAN_SYSTEMS, ids=repr)
+    def test_equals_the_descent_pair_counts(self, system):
+        cartan = _cartan_matrix(system)
+        assert cartan == c_matrix(system)
+        assert cartan == [list(row) for row in zip(*cartan)]
+
+    @pytest.mark.parametrize("system", [s for s in CARTAN_SYSTEMS if s.rank], ids=repr)
+    def test_a_weak_row_count_differs(self, system):
+        # D(w^-1) <= I in place of D(w^-1) = I: the comparison above can fail
+        subsets = all_subsets(system)
+        weak = [[sum(1 for w in elements(system)
+                     if w.inverse().descent_set() <= I and w.descent_set() == J)
+                 for J in subsets] for I in subsets]
+        assert _cartan_matrix(system) != weak
 
 
 MONOMIAL_SYSTEMS = [CoxeterSystem.of_rank(family, rank)

@@ -21,18 +21,6 @@ def test_fiber_census():
     assert totals == ["total 49 (ok)"] * 3
 
 
-def test_descent_tables():
-    proc = _run("scripts/descent_tables.py", "B", "2")
-    assert proc.returncode == 0, proc.stderr
-    headers = [line for line in proc.stdout.splitlines() if line.startswith("==")]
-    assert headers == [f"== {table} table for B rank 2 ==" for table in ("c", "hgram", "hm")]
-
-
-def test_descent_tables_exits_with_the_worst_status():
-    proc = _run("scripts/descent_tables.py", "Q", "2")
-    assert proc.returncode == 2
-
-
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts/bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

@@ -155,16 +155,32 @@ def _cube_filter(system, parset, window):
 
 
 def _run_points(system, roots, window):
-    """The points of ``lattice_runs``, expanded, once every run is checked
-    to be non-empty and the prefixes to be strictly increasing; rank 0 has
-    no run, and its one point is ()."""
-    runs = lattice_runs(system, roots, window)
+    """The points of ``lattice_runs``, expanded, once the walk is checked to
+    come back factored at the last coordinate block: the leading points are
+    strictly increasing and have one letter per coordinate before that
+    block, and the runs are non-empty, with strictly increasing prefixes of
+    the rest but one.  Rank 0 has one leading point () and no run, and its
+    one point is ()."""
+    roots = list(roots)
+    leading, runs = lattice_runs(system, roots, window)
     assert all(lo <= hi for _, lo, hi in runs)
+    assert all(a < b for a, b in zip(leading, leading[1:]))
     assert all(a[0] < b[0] for a, b in zip(runs, runs[1:]))
     if not system.n:
-        assert runs == []
+        assert (leading, runs) == ([()], [])
         return [()]
-    return [p + (v,) for p, lo, hi in runs for v in range(lo, hi + 1)]
+    k = _last_block_start(system, roots)
+    assert all(len(p) == k for p in leading)
+    assert all(len(q) == system.n - k - 1 for q, _, _ in runs)
+    return [p + q + (v,) for p in leading for q, lo, hi in runs for v in range(lo, hi + 1)]
+
+
+def _last_block_start(system, roots):
+    """Oracle for where the last coordinate block starts: the highest
+    coordinate k that no root reads both below and at or above, else 0."""
+    spans = [_reads(r) for r in roots]
+    return max((k for k in range(1, system.n) if not any(i < k <= j for i, j in spans)),
+               default=0)
 
 
 class TestRoots:
@@ -288,10 +304,23 @@ class TestRoots:
     # e3 - e1 and e4 + e1 read a far coordinate: no block may start between
     @example((B3, 2, [(-1, 0, 1)]))
     @example((CoxeterSystem("D", 4), 2, [(1, 0, 0, 1), (0, -1, 1, 0)]))
+    # two blocks, the leading one with no point (f_0 > f_1 >= f_0)
+    @example((B3, 2, [(1, -1, 0), (-1, 1, 0), (0, 0, 1)]))
+    # two blocks, a strict negative root in each
+    @example((CoxeterSystem("D", 4), 1, [(-1, -1, 0, 0), (0, 0, 1, -1)]))
+    # four one-coordinate blocks at window 0; rank 0
+    @example((CoxeterSystem("A", 4), 0, []))
+    @example((CoxeterSystem("B", 0), 3, []))
     def test_lattice_points_on_root_subsets(self, case):
+        # _run_points checks that the walk comes back factored; every
+        # leading point then heads a copy of the last block's points
         system, window, roots = case
-        assert lattice_points(system, roots, window) == _run_points(system, roots, window) \
-            == _cube_filter(system, roots, window)
+        points = _run_points(system, roots, window)
+        assert lattice_points(system, roots, window) == points == _cube_filter(system, roots, window)
+        leading, runs = lattice_runs(system, roots, window)
+        if runs:
+            k = len(leading[0]) if leading else 0
+            assert leading == sorted({f[:k] for f in points})
 
     @pytest.mark.parametrize("system", LATTICE_SYSTEMS, ids=lambda s: f"{s.family}{s.n}")
     def test_lattice_points_of_every_parabolic(self, system):
